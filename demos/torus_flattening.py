@@ -12,36 +12,37 @@ are sampled and reported, not proved.
 import numpy as np
 
 from momentangle import (
-    TorusChart,
     endpoint_checks,
-    f1_point,
     injectivity_probe,
+    isotopy_batch,
     isotopy_map,
-    isotopy_point,
     standard_map,
-    standard_torus_point,
+    standard_torus_batch,
 )
 
-# A marked point of the 2-torus and where the deformation takes it.
-angles = (np.pi / 3, np.pi / 4)
-print("angles:", tuple(round(a, 4) for a in angles))
-print("standard embedding in R^3: ", np.round(standard_torus_point(2, angles), 4))
+# A marked point of the 2-torus and where the deformation takes it.  The
+# functions take a batch of angle tuples, one per row; here the batch is
+# a single row.
+angles = np.array([[np.pi / 3, np.pi / 4]])
+print("angles:", np.round(angles[0], 4))
+print("standard embedding in R^3: ", np.round(standard_torus_batch(2, angles)[0], 4))
 for t in (0.0, 0.5, 1.0):
     print(f"deformed, t={t}:           ",
-          np.round(isotopy_point(2, angles, t), 4))
+          np.round(isotopy_batch(2, angles, t)[0], 4))
 print()
 
-# The one-dimensional case in closed form: the circle tips from the
+# The one-dimensional case has the closed form
+# (t sin a, cos a, (1-t) sin a + t |sin a|): the circle tips from the
 # (x1, x2) plane into the half-space x3 >= 0.
 print("the circle isotopy at a quarter turn:")
 for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-    print(f"  t={t}: {np.round(f1_point(np.pi / 2, t), 4)}")
+    print(f"  t={t}: {np.round(isotopy_batch(1, np.array([[np.pi / 2]]), t)[0], 4)}")
 print()
 
-# Charts normalize angles and carry the deformation parameter along.
-chart = TorusChart(3, (7.0, -1.0, 2.5), t=0.5)
-print("chart angles normalized:", tuple(round(a, 4) for a in chart.angles))
-print("chart deformed point:   ", np.round(chart.deformed_point(), 4))
+# A whole batch at once: three points of the 3-torus, half deformed.
+batch = np.array([[7.0, -1.0, 2.5], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+print("3-torus batch at t=0.5:")
+print(np.round(isotopy_batch(3, batch, 0.5), 4))
 print()
 
 # Endpoint identities: t=1 restricts to the standard torus, t=0 splits

@@ -12,7 +12,6 @@ from .homology import (
     GradedGroups,
     IntegerMatrix,
     boundary_matrix,
-    cohomology_from_homology,
     invariant_factors,
     reduced_homology,
     smith_normal_form,
@@ -20,19 +19,13 @@ from .homology import (
 from .isotopy import (
     EndpointReport,
     InjectivityReport,
-    TorusChart,
     circle_distance,
     endpoint_checks,
-    f1_batch,
-    f1_map,
-    f1_point,
     injectivity_probe,
     isotopy_batch,
     isotopy_map,
-    isotopy_point,
     standard_map,
     standard_torus_batch,
-    standard_torus_point,
 )
 from .moment_angle import (
     DEFAULT_MAX_VERTICES,
@@ -44,7 +37,6 @@ from .moment_angle import (
 )
 from .polytopes import (
     SimplePolytope,
-    are_combinatorially_isomorphic,
     cube,
     polygon,
     product,
@@ -53,7 +45,6 @@ from .polytopes import (
 from .simplicial import (
     SimplicialComplex,
     Simplex,
-    are_isomorphic,
     as_simplex,
     boundary_complex,
     full_simplex,
@@ -84,9 +75,6 @@ __all__ = [
     "SimplicialComplex",
     "SubsetLimitError",
     "TheoremReport",
-    "TorusChart",
-    "are_combinatorially_isomorphic",
-    "are_isomorphic",
     "as_simplex",
     "betti",
     "bigraded_table",
@@ -94,19 +82,14 @@ __all__ = [
     "boundary_matrix",
     "boundary_product_groups",
     "circle_distance",
-    "cohomology_from_homology",
     "connected_sum_groups",
     "cube",
     "endpoint_checks",
-    "f1_batch",
-    "f1_map",
-    "f1_point",
     "full_simplex",
     "injectivity_probe",
     "invariant_factors",
     "isotopy_batch",
     "isotopy_map",
-    "isotopy_point",
     "join",
     "moment_angle_cohomology",
     "polygon",
@@ -118,7 +101,6 @@ __all__ = [
     "sphere_product_sum_groups",
     "standard_map",
     "standard_torus_batch",
-    "standard_torus_point",
     "theorem_corpus",
     "verify_all_cuts",
     "verify_cut_theorem",

@@ -26,14 +26,7 @@ import os
 import sys
 from typing import Sequence
 
-from .homology import GradedGroups
-from .isotopy import (
-    endpoint_checks,
-    f1_map,
-    injectivity_probe,
-    isotopy_map,
-    standard_map,
-)
+from .isotopy import endpoint_checks, injectivity_probe, isotopy_map, standard_map
 from .moment_angle import (
     DEFAULT_MAX_VERTICES,
     SubsetLimitError,
@@ -79,7 +72,7 @@ def _load_object(path: str) -> SimplePolytope | SimplicialComplex:
             data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"malformed JSON in {path}: {exc}") from exc
     if isinstance(data, dict) and "vertex_facets" in data:
         return SimplePolytope.from_json_dict(data)
@@ -129,16 +122,19 @@ def _parse_expr(tokens: list[str]) -> SimplePolytope | SimplicialComplex:
 def parse_expression(parts: Sequence[str]) -> SimplePolytope | SimplicialComplex:
     """Parse a complete prefix expression; leftover tokens are an error."""
     tokens = _tokenize(parts)
-    obj = _parse_expr(tokens)
+    try:
+        obj = _parse_expr(tokens)
+    except RecursionError:
+        raise UsageError("expression is nested too deeply") from None
     if tokens:
         raise UsageError(f"unexpected trailing tokens: {' '.join(tokens)}")
     return obj
 
 
-# -- output plumbing -------------------------------------------------------
+# -- output ----------------------------------------------------------------
 
 
-def _emit(text: str, args) -> None:
+def _write(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if args.output:
@@ -148,15 +144,25 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
-def _groups_rows(groups: GradedGroups) -> list[tuple[int, int, str]]:
-    return [
-        (d, groups.rank(d), ";".join(str(x) for x in groups.torsion(d)))
-        for d in groups.degrees()
-    ]
+def _render(args, payload: dict, csv_rows: list[tuple], text_lines: list[str]) -> None:
+    """Write a report in the format the flags select.
+
+    JSON is ``payload`` tagged with ``"schema": 1``; CSV is ``csv_rows``,
+    header first; text is ``text_lines``.
+    """
+    if args.json:
+        text = json.dumps({"schema": 1, **payload}, sort_keys=True, indent=2)
+    elif args.csv:
+        text = "\n".join(",".join(_csv_cell(x) for x in row) for row in csv_rows)
+    else:
+        text = "\n".join(text_lines)
+    _write(args, text)
 
 
 # -- subcommands -----------------------------------------------------------
@@ -166,51 +172,40 @@ def cmd_build(args) -> int:
     obj = parse_expression(args.expr)
     if args.csv:
         raise UsageError("build has no csv form; the output is a JSON object")
-    _emit(_json_text(obj.to_json_dict()), args)
+    # the bare object, whatever the format flag: build output is build input
+    _write(args, json.dumps(obj.to_json_dict(), sort_keys=True, indent=2))
     return 0
-
-
-def _complex_for(obj: SimplePolytope | SimplicialComplex) -> SimplicialComplex:
-    return obj.dual_complex() if isinstance(obj, SimplePolytope) else obj
 
 
 def cmd_betti(args) -> int:
     obj = parse_expression(args.expr)
-    k = _complex_for(obj)
+    k = obj.dual_complex() if isinstance(obj, SimplePolytope) else obj
     groups = moment_angle_cohomology(
         k, workers=args.workers, max_vertices=args.max_subsets
     )
     poly = betti(groups)
-    if args.json:
-        payload = {
-            "schema": 1,
-            "kind": "betti",
-            "input": obj.to_json_dict(),
-            "groups": groups.to_json_dict(),
-            "poincare": str(poly),
-        }
-        if isinstance(obj, SimplePolytope):
-            payload.update(m=obj.m, n=obj.n, dim=obj.m + obj.n)
-        _emit(_json_text(payload), args)
-        return 0
-    if args.csv:
-        lines = ["degree,rank,torsion"]
-        lines += [f"{d},{r},{t}" for d, r, t in _groups_rows(groups)]
-        _emit("\n".join(lines), args)
-        return 0
-    lines = []
+    rows = [
+        (d, groups.rank(d), ";".join(str(x) for x in groups.torsion(d)))
+        for d in groups.degrees()
+    ]
+    payload = {
+        "kind": "betti",
+        "input": obj.to_json_dict(),
+        "groups": groups.to_json_dict(),
+        "poincare": str(poly),
+    }
     if isinstance(obj, SimplePolytope):
-        lines.append(
+        payload.update(m=obj.m, n=obj.n, dim=obj.m + obj.n)
+        lines = [
             f"moment-angle manifold: m={obj.m} facets, n={obj.n}, "
             f"dimension {obj.m + obj.n}"
-        )
+        ]
     else:
-        lines.append(f"moment-angle complex on {obj.vertex_count} vertices")
+        lines = [f"moment-angle complex on {obj.vertex_count} vertices"]
     lines.append("degree  rank  torsion")
-    for d, r, t in _groups_rows(groups):
-        lines.append(f"{d:>6}  {r:>4}  {t or '-'}")
+    lines += [f"{d:>6}  {r:>4}  {t or '-'}" for d, r, t in rows]
     lines.append(f"poincare: {poly}")
-    _emit("\n".join(lines), args)
+    _render(args, payload, [("degree", "rank", "torsion"), *rows], lines)
     return 0
 
 
@@ -232,17 +227,7 @@ def _report_lines(report) -> list[str]:
 
 def cmd_verify(args) -> int:
     tokens = list(args.expr)
-    if args.all_vertices:
-        obj = parse_expression(tokens)
-        if not isinstance(obj, SimplePolytope):
-            raise UsageError("verify needs a polytope input")
-        reports = verify_all_cuts(
-            obj,
-            workers=args.workers,
-            max_vertices=args.max_subsets,
-            description=" ".join(tokens),
-        )
-    else:
+    if not args.all_vertices:
         if len(tokens) < 2:
             raise UsageError("verify needs an expression and a vertex index")
         try:
@@ -251,85 +236,64 @@ def cmd_verify(args) -> int:
             raise UsageError(
                 f"last argument must be a vertex index, got {tokens[-1]!r}"
             ) from None
-        obj = parse_expression(tokens[:-1])
-        if not isinstance(obj, SimplePolytope):
-            raise UsageError("verify needs a polytope input")
-        reports = [
-            verify_cut_theorem(
-                obj,
-                vertex,
-                workers=args.workers,
-                max_vertices=args.max_subsets,
-                description=" ".join(tokens[:-1]),
-            )
-        ]
-    all_match = all(r.match for r in reports)
-    if args.json:
-        payload = {
-            "schema": 1,
-            "kind": "verify",
-            "all_match": all_match,
-            "reports": [r.to_json_dict() for r in reports],
-        }
-        _emit(_json_text(payload), args)
-    elif args.csv:
-        lines = ["polytope,vertex,match,lhs,rhs"]
-        lines += [
-            f"{r.polytope},{r.vertex},{str(r.match).lower()},"
-            f"{betti(r.lhs)},{betti(r.rhs)}"
-            for r in reports
-        ]
-        _emit("\n".join(lines), args)
+        tokens = tokens[:-1]
+    obj = parse_expression(tokens)
+    if not isinstance(obj, SimplePolytope):
+        raise UsageError("verify needs a polytope input")
+    options = dict(
+        workers=args.workers,
+        max_vertices=args.max_subsets,
+        description=" ".join(tokens),
+    )
+    if args.all_vertices:
+        reports = verify_all_cuts(obj, **options)
     else:
-        lines = []
-        for r in reports:
-            lines.extend(_report_lines(r))
-        lines.append(
-            f"{len(reports)} vertex cut(s) checked: "
-            + ("all match" if all_match else "MISMATCH FOUND")
-        )
-        _emit("\n".join(lines), args)
+        reports = [verify_cut_theorem(obj, vertex, **options)]
+    all_match = all(r.match for r in reports)
+    payload = {
+        "kind": "verify",
+        "all_match": all_match,
+        "reports": [r.to_json_dict() for r in reports],
+    }
+    rows = [("polytope", "vertex", "match", "lhs", "rhs")]
+    rows += [
+        (r.polytope, r.vertex, r.match, betti(r.lhs), betti(r.rhs)) for r in reports
+    ]
+    lines = [line for r in reports for line in _report_lines(r)]
+    lines.append(
+        f"{len(reports)} vertex cut(s) checked: "
+        + ("all match" if all_match else "MISMATCH FOUND")
+    )
+    _render(args, payload, rows, lines)
     return 0 if all_match else 1
 
 
 def cmd_verify_corpus(args) -> int:
     rows = []
-    all_match = True
     for name, p in theorem_corpus():
         reports = verify_all_cuts(
             p, workers=args.workers, max_vertices=args.max_subsets, description=name
         )
-        ok = all(r.match for r in reports)
-        all_match = all_match and ok
-        rows.append((name, p.m, p.n, len(reports), ok))
-    if args.json:
-        payload = {
-            "schema": 1,
-            "kind": "verify-corpus",
-            "all_match": all_match,
-            "entries": [
-                {"name": n, "m": m, "n": dim, "vertices": v, "match": ok}
-                for n, m, dim, v, ok in rows
-            ],
-        }
-        _emit(_json_text(payload), args)
-    elif args.csv:
-        lines = ["name,m,n,vertices,match"]
-        lines += [
-            f"{n},{m},{dim},{v},{str(ok).lower()}" for n, m, dim, v, ok in rows
-        ]
-        _emit("\n".join(lines), args)
-    else:
-        lines = [f"{'name':<18} {'m':>3} {'n':>3} {'vertices':>8}  result"]
-        for n, m, dim, v, ok in rows:
-            lines.append(
-                f"{n:<18} {m:>3} {dim:>3} {v:>8}  {'match' if ok else 'MISMATCH'}"
-            )
-        lines.append(
-            f"corpus: {len(rows)} polytopes, "
-            + ("all cuts match" if all_match else "MISMATCH FOUND")
-        )
-        _emit("\n".join(lines), args)
+        rows.append((name, p.m, p.n, len(reports), all(r.match for r in reports)))
+    all_match = all(ok for *_, ok in rows)
+    payload = {
+        "kind": "verify-corpus",
+        "all_match": all_match,
+        "entries": [
+            {"name": n, "m": m, "n": dim, "vertices": v, "match": ok}
+            for n, m, dim, v, ok in rows
+        ],
+    }
+    lines = [f"{'name':<18} {'m':>3} {'n':>3} {'vertices':>8}  result"]
+    lines += [
+        f"{n:<18} {m:>3} {dim:>3} {v:>8}  {'match' if ok else 'MISMATCH'}"
+        for n, m, dim, v, ok in rows
+    ]
+    lines.append(
+        f"corpus: {len(rows)} polytopes, "
+        + ("all cuts match" if all_match else "MISMATCH FOUND")
+    )
+    _render(args, payload, [("name", "m", "n", "vertices", "match"), *rows], lines)
     return 0 if all_match else 1
 
 
@@ -340,73 +304,44 @@ def cmd_isotopy_check(args) -> int:
         raise UsageError(f"need at least 2 samples, got {args.samples}")
     seed = args.seed if args.seed is not None else args.seed_pos
     endpoints = endpoint_checks(args.k, args.samples, seed)
-    probes = [
-        injectivity_probe(
-            standard_map(args.k), args.k, args.samples, seed, label="standard"
-        )
-    ]
-    for t in (0.0, 0.5, 1.0):
-        probes.append(
-            injectivity_probe(
-                isotopy_map(args.k, t),
-                args.k,
-                args.samples,
-                seed,
-                label=f"isotopy t={t}",
-            )
-        )
+    maps = [("standard", standard_map(args.k))]
+    maps += [(f"isotopy t={t}", isotopy_map(args.k, t)) for t in (0.0, 0.5, 1.0)]
     if args.k == 1:
-        for t in (0.0, 1.0):
-            probes.append(
-                injectivity_probe(
-                    f1_map(t), 1, args.samples, seed, label=f"f1 t={t}"
-                )
-            )
+        # the closed-form circle isotopy F1 is the k = 1 isotopy
+        maps += [(f"f1 t={t}", isotopy_map(1, t)) for t in (0.0, 1.0)]
+    probes = [
+        injectivity_probe(point_map, args.k, args.samples, seed, label=label)
+        for label, point_map in maps
+    ]
     passed = endpoints.passed and all(p.passed for p in probes)
-    if args.json:
-        payload = {
-            "schema": 1,
-            "kind": "isotopy-check",
-            "endpoints": endpoints.to_json_dict(),
-            "probes": [p.to_json_dict() for p in probes],
-            "passed": passed,
-        }
-        _emit(_json_text(payload), args)
-    elif args.csv:
-        lines = ["check,value,passed"]
+    payload = {
+        "kind": "isotopy-check",
+        "endpoints": endpoints.to_json_dict(),
+        "probes": [p.to_json_dict() for p in probes],
+        "passed": passed,
+    }
+    deviations = [
+        ("standard", "t=1 vs standard torus:", endpoints.max_standard_deviation),
+        ("radius", "t=0 circle radius:", endpoints.max_radius_deviation),
+        ("base", "t=0 base stability:", endpoints.max_base_deviation),
+    ]
+    rows = [("check", "value", "passed")]
+    rows += [
+        (f"endpoint-{name}", value, value <= endpoints.tolerance)
+        for name, _, value in deviations
+    ]
+    rows += [(f"probe {p.label}", p.violations, p.passed) for p in probes]
+    lines = [f"isotopy check: k={args.k}, samples={args.samples}, seed={seed}"]
+    lines += [
+        f"  {what:<22} max deviation {value:.3e}" for _, what, value in deviations
+    ]
+    for p in probes:
+        sep = "inf" if p.min_separation == float("inf") else f"{p.min_separation:.3e}"
         lines.append(
-            f"endpoint-standard,{endpoints.max_standard_deviation!r},"
-            f"{str(endpoints.max_standard_deviation <= endpoints.tolerance).lower()}"
+            f"  probe {p.label}: {p.violations} violations, min separation {sep}"
         )
-        lines.append(
-            f"endpoint-radius,{endpoints.max_radius_deviation!r},"
-            f"{str(endpoints.max_radius_deviation <= endpoints.tolerance).lower()}"
-        )
-        lines.append(
-            f"endpoint-base,{endpoints.max_base_deviation!r},"
-            f"{str(endpoints.max_base_deviation <= endpoints.tolerance).lower()}"
-        )
-        for p in probes:
-            lines.append(f"probe {p.label},{p.violations},{str(p.passed).lower()}")
-        _emit("\n".join(lines), args)
-    else:
-        lines = [f"isotopy check: k={args.k}, samples={args.samples}, seed={seed}"]
-        lines.append(
-            f"  t=1 vs standard torus: max deviation {endpoints.max_standard_deviation:.3e}"
-        )
-        lines.append(
-            f"  t=0 circle radius:     max deviation {endpoints.max_radius_deviation:.3e}"
-        )
-        lines.append(
-            f"  t=0 base stability:    max deviation {endpoints.max_base_deviation:.3e}"
-        )
-        for p in probes:
-            sep = "inf" if p.min_separation == float("inf") else f"{p.min_separation:.3e}"
-            lines.append(
-                f"  probe {p.label}: {p.violations} violations, min separation {sep}"
-            )
-        lines.append("overall: " + ("PASS" if passed else "FAIL"))
-        _emit("\n".join(lines), args)
+    lines.append("overall: " + ("PASS" if passed else "FAIL"))
+    _render(args, payload, rows, lines)
     return 0 if passed else 1
 
 
@@ -493,13 +428,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print("hint: raise the cap with --max-subsets", file=sys.stderr)
         return 3
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -208,9 +208,6 @@ class GradedGroups:
             raise ValueError("the zero graded group has no bottom degree")
         return min(self._groups)
 
-    def total_rank(self) -> int:
-        return sum(r for r, _ in self._groups.values())
-
     def has_torsion(self) -> bool:
         return any(t for _, t in self._groups.values())
 
@@ -311,23 +308,4 @@ def reduced_homology(k: SimplicialComplex) -> GradedGroups:
     for d in range(-1, top + 1):
         kernel = counts[d] - (bd_rank[d] if d >= 0 else 0)
         groups[d] = (kernel - bd_rank[d + 1], bd_torsion[d + 1])
-    return GradedGroups(groups)
-
-
-def cohomology_from_homology(h: GradedGroups) -> GradedGroups:
-    """Integral cohomology from homology: same ranks, torsion shifted up one.
-
-    By universal coefficients H^d = Z^{rank H_d} ⊕ torsion(H_{d-1}); e.g. a
-    projective plane with H_1 = Z/2 has its Z/2 in H^2.
-    """
-    groups: dict[int, tuple[int, list[int]]] = {}
-    for d in h.degrees():
-        r = h.rank(d)
-        if r:
-            groups.setdefault(d, (0, []))
-            groups[d] = (groups[d][0] + r, groups[d][1])
-        t = h.torsion(d)
-        if t:
-            up = groups.setdefault(d + 1, (0, []))
-            groups[d + 1] = (up[0], up[1] + list(t))
     return GradedGroups(groups)

@@ -31,8 +31,8 @@ checked to 1e-12, and injectivity is probed pairwise, not proved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -85,61 +85,6 @@ def isotopy_batch(k: int, angles: np.ndarray, t: float) -> np.ndarray:
     return np.concatenate([body, last[:, None]], axis=1)
 
 
-def standard_torus_point(k: int, angles: Sequence[float]) -> np.ndarray:
-    """One point of the standard k-torus in R^{k+1}."""
-    return standard_torus_batch(k, np.asarray(angles, dtype=float)[None, :])[0]
-
-
-def isotopy_point(k: int, angles: Sequence[float], t: float) -> np.ndarray:
-    """One point of the stage-t deformation in R^{k+2}."""
-    return isotopy_batch(k, np.asarray(angles, dtype=float)[None, :], t)[0]
-
-
-def f1_point(alpha: float, t: float) -> np.ndarray:
-    """The circle isotopy in closed form: (t sin a, cos a, (1-t) sin a + t |sin a|)."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"deformation parameter must lie in [0, 1], got {t}")
-    s, c = np.sin(alpha), np.cos(alpha)
-    return np.array([t * s, c, (1.0 - t) * s + t * abs(s)])
-
-
-def f1_batch(angles: np.ndarray, t: float) -> np.ndarray:
-    a = np.asarray(angles, dtype=float).reshape(-1)
-    s, c = np.sin(a), np.cos(a)
-    return np.stack([t * s, c, (1.0 - t) * s + t * np.abs(s)], axis=1)
-
-
-@dataclass(frozen=True)
-class TorusChart:
-    """A k-tuple of angles plus a deformation parameter t.
-
-    Angles are normalized into [0, 2pi); t must lie in [0, 1].
-    """
-
-    k: int
-    angles: tuple[float, ...]
-    t: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"torus dimension must be >= 1, got {self.k}")
-        if len(self.angles) != self.k:
-            raise ValueError(
-                f"expected {self.k} angles, got {len(self.angles)}"
-            )
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"deformation parameter must lie in [0, 1], got {self.t}")
-        object.__setattr__(
-            self, "angles", tuple(float(a) % TWO_PI for a in self.angles)
-        )
-
-    def standard_point(self) -> np.ndarray:
-        return standard_torus_point(self.k, self.angles)
-
-    def deformed_point(self) -> np.ndarray:
-        return isotopy_point(self.k, self.angles, self.t)
-
-
 # -- probe harness ---------------------------------------------------------
 
 
@@ -169,13 +114,7 @@ class InjectivityReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "label": self.label,
-            "k": self.k,
-            "samples": self.samples,
-            "seed": self.seed,
-            "delta_in": self.delta_in,
-            "delta_out": self.delta_out,
-            "violations": self.violations,
+            **asdict(self),
             "min_separation": (
                 None if np.isinf(self.min_separation) else self.min_separation
             ),
@@ -240,16 +179,7 @@ class EndpointReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "max_standard_deviation": self.max_standard_deviation,
-            "max_radius_deviation": self.max_radius_deviation,
-            "max_base_deviation": self.max_base_deviation,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def endpoint_checks(
@@ -297,7 +227,3 @@ def standard_map(k: int) -> Callable[[np.ndarray], np.ndarray]:
 
 def isotopy_map(k: int, t: float) -> Callable[[np.ndarray], np.ndarray]:
     return lambda angles: isotopy_batch(k, angles, t)
-
-
-def f1_map(t: float) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda angles: f1_batch(angles, t)

@@ -22,6 +22,7 @@ every worker count.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from typing import Mapping
@@ -38,8 +39,10 @@ class SubsetLimitError(Exception):
     def __init__(self, m: int, limit: int):
         self.m = m
         self.limit = limit
+        # 2^m is spelled out only while it is short; hostile input can make m huge
+        count = f"2^{m} = {2**m}" if m <= 64 else f"2^{m}"
         super().__init__(
-            f"complex has {m} vertices: enumerating 2^{m} = {2**m} subsets "
+            f"complex has {m} vertices: enumerating {count} subsets "
             f"exceeds the limit 2^{limit}; raise the max-subsets exponent to proceed"
         )
 
@@ -76,10 +79,20 @@ def _subset_contributions(
     return ranks, torsion
 
 
+def _usable_workers(requested: int) -> int:
+    """``requested`` capped at the number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(requested, cpus)
+
+
 def _gather(
     k: SimplicialComplex, workers: int
 ) -> tuple[Counter, dict[int, list[int]]]:
     total = 1 << k.vertex_count
+    workers = _usable_workers(workers)
     if workers <= 1:
         return _subset_contributions(k, 0, total)
     bounds = [total * i // workers for i in range(workers + 1)]

@@ -21,9 +21,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
-from .simplicial import SimplicialComplex, Simplex
+from .simplicial import SimplicialComplex, Simplex, _json_int, _json_int_rows
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,14 @@ class SimplePolytope:
                 )
             seen[rec] = i
         covered = {f for rec in records for f in rec}
-        missing = sorted(set(range(self.facet_count)) - covered)
-        if missing:
-            raise ValueError(f"facet_coverage: facets {missing} meet no vertex")
+        uncovered = self.facet_count - len(covered)
+        if uncovered:
+            # name at most ten, so a huge facet_count is never enumerated
+            missing = [f for f in range(len(covered) + 10) if f not in covered]
+            shown = missing[: min(uncovered, 10)]
+            more = uncovered - len(shown)
+            tail = f" and {more} more" if more else ""
+            raise ValueError(f"facet_coverage: facets {shown}{tail} meet no vertex")
         object.__setattr__(self, "vertex_facets", tuple(records))
 
     # short aliases matching the usual notation
@@ -118,12 +123,12 @@ class SimplePolytope:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SimplePolytope":
         try:
-            dim = int(data["dim"])
-            facets = int(data["facets"])
-            records = data["vertex_facets"]
+            dim = _json_int(data["dim"], "dim")
+            facets = _json_int(data["facets"], "facets")
+            records = _json_int_rows(data["vertex_facets"], "vertex_facets")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed polytope record: {exc}") from exc
-        return cls(dim, facets, tuple(tuple(int(f) for f in rec) for rec in records))
+        return cls(dim, facets, tuple(records))
 
     @classmethod
     def from_json(cls, text: str) -> "SimplePolytope":
@@ -164,10 +169,3 @@ def cube(n: int = 3) -> SimplePolytope:
     if n < 1:
         raise ValueError(f"cube dimension must be >= 1, got {n}")
     return reduce(product, [simplex_polytope(1)] * n)
-
-
-def are_combinatorially_isomorphic(p: SimplePolytope, q: SimplePolytope) -> bool:
-    """True when some facet relabelling identifies the two incidence structures."""
-    from .simplicial import are_isomorphic
-
-    return p.dim == q.dim and are_isomorphic(p.dual_complex(), q.dual_complex())

@@ -19,7 +19,6 @@ Construction prunes non-maximal input faces rather than rejecting them, so
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -30,6 +29,20 @@ Simplex = tuple[int, ...]
 def as_simplex(vertices: Iterable[int]) -> Simplex:
     """Canonical form of a face: sorted tuple of distinct ints."""
     return tuple(sorted(set(int(v) for v in vertices)))
+
+
+def _json_int(value, name: str) -> int:
+    """``value`` itself if it is a JSON integer; floats, bools, strings are errors."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _json_int_rows(value, name: str) -> list[tuple[int, ...]]:
+    """A JSON list of integer lists, as tuples; any other shape is an error."""
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise ValueError(f"{name} must be a list of integer lists")
+    return [tuple(_json_int(x, f"{name} entry") for x in row) for row in value]
 
 
 @dataclass(frozen=True)
@@ -48,12 +61,7 @@ class SimplicialComplex:
         if self.vertex_count < 0:
             raise ValueError(f"vertex_count must be >= 0, got {self.vertex_count}")
         faces = sorted({as_simplex(f) for f in self.maximal_faces})
-        for f in faces:
-            for v in f:
-                if v < 0 or v >= self.vertex_count:
-                    raise ValueError(
-                        f"vertex index {v} out of range for vertex_count={self.vertex_count}"
-                    )
+        self._check_vertices(v for f in faces for v in f)
         sets = [set(f) for f in faces]
         maximal = frozenset(
             f
@@ -61,6 +69,13 @@ class SimplicialComplex:
             if not any(sets[i] < sets[j] for j in range(len(faces)) if j != i)
         )
         object.__setattr__(self, "maximal_faces", maximal)
+
+    def _check_vertices(self, vertices: Iterable[int]) -> None:
+        for v in vertices:
+            if v < 0 or v >= self.vertex_count:
+                raise ValueError(
+                    f"vertex index {v} out of range for vertex_count={self.vertex_count}"
+                )
 
     # -- basic queries ----------------------------------------------------
 
@@ -75,18 +90,10 @@ class SimplicialComplex:
     def is_void(self) -> bool:
         return not self.maximal_faces
 
-    @property
-    def has_vertices(self) -> bool:
-        return self.dim >= 0
-
     def is_face(self, simplex: Iterable[int]) -> bool:
         """Membership test; out-of-range vertex indices are an error."""
         s = as_simplex(simplex)
-        for v in s:
-            if v < 0 or v >= self.vertex_count:
-                raise ValueError(
-                    f"vertex index {v} out of range for vertex_count={self.vertex_count}"
-                )
+        self._check_vertices(s)
         if not self.maximal_faces:
             return False
         ss = set(s)
@@ -121,11 +128,7 @@ class SimplicialComplex:
         complex on zero vertices.
         """
         J = sorted(set(int(v) for v in vertices))
-        for v in J:
-            if v < 0 or v >= self.vertex_count:
-                raise ValueError(
-                    f"vertex index {v} out of range for vertex_count={self.vertex_count}"
-                )
+        self._check_vertices(J)
         if not J:
             return SimplicialComplex(0, frozenset())
         if not self.maximal_faces:
@@ -184,8 +187,8 @@ class SimplicialComplex:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SimplicialComplex":
         try:
-            vertices = int(data["vertices"])
-            faces = data["maximal_faces"]
+            vertices = _json_int(data["vertices"], "vertices")
+            faces = _json_int_rows(data["maximal_faces"], "maximal_faces")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed complex record: {exc}") from exc
         return cls(vertices, frozenset(as_simplex(f) for f in faces))
@@ -228,80 +231,3 @@ def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
         for f2 in k2.maximal_faces
     }
     return SimplicialComplex(off + k2.vertex_count, faces)
-
-
-def _vertex_signature(k: SimplicialComplex) -> list[tuple[int, ...]]:
-    # signature of v: sorted sizes of the maximal faces containing v
-    sig: list[list[int]] = [[] for _ in range(k.vertex_count)]
-    for f in k.maximal_faces:
-        for v in f:
-            sig[v].append(len(f))
-    return [tuple(sorted(s)) for s in sig]
-
-
-def _cofacial(k: SimplicialComplex) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(k.vertex_count)]
-    for f in k.maximal_faces:
-        for a in f:
-            for b in f:
-                if a != b:
-                    adj[a].add(b)
-    return adj
-
-
-def are_isomorphic(k1: SimplicialComplex, k2: SimplicialComplex) -> bool:
-    """Decide whether some vertex bijection carries k1's faces onto k2's.
-
-    Backtracking over vertex assignments, pruned by per-vertex signatures
-    (multiset of incident maximal-face sizes) and pairwise cofaciality.
-    Intended for the small complexes this package works with, not for large
-    instances.
-    """
-    if k1.vertex_count != k2.vertex_count:
-        return False
-    if len(k1.maximal_faces) != len(k2.maximal_faces):
-        return False
-    if Counter(len(f) for f in k1.maximal_faces) != Counter(
-        len(f) for f in k2.maximal_faces
-    ):
-        return False
-    sig1, sig2 = _vertex_signature(k1), _vertex_signature(k2)
-    if Counter(sig1) != Counter(sig2):
-        return False
-    n = k1.vertex_count
-    if n == 0:
-        return True
-    adj1, adj2 = _cofacial(k1), _cofacial(k2)
-    # assign rarest-signature vertices first: fewer candidates, earlier cuts
-    rarity = Counter(sig1)
-    order = sorted(range(n), key=lambda v: (rarity[sig1[v]], v))
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def faces_match() -> bool:
-        image = {tuple(sorted(mapping[v] for v in f)) for f in k1.maximal_faces}
-        return image == set(k2.maximal_faces)
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return faces_match()
-        u = order[i]
-        for w in range(n):
-            if w in used or sig2[w] != sig1[u]:
-                continue
-            ok = True
-            for v, x in mapping.items():
-                if (v in adj1[u]) != (x in adj2[w]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[u] = w
-            used.add(w)
-            if extend(i + 1):
-                return True
-            del mapping[u]
-            used.discard(w)
-        return False
-
-    return extend(0)

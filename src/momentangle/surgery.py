@@ -162,6 +162,27 @@ def _compare(
     return TheoremReport(polytope, vertex, lhs, rhs, not diff, tuple(diff))
 
 
+def _verify_cuts(
+    p: SimplePolytope,
+    vertices: Sequence[int],
+    workers: int,
+    max_vertices: int,
+    description: str | None,
+) -> list[TheoremReport]:
+    """One report per listed vertex; the prediction depends on P alone."""
+    if description is None:
+        description = f"simple {p.n}-polytope with {p.m} facets"
+    cuts = [p.cut_vertex(v) for v in vertices]  # bad indices fail before any work
+    rhs = predict_cut_betti(p, workers=workers, max_vertices=max_vertices)
+    reports = []
+    for v, cut in zip(vertices, cuts):
+        lhs = moment_angle_cohomology(
+            cut.dual_complex(), workers=workers, max_vertices=max_vertices
+        )
+        reports.append(_compare(description, v, lhs, rhs))
+    return reports
+
+
 def verify_cut_theorem(
     p: SimplePolytope,
     v: int,
@@ -171,13 +192,7 @@ def verify_cut_theorem(
     description: str | None = None,
 ) -> TheoremReport:
     """Compare both sides of the cut decomposition for one vertex of P."""
-    if description is None:
-        description = f"simple {p.n}-polytope with {p.m} facets"
-    lhs = moment_angle_cohomology(
-        p.cut_vertex(v).dual_complex(), workers=workers, max_vertices=max_vertices
-    )
-    rhs = predict_cut_betti(p, workers=workers, max_vertices=max_vertices)
-    return _compare(description, v, lhs, rhs)
+    return _verify_cuts(p, [v], workers, max_vertices, description)[0]
 
 
 def verify_all_cuts(
@@ -188,16 +203,7 @@ def verify_all_cuts(
     description: str | None = None,
 ) -> list[TheoremReport]:
     """One report per vertex of P; the prediction is shared across vertices."""
-    if description is None:
-        description = f"simple {p.n}-polytope with {p.m} facets"
-    rhs = predict_cut_betti(p, workers=workers, max_vertices=max_vertices)
-    reports = []
-    for v in range(p.vertex_count):
-        lhs = moment_angle_cohomology(
-            p.cut_vertex(v).dual_complex(), workers=workers, max_vertices=max_vertices
-        )
-        reports.append(_compare(description, v, lhs, rhs))
-    return reports
+    return _verify_cuts(p, range(p.vertex_count), workers, max_vertices, description)
 
 
 def theorem_corpus() -> list[tuple[str, SimplePolytope]]:

@@ -20,9 +20,8 @@ from momentangle.homology import (
 )
 from momentangle.isotopy import (
     endpoint_checks,
-    f1_map,
-    f1_point,
     injectivity_probe,
+    isotopy_batch,
     isotopy_map,
     standard_map,
 )
@@ -240,14 +239,12 @@ def test_criterion_09_isotopy_formulas(capsys):
     for alpha in (0.0, np.pi / 2, np.pi, 3 * np.pi / 2):
         s, c = np.sin(alpha), np.cos(alpha)
         exact_ok = exact_ok and np.array_equal(
-            f1_point(alpha, 1.0), np.array([s, c, abs(s)])
+            isotopy_batch(1, np.array([[alpha]]), 1.0)[0], np.array([s, c, abs(s)])
         )
 
     probes_ok = True
     for k in range(1, 5):
         maps = [standard_map(k)] + [isotopy_map(k, t) for t in (0.0, 0.5, 1.0)]
-        if k == 1:
-            maps += [f1_map(0.0), f1_map(1.0)]
         for mapper in maps:
             probes_ok = probes_ok and injectivity_probe(mapper, k, 10000, 42).passed
     elapsed = time.perf_counter() - start

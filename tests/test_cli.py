@@ -1,11 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
+from isomorphism import are_combinatorially_isomorphic
 from momentangle.cli import WORKERS_ENV_VAR, build_parser, main, parse_expression
 from momentangle.polytopes import (
     SimplePolytope,
-    are_combinatorially_isomorphic,
     cube,
     polygon,
     product,
@@ -292,3 +293,244 @@ class TestWorkerEnvironment:
         code, out, _ = run(capsys, "betti", "polygon", "4")
         assert code == 0
         assert "poincare: 1 + 2t^3 + t^6" in out
+
+
+# -- byte-for-byte output pins ----------------------------------------------
+
+RP2 = SimplicialComplex(
+    6,
+    [
+        (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+        (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
+    ],
+)
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# argv -> (exit code, sha256 of stdout, sha256 of stderr), recorded before the
+# three output formats shared one renderer; RP2 stands for a file holding the
+# six-vertex projective plane
+GOLDEN = {
+    "build cube": (
+        0,
+        "5ef575c3b68996cc91f9b70407afc9b3e5af7437e37e9b5b7af72ed5c2375d95",
+        EMPTY,
+    ),
+    "build cube --json": (
+        0,
+        "5ef575c3b68996cc91f9b70407afc9b3e5af7437e37e9b5b7af72ed5c2375d95",
+        EMPTY,
+    ),
+    "build cube --csv": (
+        2,
+        EMPTY,
+        "17fb182bcfe75f53aed5a91e7cc5e891a4dfbe439423eab4aa3a8464a9dc68d9",
+    ),
+    "betti polygon 5": (
+        0,
+        "82666439e299daf56c6364a8c833e2fce49441c3bc7d1e77d10b1522b64e1650",
+        EMPTY,
+    ),
+    "betti polygon 5 --json": (
+        0,
+        "9005430291d38e7d8ea5b0d6a924a16df709b170639b79e7a765566c4210a151",
+        EMPTY,
+    ),
+    "betti polygon 5 --csv": (
+        0,
+        "022a6a462ac57b3a25ba5909db3dbd839d091e6945a7cfef7eea26f4451f7abe",
+        EMPTY,
+    ),
+    "betti RP2": (
+        0,
+        "f1b871b8e048a910f61fd1654e2198079c69099a44a65293495c918bdb927834",
+        EMPTY,
+    ),
+    "betti RP2 --json": (
+        0,
+        "8261607c26de24db00a84adc78165998e22c5b8d606aafdde77a3e1eefcdb83d",
+        EMPTY,
+    ),
+    "betti RP2 --csv": (
+        0,
+        "cbd8305cd11b89710f0eb0af7c7d92c5df0436331c35686c7d9b201da71d4a9f",
+        EMPTY,
+    ),
+    "verify polygon 5 0": (
+        0,
+        "42174ce69846272b98a1f4a4dfc224a892f338dde29c7df467c735b89ee6ec87",
+        EMPTY,
+    ),
+    "verify polygon 5 0 --json": (
+        0,
+        "936c09cb49f3ec28661c9f2cc3bec87c00f07d4d828886611619ceb5779fbd17",
+        EMPTY,
+    ),
+    "verify polygon 5 0 --csv": (
+        0,
+        "36247b6b790af82eb3f6754402c1d27950463e797409a234011cf1201dbda4ac",
+        EMPTY,
+    ),
+    "verify polygon 5 --all-vertices": (
+        0,
+        "93d78807c210d3ed0f3fa06881c1afaa6622bc38e0c0b9d1dd2efef81309c5b6",
+        EMPTY,
+    ),
+    "verify polygon 5 --all-vertices --json": (
+        0,
+        "d25561244853317f7d77c09ae0f0c57325b37aef211bad72a2f0bac2a11b9f12",
+        EMPTY,
+    ),
+    "verify polygon 5 --all-vertices --csv": (
+        0,
+        "161b4d93cbd5db6e6e49256b6fa1d8961d3f231c4e8a2de39a8fb76419c87f11",
+        EMPTY,
+    ),
+    "verify-corpus": (
+        0,
+        "a8a624ed41fa463ec502a5f40de951dde0fb906e0bd746225f4dc18a3313a7e1",
+        EMPTY,
+    ),
+    "verify-corpus --json": (
+        0,
+        "80ed6690109d6ec979b4607c4a4405e7fa95ad7b65fad48166a4e510c4cde8fd",
+        EMPTY,
+    ),
+    "verify-corpus --csv": (
+        0,
+        "a69fd6b35fc6d220f739c55304dd4266292a4edc490df92c494dfa5ef07a8f0b",
+        EMPTY,
+    ),
+    "betti cube --max-subsets 3": (
+        3,
+        EMPTY,
+        "3a6c9cdc3d3bb4cbb30c9f9712a0c2aef94273e56b0041c047a6ae3462f9b6b3",
+    ),
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_output_bytes_are_pinned(capsys, tmp_path, command):
+    path = tmp_path / "rp2.json"
+    path.write_text(RP2.to_json())
+    argv = [str(path) if a == "RP2" else a for a in command.split()]
+    code, out, err = run(capsys, *argv)
+    assert (code, sha256(out), sha256(err)) == GOLDEN[command]
+
+
+def test_isotopy_check_formats_agree(capsys):
+    argv = ["isotopy-check", "1", "400", "5"]
+    _, as_json, _ = run(capsys, *argv, "--json")
+    _, as_csv, _ = run(capsys, *argv, "--csv")
+    _, as_text, _ = run(capsys, *argv)
+    payload = json.loads(as_json)
+    ends, probes = payload["endpoints"], payload["probes"]
+    keys = ["max_standard_deviation", "max_radius_deviation", "max_base_deviation"]
+    flag = lambda ok: "true" if ok else "false"
+    expected_csv = ["check,value,passed"]
+    for name, key in zip(["standard", "radius", "base"], keys):
+        value = ends[key]
+        expected_csv.append(
+            f"endpoint-{name},{value!r},{flag(value <= ends['tolerance'])}"
+        )
+    expected_csv += [
+        f"probe {p['label']},{p['violations']},{flag(p['passed'])}" for p in probes
+    ]
+    assert as_csv.splitlines() == expected_csv
+
+    text = as_text.splitlines()
+    assert text[0] == "isotopy check: k=1, samples=400, seed=5"
+    for line, key in zip(text[1:4], keys):
+        assert line.endswith(f"max deviation {ends[key]:.3e}")
+    for line, p in zip(text[4:-1], probes):
+        sep = p["min_separation"]
+        sep = "inf" if sep is None else f"{sep:.3e}"
+        assert line == (
+            f"  probe {p['label']}: {p['violations']} violations, min separation {sep}"
+        )
+    assert len(text) == 4 + len(probes) + 1
+    assert text[-1] == "overall: " + ("PASS" if payload["passed"] else "FAIL")
+
+
+# -- hostile input -----------------------------------------------------------
+
+# name -> (argv, contents of FILE or None, exit code, stderr fragment)
+HOSTILE = {
+    "deeply nested expression": (
+        ["build", *["("] * 5000, "polygon", "4", *[")"] * 5000],
+        None,
+        2,
+        "nested too deeply",
+    ),
+    "deeply nested json": (["betti", "FILE"], "[" * 100000, 2, "malformed JSON"),
+    "faces not a list": (
+        ["betti", "FILE"],
+        '{"vertices": 3, "maximal_faces": 7}',
+        2,
+        "maximal_faces must be a list of integer lists",
+    ),
+    "faces not lists": (
+        ["betti", "FILE"],
+        '{"vertices": 3, "maximal_faces": [1, 2]}',
+        2,
+        "maximal_faces must be a list of integer lists",
+    ),
+    "null vertex": (
+        ["betti", "FILE"],
+        '{"vertices": 3, "maximal_faces": [[0, null]]}',
+        2,
+        "maximal_faces entry must be an integer, got None",
+    ),
+    "fractional vertex": (
+        ["betti", "FILE"],
+        '{"vertices": 3, "maximal_faces": [[0, 1.5]]}',
+        2,
+        "maximal_faces entry must be an integer, got 1.5",
+    ),
+    "vertex_facets not a list": (
+        ["betti", "FILE"],
+        '{"dim": 2, "facets": 3, "vertex_facets": 5}',
+        2,
+        "vertex_facets must be a list of integer lists",
+    ),
+    "vertex_facets not lists": (
+        ["betti", "FILE"],
+        '{"dim": 2, "facets": 3, "vertex_facets": [5]}',
+        2,
+        "vertex_facets must be a list of integer lists",
+    ),
+    "huge facet count": (
+        ["betti", "FILE"],
+        '{"dim": 2, "facets": 1e30, "vertex_facets": [[0, 1], [1, 2], [0, 2]]}',
+        2,
+        "facets must be an integer, got 1e+30",
+    ),
+    "huge uncovered facet count": (
+        ["betti", "FILE"],
+        '{"dim": 2, "facets": %d, "vertex_facets": [[0, 1], [1, 2], [0, 2]]}' % 10**30,
+        2,
+        "facets [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] and %d more meet" % (10**30 - 13),
+    ),
+    "huge vertex count": (
+        ["betti", "FILE"],
+        '{"vertices": %d, "maximal_faces": [[0, 1]]}' % 10**30,
+        3,
+        "enumerating 2^%d subsets" % 10**30,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_input_exits_with_a_message(capsys, tmp_path, case):
+    argv, text, expected_code, fragment = HOSTILE[case]
+    path = tmp_path / "hostile.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert (code, out) == (expected_code, "")
+    assert err.startswith("error: ")
+    assert fragment in err

@@ -8,7 +8,6 @@ from momentangle.homology import (
     GradedGroups,
     IntegerMatrix,
     boundary_matrix,
-    cohomology_from_homology,
     invariant_factors,
     reduced_homology,
     smith_normal_form,
@@ -278,16 +277,3 @@ class TestGradedGroups:
     def test_euler_characteristic(self):
         g = GradedGroups({0: (1, ()), 3: (2, ()), 6: (1, ())})
         assert g.euler_characteristic() == 0
-
-
-class TestCohomologyConvention:
-    def test_torsion_shifts_up(self):
-        h = reduced_homology(RP2)
-        c = cohomology_from_homology(h)
-        assert c.torsion(2) == (2,)
-        assert c.torsion(1) == ()
-        assert c.rank(1) == 0
-
-    def test_ranks_preserved(self):
-        h = reduced_homology(boundary_complex(3))
-        assert cohomology_from_homology(h) == h

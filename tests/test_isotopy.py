@@ -6,22 +6,26 @@ import pytest
 from momentangle.isotopy import (
     EndpointReport,
     InjectivityReport,
-    TorusChart,
     circle_distance,
     endpoint_checks,
-    f1_batch,
-    f1_map,
-    f1_point,
     injectivity_probe,
     isotopy_batch,
     isotopy_map,
-    isotopy_point,
     standard_map,
     standard_torus_batch,
-    standard_torus_point,
 )
 
 TWO_PI = 2.0 * np.pi
+
+
+def one_row(angles):
+    """A single angle tuple as the (1, k) array the batch functions take."""
+    return np.asarray(angles, dtype=float)[None, :]
+
+
+def circle(a, t):
+    """The k = 1 isotopy on a flat array of angles."""
+    return isotopy_batch(1, a[:, None], t)
 
 
 def closed_form_point(angles):
@@ -58,25 +62,27 @@ class TestStandardTorus:
         for k in range(1, 7):
             for _ in range(50):
                 angles = rng.uniform(0.0, TWO_PI, size=k)
-                got = standard_torus_point(k, angles)
+                got = standard_torus_batch(k, one_row(angles))[0]
                 assert np.abs(got - closed_form_point(angles)).max() <= 1e-12
 
     def test_circle(self):
         assert np.allclose(
-            standard_torus_point(1, [np.pi / 2]), [1.0, 0.0], atol=1e-12
+            standard_torus_batch(1, one_row([np.pi / 2]))[0], [1.0, 0.0], atol=1e-12
         )
-        assert np.allclose(standard_torus_point(1, [0.0]), [0.0, 1.0], atol=1e-12)
+        assert np.allclose(
+            standard_torus_batch(1, one_row([0.0]))[0], [0.0, 1.0], atol=1e-12
+        )
 
     def test_frozen_two_torus_point(self):
-        got = standard_torus_point(2, [0.0, np.pi / 2])
+        got = standard_torus_batch(2, one_row([0.0, np.pi / 2]))[0]
         assert np.allclose(got, [0.0, 1.5, 0.0], atol=1e-12)
 
     def test_zero_inner_angle_reduces_exactly(self):
         rng = np.random.default_rng(11)
         for k in range(2, 6):
             head = rng.uniform(0.0, TWO_PI, size=k - 1)
-            pt = standard_torus_point(k, list(head) + [0.0])
-            assert np.array_equal(pt[:k], standard_torus_point(k - 1, head))
+            pt = standard_torus_batch(k, one_row(list(head) + [0.0]))[0]
+            assert np.array_equal(pt[:k], standard_torus_batch(k - 1, one_row(head))[0])
             assert pt[k] == 0.5 ** (k - 1)
 
     def test_norms_stay_below_two(self):
@@ -90,7 +96,7 @@ class TestStandardTorus:
         a = rng.uniform(0.0, TWO_PI, size=(20, 3))
         batch = standard_torus_batch(3, a)
         for row, angles in zip(batch, a):
-            assert np.array_equal(row, standard_torus_point(3, angles))
+            assert np.array_equal(row, standard_torus_batch(3, one_row(angles))[0])
 
     def test_shape_and_range_errors(self):
         with pytest.raises(ValueError, match=">= 1"):
@@ -105,11 +111,11 @@ class TestIsotopy:
         for k in range(1, 6):
             for t in (0.0, 0.25, 0.5, 1.0):
                 angles = rng.uniform(0.0, TWO_PI, size=k)
-                got = isotopy_point(k, angles, t)
+                got = isotopy_batch(k, one_row(angles), t)[0]
                 assert np.abs(got - closed_form_isotopy(angles, t)).max() <= 1e-12
 
     def test_frozen_deformed_point(self):
-        got = isotopy_point(2, [0.0, np.pi / 2], 1.0)
+        got = isotopy_batch(2, one_row([0.0, np.pi / 2]), 1.0)[0]
         assert np.allclose(got, [0.0, 1.5, 0.0, 0.5], atol=1e-12)
 
     def test_end_stage_restricts_to_standard_exactly(self):
@@ -144,73 +150,48 @@ class TestIsotopy:
 
     def test_parameter_range(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            isotopy_point(2, [0.0, 0.0], 1.5)
+            isotopy_batch(2, one_row([0.0, 0.0]), 1.5)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            isotopy_point(2, [0.0, 0.0], -0.1)
+            isotopy_batch(2, one_row([0.0, 0.0]), -0.1)
 
 
 class TestCircleIsotopy:
     def test_start_stage_is_vertical_circle(self):
         for alpha in [0.0, 0.7, np.pi, 4.5]:
-            got = f1_point(alpha, 0.0)
+            got = circle(np.array([alpha]), 0.0)[0]
             assert np.array_equal(
                 got, [0.0, np.cos(alpha), np.sin(alpha) + 0.0]
             )
 
     def test_frozen_end_stage_points(self):
-        assert np.allclose(f1_point(np.pi / 2, 1.0), [1.0, 0.0, 1.0], atol=1e-12)
-        assert np.allclose(
-            f1_point(3 * np.pi / 2, 1.0), [-1.0, 0.0, 1.0], atol=1e-12
-        )
-        assert np.allclose(f1_point(0.0, 1.0), [0.0, 1.0, 0.0], atol=1e-12)
+        a = np.array([np.pi / 2, 3 * np.pi / 2, 0.0])
+        expected = [[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+        assert np.allclose(circle(a, 1.0), expected, atol=1e-12)
 
     def test_end_stage_formula_exact(self):
         rng = np.random.default_rng(29)
         a = rng.uniform(0.0, TWO_PI, size=500)
         s, c = np.sin(a), np.cos(a)
-        assert np.array_equal(
-            f1_batch(a, 1.0), np.stack([s, c, np.abs(s)], axis=1)
-        )
+        assert np.array_equal(circle(a, 1.0), np.stack([s, c, np.abs(s)], axis=1))
 
     def test_second_coordinate_never_moves(self):
         rng = np.random.default_rng(31)
         a = rng.uniform(0.0, TWO_PI, size=400)
         for t in (0.0, 0.3, 1.0):
-            assert np.array_equal(f1_batch(a, t)[:, 1], np.cos(a))
+            assert np.array_equal(circle(a, t)[:, 1], np.cos(a))
 
     def test_agrees_with_general_isotopy_at_k_one(self):
+        # F1(cos a, sin a, t) = (t sin a, cos a, (1-t) sin a + t |sin a|), bit for bit
         rng = np.random.default_rng(37)
         a = rng.uniform(0.0, TWO_PI, size=300)
-        for t in (0.0, 0.4, 1.0):
-            assert np.array_equal(f1_batch(a, t), isotopy_batch(1, a[:, None], t))
+        s, c = np.sin(a), np.cos(a)
+        for t in (0.0, 0.25, 0.4, 0.5, 1.0):
+            closed_form = np.stack([t * s, c, (1.0 - t) * s + t * np.abs(s)], axis=1)
+            assert np.array_equal(circle(a, t), closed_form)
 
     def test_parameter_range(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            f1_point(0.0, 2.0)
-
-
-class TestTorusChart:
-    def test_normalizes_angles(self):
-        chart = TorusChart(2, (-np.pi / 2, TWO_PI + 1.0))
-        assert chart.angles[0] == pytest.approx(3 * np.pi / 2)
-        assert chart.angles[1] == pytest.approx(1.0)
-        assert all(0.0 <= a < TWO_PI for a in chart.angles)
-
-    def test_points_delegate(self):
-        chart = TorusChart(2, (0.0, np.pi / 2), 1.0)
-        assert np.array_equal(chart.standard_point(), standard_torus_point(2, chart.angles))
-        assert np.allclose(chart.deformed_point(), [0.0, 1.5, 0.0, 0.5], atol=1e-12)
-
-    def test_default_parameter_is_end_stage(self):
-        assert TorusChart(1, (0.3,)).t == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            TorusChart(0, ())
-        with pytest.raises(ValueError, match="expected 2 angles"):
-            TorusChart(2, (0.0,))
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            TorusChart(1, (0.0,), 1.2)
+            circle(np.array([0.0]), 2.0)
 
 
 class TestProbes:
@@ -230,7 +211,7 @@ class TestProbes:
         for t in (0.0, 0.5, 1.0):
             assert injectivity_probe(isotopy_map(2, t), 2, 500, 42).passed
         for t in (0.0, 1.0):
-            assert injectivity_probe(f1_map(t), 1, 500, 42).passed
+            assert injectivity_probe(isotopy_map(1, t), 1, 500, 42).passed
 
     def test_probe_deterministic(self):
         one = injectivity_probe(standard_map(2), 2, 300, 9)

@@ -1,3 +1,4 @@
+import os
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ from momentangle.homology import GradedGroups, reduced_homology
 from momentangle.moment_angle import (
     PoincarePolynomial,
     SubsetLimitError,
+    _usable_workers,
     betti,
     bigraded_table,
     moment_angle_cohomology,
@@ -197,6 +199,11 @@ class TestParallelism:
 
     def test_parallel_torsion_merge(self):
         assert moment_angle_cohomology(RP2, workers=2) == moment_angle_cohomology(RP2)
+
+    def test_worker_count_is_clamped_to_usable_cpus(self):
+        # checked on the clamp itself, so no pool is started
+        assert 1 <= _usable_workers(10**9) <= (os.cpu_count() or 1)
+        assert _usable_workers(1) == 1
 
 
 class TestLimitsAndErrors:

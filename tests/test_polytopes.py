@@ -1,14 +1,14 @@
 import pytest
 
+from isomorphism import are_combinatorially_isomorphic, are_isomorphic
 from momentangle.polytopes import (
     SimplePolytope,
-    are_combinatorially_isomorphic,
     cube,
     polygon,
     product,
     simplex_polytope,
 )
-from momentangle.simplicial import SimplicialComplex, are_isomorphic
+from momentangle.simplicial import SimplicialComplex
 
 
 class TestConstructors:

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
+from isomorphism import are_isomorphic
 from momentangle.simplicial import (
     SimplicialComplex,
-    are_isomorphic,
     as_simplex,
     boundary_complex,
     full_simplex,

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from isomorphism import are_combinatorially_isomorphic
 from momentangle.homology import GradedGroups
 from momentangle.moment_angle import PoincarePolynomial, betti, moment_angle_cohomology
 from momentangle.polytopes import cube, polygon, product, simplex_polytope
@@ -255,8 +256,6 @@ class TestCorpus:
         ]
 
     def test_iterated_entry_is_a_hexagon(self):
-        from momentangle.polytopes import are_combinatorially_isomorphic
-
         entry = dict(theorem_corpus())["pentagon-cut-0"]
         assert are_combinatorially_isomorphic(entry, polygon(6))
 
