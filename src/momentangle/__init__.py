@@ -11,7 +11,6 @@ isotopies that realize the surgery in low dimensions.
 from .homology import (
     GradedGroups,
     IntegerMatrix,
-    boundary_matrix,
     invariant_factors,
     reduced_homology,
     smith_normal_form,
@@ -79,7 +78,6 @@ __all__ = [
     "betti",
     "bigraded_table",
     "boundary_complex",
-    "boundary_matrix",
     "boundary_product_groups",
     "circle_distance",
     "connected_sum_groups",

@@ -423,6 +423,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        if args.workers < 1:
+            raise UsageError(f"--workers must be at least 1, got {args.workers}")
+        if args.max_subsets < 0:
+            raise UsageError(f"--max-subsets must be at least 0, got {args.max_subsets}")
         return args.func(args)
     except SubsetLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,9 +15,16 @@ universal coefficients: ranks agree, torsion shifts up one degree.  Ranks
 therefore land in degree |J| + 1 + q for homology degree q, torsion in
 degree |J| + 2 + q.
 
+The homology of each K_J comes from the bitmask engine in
+:mod:`momentangle.homology`: the faces of K are listed once per call (once
+per worker) as vertex bitmasks with sparse boundary columns, K_J keeps the
+faces inside J, and ±1 pivots are eliminated before any Smith normal form.
+No complex or matrix object is built per subset.
+
 The subset loop is embarrassingly parallel: work is split over contiguous
 bitmask ranges and merged by a commutative sum, so results are identical for
-every worker count.
+every worker count.  Sums of fewer than 2^10 subsets run in the calling
+process whatever the worker count.
 """
 
 from __future__ import annotations
@@ -27,10 +34,17 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from typing import Mapping
 
-from .homology import GradedGroups, invariant_factors, reduced_homology
+from .homology import GradedGroups, _Faces, invariant_factors
 from .simplicial import SimplicialComplex
 
 DEFAULT_MAX_VERTICES = 22
+
+# Below this many subsets the sum runs in this process whatever the worker
+# count.  Starting and stopping a 2-process pool costs 12-15 ms, more than
+# the whole sum for most complexes on <= 9 vertices (polygon-7: 2 ms, cube-4:
+# 12 ms) and about what splitting the largest ones saves (simplex3 x
+# polygon5: 39 ms serial, 37 ms on 2 workers).  2-vCPU VM, Python 3.11.
+_POOL_MIN_SUBSETS = 2**10
 
 
 class SubsetLimitError(Exception):
@@ -64,16 +78,12 @@ def _subset_contributions(
     """
     ranks: Counter = Counter()
     torsion: dict[int, list[int]] = {}
-    m = k.vertex_count
+    faces = _Faces(k)
     for mask in range(start, stop):
-        J = [v for v in range(m) if mask >> v & 1]
-        size = len(J)
-        h = reduced_homology(k.full_subcomplex(J))
-        for q in h.degrees():
-            r = h.rank(q)
+        size = bin(mask).count("1")
+        for q, (r, t) in faces.homology(mask).items():
             if r:
                 ranks[(size, q + size + 1)] += r
-            t = h.torsion(q)
             if t:
                 torsion.setdefault(q + size + 2, []).extend(t)
     return ranks, torsion
@@ -92,7 +102,7 @@ def _gather(
     k: SimplicialComplex, workers: int
 ) -> tuple[Counter, dict[int, list[int]]]:
     total = 1 << k.vertex_count
-    workers = _usable_workers(workers)
+    workers = _usable_workers(workers) if total >= _POOL_MIN_SUBSETS else 1
     if workers <= 1:
         return _subset_contributions(k, 0, total)
     bounds = [total * i // workers for i in range(workers + 1)]

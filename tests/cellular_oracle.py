@@ -18,7 +18,10 @@ which stays inside the complex because faces of sigma are faces of K.
 
 Ranks of the boundary maps are computed by exact Gaussian elimination on
 Fractions, with no code shared with the package's Smith normal form.
-Torsion is not computed; this oracle only certifies Betti numbers.
+Torsion is not computed directly.  ``cellular_betti_mod_p`` instead gives
+the dimensions of H^*(Z_K; F_p) from ranks over the prime field F_p, by
+elimination on sparse columns mod p; by universal coefficients these see
+every p-primary torsion factor of the integral cohomology.
 """
 
 from __future__ import annotations
@@ -78,6 +81,55 @@ def _rank_over_q(rows: list[list[Fraction]]) -> int:
         if pivot_row == len(rows):
             break
     return rank
+
+
+def _rank_mod_p(columns: list[dict[int, int]], p: int) -> int:
+    """Rank over F_p of the matrix with these sparse integer columns.
+
+    Each column is reduced against the earlier pivots by its largest row
+    until it vanishes or its largest row is new; the new pivots count the
+    rank.  Arithmetic is on ints mod p, inverses by Fermat.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for column in columns:
+        col = {r: v % p for r, v in column.items() if v % p}
+        while col:
+            low = max(col)
+            if low not in pivots:
+                pivots[low] = col
+                break
+            other = pivots[low]
+            f = col[low] * pow(other[low], p - 2, p) % p
+            for r, v in other.items():
+                x = (col.get(r, 0) - f * v) % p
+                if x:
+                    col[r] = x
+                else:
+                    col.pop(r, None)
+    return len(pivots)
+
+
+def cellular_betti_mod_p(k, p: int) -> dict[int, int]:
+    """Dimensions of H^*(Z_K; F_p) from its cellular chain complex, by degree."""
+    cells = _cells_by_dimension(k)
+    top = max(cells)
+    index = {dim: {c: i for i, c in enumerate(cs)} for dim, cs in cells.items()}
+    ranks = {0: 0, top + 1: 0}
+    for dim in range(1, top + 1):
+        columns = []
+        for cell in cells.get(dim, ()):
+            col: dict[int, int] = {}
+            for sign, image in _boundary(cell):
+                row = index[dim - 1][image]
+                col[row] = col.get(row, 0) + sign
+            columns.append(col)
+        ranks[dim] = _rank_mod_p(columns, p)
+    dims = {}
+    for dim in range(top + 1):
+        b = len(cells.get(dim, ())) - ranks[dim] - ranks[dim + 1]
+        if b:
+            dims[dim] = b
+    return dims
 
 
 def cellular_betti(k) -> dict[int, int]:

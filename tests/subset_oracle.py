@@ -1,0 +1,88 @@
+"""The per-subset route of the subset sum, kept as an oracle for the engine.
+
+For every vertex subset J this builds K_J as a ``SimplicialComplex`` with
+``full_subcomplex``, a dense boundary matrix per degree from its
+lexicographic face lists, and the full Smith normal form of each matrix.
+It shares ``smith_normal_form`` with the package (which the engine runs
+only on what its unit-pivot phase leaves) and nothing else: no bitmask
+faces, no sparse columns, no unit-pivot elimination.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from momentangle.homology import GradedGroups, IntegerMatrix, smith_normal_form
+
+
+def boundary_matrix(k, d: int) -> IntegerMatrix:
+    """Matrix of the boundary map C_d -> C_{d-1} in the augmented complex.
+
+    Columns are the d-faces in lexicographic order, rows the (d-1)-faces,
+    with degree -1 spanned by the empty face; so the d = 0 matrix is the
+    augmentation row of ones.  Signs alternate along each face's vertices.
+    """
+    if d < 0:
+        raise ValueError(f"boundary degree must be >= 0, got {d}")
+    rows_f = k.faces_of_dimension(d - 1)
+    cols_f = k.faces_of_dimension(d)
+    index = {f: i for i, f in enumerate(rows_f)}
+    grid = [[0] * len(cols_f) for _ in rows_f]
+    for j, face in enumerate(cols_f):
+        for pos in range(len(face)):
+            sub = face[:pos] + face[pos + 1 :]
+            grid[index[sub]][j] += -1 if pos % 2 else 1
+    return IntegerMatrix(len(rows_f), len(cols_f), tuple(tuple(r) for r in grid))
+
+
+def reduced_homology(k) -> GradedGroups:
+    """Reduced integral homology from dense boundary matrices and full SNF."""
+    if k.dim < 0:
+        return GradedGroups({-1: (1, ())})
+    top = k.dim
+    counts = {-1: 1}
+    counts.update({d: len(k.faces_of_dimension(d)) for d in range(top + 1)})
+    bd_rank: dict[int, int] = {top + 1: 0}
+    bd_torsion: dict[int, tuple[int, ...]] = {top + 1: ()}
+    for d in range(top + 1):
+        diagonal, rank = smith_normal_form(boundary_matrix(k, d))
+        bd_rank[d] = rank
+        bd_torsion[d] = tuple(x for x in diagonal if x > 1)
+    groups: dict[int, tuple[int, tuple[int, ...]]] = {}
+    for d in range(-1, top + 1):
+        kernel = counts[d] - (bd_rank[d] if d >= 0 else 0)
+        groups[d] = (kernel - bd_rank[d + 1], bd_torsion[d + 1])
+    return GradedGroups(groups)
+
+
+def subset_homologies(k) -> dict[tuple[int, ...], GradedGroups]:
+    """H~(K_J) for every vertex subset J, by size and then lexicographically."""
+    return {
+        J: reduced_homology(k.full_subcomplex(J))
+        for size in range(k.vertex_count + 1)
+        for J in combinations(range(k.vertex_count), size)
+    }
+
+
+def reference_sum(homologies) -> tuple[GradedGroups, dict[tuple[int, int], int]]:
+    """H*(Z_K) and its bigraded rank table from ``subset_homologies(k)``.
+
+    Iterates subsets via itertools instead of bitmasks and assembles groups
+    with none of the package's merging machinery.
+    """
+    groups: dict[int, tuple[int, list[int]]] = {}
+    table: dict[tuple[int, int], int] = {}
+    for J, h in homologies.items():
+        size = len(J)
+        for q in h.degrees():
+            r, t = h.rank(q), h.torsion(q)
+            if r:
+                deg = q + size + 1
+                old = groups.get(deg, (0, []))
+                groups[deg] = (old[0] + r, old[1])
+                table[(size, deg)] = table.get((size, deg), 0) + r
+            if t:
+                deg = q + size + 2
+                old = groups.get(deg, (0, []))
+                groups[deg] = (old[0], old[1] + list(t))
+    return GradedGroups(groups), dict(sorted(table.items()))

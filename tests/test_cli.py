@@ -515,6 +515,24 @@ HOSTILE = {
         2,
         "facets [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] and %d more meet" % (10**30 - 13),
     ),
+    "zero workers": (
+        ["betti", "polygon", "4", "--workers", "0"],
+        None,
+        2,
+        "--workers must be at least 1, got 0",
+    ),
+    "negative workers": (
+        ["verify-corpus", "--workers", "-3"],
+        None,
+        2,
+        "--workers must be at least 1, got -3",
+    ),
+    "negative max-subsets": (
+        ["betti", "polygon", "4", "--max-subsets", "-1"],
+        None,
+        2,
+        "--max-subsets must be at least 0, got -1",
+    ),
     "huge vertex count": (
         ["betti", "FILE"],
         '{"vertices": %d, "maximal_faces": [[0, 1]]}' % 10**30,

@@ -1,0 +1,100 @@
+"""Property tests: the bitmask engine against the per-subset oracle.
+
+Inputs are random complexes on at most 8 vertices (ghost vertices and the
+complex whose only face is the empty one included), joins with the
+6-vertex RP^2, and dual complexes of polytopes built by products and
+vertex cuts with at most 9 facets.  For each, the engine must agree with
+``tests/subset_oracle.py`` on every full subcomplex, on H*(Z_K) and on the
+bigraded table.  Examples are derandomized so every run checks the same
+inputs.
+"""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from momentangle.homology import GradedGroups, _Faces, reduced_homology  # noqa: E402
+from momentangle.moment_angle import bigraded_table, moment_angle_cohomology  # noqa: E402
+from momentangle.polytopes import polygon, product, simplex_polytope  # noqa: E402
+from momentangle.simplicial import SimplicialComplex, join  # noqa: E402
+from subset_oracle import reference_sum, subset_homologies  # noqa: E402
+
+RP2 = SimplicialComplex(
+    6,
+    [
+        (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+        (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
+    ],
+)
+
+
+def checked(examples):
+    return settings(
+        max_examples=examples,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+
+
+@st.composite
+def complexes(draw, max_vertices=8, max_face=4):
+    m = draw(st.integers(0, max_vertices))
+    if not m:
+        return SimplicialComplex(0, [()])
+    masks = draw(st.lists(st.integers(0, (1 << m) - 1), max_size=10))
+    faces = [[v for v in range(m) if mask >> v & 1][:max_face] for mask in masks]
+    # no face drawn gives {()}, the complex whose only face is the empty one
+    return SimplicialComplex(m, faces or [()])
+
+
+@st.composite
+def rp2_joins(draw):
+    other = draw(complexes(max_vertices=3, max_face=2))
+    return join(other, RP2) if draw(st.booleans()) else join(RP2, other)
+
+
+FACTORS = [simplex_polytope(1), simplex_polytope(2), simplex_polytope(3), polygon(4), polygon(5)]
+
+
+@st.composite
+def polytope_complexes(draw, max_facets=9):
+    p = draw(st.sampled_from(FACTORS[1:]))
+    q = draw(st.sampled_from(FACTORS))
+    if p.m + q.m <= max_facets and draw(st.booleans()):
+        p = product(p, q)
+    while p.m < max_facets and draw(st.booleans()):
+        p = p.cut_vertex(draw(st.integers(0, p.vertex_count - 1)))
+    return p.dual_complex()
+
+
+def assert_engine_matches_oracle(k):
+    homologies = subset_homologies(k)
+    faces = _Faces(k)
+    for J, expected in homologies.items():
+        assert GradedGroups(faces.homology(sum(1 << v for v in J))) == expected, J
+        assert reduced_homology(k.full_subcomplex(J)) == expected, J
+    groups, table = reference_sum(homologies)
+    assert moment_angle_cohomology(k) == groups
+    assert bigraded_table(k) == table
+
+
+@checked(100)
+@given(complexes())
+def test_random_complexes(k):
+    assert_engine_matches_oracle(k)
+
+
+@checked(10)
+@given(rp2_joins())
+def test_joins_with_the_projective_plane(k):
+    assert_engine_matches_oracle(k)
+
+
+@checked(12)
+@given(polytope_complexes())
+def test_polytopes_from_products_and_cuts(k):
+    assert k.vertex_count <= 9
+    assert_engine_matches_oracle(k)

@@ -7,7 +7,9 @@ from cellular_oracle import _rank_over_q
 from momentangle.homology import (
     GradedGroups,
     IntegerMatrix,
-    boundary_matrix,
+    _boundary_column,
+    _Faces,
+    _rank_and_torsion,
     invariant_factors,
     reduced_homology,
     smith_normal_form,
@@ -18,6 +20,7 @@ from momentangle.simplicial import (
     full_simplex,
     join,
 )
+from subset_oracle import boundary_matrix
 
 # minimal 6-vertex projective plane, the standard torsion fixture
 RP2 = SimplicialComplex(
@@ -139,6 +142,8 @@ class TestSmithNormalForm:
 
 
 class TestBoundaryMatrix:
+    # the dense matrices of the subset oracle in tests/subset_oracle.py
+
     def test_augmentation_row(self):
         m = boundary_matrix(boundary_complex(2), 0)
         assert (m.rows, m.cols) == (1, 3)
@@ -173,6 +178,105 @@ class TestBoundaryMatrix:
                             )
                             == 0
                         )
+
+
+def mask(*vertices):
+    return sum(1 << v for v in vertices)
+
+
+class TestBoundaryColumns:
+    # the engine's own sparse columns, faces as vertex bitmasks
+
+    def test_vertices_augment_onto_the_empty_face(self):
+        layers = _Faces(boundary_complex(2)).layers
+        assert [f for f, _ in layers[0]] == [0]
+        assert layers[1] == [(mask(v), {0: 1}) for v in range(3)]
+
+    def test_signs_alternate_from_the_lowest_vertex(self):
+        assert _boundary_column(mask(1, 3)) == {mask(3): 1, mask(1): -1}
+        assert _boundary_column(mask(0, 2, 5)) == {
+            mask(2, 5): 1,
+            mask(0, 5): -1,
+            mask(0, 2): 1,
+        }
+        assert _boundary_column(0) == {}
+
+    def test_layers_stop_at_the_top_dimension(self):
+        assert len(_Faces(boundary_complex(2)).layers) == 3
+        assert len(_Faces(SimplicialComplex(3, [()])).layers) == 1
+        assert len(_Faces(SimplicialComplex(3, [])).layers) == 1
+
+    def test_columns_agree_with_the_dense_matrices(self):
+        for k in [boundary_complex(3), RP2, cycle(6), full_simplex(3)]:
+            layers = _Faces(k).layers
+            for d in range(k.dim + 1):
+                dense = boundary_matrix(k, d)
+                rows = [mask(*f) for f in k.faces_of_dimension(d - 1)]
+                cols = [mask(*f) for f in k.faces_of_dimension(d)]
+                sparse = {
+                    cols[j]: {r: dense.entries[i][j] for i, r in enumerate(rows) if dense.entries[i][j]}
+                    for j in range(dense.cols)
+                }
+                assert dict(layers[d + 1]) == sparse
+
+    def test_boundary_squared_is_zero(self):
+        for k in [boundary_complex(3), RP2, cycle(6), full_simplex(3)]:
+            column = {f: col for layer in _Faces(k).layers for f, col in layer}
+            for face, col in column.items():
+                total: dict[int, int] = {}
+                for row, v in col.items():
+                    for row2, v2 in column[row].items():
+                        total[row2] = total.get(row2, 0) + v * v2
+                assert not any(total.values())
+
+
+class TestUnitPivotPhase:
+    # (rank, invariant factors > 1) must be those of the full Smith form
+
+    @staticmethod
+    def dense_answer(columns, rows):
+        matrix = IntegerMatrix(
+            rows, len(columns), tuple(tuple(c.get(r, 0) for c in columns) for r in range(rows))
+        )
+        diagonal, rank = smith_normal_form(matrix)
+        return rank, tuple(x for x in diagonal if x > 1)
+
+    def test_random_sparse_matrices(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+            columns = []
+            for _ in range(cols):
+                col = {}
+                for r in range(rows):
+                    if rng.random() < 0.4:
+                        v = rng.choice([1, -1, 1, -1, 2, -2, 3, 4, 6])
+                        col[r] = v
+                columns.append(col)
+            rank, torsion, pivot_rows = _rank_and_torsion(columns)
+            assert (rank, torsion) == self.dense_answer(columns, rows)
+            assert len(pivot_rows) <= rank
+
+    def test_pivot_rows_of_the_map_above_can_be_dropped(self):
+        # each pivot row of ∂_{d+1} is a d-face whose column in ∂_d is an
+        # integer combination of the others, so the engine leaves it out
+        for k in [RP2, boundary_complex(3), join(RP2, boundary_complex(1)), cycle(5)]:
+            layers = _Faces(k).layers
+            for i in range(1, len(layers) - 1):
+                columns = [col for _, col in layers[i]]
+                pivots = _rank_and_torsion([col for _, col in layers[i + 1]])[2]
+                kept = [col for face, col in layers[i] if face not in pivots]
+                assert _rank_and_torsion(kept)[:2] == _rank_and_torsion(columns)[:2]
+
+    def test_columns_are_not_mutated(self):
+        columns = [{0: 1, 1: 1}, {0: 1, 1: -1}]
+        _rank_and_torsion(columns)
+        assert columns == [{0: 1, 1: 1}, {0: 1, 1: -1}]
+
+    def test_torsion_survives_to_the_residual(self):
+        assert _rank_and_torsion([{0: 1, 1: 1}, {0: 1, 1: -1}])[:2] == (2, (2,))
+        assert _rank_and_torsion([{0: 2}, {1: 6}, {}]) == (2, (2, 6), set())
+        assert _rank_and_torsion([]) == (0, (), set())
 
 
 class TestReducedHomology:

@@ -1,10 +1,10 @@
 import os
-from itertools import combinations
 
 import pytest
 
-from cellular_oracle import cellular_betti
-from momentangle.homology import GradedGroups, reduced_homology
+import momentangle.moment_angle as moment_angle_module
+from cellular_oracle import cellular_betti, cellular_betti_mod_p
+from momentangle.homology import GradedGroups
 from momentangle.moment_angle import (
     PoincarePolynomial,
     SubsetLimitError,
@@ -14,7 +14,13 @@ from momentangle.moment_angle import (
     moment_angle_cohomology,
 )
 from momentangle.polytopes import cube, polygon, product, simplex_polytope
-from momentangle.simplicial import SimplicialComplex, boundary_complex, full_simplex
+from momentangle.simplicial import (
+    SimplicialComplex,
+    boundary_complex,
+    full_simplex,
+    join,
+)
+from subset_oracle import reference_sum, subset_homologies
 
 RP2 = SimplicialComplex(
     6,
@@ -23,29 +29,6 @@ RP2 = SimplicialComplex(
         (1, 2, 3), (1, 2, 5), (2, 4, 5), (1, 3, 4), (3, 4, 5),
     ],
 )
-
-
-def reference_sum(k):
-    """Plain re-statement of the subset sum, used to cross-check bookkeeping.
-
-    Iterates subsets via itertools instead of bitmasks and assembles groups
-    with none of the package's merging machinery.
-    """
-    groups: dict[int, tuple[int, list[int]]] = {}
-    for size in range(k.vertex_count + 1):
-        for J in combinations(range(k.vertex_count), size):
-            h = reduced_homology(k.full_subcomplex(J))
-            for q in h.degrees():
-                r, t = h.rank(q), h.torsion(q)
-                if r:
-                    deg = q + size + 1
-                    old = groups.get(deg, (0, []))
-                    groups[deg] = (old[0] + r, old[1])
-                if t:
-                    deg = q + size + 2
-                    old = groups.get(deg, (0, []))
-                    groups[deg] = (old[0], old[1] + list(t))
-    return GradedGroups(groups)
 
 
 class TestKnownManifolds:
@@ -115,7 +98,9 @@ class TestAgainstReferenceSum:
 
     @pytest.mark.parametrize("k", CASES, ids=lambda k: f"m={k.vertex_count}")
     def test_groups_agree(self, k):
-        assert moment_angle_cohomology(k) == reference_sum(k)
+        groups, table = reference_sum(subset_homologies(k))
+        assert moment_angle_cohomology(k) == groups
+        assert bigraded_table(k) == table
 
 
 class TestTorsionCarryThrough:
@@ -126,6 +111,51 @@ class TestTorsionCarryThrough:
         assert g.torsion(9) == (2,)
         torsion_degrees = [d for d in g.degrees() if g.torsion(d)]
         assert torsion_degrees == [9]
+
+
+class TestTorsionAgainstModPRanks:
+    # universal coefficients: dim H^i(Z_K; F_p) = b_i + (number of invariant
+    # factors of H^i divisible by p) + (the same for H^(i+1)); the left side
+    # comes from the cellular chain complex mod p, with no SNF anywhere
+    CASES = {
+        "rp2": RP2,
+        "rp2-suspension": join(RP2, boundary_complex(1)),
+        "pentagon": polygon(5).dual_complex(),
+    }
+
+    @staticmethod
+    def predicted(groups, p):
+        def factors(degree):
+            return sum(1 for t in groups.torsion(degree) if t % p == 0)
+
+        dims = {
+            d: groups.rank(d) + factors(d) + factors(d + 1)
+            for d in range(max(groups.degrees()) + 1)
+        }
+        return {d: n for d, n in dims.items() if n}
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_universal_coefficients(self, name, p):
+        k = self.CASES[name]
+        groups = moment_angle_cohomology(k)
+        assert cellular_betti_mod_p(k, p) == self.predicted(groups, p)
+
+    def test_projective_plane_torsion_is_two_primary(self):
+        groups = moment_angle_cohomology(RP2)
+        free = {d: groups.rank(d) for d in groups.degrees() if groups.rank(d)}
+        mod2, mod3 = cellular_betti_mod_p(RP2, 2), cellular_betti_mod_p(RP2, 3)
+        assert mod3 == free
+        extra = {d: n - free.get(d, 0) for d, n in mod2.items()}
+        # Z/2 in degree 9: once through H^9 (x) F_2, once through Tor(H^9, F_2)
+        assert {d: n for d, n in extra.items() if n} == {8: 1, 9: 1}
+
+    def test_torsion_free_case_has_no_extra_classes(self):
+        k = polygon(5).dual_complex()
+        groups = moment_angle_cohomology(k)
+        assert not groups.has_torsion()
+        free = {d: groups.rank(d) for d in groups.degrees()}
+        assert cellular_betti_mod_p(k, 2) == cellular_betti_mod_p(k, 3) == free
 
 
 class TestBigradedTable:
@@ -204,6 +234,37 @@ class TestParallelism:
         # checked on the clamp itself, so no pool is started
         assert 1 <= _usable_workers(10**9) <= (os.cpu_count() or 1)
         assert _usable_workers(1) == 1
+
+    def test_small_sums_start_no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(moment_angle_module, "ProcessPoolExecutor", refuse)
+        for k in (polygon(9).dual_complex(), RP2):
+            assert k.vertex_count < 10
+            assert moment_angle_cohomology(k, workers=2) == moment_angle_cohomology(k)
+            assert bigraded_table(k, workers=2) == bigraded_table(k)
+
+    @pytest.mark.parametrize(
+        "k",
+        [polygon(10).dual_complex(), join(RP2, polygon(4).dual_complex())],
+        ids=["polygon-10", "rp2-join-square"],
+    )
+    def test_pool_merge_at_ten_vertices(self, k, monkeypatch):
+        # m = 10 is the smallest vertex count that reaches the pool
+        starts = []
+        pool = moment_angle_module.ProcessPoolExecutor
+
+        def counted(*args, **kwargs):
+            starts.append(kwargs.get("max_workers"))
+            return pool(*args, **kwargs)
+
+        groups = moment_angle_cohomology(k)
+        table = bigraded_table(k)
+        monkeypatch.setattr(moment_angle_module, "ProcessPoolExecutor", counted)
+        assert moment_angle_cohomology(k, workers=2) == groups
+        assert bigraded_table(k, workers=2) == table
+        assert len(starts) == (2 if _usable_workers(2) == 2 else 0)
 
 
 class TestLimitsAndErrors:
