@@ -18,7 +18,9 @@ computations", J. Symbolic Comput. 2001); only the residual matrix, empty
 unless there is torsion or a pivot-free block, goes through the dense
 ``smith_normal_form``.  The maps are reduced from the top degree down, and
 the unit pivot rows of one map are left out of the next as columns.
-``reduced_homology`` is the engine applied to the full vertex set.
+``reduced_homology`` is the engine applied to the full vertex set, and
+``_Faces.sphere_dimension`` runs it on the links of faces to certify that
+a complex is a Z-homology sphere.
 
 Finitely generated graded abelian groups are recorded degree by degree as a
 free rank plus invariant factors d_1 | d_2 | ... | d_k with every d_i > 1.
@@ -26,6 +28,7 @@ free rank plus invariant factors d_1 | d_2 | ... | d_k with every d_i > 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Mapping, Sequence
@@ -359,6 +362,42 @@ def _rank_and_torsion(
     return rank + r, tuple(x for x in diagonal if x > 1), pivot_rows
 
 
+def _reduced_groups(
+    present: list[list[tuple[int, dict[int, int]]]],
+) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """Reduced integral homology of a complex given by its nonempty faces.
+
+    ``present[i]`` lists ``(face, column)`` for the faces with i + 1
+    vertices, and every list is nonempty; the empty face is implied.
+    Returns degree -> (rank, torsion), zero groups left out.
+
+    Rank in degree d is (number of d-faces) - rank ∂_d - rank ∂_{d+1};
+    torsion in degree d is the part of ∂_{d+1}'s invariant factors
+    exceeding 1.
+
+    The maps are reduced from the top degree down, and the unit pivot
+    rows of ∂_{d+1} are left out of ∂_d as columns.  The pivot columns
+    are boundaries, hence cycles, and are unitriangular on those rows,
+    so each such column of ∂_d is an integer combination of the others
+    and dropping it changes neither rank nor torsion.  This is the
+    clearing of Chen and Kerber ("Persistent homology computation with
+    a twist", EuroCG 2011), here with unit pivots over Z.
+    """
+    counts = [1] + [len(faces) for faces in present]
+    ranks = [0] * (len(counts) + 1)
+    torsion: list[tuple[int, ...]] = [()] * (len(counts) + 1)
+    cleared: set[int] = set()
+    for i in range(len(present), 0, -1):
+        columns = [col for face, col in present[i - 1] if face not in cleared]
+        ranks[i], torsion[i], cleared = _rank_and_torsion(columns)
+    groups = {}
+    for i, n in enumerate(counts):
+        rank = n - ranks[i] - ranks[i + 1]
+        if rank or torsion[i + 1]:
+            groups[i - 1] = (rank, torsion[i + 1])
+    return groups
+
+
 class _Faces:
     """The faces of a complex as vertex bitmasks, with their boundary columns.
 
@@ -369,7 +408,7 @@ class _Faces:
     with ``face & J == face``: nothing is rebuilt per subset.
     """
 
-    __slots__ = ("layers",)
+    __slots__ = ("layers", "vertex_count")
 
     def __init__(self, k: SimplicialComplex):
         masks = {0}
@@ -379,6 +418,7 @@ class _Faces:
             while sub:
                 masks.add(sub)
                 sub = (sub - 1) & top
+        self.vertex_count = k.vertex_count
         self.layers: list[list[tuple[int, dict[int, int]]]] = [
             [] for _ in range(max(k.dim, -1) + 2)
         ]
@@ -386,39 +426,63 @@ class _Faces:
             self.layers[bin(face).count("1")].append((face, _boundary_column(face)))
 
     def homology(self, subset: int) -> dict[int, tuple[int, tuple[int, ...]]]:
-        """Reduced integral homology of K_J, J = ``subset``: degree -> (rank, torsion).
-
-        Rank in degree d is (number of d-faces) - rank ∂_d - rank ∂_{d+1};
-        torsion in degree d is the part of ∂_{d+1}'s invariant factors
-        exceeding 1.  Zero groups are left out.
-
-        The maps are reduced from the top degree down, and the unit pivot
-        rows of ∂_{d+1} are left out of ∂_d as columns.  The pivot columns
-        are boundaries, hence cycles, and are unitriangular on those rows,
-        so each such column of ∂_d is an integer combination of the others
-        and dropping it changes neither rank nor torsion.  This is the
-        clearing of Chen and Kerber ("Persistent homology computation with
-        a twist", EuroCG 2011), here with unit pivots over Z.
-        """
+        """Reduced integral homology of K_J, J = ``subset``: degree -> (rank, torsion)."""
         present = []
         for layer in self.layers[1:]:
             faces = [(face, col) for face, col in layer if face & subset == face]
             if not faces:
                 break  # a face of K_J has all its faces in K_J
             present.append(faces)
-        counts = [1] + [len(faces) for faces in present]
-        ranks = [0] * (len(counts) + 1)
-        torsion: list[tuple[int, ...]] = [()] * (len(counts) + 1)
-        cleared: set[int] = set()
-        for i in range(len(present), 0, -1):
-            columns = [col for face, col in present[i - 1] if face not in cleared]
-            ranks[i], torsion[i], cleared = _rank_and_torsion(columns)
-        groups = {}
-        for i, n in enumerate(counts):
-            rank = n - ranks[i] - ranks[i + 1]
-            if rank or torsion[i + 1]:
-                groups[i - 1] = (rank, torsion[i + 1])
-        return groups
+        return _reduced_groups(present)
+
+    def sphere_dimension(self) -> int | None:
+        """d if K is a Z-homology d-sphere on all of its m vertices, else None.
+
+        K passes when m > 0, every vertex is a face, and for every face σ,
+        the empty face included, H~(lk σ) is a single Z in degree d - |σ|.
+        That is K = lk ∅ has the homology of S^d and every link of a
+        nonempty face is a homology sphere of the right dimension, so K is
+        a Z-homology manifold.  For links of facets and ridges the
+        condition says K is pure and each ridge lies in exactly two facets.
+
+        The cheap checks come first and the first failure ends the test:
+        the reduced Euler characteristic (a necessary condition, free from
+        the face counts), purity and the ridges, then H~(K), then the other
+        links from the largest σ (smallest link) down.  The link of σ is
+        built from the star of one vertex of σ and goes through the same
+        elimination as ``homology``.
+        """
+        d = len(self.layers) - 2
+        m = self.vertex_count
+        if d < 0 or len(self.layers[1]) != m:
+            return None  # m = 0, {∅} or a ghost vertex
+        # reduced Euler characteristic, the sum of (-1)^(|σ|-1) over faces σ
+        euler = sum((-1) ** (i - 1) * len(layer) for i, layer in enumerate(self.layers))
+        if euler != (-1) ** d:
+            return None
+        cofaces = Counter(g for layer in self.layers for _, col in layer for g in col)
+        for i in range(d + 1):
+            for face, _ in self.layers[i]:
+                n = cofaces[face]
+                if n == 0 or (i == d and n != 2):
+                    return None
+        if self.homology((1 << m) - 1) != {d: (1, ())}:
+            return None
+        column = {face: col for layer in self.layers for face, col in layer}
+        stars = [
+            [[face for face, _ in layer if face >> v & 1] for layer in self.layers]
+            for v in range(m)
+        ]
+        for size in range(d - 1, 0, -1):
+            for sigma, _ in self.layers[size]:
+                star = stars[(sigma & -sigma).bit_length() - 1]
+                link = [
+                    [(f ^ sigma, column[f ^ sigma]) for f in layer if f & sigma == sigma]
+                    for layer in star[size + 1 :]
+                ]
+                if _reduced_groups(link) != {d - size: (1, ())}:
+                    return None
+        return d
 
 
 def reduced_homology(k: SimplicialComplex) -> GradedGroups:

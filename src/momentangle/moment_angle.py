@@ -8,7 +8,7 @@ For a simplicial complex K on m vertices the moment-angle space Z_K inside
 
 where K_J is the full subcomplex on J and H~ is reduced cohomology.  The
 empty subset contributes H~^{-1}(empty) = Z in degree 0, the unit.  This
-module evaluates that sum by enumerating all 2^m subsets as bitmasks.
+module evaluates that sum over the subsets as bitmasks.
 
 Reduced cohomology of each K_J is obtained from integral homology by
 universal coefficients: ranks agree, torsion shifts up one degree.  Ranks
@@ -21,10 +21,22 @@ per worker) as vertex bitmasks with sparse boundary columns, K_J keeps the
 faces inside J, and ±1 pivots are eliminated before any Smith normal form.
 No complex or matrix object is built per subset.
 
-The subset loop is embarrassingly parallel: work is split over contiguous
-bitmask ranges and merged by a commutative sum, so results are identical for
-every worker count.  Sums of fewer than 2^10 subsets run in the calling
-process whatever the worker count.
+When K is a Z-homology d-sphere on its m vertices, as the dual complex of
+every simple polytope is, Alexander duality gives H~^i(K_J) = H~_{d-1-i}(K_{V-J})
+with torsion (the bigraded Poincare duality of Buchstaber and Panov, *Toric
+Topology*, AMS 2015).  Then only one subset of each pair {J, V - J} is
+computed: those with 2|J| < m, and those with 2|J| = m that leave out
+vertex m - 1.  A rank r_q of H~_q(K_J) also lands at (m - |J|, m + d - q - |J|)
+and a torsion group at degree m + d - q - |J|.  Sphere-ness is certified
+once per call, before any work is split, by ``_Faces.sphere_dimension``
+(the homology of every face link); every other complex gets all 2^m
+subsets.
+
+The subset loop is embarrassingly parallel: worker i of w takes the masks
+congruent to i mod w, so every worker gets the same mix of subset sizes,
+and the parts are merged by a commutative sum, so results are identical
+for every worker count.  Sums of fewer than 2^11 computed subsets run in
+the calling process whatever the worker count.
 """
 
 from __future__ import annotations
@@ -39,12 +51,16 @@ from .simplicial import SimplicialComplex
 
 DEFAULT_MAX_VERTICES = 22
 
-# Below this many subsets the sum runs in this process whatever the worker
-# count.  Starting and stopping a 2-process pool costs 12-15 ms, more than
-# the whole sum for most complexes on <= 9 vertices (polygon-7: 2 ms, cube-4:
-# 12 ms) and about what splitting the largest ones saves (simplex3 x
-# polygon5: 39 ms serial, 37 ms on 2 workers).  2-vCPU VM, Python 3.11.
-_POOL_MIN_SUBSETS = 2**10
+# Below this many subsets computed (2^(m-1) on a certified sphere, 2^m
+# otherwise) the sum runs in this process whatever the worker count.  A
+# 2-process pool costs 12-15 ms to start and stop, and the sphere
+# certificate runs before it.  Serial / 2-worker time, medians of 9
+# alternating runs, two series, 2-vCPU VM, Python 3.11:
+# cube-5 (2^9 computed) 0.57-0.59, polygon5 x polygon6 (2^10) 0.67-0.70,
+# polygon-12 (2^11) 0.97-1.21, polygon6 x polygon6 (2^11) 1.17-1.37,
+# cube-6 (2^11) 1.41-1.46, polygon-14 (2^13) 1.45-1.48; the full sum on
+# RP^2 * square (2^10) 1.03-1.27.
+_POOL_MIN_SUBSETS = 2**11
 
 
 class SubsetLimitError(Exception):
@@ -69,23 +85,37 @@ def _check_input(k: SimplicialComplex, max_vertices: int) -> None:
 
 
 def _subset_contributions(
-    k: SimplicialComplex, start: int, stop: int
+    faces: _Faces, sphere_dim: int | None, part: int, parts: int
 ) -> tuple[Counter, dict[int, list[int]]]:
-    """Accumulate contributions of bitmask subsets in [start, stop).
+    """Accumulate contributions of the bitmask subsets ≡ ``part`` mod ``parts``.
 
     Returns rank counts keyed by (|J|, total degree) and torsion factor
-    lists keyed by total degree.
+    lists keyed by total degree.  When K is a Z-homology sphere of
+    dimension ``sphere_dim``, only one subset of each pair {J, V - J} is
+    computed, and its groups are also added for the complement by
+    Alexander duality.
     """
+    m = faces.vertex_count
     ranks: Counter = Counter()
     torsion: dict[int, list[int]] = {}
-    faces = _Faces(k)
-    for mask in range(start, stop):
+    for mask in range(part, 1 << m, parts):
         size = bin(mask).count("1")
+        if sphere_dim is not None and (
+            2 * size > m or (2 * size == m and mask >> (m - 1) & 1)
+        ):
+            continue  # the complement of a computed subset
         for q, (r, t) in faces.homology(mask).items():
             if r:
                 ranks[(size, q + size + 1)] += r
             if t:
                 torsion.setdefault(q + size + 2, []).extend(t)
+            if sphere_dim is not None:
+                # ranks of H~_{d-1-q}(K_{V-J}) and torsion of H~_{d-2-q}(K_{V-J})
+                mirrored = m + sphere_dim - q - size
+                if r:
+                    ranks[(m - size, mirrored)] += r
+                if t:
+                    torsion.setdefault(mirrored, []).extend(t)
     return ranks, torsion
 
 
@@ -101,21 +131,18 @@ def _usable_workers(requested: int) -> int:
 def _gather(
     k: SimplicialComplex, workers: int
 ) -> tuple[Counter, dict[int, list[int]]]:
-    total = 1 << k.vertex_count
-    workers = _usable_workers(workers) if total >= _POOL_MIN_SUBSETS else 1
+    faces = _Faces(k)
+    sphere_dim = faces.sphere_dimension()
+    computed = 1 << (k.vertex_count - (sphere_dim is not None))
+    workers = _usable_workers(workers) if computed >= _POOL_MIN_SUBSETS else 1
     if workers <= 1:
-        return _subset_contributions(k, 0, total)
-    bounds = [total * i // workers for i in range(workers + 1)]
-    spans = [
-        (bounds[i], bounds[i + 1])
-        for i in range(workers)
-        if bounds[i] < bounds[i + 1]
-    ]
+        return _subset_contributions(faces, sphere_dim, 0, 1)
     ranks: Counter = Counter()
     torsion: dict[int, list[int]] = {}
-    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for part_ranks, part_torsion in pool.map(
-            _subset_contributions_task, [(k, a, b) for a, b in spans]
+            _subset_contributions_task,
+            [(k, sphere_dim, part, workers) for part in range(workers)],
         ):
             ranks.update(part_ranks)
             for deg, factors in part_torsion.items():
@@ -124,7 +151,8 @@ def _gather(
 
 
 def _subset_contributions_task(args):
-    return _subset_contributions(*args)
+    k, sphere_dim, part, parts = args
+    return _subset_contributions(_Faces(k), sphere_dim, part, parts)
 
 
 def moment_angle_cohomology(

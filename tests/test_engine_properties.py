@@ -7,6 +7,10 @@ vertex cuts with at most 9 facets.  For each, the engine must agree with
 ``tests/subset_oracle.py`` on every full subcomplex, on H*(Z_K) and on the
 bigraded table.  Examples are derandomized so every run checks the same
 inputs.
+
+Polytope duals are spheres, so their sums take the duality path, which
+computes one subset of each complementary pair; they are also checked
+against the same sums with the sphere certificate forced to fail.
 """
 
 import pytest
@@ -19,6 +23,7 @@ from momentangle.homology import GradedGroups, _Faces, reduced_homology  # noqa:
 from momentangle.moment_angle import bigraded_table, moment_angle_cohomology  # noqa: E402
 from momentangle.polytopes import polygon, product, simplex_polytope  # noqa: E402
 from momentangle.simplicial import SimplicialComplex, join  # noqa: E402
+from momentangle.surgery import theorem_corpus  # noqa: E402
 from subset_oracle import reference_sum, subset_homologies  # noqa: E402
 
 RP2 = SimplicialComplex(
@@ -98,3 +103,30 @@ def test_joins_with_the_projective_plane(k):
 def test_polytopes_from_products_and_cuts(k):
     assert k.vertex_count <= 9
     assert_engine_matches_oracle(k)
+
+
+def assert_duality_changes_nothing(k):
+    assert _Faces(k).sphere_dimension() is not None
+    groups, table = moment_angle_cohomology(k), bigraded_table(k)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Faces, "sphere_dimension", lambda self: None)
+        assert moment_angle_cohomology(k) == groups
+        assert bigraded_table(k) == table
+
+
+@checked(12)
+@given(polytope_complexes())
+def test_duality_on_equals_off_on_polytopes(k):
+    assert_duality_changes_nothing(k)
+
+
+CORPUS = theorem_corpus() + [
+    (f"{name}-cut-{v}", p.cut_vertex(v))
+    for name, p in theorem_corpus()
+    for v in range(p.vertex_count)
+]
+
+
+@pytest.mark.parametrize("p", [p for _, p in CORPUS], ids=[name for name, _ in CORPUS])
+def test_duality_on_equals_off_on_the_corpus(p):
+    assert_duality_changes_nothing(p.dual_complex())

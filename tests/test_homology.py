@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import momentangle.homology as homology_module
 from cellular_oracle import _rank_over_q
 from momentangle.homology import (
     GradedGroups,
@@ -14,6 +15,7 @@ from momentangle.homology import (
     reduced_homology,
     smith_normal_form,
 )
+from momentangle.polytopes import cube, polygon, product, simplex_polytope
 from momentangle.simplicial import (
     SimplicialComplex,
     boundary_complex,
@@ -335,6 +337,79 @@ class TestReducedHomology:
     def test_disjoint_union_counts_components(self):
         three = SimplicialComplex(5, [(0, 1), (2, 3), (4,)])
         assert reduced_homology(three) == GradedGroups({0: (2, ())})
+
+
+# ∂Δ^3 with a triangle {0, 1, 4} glued along the edge {0, 1}: pure, with the
+# homology of S^2, but the edge {0, 1} lies in three triangles
+FIN = SimplicialComplex(5, list(boundary_complex(3).maximal_faces) + [(0, 1, 4)])
+
+
+class TestSphereCertificate:
+    @pytest.mark.parametrize(
+        "k, d",
+        [
+            (boundary_complex(1), 0),  # S^0
+            (boundary_complex(2), 1),
+            (boundary_complex(3), 2),
+            (boundary_complex(5), 4),
+            (polygon(7).dual_complex(), 1),
+            (cube(4).dual_complex(), 3),
+            (product(simplex_polytope(2), polygon(5)).dual_complex(), 3),
+            (simplex_polytope(3).cut_vertex(0).cut_vertex(2).dual_complex(), 2),
+            (join(boundary_complex(2), boundary_complex(3)), 4),
+            (join(boundary_complex(1), polygon(5).dual_complex()), 2),
+            (boundary_complex(3).connected_sum_at_facet((0, 1, 2)), 2),
+            (cube(3).dual_complex().connected_sum_at_facet((0, 2, 4)), 2),
+        ],
+    )
+    def test_accepts_spheres(self, k, d):
+        assert _Faces(k).sphere_dimension() == d
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            RP2,
+            join(RP2, cycle(4)),
+            SimplicialComplex(4, boundary_complex(2).maximal_faces),  # ghost vertex 3
+            SimplicialComplex(5, list(boundary_complex(3).maximal_faces) + [(0, 4)]),
+            # a square with a pendant edge: the homology and the reduced Euler
+            # characteristic of S^1; only the ridge count (vertex 4) tells
+            SimplicialComplex(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)]),
+            FIN,
+            # two tetrahedron boundaries meeting at vertex 3
+            SimplicialComplex(
+                7, list(boundary_complex(3).maximal_faces)
+                + [tuple(v + 3 for v in f) for f in boundary_complex(3).maximal_faces]
+            ),
+            SimplicialComplex(0, [()]),
+            SimplicialComplex(3, [()]),
+            full_simplex(3),
+            # two disjoint circles: pure, two edges at each vertex, and the
+            # reduced Euler characteristic of S^1; only H~(K) tells
+            SimplicialComplex(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+        ],
+        ids=[
+            "rp2", "rp2-join-square", "ghost-vertex", "pendant-edge",
+            "square-with-pendant-edge", "fin",
+            "tetrahedra-at-a-vertex", "m0-empty-face", "ghosts-only", "solid-simplex",
+            "two-circles",
+        ],
+    )
+    def test_rejects_non_spheres(self, k):
+        assert _Faces(k).sphere_dimension() is None
+
+    def test_rp2_join_is_rejected_before_any_homology(self, monkeypatch):
+        # its reduced Euler characteristic is 0, so the full sum on it pays
+        # nothing for the check
+        def refuse(present):
+            raise AssertionError("homology was computed")
+
+        monkeypatch.setattr(homology_module, "_reduced_groups", refuse)
+        assert _Faces(join(RP2, cycle(4))).sphere_dimension() is None
+
+    def test_fin_has_the_homology_of_a_sphere(self):
+        # so the fin is rejected by its ridge, not by H~(K)
+        assert reduced_homology(FIN) == GradedGroups.sphere(2)
 
 
 class TestGradedGroups:

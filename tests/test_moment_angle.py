@@ -1,13 +1,15 @@
 import os
+from itertools import combinations
 
 import pytest
 
 import momentangle.moment_angle as moment_angle_module
 from cellular_oracle import cellular_betti, cellular_betti_mod_p
-from momentangle.homology import GradedGroups
+from momentangle.homology import GradedGroups, _Faces
 from momentangle.moment_angle import (
     PoincarePolynomial,
     SubsetLimitError,
+    _subset_contributions,
     _usable_workers,
     betti,
     bigraded_table,
@@ -240,8 +242,8 @@ class TestParallelism:
             raise AssertionError("a process pool was started")
 
         monkeypatch.setattr(moment_angle_module, "ProcessPoolExecutor", refuse)
-        for k in (polygon(9).dual_complex(), RP2):
-            assert k.vertex_count < 10
+        # polygon-11 has 2^11 subsets, but as a sphere computes only 2^10
+        for k in (polygon(9).dual_complex(), polygon(11).dual_complex(), RP2):
             assert moment_angle_cohomology(k, workers=2) == moment_angle_cohomology(k)
             assert bigraded_table(k, workers=2) == bigraded_table(k)
 
@@ -251,7 +253,9 @@ class TestParallelism:
         ids=["polygon-10", "rp2-join-square"],
     )
     def test_pool_merge_at_ten_vertices(self, k, monkeypatch):
-        # m = 10 is the smallest vertex count that reaches the pool
+        # polygon-10 takes the duality path (2^9 subsets computed), the RP^2
+        # join the full one (2^10); the threshold is lowered so both reach
+        # the pool and its strided merge
         starts = []
         pool = moment_angle_module.ProcessPoolExecutor
 
@@ -261,10 +265,74 @@ class TestParallelism:
 
         groups = moment_angle_cohomology(k)
         table = bigraded_table(k)
+        monkeypatch.setattr(moment_angle_module, "_POOL_MIN_SUBSETS", 2**9)
         monkeypatch.setattr(moment_angle_module, "ProcessPoolExecutor", counted)
         assert moment_angle_cohomology(k, workers=2) == groups
         assert bigraded_table(k, workers=2) == table
         assert len(starts) == (2 if _usable_workers(2) == 2 else 0)
+
+
+def stellar(facets, tau, v):
+    """Facets after the stellar subdivision at face ``tau`` with new vertex ``v``."""
+    t = set(tau)
+    out = [f for f in facets if not t <= set(f)]
+    for f in facets:
+        if t <= set(f):
+            rest = [x for x in f if x not in t]
+            out.extend(tuple(sorted(rest + [y for y in tau if y != x] + [v])) for x in tau)
+    return out
+
+
+def sphere_around_rp2():
+    """A 4-sphere on 16 vertices whose full subcomplex on 0..5 is RP2.
+
+    ∂Δ^5 on 0..5 is subdivided at each of the ten triangles missing from
+    RP2, so the faces left on 0..5 are those of RP2.
+    """
+    facets = list(boundary_complex(5).maximal_faces)
+    missing = [t for t in combinations(range(6), 3) if t not in RP2.maximal_faces]
+    for v, tau in enumerate(missing, start=6):
+        facets = stellar(facets, tau, v)
+    return SimplicialComplex(16, facets)
+
+
+class TestAlexanderDuality:
+    def test_mirror_equals_the_complement_computed(self):
+        # the duality path adds each computed subset's groups for its
+        # complement too; here the complement is computed directly instead,
+        # including 2-torsion on both sides of the RP2 pair
+        k = sphere_around_rp2()
+        faces = _Faces(k)
+        d = faces.sphere_dimension()
+        assert d == 4
+        m = k.vertex_count
+        everything = (1 << m) - 1
+        rp2 = 0b111111
+        assert faces.homology(rp2) == faces.homology(everything ^ rp2) == {1: (0, (2,))}
+        for mask in (0, rp2, 0b1010101, 0b1111100000000, 0b0011111100000000):
+            assert 2 * bin(mask).count("1") <= m and not mask >> (m - 1) & 1
+            # with 2^m parts, part ``mask`` is that one subset alone
+            mirrored = _subset_contributions(faces, d, mask, 1 << m)
+            ranks, torsion = _subset_contributions(faces, None, mask, 1 << m)
+            more_ranks, more_torsion = _subset_contributions(
+                faces, None, everything ^ mask, 1 << m
+            )
+            assert mirrored[0] == ranks + more_ranks
+            for deg, factors in more_torsion.items():
+                torsion.setdefault(deg, []).extend(factors)
+            assert {deg: sorted(f) for deg, f in mirrored[1].items()} == {
+                deg: sorted(f) for deg, f in torsion.items()
+            }
+
+    def test_mirror_on_a_non_sphere_is_wrong(self, monkeypatch):
+        # the fin has the homology of S^2 and passes everything but the ridge
+        # count; mirroring anyway gives the wrong groups, so the check matters
+        fin = SimplicialComplex(5, list(boundary_complex(3).maximal_faces) + [(0, 1, 4)])
+        groups, _ = reference_sum(subset_homologies(fin))
+        assert _Faces(fin).sphere_dimension() is None
+        assert moment_angle_cohomology(fin) == groups
+        monkeypatch.setattr(_Faces, "sphere_dimension", lambda self: 2)
+        assert moment_angle_cohomology(fin) != groups
 
 
 class TestLimitsAndErrors:
