@@ -20,7 +20,8 @@ unless there is torsion or a pivot-free block, goes through the dense
 the unit pivot rows of one map are left out of the next as columns.
 ``reduced_homology`` is the engine applied to the full vertex set, and
 ``_Faces.sphere_dimension`` runs it on the links of faces to certify that
-a complex is a Z-homology sphere.
+a complex is a Z-homology sphere.  ``_Faces.join_factors`` reads the same
+face lists to split a complex into its join factors.
 
 Finitely generated graded abelian groups are recorded degree by degree as a
 free rank plus invariant factors d_1 | d_2 | ... | d_k with every d_i > 1.
@@ -56,12 +57,6 @@ class IntegerMatrix:
                 f"entry grid does not match declared shape {self.rows}x{self.cols}"
             )
         object.__setattr__(self, "entries", ents)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        return cls(r, c, tuple(tuple(row) for row in rows))
 
 
 def _prime_powers(n: int) -> dict[int, int]:
@@ -187,10 +182,6 @@ class GradedGroups:
         self._groups = norm
 
     @classmethod
-    def zero(cls) -> "GradedGroups":
-        return cls({})
-
-    @classmethod
     def sphere(cls, d: int) -> "GradedGroups":
         """Reduced groups of S^d: a single Z in degree d."""
         return cls({d: (1, ())})
@@ -226,19 +217,6 @@ class GradedGroups:
 
     def has_torsion(self) -> bool:
         return any(t for _, t in self._groups.values())
-
-    def direct_sum(self, *others: "GradedGroups") -> "GradedGroups":
-        acc: dict[int, tuple[int, list[int]]] = {
-            d: (r, list(t)) for d, (r, t) in self._groups.items()
-        }
-        for g in others:
-            for d, (r, t) in g._groups.items():
-                r0, t0 = acc.get(d, (0, []))
-                acc[d] = (r0 + r, t0 + list(t))
-        return GradedGroups(acc)
-
-    def shifted(self, offset: int) -> "GradedGroups":
-        return GradedGroups({d + offset: rt for d, rt in self._groups.items()})
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * r for d, (r, _) in self._groups.items())
@@ -434,6 +412,69 @@ class _Faces:
                 break  # a face of K_J has all its faces in K_J
             present.append(faces)
         return _reduced_groups(present)
+
+    def join_factors(self) -> list[list[int]]:
+        """Vertex sets A_1, ..., A_r of the finest join K = K_{A_1} * ... * K_{A_r}.
+
+        A vertex set is a face exactly when it contains no minimal non-face,
+        so K splits along the connected components of its minimal non-faces:
+        the vertices of one minimal non-face lie in one factor.  A ghost
+        vertex, itself a minimal non-face, is a {∅} factor; a vertex in no
+        minimal non-face, a cone apex, is a point factor.  Factors are
+        listed by lowest vertex, each in increasing order; m = 0 gives none.
+
+        Each minimal non-face S is found once, as f ∪ {v} with v the top
+        vertex of S: f is a face, f ∪ {v} is not, and f ∪ {v} minus any one
+        vertex u of f is.  With ext[g] the vertices w for which g ∪ {w} is a
+        face, read off the boundary columns of the layer above, those v are
+        the vertices above f's top in ext[f - u] for every u in f and not in
+        ext[f].  The layers are scanned upward and the scan stops as soon as
+        one component is left, so a complex that is not a join is usually
+        settled by its missing edges.
+        """
+        m = self.vertex_count
+        root = list(range(m))
+
+        def find(v: int) -> int:
+            while root[v] != v:
+                root[v] = root[root[v]]
+                v = root[v]
+            return v
+
+        left = m
+        ext: dict[int, int] = {}
+        for i, layer in enumerate(self.layers):
+            for face, column in self.layers[i + 1] if i + 1 < len(self.layers) else ():
+                for g in column:
+                    ext[g] = ext.get(g, 0) | face ^ g
+            if i == 0:
+                continue  # f = ∅ gives the ghost vertices, which join nothing
+            for f, _ in layer:
+                common = -1
+                rest = f
+                while rest:
+                    low = rest & -rest
+                    common &= ext[f ^ low]
+                    rest ^= low
+                top = f.bit_length()
+                tops = (common & ~ext.get(f, 0)) >> top << top
+                if not tops:
+                    continue
+                rest = f | tops
+                first = find((rest & -rest).bit_length() - 1)
+                while rest:
+                    low = rest & -rest
+                    other = find(low.bit_length() - 1)
+                    if other != first:
+                        root[other] = first
+                        left -= 1
+                    rest ^= low
+                if left == 1:
+                    return [list(range(m))]
+        factors: dict[int, list[int]] = {}
+        for v in range(m):
+            factors.setdefault(find(v), []).append(v)
+        return list(factors.values())
 
     def sphere_dimension(self) -> int | None:
         """d if K is a Z-homology d-sphere on all of its m vertices, else None.

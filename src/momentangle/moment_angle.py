@@ -32,11 +32,26 @@ once per call, before any work is split, by ``_Faces.sphere_dimension``
 (the homology of every face link); every other complex gets all 2^m
 subsets.
 
+Before any of that, K is split into its finest join factorisation
+K = K_{A_1} * ... * K_{A_r} by ``_Faces.join_factors``: the vertices of each
+minimal non-face are joined in one component, and the components are the
+A_i; a ghost vertex is a {∅} factor and a cone apex a point factor.  Since
+Z_{K*L} = Z_K x Z_L, each factor is summed on its own (its own faces,
+sphere certificate, duality and pool rule), and the results are combined
+by the Kunneth formula: ranks convolve over (|J|, degree), and torsion
+picks up (Z/b)^r from Z^r (x) Z/b and Z/gcd(a, b) from both Z/a (x) Z/b
+and Tor(Z/a, Z/b), the Tor term one degree lower.  A join then costs
+2^{m_1} + ... + 2^{m_r} subsets instead of 2^m.  The search reads the
+faces already listed for K and stops once one component is left, so a
+complex that is not a join pays one face listing, as before.  The subset
+cap still counts all m vertices of K, whatever its factors.
+
 The subset loop is embarrassingly parallel: worker i of w takes the masks
 congruent to i mod w, so every worker gets the same mix of subset sizes,
 and the parts are merged by a commutative sum, so results are identical
 for every worker count.  Sums of fewer than 2^11 computed subsets run in
-the calling process whatever the worker count.
+the calling process whatever the worker count; this threshold applies to
+each join factor separately.
 """
 
 from __future__ import annotations
@@ -44,6 +59,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from math import gcd
 from typing import Mapping
 
 from .homology import GradedGroups, _Faces, invariant_factors
@@ -61,6 +77,9 @@ DEFAULT_MAX_VERTICES = 22
 # cube-6 (2^11) 1.41-1.46, polygon-14 (2^13) 1.45-1.48; the full sum on
 # RP^2 * square (2^10) 1.03-1.27.
 _POOL_MIN_SUBSETS = 2**11
+
+# rank counts keyed by (|J|, total degree), torsion factor lists by total degree
+_Contributions = tuple[Counter, dict[int, list[int]]]
 
 
 class SubsetLimitError(Exception):
@@ -86,7 +105,7 @@ def _check_input(k: SimplicialComplex, max_vertices: int) -> None:
 
 def _subset_contributions(
     faces: _Faces, sphere_dim: int | None, part: int, parts: int
-) -> tuple[Counter, dict[int, list[int]]]:
+) -> _Contributions:
     """Accumulate contributions of the bitmask subsets ≡ ``part`` mod ``parts``.
 
     Returns rank counts keyed by (|J|, total degree) and torsion factor
@@ -128,10 +147,60 @@ def _usable_workers(requested: int) -> int:
     return min(requested, cpus)
 
 
-def _gather(
-    k: SimplicialComplex, workers: int
-) -> tuple[Counter, dict[int, list[int]]]:
+def _kunneth(x: _Contributions, y: _Contributions) -> _Contributions:
+    """Contributions for Z_K x Z_L from those for Z_K and for Z_L.
+
+    Ranks convolve over the keys (|J|, degree).  Torsion follows the
+    cohomology Kunneth formula H^n(X x Y) = (+)_{p+q=n} H^p (x) H^q
+    (+) (+)_{p+q=n+1} Tor(H^p, H^q), with Z^r (x) Z/b = (Z/b)^r and
+    Z/a (x) Z/b = Tor(Z/a, Z/b) = Z/gcd(a, b).
+    """
+    (x_ranks, x_torsion), (y_ranks, y_torsion) = x, y
+    ranks: Counter = Counter()
+    for (x_size, p), r in x_ranks.items():
+        for (y_size, q), s in y_ranks.items():
+            ranks[(x_size + y_size, p + q)] += r * s
+    x_free: Counter = Counter()
+    for (_, p), r in x_ranks.items():
+        x_free[p] += r
+    y_free: Counter = Counter()
+    for (_, q), s in y_ranks.items():
+        y_free[q] += s
+    torsion: dict[int, list[int]] = {}
+    for p, factors in x_torsion.items():
+        for q, s in y_free.items():
+            torsion.setdefault(p + q, []).extend(factors * s)
+    for q, factors in y_torsion.items():
+        for p, r in x_free.items():
+            torsion.setdefault(p + q, []).extend(factors * r)
+        for p, x_factors in x_torsion.items():
+            common = [g for a in x_factors for b in factors if (g := gcd(a, b)) > 1]
+            if common:
+                torsion.setdefault(p + q, []).extend(common)  # tensor
+                torsion.setdefault(p + q - 1, []).extend(common)  # Tor
+    return ranks, torsion
+
+
+def _gather(k: SimplicialComplex, workers: int) -> _Contributions:
+    """Rank and torsion contributions of every subset, as ``_subset_contributions``.
+
+    K is split into its join factors first, each factor is summed on its
+    own, and the factors' results are combined by ``_kunneth``, since
+    Z_{K*L} = Z_K x Z_L; m = 0 has no factor and gives the unit.
+    """
     faces = _Faces(k)
+    factors = faces.join_factors()
+    if len(factors) == 1:
+        return _factor_sum(k, faces, workers)
+    result: _Contributions = (Counter({(0, 0): 1}), {})
+    for vertices in factors:
+        factor = k.full_subcomplex(vertices)
+        result = _kunneth(result, _factor_sum(factor, _Faces(factor), workers))
+    return result
+
+
+def _factor_sum(k: SimplicialComplex, faces: _Faces, workers: int) -> _Contributions:
+    """The subset sum of one join factor, with its own certificate and pool rule."""
     sphere_dim = faces.sphere_dimension()
     computed = 1 << (k.vertex_count - (sphere_dim is not None))
     workers = _usable_workers(workers) if computed >= _POOL_MIN_SUBSETS else 1

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Simplex = tuple[int, ...]
 
@@ -107,11 +107,6 @@ class SimplicialComplex:
             return [()] if self.maximal_faces else []
         out = {c for f in self.maximal_faces for c in combinations(f, d + 1)}
         return sorted(out)
-
-    def all_faces(self) -> Iterator[Simplex]:
-        """Every face, the empty one included, in dimension-then-lex order."""
-        for d in range(-1, self.dim + 1):
-            yield from self.faces_of_dimension(d)
 
     def f_vector(self) -> dict[int, int]:
         return {

@@ -35,7 +35,8 @@ Cell = tuple[tuple[int, ...], tuple[int, ...]]
 def _cells_by_dimension(k) -> dict[int, list[Cell]]:
     m = k.vertex_count
     cells: dict[int, list[Cell]] = {}
-    for sigma in k.all_faces():
+    faces = [s for d in range(-1, k.dim + 1) for s in k.faces_of_dimension(d)]
+    for sigma in faces:
         rest = [v for v in range(m) if v not in sigma]
         for size in range(len(rest) + 1):
             for omega in combinations(rest, size):

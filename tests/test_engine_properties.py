@@ -10,7 +10,10 @@ inputs.
 
 Polytope duals are spheres, so their sums take the duality path, which
 computes one subset of each complementary pair; they are also checked
-against the same sums with the sphere certificate forced to fail.
+against the same sums with the sphere certificate forced to fail.  Random
+joins, with their vertices shuffled, and the corpus polytopes, whose
+products are joins, are checked against the same sums with the join
+factor search forced to report a single factor.
 """
 
 import pytest
@@ -130,3 +133,34 @@ CORPUS = theorem_corpus() + [
 @pytest.mark.parametrize("p", [p for _, p in CORPUS], ids=[name for name, _ in CORPUS])
 def test_duality_on_equals_off_on_the_corpus(p):
     assert_duality_changes_nothing(p.dual_complex())
+
+
+def assert_factor_search_changes_nothing(k):
+    groups, table = moment_angle_cohomology(k), bigraded_table(k)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Faces, "join_factors", lambda self: [list(range(self.vertex_count))])
+        assert moment_angle_cohomology(k) == groups
+        assert bigraded_table(k) == table
+
+
+@st.composite
+def random_joins(draw, max_vertices=11):
+    k = draw(complexes(max_vertices=4))
+    for _ in range(draw(st.integers(1, 2))):
+        room = max_vertices - k.vertex_count
+        if room >= 6 and draw(st.booleans()):
+            k = join(k, RP2)
+        else:
+            k = join(k, draw(complexes(max_vertices=min(4, room))))
+    return k.relabeled(draw(st.permutations(range(k.vertex_count))))
+
+
+@checked(30)
+@given(random_joins())
+def test_factor_search_on_equals_off_on_random_joins(k):
+    assert_factor_search_changes_nothing(k)
+
+
+@pytest.mark.parametrize("p", [p for _, p in CORPUS], ids=[name for name, _ in CORPUS])
+def test_factor_search_on_equals_off_on_the_corpus(p):
+    assert_factor_search_changes_nothing(p.dual_complex())

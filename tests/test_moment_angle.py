@@ -1,4 +1,5 @@
 import os
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -30,6 +31,12 @@ RP2 = SimplicialComplex(
         (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
         (1, 2, 3), (1, 2, 5), (2, 4, 5), (1, 3, 4), (3, 4, 5),
     ],
+)
+
+# RP2 with the path 5-6-7-8-9 hung from vertex 5: 2-torsion, not a sphere and
+# not a join, on 10 vertices
+RP2_WITH_PATH = SimplicialComplex(
+    10, list(RP2.maximal_faces) + [(5, 6), (6, 7), (7, 8), (8, 9)]
 )
 
 
@@ -249,13 +256,14 @@ class TestParallelism:
 
     @pytest.mark.parametrize(
         "k",
-        [polygon(10).dual_complex(), join(RP2, polygon(4).dual_complex())],
-        ids=["polygon-10", "rp2-join-square"],
+        [polygon(10).dual_complex(), RP2_WITH_PATH],
+        ids=["polygon-10", "rp2-pendant-path"],
     )
     def test_pool_merge_at_ten_vertices(self, k, monkeypatch):
-        # polygon-10 takes the duality path (2^9 subsets computed), the RP^2
-        # join the full one (2^10); the threshold is lowered so both reach
-        # the pool and its strided merge
+        # polygon-10 takes the duality path (2^9 subsets computed), RP^2 with
+        # a path the full one (2^10); neither is a join, and the threshold is
+        # lowered so both reach the pool and its strided merge
+        assert _Faces(k).join_factors() == [list(range(10))]
         starts = []
         pool = moment_angle_module.ProcessPoolExecutor
 
@@ -335,6 +343,71 @@ class TestAlexanderDuality:
         assert moment_angle_cohomology(fin) != groups
 
 
+class TestJoinFactors:
+    # (complex, its join factors); the subset oracle never splits K
+    CASES = {
+        # RP2 on 0, 2, 3, 5, 6, 7 and S^0 on 1, 4: the factors interleave
+        "rp2-join-s0": (
+            join(RP2, boundary_complex(1)).relabeled([0, 2, 3, 5, 6, 7, 1, 4]),
+            [[0, 2, 3, 5, 6, 7], [1, 4]],
+        ),
+        "rp2-ghost": (SimplicialComplex(7, RP2.maximal_faces), [list(range(6)), [6]]),
+        "rp2-cone": (join(RP2, full_simplex(0)), [list(range(6)), [6]]),
+        "simplex-3": (full_simplex(3), [[0], [1], [2], [3]]),
+        "empty-m0": (SimplicialComplex(0, [()]), []),
+        "empty-m1": (SimplicialComplex(1, [()]), [[0]]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_against_the_subset_oracle(self, name):
+        k, factors = self.CASES[name]
+        assert _Faces(k).join_factors() == factors
+        groups, table = reference_sum(subset_homologies(k))
+        assert moment_angle_cohomology(k) == groups
+        assert bigraded_table(k) == table
+
+    def test_torsion_in_the_tensor_and_the_tor_degree(self, monkeypatch):
+        # Z_RP2 has Z/2 in degree 9, so Z_(RP2 * RP2) = Z_RP2 x Z_RP2 has
+        # Z/2 (x) Z/2 in degree 18 and Tor(Z/2, Z/2) in degree 17.  The subset
+        # oracle takes about 21 s on its 2^12 subsets (2-vCPU VM), so the groups are checked
+        # against the unsplit engine sum, and their F_p dimensions against
+        # the field Kunneth formula applied to the oracle's groups of Z_RP2
+        k = join(RP2, RP2)
+        assert _Faces(k).join_factors() == [list(range(6)), list(range(6, 12))]
+        groups, table = moment_angle_cohomology(k), bigraded_table(k)
+        assert groups.torsion(17) == groups.torsion(18) == (2,)
+        rp2, _ = reference_sum(subset_homologies(RP2))
+        for p in (2, 3):
+            one = TestTorsionAgainstModPRanks.predicted(rp2, p)
+            square = Counter()
+            for a, x in one.items():
+                for b, y in one.items():
+                    square[a + b] += x * y
+            assert TestTorsionAgainstModPRanks.predicted(groups, p) == square
+        monkeypatch.setattr(
+            _Faces, "join_factors", lambda self: [list(range(self.vertex_count))]
+        )
+        assert moment_angle_cohomology(k) == groups
+        assert bigraded_table(k) == table
+
+    def test_products_split_into_their_factors(self):
+        for p, factors in [
+            (product(polygon(5), polygon(6)), [range(5), range(5, 11)]),
+            (product(simplex_polytope(3), polygon(6)), [range(4), range(4, 10)]),
+            (cube(3), [range(2), range(2, 4), range(4, 6)]),
+        ]:
+            assert _Faces(p.dual_complex()).join_factors() == [list(r) for r in factors]
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 9, 12])
+    def test_polygons_are_one_factor(self, n):
+        assert _Faces(polygon(n).dual_complex()).join_factors() == [list(range(n))]
+
+    def test_the_cap_counts_every_vertex(self):
+        # cube-5 splits into five 2-vertex factors, but the cap sees m = 10
+        with pytest.raises(SubsetLimitError, match=r"2\^10 = 1024"):
+            moment_angle_cohomology(cube(5).dual_complex(), max_vertices=9)
+
+
 class TestLimitsAndErrors:
     def test_vertex_cap_raises_named_resource_error(self):
         k = polygon(6).dual_complex()
@@ -398,4 +471,4 @@ class TestPoincarePolynomial:
         assert poly.coefficient(5) == 0
 
     def test_betti_of_zero(self):
-        assert betti(GradedGroups.zero()) == PoincarePolynomial({})
+        assert betti(GradedGroups({})) == PoincarePolynomial({})
