@@ -10,13 +10,24 @@ the empty complex).
 There is one engine, ``_Faces``.  It lists the faces of a complex once, as
 vertex bitmasks grouped by dimension, each with its boundary column as a
 sparse ``{face: ±1}`` dict; the faces of a full subcomplex K_J are the
-masks ``f`` with ``f & J == f``, so nothing is rebuilt per subset.  Each
-boundary map is reduced by eliminating its ±1 pivots first, which keeps
-the Smith normal form (the unit-pivot phase of Dumas, Saunders and
-Villard, "On efficient sparse integer matrix Smith normal form
-computations", J. Symbolic Comput. 2001); only the residual matrix, empty
-unless there is torsion or a pivot-free block, goes through the dense
-``smith_normal_form``.  The maps are reduced from the top degree down, and
+masks ``f`` with ``f & J == f``, so nothing is rebuilt per subset.
+
+Two exact rules settle many subsets before any matrix is built.  A cone
+has H~ = 0: with ext[f] the vertices w for which f ∪ {w} is a face, a K_J
+with a vertex is a cone exactly when J meets the AND of ext[f] over its
+faces f, and that AND is taken in the loop that picks the faces of K_J.
+A complex of dimension at most 1 is a graph with V vertices, E edges
+and c components, so H~_0 = Z^(c-1) and H~_1 = Z^(E-V+c), with c from a
+union-find on the edge masks; this covers the links of codimension-2
+faces in the sphere certificate as well.  Neither rule can hide torsion,
+since cones and graphs have none.
+
+Every other boundary map is reduced by eliminating its ±1 pivots first,
+which keeps the Smith normal form (the unit-pivot phase of Dumas,
+Saunders and Villard, "On efficient sparse integer matrix Smith normal
+form computations", J. Symbolic Comput. 2001); only the residual matrix,
+empty unless there is torsion or a pivot-free block, goes through the
+dense ``smith_normal_form``.  The maps are reduced from the top degree down, and
 the unit pivot rows of one map are left out of the next as columns.
 ``reduced_homology`` is the engine applied to the full vertex set, and
 ``_Faces.sphere_dimension`` runs it on the links of faces to certify that
@@ -340,6 +351,39 @@ def _rank_and_torsion(
     return rank + r, tuple(x for x in diagonal if x > 1), pivot_rows
 
 
+def _graph_groups(
+    present: list[list[tuple[int, dict[int, int]]]],
+) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """Reduced integral homology of a nonempty complex of dimension at most 1.
+
+    ``present`` is as for ``_reduced_groups``, with one or two lists.  A
+    graph with V vertices, E edges and c components has H~_0 = Z^(c-1) and
+    H~_1 = Z^(E-V+c), free in both degrees; c comes from a union-find on
+    the edge masks, and no matrix is built.
+    """
+    vertices = len(present[0])
+    edges = present[1] if len(present) > 1 else ()
+    root: dict[int, int] = {}  # vertex bit -> a bit of its component; roots absent
+    components = vertices
+    for edge, _ in edges:
+        a = edge & -edge
+        b = edge ^ a
+        while a in root:
+            a = root[a]
+        while b in root:
+            b = root[b]
+        if a != b:
+            root[a] = b
+            components -= 1
+    groups = {}
+    if components > 1:
+        groups[0] = (components - 1, ())
+    cycles = len(edges) - vertices + components
+    if cycles:
+        groups[1] = (cycles, ())
+    return groups
+
+
 def _reduced_groups(
     present: list[list[tuple[int, dict[int, int]]]],
 ) -> dict[int, tuple[int, tuple[int, ...]]]:
@@ -347,7 +391,19 @@ def _reduced_groups(
 
     ``present[i]`` lists ``(face, column)`` for the faces with i + 1
     vertices, and every list is nonempty; the empty face is implied.
-    Returns degree -> (rank, torsion), zero groups left out.
+    Returns degree -> (rank, torsion), zero groups left out.  A graph,
+    one or two lists, goes to ``_graph_groups``, anything else to
+    ``_matrix_groups``.
+    """
+    if 0 < len(present) <= 2:
+        return _graph_groups(present)
+    return _matrix_groups(present)
+
+
+def _matrix_groups(
+    present: list[list[tuple[int, dict[int, int]]]],
+) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """``_reduced_groups`` by elimination on the boundary columns.
 
     Rank in degree d is (number of d-faces) - rank ∂_d - rank ∂_{d+1};
     torsion in degree d is the part of ∂_{d+1}'s invariant factors
@@ -383,10 +439,12 @@ class _Faces:
     increasing mask order; ``layers[0]`` is the empty face alone, present
     even for the void complex, whose reduced homology is taken to be that of
     the empty complex.  The faces of a full subcomplex K_J are then the ones
-    with ``face & J == face``: nothing is rebuilt per subset.
+    with ``face & J == face``: nothing is rebuilt per subset.  ``ext[f]``
+    is the mask of the vertices w for which f ∪ {w} is a face, f's own
+    vertices included, read off the boundary columns as they are built.
     """
 
-    __slots__ = ("layers", "vertex_count")
+    __slots__ = ("ext", "layers", "vertex_count")
 
     def __init__(self, k: SimplicialComplex):
         masks = {0}
@@ -400,17 +458,37 @@ class _Faces:
         self.layers: list[list[tuple[int, dict[int, int]]]] = [
             [] for _ in range(max(k.dim, -1) + 2)
         ]
+        self.ext: dict[int, int] = {}
         for face in sorted(masks):
-            self.layers[bin(face).count("1")].append((face, _boundary_column(face)))
+            column = _boundary_column(face)
+            self.ext[face] = face
+            for g in column:
+                self.ext[g] |= face  # g sorts before face, so it is listed
+            self.layers[bin(face).count("1")].append((face, column))
 
     def homology(self, subset: int) -> dict[int, tuple[int, tuple[int, ...]]]:
-        """Reduced integral homology of K_J, J = ``subset``: degree -> (rank, torsion)."""
+        """Reduced integral homology of K_J, J = ``subset``: degree -> (rank, torsion).
+
+        A K_J with a vertex is a cone, so H~(K_J) = 0, exactly when some w
+        in J has f ∪ {w} a face for every face f of K_J; ``apex``, J and'ed
+        with ext[f] over the faces the filter keeps, holds those w.
+        """
+        ext = self.ext
+        apex = subset
         present = []
         for layer in self.layers[1:]:
-            faces = [(face, col) for face, col in layer if face & subset == face]
+            faces = []
+            keep = faces.append
+            for item in layer:
+                face = item[0]
+                if face & subset == face:
+                    keep(item)
+                    apex &= ext[face]
             if not faces:
                 break  # a face of K_J has all its faces in K_J
             present.append(faces)
+        if apex and present:
+            return {}
         return _reduced_groups(present)
 
     def join_factors(self) -> list[list[int]]:
@@ -425,12 +503,11 @@ class _Faces:
 
         Each minimal non-face S is found once, as f ∪ {v} with v the top
         vertex of S: f is a face, f ∪ {v} is not, and f ∪ {v} minus any one
-        vertex u of f is.  With ext[g] the vertices w for which g ∪ {w} is a
-        face, read off the boundary columns of the layer above, those v are
-        the vertices above f's top in ext[f - u] for every u in f and not in
-        ext[f].  The layers are scanned upward and the scan stops as soon as
-        one component is left, so a complex that is not a join is usually
-        settled by its missing edges.
+        vertex u of f is.  So those v are the vertices above f's top in
+        ext[f - u] for every u in f and not in ext[f].  The layers are
+        scanned upward and the scan stops as soon as one component is left,
+        so a complex that is not a join is usually settled by its missing
+        edges.
         """
         m = self.vertex_count
         root = list(range(m))
@@ -442,13 +519,9 @@ class _Faces:
             return v
 
         left = m
-        ext: dict[int, int] = {}
-        for i, layer in enumerate(self.layers):
-            for face, column in self.layers[i + 1] if i + 1 < len(self.layers) else ():
-                for g in column:
-                    ext[g] = ext.get(g, 0) | face ^ g
-            if i == 0:
-                continue  # f = ∅ gives the ghost vertices, which join nothing
+        ext = self.ext
+        # f = ∅ would give the ghost vertices, which join nothing
+        for layer in self.layers[1:]:
             for f, _ in layer:
                 common = -1
                 rest = f
@@ -457,7 +530,7 @@ class _Faces:
                     common &= ext[f ^ low]
                     rest ^= low
                 top = f.bit_length()
-                tops = (common & ~ext.get(f, 0)) >> top << top
+                tops = (common & ~ext[f]) >> top << top
                 if not tops:
                     continue
                 rest = f | tops
@@ -490,8 +563,9 @@ class _Faces:
         the reduced Euler characteristic (a necessary condition, free from
         the face counts), purity and the ridges, then H~(K), then the other
         links from the largest σ (smallest link) down.  The link of σ is
-        built from the star of one vertex of σ and goes through the same
-        elimination as ``homology``.
+        built from the star of one vertex of σ and goes to
+        ``_reduced_groups`` as ``homology``'s subsets do, so the circles
+        that link codimension-2 faces take the graph path.
         """
         d = len(self.layers) - 2
         m = self.vertex_count

@@ -19,7 +19,13 @@ The homology of each K_J comes from the bitmask engine in
 :mod:`momentangle.homology`: the faces of K are listed once per call (once
 per worker) as vertex bitmasks with sparse boundary columns, K_J keeps the
 faces inside J, and ±1 pivots are eliminated before any Smith normal form.
-No complex or matrix object is built per subset.
+No complex or matrix object is built per subset.  Two exact rules settle
+a subset with no matrix at all: a K_J that is a cone (some vertex of J is
+joined to every face of K_J) has H~ = 0 and contributes nothing, and a
+K_J of dimension at most 1, a graph, has H~_0 and H~_1 counted by a
+union-find.  On a certified sphere the complement of a cone needs no
+special case: H~(K_J) = 0 exactly when H~(K_{V-J}) = 0, so its mirrored
+contribution is zero too.
 
 When K is a Z-homology d-sphere on its m vertices, as the dual complex of
 every simple polytope is, Alexander duality gives H~^i(K_J) = H~_{d-1-i}(K_{V-J})
@@ -49,9 +55,9 @@ cap still counts all m vertices of K, whatever its factors.
 The subset loop is embarrassingly parallel: worker i of w takes the masks
 congruent to i mod w, so every worker gets the same mix of subset sizes,
 and the parts are merged by a commutative sum, so results are identical
-for every worker count.  Sums of fewer than 2^11 computed subsets run in
-the calling process whatever the worker count; this threshold applies to
-each join factor separately.
+for every worker count.  A sum runs in the calling process whatever the
+worker count unless its computed subsets times the faces of K reach
+400 000; this threshold applies to each join factor separately.
 """
 
 from __future__ import annotations
@@ -67,16 +73,20 @@ from .simplicial import SimplicialComplex
 
 DEFAULT_MAX_VERTICES = 22
 
-# Below this many subsets computed (2^(m-1) on a certified sphere, 2^m
-# otherwise) the sum runs in this process whatever the worker count.  A
-# 2-process pool costs 12-15 ms to start and stop, and the sphere
-# certificate runs before it.  Serial / 2-worker time, medians of 9
-# alternating runs, two series, 2-vCPU VM, Python 3.11:
-# cube-5 (2^9 computed) 0.57-0.59, polygon5 x polygon6 (2^10) 0.67-0.70,
-# polygon-12 (2^11) 0.97-1.21, polygon6 x polygon6 (2^11) 1.17-1.37,
-# cube-6 (2^11) 1.41-1.46, polygon-14 (2^13) 1.45-1.48; the full sum on
-# RP^2 * square (2^10) 1.03-1.27.
-_POOL_MIN_SUBSETS = 2**11
+# Below this much work, the subsets computed (2^(m-1) on a certified sphere,
+# 2^m otherwise) times the faces of K, the sum runs in this process
+# whatever the worker count.  A 2-process pool costs 15-25 ms to start and
+# stop, each worker lists the faces again, and the sphere certificate runs
+# before it.  Serial / 2-worker time, medians of 9 alternating runs, two
+# series, 2-vCPU VM, Python 3.11 (work in thousands):
+# polygon-12 (51) 0.43-0.48, polygon-14 (238) 0.71-0.81, polygon-15 (508)
+# 1.04-1.34, polygon-16 (1081) 1.53-1.60; cube-5 cut at vertex 0 (280)
+# 0.84-0.87, cube-6 cut at vertex 0 (3240) 1.33-1.45, simplex-4 after 8
+# cuts (586) 1.34-1.54; the full sums on RP^2 with a 4-edge pendant path
+# (41) 0.67-0.73 and with a 6-edge one (180) 1.23-1.29.  Work counts faces,
+# not elimination, so the last, where elimination dominates, stays serial
+# and loses about a fifth.
+_POOL_MIN_WORK = 400_000
 
 # rank counts keyed by (|J|, total degree), torsion factor lists by total degree
 _Contributions = tuple[Counter, dict[int, list[int]]]
@@ -203,7 +213,8 @@ def _factor_sum(k: SimplicialComplex, faces: _Faces, workers: int) -> _Contribut
     """The subset sum of one join factor, with its own certificate and pool rule."""
     sphere_dim = faces.sphere_dimension()
     computed = 1 << (k.vertex_count - (sphere_dim is not None))
-    workers = _usable_workers(workers) if computed >= _POOL_MIN_SUBSETS else 1
+    work = computed * sum(len(layer) for layer in faces.layers)
+    workers = _usable_workers(workers) if work >= _POOL_MIN_WORK else 1
     if workers <= 1:
         return _subset_contributions(faces, sphere_dim, 0, 1)
     ranks: Counter = Counter()

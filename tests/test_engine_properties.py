@@ -13,7 +13,10 @@ computes one subset of each complementary pair; they are also checked
 against the same sums with the sphere certificate forced to fail.  Random
 joins, with their vertices shuffled, and the corpus polytopes, whose
 products are joins, are checked against the same sums with the join
-factor search forced to report a single factor.
+factor search forced to report a single factor.  Random complexes, joins
+with RP^2 and the corpus polytopes with their cuts are checked, subset by
+subset and summed, against the engine with its cone test and its graph
+path forced off, so that every subset goes through elimination.
 """
 
 import pytest
@@ -22,6 +25,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import momentangle.homology as homology_module  # noqa: E402
 from momentangle.homology import GradedGroups, _Faces, reduced_homology  # noqa: E402
 from momentangle.moment_angle import bigraded_table, moment_angle_cohomology  # noqa: E402
 from momentangle.polytopes import polygon, product, simplex_polytope  # noqa: E402
@@ -164,3 +168,74 @@ def test_factor_search_on_equals_off_on_random_joins(k):
 @pytest.mark.parametrize("p", [p for _, p in CORPUS], ids=[name for name, _ in CORPUS])
 def test_factor_search_on_equals_off_on_the_corpus(p):
     assert_factor_search_changes_nothing(p.dual_complex())
+
+
+def force_rules_off(patch):
+    """Every subset through elimination: no cone test and no graph path."""
+
+    def homology(self, subset):
+        present = []
+        for layer in self.layers[1:]:
+            faces = [(face, col) for face, col in layer if face & subset == face]
+            if not faces:
+                break
+            present.append(faces)
+        return homology_module._matrix_groups(present)
+
+    patch.setattr(_Faces, "homology", homology)
+    patch.setattr(homology_module, "_reduced_groups", homology_module._matrix_groups)
+
+
+def is_cone(k, vertices):
+    """Whether K_J has a vertex w with F ∪ {w} a face for each of its facets F."""
+    sub = k.full_subcomplex(vertices)  # on the vertices 0, ..., |J| - 1
+    return any(
+        sub.is_face((w,)) and all(sub.is_face(set(f) | {w}) for f in sub.maximal_faces)
+        for w in range(sub.vertex_count)
+    )
+
+
+def assert_rules_change_nothing(k):
+    faces = _Faces(k)
+    subsets = range(1 << k.vertex_count)
+    on, reached = [], set()
+    with pytest.MonkeyPatch.context() as patch:
+        reduced_groups = homology_module._reduced_groups
+
+        def spy(present):
+            reached.add(len(on))  # the subset being computed
+            return reduced_groups(present)
+
+        patch.setattr(homology_module, "_reduced_groups", spy)
+        for J in subsets:
+            on.append(faces.homology(J))
+    groups, table = moment_angle_cohomology(k), bigraded_table(k)
+    with pytest.MonkeyPatch.context() as patch:
+        force_rules_off(patch)
+        assert [faces.homology(J) for J in subsets] == on
+        assert moment_angle_cohomology(k) == groups
+        assert bigraded_table(k) == table
+    homologies = subset_homologies(k)
+    for J, expected in homologies.items():
+        assert GradedGroups(on[sum(1 << v for v in J)]) == expected, J
+    assert reference_sum(homologies) == (groups, table)
+    # the cone test skips exactly the cones, and nothing else
+    cones = {sum(1 << v for v in J) for J in homologies if is_cone(k, J)}
+    assert set(subsets) - reached == cones
+
+
+@checked(60)
+@given(complexes())
+def test_rules_on_equals_off_on_random_complexes(k):
+    assert_rules_change_nothing(k)
+
+
+@checked(10)
+@given(rp2_joins())
+def test_rules_on_equals_off_on_joins_with_the_projective_plane(k):
+    assert_rules_change_nothing(k)
+
+
+@pytest.mark.parametrize("p", [p for _, p in CORPUS], ids=[name for name, _ in CORPUS])
+def test_rules_on_equals_off_on_the_corpus(p):
+    assert_rules_change_nothing(p.dual_complex())

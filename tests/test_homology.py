@@ -22,7 +22,12 @@ from momentangle.simplicial import (
     full_simplex,
     join,
 )
-from subset_oracle import boundary_matrix
+from cellular_oracle import cellular_betti_mod_p
+from momentangle.moment_angle import moment_angle_cohomology
+from subset_oracle import boundary_matrix, subset_homologies
+from subset_oracle import reduced_homology as oracle_homology
+import test_moment_angle
+from test_moment_angle import RP2_WITH_PATH, sphere_around_rp2
 
 # minimal 6-vertex projective plane, the standard torsion fixture
 RP2 = SimplicialComplex(
@@ -415,6 +420,146 @@ class TestSphereCertificate:
     def test_fin_has_the_homology_of_a_sphere(self):
         # so the fin is rejected by its ridge, not by H~(K)
         assert reduced_homology(FIN) == GradedGroups.sphere(2)
+
+
+def recorded(monkeypatch, name):
+    """The results of every call of ``homology_module.<name>`` from now on."""
+    results = []
+    original = getattr(homology_module, name)
+
+    def record(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(homology_module, name, record)
+    return results
+
+
+# dimensions of H*(Z_K; F_p) that universal coefficients predict from H*(Z_K)
+predicted_mod_p = test_moment_angle.TestTorsionAgainstModPRanks.predicted
+
+# a 3-vertex path is a cone over its end points; a 4-vertex path is not
+PATH3 = SimplicialComplex(3, [(0, 1), (1, 2)])
+PATH4 = SimplicialComplex(4, [(0, 1), (1, 2), (2, 3)])
+RP2_CONE = join(RP2, full_simplex(0))  # apex 6
+RP2_CONE_GHOST = SimplicialComplex(8, RP2_CONE.maximal_faces)  # ghost vertex 7
+
+
+class TestConeTest:
+    # a K_J with a vertex is skipped (H~ = 0 with no elimination) exactly
+    # when some vertex of J is joined to every face of K_J
+
+    @pytest.mark.parametrize(
+        "k, subset, expected, skipped",
+        [
+            (RP2_CONE, mask(*range(7)), {}, True),
+            (RP2_CONE, mask(*range(6)), {1: (0, (2,))}, False),
+            (RP2, mask(*range(6)), {1: (0, (2,))}, False),
+            (PATH3, mask(0, 1, 2), {}, True),
+            (PATH3, mask(0, 2), {0: (1, ())}, False),
+            (PATH4, mask(0, 1, 2, 3), {}, False),
+            (cycle(4), mask(0, 1, 2, 3), {1: (1, ())}, False),
+            # J = ∅, and J holding only a ghost vertex: no vertex, no cone
+            (RP2_CONE_GHOST, 0, {-1: (1, ())}, False),
+            (RP2_CONE_GHOST, mask(7), {-1: (1, ())}, False),
+            # a ghost vertex in J is never the apex, and does not hide one
+            (RP2_CONE_GHOST, mask(*range(6), 7), {1: (0, (2,))}, False),
+            (RP2_CONE_GHOST, mask(*range(8)), {}, True),
+            (RP2_CONE_GHOST, mask(3, 7), {}, True),
+        ],
+        ids=[
+            "rp2-cone", "rp2-cone-base", "rp2", "path3", "path3-ends", "path4",
+            "square", "empty-j", "ghost-only", "rp2-ghost", "rp2-cone-ghost",
+            "point-ghost",
+        ],
+    )
+    def test_skips_cones_only(self, k, subset, expected, skipped, monkeypatch):
+        reached = recorded(monkeypatch, "_reduced_groups")
+        assert _Faces(k).homology(subset) == expected
+        assert (not reached) == skipped
+        vertices = [v for v in range(k.vertex_count) if subset >> v & 1]
+        assert oracle_homology(k.full_subcomplex(vertices)) == GradedGroups(expected)
+
+    def test_ext_is_built_once_per_complex(self):
+        faces = _Faces(RP2_CONE)
+        assert faces.ext[0] == mask(*range(7))
+        assert faces.ext[mask(0)] == mask(0, 1, 2, 3, 4, 5, 6)
+        assert faces.ext[mask(0, 1, 4)] == mask(0, 1, 4, 6)
+        built = faces.ext
+        faces.join_factors()
+        faces.homology(mask(*range(7)))
+        faces.sphere_dimension()
+        assert faces.ext is built
+
+
+class TestGraphPath:
+    # dimension <= 1: H~_0 = Z^(c-1) and H~_1 = Z^(E-V+c), no matrix at all
+
+    @pytest.mark.parametrize(
+        "k, expected",
+        [
+            (SimplicialComplex(8, [(0, 1), (1, 2), (1, 3), (4, 5), (6,)]), {0: (2, ())}),
+            (SimplicialComplex(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+             {0: (1, ()), 1: (2, ())}),
+            (SimplicialComplex(5, [(0,), (1,), (2,), (4,)]), {0: (3, ())}),
+            (SimplicialComplex(1, [(0,)]), {}),
+            (SimplicialComplex(5, [(a, b) for a in range(5) for b in range(a + 1, 5)]),
+             {1: (6, ())}),
+        ],
+        ids=["forest", "two-circles", "isolated-vertices", "point", "k5-graph"],
+    )
+    def test_forests_circles_and_points(self, k, expected, monkeypatch):
+        def refuse(columns):
+            raise AssertionError("a matrix was eliminated")
+
+        monkeypatch.setattr(homology_module, "_rank_and_torsion", refuse)
+        assert homology_module._reduced_groups(_Faces(k).layers[1:]) == expected
+        assert oracle_homology(k) == GradedGroups(expected)
+
+    def test_codimension_two_links_take_it(self, monkeypatch):
+        # the links of the 10 edges of ∂Δ^4 are circles
+        graphs = recorded(monkeypatch, "_graph_groups")
+        assert _Faces(boundary_complex(4)).sphere_dimension() == 3
+        assert graphs == [{1: (1, ())}] * 10
+
+
+class TestTorsionReachesElimination:
+    # neither rule may settle a subset with torsion: such a subset must go
+    # through _rank_and_torsion and come out with its invariant factors
+
+    @staticmethod
+    def assert_eliminated(faces, subset, expected, monkeypatch):
+        with monkeypatch.context() as patch:
+            results = recorded(patch, "_rank_and_torsion")
+            assert GradedGroups(faces.homology(subset)) == expected
+        assert any(torsion for _, torsion, _ in results)
+
+    def test_every_torsion_subset_of_the_pendant_path(self, monkeypatch):
+        faces = _Faces(RP2_WITH_PATH)
+        torsion = {J: h for J, h in subset_homologies(RP2_WITH_PATH).items() if h.has_torsion()}
+        # RP2 on 0..5 with any of the path vertices 6..9
+        assert sorted(torsion) == sorted(
+            tuple(range(6)) + tuple(v for v in range(6, 10) if s >> (v - 6) & 1)
+            for s in range(16)
+        )
+        for J, expected in torsion.items():
+            self.assert_eliminated(faces, mask(*J), expected, monkeypatch)
+        groups = moment_angle_cohomology(RP2_WITH_PATH)
+        assert cellular_betti_mod_p(RP2_WITH_PATH, 2) == predicted_mod_p(groups, 2)
+
+    def test_the_torsion_subsets_of_the_sphere_around_rp2(self, monkeypatch):
+        # a scan of all 2^16 subsets (about 10 s) finds torsion in exactly two
+        # full subcomplexes: RP2 on 0..5 and, by Alexander duality, its
+        # complement on 6..15
+        k = sphere_around_rp2()
+        faces = _Faces(k)
+        for vertices in (range(6), range(6, 16)):
+            sub = k.full_subcomplex(list(vertices))
+            expected = oracle_homology(sub)
+            assert expected == GradedGroups({1: (0, (2,))})
+            self.assert_eliminated(faces, mask(*vertices), expected, monkeypatch)
+            groups = moment_angle_cohomology(sub)
+            assert cellular_betti_mod_p(sub, 2) == predicted_mod_p(groups, 2)
 
 
 class TestGradedGroups:

@@ -249,7 +249,8 @@ class TestParallelism:
             raise AssertionError("a process pool was started")
 
         monkeypatch.setattr(moment_angle_module, "ProcessPoolExecutor", refuse)
-        # polygon-11 has 2^11 subsets, but as a sphere computes only 2^10
+        # polygon-11 has 2^11 subsets, but as a sphere computes only 2^10,
+        # each against its 23 faces: far below the threshold
         for k in (polygon(9).dual_complex(), polygon(11).dual_complex(), RP2):
             assert moment_angle_cohomology(k, workers=2) == moment_angle_cohomology(k)
             assert bigraded_table(k, workers=2) == bigraded_table(k)
@@ -260,9 +261,10 @@ class TestParallelism:
         ids=["polygon-10", "rp2-pendant-path"],
     )
     def test_pool_merge_at_ten_vertices(self, k, monkeypatch):
-        # polygon-10 takes the duality path (2^9 subsets computed), RP^2 with
-        # a path the full one (2^10); neither is a join, and the threshold is
-        # lowered so both reach the pool and its strided merge
+        # polygon-10 takes the duality path (2^9 subsets computed, 21 faces),
+        # RP^2 with a path the full one (2^10, 40 faces); neither is a join,
+        # and the threshold is lowered so both reach the pool and its
+        # strided merge
         assert _Faces(k).join_factors() == [list(range(10))]
         starts = []
         pool = moment_angle_module.ProcessPoolExecutor
@@ -273,11 +275,29 @@ class TestParallelism:
 
         groups = moment_angle_cohomology(k)
         table = bigraded_table(k)
-        monkeypatch.setattr(moment_angle_module, "_POOL_MIN_SUBSETS", 2**9)
+        monkeypatch.setattr(moment_angle_module, "_POOL_MIN_WORK", 2**13)
         monkeypatch.setattr(moment_angle_module, "ProcessPoolExecutor", counted)
         assert moment_angle_cohomology(k, workers=2) == groups
         assert bigraded_table(k, workers=2) == table
         assert len(starts) == (2 if _usable_workers(2) == 2 else 0)
+
+    def test_the_pool_threshold_counts_subsets_times_faces(self, monkeypatch):
+        # polygon-10 computes 2^9 subsets (duality) against 21 faces, the
+        # empty one included; a pool is asked for exactly from that product
+        class Started(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Started
+
+        k = polygon(10).dual_complex()
+        monkeypatch.setattr(moment_angle_module, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(moment_angle_module, "_POOL_MIN_WORK", 2**9 * 21 + 1)
+        assert moment_angle_cohomology(k, workers=2) == moment_angle_cohomology(k)
+        if _usable_workers(2) == 2:
+            monkeypatch.setattr(moment_angle_module, "_POOL_MIN_WORK", 2**9 * 21)
+            with pytest.raises(Started):
+                moment_angle_cohomology(k, workers=2)
 
 
 def stellar(facets, tau, v):
