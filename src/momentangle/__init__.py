@@ -8,13 +8,7 @@ computation.  A numeric submodule checks the explicit torus embeddings and
 isotopies that realize the surgery in low dimensions.
 """
 
-from .homology import (
-    GradedGroups,
-    IntegerMatrix,
-    invariant_factors,
-    reduced_homology,
-    smith_normal_form,
-)
+from .homology import GradedGroups, invariant_factors, reduced_homology
 from .isotopy import (
     EndpointReport,
     InjectivityReport,
@@ -67,7 +61,6 @@ __all__ = [
     "EndpointReport",
     "GradedGroups",
     "InjectivityReport",
-    "IntegerMatrix",
     "PoincarePolynomial",
     "Simplex",
     "SimplePolytope",
@@ -95,7 +88,6 @@ __all__ = [
     "product",
     "reduced_homology",
     "simplex_polytope",
-    "smith_normal_form",
     "sphere_product_sum_groups",
     "standard_map",
     "standard_torus_batch",

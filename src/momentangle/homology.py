@@ -1,4 +1,4 @@
-"""Exact integral homology of simplicial complexes via Smith normal form.
+"""Exact integral homology of simplicial complexes by sparse integer elimination.
 
 Everything here is arbitrary-precision integer arithmetic; no floats.  The
 homology computed is *reduced*: the chain complex carries the augmentation
@@ -22,13 +22,15 @@ union-find on the edge masks; this covers the links of codimension-2
 faces in the sphere certificate as well.  Neither rule can hide torsion,
 since cones and graphs have none.
 
-Every other boundary map is reduced by eliminating its ±1 pivots first,
-which keeps the Smith normal form (the unit-pivot phase of Dumas,
-Saunders and Villard, "On efficient sparse integer matrix Smith normal
-form computations", J. Symbolic Comput. 2001); only the residual matrix,
-empty unless there is torsion or a pivot-free block, goes through the
-dense ``smith_normal_form``.  The maps are reduced from the top degree down, and
-the unit pivot rows of one map are left out of the next as columns.
+Every other boundary map is diagonalised by one sparse elimination,
+``_rank_and_torsion``, on the columns it is given.  It first eliminates
+the ±1 pivots, which keeps the Smith normal form (the unit-pivot phase
+of Dumas, Saunders and Villard, "On efficient sparse integer matrix
+Smith normal form computations", J. Symbolic Comput. 2001), and then
+finishes the residual, empty unless there is torsion or a pivot-free
+block, on the same columns with pivots of least absolute value.  The
+maps are reduced from the top degree down, and the unit pivot rows of
+one map are left out of the next as columns.
 ``reduced_homology`` is the engine applied to the full vertex set, and
 ``_Faces.sphere_dimension`` runs it on the links of faces to certify that
 a complex is a Z-homology sphere.  ``_Faces.join_factors`` reads the same
@@ -41,33 +43,13 @@ free rank plus invariant factors d_1 | d_2 | ... | d_k with every d_i > 1.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .simplicial import SimplicialComplex
 
 
-# -- integer matrices ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IntegerMatrix:
-    """Dense integer matrix that keeps its shape even when degenerate."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be >= 0")
-        ents = tuple(tuple(int(x) for x in row) for row in self.entries)
-        if len(ents) != self.rows or any(len(r) != self.cols for r in ents):
-            raise ValueError(
-                f"entry grid does not match declared shape {self.rows}x{self.cols}"
-            )
-        object.__setattr__(self, "entries", ents)
+# -- invariant factors -----------------------------------------------------
 
 
 def _prime_powers(n: int) -> dict[int, int]:
@@ -115,58 +97,6 @@ def invariant_factors(values: Iterable[int]) -> tuple[int, ...]:
     return tuple(reversed(factors))
 
 
-def smith_normal_form(matrix: IntegerMatrix) -> tuple[tuple[int, ...], int]:
-    """Diagonal of the Smith normal form and the rank.
-
-    Returns ``(d, r)`` with d_1 | d_2 | ... | d_r, all positive, r = rank.
-    Pivots are chosen by smallest absolute value, ties broken by (row, col)
-    scan order, so the elimination is deterministic.  Exact int arithmetic
-    throughout.
-    """
-    m, n = matrix.rows, matrix.cols
-    a = [list(row) for row in matrix.entries]
-    pivots: list[int] = []
-    t = 0
-    while t < m and t < n:
-        best: tuple[int, int, int] | None = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = a[i][j]
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-        if best is None:
-            break
-        _, i, j = best
-        a[t], a[i] = a[i], a[t]
-        if j != t:
-            for row in a:
-                row[t], row[j] = row[j], row[t]
-        pivot = a[t][t]
-        clean = True
-        for r in range(t + 1, m):
-            if a[r][t]:
-                q = a[r][t] // pivot
-                if q:
-                    a[r] = [x - q * y for x, y in zip(a[r], a[t])]
-                if a[r][t]:
-                    clean = False  # remainder < |pivot| left; re-pick pivot
-        for c in range(t + 1, n):
-            if a[t][c]:
-                q = a[t][c] // pivot
-                if q:
-                    for r in range(t, m):
-                        a[r][c] -= q * a[r][t]
-                if a[t][c]:
-                    clean = False
-        if not clean:
-            continue
-        pivots.append(abs(pivot))
-        t += 1
-    rank = len(pivots)
-    chain = invariant_factors(pivots)
-    return (1,) * (rank - len(chain)) + chain, rank
-
-
 # -- graded abelian groups -------------------------------------------------
 
 
@@ -211,10 +141,6 @@ class GradedGroups:
         return sorted(self._groups)
 
     @property
-    def is_zero(self) -> bool:
-        return not self._groups
-
-    @property
     def max_degree(self) -> int:
         if not self._groups:
             raise ValueError("the zero graded group has no top degree")
@@ -225,12 +151,6 @@ class GradedGroups:
         if not self._groups:
             raise ValueError("the zero graded group has no bottom degree")
         return min(self._groups)
-
-    def has_torsion(self) -> bool:
-        return any(t for _, t in self._groups.values())
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * r for d, (r, _) in self._groups.items())
 
     # -- serialization ----------------------------------------------------
 
@@ -295,8 +215,19 @@ def _rank_and_torsion(
     Unit phase: while some column has a ±1 entry, take it as pivot (in the
     row with fewest entries, to limit fill-in), clear its row from the other
     columns, and drop the row and the column.  This leaves the Smith form
-    unchanged apart from one diagonal 1.  What is left, empty unless the
-    matrix has torsion or a pivot-free block, goes to ``smith_normal_form``.
+    unchanged apart from one diagonal 1.
+
+    Residual phase, on what is left (nothing unless the matrix has torsion
+    or a pivot-free block): pivot on an entry a of least absolute value and
+    reduce the rest of its row modulo a by column operations; once the row
+    is clear, reduce the rest of its column modulo a by row operations,
+    which then touch no other column.  A nonzero remainder is smaller than
+    |a| and is the next pivot; once a is alone in its row and its column,
+    |a| joins the diagonal and both are dropped.  The diagonal need not be
+    a divisibility chain: ``invariant_factors`` makes one from it.
+
+    Only the unit phase's pivot rows are returned, because ``_matrix_groups``
+    clears the next map by them, which needs their columns unitriangular.
     The columns passed in are not changed.
     """
     cols = {j: dict(c) for j, c in enumerate(columns) if c}
@@ -339,16 +270,39 @@ def _rank_and_torsion(
                     del cols[i]
             pivot_rows.add(pivot)
             progress = True
-    rank = len(pivot_rows)
-    if not cols:
-        return rank, (), pivot_rows
-    rows = sorted({r for col in cols.values() for r in col})
-    left = [cols[j] for j in sorted(cols)]
-    residual = IntegerMatrix(
-        len(rows), len(left), tuple(tuple(c.get(r, 0) for c in left) for r in rows)
-    )
-    diagonal, r = smith_normal_form(residual)
-    return rank + r, tuple(x for x in diagonal if x > 1), pivot_rows
+    diagonal = []
+    while cols:
+        j, pivot, a = min(
+            ((j, r, v) for j, col in cols.items() for r, v in col.items()),
+            key=lambda entry: abs(entry[2]),
+        )
+        col = cols[j]
+        for i in [i for i in where[pivot] if i != j]:
+            other = cols[i]
+            q = other[pivot] // a
+            for r, v in col.items():
+                x = other.get(r, 0) - q * v
+                if x:
+                    other[r] = x
+                    where[r].add(i)
+                else:
+                    del other[r]
+                    where[r].discard(i)
+            if not other:
+                del cols[i]
+        if len(where[pivot]) > 1:
+            continue  # a remainder smaller than |a| is left in the row
+        for r in [r for r in col if r != pivot]:
+            x = col[r] % a
+            if x:
+                col[r] = x
+            else:
+                del col[r]
+                where[r].discard(j)
+        if len(col) == 1:
+            del cols[j], where[pivot]
+            diagonal.append(abs(a))
+    return len(pivot_rows) + len(diagonal), invariant_factors(diagonal), pivot_rows
 
 
 def _graph_groups(

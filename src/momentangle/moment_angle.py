@@ -18,8 +18,9 @@ degree |J| + 2 + q.
 The homology of each K_J comes from the bitmask engine in
 :mod:`momentangle.homology`: the faces of K are listed once per call (once
 per worker) as vertex bitmasks with sparse boundary columns, K_J keeps the
-faces inside J, and ±1 pivots are eliminated before any Smith normal form.
-No complex or matrix object is built per subset.  Two exact rules settle
+faces inside J, and one sparse elimination on those columns, ±1 pivots
+first, gives each boundary map's rank and torsion.  No complex or matrix
+object is built per subset.  Two exact rules settle
 a subset with no matrix at all: a K_J that is a cone (some vertex of J is
 joined to every face of K_J) has H~ = 0 and contributes nothing, and a
 K_J of dimension at most 1, a graph, has H~_0 and H~_1 counted by a
@@ -302,33 +303,6 @@ class PoincarePolynomial:
 
     def total(self) -> int:
         return sum(self._coeffs.values())
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * c for d, c in self._coeffs.items())
-
-    def is_symmetric(self, dimension: int) -> bool:
-        """Poincare-duality symmetry b_k = b_{dimension-k}."""
-        return all(
-            self.coefficient(d) == self.coefficient(dimension - d)
-            for d in range(dimension + 1)
-        ) and self.degree <= dimension
-
-    def __mul__(self, other: "PoincarePolynomial") -> "PoincarePolynomial":
-        if not isinstance(other, PoincarePolynomial):
-            return NotImplemented
-        out: dict[int, int] = {}
-        for d1, c1 in self._coeffs.items():
-            for d2, c2 in other._coeffs.items():
-                out[d1 + d2] = out.get(d1 + d2, 0) + c1 * c2
-        return PoincarePolynomial(out)
-
-    def __add__(self, other: "PoincarePolynomial") -> "PoincarePolynomial":
-        if not isinstance(other, PoincarePolynomial):
-            return NotImplemented
-        out = dict(self._coeffs)
-        for d, c in other._coeffs.items():
-            out[d] = out.get(d, 0) + c
-        return PoincarePolynomial(out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PoincarePolynomial):

@@ -18,7 +18,6 @@ Validated invariants, each named in its error message:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping
@@ -117,9 +116,6 @@ class SimplePolytope:
             "vertex_facets": [list(rec) for rec in self.vertex_facets],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SimplePolytope":
         try:
@@ -129,10 +125,6 @@ class SimplePolytope:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed polytope record: {exc}") from exc
         return cls(dim, facets, tuple(records))
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimplePolytope":
-        return cls.from_json_dict(json.loads(text))
 
 
 def simplex_polytope(n: int) -> SimplePolytope:

@@ -188,10 +188,6 @@ class SimplicialComplex:
             raise ValueError(f"malformed complex record: {exc}") from exc
         return cls(vertices, frozenset(as_simplex(f) for f in faces))
 
-    @classmethod
-    def from_json(cls, text: str) -> "SimplicialComplex":
-        return cls.from_json_dict(json.loads(text))
-
     def __repr__(self) -> str:
         faces = sorted(self.maximal_faces)
         return f"SimplicialComplex({self.vertex_count}, {faces})"

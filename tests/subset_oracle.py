@@ -3,16 +3,89 @@
 For every vertex subset J this builds K_J as a ``SimplicialComplex`` with
 ``full_subcomplex``, a dense boundary matrix per degree from its
 lexicographic face lists, and the full Smith normal form of each matrix.
-It shares ``smith_normal_form`` with the package (which the engine runs
-only on what its unit-pivot phase leaves) and nothing else: no bitmask
-faces, no sparse columns, no unit-pivot elimination.
+The dense ``smith_normal_form`` and its ``IntegerMatrix`` are the oracle's
+own.  With the package it shares only ``GradedGroups``, and the
+``invariant_factors`` by which ``GradedGroups`` is normalised: no bitmask
+faces, no sparse columns, no elimination.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 
-from momentangle.homology import GradedGroups, IntegerMatrix, smith_normal_form
+from momentangle.homology import GradedGroups, invariant_factors
+
+
+@dataclass(frozen=True)
+class IntegerMatrix:
+    """Dense integer matrix that keeps its shape even when degenerate."""
+
+    rows: int
+    cols: int
+    entries: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        if self.rows < 0 or self.cols < 0:
+            raise ValueError("matrix dimensions must be >= 0")
+        ents = tuple(tuple(int(x) for x in row) for row in self.entries)
+        if len(ents) != self.rows or any(len(r) != self.cols for r in ents):
+            raise ValueError(
+                f"entry grid does not match declared shape {self.rows}x{self.cols}"
+            )
+        object.__setattr__(self, "entries", ents)
+
+
+def smith_normal_form(matrix: IntegerMatrix) -> tuple[tuple[int, ...], int]:
+    """Diagonal of the Smith normal form and the rank.
+
+    Returns ``(d, r)`` with d_1 | d_2 | ... | d_r, all positive, r = rank.
+    Pivots are chosen by smallest absolute value, ties broken by (row, col)
+    scan order, so the elimination is deterministic.  Exact int arithmetic
+    throughout.
+    """
+    m, n = matrix.rows, matrix.cols
+    a = [list(row) for row in matrix.entries]
+    pivots: list[int] = []
+    t = 0
+    while t < m and t < n:
+        best: tuple[int, int, int] | None = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = a[i][j]
+                if v and (best is None or abs(v) < best[0]):
+                    best = (abs(v), i, j)
+        if best is None:
+            break
+        _, i, j = best
+        a[t], a[i] = a[i], a[t]
+        if j != t:
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+        pivot = a[t][t]
+        clean = True
+        for r in range(t + 1, m):
+            if a[r][t]:
+                q = a[r][t] // pivot
+                if q:
+                    a[r] = [x - q * y for x, y in zip(a[r], a[t])]
+                if a[r][t]:
+                    clean = False  # remainder < |pivot| left; re-pick pivot
+        for c in range(t + 1, n):
+            if a[t][c]:
+                q = a[t][c] // pivot
+                if q:
+                    for r in range(t, m):
+                        a[r][c] -= q * a[r][t]
+                if a[t][c]:
+                    clean = False
+        if not clean:
+            continue
+        pivots.append(abs(pivot))
+        t += 1
+    rank = len(pivots)
+    chain = invariant_factors(pivots)
+    return (1,) * (rank - len(chain)) + chain, rank
 
 
 def boundary_matrix(k, d: int) -> IntegerMatrix:

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from invariants import euler_characteristic, has_torsion, is_symmetric, poincare_product
 from momentangle.cli import main
 from momentangle.homology import GradedGroups, _Faces, reduced_homology
 from momentangle.isotopy import (
@@ -61,7 +62,7 @@ def test_criterion_01_triangle_cut(capsys):
     ok = (
         all(r.match for r in reports)
         and all(r.lhs == expected and r.rhs == expected for r in reports)
-        and not any(r.lhs.has_torsion() for r in reports)
+        and not any(has_torsion(r.lhs) for r in reports)
         and elapsed < 1.0
     )
     announce(capsys, 1, ok, "triangle cut matches with ranks 1, 2, 1 in under 1 s")
@@ -70,7 +71,7 @@ def test_criterion_01_triangle_cut(capsys):
         assert r.match
         assert r.lhs == expected
         assert r.rhs == expected
-        assert not r.lhs.has_torsion()
+        assert not has_torsion(r.lhs)
     assert elapsed < 1.0
 
 
@@ -118,7 +119,7 @@ def test_criterion_04_duality_and_euler(capsys, corpus_cohomology):
     bad = []
     for name, p, groups in corpus_cohomology:
         poly = betti(groups)
-        if not poly.is_symmetric(p.m + p.n) or poly.euler_characteristic() != 0:
+        if not is_symmetric(poly, p.m + p.n) or euler_characteristic(poly) != 0:
             bad.append(name)
     announce(
         capsys, 4, not bad, "every corpus manifold is rank-symmetric with zero Euler"
@@ -139,7 +140,7 @@ def test_criterion_05_boundary_product_rank_identity(capsys, corpus_cohomology):
         wanted[1] = wanted.get(1, 0) - 1
         wanted[d] = wanted.get(d, 0) - 1
         wanted = {k: v for k, v in wanted.items() if v}
-        if w != PoincarePolynomial(wanted) or not w.is_symmetric(d + 1):
+        if w != PoincarePolynomial(wanted) or not is_symmetric(w, d + 1):
             bad.append(name)
     announce(
         capsys,
@@ -171,7 +172,7 @@ def test_criterion_06_sphere_identities(capsys):
 def test_criterion_07_product_polytope(capsys):
     prism = product(simplex_polytope(1), simplex_polytope(2))
     poly = betti(moment_angle_cohomology(prism.dual_complex()))
-    expected = PoincarePolynomial({0: 1, 3: 1}) * PoincarePolynomial({0: 1, 5: 1})
+    expected = poincare_product(PoincarePolynomial({0: 1, 3: 1}), PoincarePolynomial({0: 1, 5: 1}))
     ok = poly == expected
     announce(capsys, 7, ok, "prism manifold factors as (1 + t^3)(1 + t^5)")
     assert poly == expected

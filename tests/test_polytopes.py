@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from isomorphism import are_combinatorially_isomorphic, are_isomorphic
@@ -184,7 +186,7 @@ class TestCutVertex:
 class TestSerialization:
     def test_round_trip(self):
         for p in [polygon(5), cube(3), simplex_polytope(3).cut_vertex(2)]:
-            assert SimplePolytope.from_json(p.to_json()) == p
+            assert SimplePolytope.from_json_dict(json.loads(json.dumps(p.to_json_dict()))) == p
 
     def test_json_shape(self):
         d = simplex_polytope(2).to_json_dict()
