@@ -37,9 +37,6 @@ from .polytopes import SimplePolytope, cube, polygon, product, simplex_polytope
 from .simplicial import SimplicialComplex
 from .surgery import theorem_corpus, verify_all_cuts, verify_cut_theorem
 
-WORKERS_ENV_VAR = "MOMENTANGLE_WORKERS"
-
-
 class UsageError(ValueError):
     pass
 
@@ -302,15 +299,14 @@ def cmd_isotopy_check(args) -> int:
         raise UsageError(f"torus dimension must be >= 1, got {args.k}")
     if args.samples < 2:
         raise UsageError(f"need at least 2 samples, got {args.samples}")
-    seed = args.seed if args.seed is not None else args.seed_pos
-    endpoints = endpoint_checks(args.k, args.samples, seed)
+    endpoints = endpoint_checks(args.k, args.samples, args.seed)
     maps = [("standard", standard_map(args.k))]
     maps += [(f"isotopy t={t}", isotopy_map(args.k, t)) for t in (0.0, 0.5, 1.0)]
     if args.k == 1:
         # the closed-form circle isotopy F1 is the k = 1 isotopy
         maps += [(f"f1 t={t}", isotopy_map(1, t)) for t in (0.0, 1.0)]
     probes = [
-        injectivity_probe(point_map, args.k, args.samples, seed, label=label)
+        injectivity_probe(point_map, args.k, args.samples, args.seed, label=label)
         for label, point_map in maps
     ]
     passed = endpoints.passed and all(p.passed for p in probes)
@@ -331,7 +327,7 @@ def cmd_isotopy_check(args) -> int:
         for name, _, value in deviations
     ]
     rows += [(f"probe {p.label}", p.violations, p.passed) for p in probes]
-    lines = [f"isotopy check: k={args.k}, samples={args.samples}, seed={seed}"]
+    lines = [f"isotopy check: k={args.k}, samples={args.samples}, seed={args.seed}"]
     lines += [
         f"  {what:<22} max deviation {value:.3e}" for _, what, value in deviations
     ]
@@ -348,12 +344,12 @@ def cmd_isotopy_check(args) -> int:
 # -- argument parsing ------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, default_workers: int) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--workers",
         type=int,
-        default=default_workers,
-        help=f"parallel workers for subset enumeration (env {WORKERS_ENV_VAR})",
+        default=1,
+        help="parallel workers for subset enumeration",
     )
     sub.add_argument(
         "--max-subsets",
@@ -369,10 +365,6 @@ def _add_common(sub: argparse.ArgumentParser, default_workers: int) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    try:
-        default_workers = max(1, int(os.environ.get(WORKERS_ENV_VAR, "1")))
-    except ValueError:
-        default_workers = 1
     parser = argparse.ArgumentParser(
         prog="momentangle",
         description="moment-angle manifold cohomology and vertex-cut verification",
@@ -381,12 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_build = subs.add_parser("build", help="construct a polytope or complex")
     p_build.add_argument("expr", nargs="+", help="constructor expression or file")
-    _add_common(p_build, default_workers)
+    _add_common(p_build)
     p_build.set_defaults(func=cmd_build)
 
     p_betti = subs.add_parser("betti", help="cohomology of the moment-angle manifold")
     p_betti.add_argument("expr", nargs="+", help="constructor expression or file")
-    _add_common(p_betti, default_workers)
+    _add_common(p_betti)
     p_betti.set_defaults(func=cmd_betti)
 
     p_verify = subs.add_parser("verify", help="check the vertex-cut decomposition")
@@ -396,21 +388,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--all-vertices", action="store_true", help="verify every vertex"
     )
-    _add_common(p_verify, default_workers)
+    _add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_corpus = subs.add_parser(
         "verify-corpus", help="run the standard verification family"
     )
-    _add_common(p_corpus, default_workers)
+    _add_common(p_corpus)
     p_corpus.set_defaults(func=cmd_verify_corpus)
 
     p_iso = subs.add_parser("isotopy-check", help="torus embedding identity probes")
     p_iso.add_argument("k", type=int, help="torus dimension")
     p_iso.add_argument("samples", type=int, nargs="?", default=10000)
-    p_iso.add_argument("seed_pos", type=int, nargs="?", default=42, metavar="seed")
-    p_iso.add_argument("--seed", type=int, default=None, help="override the seed")
-    _add_common(p_iso, default_workers)
+    p_iso.add_argument("seed", type=int, nargs="?", default=42)
+    _add_common(p_iso)
     p_iso.set_defaults(func=cmd_isotopy_check)
 
     return parser

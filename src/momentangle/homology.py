@@ -42,7 +42,6 @@ free rank plus invariant factors d_1 | d_2 | ... | d_k with every d_i > 1.
 
 from __future__ import annotations
 
-from collections import Counter
 from math import prod
 from typing import Iterable, Mapping, Sequence
 
@@ -123,11 +122,6 @@ class GradedGroups:
         self._groups = norm
 
     @classmethod
-    def sphere(cls, d: int) -> "GradedGroups":
-        """Reduced groups of S^d: a single Z in degree d."""
-        return cls({d: (1, ())})
-
-    @classmethod
     def from_ranks(cls, ranks: Mapping[int, int]) -> "GradedGroups":
         return cls({d: (r, ()) for d, r in ranks.items()})
 
@@ -159,13 +153,6 @@ class GradedGroups:
             str(d): {"rank": r, "torsion": list(t)}
             for d, (r, t) in sorted(self._groups.items())
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "GradedGroups":
-        groups = {}
-        for key, val in data.items():
-            groups[int(key)] = (int(val.get("rank", 0)), tuple(val.get("torsion", ())))
-        return cls(groups)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedGroups):
@@ -529,10 +516,9 @@ class _Faces:
         euler = sum((-1) ** (i - 1) * len(layer) for i, layer in enumerate(self.layers))
         if euler != (-1) ** d:
             return None
-        cofaces = Counter(g for layer in self.layers for _, col in layer for g in col)
         for i in range(d + 1):
             for face, _ in self.layers[i]:
-                n = cofaces[face]
+                n = bin(self.ext[face] ^ face).count("1")  # faces with one vertex more
                 if n == 0 or (i == d and n != 2):
                     return None
         if self.homology((1 << m) - 1) != {d: (1, ())}:

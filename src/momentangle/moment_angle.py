@@ -11,9 +11,12 @@ empty subset contributes H~^{-1}(empty) = Z in degree 0, the unit.  This
 module evaluates that sum over the subsets as bitmasks.
 
 Reduced cohomology of each K_J is obtained from integral homology by
-universal coefficients: ranks agree, torsion shifts up one degree.  Ranks
-therefore land in degree |J| + 1 + q for homology degree q, torsion in
-degree |J| + 2 + q.
+universal coefficients: ranks agree, torsion shifts up one degree.  A Z in
+homology degree q therefore lands in degree |J| + 1 + q, a Z/a in degree
+|J| + 2 + q.  The sum is kept as one table, a ``Counter`` keyed by
+(|J|, degree, a) that counts the Z/a summands there, with a = 0 standing
+for Z; every step below is a few dictionary operations on such tables, and
+the cohomology and the bigraded ranks (the a = 0 entries) are read off it.
 
 The homology of each K_J comes from the bitmask engine in
 :mod:`momentangle.homology`: the faces of K are listed once per call (once
@@ -33,32 +36,33 @@ every simple polytope is, Alexander duality gives H~^i(K_J) = H~_{d-1-i}(K_{V-J}
 with torsion (the bigraded Poincare duality of Buchstaber and Panov, *Toric
 Topology*, AMS 2015).  Then only one subset of each pair {J, V - J} is
 computed: those with 2|J| < m, and those with 2|J| = m that leave out
-vertex m - 1.  A rank r_q of H~_q(K_J) also lands at (m - |J|, m + d - q - |J|)
-and a torsion group at degree m + d - q - |J|.  Sphere-ness is certified
-once per call, before any work is split, by ``_Faces.sphere_dimension``
-(the homology of every face link); every other complex gets all 2^m
-subsets.
+vertex m - 1.  Once the table of those is merged, ``_mirror`` adds the
+complements in one pass: a Z in degree e at |J| also lands in degree
+m + d + 1 - e at m - |J|, and a Z/a in degree m + d + 2 - e.  Sphere-ness
+is certified once per call, before any work is split, by
+``_Faces.sphere_dimension`` (the homology of every face link); every other
+complex gets all 2^m subsets.
 
 Before any of that, K is split into its finest join factorisation
 K = K_{A_1} * ... * K_{A_r} by ``_Faces.join_factors``: the vertices of each
 minimal non-face are joined in one component, and the components are the
 A_i; a ghost vertex is a {∅} factor and a cone apex a point factor.  Since
 Z_{K*L} = Z_K x Z_L, each factor is summed on its own (its own faces,
-sphere certificate, duality and pool rule), and the results are combined
-by the Kunneth formula: ranks convolve over (|J|, degree), and torsion
-picks up (Z/b)^r from Z^r (x) Z/b and Z/gcd(a, b) from both Z/a (x) Z/b
-and Tor(Z/a, Z/b), the Tor term one degree lower.  A join then costs
-2^{m_1} + ... + 2^{m_r} subsets instead of 2^m.  The search reads the
-faces already listed for K and stops once one component is left, so a
-complex that is not a join pays one face listing, as before.  The subset
-cap still counts all m vertices of K, whatever its factors.
+sphere certificate, duality and pool rule), and the tables are combined by
+the Kunneth formula with one rule for every pair of entries: taking
+Z = Z/0, Z/a (x) Z/b = Z/gcd(a, b), zero when the gcd is 1, and when a and
+b are both nonzero Tor(Z/a, Z/b) adds the same group one degree lower.  A
+join then costs 2^{m_1} + ... + 2^{m_r} subsets instead of 2^m.  The search
+reads the faces already listed for K and stops once one component is left,
+so a complex that is not a join pays one face listing, as before.  The
+subset cap still counts all m vertices of K, whatever its factors.
 
 The subset loop is embarrassingly parallel: worker i of w takes the masks
 congruent to i mod w, so every worker gets the same mix of subset sizes,
-and the parts are merged by a commutative sum, so results are identical
-for every worker count.  A sum runs in the calling process whatever the
-worker count unless its computed subsets times the faces of K reach
-400 000; this threshold applies to each join factor separately.
+and the parts' tables are added, a commutative sum, so results are
+identical for every worker count.  A sum runs in the calling process
+whatever the worker count unless its computed subsets times the faces of
+K reach 400 000; this threshold applies to each join factor separately.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ from concurrent.futures import ProcessPoolExecutor
 from math import gcd
 from typing import Mapping
 
-from .homology import GradedGroups, _Faces, invariant_factors
+from .homology import GradedGroups, _Faces
 from .simplicial import SimplicialComplex
 
 DEFAULT_MAX_VERTICES = 22
@@ -88,9 +92,6 @@ DEFAULT_MAX_VERTICES = 22
 # not elimination, so the last, where elimination dominates, stays serial
 # and loses about a fifth.
 _POOL_MIN_WORK = 400_000
-
-# rank counts keyed by (|J|, total degree), torsion factor lists by total degree
-_Contributions = tuple[Counter, dict[int, list[int]]]
 
 
 class SubsetLimitError(Exception):
@@ -116,18 +117,14 @@ def _check_input(k: SimplicialComplex, max_vertices: int) -> None:
 
 def _subset_contributions(
     faces: _Faces, sphere_dim: int | None, part: int, parts: int
-) -> _Contributions:
-    """Accumulate contributions of the bitmask subsets ≡ ``part`` mod ``parts``.
+) -> Counter:
+    """The table of the bitmask subsets ≡ ``part`` mod ``parts``.
 
-    Returns rank counts keyed by (|J|, total degree) and torsion factor
-    lists keyed by total degree.  When K is a Z-homology sphere of
-    dimension ``sphere_dim``, only one subset of each pair {J, V - J} is
-    computed, and its groups are also added for the complement by
-    Alexander duality.
+    When K is a Z-homology sphere of dimension ``sphere_dim``, only one
+    subset of each pair {J, V - J} is taken; ``_mirror`` adds the others.
     """
     m = faces.vertex_count
-    ranks: Counter = Counter()
-    torsion: dict[int, list[int]] = {}
+    table: Counter = Counter()
     for mask in range(part, 1 << m, parts):
         size = bin(mask).count("1")
         if sphere_dim is not None and (
@@ -136,17 +133,23 @@ def _subset_contributions(
             continue  # the complement of a computed subset
         for q, (r, t) in faces.homology(mask).items():
             if r:
-                ranks[(size, q + size + 1)] += r
-            if t:
-                torsion.setdefault(q + size + 2, []).extend(t)
-            if sphere_dim is not None:
-                # ranks of H~_{d-1-q}(K_{V-J}) and torsion of H~_{d-2-q}(K_{V-J})
-                mirrored = m + sphere_dim - q - size
-                if r:
-                    ranks[(m - size, mirrored)] += r
-                if t:
-                    torsion.setdefault(mirrored, []).extend(t)
-    return ranks, torsion
+                table[(size, q + size + 1, 0)] += r
+            for a in t:
+                table[(size, q + size + 2, a)] += 1
+    return table
+
+
+def _mirror(half: Counter, m: int, d: int) -> Counter:
+    """``half`` plus the groups of the complements of its subsets, on a d-sphere.
+
+    Alexander duality H~^i(K_J) = H~_{d-1-i}(K_{V-J}) sends a Z in degree e
+    to degree m + d + 1 - e and a Z/a in degree e to m + d + 2 - e, at
+    m - |J|.  It acts group by group, so it applies to a merged table.
+    """
+    table = Counter(half)
+    for (size, e, a), n in half.items():
+        table[(m - size, m + d + (2 if a else 1) - e, a)] += n
+    return table
 
 
 def _usable_workers(requested: int) -> int:
@@ -158,77 +161,63 @@ def _usable_workers(requested: int) -> int:
     return min(requested, cpus)
 
 
-def _kunneth(x: _Contributions, y: _Contributions) -> _Contributions:
-    """Contributions for Z_K x Z_L from those for Z_K and for Z_L.
+def _kunneth(x: Counter, y: Counter) -> Counter:
+    """The table of Z_K x Z_L from the tables of Z_K and of Z_L.
 
-    Ranks convolve over the keys (|J|, degree).  Torsion follows the
-    cohomology Kunneth formula H^n(X x Y) = (+)_{p+q=n} H^p (x) H^q
-    (+) (+)_{p+q=n+1} Tor(H^p, H^q), with Z^r (x) Z/b = (Z/b)^r and
-    Z/a (x) Z/b = Tor(Z/a, Z/b) = Z/gcd(a, b).
+    The cohomology Kunneth formula is H^n(X x Y) = (+)_{p+q=n} H^p (x) H^q
+    (+) (+)_{p+q=n+1} Tor(H^p, H^q).  With Z = Z/0, Z/a (x) Z/b = Z/gcd(a, b)
+    for all a, b, and Tor(Z/a, Z/b) is the same group when a and b are both
+    nonzero and 0 otherwise; a gcd of 1 is the zero group.
     """
-    (x_ranks, x_torsion), (y_ranks, y_torsion) = x, y
-    ranks: Counter = Counter()
-    for (x_size, p), r in x_ranks.items():
-        for (y_size, q), s in y_ranks.items():
-            ranks[(x_size + y_size, p + q)] += r * s
-    x_free: Counter = Counter()
-    for (_, p), r in x_ranks.items():
-        x_free[p] += r
-    y_free: Counter = Counter()
-    for (_, q), s in y_ranks.items():
-        y_free[q] += s
-    torsion: dict[int, list[int]] = {}
-    for p, factors in x_torsion.items():
-        for q, s in y_free.items():
-            torsion.setdefault(p + q, []).extend(factors * s)
-    for q, factors in y_torsion.items():
-        for p, r in x_free.items():
-            torsion.setdefault(p + q, []).extend(factors * r)
-        for p, x_factors in x_torsion.items():
-            common = [g for a in x_factors for b in factors if (g := gcd(a, b)) > 1]
-            if common:
-                torsion.setdefault(p + q, []).extend(common)  # tensor
-                torsion.setdefault(p + q - 1, []).extend(common)  # Tor
-    return ranks, torsion
+    table: Counter = Counter()
+    for (x_size, p, a), r in x.items():
+        for (y_size, q, b), s in y.items():
+            g = gcd(a, b)
+            if g != 1:
+                table[(x_size + y_size, p + q, g)] += r * s
+                if a and b:
+                    table[(x_size + y_size, p + q - 1, g)] += r * s
+    return table
 
 
-def _gather(k: SimplicialComplex, workers: int) -> _Contributions:
-    """Rank and torsion contributions of every subset, as ``_subset_contributions``.
+def _gather(k: SimplicialComplex, workers: int) -> Counter:
+    """The table of every subset of K, as ``_subset_contributions`` gives it.
 
     K is split into its join factors first, each factor is summed on its
-    own, and the factors' results are combined by ``_kunneth``, since
+    own, and the factors' tables are combined by ``_kunneth``, since
     Z_{K*L} = Z_K x Z_L; m = 0 has no factor and gives the unit.
     """
     faces = _Faces(k)
     factors = faces.join_factors()
     if len(factors) == 1:
         return _factor_sum(k, faces, workers)
-    result: _Contributions = (Counter({(0, 0): 1}), {})
+    table = Counter({(0, 0, 0): 1})
     for vertices in factors:
         factor = k.full_subcomplex(vertices)
-        result = _kunneth(result, _factor_sum(factor, _Faces(factor), workers))
-    return result
+        table = _kunneth(table, _factor_sum(factor, _Faces(factor), workers))
+    return table
 
 
-def _factor_sum(k: SimplicialComplex, faces: _Faces, workers: int) -> _Contributions:
+def _factor_sum(k: SimplicialComplex, faces: _Faces, workers: int) -> Counter:
     """The subset sum of one join factor, with its own certificate and pool rule."""
     sphere_dim = faces.sphere_dimension()
     computed = 1 << (k.vertex_count - (sphere_dim is not None))
     work = computed * sum(len(layer) for layer in faces.layers)
     workers = _usable_workers(workers) if work >= _POOL_MIN_WORK else 1
     if workers <= 1:
-        return _subset_contributions(faces, sphere_dim, 0, 1)
-    ranks: Counter = Counter()
-    torsion: dict[int, list[int]] = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part_ranks, part_torsion in pool.map(
-            _subset_contributions_task,
-            [(k, sphere_dim, part, workers) for part in range(workers)],
-        ):
-            ranks.update(part_ranks)
-            for deg, factors in part_torsion.items():
-                torsion.setdefault(deg, []).extend(factors)
-    return ranks, torsion
+        table = _subset_contributions(faces, sphere_dim, 0, 1)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            table = sum(
+                pool.map(
+                    _subset_contributions_task,
+                    [(k, sphere_dim, part, workers) for part in range(workers)],
+                ),
+                Counter(),
+            )
+    if sphere_dim is None:
+        return table
+    return _mirror(table, k.vertex_count, sphere_dim)
 
 
 def _subset_contributions_task(args):
@@ -244,16 +233,13 @@ def moment_angle_cohomology(
 ) -> GradedGroups:
     """Integral cohomology of Z_K as graded groups, degree 0 upward."""
     _check_input(k, max_vertices)
-    ranks, torsion = _gather(k, workers)
-    groups: dict[int, tuple[int, tuple[int, ...]]] = {}
-    degree_rank: Counter = Counter()
-    for (_, degree), r in ranks.items():
-        degree_rank[degree] += r
-    for degree in set(degree_rank) | set(torsion):
-        groups[degree] = (
-            degree_rank.get(degree, 0),
-            invariant_factors(torsion.get(degree, ())),
-        )
+    groups: dict[int, list] = {}
+    for (_, degree, a), n in _gather(k, workers).items():
+        group = groups.setdefault(degree, [0, []])
+        if a:
+            group[1] += [a] * n
+        else:
+            group[0] += n
     return GradedGroups(groups)
 
 
@@ -269,8 +255,8 @@ def bigraded_table(
     entry is always 1, coming from the empty subset.
     """
     _check_input(k, max_vertices)
-    ranks, _ = _gather(k, workers)
-    return {key: ranks[key] for key in sorted(ranks)}
+    table = _gather(k, workers)
+    return {(size, degree): n for (size, degree, a), n in sorted(table.items()) if not a}
 
 
 class PoincarePolynomial:
@@ -295,14 +281,6 @@ class PoincarePolynomial:
 
     def degrees(self) -> list[int]:
         return sorted(self._coeffs)
-
-    @property
-    def degree(self) -> int:
-        """Largest degree with a nonzero coefficient; -1 for the zero polynomial."""
-        return max(self._coeffs, default=-1)
-
-    def total(self) -> int:
-        return sum(self._coeffs.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PoincarePolynomial):

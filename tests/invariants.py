@@ -23,7 +23,7 @@ def euler_characteristic(poly) -> int:
 
 def is_symmetric(poly, dimension: int) -> bool:
     """Poincare-duality symmetry b_k = b_{dimension-k} of a ``PoincarePolynomial``."""
-    return poly.degree <= dimension and all(
+    return max(poly.degrees(), default=-1) <= dimension and all(
         poly.coefficient(d) == poly.coefficient(dimension - d) for d in range(dimension + 1)
     )
 

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from isomorphism import are_combinatorially_isomorphic
-from momentangle.cli import WORKERS_ENV_VAR, build_parser, main, parse_expression
+from momentangle.cli import main, parse_expression
 from momentangle.polytopes import (
     SimplePolytope,
     cube,
@@ -213,8 +213,8 @@ class TestIsotopyCheck:
             "f1 t=0.0", "f1 t=1.0",
         ]
 
-    def test_seed_flag_overrides_positional(self, capsys):
-        code, out, _ = run(capsys, "isotopy-check", "1", "300", "7", "--seed", "9")
+    def test_positional_seed_is_used(self, capsys):
+        code, out, _ = run(capsys, "isotopy-check", "1", "300", "9")
         assert code == 0
         assert "seed=9" in out
 
@@ -270,29 +270,6 @@ class TestOutputRedirect:
         assert code == 0
         assert out == ""
         assert path.read_text() == direct
-
-
-class TestWorkerEnvironment:
-    def test_env_sets_default(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        args = build_parser().parse_args(["betti", "polygon", "4"])
-        assert args.workers == 3
-
-    def test_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        args = build_parser().parse_args(["betti", "polygon", "4", "--workers", "1"])
-        assert args.workers == 1
-
-    def test_garbage_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "zap")
-        args = build_parser().parse_args(["betti", "polygon", "4"])
-        assert args.workers == 1
-
-    def test_env_workers_compute_correctly(self, capsys, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
-        code, out, _ = run(capsys, "betti", "polygon", "4")
-        assert code == 0
-        assert "poincare: 1 + 2t^3 + t^6" in out
 
 
 # -- byte-for-byte output pins ----------------------------------------------

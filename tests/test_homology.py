@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -440,7 +441,7 @@ class TestSphereCertificate:
 
     def test_fin_has_the_homology_of_a_sphere(self):
         # so the fin is rejected by its ridge, not by H~(K)
-        assert reduced_homology(FIN) == GradedGroups.sphere(2)
+        assert reduced_homology(FIN) == GradedGroups({2: (1, ())})
 
 
 def recorded(monkeypatch, name):
@@ -597,7 +598,7 @@ class TestGradedGroups:
             GradedGroups({0: (-1, ())})
 
     def test_sphere_and_zero(self):
-        assert GradedGroups.sphere(5).rank(5) == 1
+        assert GradedGroups({5: (1, ())}).rank(5) == 1
         with pytest.raises(ValueError):
             GradedGroups({}).max_degree
 
@@ -608,5 +609,7 @@ class TestGradedGroups:
         assert hash(a) == hash(b)
 
     def test_json_round_trip(self):
+        # the JSON form the CLI prints holds the groups in full
         g = GradedGroups({0: (1, ()), 3: (2, (2, 6)), 9: (0, (3,))})
-        assert GradedGroups.from_json_dict(g.to_json_dict()) == g
+        data = json.loads(json.dumps(g.to_json_dict()))
+        assert GradedGroups({int(d): (x["rank"], x["torsion"]) for d, x in data.items()}) == g
