@@ -11,7 +11,7 @@ are sampled and reported, not proved.
 
 import numpy as np
 
-from momentangle import (
+from momentangle.isotopy import (
     endpoint_checks,
     injectivity_probe,
     isotopy_batch,

@@ -4,22 +4,13 @@ The package computes integral cohomology of moment-angle manifolds Z(P) of
 simple polytopes by exact integer linear algebra, performs vertex cutting at
 the combinatorial level, predicts the cohomology of the cut manifold from a
 connected-sum decomposition, and compares prediction against direct
-computation.  A numeric submodule checks the explicit torus embeddings and
-isotopies that realize the surgery in low dimensions.
+computation.  The numeric submodule :mod:`momentangle.isotopy` checks the
+explicit torus embeddings and isotopies that realize the surgery in low
+dimensions.  It is the only one that needs numpy and is not imported with
+the package: import its names from ``momentangle.isotopy``.
 """
 
 from .homology import GradedGroups, invariant_factors, reduced_homology
-from .isotopy import (
-    EndpointReport,
-    InjectivityReport,
-    circle_distance,
-    endpoint_checks,
-    injectivity_probe,
-    isotopy_batch,
-    isotopy_map,
-    standard_map,
-    standard_torus_batch,
-)
 from .moment_angle import (
     DEFAULT_MAX_VERTICES,
     PoincarePolynomial,
@@ -58,9 +49,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_MAX_VERTICES",
-    "EndpointReport",
     "GradedGroups",
-    "InjectivityReport",
     "PoincarePolynomial",
     "Simplex",
     "SimplePolytope",
@@ -72,15 +61,10 @@ __all__ = [
     "bigraded_table",
     "boundary_complex",
     "boundary_product_groups",
-    "circle_distance",
     "connected_sum_groups",
     "cube",
-    "endpoint_checks",
     "full_simplex",
-    "injectivity_probe",
     "invariant_factors",
-    "isotopy_batch",
-    "isotopy_map",
     "join",
     "moment_angle_cohomology",
     "polygon",
@@ -89,8 +73,6 @@ __all__ = [
     "reduced_homology",
     "simplex_polytope",
     "sphere_product_sum_groups",
-    "standard_map",
-    "standard_torus_batch",
     "theorem_corpus",
     "verify_all_cuts",
     "verify_cut_theorem",

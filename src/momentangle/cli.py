@@ -26,7 +26,6 @@ import os
 import sys
 from typing import Sequence
 
-from .isotopy import endpoint_checks, injectivity_probe, isotopy_map, standard_map
 from .moment_angle import (
     DEFAULT_MAX_VERTICES,
     SubsetLimitError,
@@ -176,6 +175,8 @@ def cmd_build(args) -> int:
 
 def cmd_betti(args) -> int:
     obj = parse_expression(args.expr)
+    if isinstance(obj, SimplePolytope) and obj.m > args.max_subsets:
+        raise SubsetLimitError(obj.m, args.max_subsets)  # before the dual is built
     k = obj.dual_complex() if isinstance(obj, SimplePolytope) else obj
     groups = moment_angle_cohomology(
         k, workers=args.workers, max_vertices=args.max_subsets
@@ -295,6 +296,9 @@ def cmd_verify_corpus(args) -> int:
 
 
 def cmd_isotopy_check(args) -> int:
+    # numpy loads with this command only, not with the package
+    from .isotopy import endpoint_checks, injectivity_probe, isotopy_map, standard_map
+
     if args.k < 1:
         raise UsageError(f"torus dimension must be >= 1, got {args.k}")
     if args.samples < 2:

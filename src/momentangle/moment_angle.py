@@ -63,13 +63,14 @@ and the parts' tables are added, a commutative sum, so results are
 identical for every worker count.  A sum runs in the calling process
 whatever the worker count unless its computed subsets times the faces of
 K reach 400 000; this threshold applies to each join factor separately.
+``concurrent.futures`` is imported only when a pool starts, so a serial
+sum never loads the process-pool machinery.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from math import gcd
 from typing import Mapping
 
@@ -207,6 +208,8 @@ def _factor_sum(k: SimplicialComplex, faces: _Faces, workers: int) -> Counter:
     if workers <= 1:
         table = _subset_contributions(faces, sphere_dim, 0, 1)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             table = sum(
                 pool.map(

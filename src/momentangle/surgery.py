@@ -25,7 +25,7 @@ from math import comb
 from typing import Sequence
 
 from .homology import GradedGroups
-from .moment_angle import DEFAULT_MAX_VERTICES, moment_angle_cohomology
+from .moment_angle import DEFAULT_MAX_VERTICES, SubsetLimitError, moment_angle_cohomology
 from .polytopes import SimplePolytope, cube, polygon, product, simplex_polytope
 
 
@@ -114,6 +114,8 @@ def predict_cut_betti(
     m, n = p.m, p.n
     if m <= n:
         raise ValueError(f"need m > n, got m={m}, n={n}")
+    if m > max_vertices:
+        raise SubsetLimitError(m, max_vertices)  # before the dual is built
     h_z = moment_angle_cohomology(
         p.dual_complex(), workers=workers, max_vertices=max_vertices
     )
@@ -173,6 +175,10 @@ def _verify_cuts(
     if description is None:
         description = f"simple {p.n}-polytope with {p.m} facets"
     cuts = [p.cut_vertex(v) for v in vertices]  # bad indices fail before any work
+    # the cap, before any dual is built: P has m facets, each cut m + 1
+    for m in (p.m, p.m + 1):
+        if m > max_vertices:
+            raise SubsetLimitError(m, max_vertices)
     rhs = predict_cut_betti(p, workers=workers, max_vertices=max_vertices)
     reports = []
     for v, cut in zip(vertices, cuts):

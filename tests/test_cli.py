@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from isomorphism import are_combinatorially_isomorphic
 from momentangle.cli import main, parse_expression
+from momentangle.moment_angle import DEFAULT_MAX_VERTICES, SubsetLimitError
 from momentangle.polytopes import (
     SimplePolytope,
     cube,
@@ -249,6 +254,25 @@ class TestErrorsAndLimits:
         assert code == 3
         assert "2^8 = 256" in err
         assert "--max-subsets" in err
+
+    @pytest.mark.parametrize(
+        "argv, m",
+        [(["betti", "cube", "14"], 28), (["verify", "cube", "14", "0"], 28),
+         (["verify", "cube", "11", "0"], 23)],
+        ids=["betti", "verify", "verify-at-the-cap"],
+    )
+    def test_subset_limit_comes_before_the_dual_complex(self, capsys, monkeypatch, argv, m):
+        # cube-14's dual has 16 384 facets; pruning them alone takes ~25 s
+        def refuse(self):
+            raise AssertionError("a dual complex was built")
+
+        monkeypatch.setattr(SimplePolytope, "dual_complex", refuse)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: {SubsetLimitError(m, DEFAULT_MAX_VERTICES)}\n"
+            "hint: raise the cap with --max-subsets\n"
+        )
 
     def test_format_flags_conflict(self, capsys):
         code, _, _ = run(capsys, "betti", "polygon", "4", "--json", "--csv")
@@ -529,3 +553,25 @@ def test_hostile_input_exits_with_a_message(capsys, tmp_path, case):
     assert (code, out) == (expected_code, "")
     assert err.startswith("error: ")
     assert fragment in err
+
+
+COLD_START = """
+import sys
+import momentangle, momentangle.cli
+betti = momentangle.cli.main(["betti", "polygon", "5"])
+loaded = [name for name in ("numpy", "concurrent.futures") if name in sys.modules]
+isotopy = momentangle.cli.main(["isotopy-check", "1", "300", "7"])
+from momentangle.isotopy import isotopy_batch
+print("result", betti, loaded, isotopy, callable(isotopy_batch))
+"""
+
+
+def test_cold_start_loads_neither_numpy_nor_the_pool():
+    # betti runs serially; numpy is for isotopy-check, the pool for large sums
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "result 0 [] 0 True"

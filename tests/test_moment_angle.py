@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 from collections import Counter
 from itertools import combinations
@@ -280,7 +281,7 @@ class TestParallelism:
         def refuse(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr(moment_angle_module, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         # polygon-11 has 2^11 subsets, but as a sphere computes only 2^10,
         # each against its 23 faces: far below the threshold
         for k in (polygon(9).dual_complex(), polygon(11).dual_complex(), RP2):
@@ -299,7 +300,7 @@ class TestParallelism:
         # strided merge
         assert _Faces(k).join_factors() == [list(range(10))]
         starts = []
-        pool = moment_angle_module.ProcessPoolExecutor
+        pool = concurrent.futures.ProcessPoolExecutor
 
         def counted(*args, **kwargs):
             starts.append(kwargs.get("max_workers"))
@@ -308,7 +309,7 @@ class TestParallelism:
         groups = moment_angle_cohomology(k)
         table = bigraded_table(k)
         monkeypatch.setattr(moment_angle_module, "_POOL_MIN_WORK", 2**13)
-        monkeypatch.setattr(moment_angle_module, "ProcessPoolExecutor", counted)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
         assert moment_angle_cohomology(k, workers=2) == groups
         assert bigraded_table(k, workers=2) == table
         assert len(starts) == (2 if _usable_workers(2) == 2 else 0)
@@ -323,7 +324,7 @@ class TestParallelism:
             raise Started
 
         k = polygon(10).dual_complex()
-        monkeypatch.setattr(moment_angle_module, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         monkeypatch.setattr(moment_angle_module, "_POOL_MIN_WORK", 2**9 * 21 + 1)
         assert moment_angle_cohomology(k, workers=2) == moment_angle_cohomology(k)
         if _usable_workers(2) == 2:

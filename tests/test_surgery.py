@@ -2,11 +2,17 @@ import random
 
 import pytest
 
-from invariants import has_torsion, is_symmetric
+from invariants import euler_characteristic, has_torsion, is_symmetric
 from isomorphism import are_combinatorially_isomorphic
 from momentangle.homology import GradedGroups
-from momentangle.moment_angle import PoincarePolynomial, betti, moment_angle_cohomology
-from momentangle.polytopes import cube, polygon, product, simplex_polytope
+from momentangle.moment_angle import (
+    DEFAULT_MAX_VERTICES,
+    PoincarePolynomial,
+    SubsetLimitError,
+    betti,
+    moment_angle_cohomology,
+)
+from momentangle.polytopes import SimplePolytope, cube, polygon, product, simplex_polytope
 from momentangle.surgery import (
     TheoremReport,
     _compare,
@@ -245,6 +251,68 @@ class TestVerification:
         assert payload["diff"] == {}
         assert payload["lhs"] == payload["rhs"]
         assert payload["lhs"]["3"] == {"rank": 2, "torsion": []}
+
+
+def cut_in_turn(p, vertices):
+    """P after cutting the listed vertices one after another."""
+    for v in vertices:
+        p = p.cut_vertex(v)
+    return p
+
+
+class TestBeyondTheProvedRange:
+    """m >= 3n in dimension n >= 3, outside the range m < 3n proved by Gitler-Lopez."""
+
+    def check(self, p, reports):
+        assert p.n >= 3 and p.m >= 3 * p.n
+        for r in reports:
+            poly = betti(r.lhs)
+            assert r.match
+            assert is_symmetric(poly, p.m + 1 + p.n)  # Z(P_v) has m + 1 facets
+            assert euler_characteristic(poly) == 0
+
+    def test_every_cut_of_a_simplex_after_five_cuts(self):
+        p = cut_in_turn(simplex_polytope(3), [0, 4, 1, 7, 2])
+        reports = verify_all_cuts(p)
+        assert (p.m, len(reports)) == (9, 14)
+        self.check(p, reports)
+
+    def test_every_cut_of_a_cube_after_three_cuts(self):
+        p = cut_in_turn(cube(3), [0, 9, 3])
+        reports = verify_all_cuts(p)
+        assert (p.m, len(reports)) == (9, 14)
+        self.check(p, reports)
+
+    @pytest.mark.parametrize("v", [0, 10, 25])
+    def test_a_simplex_after_seven_cuts(self, v):
+        p = cut_in_turn(simplex_polytope(4), [0, 5, 1, 9, 2, 13, 3])
+        assert p.m == 12
+        self.check(p, [verify_cut_theorem(p, v)])
+
+
+class TestSubsetCap:
+    """The cap is checked on P's facet count, before any dual complex is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_dual_complex(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a dual complex was built")
+
+        monkeypatch.setattr(SimplePolytope, "dual_complex", refuse)
+
+    def test_prediction(self):
+        with pytest.raises(SubsetLimitError) as caught:
+            predict_cut_betti(polygon(23))
+        assert (caught.value.m, caught.value.limit) == (23, DEFAULT_MAX_VERTICES)
+
+    def test_cut_of_a_polytope_at_the_cap(self):
+        # P itself is within the cap; its cut, with one facet more, is not
+        with pytest.raises(SubsetLimitError) as caught:
+            verify_cut_theorem(polygon(22), 3)
+        assert (caught.value.m, caught.value.limit) == (23, DEFAULT_MAX_VERTICES)
+        with pytest.raises(SubsetLimitError) as caught:
+            verify_all_cuts(polygon(5), max_vertices=5)
+        assert (caught.value.m, caught.value.limit) == (6, 5)
 
 
 class TestCorpus:
