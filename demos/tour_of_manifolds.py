@@ -5,7 +5,8 @@ A first tour: from simple polytopes to moment-angle cohomology
 Every simple polytope P (n-dimensional, m facets) has a dual boundary
 complex K_P, and K_P determines a closed (m+n)-manifold Z(P).  This script
 builds a few small polytopes and prints the graded cohomology of their
-manifolds, computed exactly over the integers.
+manifolds, computed exactly over the integers.  The functions take a
+polytope as it is, or any simplicial complex K.
 """
 
 from momentangle import (
@@ -20,7 +21,7 @@ from momentangle.simplicial import SimplicialComplex
 
 # The triangle: Z is the 5-sphere.
 triangle = simplex_polytope(2)
-groups = moment_angle_cohomology(triangle.dual_complex())
+groups = moment_angle_cohomology(triangle)
 print("triangle  (m=3, n=2):", betti(groups))
 
 # Boundaries of simplices always give odd spheres, Z(Delta^{n}) = S^{2n+1}.
@@ -33,7 +34,7 @@ print()
 # Polygons: the square gives S^3 x S^3, and from the pentagon on the
 # manifolds are connected sums of products of spheres.
 for m in range(3, 9):
-    groups = moment_angle_cohomology(polygon(m).dual_complex())
+    groups = moment_angle_cohomology(polygon(m))
     print(f"polygon with {m} edges  (dimension {m + 2}):", betti(groups))
 
 print()
@@ -41,7 +42,7 @@ print()
 # The ranks split by the size of the vertex subset that produces them.
 # Rows of this table: (subset size, total degree) -> rank.
 print("bigraded ranks for the pentagon:")
-for (size, degree), rank in bigraded_table(polygon(5).dual_complex()).items():
+for (size, degree), rank in bigraded_table(polygon(5)).items():
     print(f"  subsets of size {size}, degree {degree}: rank {rank}")
 
 print()

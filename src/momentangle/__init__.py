@@ -31,7 +31,6 @@ from .simplicial import (
     Simplex,
     as_simplex,
     boundary_complex,
-    full_simplex,
     join,
 )
 from .surgery import (
@@ -63,7 +62,6 @@ __all__ = [
     "boundary_product_groups",
     "connected_sum_groups",
     "cube",
-    "full_simplex",
     "invariant_factors",
     "join",
     "moment_angle_cohomology",

@@ -175,11 +175,8 @@ def cmd_build(args) -> int:
 
 def cmd_betti(args) -> int:
     obj = parse_expression(args.expr)
-    if isinstance(obj, SimplePolytope) and obj.m > args.max_subsets:
-        raise SubsetLimitError(obj.m, args.max_subsets)  # before the dual is built
-    k = obj.dual_complex() if isinstance(obj, SimplePolytope) else obj
     groups = moment_angle_cohomology(
-        k, workers=args.workers, max_vertices=args.max_subsets
+        obj, workers=args.workers, max_vertices=args.max_subsets
     )
     poly = betti(groups)
     rows = [

@@ -8,7 +8,10 @@ For a simplicial complex K on m vertices the moment-angle space Z_K inside
 
 where K_J is the full subcomplex on J and H~ is reduced cohomology.  The
 empty subset contributes H~^{-1}(empty) = Z in degree 0, the unit.  This
-module evaluates that sum over the subsets as bitmasks.
+module evaluates that sum over the subsets as bitmasks.  Both entry points
+also take a simple polytope P for its dual complex K_P, whose moment-angle
+manifold is Z(P); the subset cap is checked on m, P's facet count, before
+K_P is built.
 
 Reduced cohomology of each K_J is obtained from integral homology by
 universal coefficients: ranks agree, torsion shifts up one degree.  A Z in
@@ -75,6 +78,7 @@ from math import gcd
 from typing import Mapping
 
 from .homology import GradedGroups, _Faces
+from .polytopes import SimplePolytope
 from .simplicial import SimplicialComplex
 
 DEFAULT_MAX_VERTICES = 22
@@ -109,11 +113,17 @@ class SubsetLimitError(Exception):
         )
 
 
-def _check_input(k: SimplicialComplex, max_vertices: int) -> None:
-    if k.is_void:
+def _check_input(
+    k: SimplicialComplex | SimplePolytope, max_vertices: int
+) -> SimplicialComplex:
+    """K itself, or the dual complex of a polytope, once the cap on m holds."""
+    polytope = isinstance(k, SimplePolytope)
+    if not polytope and k.is_void:
         raise ValueError("moment-angle computation needs a complex with at least one face")
-    if k.vertex_count > max_vertices:
-        raise SubsetLimitError(k.vertex_count, max_vertices)
+    m = k.facet_count if polytope else k.vertex_count
+    if m > max_vertices:
+        raise SubsetLimitError(m, max_vertices)
+    return k.dual_complex() if polytope else k
 
 
 def _subset_contributions(
@@ -229,15 +239,17 @@ def _subset_contributions_task(args):
 
 
 def moment_angle_cohomology(
-    k: SimplicialComplex,
+    k: SimplicialComplex | SimplePolytope,
     *,
     workers: int = 1,
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> GradedGroups:
-    """Integral cohomology of Z_K as graded groups, degree 0 upward."""
-    _check_input(k, max_vertices)
+    """Integral cohomology of Z_K as graded groups, degree 0 upward.
+
+    A polytope P stands for its dual complex K_P, so Z_K is Z(P).
+    """
     groups: dict[int, list] = {}
-    for (_, degree, a), n in _gather(k, workers).items():
+    for (_, degree, a), n in _gather(_check_input(k, max_vertices), workers).items():
         group = groups.setdefault(degree, [0, []])
         if a:
             group[1] += [a] * n
@@ -247,18 +259,18 @@ def moment_angle_cohomology(
 
 
 def bigraded_table(
-    k: SimplicialComplex,
+    k: SimplicialComplex | SimplePolytope,
     *,
     workers: int = 1,
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> dict[tuple[int, int], int]:
     """Rank contributions keyed by (subset size, total degree).
 
-    Column sums over subset size reproduce the Betti numbers; the (0, 0)
-    entry is always 1, coming from the empty subset.
+    ``k`` is taken as in :func:`moment_angle_cohomology`.  Column sums over
+    subset size reproduce the Betti numbers; the (0, 0) entry is always 1,
+    coming from the empty subset.
     """
-    _check_input(k, max_vertices)
-    table = _gather(k, workers)
+    table = _gather(_check_input(k, max_vertices), workers)
     return {(size, degree): n for (size, degree, a), n in sorted(table.items()) if not a}
 
 
@@ -311,9 +323,6 @@ class PoincarePolynomial:
 
     def __repr__(self) -> str:
         return f"PoincarePolynomial({self._coeffs!r})"
-
-    def to_json_dict(self) -> dict:
-        return {str(d): c for d, c in sorted(self._coeffs.items())}
 
 
 def betti(groups: GradedGroups) -> PoincarePolynomial:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Iterable, Mapping, Sequence
 
 Simplex = tuple[int, ...]
@@ -60,15 +60,17 @@ class SimplicialComplex:
     def __post_init__(self) -> None:
         if self.vertex_count < 0:
             raise ValueError(f"vertex_count must be >= 0, got {self.vertex_count}")
-        faces = sorted({as_simplex(f) for f in self.maximal_faces})
+        faces = sorted({as_simplex(f) for f in self.maximal_faces}, key=len, reverse=True)
         self._check_vertices(v for f in faces for v in f)
-        sets = [set(f) for f in faces]
-        maximal = frozenset(
-            f
-            for i, f in enumerate(faces)
-            if not any(sets[i] < sets[j] for j in range(len(faces)) if j != i)
-        )
-        object.__setattr__(self, "maximal_faces", maximal)
+        # a face inside a larger face is inside a larger maximal one, so each
+        # size is compared only with the maximal faces of the larger sizes
+        maximal: list[Simplex] = []
+        larger: list[frozenset[int]] = []
+        for _, same_size in groupby(faces, key=len):
+            kept = [f for f in same_size if not any(s.issuperset(f) for s in larger)]
+            maximal += kept
+            larger += map(frozenset, kept)
+        object.__setattr__(self, "maximal_faces", frozenset(maximal))
 
     def _check_vertices(self, vertices: Iterable[int]) -> None:
         for v in vertices:
@@ -90,29 +92,6 @@ class SimplicialComplex:
     def is_void(self) -> bool:
         return not self.maximal_faces
 
-    def is_face(self, simplex: Iterable[int]) -> bool:
-        """Membership test; out-of-range vertex indices are an error."""
-        s = as_simplex(simplex)
-        self._check_vertices(s)
-        if not self.maximal_faces:
-            return False
-        ss = set(s)
-        return any(ss <= set(f) for f in self.maximal_faces)
-
-    def faces_of_dimension(self, d: int) -> list[Simplex]:
-        """All ``d``-faces in lexicographic order; ``d == -1`` gives ``[()]``."""
-        if d < -1:
-            raise ValueError(f"dimension must be >= -1, got {d}")
-        if d == -1:
-            return [()] if self.maximal_faces else []
-        out = {c for f in self.maximal_faces for c in combinations(f, d + 1)}
-        return sorted(out)
-
-    def f_vector(self) -> dict[int, int]:
-        return {
-            d: len(self.faces_of_dimension(d)) for d in range(-1, self.dim + 1)
-        }
-
     # -- constructions ----------------------------------------------------
 
     def full_subcomplex(self, vertices: Iterable[int]) -> "SimplicialComplex":
@@ -132,25 +111,6 @@ class SimplicialComplex:
         relabel = {v: i for i, v in enumerate(J)}
         traces = {tuple(relabel[v] for v in f if v in keep) for f in self.maximal_faces}
         return SimplicialComplex(len(J), traces)
-
-    def connected_sum_at_facet(self, facet: Iterable[int]) -> "SimplicialComplex":
-        """Replace a maximal face s by the cone faces (s minus x) + {w}, w new.
-
-        This is the combinatorial connected sum with the boundary of a
-        simplex, glued along ``facet``.  Requires ``facet`` to be maximal and
-        the complex to have at least two maximal faces (otherwise nothing is
-        left to sum with).
-        """
-        s = as_simplex(facet)
-        if s not in self.maximal_faces:
-            raise ValueError(f"{s} is not a maximal face")
-        if len(self.maximal_faces) < 2:
-            raise ValueError("connected sum needs at least two maximal faces")
-        w = self.vertex_count
-        new_faces = set(self.maximal_faces) - {s}
-        for x in s:
-            new_faces.add(tuple(v for v in s if v != x) + (w,))
-        return SimplicialComplex(w + 1, new_faces)
 
     def relabeled(self, perm: Sequence[int] | Mapping[int, int]) -> "SimplicialComplex":
         """Apply a vertex permutation (old index -> new index)."""
@@ -194,13 +154,6 @@ class SimplicialComplex:
 
 
 # -- standard complexes and binary operations ------------------------------
-
-
-def full_simplex(n: int) -> SimplicialComplex:
-    """The full n-simplex on n+1 vertices (a single maximal face)."""
-    if n < 0:
-        raise ValueError(f"simplex dimension must be >= 0, got {n}")
-    return SimplicialComplex(n + 1, {tuple(range(n + 1))})
 
 
 def boundary_complex(n: int) -> SimplicialComplex:

@@ -16,13 +16,16 @@ degree 1 and one in degree d, so at rank level
 Both the prediction (RHS, built from P only) and the direct computation
 (LHS, the moment-angle cohomology of the cut polytope) are implemented
 independently; :func:`verify_cut_theorem` compares them degree by degree.
+Both sums take the polytopes themselves.  The subset cap is checked on P's
+m and the cut's m + 1 before either sum runs, and
+:func:`verify_all_cuts` makes its cuts one at a time after that check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .homology import GradedGroups
 from .moment_angle import DEFAULT_MAX_VERTICES, SubsetLimitError, moment_angle_cohomology
@@ -112,13 +115,7 @@ def predict_cut_betti(
 ) -> GradedGroups:
     """Predicted graded cohomology of Z(P with one vertex cut), from P alone."""
     m, n = p.m, p.n
-    if m <= n:
-        raise ValueError(f"need m > n, got m={m}, n={n}")
-    if m > max_vertices:
-        raise SubsetLimitError(m, max_vertices)  # before the dual is built
-    h_z = moment_angle_cohomology(
-        p.dual_complex(), workers=workers, max_vertices=max_vertices
-    )
+    h_z = moment_angle_cohomology(p, workers=workers, max_vertices=max_vertices)
     w = boundary_product_groups(h_z, m + n)
     spheres = sphere_product_sum_groups(m, n)
     return connected_sum_groups([w, spheres], m + n + 1)
@@ -166,25 +163,25 @@ def _compare(
 
 def _verify_cuts(
     p: SimplePolytope,
-    vertices: Sequence[int],
+    cuts: Iterable[tuple[int, SimplePolytope]],
     workers: int,
     max_vertices: int,
     description: str | None,
 ) -> list[TheoremReport]:
-    """One report per listed vertex; the prediction depends on P alone."""
+    """One report per (vertex, cut) pair; the prediction depends on P alone.
+
+    The cap is checked on both sums, P's m and each cut's m + 1, before
+    either runs and before the first cut is taken from ``cuts``.
+    """
     if description is None:
         description = f"simple {p.n}-polytope with {p.m} facets"
-    cuts = [p.cut_vertex(v) for v in vertices]  # bad indices fail before any work
-    # the cap, before any dual is built: P has m facets, each cut m + 1
     for m in (p.m, p.m + 1):
         if m > max_vertices:
             raise SubsetLimitError(m, max_vertices)
     rhs = predict_cut_betti(p, workers=workers, max_vertices=max_vertices)
     reports = []
-    for v, cut in zip(vertices, cuts):
-        lhs = moment_angle_cohomology(
-            cut.dual_complex(), workers=workers, max_vertices=max_vertices
-        )
+    for v, cut in cuts:
+        lhs = moment_angle_cohomology(cut, workers=workers, max_vertices=max_vertices)
         reports.append(_compare(description, v, lhs, rhs))
     return reports
 
@@ -197,8 +194,12 @@ def verify_cut_theorem(
     max_vertices: int = DEFAULT_MAX_VERTICES,
     description: str | None = None,
 ) -> TheoremReport:
-    """Compare both sides of the cut decomposition for one vertex of P."""
-    return _verify_cuts(p, [v], workers, max_vertices, description)[0]
+    """Compare both sides of the cut decomposition for one vertex of P.
+
+    The vertex is cut first, so a bad index fails before the subset cap.
+    """
+    cuts = [(v, p.cut_vertex(v))]
+    return _verify_cuts(p, cuts, workers, max_vertices, description)[0]
 
 
 def verify_all_cuts(
@@ -208,8 +209,12 @@ def verify_all_cuts(
     max_vertices: int = DEFAULT_MAX_VERTICES,
     description: str | None = None,
 ) -> list[TheoremReport]:
-    """One report per vertex of P; the prediction is shared across vertices."""
-    return _verify_cuts(p, range(p.vertex_count), workers, max_vertices, description)
+    """One report per vertex of P; the prediction is shared across vertices.
+
+    The cuts are made one at a time, after the subset cap is checked.
+    """
+    cuts = ((v, p.cut_vertex(v)) for v in range(p.vertex_count))
+    return _verify_cuts(p, cuts, workers, max_vertices, description)
 
 
 def theorem_corpus() -> list[tuple[str, SimplePolytope]]:

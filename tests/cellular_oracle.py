@@ -35,7 +35,8 @@ Cell = tuple[tuple[int, ...], tuple[int, ...]]
 def _cells_by_dimension(k) -> dict[int, list[Cell]]:
     m = k.vertex_count
     cells: dict[int, list[Cell]] = {}
-    faces = [s for d in range(-1, k.dim + 1) for s in k.faces_of_dimension(d)]
+    # every face of K, the empty one included, from its maximal faces
+    faces = {s for f in k.maximal_faces for r in range(len(f) + 1) for s in combinations(f, r)}
     for sigma in faces:
         rest = [v for v in range(m) if v not in sigma]
         for size in range(len(rest) + 1):

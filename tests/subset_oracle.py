@@ -1,12 +1,14 @@
 """The per-subset route of the subset sum, kept as an oracle for the engine.
 
-For every vertex subset J this builds K_J as a ``SimplicialComplex`` with
-``full_subcomplex``, a dense boundary matrix per degree from its
-lexicographic face lists, and the full Smith normal form of each matrix.
-The dense ``smith_normal_form`` and its ``IntegerMatrix`` are the oracle's
-own.  With the package it shares only ``GradedGroups``, and the
-``invariant_factors`` by which ``GradedGroups`` is normalised: no bitmask
-faces, no sparse columns, no elimination.
+For every vertex subset J this takes K_J as the traces on J of the maximal
+faces of K, lists its faces lexicographically from those, builds a dense
+boundary matrix per degree, and takes the full Smith normal form of each
+matrix.  The face lists, the restriction, the dense ``smith_normal_form``
+and its ``IntegerMatrix`` are the oracle's own.  With the package it shares
+only ``GradedGroups``, and the ``invariant_factors`` by which
+``GradedGroups`` is normalised: no canonical form, no bitmask faces, no
+sparse columns, no elimination.  Of a complex it reads only
+``maximal_faces`` and ``vertex_count``.
 """
 
 from __future__ import annotations
@@ -88,6 +90,11 @@ def smith_normal_form(matrix: IntegerMatrix) -> tuple[tuple[int, ...], int]:
     return (1,) * (rank - len(chain)) + chain, rank
 
 
+def _faces(generators, d: int) -> list[tuple[int, ...]]:
+    """The d-faces of the complex these faces span, lexicographically."""
+    return sorted({c for f in generators for c in combinations(f, d + 1)})
+
+
 def boundary_matrix(k, d: int) -> IntegerMatrix:
     """Matrix of the boundary map C_d -> C_{d-1} in the augmented complex.
 
@@ -95,10 +102,14 @@ def boundary_matrix(k, d: int) -> IntegerMatrix:
     with degree -1 spanned by the empty face; so the d = 0 matrix is the
     augmentation row of ones.  Signs alternate along each face's vertices.
     """
+    return _boundary_matrix(k.maximal_faces, d)
+
+
+def _boundary_matrix(generators, d: int) -> IntegerMatrix:
     if d < 0:
         raise ValueError(f"boundary degree must be >= 0, got {d}")
-    rows_f = k.faces_of_dimension(d - 1)
-    cols_f = k.faces_of_dimension(d)
+    rows_f = _faces(generators, d - 1)
+    cols_f = _faces(generators, d)
     index = {f: i for i, f in enumerate(rows_f)}
     grid = [[0] * len(cols_f) for _ in rows_f]
     for j, face in enumerate(cols_f):
@@ -110,15 +121,23 @@ def boundary_matrix(k, d: int) -> IntegerMatrix:
 
 def reduced_homology(k) -> GradedGroups:
     """Reduced integral homology from dense boundary matrices and full SNF."""
-    if k.dim < 0:
+    return _reduced_homology(k.maximal_faces)
+
+
+def _reduced_homology(generators) -> GradedGroups:
+    """``reduced_homology`` of the complex spanned by these faces.
+
+    With no vertex at all, void or {∅}, this is Z in degree -1.
+    """
+    top = max((len(f) for f in generators), default=0) - 1
+    if top < 0:
         return GradedGroups({-1: (1, ())})
-    top = k.dim
     counts = {-1: 1}
-    counts.update({d: len(k.faces_of_dimension(d)) for d in range(top + 1)})
+    counts.update({d: len(_faces(generators, d)) for d in range(top + 1)})
     bd_rank: dict[int, int] = {top + 1: 0}
     bd_torsion: dict[int, tuple[int, ...]] = {top + 1: ()}
     for d in range(top + 1):
-        diagonal, rank = smith_normal_form(boundary_matrix(k, d))
+        diagonal, rank = smith_normal_form(_boundary_matrix(generators, d))
         bd_rank[d] = rank
         bd_torsion[d] = tuple(x for x in diagonal if x > 1)
     groups: dict[int, tuple[int, tuple[int, ...]]] = {}
@@ -129,9 +148,13 @@ def reduced_homology(k) -> GradedGroups:
 
 
 def subset_homologies(k) -> dict[tuple[int, ...], GradedGroups]:
-    """H~(K_J) for every vertex subset J, by size and then lexicographically."""
+    """H~(K_J) for every vertex subset J, by size and then lexicographically.
+
+    K_J is spanned by the traces f ∩ J of the maximal faces f of K; keeping
+    the old labels changes neither the face order nor the signs.
+    """
     return {
-        J: reduced_homology(k.full_subcomplex(J))
+        J: _reduced_homology({tuple(v for v in f if v in J) for f in k.maximal_faces})
         for size in range(k.vertex_count + 1)
         for J in combinations(range(k.vertex_count), size)
     }

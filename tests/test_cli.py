@@ -274,6 +274,31 @@ class TestErrorsAndLimits:
             "hint: raise the cap with --max-subsets\n"
         )
 
+    def test_all_vertices_over_the_cap_cuts_nothing(self, capsys, monkeypatch):
+        # cube-11 has 2048 vertices, and every cut is as large as cube-11
+        calls = []
+        cut_vertex = SimplePolytope.cut_vertex
+
+        def counted(self, v):
+            calls.append(v)
+            return cut_vertex(self, v)
+
+        monkeypatch.setattr(SimplePolytope, "cut_vertex", counted)
+        code, out, err = run(
+            capsys, "verify", "cube", "11", "--all-vertices", "--max-subsets", "11"
+        )
+        assert (code, out, len(calls)) == (3, "", 0)
+        assert err == (
+            "error: complex has 22 vertices: enumerating 2^22 = 4194304 subsets "
+            "exceeds the limit 2^11; raise the max-subsets exponent to proceed\n"
+            "hint: raise the cap with --max-subsets\n"
+        )
+
+    def test_bad_vertex_index_comes_before_the_cap(self, capsys):
+        # cube-14 and its cuts are over the cap, but the index is checked first
+        code, out, err = run(capsys, "verify", "cube", "14", "99999")
+        assert (code, out, err) == (2, "", "error: vertex index 99999 out of range\n")
+
     def test_format_flags_conflict(self, capsys):
         code, _, _ = run(capsys, "betti", "polygon", "4", "--json", "--csv")
         assert code == 2

@@ -31,6 +31,7 @@ from momentangle.moment_angle import bigraded_table, moment_angle_cohomology  # 
 from momentangle.polytopes import polygon, product, simplex_polytope  # noqa: E402
 from momentangle.simplicial import SimplicialComplex, join  # noqa: E402
 from momentangle.surgery import theorem_corpus  # noqa: E402
+from complexes import is_face  # noqa: E402
 from subset_oracle import reference_sum, subset_homologies  # noqa: E402
 
 RP2 = SimplicialComplex(
@@ -190,7 +191,7 @@ def is_cone(k, vertices):
     """Whether K_J has a vertex w with F ∪ {w} a face for each of its facets F."""
     sub = k.full_subcomplex(vertices)  # on the vertices 0, ..., |J| - 1
     return any(
-        sub.is_face((w,)) and all(sub.is_face(set(f) | {w}) for f in sub.maximal_faces)
+        is_face(sub, (w,)) and all(is_face(sub, set(f) | {w}) for f in sub.maximal_faces)
         for w in range(sub.vertex_count)
     )
 

@@ -18,10 +18,10 @@ from momentangle.polytopes import cube, polygon, product, simplex_polytope
 from momentangle.simplicial import (
     SimplicialComplex,
     boundary_complex,
-    full_simplex,
     join,
 )
 from cellular_oracle import cellular_betti_mod_p
+from complexes import connected_sum_at_facet, faces_of_dimension, full_simplex
 from momentangle.moment_angle import moment_angle_cohomology
 from subset_oracle import IntegerMatrix, boundary_matrix, smith_normal_form, subset_homologies
 from subset_oracle import reduced_homology as oracle_homology
@@ -225,8 +225,8 @@ class TestBoundaryColumns:
             layers = _Faces(k).layers
             for d in range(k.dim + 1):
                 dense = boundary_matrix(k, d)
-                rows = [mask(*f) for f in k.faces_of_dimension(d - 1)]
-                cols = [mask(*f) for f in k.faces_of_dimension(d)]
+                rows = [mask(*f) for f in faces_of_dimension(k, d - 1)]
+                cols = [mask(*f) for f in faces_of_dimension(k, d)]
                 sparse = {
                     cols[j]: {r: dense.entries[i][j] for i, r in enumerate(rows) if dense.entries[i][j]}
                     for j in range(dense.cols)
@@ -352,7 +352,7 @@ class TestReducedHomology:
         for k in [RP2, cycle(5), boundary_complex(4), full_simplex(3)]:
             h = reduced_homology(k)
             chi_faces = sum(
-                (-1) ** d * len(k.faces_of_dimension(d)) for d in range(-1, k.dim + 1)
+                (-1) ** d * len(faces_of_dimension(k, d)) for d in range(-1, k.dim + 1)
             )
             chi_ranks = sum((-1) ** d * h.rank(d) for d in h.degrees())
             # torsion does not enter Euler characteristics
@@ -390,8 +390,8 @@ class TestSphereCertificate:
             (simplex_polytope(3).cut_vertex(0).cut_vertex(2).dual_complex(), 2),
             (join(boundary_complex(2), boundary_complex(3)), 4),
             (join(boundary_complex(1), polygon(5).dual_complex()), 2),
-            (boundary_complex(3).connected_sum_at_facet((0, 1, 2)), 2),
-            (cube(3).dual_complex().connected_sum_at_facet((0, 2, 4)), 2),
+            (connected_sum_at_facet(boundary_complex(3), (0, 1, 2)), 2),
+            (connected_sum_at_facet(cube(3).dual_complex(), (0, 2, 4)), 2),
         ],
     )
     def test_accepts_spheres(self, k, d):

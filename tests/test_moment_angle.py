@@ -23,9 +23,10 @@ from momentangle.polytopes import cube, polygon, product, simplex_polytope
 from momentangle.simplicial import (
     SimplicialComplex,
     boundary_complex,
-    full_simplex,
     join,
 )
+from momentangle.surgery import theorem_corpus
+from complexes import full_simplex
 from invariants import euler_characteristic, has_torsion, is_symmetric, poincare_product
 from subset_oracle import reference_sum, subset_homologies
 
@@ -471,6 +472,29 @@ class TestJoinFactors:
         # cube-5 splits into five 2-vertex factors, but the cap sees m = 10
         with pytest.raises(SubsetLimitError, match=r"2\^10 = 1024"):
             moment_angle_cohomology(cube(5).dual_complex(), max_vertices=9)
+
+
+class TestPolytopeInput:
+    """A polytope P in place of K is its dual complex K_P, in both entry points."""
+
+    POLYTOPES = [
+        *theorem_corpus(),
+        ("polygon-5 x simplex-2", product(polygon(5), simplex_polytope(2))),
+        ("cube-3 cut at vertex 4", cube(3).cut_vertex(4)),
+    ]
+
+    @pytest.mark.parametrize("p", [p for _, p in POLYTOPES], ids=[n for n, _ in POLYTOPES])
+    def test_same_as_the_dual_complex(self, p):
+        k = p.dual_complex()
+        assert moment_angle_cohomology(p) == moment_angle_cohomology(k)
+        assert bigraded_table(p) == bigraded_table(k)
+
+    def test_the_cap_reads_the_facet_count(self):
+        # cube-4 has 16 vertices but 8 facets, the vertices of its dual
+        with pytest.raises(SubsetLimitError) as caught:
+            bigraded_table(cube(4), max_vertices=7)
+        assert (caught.value.m, caught.value.limit) == (8, 7)
+        assert moment_angle_cohomology(cube(4), max_vertices=8) is not None
 
 
 class TestLimitsAndErrors:

@@ -3,12 +3,18 @@ import random
 
 import pytest
 
+from complexes import (
+    all_pairs_maximal,
+    connected_sum_at_facet,
+    faces_of_dimension,
+    full_simplex,
+    is_face,
+)
 from isomorphism import are_isomorphic
 from momentangle.simplicial import (
     SimplicialComplex,
     as_simplex,
     boundary_complex,
-    full_simplex,
     join,
 )
 
@@ -30,6 +36,21 @@ class TestConstruction:
         k = SimplicialComplex(2, [(), (0,)])
         assert k.maximal_faces == frozenset({(0,)})
 
+    def test_pruning_matches_all_pairs(self):
+        # nested faces of several sizes, duplicates, repeated vertices
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(0, 7)
+            faces = []
+            for _ in range(rng.randint(0, 12)):
+                f = rng.sample(range(n), rng.randint(0, n))
+                faces.append(f)
+                if f and rng.random() < 0.5:
+                    faces.append(rng.sample(f, rng.randint(0, len(f))))
+                if rng.random() < 0.2:
+                    faces.append(f[::-1] + f[:1])
+            assert SimplicialComplex(n, faces).maximal_faces == all_pairs_maximal(faces)
+
     def test_void_and_empty_are_distinct(self):
         void = SimplicialComplex(0, [])
         empty = SimplicialComplex(0, [()])
@@ -40,7 +61,7 @@ class TestConstruction:
     def test_ghost_vertices_tracked(self):
         k = SimplicialComplex(5, [(0, 1)])
         assert k.vertex_count == 5
-        assert k.faces_of_dimension(0) == [(0,), (1,)]
+        assert faces_of_dimension(k, 0) == [(0,), (1,)]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -97,37 +118,37 @@ class TestStandardComplexes:
 class TestQueries:
     def test_is_face(self):
         k = boundary_complex(2)
-        assert k.is_face((0, 1))
-        assert not k.is_face((0, 1, 2))
-        assert not cycle(4).is_face((0, 2))
+        assert is_face(k, (0, 1))
+        assert not is_face(k, (0, 1, 2))
+        assert not is_face(cycle(4), (0, 2))
 
     def test_empty_simplex_is_face_of_nonempty(self):
-        assert boundary_complex(2).is_face(())
-        assert SimplicialComplex(0, [()]).is_face(())
-        assert not SimplicialComplex(0, []).is_face(())
+        assert is_face(boundary_complex(2), ())
+        assert is_face(SimplicialComplex(0, [()]), ())
+        assert not is_face(SimplicialComplex(0, []), ())
 
     def test_is_face_range_check(self):
         with pytest.raises(ValueError, match="out of range"):
-            boundary_complex(2).is_face((7,))
+            is_face(boundary_complex(2), (7,))
 
     def test_faces_of_dimension(self):
         k = boundary_complex(2)
-        assert k.faces_of_dimension(1) == [(0, 1), (0, 2), (1, 2)]
-        assert k.faces_of_dimension(2) == []
-        assert cycle(4).faces_of_dimension(0) == [(0,), (1,), (2,), (3,)]
+        assert faces_of_dimension(k, 1) == [(0, 1), (0, 2), (1, 2)]
+        assert faces_of_dimension(k, 2) == []
+        assert faces_of_dimension(cycle(4), 0) == [(0,), (1,), (2,), (3,)]
 
     def test_dimension_minus_one(self):
-        assert boundary_complex(2).faces_of_dimension(-1) == [()]
-        assert SimplicialComplex(3, []).faces_of_dimension(-1) == []
+        assert faces_of_dimension(boundary_complex(2), -1) == [()]
+        assert faces_of_dimension(SimplicialComplex(3, []), -1) == []
         with pytest.raises(ValueError):
-            boundary_complex(2).faces_of_dimension(-2)
+            faces_of_dimension(boundary_complex(2), -2)
 
     def test_f_vector_euler_for_polytopal_spheres(self):
         # dual of a simple n-polytope boundary is an (n-1)-sphere:
         # alternating sum of face counts is 1 + (-1)^{n-1}
         for n, k in [(2, cycle(6)), (3, boundary_complex(3)), (4, boundary_complex(4))]:
             total = sum(
-                (-1) ** d * len(k.faces_of_dimension(d)) for d in range(0, k.dim + 1)
+                (-1) ** d * len(faces_of_dimension(k, d)) for d in range(0, k.dim + 1)
             )
             assert total == 1 + (-1) ** (n - 1)
 
@@ -173,12 +194,12 @@ class TestFullSubcomplex:
 
 class TestConnectedSum:
     def test_triangle_becomes_square(self):
-        out = boundary_complex(2).connected_sum_at_facet((0, 1))
+        out = connected_sum_at_facet(boundary_complex(2), (0, 1))
         assert out.vertex_count == 4
         assert out.maximal_faces == frozenset({(0, 2), (1, 2), (0, 3), (1, 3)})
 
     def test_tetrahedron_boundary(self):
-        out = boundary_complex(3).connected_sum_at_facet((0, 1, 2))
+        out = connected_sum_at_facet(boundary_complex(3), (0, 1, 2))
         assert out.vertex_count == 5
         assert out.maximal_faces == frozenset(
             {(0, 1, 3), (0, 2, 3), (1, 2, 3), (1, 2, 4), (0, 2, 4), (0, 1, 4)}
@@ -190,24 +211,24 @@ class TestConnectedSum:
             (boundary_complex(3), (1, 2, 3)),
             (cycle(6), (2, 3)),
         ]:
-            out = k.connected_sum_at_facet(s)
+            out = connected_sum_at_facet(k, s)
             assert len(out.maximal_faces) == len(k.maximal_faces) - 1 + len(s)
             assert all(len(f) == len(s) for f in out.maximal_faces)
-            assert not out.is_face(s)
+            assert not is_face(out, s)
 
     def test_all_edges_of_triangle_give_squares(self):
         square = cycle(4)
         for s in boundary_complex(2).maximal_faces:
-            out = boundary_complex(2).connected_sum_at_facet(s)
+            out = connected_sum_at_facet(boundary_complex(2), s)
             assert are_isomorphic(out, square)
 
     def test_not_maximal_rejected(self):
         with pytest.raises(ValueError, match="not a maximal face"):
-            boundary_complex(3).connected_sum_at_facet((0, 1))
+            connected_sum_at_facet(boundary_complex(3), (0, 1))
 
     def test_single_face_rejected(self):
         with pytest.raises(ValueError, match="at least two"):
-            full_simplex(2).connected_sum_at_facet((0, 1, 2))
+            connected_sum_at_facet(full_simplex(2), (0, 1, 2))
 
 
 class TestJoin:
