@@ -1,0 +1,208 @@
+"""End-to-end times and per-route subset counts of the subset sum.
+
+    python3 bench/walk_bench.py --parent DIR --runs 5 --out BENCH_11.json
+
+DIR is a checkout of the commit to compare with.  Each input is run as
+``python -m momentangle.cli betti <input> --workers W`` in a fresh process,
+for W = 1 and 2, the runs of the two checkouts alternating, and the wall
+time of the whole process is recorded; the entry gives the median and the
+quartiles of ``--runs`` runs per checkout and worker count, and the
+serial median per visited subset (2^(m-1) on a certified sphere, 2^m
+otherwise).  Both checkouts must print the same bytes and exit codes, or
+the script stops.
+
+Route counts come from one serial sum per input and checkout, with no
+pool.  For the subset walk, a profile hook reads the return statement at
+which each step into a subset returns: a ghost vertex or a coned link
+("reused"), an isolated point ("point"), a cone on the new vertex
+("cone"), or ``_reduced_groups``, split into ``_graph_groups`` ("graph")
+and ``_matrix_groups`` ("eliminated") by spies.  At one part the walk
+takes one step more than it visits subsets other than the empty one: the
+step into vertex m - 1 on the way to the prefix root {m - 2, m - 1}.
+For the per-mask loop of
+earlier commits, ``_Faces.homology`` is counted per call, and every call
+that reaches neither spy is a cone.  The hook slows the counted sum; it is
+not timed.  "computed" is graph plus eliminated.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def dense(cuts: int) -> list[str]:
+    """cube 6 cut ``cuts`` times at vertex 0: a 5-sphere on 12 + cuts vertices."""
+    return ["cut-vertex", "("] * cuts + ["cube", "6"] + [")", "0"] * cuts
+
+
+def inputs(tmp: Path) -> dict[str, list[str]]:
+    rp2 = tmp / "rp2-sphere.json"
+    code = (
+        "import sys; sys.path[:0] = ['src', 'tests']; "
+        "from test_moment_angle import sphere_around_rp2; "
+        "print(sphere_around_rp2().to_json())"
+    )
+    rp2.write_text(subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout)
+    return {
+        "polygon-18": ["polygon", "18"],
+        "polygon-20": ["polygon", "20"],
+        "polygon-22": ["polygon", "22"],
+        "dense-sphere-17": dense(5),
+        "dense-sphere-19": dense(7),
+        "dense-sphere-20": dense(8),
+        "rp2-4-sphere": [str(rp2)],
+    }
+
+
+def run_cli(checkout: Path, expr: list[str], workers: int) -> tuple[float, bytes]:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    argv = [sys.executable, "-m", "momentangle.cli", "betti", *expr, "--workers", str(workers)]
+    start = time.perf_counter()
+    done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True)
+    seconds = time.perf_counter() - start
+    return seconds, done.stdout + f"exit {done.returncode}\n".encode()
+
+
+def summary(times: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return {"median_s": round(median, 4), "q1_s": round(q1, 4), "q3_s": round(q3, 4),
+            "runs_s": [round(t, 4) for t in times]}
+
+
+def routes(expr: list[str]) -> dict:
+    """Per-route counts of one serial sum, in this process's ``momentangle``."""
+    import momentangle.homology as homology
+    import momentangle.moment_angle as moment_angle
+    from momentangle.cli import parse_expression
+
+    k = moment_angle._check_input(parse_expression(expr), moment_angle.DEFAULT_MAX_VERTICES)
+    faces = homology._Faces(k)
+    assert len(faces.join_factors()) == 1, "the inputs are not joins"
+    sphere_dim = faces.sphere_dimension()
+    counts = dict.fromkeys(["cone", "reused", "point", "graph", "eliminated"], 0)
+    for name, route in (("_graph_groups", "graph"), ("_matrix_groups", "eliminated")):
+        original = getattr(homology, name)
+
+        def spy(*args, original=original, route=route):
+            counts[route] += 1
+            return original(*args)
+
+        setattr(homology, name, spy)
+    if hasattr(homology._Faces, "homology"):  # the per-mask loop
+        homology_of = homology._Faces.homology
+        calls = [0]
+
+        def counted(self, subset):
+            calls[0] += 1
+            return homology_of(self, subset)
+
+        homology._Faces.homology = counted
+        start = time.perf_counter()
+        moment_angle._subset_contributions(faces, sphere_dim, 0, 1)
+        counts["cone"] = calls[0] - counts["graph"] - counts["eliminated"]
+        counts["visited"] = calls[0]
+    else:
+        # the route of each return statement of the walk's step
+        source = Path(moment_angle.__file__).read_text()
+        names = {"groups": "reused", "_plus_point(groups)": "point", "()": "cone"}
+        by_line = {}
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef) and node.name == "step":
+                for ret in ast.walk(node):
+                    if isinstance(ret, ast.Return):
+                        by_line[ret.lineno] = names.get(ast.unparse(ret.value))
+        steps = [0]
+
+        def profile(frame, event, arg):
+            if event == "return" and frame.f_code.co_name == "step":
+                steps[0] += 1
+                route = by_line[frame.f_lineno]
+                if route:
+                    counts[route] += 1
+
+        sys.setprofile(profile)
+        start = time.perf_counter()
+        moment_angle._subset_contributions(faces, sphere_dim, 0, 1)
+        sys.setprofile(None)
+        assert sum(counts.values()) == steps[0]
+        counts["steps"] = steps[0]
+    counts["counted_s"] = round(time.perf_counter() - start, 2)
+    counts["m"] = k.vertex_count
+    counts["faces"] = sum(len(layer) for layer in faces.layers) - 1
+    counts["sphere_dim"] = sphere_dim
+    return counts
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--runs", type=int, default=5)
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--routes", nargs="+", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.routes:
+        print(json.dumps(routes(args.routes)))
+        return
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
+    with tempfile.TemporaryDirectory() as tmp:
+        entry = {}
+        for name, expr in inputs(Path(tmp)).items():
+            result = {"input": " ".join(expr) if name != "rp2-4-sphere" else
+                      "sphere_around_rp2() of tests/test_moment_angle.py, as JSON"}
+            for workers in (1, 2):
+                times = {side: [] for side in sides}
+                outputs = set()
+                for _ in range(args.runs):
+                    for side, checkout in sides.items():
+                        seconds, out = run_cli(checkout, expr, workers)
+                        times[side].append(seconds)
+                        outputs.add(out)
+                if len(outputs) != 1:
+                    sys.exit(f"{name}: the outputs differ at {workers} workers")
+                for side in sides:
+                    result[f"{side}_workers_{workers}"] = summary(times[side])
+                print(name, workers, {s: result[f"{s}_workers_{workers}"]["median_s"]
+                                      for s in sides}, flush=True)
+            for side, checkout in sides.items():
+                argv = [sys.executable, str(ROOT / "bench" / "walk_bench.py"),
+                        "--parent", ".", "--out", "-", "--routes", *expr]
+                env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+                done = subprocess.run(argv, cwd=checkout, env=env, check=True,
+                                      capture_output=True, text=True)
+                counts = result[f"{side}_routes"] = json.loads(done.stdout)
+                # every subset on a certified sphere is visited or mirrored
+                visited = 1 << (counts["m"] - (counts["sphere_dim"] is not None))
+                result[f"{side}_computed"] = counts["graph"] + counts["eliminated"]
+                result[f"{side}_us_per_visited_subset_workers_1"] = round(
+                    result[f"{side}_workers_1"]["median_s"] * 1e6 / visited, 2
+                )
+            result["visited"] = visited
+            entry[name] = result
+    machine = {
+        "cpu": next((line.split(":", 1)[1].strip() for line in
+                     Path("/proc/cpuinfo").read_text().splitlines()
+                     if line.startswith("model name")), platform.processor()),
+        "usable_cpus": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
+    args.out.write_text(json.dumps({"machine": machine, "runs": args.runs,
+                                    "inputs": entry}, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

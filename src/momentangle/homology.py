@@ -9,18 +9,18 @@ the empty complex).
 
 There is one engine, ``_Faces``.  It lists the faces of a complex once, as
 vertex bitmasks grouped by dimension, each with its boundary column as a
-sparse ``{face: ±1}`` dict; the faces of a full subcomplex K_J are the
-masks ``f`` with ``f & J == f``, so nothing is rebuilt per subset.
-
-Two exact rules settle many subsets before any matrix is built.  A cone
-has H~ = 0: with ext[f] the vertices w for which f ∪ {w} is a face, a K_J
-with a vertex is a cone exactly when J meets the AND of ext[f] over its
-faces f, and that AND is taken in the loop that picks the faces of K_J.
-A complex of dimension at most 1 is a graph with V vertices, E edges
-and c components, so H~_0 = Z^(c-1) and H~_1 = Z^(E-V+c), with c from a
-union-find on the edge masks; this covers the links of codimension-2
-faces in the sphere certificate as well.  Neither rule can hide torsion,
-since cones and graphs have none.
+sparse ``{face: ±1}`` dict, and ``ext[f]``, the vertices w for which
+f ∪ {w} is a face.  The subset sum of :mod:`momentangle.moment_angle`
+walks the full subcomplexes K_J from these lists, adding one vertex's new
+faces at a time, and settles most of them with no matrix: by reuse of the
+parent's groups, as a point added, or as a cone (H~ = 0).  What it cannot
+settle it hands to ``_reduced_groups`` as the faces of K_J by dimension.
+There a complex of dimension at most 1 is a graph with V vertices, E
+edges and c components, so H~_0 = Z^(c-1) and H~_1 = Z^(E-V+c), with c
+from a union-find on the edge masks; this covers the links of
+codimension-2 faces in the sphere certificate as well.  None of these
+rules can hide torsion: they keep the parent's groups, add a Z in H~_0,
+or give a cone or a graph, which have none.
 
 Every other boundary map is diagonalised by one sparse elimination,
 ``_rank_and_torsion``, on the columns it is given.  It first eliminates
@@ -31,10 +31,10 @@ finishes the residual, empty unless there is torsion or a pivot-free
 block, on the same columns with pivots of least absolute value.  The
 maps are reduced from the top degree down, and the unit pivot rows of
 one map are left out of the next as columns.
-``reduced_homology`` is the engine applied to the full vertex set, and
-``_Faces.sphere_dimension`` runs it on the links of faces to certify that
-a complex is a Z-homology sphere.  ``_Faces.join_factors`` reads the same
-face lists to split a complex into its join factors.
+``reduced_homology`` is ``_reduced_groups`` on every face of K, and
+``_Faces.sphere_dimension`` runs it on K and on the links of faces to
+certify that a complex is a Z-homology sphere.  ``_Faces.join_factors``
+reads the same face lists to split a complex into its join factors.
 
 Finitely generated graded abelian groups are recorded degree by degree as a
 free rank plus invariant factors d_1 | d_2 | ... | d_k with every d_i > 1.
@@ -379,10 +379,10 @@ class _Faces:
     ``layers[i]`` lists ``(face, column)`` for the faces with i vertices in
     increasing mask order; ``layers[0]`` is the empty face alone, present
     even for the void complex, whose reduced homology is taken to be that of
-    the empty complex.  The faces of a full subcomplex K_J are then the ones
-    with ``face & J == face``: nothing is rebuilt per subset.  ``ext[f]``
-    is the mask of the vertices w for which f ∪ {w} is a face, f's own
-    vertices included, read off the boundary columns as they are built.
+    the empty complex.  ``ext[f]`` is the mask of the vertices w for which
+    f ∪ {w} is a face, f's own vertices included, read off the boundary
+    columns as they are built; the subset walk finds the faces of each K_J
+    from it.
     """
 
     __slots__ = ("ext", "layers", "vertex_count")
@@ -405,32 +405,7 @@ class _Faces:
             self.ext[face] = face
             for g in column:
                 self.ext[g] |= face  # g sorts before face, so it is listed
-            self.layers[bin(face).count("1")].append((face, column))
-
-    def homology(self, subset: int) -> dict[int, tuple[int, tuple[int, ...]]]:
-        """Reduced integral homology of K_J, J = ``subset``: degree -> (rank, torsion).
-
-        A K_J with a vertex is a cone, so H~(K_J) = 0, exactly when some w
-        in J has f ∪ {w} a face for every face f of K_J; ``apex``, J and'ed
-        with ext[f] over the faces the filter keeps, holds those w.
-        """
-        ext = self.ext
-        apex = subset
-        present = []
-        for layer in self.layers[1:]:
-            faces = []
-            keep = faces.append
-            for item in layer:
-                face = item[0]
-                if face & subset == face:
-                    keep(item)
-                    apex &= ext[face]
-            if not faces:
-                break  # a face of K_J has all its faces in K_J
-            present.append(faces)
-        if apex and present:
-            return {}
-        return _reduced_groups(present)
+            self.layers[face.bit_count()].append((face, column))
 
     def join_factors(self) -> list[list[int]]:
         """Vertex sets A_1, ..., A_r of the finest join K = K_{A_1} * ... * K_{A_r}.
@@ -505,8 +480,8 @@ class _Faces:
         the face counts), purity and the ridges, then H~(K), then the other
         links from the largest σ (smallest link) down.  The link of σ is
         built from the star of one vertex of σ and goes to
-        ``_reduced_groups`` as ``homology``'s subsets do, so the circles
-        that link codimension-2 faces take the graph path.
+        ``_reduced_groups`` as K does, so the circles that link
+        codimension-2 faces take the graph path.
         """
         d = len(self.layers) - 2
         m = self.vertex_count
@@ -518,10 +493,10 @@ class _Faces:
             return None
         for i in range(d + 1):
             for face, _ in self.layers[i]:
-                n = bin(self.ext[face] ^ face).count("1")  # faces with one vertex more
+                n = (self.ext[face] ^ face).bit_count()  # faces with one vertex more
                 if n == 0 or (i == d and n != 2):
                     return None
-        if self.homology((1 << m) - 1) != {d: (1, ())}:
+        if _reduced_groups(self.layers[1:]) != {d: (1, ())}:
             return None
         column = {face: col for layer in self.layers for face, col in layer}
         stars = [
@@ -546,4 +521,4 @@ def reduced_homology(k: SimplicialComplex) -> GradedGroups:
     The two complexes with no nonempty face both give a single Z in degree
     -1.
     """
-    return GradedGroups(_Faces(k).homology((1 << k.vertex_count) - 1))
+    return GradedGroups(_reduced_groups(_Faces(k).layers[1:]))

@@ -21,26 +21,40 @@ homology degree q therefore lands in degree |J| + 1 + q, a Z/a in degree
 for Z; every step below is a few dictionary operations on such tables, and
 the cohomology and the bigraded ranks (the a = 0 entries) are read off it.
 
-The homology of each K_J comes from the bitmask engine in
-:mod:`momentangle.homology`: the faces of K are listed once per call (once
-per worker) as vertex bitmasks with sparse boundary columns, K_J keeps the
-faces inside J, and one sparse elimination on those columns, ±1 pivots
-first, gives each boundary map's rank and torsion.  No complex or matrix
-object is built per subset.  Two exact rules settle
-a subset with no matrix at all: a K_J that is a cone (some vertex of J is
-joined to every face of K_J) has H~ = 0 and contributes nothing, and a
-K_J of dimension at most 1, a graph, has H~_0 and H~_1 counted by a
-union-find.  On a certified sphere the complement of a cone needs no
-special case: H~(K_J) = 0 exactly when H~(K_{V-J}) = 0, so its mirrored
-contribution is zero too.
+The subsets are walked depth first: J's children are J ∪ {v} for v below
+min J, so each subset is reached once, from J minus its lowest vertex.
+The faces of K are listed once per call (once per worker) by
+:mod:`momentangle.homology`, with ext[f], the vertices w with f ∪ {w} a
+face.  A step adds v and its cofaces inside J ∪ {v}, those of each new
+face g found in ext[g] & J above g's top vertex, so it costs its new
+faces; they go on one list of K_J's faces, cut back on return.  With L
+the AND of ext[g] over the new faces g = f ∪ {v}, the child is settled:
+
+- no new face (a ghost vertex): the parent's groups;
+- only {v}: the parent's groups plus a Z in H~_0, or zero if K_J has no
+  vertex;
+- J meets L: v's link is a cone with a vertex, so by Mayer-Vietoris the
+  parent's groups (the strong collapse of a dominated vertex, Barmak and
+  Minian, *Discrete Comput. Geom.* 47, 2012);
+- every face of K_J in v's link: a cone on v, H~ = 0 (a cone on another
+  apex w has w in L);
+- otherwise ``homology._reduced_groups``: a union-find for a graph, else
+  one sparse elimination, ±1 pivots first.
+
+None of these hides torsion: reused and point steps keep the torsion of
+a parent computed or reused in turn, and cones and graphs have none.  Each (|J|, groups) pair is
+counted once and spread into the table at the end.  On a certified
+sphere the complement of a cone needs no special case: H~(K_J) = 0
+exactly when H~(K_{V-J}) = 0, so its mirrored contribution is zero too.
 
 When K is a Z-homology d-sphere on its m vertices, as the dual complex of
 every simple polytope is, Alexander duality gives H~^i(K_J) = H~_{d-1-i}(K_{V-J})
 with torsion (the bigraded Poincare duality of Buchstaber and Panov, *Toric
 Topology*, AMS 2015).  Then only one subset of each pair {J, V - J} is
-computed: those with 2|J| < m, and those with 2|J| = m that leave out
-vertex m - 1.  Once the table of those is merged, ``_mirror`` adds the
-complements in one pass: a Z in degree e at |J| also lands in degree
+visited: those with 2|J| < m, and those with 2|J| = m that leave out
+vertex m - 1, so the walk stops descending at |J| = floor(m/2).  Once
+the table of those is merged, ``_mirror`` adds the complements in one
+pass: a Z in degree e at |J| also lands in degree
 m + d + 1 - e at m - |J|, and a Z/a in degree m + d + 2 - e.  Sphere-ness
 is certified once per call, before any work is split, by
 ``_Faces.sphere_dimension`` (the homology of every face link); every other
@@ -60,12 +74,14 @@ reads the faces already listed for K and stops once one component is left,
 so a complex that is not a join pays one face listing, as before.  The
 subset cap still counts all m vertices of K, whatever its factors.
 
-The subset loop is embarrassingly parallel: worker i of w takes the masks
-congruent to i mod w, so every worker gets the same mix of subset sizes,
-and the parts' tables are added, a commutative sum, so results are
-identical for every worker count.  A sum runs in the calling process
-whatever the worker count unless its computed subsets times the faces of
-K reach 400 000; this threshold applies to each join factor separately.
+Worker parts are subtrees: the top t vertices (2^t at least four times
+the worker count) fix 2^t prefix roots, reached by adding their own
+vertices, sorted by size and dealt in a snake (0, 1, 1, 0, ... for two)
+so each worker gets large and small subtrees.  The parts' tables are
+added, a commutative sum, so results are identical for every worker
+count.  A sum runs in the calling process whatever the worker count
+unless its visited subsets times the faces of K reach 2 000 000; this
+threshold applies to each join factor separately.
 ``concurrent.futures`` is imported only when a pool starts, so a serial
 sum never loads the process-pool machinery.
 """
@@ -77,26 +93,27 @@ from collections import Counter
 from math import gcd
 from typing import Mapping
 
-from .homology import GradedGroups, _Faces
+from .homology import GradedGroups, _Faces, _reduced_groups
 from .polytopes import SimplePolytope
 from .simplicial import SimplicialComplex
 
 DEFAULT_MAX_VERTICES = 22
 
-# Below this much work, the subsets computed (2^(m-1) on a certified sphere,
+# Below this much work, the subsets visited (2^(m-1) on a certified sphere,
 # 2^m otherwise) times the faces of K, the sum runs in this process
-# whatever the worker count.  A 2-process pool costs 15-25 ms to start and
-# stop, each worker lists the faces again, and the sphere certificate runs
-# before it.  Serial / 2-worker time, medians of 9 alternating runs, two
-# series, 2-vCPU VM, Python 3.11 (work in thousands):
-# polygon-12 (51) 0.43-0.48, polygon-14 (238) 0.71-0.81, polygon-15 (508)
-# 1.04-1.34, polygon-16 (1081) 1.53-1.60; cube-5 cut at vertex 0 (280)
-# 0.84-0.87, cube-6 cut at vertex 0 (3240) 1.33-1.45, simplex-4 after 8
-# cuts (586) 1.34-1.54; the full sums on RP^2 with a 4-edge pendant path
-# (41) 0.67-0.73 and with a 6-edge one (180) 1.23-1.29.  Work counts faces,
-# not elimination, so the last, where elimination dominates, stays serial
-# and loses about a fifth.
-_POOL_MIN_WORK = 400_000
+# whatever the worker count: a 2-process pool costs 15-25 ms, each worker
+# lists the faces again, and the sphere certificate runs before it.
+# Serial / 2-worker time, medians of 9 alternating runs, two series, 2-vCPU
+# VM, Python 3.11 (work in thousands): polygon-12 (51) 0.20-0.28,
+# polygon-14 (238) 0.47-0.76, polygon-16 (1081) 0.79-1.40, polygon-17
+# (2294) 1.62-1.73, polygon-18 (4850) 1.40-1.44, polygon-20 (21496)
+# 1.78-1.83; cube-5 cut at vertex 0 (280) 0.45-0.59, cube-6 cut once
+# (3240) 0.89-0.99, twice (6988) 1.14-1.16, three times (14991) 1.35-1.37,
+# five times (68092) 1.45-1.61; simplex-4 after 8 cuts (586) 1.32-1.36;
+# RP^2 with a 4-edge pendant path (41) 0.66-0.84, with a 6-edge one (180)
+# 1.25-1.46; the RP^2 4-sphere (20546) 1.54-1.59.  Work counts faces, not
+# elimination, so the simplex-4 cuts and the 6-edge path stay serial.
+_POOL_MIN_WORK = 2_000_000
 
 
 class SubsetLimitError(Exception):
@@ -126,27 +143,144 @@ def _check_input(
     return k.dual_complex() if polytope else k
 
 
+# H~ of the empty complex K_∅: a Z in degree -1
+_EMPTY = ((-1, (1, ())),)
+
+
+def _plus_point(groups: tuple) -> tuple:
+    """The groups of K_J plus one isolated vertex: an extra Z in H~_0."""
+    if groups == _EMPTY:
+        return ()  # K_J has no vertex, and a point has H~ = 0
+    degrees = dict(groups)
+    rank, torsion = degrees.get(0, (0, ()))
+    degrees[0] = (rank + 1, torsion)
+    return tuple(sorted(degrees.items()))
+
+
+def _settle(present: list[tuple[int, dict[int, int]]], width: int) -> tuple:
+    """The groups of the complex with these nonempty faces, as sorted pairs.
+
+    ``width`` bounds the vertices of a face; ``present`` is regrouped by size.
+    """
+    layers: list[list[tuple[int, dict[int, int]]]] = [[] for _ in range(width)]
+    for item in present:
+        layers[item[0].bit_count() - 1].append(item)
+    while not layers[-1]:
+        layers.pop()
+    return tuple(sorted(_reduced_groups(layers).items()))
+
+
 def _subset_contributions(
     faces: _Faces, sphere_dim: int | None, part: int, parts: int
 ) -> Counter:
-    """The table of the bitmask subsets ≡ ``part`` mod ``parts``.
+    """The table of the walk's subtrees dealt to ``part`` of ``parts``.
 
-    When K is a Z-homology sphere of dimension ``sphere_dim``, only one
-    subset of each pair {J, V - J} is taken; ``_mirror`` adds the others.
+    The top t vertices, 2^t ≥ 4 × ``parts`` (at most m), fix 2^t prefixes,
+    dealt by size in a snake: 0, 1, ..., parts - 1, parts - 1, ..., 0, 0,
+    ...  On a sphere fewer prefix vertices root more visited subsets,
+    elsewhere more vertices root larger ones, so each part gets a mix.
     """
     m = faces.vertex_count
+    t = min(m, (4 * parts - 1).bit_length())
+    order = sorted(range(1 << t), key=int.bit_count)
+    turn = 2 * parts
+    roots = [
+        prefix << (m - t)
+        for i, prefix in enumerate(order)
+        if part in (i % turn, turn - 1 - i % turn)
+    ]
+    return _walk(faces, sphere_dim, roots, m - t)
+
+
+def _walk(faces: _Faces, sphere_dim: int | None, roots: list[int], low: int) -> Counter:
+    """The table of the subsets J ∪ S, J in ``roots`` and S below vertex ``low``.
+
+    J's children are J ∪ {v} for v below min J.  Each root is reached by
+    adding its own vertices from the top down, then its subtree adds the
+    vertices below ``low``, which lie below every root's.  When K is a
+    Z-homology sphere of dimension ``sphere_dim``, only one subset of each
+    pair {J, V - J} is visited; ``_mirror`` adds the others.
+    """
+    m = faces.vertex_count
+    ext = faces.ext
+    # ext and the (face, column) pair of each nonempty face, by its mask
+    node = {item[0]: (ext[item[0]], item) for layer in faces.layers[1:] for item in layer}
+    width = len(faces.layers) - 1  # the most vertices of a face
+    joined = [ext.get(1 << v, 0) for v in range(m)]  # 0 for a ghost vertex
+    present: list[tuple[int, dict[int, int]]] = []  # the faces of K_J
+    tally: dict[tuple, int] = {}  # (|J|, groups) -> subsets
+    # subsets of more than ``most`` vertices, or of ``most`` with ``top``,
+    # are the complements of visited ones
+    most = m if sphere_dim is None else m // 2
+    top = 1 << (m - 1) if sphere_dim is not None and 2 * most == m else 0
+
+    def step(J: int, v: int, groups: tuple) -> tuple:
+        """The groups of K_{J ∪ v}, whose new faces join ``present``."""
+        if not joined[v]:
+            return groups  # a ghost vertex adds no face
+        if not J & joined[v]:
+            present.append(node[1 << v][1])
+            return _plus_point(groups)  # v is an isolated point
+        # the new faces are v and its cofaces inside J ∪ {v}, each reached
+        # once, from the face without its top vertex
+        old = len(present)
+        link = -1
+        todo = [1 << v]
+        while todo:
+            face = todo.pop()
+            over, item = node[face]
+            present.append(item)
+            link &= over
+            above = face.bit_length()
+            more = (over & J) >> above << above
+            while more:
+                bit = more & -more
+                todo.append(face | bit)
+                more ^= bit
+        if J & link:
+            return groups  # v's link is a cone: Mayer-Vietoris
+        if len(present) == 2 * old + 1:
+            return ()  # every face of K_J is in v's link: a cone on v
+        return _settle(present, width)
+
+    def visit(J: int, size: int, groups: tuple, low: int) -> None:
+        size += 1
+        if size > most or (size == most and J & top):
+            return
+        deeper = size < most
+        for v in range(low):
+            mark = len(present)
+            child = step(J, v, groups)
+            if child:
+                key = (size, child)
+                tally[key] = tally.get(key, 0) + 1
+            if deeper and v:
+                visit(J | 1 << v, size, child, v)
+            del present[mark:]
+
+    for root in roots:
+        size = root.bit_count()
+        if size > most or (size == most and root & top):
+            continue
+        J, groups = 0, _EMPTY
+        for v in range(m - 1, -1, -1):
+            if root >> v & 1:
+                groups = step(J, v, groups)
+                J |= 1 << v
+        if groups:
+            tally[(size, groups)] = tally.get((size, groups), 0) + 1
+        visit(root, size, groups, low)
+        present.clear()
+    # visit refers to itself through its closure: unbound here, the faces
+    # and lists it holds are freed now, not at some later cyclic collection
+    del visit
     table: Counter = Counter()
-    for mask in range(part, 1 << m, parts):
-        size = bin(mask).count("1")
-        if sphere_dim is not None and (
-            2 * size > m or (2 * size == m and mask >> (m - 1) & 1)
-        ):
-            continue  # the complement of a computed subset
-        for q, (r, t) in faces.homology(mask).items():
+    for (size, groups), n in tally.items():
+        for q, (r, torsion) in groups:
             if r:
-                table[(size, q + size + 1, 0)] += r
-            for a in t:
-                table[(size, q + size + 2, a)] += 1
+                table[(size, q + size + 1, 0)] += r * n
+            for a in torsion:
+                table[(size, q + size + 2, a)] += n
     return table
 
 
@@ -212,8 +346,8 @@ def _gather(k: SimplicialComplex, workers: int) -> Counter:
 def _factor_sum(k: SimplicialComplex, faces: _Faces, workers: int) -> Counter:
     """The subset sum of one join factor, with its own certificate and pool rule."""
     sphere_dim = faces.sphere_dimension()
-    computed = 1 << (k.vertex_count - (sphere_dim is not None))
-    work = computed * sum(len(layer) for layer in faces.layers)
+    visited = 1 << (k.vertex_count - (sphere_dim is not None))
+    work = visited * sum(len(layer) for layer in faces.layers)
     workers = _usable_workers(workers) if work >= _POOL_MIN_WORK else 1
     if workers <= 1:
         table = _subset_contributions(faces, sphere_dim, 0, 1)

@@ -4,9 +4,9 @@ Inputs are random complexes on at most 8 vertices (ghost vertices and the
 complex whose only face is the empty one included), joins with the
 6-vertex RP^2, and dual complexes of polytopes built by products and
 vertex cuts with at most 9 facets.  For each, the engine must agree with
-``tests/subset_oracle.py`` on every full subcomplex, on H*(Z_K) and on the
-bigraded table.  Examples are derandomized so every run checks the same
-inputs.
+``tests/subset_oracle.py`` on every full subcomplex (as the subset walk
+reaches it, and by ``reduced_homology``), on H*(Z_K) and on the bigraded
+table.  Examples are derandomized so every run checks the same inputs.
 
 Polytope duals are spheres, so their sums take the duality path, which
 computes one subset of each complementary pair; they are also checked
@@ -15,9 +15,17 @@ joins, with their vertices shuffled, and the corpus polytopes, whose
 products are joins, are checked against the same sums with the join
 factor search forced to report a single factor.  Random complexes, joins
 with RP^2 and the corpus polytopes with their cuts are checked, subset by
-subset and summed, against the engine with its cone test and its graph
-path forced off, so that every subset goes through elimination.
+subset and summed, three ways: the walk's groups against the oracle's;
+the rule the walk takes for each subset (a reused parent, a point, a cone,
+or ``_reduced_groups``) against the rule read off the maximal faces, and
+each rule's claim against the oracle's groups; and every K_J through
+elimination alone, with no rule and no graph path, against the oracle.
+The walk's tables split into 1, 2 and 3 parts and merged equal the
+oracle's on the same inputs and on RP^2, RP^2 with a path and the mod-3
+Moore space.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -27,12 +35,18 @@ from hypothesis import strategies as st  # noqa: E402
 
 import momentangle.homology as homology_module  # noqa: E402
 from momentangle.homology import GradedGroups, _Faces, reduced_homology  # noqa: E402
-from momentangle.moment_angle import bigraded_table, moment_angle_cohomology  # noqa: E402
+from momentangle.moment_angle import (  # noqa: E402
+    _mirror,
+    _subset_contributions,
+    bigraded_table,
+    moment_angle_cohomology,
+)
 from momentangle.polytopes import polygon, product, simplex_polytope  # noqa: E402
 from momentangle.simplicial import SimplicialComplex, join  # noqa: E402
 from momentangle.surgery import theorem_corpus  # noqa: E402
-from complexes import is_face  # noqa: E402
 from subset_oracle import reference_sum, subset_homologies  # noqa: E402
+from test_moment_angle import MOORE3, RP2_WITH_PATH  # noqa: E402
+from walk import mask, route, steps, subset_table, walk_groups  # noqa: E402
 
 RP2 = SimplicialComplex(
     6,
@@ -87,7 +101,7 @@ def assert_engine_matches_oracle(k):
     homologies = subset_homologies(k)
     faces = _Faces(k)
     for J, expected in homologies.items():
-        assert GradedGroups(faces.homology(sum(1 << v for v in J))) == expected, J
+        assert walk_groups(faces, mask(J)) == expected, J
         assert reduced_homology(k.full_subcomplex(J)) == expected, J
     groups, table = reference_sum(homologies)
     assert moment_angle_cohomology(k) == groups
@@ -171,58 +185,72 @@ def test_factor_search_on_equals_off_on_the_corpus(p):
     assert_factor_search_changes_nothing(p.dual_complex())
 
 
-def force_rules_off(patch):
-    """Every subset through elimination: no cone test and no graph path."""
-
-    def homology(self, subset):
-        present = []
-        for layer in self.layers[1:]:
-            faces = [(face, col) for face, col in layer if face & subset == face]
-            if not faces:
-                break
-            present.append(faces)
-        return homology_module._matrix_groups(present)
-
-    patch.setattr(_Faces, "homology", homology)
-    patch.setattr(homology_module, "_reduced_groups", homology_module._matrix_groups)
+def assert_parts_match_oracle(k, homologies):
+    """The walk's tables at 1, 2 and 3 parts, merged, against the oracle's."""
+    faces = _Faces(k)
+    expected = subset_table(homologies)
+    m, d = k.vertex_count, faces.sphere_dimension()
+    for dim in {d, None}:
+        for parts in (1, 2, 3):
+            table = sum(
+                (_subset_contributions(faces, dim, part, parts) for part in range(parts)),
+                Counter(),
+            )
+            assert (table if dim is None else _mirror(table, m, dim)) == expected, (dim, parts)
 
 
-def is_cone(k, vertices):
-    """Whether K_J has a vertex w with F ∪ {w} a face for each of its facets F."""
-    sub = k.full_subcomplex(vertices)  # on the vertices 0, ..., |J| - 1
-    return any(
-        is_face(sub, (w,)) and all(is_face(sub, set(f) | {w}) for f in sub.maximal_faces)
-        for w in range(sub.vertex_count)
+@pytest.mark.parametrize(
+    "k", [RP2, RP2_WITH_PATH, MOORE3], ids=["rp2", "rp2-pendant-path", "moore3"]
+)
+def test_walk_parts_equal_the_oracle_with_torsion(k):
+    assert_parts_match_oracle(k, subset_homologies(k))
+
+
+def sum_groups(a, b):
+    """The direct sum of two graded groups."""
+    return GradedGroups(
+        {
+            d: (a.rank(d) + b.rank(d), a.torsion(d) + b.torsion(d))
+            for d in set(a.degrees()) | set(b.degrees())
+        }
     )
 
 
 def assert_rules_change_nothing(k):
     faces = _Faces(k)
-    subsets = range(1 << k.vertex_count)
-    on, reached = [], set()
-    with pytest.MonkeyPatch.context() as patch:
-        reduced_groups = homology_module._reduced_groups
-
-        def spy(present):
-            reached.add(len(on))  # the subset being computed
-            return reduced_groups(present)
-
-        patch.setattr(homology_module, "_reduced_groups", spy)
-        for J in subsets:
-            on.append(faces.homology(J))
-    groups, table = moment_angle_cohomology(k), bigraded_table(k)
-    with pytest.MonkeyPatch.context() as patch:
-        force_rules_off(patch)
-        assert [faces.homology(J) for J in subsets] == on
-        assert moment_angle_cohomology(k) == groups
-        assert bigraded_table(k) == table
     homologies = subset_homologies(k)
-    for J, expected in homologies.items():
-        assert GradedGroups(on[sum(1 << v for v in J)]) == expected, J
-    assert reference_sum(homologies) == (groups, table)
-    # the cone test skips exactly the cones, and nothing else
-    cones = {sum(1 << v for v in J) for J in homologies if is_cone(k, J)}
-    assert set(subsets) - reached == cones
+    by_mask = {mask(J): h for J, h in homologies.items()}
+    walked = steps(faces, by_mask)
+    point = GradedGroups({0: (1, ())})
+    for J, h in homologies.items():
+        assert walked[mask(J)].groups == h, J
+        if not J:
+            continue
+        rule = route(k, J)
+        # the walk takes the rule that the maximal faces call for
+        assert walked[mask(J)].computed == (rule == "computed"), (J, rule)
+        # and each rule's claim holds on the oracle's groups
+        parent = by_mask[mask(J[1:])]
+        if rule == "reused":
+            assert h == parent, J
+        elif rule == "point":
+            empty = parent == GradedGroups({-1: (1, ())})
+            assert h == (GradedGroups() if empty else sum_groups(parent, point)), J
+        elif rule == "cone":
+            assert h == GradedGroups(), J
+    # elimination alone, with no rule and no graph path, on every K_J
+    for J, h in by_mask.items():
+        present = []
+        for layer in faces.layers[1:]:
+            kept = [item for item in layer if item[0] & J == item[0]]
+            if not kept:
+                break
+            present.append(kept)
+        assert GradedGroups(homology_module._matrix_groups(present)) == h, J
+    groups, table = reference_sum(homologies)
+    assert moment_angle_cohomology(k) == groups
+    assert bigraded_table(k) == table
+    assert_parts_match_oracle(k, homologies)
 
 
 @checked(60)

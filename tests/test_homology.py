@@ -22,12 +22,13 @@ from momentangle.simplicial import (
 )
 from cellular_oracle import cellular_betti_mod_p
 from complexes import connected_sum_at_facet, faces_of_dimension, full_simplex
-from momentangle.moment_angle import moment_angle_cohomology
+from momentangle.moment_angle import _subset_contributions, moment_angle_cohomology
 from subset_oracle import IntegerMatrix, boundary_matrix, smith_normal_form, subset_homologies
 from subset_oracle import reduced_homology as oracle_homology
 import test_moment_angle
 from invariants import has_torsion
 from test_moment_angle import MOORE3, RP2_WITH_PATH, sphere_around_rp2
+from walk import route, steps
 
 # minimal 6-vertex projective plane, the standard torsion fixture
 RP2 = SimplicialComplex(
@@ -467,39 +468,49 @@ RP2_CONE = join(RP2, full_simplex(0))  # apex 6
 RP2_CONE_GHOST = SimplicialComplex(8, RP2_CONE.maximal_faces)  # ghost vertex 7
 
 
+# a 3-vertex star on centre 0: the link of 0 is two points, so only the
+# cone rule settles it
+STAR3 = SimplicialComplex(3, [(0, 1), (0, 2)])
+
+
 class TestConeTest:
-    # a K_J with a vertex is skipped (H~ = 0 with no elimination) exactly
-    # when some vertex of J is joined to every face of K_J
+    # the walk steps into K_J from J minus its lowest vertex v, and reaches
+    # _reduced_groups only when no rule settles the step: a ghost v or a
+    # link of v that is a cone keeps the parent's groups, an empty link adds
+    # a point, and a K_J that is a cone (on v: a cone on another apex has a
+    # coned link) has H~ = 0
 
     @pytest.mark.parametrize(
-        "k, subset, expected, skipped",
+        "k, subset, expected, rule",
         [
-            (RP2_CONE, mask(*range(7)), {}, True),
-            (RP2_CONE, mask(*range(6)), {1: (0, (2,))}, False),
-            (RP2, mask(*range(6)), {1: (0, (2,))}, False),
-            (PATH3, mask(0, 1, 2), {}, True),
-            (PATH3, mask(0, 2), {0: (1, ())}, False),
-            (PATH4, mask(0, 1, 2, 3), {}, False),
-            (cycle(4), mask(0, 1, 2, 3), {1: (1, ())}, False),
+            (RP2_CONE, mask(*range(7)), {}, "reused"),
+            (RP2_CONE, mask(*range(6)), {1: (0, (2,))}, "computed"),
+            (RP2, mask(*range(6)), {1: (0, (2,))}, "computed"),
+            (PATH3, mask(0, 1, 2), {}, "reused"),
+            (PATH3, mask(0, 2), {0: (1, ())}, "point"),
+            (PATH4, mask(0, 1, 2, 3), {}, "reused"),
+            (cycle(4), mask(0, 1, 2, 3), {1: (1, ())}, "computed"),
             # J = ∅, and J holding only a ghost vertex: no vertex, no cone
-            (RP2_CONE_GHOST, 0, {-1: (1, ())}, False),
-            (RP2_CONE_GHOST, mask(7), {-1: (1, ())}, False),
+            (RP2_CONE_GHOST, 0, {-1: (1, ())}, None),
+            (RP2_CONE_GHOST, mask(7), {-1: (1, ())}, "reused"),
             # a ghost vertex in J is never the apex, and does not hide one
-            (RP2_CONE_GHOST, mask(*range(6), 7), {1: (0, (2,))}, False),
-            (RP2_CONE_GHOST, mask(*range(8)), {}, True),
-            (RP2_CONE_GHOST, mask(3, 7), {}, True),
+            (RP2_CONE_GHOST, mask(*range(6), 7), {1: (0, (2,))}, "computed"),
+            (RP2_CONE_GHOST, mask(*range(8)), {}, "reused"),
+            (RP2_CONE_GHOST, mask(3, 7), {}, "point"),
+            (STAR3, mask(0, 1, 2), {}, "cone"),
         ],
         ids=[
             "rp2-cone", "rp2-cone-base", "rp2", "path3", "path3-ends", "path4",
             "square", "empty-j", "ghost-only", "rp2-ghost", "rp2-cone-ghost",
-            "point-ghost",
+            "point-ghost", "star3",
         ],
     )
-    def test_skips_cones_only(self, k, subset, expected, skipped, monkeypatch):
-        reached = recorded(monkeypatch, "_reduced_groups")
-        assert _Faces(k).homology(subset) == expected
-        assert (not reached) == skipped
+    def test_skips_cones_only(self, k, subset, expected, rule):
         vertices = [v for v in range(k.vertex_count) if subset >> v & 1]
+        step = steps(_Faces(k), [subset])[subset]
+        assert step.groups == GradedGroups(expected)
+        assert step.computed == (rule == "computed")
+        assert (route(k, vertices) if vertices else None) == rule
         assert oracle_homology(k.full_subcomplex(vertices)) == GradedGroups(expected)
 
     def test_ext_is_built_once_per_complex(self):
@@ -509,7 +520,7 @@ class TestConeTest:
         assert faces.ext[mask(0, 1, 4)] == mask(0, 1, 4, 6)
         built = faces.ext
         faces.join_factors()
-        faces.homology(mask(*range(7)))
+        _subset_contributions(faces, None, 0, 1)
         faces.sphere_dimension()
         assert faces.ext is built
 
@@ -546,17 +557,24 @@ class TestGraphPath:
 
 
 class TestTorsionReachesElimination:
-    # neither rule may settle a subset with torsion: such a subset must go
-    # through _rank_and_torsion and come out with its invariant factors
+    # no rule of the walk may make torsion up: each torsion subset must be
+    # eliminated with its invariant factors, or take them from a parent,
+    # J minus its lowest vertex, that was eliminated or took them in turn
 
     @staticmethod
-    def assert_eliminated(faces, subset, expected, monkeypatch):
-        with monkeypatch.context() as patch:
-            results = recorded(patch, "_rank_and_torsion")
-            assert GradedGroups(faces.homology(subset)) == expected
-        assert any(torsion for _, torsion, _ in results)
+    def assert_eliminated(faces, torsion):
+        walked = steps(faces, torsion)
+        for J, expected in torsion.items():
+            assert walked[J].groups == expected, J
+            source = J
+            while not walked[source].computed:
+                source &= source - 1
+                assert [walked[source].groups.torsion(d) for d in expected.degrees()] == [
+                    expected.torsion(d) for d in expected.degrees()
+                ], (J, source)
+            assert walked[source].torsion, (J, source)
 
-    def test_every_torsion_subset_of_the_pendant_path(self, monkeypatch):
+    def test_every_torsion_subset_of_the_pendant_path(self):
         faces = _Faces(RP2_WITH_PATH)
         torsion = {J: h for J, h in subset_homologies(RP2_WITH_PATH).items() if has_torsion(h)}
         # RP2 on 0..5 with any of the path vertices 6..9
@@ -564,24 +582,34 @@ class TestTorsionReachesElimination:
             tuple(range(6)) + tuple(v for v in range(6, 10) if s >> (v - 6) & 1)
             for s in range(16)
         )
-        for J, expected in torsion.items():
-            self.assert_eliminated(faces, mask(*J), expected, monkeypatch)
+        self.assert_eliminated(faces, {mask(*J): h for J, h in torsion.items()})
         groups = moment_angle_cohomology(RP2_WITH_PATH)
         assert cellular_betti_mod_p(RP2_WITH_PATH, 2) == predicted_mod_p(groups, 2)
 
-    def test_the_torsion_subsets_of_the_sphere_around_rp2(self, monkeypatch):
+    def test_torsion_taken_from_a_parent(self):
+        # with the labels reversed the path is 3-2-1-0 and RP2 sits on 4..9,
+        # so a torsion subset's lowest vertex is a path vertex: a point, or
+        # a vertex whose link is one point, and the torsion is the parent's
+        k = RP2_WITH_PATH.relabeled(list(range(9, -1, -1)))
+        torsion = {mask(*J): h for J, h in subset_homologies(k).items() if has_torsion(h)}
+        assert len(torsion) == 16
+        walked = steps(_Faces(k), torsion)
+        assert sum(not walked[J].computed for J in torsion) == 15
+        self.assert_eliminated(_Faces(k), torsion)
+
+    def test_the_torsion_subsets_of_the_sphere_around_rp2(self):
         # a scan of all 2^16 subsets (about 10 s) finds torsion in exactly two
         # full subcomplexes: RP2 on 0..5 and, by Alexander duality, its
         # complement on 6..15
         k = sphere_around_rp2()
-        faces = _Faces(k)
+        torsion = {}
         for vertices in (range(6), range(6, 16)):
             sub = k.full_subcomplex(list(vertices))
-            expected = oracle_homology(sub)
-            assert expected == GradedGroups({1: (0, (2,))})
-            self.assert_eliminated(faces, mask(*vertices), expected, monkeypatch)
+            torsion[mask(*vertices)] = oracle_homology(sub)
+            assert torsion[mask(*vertices)] == GradedGroups({1: (0, (2,))})
             groups = moment_angle_cohomology(sub)
             assert cellular_betti_mod_p(sub, 2) == predicted_mod_p(groups, 2)
+        self.assert_eliminated(_Faces(k), torsion)
 
 
 class TestGradedGroups:

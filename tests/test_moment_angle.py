@@ -13,8 +13,8 @@ from momentangle.moment_angle import (
     SubsetLimitError,
     _kunneth,
     _mirror,
-    _subset_contributions,
     _usable_workers,
+    _walk,
     betti,
     bigraded_table,
     moment_angle_cohomology,
@@ -29,6 +29,7 @@ from momentangle.surgery import theorem_corpus
 from complexes import full_simplex
 from invariants import euler_characteristic, has_torsion, is_symmetric, poincare_product
 from subset_oracle import reference_sum, subset_homologies
+from walk import walk_groups
 
 RP2 = SimplicialComplex(
     6,
@@ -298,7 +299,7 @@ class TestParallelism:
         # polygon-10 takes the duality path (2^9 subsets computed, 21 faces),
         # RP^2 with a path the full one (2^10, 40 faces); neither is a join,
         # and the threshold is lowered so both reach the pool and its
-        # strided merge
+        # merge of subtrees
         assert _Faces(k).join_factors() == [list(range(10))]
         starts = []
         pool = concurrent.futures.ProcessPoolExecutor
@@ -370,14 +371,13 @@ class TestAlexanderDuality:
         m = k.vertex_count
         everything = (1 << m) - 1
         rp2 = 0b111111
-        assert faces.homology(rp2) == faces.homology(everything ^ rp2) == {1: (0, (2,))}
+        z2 = GradedGroups({1: (0, (2,))})
+        assert walk_groups(faces, rp2) == walk_groups(faces, everything ^ rp2) == z2
         for mask in (0, rp2, 0b1010101, 0b1111100000000, 0b0011111100000000):
-            assert 2 * bin(mask).count("1") <= m and not mask >> (m - 1) & 1
-            # with 2^m parts, part ``mask`` is that one subset alone
-            half = _subset_contributions(faces, d, mask, 1 << m)
-            direct = _subset_contributions(faces, None, mask, 1 << m) + (
-                _subset_contributions(faces, None, everything ^ mask, 1 << m)
-            )
+            assert 2 * mask.bit_count() <= m and not mask >> (m - 1) & 1
+            # the walk from a root with no vertex below it visits the root alone
+            half = _walk(faces, d, [mask], 0)
+            direct = _walk(faces, None, [mask], 0) + _walk(faces, None, [everything ^ mask], 0)
             assert _mirror(half, m, d) == direct
             if mask == rp2:
                 assert direct == {(6, 9, 2): 1, (10, 13, 2): 1}
