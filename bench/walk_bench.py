@@ -1,6 +1,6 @@
 """End-to-end times and per-route subset counts of the subset sum.
 
-    python3 bench/walk_bench.py --parent DIR --runs 5 --out BENCH_11.json
+    python3 bench/walk_bench.py --parent DIR --runs 5 --out BENCH_12.json
 
 DIR is a checkout of the commit to compare with.  Each input is run as
 ``python -m momentangle.cli betti <input> --workers W`` in a fresh process,
@@ -12,17 +12,15 @@ otherwise).  Both checkouts must print the same bytes and exit codes, or
 the script stops.
 
 Route counts come from one serial sum per input and checkout, with no
-pool.  For the subset walk, a profile hook reads the return statement at
-which each step into a subset returns: a ghost vertex or a coned link
-("reused"), an isolated point ("point"), a cone on the new vertex
-("cone"), or ``_reduced_groups``, split into ``_graph_groups`` ("graph")
-and ``_matrix_groups`` ("eliminated") by spies.  At one part the walk
-takes one step more than it visits subsets other than the empty one: the
-step into vertex m - 1 on the way to the prefix root {m - 2, m - 1}.
-For the per-mask loop of
-earlier commits, ``_Faces.homology`` is counted per call, and every call
-that reaches neither spy is a cone.  The hook slows the counted sum; it is
-not timed.  "computed" is graph plus eliminated.
+pool, through ``moment_angle._factor_sum`` with the sphere certificate
+answered in advance, so that only the walk is counted.  A profile hook
+reads the return statement at which each step into a subset returns: a
+ghost vertex or a coned link ("reused"), an isolated point ("point"), a
+cone on the new vertex ("cone"), or ``_reduced_groups``, split into
+``_graph_groups`` ("graph") and ``_matrix_groups`` ("eliminated") by
+spies.  From the root ∅ the walk takes one step per nonempty visited
+subset.  The hook slows the counted sum; it is not timed.  "computed" is
+graph plus eliminated.
 """
 
 from __future__ import annotations
@@ -102,44 +100,31 @@ def routes(expr: list[str]) -> dict:
             return original(*args)
 
         setattr(homology, name, spy)
-    if hasattr(homology._Faces, "homology"):  # the per-mask loop
-        homology_of = homology._Faces.homology
-        calls = [0]
+    # the route of each return statement of the walk's step
+    source = Path(moment_angle.__file__).read_text()
+    names = {"groups": "reused", "_plus_point(groups)": "point", "()": "cone"}
+    by_line = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == "step":
+            for ret in ast.walk(node):
+                if isinstance(ret, ast.Return):
+                    by_line[ret.lineno] = names.get(ast.unparse(ret.value))
+    steps = [0]
 
-        def counted(self, subset):
-            calls[0] += 1
-            return homology_of(self, subset)
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code.co_name == "step":
+            steps[0] += 1
+            route = by_line[frame.f_lineno]
+            if route:
+                counts[route] += 1
 
-        homology._Faces.homology = counted
-        start = time.perf_counter()
-        moment_angle._subset_contributions(faces, sphere_dim, 0, 1)
-        counts["cone"] = calls[0] - counts["graph"] - counts["eliminated"]
-        counts["visited"] = calls[0]
-    else:
-        # the route of each return statement of the walk's step
-        source = Path(moment_angle.__file__).read_text()
-        names = {"groups": "reused", "_plus_point(groups)": "point", "()": "cone"}
-        by_line = {}
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.FunctionDef) and node.name == "step":
-                for ret in ast.walk(node):
-                    if isinstance(ret, ast.Return):
-                        by_line[ret.lineno] = names.get(ast.unparse(ret.value))
-        steps = [0]
-
-        def profile(frame, event, arg):
-            if event == "return" and frame.f_code.co_name == "step":
-                steps[0] += 1
-                route = by_line[frame.f_lineno]
-                if route:
-                    counts[route] += 1
-
-        sys.setprofile(profile)
-        start = time.perf_counter()
-        moment_angle._subset_contributions(faces, sphere_dim, 0, 1)
-        sys.setprofile(None)
-        assert sum(counts.values()) == steps[0]
-        counts["steps"] = steps[0]
+    homology._Faces.sphere_dimension = lambda self: sphere_dim
+    sys.setprofile(profile)
+    start = time.perf_counter()
+    moment_angle._factor_sum(k, faces, 1)
+    sys.setprofile(None)
+    assert sum(counts.values()) == steps[0]
+    counts["steps"] = steps[0]
     counts["counted_s"] = round(time.perf_counter() - start, 2)
     counts["m"] = k.vertex_count
     counts["faces"] = sum(len(layer) for layer in faces.layers) - 1

@@ -28,8 +28,6 @@ from .polytopes import (
 )
 from .simplicial import (
     SimplicialComplex,
-    Simplex,
-    as_simplex,
     boundary_complex,
     join,
 )
@@ -50,12 +48,10 @@ __all__ = [
     "DEFAULT_MAX_VERTICES",
     "GradedGroups",
     "PoincarePolynomial",
-    "Simplex",
     "SimplePolytope",
     "SimplicialComplex",
     "SubsetLimitError",
     "TheoremReport",
-    "as_simplex",
     "betti",
     "bigraded_table",
     "boundary_complex",

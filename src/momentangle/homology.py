@@ -292,9 +292,7 @@ def _rank_and_torsion(
     return len(pivot_rows) + len(diagonal), invariant_factors(diagonal), pivot_rows
 
 
-def _graph_groups(
-    present: list[list[tuple[int, dict[int, int]]]],
-) -> dict[int, tuple[int, tuple[int, ...]]]:
+def _graph_groups(present: list[list[tuple[int, dict[int, int]]]]) -> tuple:
     """Reduced integral homology of a nonempty complex of dimension at most 1.
 
     ``present`` is as for ``_reduced_groups``, with one or two lists.  A
@@ -316,23 +314,18 @@ def _graph_groups(
         if a != b:
             root[a] = b
             components -= 1
-    groups = {}
-    if components > 1:
-        groups[0] = (components - 1, ())
+    groups = ((0, (components - 1, ())),) if components > 1 else ()
     cycles = len(edges) - vertices + components
-    if cycles:
-        groups[1] = (cycles, ())
-    return groups
+    return groups + ((1, (cycles, ())),) if cycles else groups
 
 
-def _reduced_groups(
-    present: list[list[tuple[int, dict[int, int]]]],
-) -> dict[int, tuple[int, tuple[int, ...]]]:
+def _reduced_groups(present: list[list[tuple[int, dict[int, int]]]]) -> tuple:
     """Reduced integral homology of a complex given by its nonempty faces.
 
     ``present[i]`` lists ``(face, column)`` for the faces with i + 1
     vertices, and every list is nonempty; the empty face is implied.
-    Returns degree -> (rank, torsion), zero groups left out.  A graph,
+    Returns ``((degree, (rank, torsion)), ...)`` by increasing degree,
+    zero groups left out, the form the subset walk keeps.  A graph,
     one or two lists, goes to ``_graph_groups``, anything else to
     ``_matrix_groups``.
     """
@@ -341,9 +334,7 @@ def _reduced_groups(
     return _matrix_groups(present)
 
 
-def _matrix_groups(
-    present: list[list[tuple[int, dict[int, int]]]],
-) -> dict[int, tuple[int, tuple[int, ...]]]:
+def _matrix_groups(present: list[list[tuple[int, dict[int, int]]]]) -> tuple:
     """``_reduced_groups`` by elimination on the boundary columns.
 
     Rank in degree d is (number of d-faces) - rank ∂_d - rank ∂_{d+1};
@@ -365,12 +356,12 @@ def _matrix_groups(
     for i in range(len(present), 0, -1):
         columns = [col for face, col in present[i - 1] if face not in cleared]
         ranks[i], torsion[i], cleared = _rank_and_torsion(columns)
-    groups = {}
+    groups = []
     for i, n in enumerate(counts):
         rank = n - ranks[i] - ranks[i + 1]
         if rank or torsion[i + 1]:
-            groups[i - 1] = (rank, torsion[i + 1])
-    return groups
+            groups.append((i - 1, (rank, torsion[i + 1])))
+    return tuple(groups)
 
 
 class _Faces:
@@ -496,7 +487,7 @@ class _Faces:
                 n = (self.ext[face] ^ face).bit_count()  # faces with one vertex more
                 if n == 0 or (i == d and n != 2):
                     return None
-        if _reduced_groups(self.layers[1:]) != {d: (1, ())}:
+        if _reduced_groups(self.layers[1:]) != ((d, (1, ())),):
             return None
         column = {face: col for layer in self.layers for face, col in layer}
         stars = [
@@ -510,7 +501,7 @@ class _Faces:
                     [(f ^ sigma, column[f ^ sigma]) for f in layer if f & sigma == sigma]
                     for layer in star[size + 1 :]
                 ]
-                if _reduced_groups(link) != {d - size: (1, ())}:
+                if _reduced_groups(link) != ((d - size, (1, ())),):
                     return None
         return d
 

@@ -23,7 +23,7 @@ the cohomology and the bigraded ranks (the a = 0 entries) are read off it.
 
 The subsets are walked depth first: J's children are J ∪ {v} for v below
 min J, so each subset is reached once, from J minus its lowest vertex.
-The faces of K are listed once per call (once per worker) by
+The faces of K are listed once per call (once per pool task) by
 :mod:`momentangle.homology`, with ext[f], the vertices w with f ∪ {w} a
 face.  A step adds v and its cofaces inside J ∪ {v}, those of each new
 face g found in ext[g] & J above g's top vertex, so it costs its new
@@ -74,12 +74,14 @@ reads the faces already listed for K and stops once one component is left,
 so a complex that is not a join pays one face listing, as before.  The
 subset cap still counts all m vertices of K, whatever its factors.
 
-Worker parts are subtrees: the top t vertices (2^t at least four times
-the worker count) fix 2^t prefix roots, reached by adding their own
-vertices, sorted by size and dealt in a snake (0, 1, 1, 0, ... for two)
-so each worker gets large and small subtrees.  The parts' tables are
-added, a commutative sum, so results are identical for every worker
-count.  A sum runs in the calling process whatever the worker count
+The serial sum is one walk from the root ∅.  A pool walks subtrees
+instead: the top t vertices (2^t at least four times the worker count)
+fix 2^t prefix roots, each one task that reaches its root by adding the
+root's own vertices and walks the vertices below the top t.  The roots
+go to the pool fewest vertices first, so on a sphere the largest
+subtrees start first, and a free worker takes the next root.  The tasks'
+tables are added, a commutative sum, so results are identical for every
+worker count.  A sum runs in the calling process whatever the worker count
 unless its visited subsets times the faces of K reach 2 000 000; this
 threshold applies to each join factor separately.
 ``concurrent.futures`` is imported only when a pool starts, so a serial
@@ -101,7 +103,7 @@ DEFAULT_MAX_VERTICES = 22
 
 # Below this much work, the subsets visited (2^(m-1) on a certified sphere,
 # 2^m otherwise) times the faces of K, the sum runs in this process
-# whatever the worker count: a 2-process pool costs 15-25 ms, each worker
+# whatever the worker count: a 2-process pool costs 15-25 ms, each task
 # lists the faces again, and the sphere certificate runs before it.
 # Serial / 2-worker time, medians of 9 alternating runs, two series, 2-vCPU
 # VM, Python 3.11 (work in thousands): polygon-12 (51) 0.20-0.28,
@@ -151,10 +153,9 @@ def _plus_point(groups: tuple) -> tuple:
     """The groups of K_J plus one isolated vertex: an extra Z in H~_0."""
     if groups == _EMPTY:
         return ()  # K_J has no vertex, and a point has H~ = 0
-    degrees = dict(groups)
-    rank, torsion = degrees.get(0, (0, ()))
-    degrees[0] = (rank + 1, torsion)
-    return tuple(sorted(degrees.items()))
+    if groups and groups[0][0] == 0:  # H~_0 is free and sorts first
+        return ((0, (groups[0][1][0] + 1, ())),) + groups[1:]
+    return ((0, (1, ())),) + groups
 
 
 def _settle(present: list[tuple[int, dict[int, int]]], width: int) -> tuple:
@@ -167,39 +168,18 @@ def _settle(present: list[tuple[int, dict[int, int]]], width: int) -> tuple:
         layers[item[0].bit_count() - 1].append(item)
     while not layers[-1]:
         layers.pop()
-    return tuple(sorted(_reduced_groups(layers).items()))
+    return _reduced_groups(layers)
 
 
-def _subset_contributions(
-    faces: _Faces, sphere_dim: int | None, part: int, parts: int
-) -> Counter:
-    """The table of the walk's subtrees dealt to ``part`` of ``parts``.
+def _walk(faces: _Faces, sphere_dim: int | None, root: int, low: int) -> Counter:
+    """The table of the subsets root ∪ S, S any set of vertices below ``low``.
 
-    The top t vertices, 2^t ≥ 4 × ``parts`` (at most m), fix 2^t prefixes,
-    dealt by size in a snake: 0, 1, ..., parts - 1, parts - 1, ..., 0, 0,
-    ...  On a sphere fewer prefix vertices root more visited subsets,
-    elsewhere more vertices root larger ones, so each part gets a mix.
-    """
-    m = faces.vertex_count
-    t = min(m, (4 * parts - 1).bit_length())
-    order = sorted(range(1 << t), key=int.bit_count)
-    turn = 2 * parts
-    roots = [
-        prefix << (m - t)
-        for i, prefix in enumerate(order)
-        if part in (i % turn, turn - 1 - i % turn)
-    ]
-    return _walk(faces, sphere_dim, roots, m - t)
-
-
-def _walk(faces: _Faces, sphere_dim: int | None, roots: list[int], low: int) -> Counter:
-    """The table of the subsets J ∪ S, J in ``roots`` and S below vertex ``low``.
-
-    J's children are J ∪ {v} for v below min J.  Each root is reached by
+    J's children are J ∪ {v} for v below min J.  The root is reached by
     adding its own vertices from the top down, then its subtree adds the
-    vertices below ``low``, which lie below every root's.  When K is a
-    Z-homology sphere of dimension ``sphere_dim``, only one subset of each
-    pair {J, V - J} is visited; ``_mirror`` adds the others.
+    vertices below ``low``, which lie below the root's; ``_walk(faces, d,
+    0, m)`` is the whole sum.  When K is a Z-homology sphere of dimension
+    ``sphere_dim``, only one subset of each pair {J, V - J} is visited
+    (none from a root past that half); ``_mirror`` adds the others.
     """
     m = faces.vertex_count
     ext = faces.ext
@@ -258,19 +238,18 @@ def _walk(faces: _Faces, sphere_dim: int | None, roots: list[int], low: int) -> 
                 visit(J | 1 << v, size, child, v)
             del present[mark:]
 
-    for root in roots:
-        size = root.bit_count()
-        if size > most or (size == most and root & top):
-            continue
-        J, groups = 0, _EMPTY
-        for v in range(m - 1, -1, -1):
-            if root >> v & 1:
-                groups = step(J, v, groups)
-                J |= 1 << v
-        if groups:
-            tally[(size, groups)] = tally.get((size, groups), 0) + 1
-        visit(root, size, groups, low)
-        present.clear()
+    size = root.bit_count()
+    if size > most or (size == most and root & top):
+        return Counter()
+    J, groups = 0, _EMPTY
+    for v in range(m - 1, -1, -1):
+        if root >> v & 1:
+            groups = step(J, v, groups)
+            J |= 1 << v
+    if groups:
+        tally[(size, groups)] = 1
+    # at m = 2 on a sphere, ∅'s child {m - 1} is past the half, but a point adds nothing
+    visit(root, size, groups, low)
     # visit refers to itself through its closure: unbound here, the faces
     # and lists it holds are freed now, not at some later cyclic collection
     del visit
@@ -326,7 +305,7 @@ def _kunneth(x: Counter, y: Counter) -> Counter:
 
 
 def _gather(k: SimplicialComplex, workers: int) -> Counter:
-    """The table of every subset of K, as ``_subset_contributions`` gives it.
+    """The table of every subset of K, as ``_walk`` gives it.
 
     K is split into its join factors first, each factor is summed on its
     own, and the factors' tables are combined by ``_kunneth``, since
@@ -346,30 +325,32 @@ def _gather(k: SimplicialComplex, workers: int) -> Counter:
 def _factor_sum(k: SimplicialComplex, faces: _Faces, workers: int) -> Counter:
     """The subset sum of one join factor, with its own certificate and pool rule."""
     sphere_dim = faces.sphere_dimension()
-    visited = 1 << (k.vertex_count - (sphere_dim is not None))
+    m = k.vertex_count
+    visited = 1 << (m - (sphere_dim is not None))
     work = visited * sum(len(layer) for layer in faces.layers)
     workers = _usable_workers(workers) if work >= _POOL_MIN_WORK else 1
     if workers <= 1:
-        table = _subset_contributions(faces, sphere_dim, 0, 1)
+        table = _walk(faces, sphere_dim, 0, m)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
+        # one task per prefix root on the top t vertices, 2^t ≥ 4 × workers,
+        # fewest vertices first: on a sphere those root the largest subtrees
+        t = min(m, (4 * workers - 1).bit_length())
+        roots = sorted(range(1 << t), key=int.bit_count)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             table = sum(
-                pool.map(
-                    _subset_contributions_task,
-                    [(k, sphere_dim, part, workers) for part in range(workers)],
-                ),
+                pool.map(_walk_task, [(k, sphere_dim, root << (m - t), m - t) for root in roots]),
                 Counter(),
             )
     if sphere_dim is None:
         return table
-    return _mirror(table, k.vertex_count, sphere_dim)
+    return _mirror(table, m, sphere_dim)
 
 
-def _subset_contributions_task(args):
-    k, sphere_dim, part, parts = args
-    return _subset_contributions(_Faces(k), sphere_dim, part, parts)
+def _walk_task(args):
+    k, sphere_dim, root, low = args
+    return _walk(_Faces(k), sphere_dim, root, low)
 
 
 def moment_angle_cohomology(

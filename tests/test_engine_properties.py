@@ -20,9 +20,10 @@ the rule the walk takes for each subset (a reused parent, a point, a cone,
 or ``_reduced_groups``) against the rule read off the maximal faces, and
 each rule's claim against the oracle's groups; and every K_J through
 elimination alone, with no rule and no graph path, against the oracle.
-The walk's tables split into 1, 2 and 3 parts and merged equal the
-oracle's on the same inputs and on RP^2, RP^2 with a path and the mod-3
-Moore space.
+The walk's tables from the prefix roots of the top 1, 2 and 3 vertices,
+each root walked alone as a pool task walks it, merged equal the oracle's
+on the same inputs and on RP^2, RP^2 with a path and the mod-3 Moore
+space.
 """
 
 from collections import Counter
@@ -37,7 +38,7 @@ import momentangle.homology as homology_module  # noqa: E402
 from momentangle.homology import GradedGroups, _Faces, reduced_homology  # noqa: E402
 from momentangle.moment_angle import (  # noqa: E402
     _mirror,
-    _subset_contributions,
+    _walk,
     bigraded_table,
     moment_angle_cohomology,
 )
@@ -186,17 +187,21 @@ def test_factor_search_on_equals_off_on_the_corpus(p):
 
 
 def assert_parts_match_oracle(k, homologies):
-    """The walk's tables at 1, 2 and 3 parts, merged, against the oracle's."""
+    """The walk from each prefix root of the top t vertices, merged, against the oracle.
+
+    t = 0 is the serial sum, from the root ∅; t = 1, 2 and 3 split it as a
+    pool does, each root walked alone.
+    """
     faces = _Faces(k)
     expected = subset_table(homologies)
     m, d = k.vertex_count, faces.sphere_dimension()
     for dim in {d, None}:
-        for parts in (1, 2, 3):
+        for t in range(min(m, 3) + 1):
             table = sum(
-                (_subset_contributions(faces, dim, part, parts) for part in range(parts)),
+                (_walk(faces, dim, prefix << (m - t), m - t) for prefix in range(1 << t)),
                 Counter(),
             )
-            assert (table if dim is None else _mirror(table, m, dim)) == expected, (dim, parts)
+            assert (table if dim is None else _mirror(table, m, dim)) == expected, (dim, t)
 
 
 @pytest.mark.parametrize(
@@ -204,6 +209,25 @@ def assert_parts_match_oracle(k, homologies):
 )
 def test_walk_parts_equal_the_oracle_with_torsion(k):
     assert_parts_match_oracle(k, subset_homologies(k))
+
+
+@pytest.mark.parametrize(
+    "p", [simplex_polytope(1), polygon(5), polygon(6)], ids=["interval", "pentagon", "hexagon"]
+)
+def test_roots_past_the_duality_half_walk_nothing(p):
+    # every subset below such a root is past the half too, so its subtree,
+    # down to the root's lowest vertex, is left to the mirror whole
+    k = p.dual_complex()
+    faces = _Faces(k)
+    m, d = k.vertex_count, faces.sphere_dimension()
+    past = [
+        root
+        for root in range(1 << m)
+        if 2 * root.bit_count() > m or (2 * root.bit_count() == m and root >> (m - 1) & 1)
+    ]
+    assert len(past) == 1 << (m - 1)  # the complements of the visited half
+    for root in past:
+        assert _walk(faces, d, root, (root & -root).bit_length() - 1) == Counter(), root
 
 
 def sum_groups(a, b):

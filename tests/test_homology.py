@@ -22,7 +22,7 @@ from momentangle.simplicial import (
 )
 from cellular_oracle import cellular_betti_mod_p
 from complexes import connected_sum_at_facet, faces_of_dimension, full_simplex
-from momentangle.moment_angle import _subset_contributions, moment_angle_cohomology
+from momentangle.moment_angle import _walk, moment_angle_cohomology
 from subset_oracle import IntegerMatrix, boundary_matrix, smith_normal_form, subset_homologies
 from subset_oracle import reduced_homology as oracle_homology
 import test_moment_angle
@@ -520,24 +520,25 @@ class TestConeTest:
         assert faces.ext[mask(0, 1, 4)] == mask(0, 1, 4, 6)
         built = faces.ext
         faces.join_factors()
-        _subset_contributions(faces, None, 0, 1)
+        _walk(faces, None, 0, RP2_CONE.vertex_count)
         faces.sphere_dimension()
         assert faces.ext is built
 
 
 class TestGraphPath:
-    # dimension <= 1: H~_0 = Z^(c-1) and H~_1 = Z^(E-V+c), no matrix at all
+    # dimension <= 1: H~_0 = Z^(c-1) and H~_1 = Z^(E-V+c), no matrix at all;
+    # the groups come as the walk keeps them, (degree, (rank, torsion)) pairs
 
     @pytest.mark.parametrize(
         "k, expected",
         [
-            (SimplicialComplex(8, [(0, 1), (1, 2), (1, 3), (4, 5), (6,)]), {0: (2, ())}),
+            (SimplicialComplex(8, [(0, 1), (1, 2), (1, 3), (4, 5), (6,)]), ((0, (2, ())),)),
             (SimplicialComplex(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
-             {0: (1, ()), 1: (2, ())}),
-            (SimplicialComplex(5, [(0,), (1,), (2,), (4,)]), {0: (3, ())}),
-            (SimplicialComplex(1, [(0,)]), {}),
+             ((0, (1, ())), (1, (2, ())))),
+            (SimplicialComplex(5, [(0,), (1,), (2,), (4,)]), ((0, (3, ())),)),
+            (SimplicialComplex(1, [(0,)]), ()),
             (SimplicialComplex(5, [(a, b) for a in range(5) for b in range(a + 1, 5)]),
-             {1: (6, ())}),
+             ((1, (6, ())),)),
         ],
         ids=["forest", "two-circles", "isolated-vertices", "point", "k5-graph"],
     )
@@ -553,7 +554,7 @@ class TestGraphPath:
         # the links of the 10 edges of ∂Δ^4 are circles
         graphs = recorded(monkeypatch, "_graph_groups")
         assert _Faces(boundary_complex(4)).sphere_dimension() == 3
-        assert graphs == [{1: (1, ())}] * 10
+        assert graphs == [((1, (1, ())),)] * 10
 
 
 class TestTorsionReachesElimination:

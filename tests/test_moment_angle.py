@@ -376,8 +376,8 @@ class TestAlexanderDuality:
         for mask in (0, rp2, 0b1010101, 0b1111100000000, 0b0011111100000000):
             assert 2 * mask.bit_count() <= m and not mask >> (m - 1) & 1
             # the walk from a root with no vertex below it visits the root alone
-            half = _walk(faces, d, [mask], 0)
-            direct = _walk(faces, None, [mask], 0) + _walk(faces, None, [everything ^ mask], 0)
+            half = _walk(faces, d, mask, 0)
+            direct = _walk(faces, None, mask, 0) + _walk(faces, None, everything ^ mask, 0)
             assert _mirror(half, m, d) == direct
             if mask == rp2:
                 assert direct == {(6, 9, 2): 1, (10, 13, 2): 1}

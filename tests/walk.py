@@ -31,7 +31,7 @@ def walk_groups(faces, subset: int) -> GradedGroups:
     """H~(K_J), J = ``subset``, read back from the walk's table for J alone."""
     size = subset.bit_count()
     groups: dict[int, list] = {}
-    for (s, degree, a), n in _walk(faces, None, [subset], 0).items():
+    for (s, degree, a), n in _walk(faces, None, subset, 0).items():
         assert s == size
         group = groups.setdefault(degree - size - (2 if a else 1), [0, []])
         if a:
