@@ -1,6 +1,6 @@
 """End-to-end times and per-route subset counts of the subset sum.
 
-    python3 bench/walk_bench.py --parent DIR --runs 5 --out BENCH_12.json
+    python3 bench/walk_bench.py --parent DIR --runs 5 --out BENCH_13.json
 
 DIR is a checkout of the commit to compare with.  Each input is run as
 ``python -m momentangle.cli betti <input> --workers W`` in a fresh process,
@@ -8,19 +8,23 @@ for W = 1 and 2, the runs of the two checkouts alternating, and the wall
 time of the whole process is recorded; the entry gives the median and the
 quartiles of ``--runs`` runs per checkout and worker count, and the
 serial median per visited subset (2^(m-1) on a certified sphere, 2^m
-otherwise).  Both checkouts must print the same bytes and exit codes, or
-the script stops.
+otherwise, summed over the join factors).  Both checkouts must print the
+same bytes and exit codes, or the script stops.
 
 Route counts come from one serial sum per input and checkout, with no
-pool, through ``moment_angle._factor_sum`` with the sphere certificate
-answered in advance, so that only the walk is counted.  A profile hook
-reads the return statement at which each step into a subset returns: a
-ghost vertex or a coned link ("reused"), an isolated point ("point"), a
-cone on the new vertex ("cone"), or ``_reduced_groups``, split into
-``_graph_groups`` ("graph") and ``_matrix_groups`` ("eliminated") by
-spies.  From the root ∅ the walk takes one step per nonempty visited
-subset.  The hook slows the counted sum; it is not timed.  "computed" is
-graph plus eliminated.
+pool, through ``moment_angle._factor_sum`` on each join factor of
+``moment_angle._factors``, with the sphere certificate answered in
+advance, so that only the walk is counted.  Each checkout counts with its
+own copy of this script, which knows its own internals; where a
+checkout's counter refuses an input (before the facet split it took no
+joins), its counts are ``null``.  A profile hook reads the return
+statement at which each step into a subset returns: a ghost vertex or a
+coned link ("reused"), an isolated point ("point"), a cone on the new
+vertex ("cone"), or ``_reduced_groups``, split into ``_graph_groups``
+("graph") and ``_matrix_groups`` ("eliminated") by spies.  From the root
+∅ the walk takes one step per nonempty visited subset of each factor.
+The hook slows the counted sum; it is not timed.  "computed" is graph
+plus eliminated.
 """
 
 from __future__ import annotations
@@ -63,6 +67,13 @@ def inputs(tmp: Path) -> dict[str, list[str]]:
         "dense-sphere-19": dense(7),
         "dense-sphere-20": dense(8),
         "rp2-4-sphere": [str(rp2)],
+        # joins: eleven S^0 factors; a pooled 18-vertex factor and a
+        # triangle left to the remainder scan; two ∂Δ^3 in one remainder
+        "cube-11": ["cube", "11"],
+        "polygon-18-x-triangle": ["product", "polygon", "18", "polygon", "3"],
+        "simplex-3-x-simplex-3-x-pentagon": [
+            "product", "simplex", "3", "product", "simplex", "3", "polygon", "5"
+        ],
     }
 
 
@@ -87,10 +98,11 @@ def routes(expr: list[str]) -> dict:
     import momentangle.moment_angle as moment_angle
     from momentangle.cli import parse_expression
 
-    k = moment_angle._check_input(parse_expression(expr), moment_angle.DEFAULT_MAX_VERTICES)
-    faces = homology._Faces(k)
-    assert len(faces.join_factors()) == 1, "the inputs are not joins"
-    sphere_dim = faces.sphere_dimension()
+    m, facets = moment_angle._check_input(
+        parse_expression(expr), moment_angle.DEFAULT_MAX_VERTICES
+    )
+    factors = [faces for _, faces in moment_angle._factors(m, facets)]
+    dims = {id(faces): faces.sphere_dimension() for faces in factors}
     counts = dict.fromkeys(["cone", "reused", "point", "graph", "eliminated"], 0)
     for name, route in (("_graph_groups", "graph"), ("_matrix_groups", "eliminated")):
         original = getattr(homology, name)
@@ -118,17 +130,23 @@ def routes(expr: list[str]) -> dict:
             if route:
                 counts[route] += 1
 
-    homology._Faces.sphere_dimension = lambda self: sphere_dim
+    homology._Faces.sphere_dimension = lambda self: dims[id(self)]
     sys.setprofile(profile)
     start = time.perf_counter()
-    moment_angle._factor_sum(k, faces, 1)
+    for faces in factors:
+        moment_angle._factor_sum(faces, 1)
     sys.setprofile(None)
     assert sum(counts.values()) == steps[0]
     counts["steps"] = steps[0]
     counts["counted_s"] = round(time.perf_counter() - start, 2)
-    counts["m"] = k.vertex_count
-    counts["faces"] = sum(len(layer) for layer in faces.layers) - 1
-    counts["sphere_dim"] = sphere_dim
+    counts["m"] = m
+    counts["factor_m"] = [faces.vertex_count for faces in factors]
+    counts["faces"] = sum(len(layer) for faces in factors for layer in faces.layers) - len(factors)
+    counts["sphere_dim"] = [dims[id(faces)] for faces in factors]
+    # every subset of a factor on a certified sphere is visited or mirrored
+    counts["visited"] = sum(
+        1 << (faces.vertex_count - (dims[id(faces)] is not None)) for faces in factors
+    )
     return counts
 
 
@@ -163,19 +181,19 @@ def main() -> None:
                 print(name, workers, {s: result[f"{s}_workers_{workers}"]["median_s"]
                                       for s in sides}, flush=True)
             for side, checkout in sides.items():
-                argv = [sys.executable, str(ROOT / "bench" / "walk_bench.py"),
+                argv = [sys.executable, str(checkout / "bench" / "walk_bench.py"),
                         "--parent", ".", "--out", "-", "--routes", *expr]
                 env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-                done = subprocess.run(argv, cwd=checkout, env=env, check=True,
+                done = subprocess.run(argv, cwd=checkout, env=env,
                                       capture_output=True, text=True)
-                counts = result[f"{side}_routes"] = json.loads(done.stdout)
-                # every subset on a certified sphere is visited or mirrored
-                visited = 1 << (counts["m"] - (counts["sphere_dim"] is not None))
-                result[f"{side}_computed"] = counts["graph"] + counts["eliminated"]
+                counts = json.loads(done.stdout) if done.returncode == 0 else None
+                result[f"{side}_routes"] = counts
+                result[f"{side}_computed"] = counts and counts["graph"] + counts["eliminated"]
+            visited = result["visited"] = result["change_routes"]["visited"]
+            for side in sides:
                 result[f"{side}_us_per_visited_subset_workers_1"] = round(
                     result[f"{side}_workers_1"]["median_s"] * 1e6 / visited, 2
                 )
-            result["visited"] = visited
             entry[name] = result
     machine = {
         "cpu": next((line.split(":", 1)[1].strip() for line in

@@ -34,7 +34,9 @@ one map are left out of the next as columns.
 ``reduced_homology`` is ``_reduced_groups`` on every face of K, and
 ``_Faces.sphere_dimension`` runs it on K and on the links of faces to
 certify that a complex is a Z-homology sphere.  ``_Faces.join_factors``
-reads the same face lists to split a complex into its join factors.
+scans the same face lists for minimal non-faces; the subset sum calls it
+only on what its split of the maximal faces cannot separate, such as the
+boundary of a simplex, which has no missing edge.
 
 Finitely generated graded abelian groups are recorded degree by degree as a
 free rank plus invariant factors d_1 | d_2 | ... | d_k with every d_i > 1.
@@ -364,9 +366,17 @@ def _matrix_groups(present: list[list[tuple[int, dict[int, int]]]]) -> tuple:
     return tuple(groups)
 
 
+def _masks(faces: Iterable[Iterable[int]]) -> list[int]:
+    """Faces given by their vertices, as vertex bitmasks."""
+    return [sum(1 << v for v in face) for face in faces]
+
+
 class _Faces:
     """The faces of a complex as vertex bitmasks, with their boundary columns.
 
+    The complex is given by its vertex count m and ``facets``, its maximal
+    faces as masks, kept as given: ``[]`` for the void complex, ``[0]`` for
+    the complex whose only face is the empty one.
     ``layers[i]`` lists ``(face, column)`` for the faces with i vertices in
     increasing mask order; ``layers[0]`` is the empty face alone, present
     even for the void complex, whose reduced homology is taken to be that of
@@ -376,19 +386,19 @@ class _Faces:
     from it.
     """
 
-    __slots__ = ("ext", "layers", "vertex_count")
+    __slots__ = ("ext", "facets", "layers", "vertex_count")
 
-    def __init__(self, k: SimplicialComplex):
+    def __init__(self, m: int, facets: Sequence[int]):
         masks = {0}
-        for face in k.maximal_faces:
-            top = sum(1 << v for v in face)
+        for top in facets:
             sub = top
             while sub:
                 masks.add(sub)
                 sub = (sub - 1) & top
-        self.vertex_count = k.vertex_count
+        self.vertex_count = m
+        self.facets = facets
         self.layers: list[list[tuple[int, dict[int, int]]]] = [
-            [] for _ in range(max(k.dim, -1) + 2)
+            [] for _ in range(max((f.bit_count() for f in facets), default=0) + 1)
         ]
         self.ext: dict[int, int] = {}
         for face in sorted(masks):
@@ -512,4 +522,5 @@ def reduced_homology(k: SimplicialComplex) -> GradedGroups:
     The two complexes with no nonempty face both give a single Z in degree
     -1.
     """
-    return GradedGroups(_reduced_groups(_Faces(k).layers[1:]))
+    faces = _Faces(k.vertex_count, _masks(k.maximal_faces))
+    return GradedGroups(_reduced_groups(faces.layers[1:]))

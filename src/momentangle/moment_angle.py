@@ -11,7 +11,7 @@ empty subset contributes H~^{-1}(empty) = Z in degree 0, the unit.  This
 module evaluates that sum over the subsets as bitmasks.  Both entry points
 also take a simple polytope P for its dual complex K_P, whose moment-angle
 manifold is Z(P); the subset cap is checked on m, P's facet count, before
-K_P is built.
+P's vertex records are read as K_P's maximal faces.
 
 Reduced cohomology of each K_J is obtained from integral homology by
 universal coefficients: ranks agree, torsion shifts up one degree.  A Z in
@@ -23,11 +23,11 @@ the cohomology and the bigraded ranks (the a = 0 entries) are read off it.
 
 The subsets are walked depth first: J's children are J ∪ {v} for v below
 min J, so each subset is reached once, from J minus its lowest vertex.
-The faces of K are listed once per call (once per pool task) by
-:mod:`momentangle.homology`, with ext[f], the vertices w with f ∪ {w} a
-face.  A step adds v and its cofaces inside J ∪ {v}, those of each new
-face g found in ext[g] & J above g's top vertex, so it costs its new
-faces; they go on one list of K_J's faces, cut back on return.  With L
+The faces of each join factor of K are listed once per call (once per
+pool task) by :mod:`momentangle.homology`, with ext[f], the vertices w
+with f ∪ {w} a face.  A step adds v and its cofaces inside J ∪ {v}, those
+of each new face g found in ext[g] & J above g's top vertex, so it costs
+its new faces; they go on one list of K_J's faces, cut back on return.  With L
 the AND of ext[g] over the new faces g = f ∪ {v}, the child is settled:
 
 - no new face (a ghost vertex): the parent's groups;
@@ -61,18 +61,24 @@ is certified once per call, before any work is split, by
 complex gets all 2^m subsets.
 
 Before any of that, K is split into its finest join factorisation
-K = K_{A_1} * ... * K_{A_r} by ``_Faces.join_factors``: the vertices of each
-minimal non-face are joined in one component, and the components are the
-A_i; a ghost vertex is a {∅} factor and a cone apex a point factor.  Since
-Z_{K*L} = Z_K x Z_L, each factor is summed on its own (its own faces,
-sphere certificate, duality and pool rule), and the tables are combined by
-the Kunneth formula with one rule for every pair of entries: taking
-Z = Z/0, Z/a (x) Z/b = Z/gcd(a, b), zero when the gcd is 1, and when a and
-b are both nonzero Tor(Z/a, Z/b) adds the same group one degree lower.  A
-join then costs 2^{m_1} + ... + 2^{m_r} subsets instead of 2^m.  The search
-reads the faces already listed for K and stops once one component is left,
-so a complex that is not a join pays one face listing, as before.  The
-subset cap still counts all m vertices of K, whatever its factors.
+K = K_{A_1} * ... * K_{A_r}, from its maximal faces as bitmasks and before
+any face is listed.  The ends of a missing edge lie in one factor, so the
+components of the missing edges between vertices of K (``_parts``) are at
+least as fine as the A_i; a ghost vertex is a part alone, a {∅} factor.
+A part A is a factor exactly when the facets number |{F ∩ A}| |{F - A}|
+(``_factors``), and then the traces F ∩ A are its maximal faces, so its
+faces are listed from them; a cone apex is a point factor.  The parts
+that fail make one remainder, such as ∂Δ^3, with no missing edge: its
+faces are listed once and ``_Faces.join_factors`` splits them by their
+minimal non-faces.  Since Z_{K*L} = Z_K x Z_L, each factor is summed on
+its own (its own faces, sphere certificate, duality and pool rule), and
+the tables are combined by the Kunneth formula with one rule for every
+pair of entries: taking Z = Z/0, Z/a (x) Z/b = Z/gcd(a, b), zero when the
+gcd is 1, and when a and b are both nonzero Tor(Z/a, Z/b) adds the same
+group one degree lower.  A join then costs 2^{m_1} + ... + 2^{m_r}
+subsets instead of 2^m, and lists its factors' faces, not the join's.  A
+complex that is not a join pays one face listing, as before.  The subset
+cap still counts all m vertices of K, whatever its factors.
 
 The serial sum is one walk from the root ∅.  A pool walks subtrees
 instead: the top t vertices (2^t at least four times the worker count)
@@ -93,9 +99,9 @@ from __future__ import annotations
 import os
 from collections import Counter
 from math import gcd
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .homology import GradedGroups, _Faces, _reduced_groups
+from .homology import GradedGroups, _Faces, _masks, _reduced_groups
 from .polytopes import SimplePolytope
 from .simplicial import SimplicialComplex
 
@@ -134,15 +140,19 @@ class SubsetLimitError(Exception):
 
 def _check_input(
     k: SimplicialComplex | SimplePolytope, max_vertices: int
-) -> SimplicialComplex:
-    """K itself, or the dual complex of a polytope, once the cap on m holds."""
+) -> tuple[int, list[int]]:
+    """m and the maximal faces of K, or of a polytope's dual, as vertex masks.
+
+    The cap on m holds first.  A polytope's vertex records are its dual's
+    maximal faces as they stand: they are distinct and all of size n.
+    """
     polytope = isinstance(k, SimplePolytope)
     if not polytope and k.is_void:
         raise ValueError("moment-angle computation needs a complex with at least one face")
     m = k.facet_count if polytope else k.vertex_count
     if m > max_vertices:
         raise SubsetLimitError(m, max_vertices)
-    return k.dual_complex() if polytope else k
+    return m, _masks(k.vertex_facets if polytope else k.maximal_faces)
 
 
 # H~ of the empty complex K_∅: a Z in degree -1
@@ -304,28 +314,95 @@ def _kunneth(x: Counter, y: Counter) -> Counter:
     return table
 
 
-def _gather(k: SimplicialComplex, workers: int) -> Counter:
+def _parts(m: int, facets: list[int]) -> list[int]:
+    """The vertex masks of the components of K's missing edges, by lowest vertex.
+
+    A missing edge, two vertices of K in no common facet, is a minimal
+    non-face, so its ends lie in one join factor: the parts are at least as
+    fine as the finest join.  A ghost vertex is a part alone.
+    """
+    linked = [0] * m  # the vertices in a facet with v, v's own included
+    vertices = 0  # the vertices of K, ghosts left out
+    for f in facets:
+        vertices |= f
+        rest = f
+        while rest:
+            low = rest & -rest
+            linked[low.bit_length() - 1] |= f
+            rest ^= low
+    parts = []
+    seen = 0
+    for v in range(m):
+        if seen >> v & 1:
+            continue
+        part = todo = 1 << v
+        while todo & vertices:  # grow the part along missing edges
+            low = todo & -todo
+            todo ^= low
+            new = vertices & ~linked[low.bit_length() - 1] & ~part
+            part |= new
+            todo |= new
+        seen |= part
+        parts.append(part)
+    return parts
+
+
+def _relabel(masks: Iterable[int], part: int) -> list[int]:
+    """``masks``, all inside ``part``, with part's vertices renumbered 0, 1, ..."""
+    bits = [1 << v for v in range(part.bit_length()) if part >> v & 1]
+    return sorted(sum(1 << i for i, bit in enumerate(bits) if f & bit) for f in masks)
+
+
+def _factors(m: int, facets: list[int]) -> Iterator[tuple[int, _Faces]]:
+    """The finest join factors of K: each one's vertex mask and ``_Faces``.
+
+    F -> (F ∩ A, F - A) is one to one on the facets, and K = K_A * K_{V-A}
+    exactly when it is onto.  So a part A of ``_parts`` splits off when the
+    facets number |{F ∩ A}| |{F - A}|; the traces F ∩ A are then K_A's
+    maximal faces, and the F - A those of K_{V-A}, where the next part is
+    tried.  The parts that fail make one remainder R, whose faces are
+    listed once and split by ``_Faces.join_factors``; a single factor keeps
+    that listing.
+    """
+    remainder = 0
+    for part in _parts(m, facets):
+        traces = {f & part for f in facets}
+        others = {f & ~part for f in facets}
+        if len(traces) * len(others) == len(facets):
+            yield part, _Faces(part.bit_count(), _relabel(traces, part))
+            facets = list(others)
+        else:
+            remainder |= part
+    if not remainder:
+        return
+    faces = _Faces(remainder.bit_count(), _relabel(facets, remainder))
+    factors = faces.join_factors()
+    if len(factors) == 1:
+        yield remainder, faces
+        return
+    bits = [1 << v for v in range(m) if remainder >> v & 1]
+    for vertices in factors:
+        part = sum(bits[i] for i in vertices)
+        yield part, _Faces(len(vertices), _relabel({f & part for f in facets}, part))
+
+
+def _gather(m: int, facets: list[int], workers: int) -> Counter:
     """The table of every subset of K, as ``_walk`` gives it.
 
     K is split into its join factors first, each factor is summed on its
     own, and the factors' tables are combined by ``_kunneth``, since
     Z_{K*L} = Z_K x Z_L; m = 0 has no factor and gives the unit.
     """
-    faces = _Faces(k)
-    factors = faces.join_factors()
-    if len(factors) == 1:
-        return _factor_sum(k, faces, workers)
     table = Counter({(0, 0, 0): 1})
-    for vertices in factors:
-        factor = k.full_subcomplex(vertices)
-        table = _kunneth(table, _factor_sum(factor, _Faces(factor), workers))
+    for _, faces in _factors(m, facets):
+        table = _kunneth(table, _factor_sum(faces, workers))
     return table
 
 
-def _factor_sum(k: SimplicialComplex, faces: _Faces, workers: int) -> Counter:
+def _factor_sum(faces: _Faces, workers: int) -> Counter:
     """The subset sum of one join factor, with its own certificate and pool rule."""
     sphere_dim = faces.sphere_dimension()
-    m = k.vertex_count
+    m = faces.vertex_count
     visited = 1 << (m - (sphere_dim is not None))
     work = visited * sum(len(layer) for layer in faces.layers)
     workers = _usable_workers(workers) if work >= _POOL_MIN_WORK else 1
@@ -335,22 +412,21 @@ def _factor_sum(k: SimplicialComplex, faces: _Faces, workers: int) -> Counter:
         from concurrent.futures import ProcessPoolExecutor
 
         # one task per prefix root on the top t vertices, 2^t ≥ 4 × workers,
-        # fewest vertices first: on a sphere those root the largest subtrees
+        # fewest vertices first: on a sphere those root the largest subtrees;
+        # a task gets (m, facets) and lists the faces itself
         t = min(m, (4 * workers - 1).bit_length())
         roots = sorted(range(1 << t), key=int.bit_count)
+        tasks = [(m, faces.facets, sphere_dim, root << (m - t), m - t) for root in roots]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            table = sum(
-                pool.map(_walk_task, [(k, sphere_dim, root << (m - t), m - t) for root in roots]),
-                Counter(),
-            )
+            table = sum(pool.map(_walk_task, tasks), Counter())
     if sphere_dim is None:
         return table
     return _mirror(table, m, sphere_dim)
 
 
 def _walk_task(args):
-    k, sphere_dim, root, low = args
-    return _walk(_Faces(k), sphere_dim, root, low)
+    m, facets, sphere_dim, root, low = args
+    return _walk(_Faces(m, facets), sphere_dim, root, low)
 
 
 def moment_angle_cohomology(
@@ -364,7 +440,7 @@ def moment_angle_cohomology(
     A polytope P stands for its dual complex K_P, so Z_K is Z(P).
     """
     groups: dict[int, list] = {}
-    for (_, degree, a), n in _gather(_check_input(k, max_vertices), workers).items():
+    for (_, degree, a), n in _gather(*_check_input(k, max_vertices), workers).items():
         group = groups.setdefault(degree, [0, []])
         if a:
             group[1] += [a] * n
@@ -385,7 +461,7 @@ def bigraded_table(
     subset size reproduce the Betti numbers; the (0, 0) entry is always 1,
     coming from the empty subset.
     """
-    table = _gather(_check_input(k, max_vertices), workers)
+    table = _gather(*_check_input(k, max_vertices), workers)
     return {(size, degree): n for (size, degree, a), n in sorted(table.items()) if not a}
 
 

@@ -13,7 +13,8 @@ computes one subset of each complementary pair; they are also checked
 against the same sums with the sphere certificate forced to fail.  Random
 joins, with their vertices shuffled, and the corpus polytopes, whose
 products are joins, are checked against the same sums with the join
-factor search forced to report a single factor.  Random complexes, joins
+factor search forced to report a single factor, and the factors split
+from their maximal faces against the scan of the whole complex.  Random complexes, joins
 with RP^2 and the corpus polytopes with their cuts are checked, subset by
 subset and summed, three ways: the walk's groups against the oracle's;
 the rule the walk takes for each subset (a reused parent, a point, a cone,
@@ -46,8 +47,13 @@ from momentangle.polytopes import polygon, product, simplex_polytope  # noqa: E4
 from momentangle.simplicial import SimplicialComplex, join  # noqa: E402
 from momentangle.surgery import theorem_corpus  # noqa: E402
 from subset_oracle import reference_sum, subset_homologies  # noqa: E402
-from test_moment_angle import MOORE3, RP2_WITH_PATH  # noqa: E402
-from walk import mask, route, steps, subset_table, walk_groups  # noqa: E402
+from test_moment_angle import (  # noqa: E402
+    MOORE3,
+    RP2_WITH_PATH,
+    factor_search_off,
+    split_factors,
+)
+from walk import faces_of, mask, route, steps, subset_table, walk_groups  # noqa: E402
 
 RP2 = SimplicialComplex(
     6,
@@ -100,7 +106,7 @@ def polytope_complexes(draw, max_facets=9):
 
 def assert_engine_matches_oracle(k):
     homologies = subset_homologies(k)
-    faces = _Faces(k)
+    faces = faces_of(k)
     for J, expected in homologies.items():
         assert walk_groups(faces, mask(J)) == expected, J
         assert reduced_homology(k.full_subcomplex(J)) == expected, J
@@ -129,7 +135,7 @@ def test_polytopes_from_products_and_cuts(k):
 
 
 def assert_duality_changes_nothing(k):
-    assert _Faces(k).sphere_dimension() is not None
+    assert faces_of(k).sphere_dimension() is not None
     groups, table = moment_angle_cohomology(k), bigraded_table(k)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Faces, "sphere_dimension", lambda self: None)
@@ -156,9 +162,13 @@ def test_duality_on_equals_off_on_the_corpus(p):
 
 
 def assert_factor_search_changes_nothing(k):
+    # the facet split and the remainder scan find what the scan of the
+    # whole complex finds
+    assert split_factors(k) == faces_of(k).join_factors()
     groups, table = moment_angle_cohomology(k), bigraded_table(k)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_Faces, "join_factors", lambda self: [list(range(self.vertex_count))])
+        factor_search_off(patch)
+        assert split_factors(k) == [list(range(k.vertex_count))]
         assert moment_angle_cohomology(k) == groups
         assert bigraded_table(k) == table
 
@@ -192,7 +202,7 @@ def assert_parts_match_oracle(k, homologies):
     t = 0 is the serial sum, from the root ∅; t = 1, 2 and 3 split it as a
     pool does, each root walked alone.
     """
-    faces = _Faces(k)
+    faces = faces_of(k)
     expected = subset_table(homologies)
     m, d = k.vertex_count, faces.sphere_dimension()
     for dim in {d, None}:
@@ -218,7 +228,7 @@ def test_roots_past_the_duality_half_walk_nothing(p):
     # every subset below such a root is past the half too, so its subtree,
     # down to the root's lowest vertex, is left to the mirror whole
     k = p.dual_complex()
-    faces = _Faces(k)
+    faces = faces_of(k)
     m, d = k.vertex_count, faces.sphere_dimension()
     past = [
         root
@@ -241,7 +251,7 @@ def sum_groups(a, b):
 
 
 def assert_rules_change_nothing(k):
-    faces = _Faces(k)
+    faces = faces_of(k)
     homologies = subset_homologies(k)
     by_mask = {mask(J): h for J, h in homologies.items()}
     walked = steps(faces, by_mask)

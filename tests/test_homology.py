@@ -9,7 +9,6 @@ from cellular_oracle import _rank_over_q
 from momentangle.homology import (
     GradedGroups,
     _boundary_column,
-    _Faces,
     _rank_and_torsion,
     invariant_factors,
     reduced_homology,
@@ -28,7 +27,7 @@ from subset_oracle import reduced_homology as oracle_homology
 import test_moment_angle
 from invariants import has_torsion
 from test_moment_angle import MOORE3, RP2_WITH_PATH, sphere_around_rp2
-from walk import route, steps
+from walk import faces_of, route, steps
 
 # minimal 6-vertex projective plane, the standard torsion fixture
 RP2 = SimplicialComplex(
@@ -203,7 +202,7 @@ class TestBoundaryColumns:
     # the engine's own sparse columns, faces as vertex bitmasks
 
     def test_vertices_augment_onto_the_empty_face(self):
-        layers = _Faces(boundary_complex(2)).layers
+        layers = faces_of(boundary_complex(2)).layers
         assert [f for f, _ in layers[0]] == [0]
         assert layers[1] == [(mask(v), {0: 1}) for v in range(3)]
 
@@ -217,13 +216,13 @@ class TestBoundaryColumns:
         assert _boundary_column(0) == {}
 
     def test_layers_stop_at_the_top_dimension(self):
-        assert len(_Faces(boundary_complex(2)).layers) == 3
-        assert len(_Faces(SimplicialComplex(3, [()])).layers) == 1
-        assert len(_Faces(SimplicialComplex(3, [])).layers) == 1
+        assert len(faces_of(boundary_complex(2)).layers) == 3
+        assert len(faces_of(SimplicialComplex(3, [()])).layers) == 1
+        assert len(faces_of(SimplicialComplex(3, [])).layers) == 1
 
     def test_columns_agree_with_the_dense_matrices(self):
         for k in [boundary_complex(3), RP2, cycle(6), full_simplex(3)]:
-            layers = _Faces(k).layers
+            layers = faces_of(k).layers
             for d in range(k.dim + 1):
                 dense = boundary_matrix(k, d)
                 rows = [mask(*f) for f in faces_of_dimension(k, d - 1)]
@@ -236,7 +235,7 @@ class TestBoundaryColumns:
 
     def test_boundary_squared_is_zero(self):
         for k in [boundary_complex(3), RP2, cycle(6), full_simplex(3)]:
-            column = {f: col for layer in _Faces(k).layers for f, col in layer}
+            column = {f: col for layer in faces_of(k).layers for f, col in layer}
             for face, col in column.items():
                 total: dict[int, int] = {}
                 for row, v in col.items():
@@ -291,7 +290,7 @@ class TestUnitPivotPhase:
         # each pivot row of ∂_{d+1} is a d-face whose column in ∂_d is an
         # integer combination of the others, so the engine leaves it out
         for k in [RP2, boundary_complex(3), join(RP2, boundary_complex(1)), cycle(5)]:
-            layers = _Faces(k).layers
+            layers = faces_of(k).layers
             for i in range(1, len(layers) - 1):
                 columns = [col for _, col in layers[i]]
                 pivots = _rank_and_torsion([col for _, col in layers[i + 1]])[2]
@@ -396,7 +395,7 @@ class TestSphereCertificate:
         ],
     )
     def test_accepts_spheres(self, k, d):
-        assert _Faces(k).sphere_dimension() == d
+        assert faces_of(k).sphere_dimension() == d
 
     @pytest.mark.parametrize(
         "k",
@@ -429,7 +428,7 @@ class TestSphereCertificate:
         ],
     )
     def test_rejects_non_spheres(self, k):
-        assert _Faces(k).sphere_dimension() is None
+        assert faces_of(k).sphere_dimension() is None
 
     def test_rp2_join_is_rejected_before_any_homology(self, monkeypatch):
         # its reduced Euler characteristic is 0, so the full sum on it pays
@@ -438,7 +437,7 @@ class TestSphereCertificate:
             raise AssertionError("homology was computed")
 
         monkeypatch.setattr(homology_module, "_reduced_groups", refuse)
-        assert _Faces(join(RP2, cycle(4))).sphere_dimension() is None
+        assert faces_of(join(RP2, cycle(4))).sphere_dimension() is None
 
     def test_fin_has_the_homology_of_a_sphere(self):
         # so the fin is rejected by its ridge, not by H~(K)
@@ -507,14 +506,14 @@ class TestConeTest:
     )
     def test_skips_cones_only(self, k, subset, expected, rule):
         vertices = [v for v in range(k.vertex_count) if subset >> v & 1]
-        step = steps(_Faces(k), [subset])[subset]
+        step = steps(faces_of(k), [subset])[subset]
         assert step.groups == GradedGroups(expected)
         assert step.computed == (rule == "computed")
         assert (route(k, vertices) if vertices else None) == rule
         assert oracle_homology(k.full_subcomplex(vertices)) == GradedGroups(expected)
 
     def test_ext_is_built_once_per_complex(self):
-        faces = _Faces(RP2_CONE)
+        faces = faces_of(RP2_CONE)
         assert faces.ext[0] == mask(*range(7))
         assert faces.ext[mask(0)] == mask(0, 1, 2, 3, 4, 5, 6)
         assert faces.ext[mask(0, 1, 4)] == mask(0, 1, 4, 6)
@@ -547,13 +546,13 @@ class TestGraphPath:
             raise AssertionError("a matrix was eliminated")
 
         monkeypatch.setattr(homology_module, "_rank_and_torsion", refuse)
-        assert homology_module._reduced_groups(_Faces(k).layers[1:]) == expected
+        assert homology_module._reduced_groups(faces_of(k).layers[1:]) == expected
         assert oracle_homology(k) == GradedGroups(expected)
 
     def test_codimension_two_links_take_it(self, monkeypatch):
         # the links of the 10 edges of ∂Δ^4 are circles
         graphs = recorded(monkeypatch, "_graph_groups")
-        assert _Faces(boundary_complex(4)).sphere_dimension() == 3
+        assert faces_of(boundary_complex(4)).sphere_dimension() == 3
         assert graphs == [((1, (1, ())),)] * 10
 
 
@@ -576,7 +575,7 @@ class TestTorsionReachesElimination:
             assert walked[source].torsion, (J, source)
 
     def test_every_torsion_subset_of_the_pendant_path(self):
-        faces = _Faces(RP2_WITH_PATH)
+        faces = faces_of(RP2_WITH_PATH)
         torsion = {J: h for J, h in subset_homologies(RP2_WITH_PATH).items() if has_torsion(h)}
         # RP2 on 0..5 with any of the path vertices 6..9
         assert sorted(torsion) == sorted(
@@ -594,9 +593,9 @@ class TestTorsionReachesElimination:
         k = RP2_WITH_PATH.relabeled(list(range(9, -1, -1)))
         torsion = {mask(*J): h for J, h in subset_homologies(k).items() if has_torsion(h)}
         assert len(torsion) == 16
-        walked = steps(_Faces(k), torsion)
+        walked = steps(faces_of(k), torsion)
         assert sum(not walked[J].computed for J in torsion) == 15
-        self.assert_eliminated(_Faces(k), torsion)
+        self.assert_eliminated(faces_of(k), torsion)
 
     def test_the_torsion_subsets_of_the_sphere_around_rp2(self):
         # a scan of all 2^16 subsets (about 10 s) finds torsion in exactly two
@@ -610,7 +609,7 @@ class TestTorsionReachesElimination:
             assert torsion[mask(*vertices)] == GradedGroups({1: (0, (2,))})
             groups = moment_angle_cohomology(sub)
             assert cellular_betti_mod_p(sub, 2) == predicted_mod_p(groups, 2)
-        self.assert_eliminated(_Faces(k), torsion)
+        self.assert_eliminated(faces_of(k), torsion)
 
 
 class TestGradedGroups:

@@ -2,15 +2,17 @@ import concurrent.futures
 import os
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 
 import momentangle.moment_angle as moment_angle_module
 from cellular_oracle import cellular_betti, cellular_betti_mod_p
-from momentangle.homology import GradedGroups, _Faces
+from momentangle.homology import GradedGroups, _Faces, _masks
 from momentangle.moment_angle import (
     PoincarePolynomial,
     SubsetLimitError,
+    _factors,
     _kunneth,
     _mirror,
     _usable_workers,
@@ -29,7 +31,7 @@ from momentangle.surgery import theorem_corpus
 from complexes import full_simplex
 from invariants import euler_characteristic, has_torsion, is_symmetric, poincare_product
 from subset_oracle import reference_sum, subset_homologies
-from walk import walk_groups
+from walk import faces_of, walk_groups
 
 RP2 = SimplicialComplex(
     6,
@@ -300,7 +302,7 @@ class TestParallelism:
         # RP^2 with a path the full one (2^10, 40 faces); neither is a join,
         # and the threshold is lowered so both reach the pool and its
         # merge of subtrees
-        assert _Faces(k).join_factors() == [list(range(10))]
+        assert faces_of(k).join_factors() == [list(range(10))]
         starts = []
         pool = concurrent.futures.ProcessPoolExecutor
 
@@ -365,7 +367,7 @@ class TestAlexanderDuality:
         # too; here the complement is computed directly instead, including
         # 2-torsion on both sides of the RP2 pair
         k = sphere_around_rp2()
-        faces = _Faces(k)
+        faces = faces_of(k)
         d = faces.sphere_dimension()
         assert d == 4
         m = k.vertex_count
@@ -387,10 +389,31 @@ class TestAlexanderDuality:
         # count; mirroring anyway gives the wrong groups, so the check matters
         fin = SimplicialComplex(5, list(boundary_complex(3).maximal_faces) + [(0, 1, 4)])
         groups, _ = reference_sum(subset_homologies(fin))
-        assert _Faces(fin).sphere_dimension() is None
+        assert faces_of(fin).sphere_dimension() is None
         assert moment_angle_cohomology(fin) == groups
         monkeypatch.setattr(_Faces, "sphere_dimension", lambda self: 2)
         assert moment_angle_cohomology(fin) != groups
+
+
+def split_factors(k):
+    """The join factors the sum takes for K, as vertex lists by lowest vertex.
+
+    Each factor's face lists, built from its traces, must be those of its
+    full subcomplex.
+    """
+    m = k.vertex_count
+    out = []
+    for part, faces in _factors(m, _masks(k.maximal_faces)):
+        vertices = [v for v in range(m) if part >> v & 1]
+        assert faces.layers == faces_of(k.full_subcomplex(vertices)).layers, vertices
+        out.append(vertices)
+    return sorted(out)
+
+
+def factor_search_off(patch):
+    """Make the sum take K as one factor: no facet split, no scan of a remainder."""
+    patch.setattr(moment_angle_module, "_parts", lambda m, facets: [(1 << m) - 1])
+    patch.setattr(_Faces, "join_factors", lambda self: [list(range(self.vertex_count))])
 
 
 class TestJoinFactors:
@@ -404,6 +427,11 @@ class TestJoinFactors:
         "rp2-ghost": (SimplicialComplex(7, RP2.maximal_faces), [list(range(6)), [6]]),
         "rp2-cone": (join(RP2, full_simplex(0)), [list(range(6)), [6]]),
         "simplex-3": (full_simplex(3), [[0], [1], [2], [3]]),
+        # neither has a missing edge: the remainder scan splits them
+        "triangle-join-tetrahedron": (
+            join(boundary_complex(2), boundary_complex(3)).relabeled([0, 3, 5, 1, 2, 4, 6]),
+            [[0, 3, 5], [1, 2, 4, 6]],
+        ),
         "empty-m0": (SimplicialComplex(0, [()]), []),
         "empty-m1": (SimplicialComplex(1, [()]), [[0]]),
     }
@@ -411,7 +439,7 @@ class TestJoinFactors:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_against_the_subset_oracle(self, name):
         k, factors = self.CASES[name]
-        assert _Faces(k).join_factors() == factors
+        assert faces_of(k).join_factors() == split_factors(k) == factors
         groups, table = reference_sum(subset_homologies(k))
         assert moment_angle_cohomology(k) == groups
         assert bigraded_table(k) == table
@@ -423,7 +451,8 @@ class TestJoinFactors:
         # against the unsplit engine sum, and their F_p dimensions against
         # the field Kunneth formula applied to the oracle's groups of Z_RP2
         k = join(RP2, RP2)
-        assert _Faces(k).join_factors() == [list(range(6)), list(range(6, 12))]
+        factors = [list(range(6)), list(range(6, 12))]
+        assert faces_of(k).join_factors() == split_factors(k) == factors
         groups, table = moment_angle_cohomology(k), bigraded_table(k)
         assert groups.torsion(17) == groups.torsion(18) == (2,)
         rp2, _ = reference_sum(subset_homologies(RP2))
@@ -434,9 +463,8 @@ class TestJoinFactors:
                 for b, y in one.items():
                     square[a + b] += x * y
             assert TestTorsionAgainstModPRanks.predicted(groups, p) == square
-        monkeypatch.setattr(
-            _Faces, "join_factors", lambda self: [list(range(self.vertex_count))]
-        )
+        factor_search_off(monkeypatch)
+        assert split_factors(k) == [list(range(12))]
         assert moment_angle_cohomology(k) == groups
         assert bigraded_table(k) == table
 
@@ -462,11 +490,36 @@ class TestJoinFactors:
             (product(simplex_polytope(3), polygon(6)), [range(4), range(4, 10)]),
             (cube(3), [range(2), range(2, 4), range(4, 6)]),
         ]:
-            assert _Faces(p.dual_complex()).join_factors() == [list(r) for r in factors]
+            k = p.dual_complex()
+            expected = [list(r) for r in factors]
+            assert faces_of(k).join_factors() == split_factors(k) == expected
 
     @pytest.mark.parametrize("n", [3, 5, 6, 9, 12])
     def test_polygons_are_one_factor(self, n):
-        assert _Faces(polygon(n).dual_complex()).join_factors() == [list(range(n))]
+        k = polygon(n).dual_complex()
+        assert faces_of(k).join_factors() == split_factors(k) == [list(range(n))]
+
+    def test_a_product_lists_only_its_factors_faces(self, monkeypatch):
+        # cube-11's dual is the join of eleven copies of S^0 on 22 vertices,
+        # with 3^11 faces; each factor's listing holds its 3 faces, and no
+        # SimplicialComplex is made along the way
+        def refuse(*args, **kwargs):
+            raise AssertionError("a SimplicialComplex was built")
+
+        listed = []
+        init = _Faces.__init__
+
+        def spy(self, m, facets):
+            init(self, m, facets)
+            listed.append(sum(len(layer) for layer in self.layers))
+
+        monkeypatch.setattr(_Faces, "__init__", spy)
+        monkeypatch.setattr(SimplicialComplex, "__post_init__", refuse)
+        monkeypatch.setattr(SimplicialComplex, "full_subcomplex", refuse)
+        groups = moment_angle_cohomology(cube(11))
+        assert listed == [3] * 11
+        # Z = (S^3)^11
+        assert groups == GradedGroups.from_ranks({3 * i: comb(11, i) for i in range(12)})
 
     def test_the_cap_counts_every_vertex(self):
         # cube-5 splits into five 2-vertex factors, but the cap sees m = 10

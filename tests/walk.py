@@ -19,12 +19,17 @@ import pytest
 
 import momentangle.homology as homology_module
 import momentangle.moment_angle as moment_angle_module
-from momentangle.homology import GradedGroups
+from momentangle.homology import GradedGroups, _Faces, _masks
 from momentangle.moment_angle import _walk
 
 
 def mask(vertices) -> int:
     return sum(1 << v for v in vertices)
+
+
+def faces_of(k) -> _Faces:
+    """The engine's face lists of a ``SimplicialComplex``, from its maximal faces."""
+    return _Faces(k.vertex_count, _masks(k.maximal_faces))
 
 
 def walk_groups(faces, subset: int) -> GradedGroups:
