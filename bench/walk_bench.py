@@ -68,7 +68,8 @@ def inputs(tmp: Path) -> dict[str, list[str]]:
         "dense-sphere-20": dense(8),
         "rp2-4-sphere": [str(rp2)],
         # joins: eleven S^0 factors; a pooled 18-vertex factor and a
-        # triangle left to the remainder scan; two ∂Δ^3 in one remainder
+        # triangle left as the remainder; two ∂Δ^3 in one remainder, split
+        # by its minimal non-faces
         "cube-11": ["cube", "11"],
         "polygon-18-x-triangle": ["product", "polygon", "18", "polygon", "3"],
         "simplex-3-x-simplex-3-x-pentagon": [

@@ -80,46 +80,73 @@ def _load_object(path: str) -> SimplePolytope | SimplicialComplex:
     )
 
 
-def _parse_expr(tokens: list[str]) -> SimplePolytope | SimplicialComplex:
+def _capped(cap: int | None, m: int) -> None:
+    if cap is not None and m > cap:
+        raise SubsetLimitError(m, cap)
+
+
+def _parse_expr(tokens: list[str], cap: int | None) -> SimplePolytope | SimplicialComplex:
+    """The object of the first term of ``tokens``, which it consumes.
+
+    Each constructor's facet count m is known before it runs: simplex N has
+    N + 1, polygon M has M, cube N has 2N, a product the sum of its
+    operands' and a vertex cut one more than its base.  A node whose m is
+    over ``cap`` raises ``SubsetLimitError`` instead of being built.
+    """
     if not tokens:
         raise UsageError("empty expression")
     tok = tokens.pop(0)
     if tok == "(":
-        inner = _parse_expr(tokens)
+        inner = _parse_expr(tokens, cap)
         if not tokens or tokens.pop(0) != ")":
             raise UsageError("unbalanced parentheses")
         return inner
     if tok == "simplex":
-        return simplex_polytope(_parse_int(tokens, "dimension for simplex"))
+        n = _parse_int(tokens, "dimension for simplex")
+        _capped(cap, n + 1)
+        return simplex_polytope(n)
     if tok == "polygon":
-        return polygon(_parse_int(tokens, "edge count for polygon"))
+        n = _parse_int(tokens, "edge count for polygon")
+        _capped(cap, n)
+        return polygon(n)
     if tok == "cube":
+        n = 3
         if tokens and tokens[0].lstrip("-").isdigit():
-            return cube(_parse_int(tokens, "dimension for cube"))
-        return cube(3)
+            n = _parse_int(tokens, "dimension for cube")
+        _capped(cap, 2 * n)
+        return cube(n)
     if tok == "product":
-        left = _parse_expr(tokens)
-        right = _parse_expr(tokens)
+        left = _parse_expr(tokens, cap)
+        right = _parse_expr(tokens, cap)
         if not isinstance(left, SimplePolytope) or not isinstance(
             right, SimplePolytope
         ):
             raise UsageError("product needs two polytopes")
+        _capped(cap, left.m + right.m)
         return product(left, right)
     if tok == "cut-vertex":
-        base = _parse_expr(tokens)
+        base = _parse_expr(tokens, cap)
         if not isinstance(base, SimplePolytope):
             raise UsageError("cut-vertex needs a polytope")
-        return base.cut_vertex(_parse_int(tokens, "vertex index for cut-vertex"))
+        v = _parse_int(tokens, "vertex index for cut-vertex")
+        _capped(cap, base.m + 1)
+        return base.cut_vertex(v)
     if _looks_like_path(tok):
         return _load_object(tok)
     raise UsageError(f"unknown constructor {tok!r}")
 
 
-def parse_expression(parts: Sequence[str]) -> SimplePolytope | SimplicialComplex:
-    """Parse a complete prefix expression; leftover tokens are an error."""
+def parse_expression(
+    parts: Sequence[str], max_vertices: int | None = None
+) -> SimplePolytope | SimplicialComplex:
+    """Parse a complete prefix expression; leftover tokens are an error.
+
+    With ``max_vertices``, a constructor whose polytope would have more
+    facets raises ``SubsetLimitError`` before it runs.
+    """
     tokens = _tokenize(parts)
     try:
-        obj = _parse_expr(tokens)
+        obj = _parse_expr(tokens, max_vertices)
     except RecursionError:
         raise UsageError("expression is nested too deeply") from None
     if tokens:
@@ -174,7 +201,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_betti(args) -> int:
-    obj = parse_expression(args.expr)
+    obj = parse_expression(args.expr, args.max_subsets)
     groups = moment_angle_cohomology(
         obj, workers=args.workers, max_vertices=args.max_subsets
     )

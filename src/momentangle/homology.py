@@ -33,10 +33,7 @@ maps are reduced from the top degree down, and the unit pivot rows of
 one map are left out of the next as columns.
 ``reduced_homology`` is ``_reduced_groups`` on every face of K, and
 ``_Faces.sphere_dimension`` runs it on K and on the links of faces to
-certify that a complex is a Z-homology sphere.  ``_Faces.join_factors``
-scans the same face lists for minimal non-faces; the subset sum calls it
-only on what its split of the maximal faces cannot separate, such as the
-boundary of a simplex, which has no missing edge.
+certify that a complex is a Z-homology sphere.
 
 Finitely generated graded abelian groups are recorded degree by degree as a
 free rank plus invariant factors d_1 | d_2 | ... | d_k with every d_i > 1.
@@ -383,7 +380,7 @@ class _Faces:
     the empty complex.  ``ext[f]`` is the mask of the vertices w for which
     f ∪ {w} is a face, f's own vertices included, read off the boundary
     columns as they are built; the subset walk finds the faces of each K_J
-    from it.
+    from it, and the join split the minimal non-faces.
     """
 
     __slots__ = ("ext", "facets", "layers", "vertex_count")
@@ -407,64 +404,6 @@ class _Faces:
             for g in column:
                 self.ext[g] |= face  # g sorts before face, so it is listed
             self.layers[face.bit_count()].append((face, column))
-
-    def join_factors(self) -> list[list[int]]:
-        """Vertex sets A_1, ..., A_r of the finest join K = K_{A_1} * ... * K_{A_r}.
-
-        A vertex set is a face exactly when it contains no minimal non-face,
-        so K splits along the connected components of its minimal non-faces:
-        the vertices of one minimal non-face lie in one factor.  A ghost
-        vertex, itself a minimal non-face, is a {∅} factor; a vertex in no
-        minimal non-face, a cone apex, is a point factor.  Factors are
-        listed by lowest vertex, each in increasing order; m = 0 gives none.
-
-        Each minimal non-face S is found once, as f ∪ {v} with v the top
-        vertex of S: f is a face, f ∪ {v} is not, and f ∪ {v} minus any one
-        vertex u of f is.  So those v are the vertices above f's top in
-        ext[f - u] for every u in f and not in ext[f].  The layers are
-        scanned upward and the scan stops as soon as one component is left,
-        so a complex that is not a join is usually settled by its missing
-        edges.
-        """
-        m = self.vertex_count
-        root = list(range(m))
-
-        def find(v: int) -> int:
-            while root[v] != v:
-                root[v] = root[root[v]]
-                v = root[v]
-            return v
-
-        left = m
-        ext = self.ext
-        # f = ∅ would give the ghost vertices, which join nothing
-        for layer in self.layers[1:]:
-            for f, _ in layer:
-                common = -1
-                rest = f
-                while rest:
-                    low = rest & -rest
-                    common &= ext[f ^ low]
-                    rest ^= low
-                top = f.bit_length()
-                tops = (common & ~ext[f]) >> top << top
-                if not tops:
-                    continue
-                rest = f | tops
-                first = find((rest & -rest).bit_length() - 1)
-                while rest:
-                    low = rest & -rest
-                    other = find(low.bit_length() - 1)
-                    if other != first:
-                        root[other] = first
-                        left -= 1
-                    rest ^= low
-                if left == 1:
-                    return [list(range(m))]
-        factors: dict[int, list[int]] = {}
-        for v in range(m):
-            factors.setdefault(find(v), []).append(v)
-        return list(factors.values())
 
     def sphere_dimension(self) -> int | None:
         """d if K is a Z-homology d-sphere on all of its m vertices, else None.

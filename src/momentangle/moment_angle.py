@@ -61,24 +61,27 @@ is certified once per call, before any work is split, by
 complex gets all 2^m subsets.
 
 Before any of that, K is split into its finest join factorisation
-K = K_{A_1} * ... * K_{A_r}, from its maximal faces as bitmasks and before
-any face is listed.  The ends of a missing edge lie in one factor, so the
-components of the missing edges between vertices of K (``_parts``) are at
-least as fine as the A_i; a ghost vertex is a part alone, a {∅} factor.
-A part A is a factor exactly when the facets number |{F ∩ A}| |{F - A}|
-(``_factors``), and then the traces F ∩ A are its maximal faces, so its
-faces are listed from them; a cone apex is a point factor.  The parts
-that fail make one remainder, such as ∂Δ^3, with no missing edge: its
-faces are listed once and ``_Faces.join_factors`` splits them by their
-minimal non-faces.  Since Z_{K*L} = Z_K x Z_L, each factor is summed on
+K = K_{A_1} * ... * K_{A_r} by one rule: two vertices lie in one factor
+when they lie in a common minimal non-face, and the A_i are the
+components of that relation (``_components``); a ghost vertex is a
+{∅} factor and a cone apex a point factor.  ``_factors`` applies it
+twice.  First, from the maximal faces as bitmasks and before any face is
+listed, to the missing edges alone, the minimal non-faces of two
+vertices; a component A is a factor exactly when the facets number
+|{F ∩ A}| |{F - A}|, and then the traces F ∩ A are its maximal faces, so
+its faces are listed from them.  The components that fail make one
+remainder, such as ∂Δ^3, which has no missing edge; its faces are
+listed once and the whole rule is read off them with ext, which splits
+∂Δ^2 * ∂Δ^3 into its two factors.  Since Z_{K*L} = Z_K x Z_L, each factor is summed on
 its own (its own faces, sphere certificate, duality and pool rule), and
 the tables are combined by the Kunneth formula with one rule for every
 pair of entries: taking Z = Z/0, Z/a (x) Z/b = Z/gcd(a, b), zero when the
 gcd is 1, and when a and b are both nonzero Tor(Z/a, Z/b) adds the same
 group one degree lower.  A join then costs 2^{m_1} + ... + 2^{m_r}
-subsets instead of 2^m, and lists its factors' faces, not the join's.  A
-complex that is not a join pays one face listing, as before.  The subset
-cap still counts all m vertices of K, whatever its factors.
+subsets instead of 2^m, and lists its factors' faces, not the join's,
+except that the factors with no missing edge are listed together, as the
+remainder.  A complex that is not a join pays one face listing.  The subset cap still counts all m vertices
+of K, whatever its factors.
 
 The serial sum is one walk from the root ∅.  A pool walks subtrees
 instead: the top t vertices (2^t at least four times the worker count)
@@ -314,32 +317,22 @@ def _kunneth(x: Counter, y: Counter) -> Counter:
     return table
 
 
-def _parts(m: int, facets: list[int]) -> list[int]:
-    """The vertex masks of the components of K's missing edges, by lowest vertex.
+def _components(near: list[int], vertices: int) -> list[int]:
+    """The components of a symmetric relation, as vertex masks by lowest vertex.
 
-    A missing edge, two vertices of K in no common facet, is a minimal
-    non-face, so its ends lie in one join factor: the parts are at least as
-    fine as the finest join.  A ghost vertex is a part alone.
+    ``near[v]`` is the mask of the vertices related to v.  A vertex outside
+    ``vertices``, a ghost, is a component alone whatever its mask.
     """
-    linked = [0] * m  # the vertices in a facet with v, v's own included
-    vertices = 0  # the vertices of K, ghosts left out
-    for f in facets:
-        vertices |= f
-        rest = f
-        while rest:
-            low = rest & -rest
-            linked[low.bit_length() - 1] |= f
-            rest ^= low
     parts = []
     seen = 0
-    for v in range(m):
+    for v in range(len(near)):
         if seen >> v & 1:
             continue
         part = todo = 1 << v
-        while todo & vertices:  # grow the part along missing edges
+        while todo & vertices:  # grow the part along the relation
             low = todo & -todo
             todo ^= low
-            new = vertices & ~linked[low.bit_length() - 1] & ~part
+            new = near[low.bit_length() - 1] & ~part
             part |= new
             todo |= new
         seen |= part
@@ -356,16 +349,30 @@ def _relabel(masks: Iterable[int], part: int) -> list[int]:
 def _factors(m: int, facets: list[int]) -> Iterator[tuple[int, _Faces]]:
     """The finest join factors of K: each one's vertex mask and ``_Faces``.
 
-    F -> (F ∩ A, F - A) is one to one on the facets, and K = K_A * K_{V-A}
-    exactly when it is onto.  So a part A of ``_parts`` splits off when the
-    facets number |{F ∩ A}| |{F - A}|; the traces F ∩ A are then K_A's
-    maximal faces, and the F - A those of K_{V-A}, where the next part is
-    tried.  The parts that fail make one remainder R, whose faces are
-    listed once and split by ``_Faces.join_factors``; a single factor keeps
-    that listing.
+    Two vertices u and w lie in one factor when they lie in a common
+    minimal non-face S, that is when some face f ∋ u has f - u + w a face
+    and f + w not (f = S - w; and conversely f + w holds a minimal
+    non-face, which holds w, and u since f - u + w is a face).  With f = {u}
+    that is a missing edge, read from the facets.  F -> (F ∩ A, F - A) is
+    one to one on the facets, and K = K_A * K_{V-A} exactly when it is onto.
+    So a component A of the missing edges splits off when the facets number
+    |{F ∩ A}| |{F - A}|; the traces F ∩ A are then K_A's maximal faces, and
+    the F - A those of K_{V-A}, where the next component is tried.  The
+    components that fail make one remainder R, whose faces are listed once
+    and split by the whole rule, ext[f - u] & ~ext[f] for each u in f; a
+    single factor keeps that listing.
     """
+    linked = [0] * m  # the vertices in a facet with v, v's own included
+    vertices = 0  # the vertices of K, ghosts left out
+    for f in facets:
+        vertices |= f
+        rest = f
+        while rest:
+            low = rest & -rest
+            linked[low.bit_length() - 1] |= f
+            rest ^= low
     remainder = 0
-    for part in _parts(m, facets):
+    for part in _components([vertices & ~mask for mask in linked], vertices):
         traces = {f & part for f in facets}
         others = {f & ~part for f in facets}
         if len(traces) * len(others) == len(facets):
@@ -376,14 +383,23 @@ def _factors(m: int, facets: list[int]) -> Iterator[tuple[int, _Faces]]:
     if not remainder:
         return
     faces = _Faces(remainder.bit_count(), _relabel(facets, remainder))
-    factors = faces.join_factors()
-    if len(factors) == 1:
+    ext = faces.ext
+    near = [0] * faces.vertex_count
+    for layer in faces.layers[1:]:
+        for f, _ in layer:
+            rest = f
+            while rest:
+                low = rest & -rest
+                near[low.bit_length() - 1] |= ext[f ^ low] & ~ext[f]
+                rest ^= low
+    groups = _components(near, ext[0])
+    if len(groups) == 1:
         yield remainder, faces
         return
     bits = [1 << v for v in range(m) if remainder >> v & 1]
-    for vertices in factors:
-        part = sum(bits[i] for i in vertices)
-        yield part, _Faces(len(vertices), _relabel({f & part for f in facets}, part))
+    for group in groups:
+        part = sum(bit for i, bit in enumerate(bits) if group >> i & 1)
+        yield part, _Faces(group.bit_count(), _relabel({f & part for f in facets}, part))
 
 
 def _gather(m: int, facets: list[int], workers: int) -> Counter:

@@ -61,7 +61,11 @@ class SimplicialComplex:
         if self.vertex_count < 0:
             raise ValueError(f"vertex_count must be >= 0, got {self.vertex_count}")
         faces = sorted({as_simplex(f) for f in self.maximal_faces}, key=len, reverse=True)
-        self._check_vertices(v for f in faces for v in f)
+        for v in (v for f in faces for v in f):
+            if v < 0 or v >= self.vertex_count:
+                raise ValueError(
+                    f"vertex index {v} out of range for vertex_count={self.vertex_count}"
+                )
         # a face inside a larger face is inside a larger maximal one, so each
         # size is compared only with the maximal faces of the larger sizes
         maximal: list[Simplex] = []
@@ -71,13 +75,6 @@ class SimplicialComplex:
             maximal += kept
             larger += map(frozenset, kept)
         object.__setattr__(self, "maximal_faces", frozenset(maximal))
-
-    def _check_vertices(self, vertices: Iterable[int]) -> None:
-        for v in vertices:
-            if v < 0 or v >= self.vertex_count:
-                raise ValueError(
-                    f"vertex index {v} out of range for vertex_count={self.vertex_count}"
-                )
 
     # -- basic queries ----------------------------------------------------
 
@@ -93,24 +90,6 @@ class SimplicialComplex:
         return not self.maximal_faces
 
     # -- constructions ----------------------------------------------------
-
-    def full_subcomplex(self, vertices: Iterable[int]) -> "SimplicialComplex":
-        """Restriction K_J: all faces contained in ``vertices``, relabelled.
-
-        The new complex lives on ``len(J)`` vertices, relabelled ``0..|J|-1``
-        in increasing order of the old labels.  ``J = []`` gives the void
-        complex on zero vertices.
-        """
-        J = sorted(set(int(v) for v in vertices))
-        self._check_vertices(J)
-        if not J:
-            return SimplicialComplex(0, frozenset())
-        if not self.maximal_faces:
-            return SimplicialComplex(len(J), frozenset())
-        keep = set(J)
-        relabel = {v: i for i, v in enumerate(J)}
-        traces = {tuple(relabel[v] for v in f if v in keep) for f in self.maximal_faces}
-        return SimplicialComplex(len(J), traces)
 
     def relabeled(self, perm: Sequence[int] | Mapping[int, int]) -> "SimplicialComplex":
         """Apply a vertex permutation (old index -> new index)."""

@@ -1,11 +1,12 @@
 """Queries and constructions on simplicial complexes that only the tests use.
 
 The package stores a complex by its maximal faces and needs no more than
-that.  The tests also ask which faces a complex has, build full simplices,
-and take the connected sum of a dual complex with a simplex boundary at a
-facet, the tests' own route to the vertex cut of a polytope.  The
-all-pairs pruning below is the reference for the canonical form that
-``SimplicialComplex`` computes.
+that.  The tests also restrict a complex to a vertex set, the full
+subcomplex K_J that the subset sum walks to, ask which faces a complex
+has, build full simplices, and take the connected sum of a dual complex
+with a simplex boundary at a facet, the tests' own route to the vertex
+cut of a polytope.  The all-pairs pruning below is the reference for the
+canonical form that ``SimplicialComplex`` computes.
 """
 
 from __future__ import annotations
@@ -29,6 +30,24 @@ def is_face(k: SimplicialComplex, simplex) -> bool:
         if v < 0 or v >= k.vertex_count:
             raise ValueError(f"vertex index {v} out of range for vertex_count={k.vertex_count}")
     return any(set(s) <= set(f) for f in k.maximal_faces)
+
+
+def full_subcomplex(k: SimplicialComplex, vertices) -> SimplicialComplex:
+    """Restriction K_J: all faces contained in ``vertices``, relabelled.
+
+    The new complex lives on ``len(J)`` vertices, relabelled ``0..|J|-1``
+    in increasing order of the old labels.  ``J = []`` gives the void
+    complex on zero vertices.
+    """
+    J = as_simplex(vertices)
+    for v in J:
+        if v < 0 or v >= k.vertex_count:
+            raise ValueError(f"vertex index {v} out of range for vertex_count={k.vertex_count}")
+    if not J or k.is_void:
+        return SimplicialComplex(len(J), frozenset())
+    relabel = {v: i for i, v in enumerate(J)}
+    traces = {tuple(relabel[v] for v in f if v in relabel) for f in k.maximal_faces}
+    return SimplicialComplex(len(J), traces)
 
 
 def faces_of_dimension(k: SimplicialComplex, d: int) -> list[tuple[int, ...]]:

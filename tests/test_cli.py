@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from isomorphism import are_combinatorially_isomorphic
+import momentangle.cli as cli_module
 from momentangle.cli import main, parse_expression
 from momentangle.moment_angle import DEFAULT_MAX_VERTICES, SubsetLimitError
 from momentangle.polytopes import (
@@ -291,6 +292,39 @@ class TestErrorsAndLimits:
         assert err == (
             "error: complex has 22 vertices: enumerating 2^22 = 4194304 subsets "
             "exceeds the limit 2^11; raise the max-subsets exponent to proceed\n"
+            "hint: raise the cap with --max-subsets\n"
+        )
+
+    @pytest.mark.parametrize(
+        "expr, m, polygons",
+        [
+            (["product", "polygon", "700", "polygon", "700"], 700, []),
+            (["polygon", "1000000000"], 10**9, []),
+            (["product", "polygon", "20", "polygon", "20"], 40, [20, 20]),
+        ],
+        ids=["hostile-product", "huge-polygon", "product-of-capped-operands"],
+    )
+    def test_betti_caps_each_node_before_building_it(
+        self, capsys, monkeypatch, expr, m, polygons
+    ):
+        # no polytope over the cap is built: the product of two 700-gons
+        # was, in seconds, before the sum refused it, and of two 3000-gons
+        # ran out of memory
+        built = []
+
+        def counted(n):
+            built.append(n)
+            return polygon(n)
+
+        def refuse(*args):
+            raise AssertionError("a product over the cap was built")
+
+        monkeypatch.setattr(cli_module, "polygon", counted)
+        monkeypatch.setattr(cli_module, "product", refuse)
+        code, out, err = run(capsys, "betti", *expr)
+        assert (code, out, built) == (3, "", polygons)
+        assert err == (
+            f"error: {SubsetLimitError(m, DEFAULT_MAX_VERTICES)}\n"
             "hint: raise the cap with --max-subsets\n"
         )
 

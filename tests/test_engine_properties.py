@@ -13,8 +13,9 @@ computes one subset of each complementary pair; they are also checked
 against the same sums with the sphere certificate forced to fail.  Random
 joins, with their vertices shuffled, and the corpus polytopes, whose
 products are joins, are checked against the same sums with the join
-factor search forced to report a single factor, and the factors split
-from their maximal faces against the scan of the whole complex.  Random complexes, joins
+factor search forced to report a single factor; there and on random
+complexes, the factors that the sum splits off are checked against a
+brute-force search for the minimal non-faces.  Random complexes, joins
 with RP^2 and the corpus polytopes with their cuts are checked, subset by
 subset and summed, three ways: the walk's groups against the oracle's;
 the rule the walk takes for each subset (a reused parent, a point, a cone,
@@ -44,8 +45,9 @@ from momentangle.moment_angle import (  # noqa: E402
     moment_angle_cohomology,
 )
 from momentangle.polytopes import polygon, product, simplex_polytope  # noqa: E402
-from momentangle.simplicial import SimplicialComplex, join  # noqa: E402
+from momentangle.simplicial import SimplicialComplex, boundary_complex, join  # noqa: E402
 from momentangle.surgery import theorem_corpus  # noqa: E402
+from complexes import full_subcomplex  # noqa: E402
 from subset_oracle import reference_sum, subset_homologies  # noqa: E402
 from test_moment_angle import (  # noqa: E402
     MOORE3,
@@ -53,7 +55,15 @@ from test_moment_angle import (  # noqa: E402
     factor_search_off,
     split_factors,
 )
-from walk import faces_of, mask, route, steps, subset_table, walk_groups  # noqa: E402
+from walk import (  # noqa: E402
+    faces_of,
+    mask,
+    minimal_nonface_factors,
+    route,
+    steps,
+    subset_table,
+    walk_groups,
+)
 
 RP2 = SimplicialComplex(
     6,
@@ -109,7 +119,7 @@ def assert_engine_matches_oracle(k):
     faces = faces_of(k)
     for J, expected in homologies.items():
         assert walk_groups(faces, mask(J)) == expected, J
-        assert reduced_homology(k.full_subcomplex(J)) == expected, J
+        assert reduced_homology(full_subcomplex(k, J)) == expected, J
     groups, table = reference_sum(homologies)
     assert moment_angle_cohomology(k) == groups
     assert bigraded_table(k) == table
@@ -162,9 +172,8 @@ def test_duality_on_equals_off_on_the_corpus(p):
 
 
 def assert_factor_search_changes_nothing(k):
-    # the facet split and the remainder scan find what the scan of the
-    # whole complex finds
-    assert split_factors(k) == faces_of(k).join_factors()
+    # the missing edges and the remainder's rule find the minimal non-faces
+    assert split_factors(k) == minimal_nonface_factors(k)
     groups, table = moment_angle_cohomology(k), bigraded_table(k)
     with pytest.MonkeyPatch.context() as patch:
         factor_search_off(patch)
@@ -189,6 +198,30 @@ def random_joins(draw, max_vertices=11):
 @given(random_joins())
 def test_factor_search_on_equals_off_on_random_joins(k):
     assert_factor_search_changes_nothing(k)
+
+
+@checked(100)
+@given(complexes())
+def test_split_finds_the_minimal_nonfaces_of_random_complexes(k):
+    # non-joins and non-pure complexes among them; about one in five
+    # leaves a remainder to the rule read off the listed faces
+    assert split_factors(k) == minimal_nonface_factors(k)
+
+
+@st.composite
+def boundary_joins(draw):
+    # ∂Δ^2 and ∂Δ^3 have no missing edge, so only the remainder's rule
+    # separates them from each other and from a random complex
+    k = draw(complexes(max_vertices=3))
+    for _ in range(draw(st.integers(1, 2))):
+        k = join(k, boundary_complex(draw(st.integers(2, 3))))
+    return k.relabeled(draw(st.permutations(range(k.vertex_count))))
+
+
+@checked(30)
+@given(boundary_joins())
+def test_split_finds_the_minimal_nonfaces_of_simplex_boundary_joins(k):
+    assert split_factors(k) == minimal_nonface_factors(k)
 
 
 @pytest.mark.parametrize("p", [p for _, p in CORPUS], ids=[name for name, _ in CORPUS])

@@ -28,10 +28,10 @@ from momentangle.simplicial import (
     join,
 )
 from momentangle.surgery import theorem_corpus
-from complexes import full_simplex
+from complexes import full_simplex, full_subcomplex
 from invariants import euler_characteristic, has_torsion, is_symmetric, poincare_product
 from subset_oracle import reference_sum, subset_homologies
-from walk import faces_of, walk_groups
+from walk import faces_of, minimal_nonface_factors, walk_groups
 
 RP2 = SimplicialComplex(
     6,
@@ -302,7 +302,7 @@ class TestParallelism:
         # RP^2 with a path the full one (2^10, 40 faces); neither is a join,
         # and the threshold is lowered so both reach the pool and its
         # merge of subtrees
-        assert faces_of(k).join_factors() == [list(range(10))]
+        assert minimal_nonface_factors(k) == [list(range(10))]
         starts = []
         pool = concurrent.futures.ProcessPoolExecutor
 
@@ -405,15 +405,16 @@ def split_factors(k):
     out = []
     for part, faces in _factors(m, _masks(k.maximal_faces)):
         vertices = [v for v in range(m) if part >> v & 1]
-        assert faces.layers == faces_of(k.full_subcomplex(vertices)).layers, vertices
+        assert faces.layers == faces_of(full_subcomplex(k, vertices)).layers, vertices
         out.append(vertices)
     return sorted(out)
 
 
 def factor_search_off(patch):
-    """Make the sum take K as one factor: no facet split, no scan of a remainder."""
-    patch.setattr(moment_angle_module, "_parts", lambda m, facets: [(1 << m) - 1])
-    patch.setattr(_Faces, "join_factors", lambda self: [list(range(self.vertex_count))])
+    """Make the sum take K as one factor: each relation has one component."""
+    patch.setattr(
+        moment_angle_module, "_components", lambda near, vertices: [(1 << len(near)) - 1]
+    )
 
 
 class TestJoinFactors:
@@ -427,7 +428,7 @@ class TestJoinFactors:
         "rp2-ghost": (SimplicialComplex(7, RP2.maximal_faces), [list(range(6)), [6]]),
         "rp2-cone": (join(RP2, full_simplex(0)), [list(range(6)), [6]]),
         "simplex-3": (full_simplex(3), [[0], [1], [2], [3]]),
-        # neither has a missing edge: the remainder scan splits them
+        # neither has a missing edge: the remainder's rule splits them
         "triangle-join-tetrahedron": (
             join(boundary_complex(2), boundary_complex(3)).relabeled([0, 3, 5, 1, 2, 4, 6]),
             [[0, 3, 5], [1, 2, 4, 6]],
@@ -439,7 +440,7 @@ class TestJoinFactors:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_against_the_subset_oracle(self, name):
         k, factors = self.CASES[name]
-        assert faces_of(k).join_factors() == split_factors(k) == factors
+        assert minimal_nonface_factors(k) == split_factors(k) == factors
         groups, table = reference_sum(subset_homologies(k))
         assert moment_angle_cohomology(k) == groups
         assert bigraded_table(k) == table
@@ -452,7 +453,7 @@ class TestJoinFactors:
         # the field Kunneth formula applied to the oracle's groups of Z_RP2
         k = join(RP2, RP2)
         factors = [list(range(6)), list(range(6, 12))]
-        assert faces_of(k).join_factors() == split_factors(k) == factors
+        assert minimal_nonface_factors(k) == split_factors(k) == factors
         groups, table = moment_angle_cohomology(k), bigraded_table(k)
         assert groups.torsion(17) == groups.torsion(18) == (2,)
         rp2, _ = reference_sum(subset_homologies(RP2))
@@ -492,12 +493,12 @@ class TestJoinFactors:
         ]:
             k = p.dual_complex()
             expected = [list(r) for r in factors]
-            assert faces_of(k).join_factors() == split_factors(k) == expected
+            assert minimal_nonface_factors(k) == split_factors(k) == expected
 
     @pytest.mark.parametrize("n", [3, 5, 6, 9, 12])
     def test_polygons_are_one_factor(self, n):
         k = polygon(n).dual_complex()
-        assert faces_of(k).join_factors() == split_factors(k) == [list(range(n))]
+        assert minimal_nonface_factors(k) == split_factors(k) == [list(range(n))]
 
     def test_a_product_lists_only_its_factors_faces(self, monkeypatch):
         # cube-11's dual is the join of eleven copies of S^0 on 22 vertices,
@@ -515,7 +516,6 @@ class TestJoinFactors:
 
         monkeypatch.setattr(_Faces, "__init__", spy)
         monkeypatch.setattr(SimplicialComplex, "__post_init__", refuse)
-        monkeypatch.setattr(SimplicialComplex, "full_subcomplex", refuse)
         groups = moment_angle_cohomology(cube(11))
         assert listed == [3] * 11
         # Z = (S^3)^11

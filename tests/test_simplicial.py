@@ -8,6 +8,7 @@ from complexes import (
     connected_sum_at_facet,
     faces_of_dimension,
     full_simplex,
+    full_subcomplex,
     is_face,
 )
 from isomorphism import are_isomorphic
@@ -155,41 +156,41 @@ class TestQueries:
 
 class TestFullSubcomplex:
     def test_opposite_vertices_of_square(self):
-        sub = cycle(4).full_subcomplex([0, 2])
+        sub = full_subcomplex(cycle(4), [0, 2])
         assert sub.vertex_count == 2
         assert sub.maximal_faces == frozenset({(0,), (1,)})
 
     def test_edge_of_triangle(self):
-        sub = boundary_complex(2).full_subcomplex([0, 1])
+        sub = full_subcomplex(boundary_complex(2), [0, 1])
         assert sub.maximal_faces == frozenset({(0, 1)})
 
     def test_identity_case(self):
         k = cycle(4)
-        assert k.full_subcomplex(range(4)) == k
+        assert full_subcomplex(k, range(4)) == k
 
     def test_empty_subset_gives_empty_complex(self):
-        sub = boundary_complex(2).full_subcomplex([])
+        sub = full_subcomplex(boundary_complex(2), [])
         assert sub.vertex_count == 0
         assert sub.is_void
 
     def test_relabelling_is_order_preserving(self):
-        sub = cycle(5).full_subcomplex([1, 3, 4])
+        sub = full_subcomplex(cycle(5), [1, 3, 4])
         # old edge (3,4) survives as (1,2); vertex 1 is isolated as 0
         assert sub.maximal_faces == frozenset({(0,), (1, 2)})
 
     def test_subset_with_no_faces_keeps_empty_face(self):
         k = SimplicialComplex(3, [(0, 1)])
-        sub = k.full_subcomplex([2])
+        sub = full_subcomplex(k, [2])
         # vertex 2 is a ghost: the restriction has only the empty face
         assert sub.vertex_count == 1
         assert sub.maximal_faces == frozenset({()})
 
     def test_full_subcomplex_of_void(self):
-        assert SimplicialComplex(3, []).full_subcomplex([0, 1]).is_void
+        assert full_subcomplex(SimplicialComplex(3, []), [0, 1]).is_void
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            cycle(4).full_subcomplex([0, 9])
+            full_subcomplex(cycle(4), [0, 9])
 
 
 class TestConnectedSum:

@@ -7,13 +7,15 @@ lowest vertex, and adds one step; what a spy sees in the walk to J beyond
 what it saw in the walk to the parent is that step's own.
 
 ``route`` says which rule settles the step into J, from the maximal faces
-of K and the definitions alone.
+of K and the definitions alone, and ``minimal_nonface_factors`` which join
+factors the sum splits K into.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 import pytest
 
@@ -30,6 +32,37 @@ def mask(vertices) -> int:
 def faces_of(k) -> _Faces:
     """The engine's face lists of a ``SimplicialComplex``, from its maximal faces."""
     return _Faces(k.vertex_count, _masks(k.maximal_faces))
+
+
+def minimal_nonface_factors(k) -> list[list[int]]:
+    """The finest join factors of K by brute force, as vertex lists by lowest vertex.
+
+    Every vertex set S is tried: S is a minimal non-face when it is not a
+    face and S minus any one of its vertices is.  A union-find merges the
+    vertices of each minimal non-face, and its classes are the factors.
+    """
+    m = k.vertex_count
+    faces = {
+        mask(c) for f in k.maximal_faces for r in range(len(f) + 1) for c in combinations(f, r)
+    }
+    root = list(range(m))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for S in range(1, 1 << m):
+        vertices = [v for v in range(m) if S >> v & 1]
+        if S in faces or any(S ^ 1 << v not in faces for v in vertices):
+            continue
+        for v in vertices[1:]:
+            a, b = find(vertices[0]), find(v)
+            root[max(a, b)] = min(a, b)
+    factors: dict[int, list[int]] = {}
+    for v in range(m):
+        factors.setdefault(find(v), []).append(v)
+    return list(factors.values())
 
 
 def walk_groups(faces, subset: int) -> GradedGroups:
