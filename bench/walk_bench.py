@@ -1,6 +1,6 @@
 """End-to-end times and per-route subset counts of the subset sum.
 
-    python3 bench/walk_bench.py --parent DIR --runs 5 --out BENCH_13.json
+    python3 bench/walk_bench.py --parent DIR --runs 5 --out BENCH_15.json
 
 DIR is a checkout of the commit to compare with.  Each input is run as
 ``python -m momentangle.cli betti <input> --workers W`` in a fresh process,
@@ -19,8 +19,9 @@ own copy of this script, which knows its own internals; where a
 checkout's counter refuses an input (before the facet split it took no
 joins), its counts are ``null``.  A profile hook reads the return
 statement at which each step into a subset returns: a ghost vertex or a
-coned link ("reused"), an isolated point ("point"), a cone on the new
-vertex ("cone"), or ``_reduced_groups``, split into ``_graph_groups``
+coned link ("reused"), an isolated point, read from the memo of the
+parent's groups or added to it ("point"), a cone on the new vertex
+("cone"), or ``_reduced_groups``, split into ``_graph_groups``
 ("graph") and ``_matrix_groups`` ("eliminated") by spies.  From the root
 ∅ the walk takes one step per nonempty visited subset of each factor.
 The hook slows the counted sum; it is not timed.  "computed" is graph
@@ -44,29 +45,52 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def cut(base: list[str], cuts: int) -> list[str]:
+    """``base`` cut ``cuts`` times at vertex 0."""
+    return ["cut-vertex", "("] * cuts + base + [")", "0"] * cuts
+
+
 def dense(cuts: int) -> list[str]:
     """cube 6 cut ``cuts`` times at vertex 0: a 5-sphere on 12 + cuts vertices."""
-    return ["cut-vertex", "("] * cuts + ["cube", "6"] + [")", "0"] * cuts
+    return cut(["cube", "6"], cuts)
+
+
+# inputs given as complex files: (what the file holds, code printing it as JSON)
+FILES = {
+    "rp2-4-sphere": (
+        "sphere_around_rp2() of tests/test_moment_angle.py, as JSON",
+        "from test_moment_angle import sphere_around_rp2; "
+        "print(sphere_around_rp2().to_json())",
+    ),
+    "polygon-12-relabelled": (
+        "the polygon-12 dual relabelled as perfbench's sphere-wide input at seed 1, as JSON",
+        "import random; from momentangle.polytopes import polygon; "
+        "perm = list(range(12)); random.Random('1:polygon-12').shuffle(perm); "
+        "print(polygon(12).dual_complex().relabeled(perm).to_json())",
+    ),
+}
 
 
 def inputs(tmp: Path) -> dict[str, list[str]]:
-    rp2 = tmp / "rp2-sphere.json"
-    code = (
-        "import sys; sys.path[:0] = ['src', 'tests']; "
-        "from test_moment_angle import sphere_around_rp2; "
-        "print(sphere_around_rp2().to_json())"
-    )
-    rp2.write_text(subprocess.run(
-        [sys.executable, "-c", code], cwd=ROOT, check=True, capture_output=True, text=True
-    ).stdout)
+    files = {}
+    for name, (_, code) in FILES.items():
+        files[name] = tmp / f"{name}.json"
+        files[name].write_text(subprocess.run(
+            [sys.executable, "-c", "import sys; sys.path[:0] = ['src', 'tests']; " + code],
+            cwd=ROOT, check=True, capture_output=True, text=True,
+        ).stdout)
     return {
+        "polygon-12-relabelled": [str(files["polygon-12-relabelled"])],
         "polygon-18": ["polygon", "18"],
         "polygon-20": ["polygon", "20"],
         "polygon-22": ["polygon", "22"],
         "dense-sphere-17": dense(5),
         "dense-sphere-19": dense(7),
         "dense-sphere-20": dense(8),
-        "rp2-4-sphere": [str(rp2)],
+        "rp2-4-sphere": [str(files["rp2-4-sphere"])],
+        # a 3-sphere on 13 vertices whose subsets mostly need elimination
+        # in the given numbering
+        "simplex-4-cut-8": cut(["simplex", "4"], 8),
         # joins: eleven S^0 factors; a pooled 18-vertex factor and a
         # triangle left as the remainder; two ∂Δ^3 in one remainder, split
         # by its minimal non-faces
@@ -115,7 +139,7 @@ def routes(expr: list[str]) -> dict:
         setattr(homology, name, spy)
     # the route of each return statement of the walk's step
     source = Path(moment_angle.__file__).read_text()
-    names = {"groups": "reused", "_plus_point(groups)": "point", "()": "cone"}
+    names = {"groups": "reused", "plus": "point", "()": "cone"}
     by_line = {}
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.FunctionDef) and node.name == "step":
@@ -165,8 +189,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         entry = {}
         for name, expr in inputs(Path(tmp)).items():
-            result = {"input": " ".join(expr) if name != "rp2-4-sphere" else
-                      "sphere_around_rp2() of tests/test_moment_angle.py, as JSON"}
+            result = {"input": FILES[name][0] if name in FILES else " ".join(expr)}
             for workers in (1, 2):
                 times = {side: [] for side in sides}
                 outputs = set()

@@ -32,7 +32,7 @@ the AND of ext[g] over the new faces g = f ∪ {v}, the child is settled:
 
 - no new face (a ghost vertex): the parent's groups;
 - only {v}: the parent's groups plus a Z in H~_0, or zero if K_J has no
-  vertex;
+  vertex, kept per parent's groups so that each is built once;
 - J meets L: v's link is a cone with a vertex, so by Mayer-Vietoris the
   parent's groups (the strong collapse of a dominated vertex, Barmak and
   Minian, *Discrete Comput. Geom.* 47, 2012);
@@ -42,10 +42,28 @@ the AND of ext[g] over the new faces g = f ∪ {v}, the child is settled:
   one sparse elimination, ±1 pivots first.
 
 None of these hides torsion: reused and point steps keep the torsion of
-a parent computed or reused in turn, and cones and graphs have none.  Each (|J|, groups) pair is
-counted once and spread into the table at the end.  On a certified
+a parent computed or reused in turn, and cones and graphs have none.  The
+subsets are counted in one dict per |J|, keyed by their groups, and each
+(|J|, groups) count is spread into the table at the end.  On a certified
 sphere the complement of a cone needs no special case: H~(K_J) = 0
 exactly when H~(K_{V-J}) = 0, so its mirrored contribution is zero too.
+
+Which rule settles a step depends on how the vertices are numbered: when
+v's neighbours numbered above v span a face with v, v's link in K_{J ∪ v}
+is the simplex on the neighbours in J, so the step reuses the parent's
+groups or adds a point, and nothing is settled.  So each join factor's
+vertices are numbered by a maximum cardinality search (``_order``;
+Tarjan and Yannakakis, *SIAM J. Comput.* 13, 1984) before its faces are
+listed: labels go from the top down, each to the vertex with the most
+labelled neighbours, ties to a neighbour of the vertex labelled last.  On
+a flag complex with a chordal 1-skeleton that holds at every vertex; a
+polygon is numbered along its cycle, so only the lowest vertex has two
+neighbours above it.  Serial walks, input numbering -> the search: the
+12-gon as perfbench's ``sphere-wide`` relabels it, 226 -> 45 graphs; the
+dense 5-sphere (cube-6 cut 5 times, m = 17), 1980 -> 156 eliminations and
+576 -> 15 graphs; simplex-4 after 8 cuts, 878 -> 49 eliminations; the
+RP^2 4-sphere, 10 204 -> 4 001 eliminations.  The table, keyed by (|J|,
+degree, a), does not depend on the numbering.
 
 When K is a Z-homology d-sphere on its m vertices, as the dual complex of
 every simple polytope is, Alexander duality gives H~^i(K_J) = H~_{d-1-i}(K_{V-J})
@@ -91,7 +109,7 @@ go to the pool fewest vertices first, so on a sphere the largest
 subtrees start first, and a free worker takes the next root.  The tasks'
 tables are added, a commutative sum, so results are identical for every
 worker count.  A sum runs in the calling process whatever the worker count
-unless its visited subsets times the faces of K reach 2 000 000; this
+unless its visited subsets times the faces of K reach 16 000 000; this
 threshold applies to each join factor separately.
 ``concurrent.futures`` is imported only when a pool starts, so a serial
 sum never loads the process-pool machinery.
@@ -112,19 +130,22 @@ DEFAULT_MAX_VERTICES = 22
 
 # Below this much work, the subsets visited (2^(m-1) on a certified sphere,
 # 2^m otherwise) times the faces of K, the sum runs in this process
-# whatever the worker count: a 2-process pool costs 15-25 ms, each task
-# lists the faces again, and the sphere certificate runs before it.
-# Serial / 2-worker time, medians of 9 alternating runs, two series, 2-vCPU
-# VM, Python 3.11 (work in thousands): polygon-12 (51) 0.20-0.28,
-# polygon-14 (238) 0.47-0.76, polygon-16 (1081) 0.79-1.40, polygon-17
-# (2294) 1.62-1.73, polygon-18 (4850) 1.40-1.44, polygon-20 (21496)
-# 1.78-1.83; cube-5 cut at vertex 0 (280) 0.45-0.59, cube-6 cut once
-# (3240) 0.89-0.99, twice (6988) 1.14-1.16, three times (14991) 1.35-1.37,
-# five times (68092) 1.45-1.61; simplex-4 after 8 cuts (586) 1.32-1.36;
-# RP^2 with a 4-edge pendant path (41) 0.66-0.84, with a 6-edge one (180)
-# 1.25-1.46; the RP^2 4-sphere (20546) 1.54-1.59.  Work counts faces, not
-# elimination, so the simplex-4 cuts and the 6-edge path stay serial.
-_POOL_MIN_WORK = 2_000_000
+# whatever the worker count: a 2-process pool adds 45-55 ms to ``betti``
+# (polygon-12, RP^2 with a path), each task lists the faces again, and the
+# sphere certificate runs before it.
+# Serial / 2-worker time of ``betti`` in fresh processes, the pool forced
+# at 2 workers, medians of 9 alternating runs, two series, 2-vCPU VM,
+# Python 3.11 (work in thousands): polygon-12 (51) 0.66-0.72, polygon-14
+# (238) 0.69-0.76, polygon-16 (1081) 0.76, polygon-17 (2294) 0.79-0.82,
+# polygon-18 (4850) 0.80-0.88, polygon-20 (21496) 1.20-1.32; cube-5 cut at
+# vertex 0 (280) 0.56-0.68, cube-6 cut once (3240) 0.49-0.60, twice (6988)
+# 0.70-0.85, three times (14991) 0.87-0.95, five times (68092) 1.19-1.21;
+# simplex-4 after 8 cuts (586) 0.75; RP^2 with a 4-edge pendant path (41)
+# 0.73, with a 6-edge one (180) 0.73-0.75; the RP^2 4-sphere (20546)
+# 1.16-1.56.  Work counts faces, not elimination; with each factor
+# numbered by ``_order``, the inputs with the most elimination per face
+# (the simplex-4 cuts, the 6-edge path) are faster serial as well.
+_POOL_MIN_WORK = 16_000_000
 
 
 class SubsetLimitError(Exception):
@@ -199,21 +220,30 @@ def _walk(faces: _Faces, sphere_dim: int | None, root: int, low: int) -> Counter
     # ext and the (face, column) pair of each nonempty face, by its mask
     node = {item[0]: (ext[item[0]], item) for layer in faces.layers[1:] for item in layer}
     width = len(faces.layers) - 1  # the most vertices of a face
-    joined = [ext.get(1 << v, 0) for v in range(m)]  # 0 for a ghost vertex
+    joined = [0] * m  # the vertices of v's star, 0 for a ghost vertex
+    point: list = [None] * m  # the (face, column) pair of {v}
+    for item in faces.layers[1] if width else ():
+        v = item[0].bit_length() - 1
+        joined[v] = ext[item[0]]
+        point[v] = item
+    plus_point: dict[tuple, tuple] = {}  # a parent's groups -> its point child's
     present: list[tuple[int, dict[int, int]]] = []  # the faces of K_J
-    tally: dict[tuple, int] = {}  # (|J|, groups) -> subsets
     # subsets of more than ``most`` vertices, or of ``most`` with ``top``,
     # are the complements of visited ones
     most = m if sphere_dim is None else m // 2
     top = 1 << (m - 1) if sphere_dim is not None and 2 * most == m else 0
+    tally: list[dict[tuple, int]] = [{} for _ in range(most + 1)]  # per |J|: groups -> subsets
 
     def step(J: int, v: int, groups: tuple) -> tuple:
         """The groups of K_{J ∪ v}, whose new faces join ``present``."""
         if not joined[v]:
             return groups  # a ghost vertex adds no face
         if not J & joined[v]:
-            present.append(node[1 << v][1])
-            return _plus_point(groups)  # v is an isolated point
+            present.append(point[v])
+            plus = plus_point.get(groups)
+            if plus is None:
+                plus = plus_point[groups] = _plus_point(groups)
+            return plus  # v is an isolated point
         # the new faces are v and its cofaces inside J ∪ {v}, each reached
         # once, from the face without its top vertex
         old = len(present)
@@ -241,12 +271,12 @@ def _walk(faces: _Faces, sphere_dim: int | None, root: int, low: int) -> Counter
         if size > most or (size == most and J & top):
             return
         deeper = size < most
+        counts = tally[size]
         for v in range(low):
             mark = len(present)
             child = step(J, v, groups)
             if child:
-                key = (size, child)
-                tally[key] = tally.get(key, 0) + 1
+                counts[child] = counts.get(child, 0) + 1
             if deeper and v:
                 visit(J | 1 << v, size, child, v)
             del present[mark:]
@@ -260,19 +290,20 @@ def _walk(faces: _Faces, sphere_dim: int | None, root: int, low: int) -> Counter
             groups = step(J, v, groups)
             J |= 1 << v
     if groups:
-        tally[(size, groups)] = 1
+        tally[size][groups] = 1
     # at m = 2 on a sphere, ∅'s child {m - 1} is past the half, but a point adds nothing
     visit(root, size, groups, low)
     # visit refers to itself through its closure: unbound here, the faces
     # and lists it holds are freed now, not at some later cyclic collection
     del visit
     table: Counter = Counter()
-    for (size, groups), n in tally.items():
-        for q, (r, torsion) in groups:
-            if r:
-                table[(size, q + size + 1, 0)] += r * n
-            for a in torsion:
-                table[(size, q + size + 2, a)] += n
+    for size, counts in enumerate(tally):
+        for groups, n in counts.items():
+            for q, (r, torsion) in groups:
+                if r:
+                    table[(size, q + size + 1, 0)] += r * n
+                for a in torsion:
+                    table[(size, q + size + 2, a)] += n
     return table
 
 
@@ -340,14 +371,74 @@ def _components(near: list[int], vertices: int) -> list[int]:
     return parts
 
 
-def _relabel(masks: Iterable[int], part: int) -> list[int]:
-    """``masks``, all inside ``part``, with part's vertices renumbered 0, 1, ..."""
-    bits = [1 << v for v in range(part.bit_length()) if part >> v & 1]
-    return sorted(sum(1 << i for i, bit in enumerate(bits) if f & bit) for f in masks)
+def _order(part: int, linked: list[int]) -> list[int]:
+    """part's vertices as bits, bits[i] the one labelled i, by maximum cardinality search.
+
+    Labels go from the top down, each to the unlabelled vertex with the most
+    labelled neighbours (``linked[v]``, the vertices in a facet with v),
+    ties to a neighbour of the vertex labelled last, then to the lowest
+    vertex (Tarjan and Yannakakis, *SIAM J. Comput.* 13, 1984).  No order
+    of two vertices changes the walk, so those keep theirs.
+    """
+    if part.bit_count() <= 2:
+        low = part & -part
+        return [bit for bit in (low, part ^ low) if bit]
+    count = [0] * len(linked)  # the labelled neighbours of each vertex
+    level = [0] * part.bit_count()  # level[c]: the unlabelled vertices with count c
+    level[0] = part
+    top = 0  # the highest nonempty level
+    last = 0  # the unlabelled neighbours of the vertex labelled last
+    bits = []
+    while part:
+        while not level[top]:
+            top -= 1
+        ties = level[top] & last or level[top]
+        best = ties & -ties
+        level[top] ^= best
+        part ^= best
+        bits.append(best)
+        last = rest = linked[best.bit_length() - 1] & part
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            u = bit.bit_length() - 1
+            level[count[u]] ^= bit
+            count[u] += 1
+            level[count[u]] |= bit
+        if last:
+            top += 1  # best's neighbours may now count one more than top
+    bits.reverse()  # the first vertex took the top label
+    return bits
 
 
-def _factors(m: int, facets: list[int]) -> Iterator[tuple[int, _Faces]]:
-    """The finest join factors of K: each one's vertex mask and ``_Faces``.
+def _relabel(masks: Iterable[int], bits: list[int]) -> list[int]:
+    """``masks``, all inside the vertices ``bits``, with bits[i] renumbered i.
+
+    ``bits`` is a factor's numbering by ``_order``, under which most of the
+    walk's steps reuse their parent's groups or add a point (see the
+    module docstring); the pool tasks get the renumbered facets.
+    """
+    label = {bit: 1 << i for i, bit in enumerate(bits)}
+    out = []
+    for f in masks:
+        g = 0
+        while f:
+            bit = f & -f
+            g |= label[bit]
+            f ^= bit
+        out.append(g)
+    out.sort()
+    return out
+
+
+def _listed(part: int, facets: Iterable[int], linked: list[int]) -> tuple[list[int], _Faces]:
+    """The factor on ``part`` with these maximal faces: its numbering and its faces."""
+    bits = _order(part, linked)
+    return bits, _Faces(len(bits), _relabel(facets, bits))
+
+
+def _factors(m: int, facets: list[int]) -> Iterator[tuple[list[int], _Faces]]:
+    """The finest join factors of K: each one's numbering (``_order``) and ``_Faces``.
 
     Two vertices u and w lie in one factor when they lie in a common
     minimal non-face S, that is when some face f ∋ u has f - u + w a face
@@ -376,13 +467,13 @@ def _factors(m: int, facets: list[int]) -> Iterator[tuple[int, _Faces]]:
         traces = {f & part for f in facets}
         others = {f & ~part for f in facets}
         if len(traces) * len(others) == len(facets):
-            yield part, _Faces(part.bit_count(), _relabel(traces, part))
+            yield _listed(part, traces, linked)
             facets = list(others)
         else:
             remainder |= part
     if not remainder:
         return
-    faces = _Faces(remainder.bit_count(), _relabel(facets, remainder))
+    bits, faces = _listed(remainder, facets, linked)
     ext = faces.ext
     near = [0] * faces.vertex_count
     for layer in faces.layers[1:]:
@@ -394,12 +485,11 @@ def _factors(m: int, facets: list[int]) -> Iterator[tuple[int, _Faces]]:
                 rest ^= low
     groups = _components(near, ext[0])
     if len(groups) == 1:
-        yield remainder, faces
+        yield bits, faces
         return
-    bits = [1 << v for v in range(m) if remainder >> v & 1]
     for group in groups:
         part = sum(bit for i, bit in enumerate(bits) if group >> i & 1)
-        yield part, _Faces(group.bit_count(), _relabel({f & part for f in facets}, part))
+        yield _listed(part, {f & part for f in facets}, linked)
 
 
 def _gather(m: int, facets: list[int], workers: int) -> Counter:

@@ -15,7 +15,11 @@ joins, with their vertices shuffled, and the corpus polytopes, whose
 products are joins, are checked against the same sums with the join
 factor search forced to report a single factor; there and on random
 complexes, the factors that the sum splits off are checked against a
-brute-force search for the minimal non-faces.  Random complexes, joins
+brute-force search for the minimal non-faces.  The whole (|J|, degree, a)
+table, with each join factor numbered by the maximum cardinality search
+and, with that search off, as given, equals the oracle's on random
+complexes and joins, joins with RP^2, RP^2 with and without a path, the
+mod-3 Moore space and the corpus with its cuts.  Random complexes, joins
 with RP^2 and the corpus polytopes with their cuts are checked, subset by
 subset and summed, three ways: the walk's groups against the oracle's;
 the rule the walk takes for each subset (a reused parent, a point, a cone,
@@ -39,6 +43,8 @@ from hypothesis import strategies as st  # noqa: E402
 import momentangle.homology as homology_module  # noqa: E402
 from momentangle.homology import GradedGroups, _Faces, reduced_homology  # noqa: E402
 from momentangle.moment_angle import (  # noqa: E402
+    _check_input,
+    _gather,
     _mirror,
     _walk,
     bigraded_table,
@@ -53,6 +59,7 @@ from test_moment_angle import (  # noqa: E402
     MOORE3,
     RP2_WITH_PATH,
     factor_search_off,
+    order_off,
     split_factors,
 )
 from walk import (  # noqa: E402
@@ -227,6 +234,47 @@ def test_split_finds_the_minimal_nonfaces_of_simplex_boundary_joins(k):
 @pytest.mark.parametrize("p", [p for _, p in CORPUS], ids=[name for name, _ in CORPUS])
 def test_factor_search_on_equals_off_on_the_corpus(p):
     assert_factor_search_changes_nothing(p.dual_complex())
+
+
+def assert_order_changes_nothing(k):
+    # the table of every subset, each factor numbered by the search and as
+    # given, against the oracle's
+    expected = subset_table(subset_homologies(k))
+    m, facets = _check_input(k, k.vertex_count)
+    assert _gather(m, facets, 1) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        order_off(patch)
+        assert _gather(m, facets, 1) == expected
+
+
+@checked(60)
+@given(complexes())
+def test_order_on_equals_off_on_random_complexes(k):
+    assert_order_changes_nothing(k)
+
+
+@checked(30)
+@given(random_joins(max_vertices=8))
+def test_order_on_equals_off_on_random_joins(k):
+    assert_order_changes_nothing(k)
+
+
+@checked(10)
+@given(rp2_joins())
+def test_order_on_equals_off_on_joins_with_the_projective_plane(k):
+    assert_order_changes_nothing(k)
+
+
+@pytest.mark.parametrize(
+    "k", [RP2, RP2_WITH_PATH, MOORE3], ids=["rp2", "rp2-pendant-path", "moore3"]
+)
+def test_order_on_equals_off_with_torsion(k):
+    assert_order_changes_nothing(k)
+
+
+@pytest.mark.parametrize("p", [p for _, p in CORPUS], ids=[name for name, _ in CORPUS])
+def test_order_on_equals_off_on_the_corpus(p):
+    assert_order_changes_nothing(p.dual_complex())
 
 
 def assert_parts_match_oracle(k, homologies):

@@ -1,11 +1,13 @@
 import concurrent.futures
 import os
+import random
 from collections import Counter
 from itertools import combinations
 from math import comb
 
 import pytest
 
+import momentangle.homology as homology_module
 import momentangle.moment_angle as moment_angle_module
 from cellular_oracle import cellular_betti, cellular_betti_mod_p
 from momentangle.homology import GradedGroups, _Faces, _masks
@@ -398,14 +400,16 @@ class TestAlexanderDuality:
 def split_factors(k):
     """The join factors the sum takes for K, as vertex lists by lowest vertex.
 
-    Each factor's face lists, built from its traces, must be those of its
-    full subcomplex.
+    Each factor's face lists, built from its traces in the factor's own
+    numbering, must be those of its full subcomplex numbered the same way.
     """
-    m = k.vertex_count
     out = []
-    for part, faces in _factors(m, _masks(k.maximal_faces)):
-        vertices = [v for v in range(m) if part >> v & 1]
-        assert faces.layers == faces_of(full_subcomplex(k, vertices)).layers, vertices
+    for bits, faces in _factors(k.vertex_count, _masks(k.maximal_faces)):
+        labels = [bit.bit_length() - 1 for bit in bits]  # the vertex numbered i
+        vertices = sorted(labels)
+        # full_subcomplex numbers the vertices in increasing order
+        sub = full_subcomplex(k, vertices).relabeled([labels.index(v) for v in vertices])
+        assert faces.layers == faces_of(sub).layers, labels
         out.append(vertices)
     return sorted(out)
 
@@ -414,6 +418,15 @@ def factor_search_off(patch):
     """Make the sum take K as one factor: each relation has one component."""
     patch.setattr(
         moment_angle_module, "_components", lambda near, vertices: [(1 << len(near)) - 1]
+    )
+
+
+def order_off(patch):
+    """Make each factor keep its vertices in increasing order, as given."""
+    patch.setattr(
+        moment_angle_module,
+        "_order",
+        lambda part, linked: [1 << v for v in range(part.bit_length()) if part >> v & 1],
     )
 
 
@@ -525,6 +538,105 @@ class TestJoinFactors:
         # cube-5 splits into five 2-vertex factors, but the cap sees m = 10
         with pytest.raises(SubsetLimitError, match=r"2\^10 = 1024"):
             moment_angle_cohomology(cube(5).dual_complex(), max_vertices=9)
+
+
+def settles(k, name):
+    """Calls of ``homology.<name>`` by the serial sum of K: (the walk's, the certificate's)."""
+    calls = {"walk": 0, "certificate": 0}
+    where = ["walk"]
+    original = getattr(homology_module, name)
+    certify = _Faces.sphere_dimension
+
+    def spy(*args):
+        calls[where[0]] += 1
+        return original(*args)
+
+    def certificate(self):
+        where[0] = "certificate"
+        try:
+            return certify(self)
+        finally:
+            where[0] = "walk"
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homology_module, name, spy)
+        patch.setattr(_Faces, "sphere_dimension", certificate)
+        moment_angle_cohomology(k)
+    return calls["walk"], calls["certificate"]
+
+
+class TestVertexOrder:
+    # each factor is numbered by maximum cardinality search, so that a step
+    # into J ∪ {v} mostly finds v's neighbours above v spanning a face with
+    # v, and reuses the parent's groups; these counts are the point of it
+
+    def test_order_on_a_path(self):
+        # the path 4-1-0-2-3 and a ghost 5: 0, the lowest vertex, takes the
+        # top label, then its neighbour 1; 4 and 2 both have one labelled
+        # neighbour, and 4 is 1's, so it comes before 2, then 3
+        linked = [0b000111, 0b010011, 0b001101, 0b001100, 0b010010, 0]
+        bits = moment_angle_module._order(0b011111, linked)
+        assert [bit.bit_length() - 1 for bit in bits] == [3, 2, 4, 1, 0]
+        # two vertices keep their order
+        assert moment_angle_module._order(0b101, [0b101, 0, 0b101]) == [0b1, 0b100]
+
+    def test_relabelled_polygons_settle_the_same(self):
+        # the 12-gon under 30 relabellings is numbered along its cycle, so
+        # only the steps that add the lowest vertex to a J holding both its
+        # neighbours need a graph, 45 of them in the half that the walk
+        # visits; the certificate's one graph is K itself
+        k = polygon(12).dual_complex()
+        given = set()
+        for seed in range(30):
+            perm = list(range(12))
+            random.Random(seed).shuffle(perm)
+            relabelled = k.relabeled(perm)
+            assert settles(relabelled, "_graph_groups") == (45, 1), seed
+            assert settles(relabelled, "_matrix_groups") == (0, 0), seed
+            with pytest.MonkeyPatch.context() as patch:
+                order_off(patch)
+                given.add(settles(relabelled, "_graph_groups")[0])
+        assert min(given) > 45
+
+    def test_simplex_cuts_eliminate_less(self):
+        # simplex-4 after 8 cuts at vertex 0, a 3-sphere on 13 vertices
+        p = simplex_polytope(4)
+        for _ in range(8):
+            p = p.cut_vertex(0)
+        assert settles(p, "_matrix_groups") == (49, 14)
+        with pytest.MonkeyPatch.context() as patch:
+            order_off(patch)
+            assert settles(p, "_matrix_groups") == (878, 14)
+
+    def test_pool_tasks_take_the_renumbered_facets(self, monkeypatch):
+        # in RP2 * S^0 with the labels interleaved the RP2 factor is
+        # renumbered, and with the threshold lowered it alone reaches the
+        # pool, whose tasks list its faces from the facets they are sent
+        k = TestJoinFactors.CASES["rp2-join-s0"][0]
+        (bits,) = [b for b, _ in _factors(k.vertex_count, _masks(k.maximal_faces)) if len(b) == 6]
+        assert bits != sorted(bits)
+        groups, table = moment_angle_cohomology(k), bigraded_table(k)
+        starts = []
+        pool = concurrent.futures.ProcessPoolExecutor
+
+        def counted(*args, **kwargs):
+            starts.append(kwargs.get("max_workers"))
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(moment_angle_module, "_POOL_MIN_WORK", 2**10)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+        assert moment_angle_cohomology(k, workers=2) == groups
+        assert bigraded_table(k, workers=2) == table
+        assert starts == ([2, 2] if _usable_workers(2) == 2 else [])
+
+    def test_the_sphere_around_rp2_without_the_order(self, monkeypatch):
+        # the (|J|, degree, a) table in full, the Z/2 of RP2 and its
+        # complement included; the oracle is too slow for its 2^16 subsets
+        m, facets = moment_angle_module._check_input(sphere_around_rp2(), 16)
+        table = moment_angle_module._gather(m, facets, 1)
+        assert table[(6, 9, 2)] == table[(10, 13, 2)] == 1
+        order_off(monkeypatch)
+        assert moment_angle_module._gather(m, facets, 1) == table
 
 
 class TestPolytopeInput:
