@@ -1,12 +1,14 @@
 """End-to-end times and per-route subset counts of the subset sum.
 
-    python3 bench/walk_bench.py --parent DIR --runs 5 --out BENCH_15.json
+    python3 bench/walk_bench.py --parent DIR --runs 5 --out BENCH_16.json
 
 DIR is a checkout of the commit to compare with.  Each input is run as
 ``python -m momentangle.cli betti <input> --workers W`` in a fresh process,
 for W = 1 and 2, the runs of the two checkouts alternating, and the wall
-time of the whole process is recorded; the entry gives the median and the
-quartiles of ``--runs`` runs per checkout and worker count, and the
+time of the whole process and its peak resident set (the largest of the
+process and of the pool workers it waited for, from ``os.wait4``) are
+recorded; the entry gives the median and the quartiles of the times and
+the median peak of ``--runs`` runs per checkout and worker count, and the
 serial median per visited subset (2^(m-1) on a certified sphere, 2^m
 otherwise, summed over the join factors).  Both checkouts must print the
 same bytes and exit codes, or the script stops.
@@ -18,14 +20,22 @@ advance, so that only the walk is counted.  Each checkout counts with its
 own copy of this script, which knows its own internals; where a
 checkout's counter refuses an input (before the facet split it took no
 joins), its counts are ``null``.  A profile hook reads the return
-statement at which each step into a subset returns: a ghost vertex or a
-coned link ("reused"), an isolated point, read from the memo of the
-parent's groups or added to it ("point"), a cone on the new vertex
-("cone"), or ``_reduced_groups``, split into ``_graph_groups``
-("graph") and ``_matrix_groups`` ("eliminated") by spies.  From the root
-∅ the walk takes one step per nonempty visited subset of each factor.
-The hook slows the counted sum; it is not timed.  "computed" is graph
-plus eliminated.
+statement at which each step into a subset returns: a ghost vertex or an
+acyclic link of the new vertex ("reused"), an isolated point, read from
+the memo of the parent's groups or added to it ("point"), an acyclic
+parent, whose child has the link's groups one degree up ("suspended"),
+or ``_reduced_groups`` on K_J, split into ``_graph_groups`` ("graph")
+and ``_matrix_groups`` ("eliminated") by spies.  A vertex's link is
+listed by ``_Faces.link`` once per memo entry where the vertex keeps a
+memo and once per step where it does not ("link_listings"); the distinct
+links listed at vertices with a memo are its entries, counted per factor
+("memo_entries").  Every step but a ghost's or a point's looks its link
+up, and "memo_hits" counts the lookups that found it in a memo: the
+share of those steps that the memo helps.  The spies count the link listings that reach
+``_reduced_groups`` apart, as "link_graph" and "link_eliminated", and
+the others found a cone.  From the root ∅ the walk takes one step per
+nonempty visited subset of each factor.  The hook slows the counted sum;
+it is not timed.  "computed" is graph plus eliminated, the K_J settles.
 """
 
 from __future__ import annotations
@@ -62,6 +72,12 @@ FILES = {
         "from test_moment_angle import sphere_around_rp2; "
         "print(sphere_around_rp2().to_json())",
     ),
+    # every two vertices span an edge, so no link of the walk recurs
+    "cyclic-4-polytope-18": (
+        "the boundary of the cyclic polytope C(18, 4), as JSON",
+        "from complexes import cyclic_4_polytope_boundary; "
+        "print(cyclic_4_polytope_boundary(18).to_json())",
+    ),
     "polygon-12-relabelled": (
         "the polygon-12 dual relabelled as perfbench's sphere-wide input at seed 1, as JSON",
         "import random; from momentangle.polytopes import polygon; "
@@ -87,7 +103,9 @@ def inputs(tmp: Path) -> dict[str, list[str]]:
         "dense-sphere-17": dense(5),
         "dense-sphere-19": dense(7),
         "dense-sphere-20": dense(8),
+        "dense-sphere-22": dense(10),
         "rp2-4-sphere": [str(files["rp2-4-sphere"])],
+        "cyclic-4-polytope-18": [str(files["cyclic-4-polytope-18"])],
         # a 3-sphere on 13 vertices whose subsets mostly need elimination
         # in the given numbering
         "simplex-4-cut-8": cut(["simplex", "4"], 8),
@@ -102,19 +120,25 @@ def inputs(tmp: Path) -> dict[str, list[str]]:
     }
 
 
-def run_cli(checkout: Path, expr: list[str], workers: int) -> tuple[float, bytes]:
+def run_cli(checkout: Path, expr: list[str], workers: int) -> tuple[float, float, bytes]:
+    """Wall seconds, peak resident MB and stdout with the exit code of one ``betti``."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     argv = [sys.executable, "-m", "momentangle.cli", "betti", *expr, "--workers", str(workers)]
     start = time.perf_counter()
-    done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True)
+    with subprocess.Popen(argv, cwd=checkout, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL) as proc:
+        out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
     seconds = time.perf_counter() - start
-    return seconds, done.stdout + f"exit {done.returncode}\n".encode()
+    return seconds, usage.ru_maxrss / 1024, out + f"exit {proc.returncode}\n".encode()
 
 
-def summary(times: list[float]) -> dict:
+def summary(times: list[float], peaks: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
     return {"median_s": round(median, 4), "q1_s": round(q1, 4), "q3_s": round(q3, 4),
-            "runs_s": [round(t, 4) for t in times]}
+            "runs_s": [round(t, 4) for t in times],
+            "peak_rss_mb": round(statistics.median(peaks), 1)}
 
 
 def routes(expr: list[str]) -> dict:
@@ -128,24 +152,45 @@ def routes(expr: list[str]) -> dict:
     )
     factors = [faces for _, faces in moment_angle._factors(m, facets)]
     dims = {id(faces): faces.sphere_dimension() for faces in factors}
-    counts = dict.fromkeys(["cone", "reused", "point", "graph", "eliminated"], 0)
+    kinds = ["reused", "point", "suspended", "graph", "eliminated", "link_graph", "link_eliminated"]
+    counts = dict.fromkeys(kinds + ["link_listings"], 0)
+    bound = moment_angle._MEMO_NEIGHBOURS
+    listed = [0]  # the σ of the last listing: ∅ for K_J, a vertex for its link
+    memo = set()  # the links listed at vertices that keep a memo
+    link = homology._Faces.link
+
+    def listing(self, sigma, within):
+        listed[0] = sigma
+        if sigma:
+            counts["link_listings"] += 1
+            if (self.ext[sigma] >> sigma.bit_length()).bit_count() <= bound:
+                memo.add((sigma, within))
+        return link(self, sigma, within)
+
+    homology._Faces.link = listing
     for name, route in (("_graph_groups", "graph"), ("_matrix_groups", "eliminated")):
         original = getattr(homology, name)
 
         def spy(*args, original=original, route=route):
-            counts[route] += 1
+            counts["link_" + route if listed[0] else route] += 1
             return original(*args)
 
         setattr(homology, name, spy)
-    # the route of each return statement of the walk's step
+    # the route of each return statement of the walk's step; an unknown
+    # one is a KeyError, so that an edit to them fails here
     source = Path(moment_angle.__file__).read_text()
-    names = {"groups": "reused", "plus": "point", "()": "cone"}
+    names = {
+        "groups": "reused",
+        "plus": "point",
+        "tuple(((q + 1, group) for q, group in link))": "suspended",
+        "_reduced_groups(faces.link(0, J | 1 << v))": None,
+    }
     by_line = {}
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.FunctionDef) and node.name == "step":
             for ret in ast.walk(node):
                 if isinstance(ret, ast.Return):
-                    by_line[ret.lineno] = names.get(ast.unparse(ret.value))
+                    by_line[ret.lineno] = names[ast.unparse(ret.value)]
     steps = [0]
 
     def profile(frame, event, arg):
@@ -156,18 +201,25 @@ def routes(expr: list[str]) -> dict:
                 counts[route] += 1
 
     homology._Faces.sphere_dimension = lambda self: dims[id(self)]
-    sys.setprofile(profile)
+    entries = []
     start = time.perf_counter()
     for faces in factors:
+        memo.clear()
+        sys.setprofile(profile)
         moment_angle._factor_sum(faces, 1)
-    sys.setprofile(None)
-    assert sum(counts.values()) == steps[0]
+        sys.setprofile(None)
+        entries.append(len(memo))
+    assert sum(counts[kind] for kind in kinds[:5]) == steps[0]
     counts["steps"] = steps[0]
+    # a ghost vertex is a factor alone, with one step
+    ghosts = sum(1 not in faces.ext for faces in factors)
+    counts["memo_hits"] = steps[0] - counts["point"] - ghosts - counts["link_listings"]
     counts["counted_s"] = round(time.perf_counter() - start, 2)
     counts["m"] = m
     counts["factor_m"] = [faces.vertex_count for faces in factors]
     counts["faces"] = sum(len(layer) for faces in factors for layer in faces.layers) - len(factors)
     counts["sphere_dim"] = [dims[id(faces)] for faces in factors]
+    counts["memo_entries"] = entries
     # every subset of a factor on a certified sphere is visited or mirrored
     counts["visited"] = sum(
         1 << (faces.vertex_count - (dims[id(faces)] is not None)) for faces in factors
@@ -192,16 +244,18 @@ def main() -> None:
             result = {"input": FILES[name][0] if name in FILES else " ".join(expr)}
             for workers in (1, 2):
                 times = {side: [] for side in sides}
+                peaks = {side: [] for side in sides}
                 outputs = set()
                 for _ in range(args.runs):
                     for side, checkout in sides.items():
-                        seconds, out = run_cli(checkout, expr, workers)
+                        seconds, peak, out = run_cli(checkout, expr, workers)
                         times[side].append(seconds)
+                        peaks[side].append(peak)
                         outputs.add(out)
                 if len(outputs) != 1:
                     sys.exit(f"{name}: the outputs differ at {workers} workers")
                 for side in sides:
-                    result[f"{side}_workers_{workers}"] = summary(times[side])
+                    result[f"{side}_workers_{workers}"] = summary(times[side], peaks[side])
                 print(name, workers, {s: result[f"{s}_workers_{workers}"]["median_s"]
                                       for s in sides}, flush=True)
             for side, checkout in sides.items():
@@ -213,6 +267,9 @@ def main() -> None:
                 counts = json.loads(done.stdout) if done.returncode == 0 else None
                 result[f"{side}_routes"] = counts
                 result[f"{side}_computed"] = counts and counts["graph"] + counts["eliminated"]
+                result[f"{side}_link_computed"] = counts and (
+                    counts.get("link_graph", 0) + counts.get("link_eliminated", 0)
+                )
             visited = result["visited"] = result["change_routes"]["visited"]
             for side in sides:
                 result[f"{side}_us_per_visited_subset_workers_1"] = round(

@@ -10,17 +10,17 @@ the empty complex).
 There is one engine, ``_Faces``.  It lists the faces of a complex once, as
 vertex bitmasks grouped by dimension, each with its boundary column as a
 sparse ``{face: ±1}`` dict, and ``ext[f]``, the vertices w for which
-f ∪ {w} is a face.  The subset sum of :mod:`momentangle.moment_angle`
-walks the full subcomplexes K_J from these lists, adding one vertex's new
-faces at a time, and settles most of them with no matrix: by reuse of the
-parent's groups, as a point added, or as a cone (H~ = 0).  What it cannot
-settle it hands to ``_reduced_groups`` as the faces of K_J by dimension.
-There a complex of dimension at most 1 is a graph with V vertices, E
-edges and c components, so H~_0 = Z^(c-1) and H~_1 = Z^(E-V+c), with c
-from a union-find on the edge masks; this covers the links of
-codimension-2 faces in the sphere certificate as well.  None of these
-rules can hide torsion: they keep the parent's groups, add a Z in H~_0,
-or give a cone or a graph, which have none.
+f ∪ {w} is a face.  ``_Faces.link(σ, within)`` lists the faces of lk σ
+inside a vertex set one coface at a time from ``ext``, by dimension, as
+``_reduced_groups`` takes them; the link of ∅ inside J is the full
+subcomplex K_J.  The subset sum of :mod:`momentangle.moment_angle`
+settles most K_J with no matrix, from the parent's groups and the
+homology of one vertex's link, and lists the link of ∅ only for the
+rest.  In ``_reduced_groups`` a complex of dimension at most 1 is a
+graph with V vertices, E edges and c components, so H~_0 = Z^(c-1) and
+H~_1 = Z^(E-V+c), with c from a union-find on the edge masks; this
+covers the links of codimension-2 faces in the sphere certificate as
+well.  A graph has no torsion.
 
 Every other boundary map is diagonalised by one sparse elimination,
 ``_rank_and_torsion``, on the columns it is given.  It first eliminates
@@ -32,8 +32,8 @@ block, on the same columns with pivots of least absolute value.  The
 maps are reduced from the top degree down, and the unit pivot rows of
 one map are left out of the next as columns.
 ``reduced_homology`` is ``_reduced_groups`` on every face of K, and
-``_Faces.sphere_dimension`` runs it on K and on the links of faces to
-certify that a complex is a Z-homology sphere.
+``_Faces.sphere_dimension`` runs it on K and on the listed links of its
+faces to certify that a complex is a Z-homology sphere.
 
 Finitely generated graded abelian groups are recorded degree by degree as a
 free rank plus invariant factors d_1 | d_2 | ... | d_k with every d_i > 1.
@@ -377,13 +377,13 @@ class _Faces:
     ``layers[i]`` lists ``(face, column)`` for the faces with i vertices in
     increasing mask order; ``layers[0]`` is the empty face alone, present
     even for the void complex, whose reduced homology is taken to be that of
-    the empty complex.  ``ext[f]`` is the mask of the vertices w for which
-    f ∪ {w} is a face, f's own vertices included, read off the boundary
-    columns as they are built; the subset walk finds the faces of each K_J
-    from it, and the join split the minimal non-faces.
+    the empty complex.  ``item[f]`` is f's pair.  ``ext[f]`` is the mask of
+    the vertices w for which f ∪ {w} is a face, f's own vertices included,
+    read off the boundary columns as they are built; ``link`` finds the
+    faces of a link from it, and the join split the minimal non-faces.
     """
 
-    __slots__ = ("ext", "facets", "layers", "vertex_count")
+    __slots__ = ("ext", "facets", "item", "layers", "vertex_count")
 
     def __init__(self, m: int, facets: Sequence[int]):
         masks = {0}
@@ -398,12 +398,38 @@ class _Faces:
             [] for _ in range(max((f.bit_count() for f in facets), default=0) + 1)
         ]
         self.ext: dict[int, int] = {}
+        self.item: dict[int, tuple[int, dict[int, int]]] = {}
         for face in sorted(masks):
-            column = _boundary_column(face)
+            item = self.item[face] = (face, _boundary_column(face))
             self.ext[face] = face
-            for g in column:
+            for g in item[1]:
                 self.ext[g] |= face  # g sorts before face, so it is listed
-            self.layers[face.bit_count()].append((face, column))
+            self.layers[face.bit_count()].append(item)
+
+    def link(self, sigma: int, within: int) -> list[list[tuple[int, dict[int, int]]]]:
+        """The nonempty faces of lk σ inside ``within``, as ``_reduced_groups`` takes them.
+
+        lk σ holds the faces f with f ∩ σ = ∅ and f ∪ σ a face, and the link
+        of ∅ inside J is K_J.  Each f is listed once, by dimension, from f
+        minus its top vertex w, with w in ext[f - w ∪ σ] above f - w.
+        """
+        ext, item = self.ext, self.item
+        within &= ~sigma
+        layers: list[list[tuple[int, dict[int, int]]]] = []
+        layer = [item[0]]
+        while True:
+            up = []
+            for face, _ in layer:
+                above = face.bit_length()
+                more = (ext[face | sigma] & within) >> above << above
+                while more:
+                    bit = more & -more
+                    more ^= bit
+                    up.append(item[face | bit])
+            if not up:
+                return layers
+            layers.append(up)
+            layer = up
 
     def sphere_dimension(self) -> int | None:
         """d if K is a Z-homology d-sphere on all of its m vertices, else None.
@@ -418,14 +444,12 @@ class _Faces:
         The cheap checks come first and the first failure ends the test:
         the reduced Euler characteristic (a necessary condition, free from
         the face counts), purity and the ridges, then H~(K), then the other
-        links from the largest σ (smallest link) down.  The link of σ is
-        built from the star of one vertex of σ and goes to
-        ``_reduced_groups`` as K does, so the circles that link
-        codimension-2 faces take the graph path.
+        links from the largest σ (smallest link) down.  Each link is listed
+        by ``link`` and goes to ``_reduced_groups`` as K does, so the
+        circles that link codimension-2 faces take the graph path.
         """
         d = len(self.layers) - 2
-        m = self.vertex_count
-        if d < 0 or len(self.layers[1]) != m:
+        if d < 0 or len(self.layers[1]) != self.vertex_count:
             return None  # m = 0, {∅} or a ghost vertex
         # reduced Euler characteristic, the sum of (-1)^(|σ|-1) over faces σ
         euler = sum((-1) ** (i - 1) * len(layer) for i, layer in enumerate(self.layers))
@@ -438,19 +462,9 @@ class _Faces:
                     return None
         if _reduced_groups(self.layers[1:]) != ((d, (1, ())),):
             return None
-        column = {face: col for layer in self.layers for face, col in layer}
-        stars = [
-            [[face for face, _ in layer if face >> v & 1] for layer in self.layers]
-            for v in range(m)
-        ]
         for size in range(d - 1, 0, -1):
             for sigma, _ in self.layers[size]:
-                star = stars[(sigma & -sigma).bit_length() - 1]
-                link = [
-                    [(f ^ sigma, column[f ^ sigma]) for f in layer if f & sigma == sigma]
-                    for layer in star[size + 1 :]
-                ]
-                if _reduced_groups(link) != ((d - size, (1, ())),):
+                if _reduced_groups(self.link(sigma, self.ext[0])) != ((d - size, (1, ())),):
                     return None
         return d
 

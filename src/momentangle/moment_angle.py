@@ -25,27 +25,34 @@ The subsets are walked depth first: J's children are J ∪ {v} for v below
 min J, so each subset is reached once, from J minus its lowest vertex.
 The faces of each join factor of K are listed once per call (once per
 pool task) by :mod:`momentangle.homology`, with ext[f], the vertices w
-with f ∪ {w} a face.  A step adds v and its cofaces inside J ∪ {v}, those
-of each new face g found in ext[g] & J above g's top vertex, so it costs
-its new faces; they go on one list of K_J's faces, cut back on return.  With L
-the AND of ext[g] over the new faces g = f ∪ {v}, the child is settled:
+with f ∪ {w} a face.  v's link in K_{J ∪ v} is the full subcomplex of
+lk_K(v) on A = J ∩ N(v), N(v) its neighbours, so v's link groups come
+from ``_Faces.link``, the faces of lk {v} inside A: H~ = 0 when some
+vertex of A lies in ext[f ∪ {v}] for every face f of the link (a cone),
+else ``_reduced_groups``.  They are memoised, A -> H~(lk(v)_A), at each
+v with at most ``_MEMO_NEIGHBOURS`` = 10 neighbours numbered above it, so
+a memo holds at most 2^10 entries.  An A recurs only when a vertex above
+v is not its neighbour; on the dual of a cyclic 4-polytope none is, and
+an unbounded memo would hold an entry per visited subset.  The child is
+settled:
 
-- no new face (a ghost vertex): the parent's groups;
-- only {v}: the parent's groups plus a Z in H~_0, or zero if K_J has no
+- v a ghost vertex: the parent's groups;
+- A = ∅: the parent's groups plus a Z in H~_0, or zero if K_J has no
   vertex, kept per parent's groups so that each is built once;
-- J meets L: v's link is a cone with a vertex, so by Mayer-Vietoris the
-  parent's groups (the strong collapse of a dominated vertex, Barmak and
-  Minian, *Discrete Comput. Geom.* 47, 2012);
-- every face of K_J in v's link: a cone on v, H~ = 0 (a cone on another
-  apex w has w in L);
-- otherwise ``homology._reduced_groups``: a union-find for a graph, else
-  one sparse elimination, ±1 pivots first.
+- H~(lk(v)_A) = 0: by Mayer-Vietoris on K_J and v's star, which meet in
+  the link, the parent's groups (a cone link is the strong collapse of a
+  dominated vertex, Barmak and Minian, *Discrete Comput. Geom.* 47, 2012);
+- the parent's groups are 0: by the same sequence H~_n(K_{J ∪ v}) =
+  H~_{n-1}(lk(v)_A), torsion included;
+- otherwise ``homology._reduced_groups`` on the link of ∅ inside J ∪ {v},
+  the faces of K_{J ∪ v}: a union-find for a graph, else one sparse
+  elimination, ±1 pivots first.
 
-None of these hides torsion: reused and point steps keep the torsion of
-a parent computed or reused in turn, and cones and graphs have none.  The
+No face list is kept from step to step, and none of these hides torsion:
+each takes the groups of the parent or of a link, computed in turn.  The
 subsets are counted in one dict per |J|, keyed by their groups, and each
 (|J|, groups) count is spread into the table at the end.  On a certified
-sphere the complement of a cone needs no special case: H~(K_J) = 0
+sphere the complement of an acyclic K_J needs no special case: H~(K_J) = 0
 exactly when H~(K_{V-J}) = 0, so its mirrored contribution is zero too.
 
 Which rule settles a step depends on how the vertices are numbered: when
@@ -58,12 +65,8 @@ listed: labels go from the top down, each to the vertex with the most
 labelled neighbours, ties to a neighbour of the vertex labelled last.  On
 a flag complex with a chordal 1-skeleton that holds at every vertex; a
 polygon is numbered along its cycle, so only the lowest vertex has two
-neighbours above it.  Serial walks, input numbering -> the search: the
-12-gon as perfbench's ``sphere-wide`` relabels it, 226 -> 45 graphs; the
-dense 5-sphere (cube-6 cut 5 times, m = 17), 1980 -> 156 eliminations and
-576 -> 15 graphs; simplex-4 after 8 cuts, 878 -> 49 eliminations; the
-RP^2 4-sphere, 10 204 -> 4 001 eliminations.  The table, keyed by (|J|,
-degree, a), does not depend on the numbering.
+neighbours above it.  The table, keyed by (|J|, degree, a), does not
+depend on the numbering.
 
 When K is a Z-homology d-sphere on its m vertices, as the dual complex of
 every simple polytope is, Alexander duality gives H~^i(K_J) = H~_{d-1-i}(K_{V-J})
@@ -147,6 +150,8 @@ DEFAULT_MAX_VERTICES = 22
 # (the simplex-4 cuts, the 6-edge path) are faster serial as well.
 _POOL_MIN_WORK = 16_000_000
 
+_MEMO_NEIGHBOURS = 10  # the link memo's bound, see the module docstring
+
 
 class SubsetLimitError(Exception):
     """Raised when the 2^m subset enumeration would exceed the configured cap."""
@@ -192,19 +197,6 @@ def _plus_point(groups: tuple) -> tuple:
     return ((0, (1, ())),) + groups
 
 
-def _settle(present: list[tuple[int, dict[int, int]]], width: int) -> tuple:
-    """The groups of the complex with these nonempty faces, as sorted pairs.
-
-    ``width`` bounds the vertices of a face; ``present`` is regrouped by size.
-    """
-    layers: list[list[tuple[int, dict[int, int]]]] = [[] for _ in range(width)]
-    for item in present:
-        layers[item[0].bit_count() - 1].append(item)
-    while not layers[-1]:
-        layers.pop()
-    return _reduced_groups(layers)
-
-
 def _walk(faces: _Faces, sphere_dim: int | None, root: int, low: int) -> Counter:
     """The table of the subsets root ∪ S, S any set of vertices below ``low``.
 
@@ -217,17 +209,12 @@ def _walk(faces: _Faces, sphere_dim: int | None, root: int, low: int) -> Counter
     """
     m = faces.vertex_count
     ext = faces.ext
-    # ext and the (face, column) pair of each nonempty face, by its mask
-    node = {item[0]: (ext[item[0]], item) for layer in faces.layers[1:] for item in layer}
-    width = len(faces.layers) - 1  # the most vertices of a face
-    joined = [0] * m  # the vertices of v's star, 0 for a ghost vertex
-    point: list = [None] * m  # the (face, column) pair of {v}
-    for item in faces.layers[1] if width else ():
-        v = item[0].bit_length() - 1
-        joined[v] = ext[item[0]]
-        point[v] = item
+    # v's neighbours, None for a ghost vertex
+    near = [ext[1 << v] ^ 1 << v if 1 << v in ext else None for v in range(m)]
+    links: list[dict[int, tuple] | None] = [  # per v: A -> H~(lk(v)_A), or None
+        {} if ((n or 0) >> v).bit_count() <= _MEMO_NEIGHBOURS else None for v, n in enumerate(near)
+    ]
     plus_point: dict[tuple, tuple] = {}  # a parent's groups -> its point child's
-    present: list[tuple[int, dict[int, int]]] = []  # the faces of K_J
     # subsets of more than ``most`` vertices, or of ``most`` with ``top``,
     # are the complements of visited ones
     most = m if sphere_dim is None else m // 2
@@ -235,36 +222,31 @@ def _walk(faces: _Faces, sphere_dim: int | None, root: int, low: int) -> Counter
     tally: list[dict[tuple, int]] = [{} for _ in range(most + 1)]  # per |J|: groups -> subsets
 
     def step(J: int, v: int, groups: tuple) -> tuple:
-        """The groups of K_{J ∪ v}, whose new faces join ``present``."""
-        if not joined[v]:
+        """The groups of K_{J ∪ v}, from K_J's and v's link on A = J ∩ N(v)."""
+        if near[v] is None:
             return groups  # a ghost vertex adds no face
-        if not J & joined[v]:
-            present.append(point[v])
+        A = J & near[v]
+        if not A:
             plus = plus_point.get(groups)
             if plus is None:
                 plus = plus_point[groups] = _plus_point(groups)
             return plus  # v is an isolated point
-        # the new faces are v and its cofaces inside J ∪ {v}, each reached
-        # once, from the face without its top vertex
-        old = len(present)
-        link = -1
-        todo = [1 << v]
-        while todo:
-            face = todo.pop()
-            over, item = node[face]
-            present.append(item)
-            link &= over
-            above = face.bit_length()
-            more = (over & J) >> above << above
-            while more:
-                bit = more & -more
-                todo.append(face | bit)
-                more ^= bit
-        if J & link:
-            return groups  # v's link is a cone: Mayer-Vietoris
-        if len(present) == 2 * old + 1:
-            return ()  # every face of K_J is in v's link: a cone on v
-        return _settle(present, width)
+        memo = links[v]
+        link = None if memo is None else memo.get(A)
+        if link is None:  # H~(lk(v)_A), 0 for a cone: a vertex of A in every ext[f ∪ v]
+            layers = faces.link(1 << v, A)
+            apex = A
+            for layer in layers:
+                for face, _ in layer:
+                    apex &= ext[face | 1 << v]
+            link = () if apex else _reduced_groups(layers)
+            if memo is not None:
+                memo[A] = link
+        if not link:
+            return groups  # v's link is acyclic: Mayer-Vietoris
+        if not groups:
+            return tuple((q + 1, group) for q, group in link)  # K_J is acyclic: Mayer-Vietoris
+        return _reduced_groups(faces.link(0, J | 1 << v))
 
     def visit(J: int, size: int, groups: tuple, low: int) -> None:
         size += 1
@@ -273,13 +255,11 @@ def _walk(faces: _Faces, sphere_dim: int | None, root: int, low: int) -> Counter
         deeper = size < most
         counts = tally[size]
         for v in range(low):
-            mark = len(present)
             child = step(J, v, groups)
             if child:
                 counts[child] = counts.get(child, 0) + 1
             if deeper and v:
                 visit(J | 1 << v, size, child, v)
-            del present[mark:]
 
     size = root.bit_count()
     if size > most or (size == most and root & top):

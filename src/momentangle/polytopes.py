@@ -19,7 +19,6 @@ Validated invariants, each named in its error message:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Mapping
 
 from .simplicial import SimplicialComplex, Simplex, _json_int, _json_int_rows
@@ -157,7 +156,13 @@ def product(p: SimplePolytope, q: SimplePolytope) -> SimplePolytope:
 
 
 def cube(n: int = 3) -> SimplePolytope:
-    """The n-cube as an n-fold product of segments."""
+    """The n-cube in the vertex order of the n-fold product of segments.
+
+    Vertex x, read as n bits from the top, lies on facet 2i + 1 - (bit i) of segment i.
+    """
     if n < 1:
         raise ValueError(f"cube dimension must be >= 1, got {n}")
-    return reduce(product, [simplex_polytope(1)] * n)
+    records = tuple(
+        tuple(2 * i + 1 - (x >> (n - 1 - i) & 1) for i in range(n)) for x in range(1 << n)
+    )
+    return SimplePolytope(n, 2 * n, records)

@@ -5,7 +5,8 @@ that.  The tests also restrict a complex to a vertex set, the full
 subcomplex K_J that the subset sum walks to, ask which faces a complex
 has, build full simplices, and take the connected sum of a dual complex
 with a simplex boundary at a facet, the tests' own route to the vertex
-cut of a polytope.  The all-pairs pruning below is the reference for the
+cut of a polytope, and build the boundary of a cyclic 4-polytope, on
+which every two vertices span an edge.  The all-pairs pruning below is the reference for the
 canonical form that ``SimplicialComplex`` computes.
 """
 
@@ -21,6 +22,19 @@ def full_simplex(n: int) -> SimplicialComplex:
     if n < 0:
         raise ValueError(f"simplex dimension must be >= 0, got {n}")
     return SimplicialComplex(n + 1, {tuple(range(n + 1))})
+
+
+def cyclic_4_polytope_boundary(m: int) -> SimplicialComplex:
+    """The boundary of the cyclic polytope C(m, 4), a 3-sphere on m >= 5 vertices.
+
+    By Gale's evenness condition a 4-set S is a facet when every two
+    vertices outside S have an even number of vertices of S between them.
+    """
+    return SimplicialComplex(m, [
+        S for S in combinations(range(m), 4)
+        if all(sum(a < x < b for x in S) % 2 == 0
+               for a, b in combinations(sorted(set(range(m)) - set(S)), 2))
+    ])
 
 
 def is_face(k: SimplicialComplex, simplex) -> bool:

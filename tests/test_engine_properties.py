@@ -22,9 +22,9 @@ complexes and joins, joins with RP^2, RP^2 with and without a path, the
 mod-3 Moore space and the corpus with its cuts.  Random complexes, joins
 with RP^2 and the corpus polytopes with their cuts are checked, subset by
 subset and summed, three ways: the walk's groups against the oracle's;
-the rule the walk takes for each subset (a reused parent, a point, a cone,
-or ``_reduced_groups``) against the rule read off the maximal faces, and
-each rule's claim against the oracle's groups; and every K_J through
+the rule the walk takes for each subset (a reused parent, a point, a
+suspended link, or ``_reduced_groups``) against the rule read off the
+maximal faces, and each rule's claim against the oracle's groups; and every K_J through
 elimination alone, with no rule and no graph path, against the oracle.
 The walk's tables from the prefix roots of the top 1, 2 and 3 vertices,
 each root walked alone as a pool task walks it, merged equal the oracle's
@@ -54,7 +54,7 @@ from momentangle.polytopes import polygon, product, simplex_polytope  # noqa: E4
 from momentangle.simplicial import SimplicialComplex, boundary_complex, join  # noqa: E402
 from momentangle.surgery import theorem_corpus  # noqa: E402
 from complexes import full_subcomplex  # noqa: E402
-from subset_oracle import reference_sum, subset_homologies  # noqa: E402
+from subset_oracle import _reduced_homology, reference_sum, subset_homologies  # noqa: E402
 from test_moment_angle import (  # noqa: E402
     MOORE3,
     RP2_WITH_PATH,
@@ -64,6 +64,7 @@ from test_moment_angle import (  # noqa: E402
 )
 from walk import (  # noqa: E402
     faces_of,
+    link,
     mask,
     minimal_nonface_factors,
     route,
@@ -344,15 +345,19 @@ def assert_rules_change_nothing(k):
         rule = route(k, J)
         # the walk takes the rule that the maximal faces call for
         assert walked[mask(J)].computed == (rule == "computed"), (J, rule)
-        # and each rule's claim holds on the oracle's groups
+        # and each rule's claim holds on the oracle's groups: an acyclic
+        # link keeps the parent's groups, and an acyclic parent gives the
+        # link's groups one degree up
         parent = by_mask[mask(J[1:])]
         if rule == "reused":
             assert h == parent, J
         elif rule == "point":
             empty = parent == GradedGroups({-1: (1, ())})
             assert h == (GradedGroups() if empty else sum_groups(parent, point)), J
-        elif rule == "cone":
-            assert h == GradedGroups(), J
+        elif rule == "suspended":
+            lk = _reduced_homology(link(k, J))
+            assert parent == GradedGroups(), J
+            assert h == GradedGroups({q + 1: (lk.rank(q), lk.torsion(q)) for q in lk.degrees()}), J
     # elimination alone, with no rule and no graph path, on every K_J
     for J, h in by_mask.items():
         present = []

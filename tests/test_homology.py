@@ -472,17 +472,17 @@ RP2_CONE = join(RP2, full_simplex(0))  # apex 6
 RP2_CONE_GHOST = SimplicialComplex(8, RP2_CONE.maximal_faces)  # ghost vertex 7
 
 
-# a 3-vertex star on centre 0: the link of 0 is two points, so only the
-# cone rule settles it
+# a 3-vertex star on centre 0: K_J is a cone on 0, but the link of 0 is
+# two points and the parent is two points, so no rule settles it
 STAR3 = SimplicialComplex(3, [(0, 1), (0, 2)])
 
 
 class TestConeTest:
     # the walk steps into K_J from J minus its lowest vertex v, and reaches
-    # _reduced_groups only when no rule settles the step: a ghost v or a
-    # link of v that is a cone keeps the parent's groups, an empty link adds
-    # a point, and a K_J that is a cone (on v: a cone on another apex has a
-    # coned link) has H~ = 0
+    # _reduced_groups for K_J only when no rule settles the step: a ghost v
+    # or an acyclic link of v (a cone among them) keeps the parent's groups,
+    # an empty link adds a point, and an acyclic parent gives the link's
+    # groups one degree up
 
     @pytest.mark.parametrize(
         "k, subset, expected, rule",
@@ -493,7 +493,7 @@ class TestConeTest:
             (PATH3, mask(0, 1, 2), {}, "reused"),
             (PATH3, mask(0, 2), {0: (1, ())}, "point"),
             (PATH4, mask(0, 1, 2, 3), {}, "reused"),
-            (cycle(4), mask(0, 1, 2, 3), {1: (1, ())}, "computed"),
+            (cycle(4), mask(0, 1, 2, 3), {1: (1, ())}, "suspended"),
             # J = ∅, and J holding only a ghost vertex: no vertex, no cone
             (RP2_CONE_GHOST, 0, {-1: (1, ())}, None),
             (RP2_CONE_GHOST, mask(7), {-1: (1, ())}, "reused"),
@@ -501,7 +501,7 @@ class TestConeTest:
             (RP2_CONE_GHOST, mask(*range(6), 7), {1: (0, (2,))}, "computed"),
             (RP2_CONE_GHOST, mask(*range(8)), {}, "reused"),
             (RP2_CONE_GHOST, mask(3, 7), {}, "point"),
-            (STAR3, mask(0, 1, 2), {}, "cone"),
+            (STAR3, mask(0, 1, 2), {}, "computed"),
         ],
         ids=[
             "rp2-cone", "rp2-cone-base", "rp2", "path3", "path3-ends", "path4",
@@ -562,8 +562,9 @@ class TestGraphPath:
 
 class TestTorsionReachesElimination:
     # no rule of the walk may make torsion up: each torsion subset must be
-    # eliminated with its invariant factors, or take them from a parent,
-    # J minus its lowest vertex, that was eliminated or took them in turn
+    # eliminated with its invariant factors, or take them one degree down
+    # from the elimination of v's link (an acyclic parent), or take them
+    # from a parent, J minus its lowest vertex, that did one of these in turn
 
     @staticmethod
     def assert_eliminated(faces, torsion):
@@ -571,12 +572,13 @@ class TestTorsionReachesElimination:
         for J, expected in torsion.items():
             assert walked[J].groups == expected, J
             source = J
-            while not walked[source].computed:
+            while not (walked[source].computed or walked[source].link_torsion):
                 source &= source - 1
                 assert [walked[source].groups.torsion(d) for d in expected.degrees()] == [
                     expected.torsion(d) for d in expected.degrees()
                 ], (J, source)
-            assert walked[source].torsion, (J, source)
+            step = walked[source]
+            assert step.torsion if step.computed else step.link_torsion, (J, source)
 
     def test_every_torsion_subset_of_the_pendant_path(self):
         faces = faces_of(RP2_WITH_PATH)
@@ -599,6 +601,22 @@ class TestTorsionReachesElimination:
         assert len(torsion) == 16
         walked = steps(faces_of(k), torsion)
         assert sum(not walked[J].computed for J in torsion) == 15
+        self.assert_eliminated(faces_of(k), torsion)
+
+    def test_torsion_taken_from_a_link(self):
+        # the suspension of RP2 with the poles 0 and 1: the step that adds
+        # 0 to the cone from 1 finds an acyclic parent, so its Z/2 in H~_2
+        # is the link's Z/2 in H~_1, one degree up, and K_J is not eliminated
+        k = join(boundary_complex(1), RP2)
+        torsion = {mask(*J): h for J, h in subset_homologies(k).items() if has_torsion(h)}
+        everything = mask(*range(8))
+        assert torsion == {
+            mask(*range(2, 8)): GradedGroups({1: (0, (2,))}),
+            everything: GradedGroups({2: (0, (2,))}),
+        }
+        assert route(k, list(range(8))) == "suspended"
+        walked = steps(faces_of(k), torsion)
+        assert walked[everything].link_torsion and not walked[everything].computed
         self.assert_eliminated(faces_of(k), torsion)
 
     def test_the_torsion_subsets_of_the_sphere_around_rp2(self):

@@ -30,7 +30,7 @@ from momentangle.simplicial import (
     join,
 )
 from momentangle.surgery import theorem_corpus
-from complexes import full_simplex, full_subcomplex
+from complexes import cyclic_4_polytope_boundary, full_simplex, full_subcomplex
 from invariants import euler_characteristic, has_torsion, is_symmetric, poincare_product
 from subset_oracle import reference_sum, subset_homologies
 from walk import faces_of, minimal_nonface_factors, walk_groups
@@ -541,28 +541,40 @@ class TestJoinFactors:
 
 
 def settles(k, name):
-    """Calls of ``homology.<name>`` by the serial sum of K: (the walk's, the certificate's)."""
-    calls = {"walk": 0, "certificate": 0}
-    where = ["walk"]
+    """Calls of ``homology.<name>`` by the serial sum of K: (the walk's K_J
+    settles, its link memo fills, the certificate's).
+
+    A call belongs to the listing that preceded it: a settle lists the
+    link of ∅, a memo fill that of one vertex.
+    """
+    calls = {"settle": 0, "link": 0, "certificate": 0}
+    where = ["settle"]
     original = getattr(homology_module, name)
     certify = _Faces.sphere_dimension
+    link = _Faces.link
 
     def spy(*args):
         calls[where[0]] += 1
         return original(*args)
+
+    def listing(self, sigma, within):
+        if where[0] != "certificate":
+            where[0] = "link" if sigma else "settle"
+        return link(self, sigma, within)
 
     def certificate(self):
         where[0] = "certificate"
         try:
             return certify(self)
         finally:
-            where[0] = "walk"
+            where[0] = "settle"
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(homology_module, name, spy)
+        patch.setattr(_Faces, "link", listing)
         patch.setattr(_Faces, "sphere_dimension", certificate)
         moment_angle_cohomology(k)
-    return calls["walk"], calls["certificate"]
+    return calls["settle"], calls["link"], calls["certificate"]
 
 
 class TestVertexOrder:
@@ -583,30 +595,32 @@ class TestVertexOrder:
     def test_relabelled_polygons_settle_the_same(self):
         # the 12-gon under 30 relabellings is numbered along its cycle, so
         # only the steps that add the lowest vertex to a J holding both its
-        # neighbours need a graph, 45 of them in the half that the walk
-        # visits; the certificate's one graph is K itself
+        # neighbours need a graph, 46 of them in the half that the walk
+        # visits (the cycle itself, whose parent is an acyclic path, lies
+        # past it); the link of two points is filled once, and the
+        # certificate's one graph is K itself
         k = polygon(12).dual_complex()
         given = set()
         for seed in range(30):
             perm = list(range(12))
             random.Random(seed).shuffle(perm)
             relabelled = k.relabeled(perm)
-            assert settles(relabelled, "_graph_groups") == (45, 1), seed
-            assert settles(relabelled, "_matrix_groups") == (0, 0), seed
+            assert settles(relabelled, "_graph_groups") == (46, 1, 1), seed
+            assert settles(relabelled, "_matrix_groups") == (0, 0, 0), seed
             with pytest.MonkeyPatch.context() as patch:
                 order_off(patch)
                 given.add(settles(relabelled, "_graph_groups")[0])
-        assert min(given) > 45
+        assert min(given) > 46
 
     def test_simplex_cuts_eliminate_less(self):
         # simplex-4 after 8 cuts at vertex 0, a 3-sphere on 13 vertices
         p = simplex_polytope(4)
         for _ in range(8):
             p = p.cut_vertex(0)
-        assert settles(p, "_matrix_groups") == (49, 14)
+        assert settles(p, "_matrix_groups") == (48, 8, 14)
         with pytest.MonkeyPatch.context() as patch:
             order_off(patch)
-            assert settles(p, "_matrix_groups") == (878, 14)
+            assert settles(p, "_matrix_groups") == (902, 164, 14)
 
     def test_pool_tasks_take_the_renumbered_facets(self, monkeypatch):
         # in RP2 * S^0 with the labels interleaved the RP2 factor is
@@ -637,6 +651,64 @@ class TestVertexOrder:
         assert table[(6, 9, 2)] == table[(10, 13, 2)] == 1
         order_off(monkeypatch)
         assert moment_angle_module._gather(m, facets, 1) == table
+
+
+def link_listings(faces, bound):
+    """The serial walk's table of one factor, with the link memo kept at the
+    vertices with at most ``bound`` neighbours above, and how often each
+    link (v, A) was listed."""
+    dim = faces.sphere_dimension()
+    listed = Counter()
+    link = _Faces.link
+
+    def spy(self, sigma, within):
+        if sigma:
+            listed[(sigma, within)] += 1
+        return link(self, sigma, within)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(moment_angle_module, "_MEMO_NEIGHBOURS", bound)
+        patch.setattr(_Faces, "link", spy)
+        table = _walk(faces, dim, 0, faces.vertex_count)
+    return table, listed
+
+
+class TestLinkMemo:
+    # v's link in K_{J ∪ v} depends on v and A = J ∩ N(v) alone; the walk
+    # memoises its groups at each vertex with at most _MEMO_NEIGHBOURS
+    # neighbours numbered above it, which bounds a memo at 2^that entries
+
+    def test_only_a_vertex_with_a_memo_lists_each_link_once(self):
+        # cube-6 cut 5 times, a 5-sphere on 17 vertices, one factor; no
+        # vertex has more than 10 neighbours above it, and an A recurs
+        p = cube(6)
+        for _ in range(5):
+            p = p.cut_vertex(0)
+        m, facets = moment_angle_module._check_input(p, 22)
+        ((_, faces),) = _factors(m, facets)
+
+        def above(sigma):  # the neighbours of the vertex sigma above it
+            return (faces.ext[sigma] >> sigma.bit_length()).bit_count()
+
+        table, listed = link_listings(faces, 10)
+        assert set(listed.values()) == {1}
+        for bound in (3, -1):
+            again, relisted = link_listings(faces, bound)
+            assert again == table
+            twice = {sigma for (sigma, _), n in relisted.items() if n > 1}
+            assert twice and all(above(sigma) > bound for sigma in twice)
+            assert sum(relisted.values()) > sum(listed.values())
+
+    def test_a_cyclic_polytope_against_the_oracle(self, monkeypatch):
+        # on the boundary of C(9, 4) every two vertices span an edge, so
+        # A = J at every step and no A recurs; with the bound at 2 most
+        # vertices keep no memo
+        k = cyclic_4_polytope_boundary(9)
+        groups, table = reference_sum(subset_homologies(k))
+        for bound in (2, 10):
+            monkeypatch.setattr(moment_angle_module, "_MEMO_NEIGHBOURS", bound)
+            assert moment_angle_cohomology(k) == groups
+            assert bigraded_table(k) == table
 
 
 class TestPolytopeInput:

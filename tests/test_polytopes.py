@@ -1,4 +1,5 @@
 import json
+from functools import reduce
 
 import pytest
 
@@ -50,6 +51,10 @@ class TestConstructors:
         c = cube(3)
         assert (c.dim, c.facet_count, c.vertex_count) == (3, 6, 8)
         assert cube(1) == simplex_polytope(1)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cube_lists_the_products_vertices_in_its_order(self, n):
+        assert cube(n) == reduce(product, [simplex_polytope(1)] * n)
 
     def test_degenerate_dimensions_rejected(self):
         with pytest.raises(ValueError):

@@ -24,6 +24,7 @@ from momentangle.surgery import (
     verify_all_cuts,
     verify_cut_theorem,
 )
+from test_moment_angle import sphere_around_rp2
 
 
 def sphere(d):
@@ -288,6 +289,16 @@ class TestBeyondTheProvedRange:
         p = cut_in_turn(simplex_polytope(4), [0, 5, 1, 9, 2, 13, 3])
         assert p.m == 12
         self.check(p, [verify_cut_theorem(p, v)])
+
+    def test_a_cut_with_torsion(self):
+        # the 4-sphere around RP2 is the dual of a simple 5-polytope with 16
+        # facets; Z(P) has the Z/2 of RP2 and of its complement, and the cut
+        # at vertex 0 carries them to degrees 9, 10, 13 and 14
+        p = SimplePolytope(5, 16, tuple(sorted(sphere_around_rp2().maximal_faces)))
+        report = verify_cut_theorem(p, 0)
+        self.check(p, [report])
+        torsion = {d: report.lhs.torsion(d) for d in report.lhs.degrees() if report.lhs.torsion(d)}
+        assert torsion == {9: (2,), 10: (2,), 13: (2,), 14: (2,)}
 
 
 class TestSubsetCap:

@@ -7,8 +7,8 @@ lowest vertex, and adds one step; what a spy sees in the walk to J beyond
 what it saw in the walk to the parent is that step's own.
 
 ``route`` says which rule settles the step into J, from the maximal faces
-of K and the definitions alone, and ``minimal_nonface_factors`` which join
-factors the sum splits K into.
+of K, the definitions and the oracle's homology alone, and
+``minimal_nonface_factors`` which join factors the sum splits K into.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import momentangle.homology as homology_module
 import momentangle.moment_angle as moment_angle_module
 from momentangle.homology import GradedGroups, _Faces, _masks
 from momentangle.moment_angle import _walk
+from subset_oracle import _reduced_homology
 
 
 def mask(vertices) -> int:
@@ -94,42 +95,67 @@ def subset_table(homologies) -> Counter:
 @dataclass(frozen=True)
 class Step:
     groups: GradedGroups
-    computed: bool  # the step called ``_reduced_groups``
-    torsion: bool  # an elimination in the step found torsion
+    computed: bool  # the step settled K_J by ``_reduced_groups``
+    torsion: bool  # an elimination of K_J in the step found torsion
+    link_torsion: bool  # an elimination of v's link in the step found torsion
 
 
 def steps(faces, subsets) -> dict[int, Step]:
-    """The walk's step into each of ``subsets`` and into each of their ancestors."""
+    """The walk's step into each of ``subsets`` and into each of their ancestors.
+
+    A call of ``_reduced_groups`` settles K_J when the faces it is given
+    were listed as the link of ∅, and fills a link memo entry otherwise.
+    """
     todo = {0}
     for J in subsets:
         while J:
             todo.add(J)
             J &= J - 1
-    reduced, eliminated = [], []
+    listed = [0]  # the σ of the last ``_Faces.link`` call
+    calls: dict[bool, list] = {True: [], False: []}  # settle? -> eliminations per call
+    eliminated: list = []
     walks = {}
     with pytest.MonkeyPatch.context() as patch:
-        for module, name, log in (
-            (moment_angle_module, "_reduced_groups", reduced),
-            (homology_module, "_rank_and_torsion", eliminated),
-        ):
-            original = getattr(module, name)
+        link = _Faces.link
 
-            def spy(*args, original=original, log=log):
-                log.append(original(*args))
-                return log[-1]
+        def link_spy(self, sigma, within):
+            listed[0] = sigma
+            return link(self, sigma, within)
 
-            patch.setattr(module, name, spy)
+        reduce = moment_angle_module._reduced_groups
+
+        def reduce_spy(layers):
+            before = len(eliminated)
+            out = reduce(layers)
+            calls[listed[0] == 0].append(eliminated[before:])
+            return out
+
+        eliminate = homology_module._rank_and_torsion
+
+        def eliminate_spy(columns):
+            eliminated.append(eliminate(columns))
+            return eliminated[-1]
+
+        patch.setattr(_Faces, "link", link_spy)
+        patch.setattr(moment_angle_module, "_reduced_groups", reduce_spy)
+        patch.setattr(homology_module, "_rank_and_torsion", eliminate_spy)
         for J in sorted(todo):
-            reduced.clear()
-            eliminated.clear()
+            for log in (calls[True], calls[False], eliminated):
+                log.clear()
             groups = walk_groups(faces, J)
-            walks[J] = (len(reduced), list(eliminated), groups)
-    out = {0: Step(walks[0][2], False, False)}
+            walks[J] = (list(calls[True]), list(calls[False]), groups)
+    out = {0: Step(walks[0][2], False, False, False)}
     for J in todo - {0}:
-        calls, results, groups = walks[J]
-        parent_calls, parent_results, _ = walks[J & (J - 1)]
-        own = results[len(parent_results) :]
-        out[J] = Step(groups, calls > parent_calls, any(t for _, t, _ in own))
+        settles, fills, groups = walks[J]
+        parent_settles, parent_fills, _ = walks[J & (J - 1)]
+        own_settles = settles[len(parent_settles) :]
+        own_fills = fills[len(parent_fills) :]
+        out[J] = Step(
+            groups,
+            bool(own_settles),
+            any(t for call in own_settles for _, t, _ in call),
+            any(t for call in own_fills for _, t, _ in call),
+        )
     return out
 
 
@@ -143,21 +169,27 @@ def _has(k, face) -> bool:
     return any(face <= set(f) for f in k.maximal_faces)
 
 
+def link(k, vertices) -> list[tuple[int, ...]]:
+    """The maximal faces of v's link in K_J, J = ``vertices`` and v its lowest vertex."""
+    v = vertices[0]
+    return [tuple(sorted(f - {v})) for f in _traces(k, vertices) if v in f]
+
+
 def route(k, vertices) -> str:
     """The walk's rule for the step into K_J, J = ``vertices`` (nonempty, sorted).
 
     v is the lowest vertex and J - v the parent: "reused" for a ghost v or
-    a link of v that is a cone with a vertex, "point" for an empty link,
-    "cone" for K_J a cone on v, and "computed" otherwise.
+    an acyclic link of v, "point" for an empty link, "suspended" for an
+    acyclic parent, and "computed" otherwise.
     """
-    v, rest = vertices[0], frozenset(vertices[1:])
+    v, rest = vertices[0], vertices[1:]
     if not _has(k, {v}):
         return "reused"
-    link = [f - {v} for f in _traces(k, rest | {v}) if v in f]
-    if link == [frozenset()]:
+    faces = link(k, vertices)
+    if faces == [()]:
         return "point"
-    if any(all(_has(k, f | {v, w}) for f in link) for w in rest):
+    if _reduced_homology(faces) == GradedGroups():
         return "reused"
-    if all(v in f for f in _traces(k, rest | {v})):
-        return "cone"
+    if _reduced_homology([tuple(sorted(f)) for f in _traces(k, rest)]) == GradedGroups():
+        return "suspended"
     return "computed"
