@@ -85,51 +85,52 @@ def _capped(cap: int | None, m: int) -> None:
         raise SubsetLimitError(m, cap)
 
 
-def _parse_expr(tokens: list[str], cap: int | None) -> SimplePolytope | SimplicialComplex:
+def _parse_expr(tokens: list[str], cap, top_cap) -> SimplePolytope | SimplicialComplex:
     """The object of the first term of ``tokens``, which it consumes.
 
     Each constructor's facet count m is known before it runs: simplex N has
     N + 1, polygon M has M, cube N has 2N, a product the sum of its
     operands' and a vertex cut one more than its base.  A node whose m is
-    over ``cap`` raises ``SubsetLimitError`` instead of being built.
+    over its cap, ``top_cap`` for the first term and ``cap`` for the terms
+    inside it (None: no cap), raises ``SubsetLimitError`` instead of being built.
     """
     if not tokens:
         raise UsageError("empty expression")
     tok = tokens.pop(0)
     if tok == "(":
-        inner = _parse_expr(tokens, cap)
+        inner = _parse_expr(tokens, cap, top_cap)
         if not tokens or tokens.pop(0) != ")":
             raise UsageError("unbalanced parentheses")
         return inner
     if tok == "simplex":
         n = _parse_int(tokens, "dimension for simplex")
-        _capped(cap, n + 1)
+        _capped(top_cap, n + 1)
         return simplex_polytope(n)
     if tok == "polygon":
         n = _parse_int(tokens, "edge count for polygon")
-        _capped(cap, n)
+        _capped(top_cap, n)
         return polygon(n)
     if tok == "cube":
         n = 3
         if tokens and tokens[0].lstrip("-").isdigit():
             n = _parse_int(tokens, "dimension for cube")
-        _capped(cap, 2 * n)
+        _capped(top_cap, 2 * n)
         return cube(n)
     if tok == "product":
-        left = _parse_expr(tokens, cap)
-        right = _parse_expr(tokens, cap)
+        left = _parse_expr(tokens, cap, cap)
+        right = _parse_expr(tokens, cap, cap)
         if not isinstance(left, SimplePolytope) or not isinstance(
             right, SimplePolytope
         ):
             raise UsageError("product needs two polytopes")
-        _capped(cap, left.m + right.m)
+        _capped(top_cap, left.m + right.m)
         return product(left, right)
     if tok == "cut-vertex":
-        base = _parse_expr(tokens, cap)
+        base = _parse_expr(tokens, cap, cap)
         if not isinstance(base, SimplePolytope):
             raise UsageError("cut-vertex needs a polytope")
         v = _parse_int(tokens, "vertex index for cut-vertex")
-        _capped(cap, base.m + 1)
+        _capped(top_cap, base.m + 1)
         return base.cut_vertex(v)
     if _looks_like_path(tok):
         return _load_object(tok)
@@ -137,16 +138,17 @@ def _parse_expr(tokens: list[str], cap: int | None) -> SimplePolytope | Simplici
 
 
 def parse_expression(
-    parts: Sequence[str], max_vertices: int | None = None
+    parts: Sequence[str], max_vertices: int | None = None, *, cap_top: bool = True
 ) -> SimplePolytope | SimplicialComplex:
     """Parse a complete prefix expression; leftover tokens are an error.
 
     With ``max_vertices``, a constructor whose polytope would have more
-    facets raises ``SubsetLimitError`` before it runs.
+    facets raises ``SubsetLimitError`` before it runs.  ``cap_top=False``
+    exempts the outermost one, so a caller can check its vertex index first.
     """
     tokens = _tokenize(parts)
     try:
-        obj = _parse_expr(tokens, max_vertices)
+        obj = _parse_expr(tokens, max_vertices, max_vertices if cap_top else None)
     except RecursionError:
         raise UsageError("expression is nested too deeply") from None
     if tokens:
@@ -259,7 +261,7 @@ def cmd_verify(args) -> int:
                 f"last argument must be a vertex index, got {tokens[-1]!r}"
             ) from None
         tokens = tokens[:-1]
-    obj = parse_expression(tokens)
+    obj = parse_expression(tokens, args.max_subsets, cap_top=False)
     if not isinstance(obj, SimplePolytope):
         raise UsageError("verify needs a polytope input")
     options = dict(
@@ -321,49 +323,33 @@ def cmd_verify_corpus(args) -> int:
 
 def cmd_isotopy_check(args) -> int:
     # numpy loads with this command only, not with the package
-    from .isotopy import endpoint_checks, injectivity_probe, isotopy_map, standard_map
+    from .isotopy import endpoint_checks, f1_map, injectivity_probe, isotopy_map, standard_map
 
-    if args.k < 1:
-        raise UsageError(f"torus dimension must be >= 1, got {args.k}")
-    if args.samples < 2:
-        raise UsageError(f"need at least 2 samples, got {args.samples}")
-    endpoints = endpoint_checks(args.k, args.samples, args.seed)
-    maps = [("standard", standard_map(args.k))]
-    maps += [(f"isotopy t={t}", isotopy_map(args.k, t)) for t in (0.0, 0.5, 1.0)]
+    maps = [("standard", standard_map)]
+    maps += [(f"isotopy t={t}", isotopy_map(t)) for t in (0.0, 0.5, 1.0)]
     if args.k == 1:
-        # the closed-form circle isotopy F1 is the k = 1 isotopy
-        maps += [(f"f1 t={t}", isotopy_map(1, t)) for t in (0.0, 1.0)]
-    probes = [
-        injectivity_probe(point_map, args.k, args.samples, args.seed, label=label)
-        for label, point_map in maps
-    ]
+        maps += [(f"f1 t={t}", f1_map(t)) for t in (0.0, 1.0)]
+    try:  # the probe checks k and the sample count before it draws
+        probes = injectivity_probe(maps, args.k, args.samples, args.seed)
+        endpoints = endpoint_checks(args.k, args.samples, args.seed)
+    except MemoryError:
+        raise UsageError(f"{args.samples} samples of {args.k} angles do not fit in memory") from None
     passed = endpoints.passed and all(p.passed for p in probes)
-    payload = {
-        "kind": "isotopy-check",
-        "endpoints": endpoints.to_json_dict(),
-        "probes": [p.to_json_dict() for p in probes],
-        "passed": passed,
-    }
+    payload = {"kind": "isotopy-check", "endpoints": endpoints.to_json_dict(),
+               "probes": [p.to_json_dict() for p in probes], "passed": passed}
     deviations = [
         ("standard", "t=1 vs standard torus:", endpoints.max_standard_deviation),
         ("radius", "t=0 circle radius:", endpoints.max_radius_deviation),
         ("base", "t=0 base stability:", endpoints.max_base_deviation),
     ]
     rows = [("check", "value", "passed")]
-    rows += [
-        (f"endpoint-{name}", value, value <= endpoints.tolerance)
-        for name, _, value in deviations
-    ]
+    rows += [(f"endpoint-{name}", v, v <= endpoints.tolerance) for name, _, v in deviations]
     rows += [(f"probe {p.label}", p.violations, p.passed) for p in probes]
     lines = [f"isotopy check: k={args.k}, samples={args.samples}, seed={args.seed}"]
-    lines += [
-        f"  {what:<22} max deviation {value:.3e}" for _, what, value in deviations
-    ]
+    lines += [f"  {what:<22} max deviation {value:.3e}" for _, what, value in deviations]
     for p in probes:
         sep = "inf" if p.min_separation == float("inf") else f"{p.min_separation:.3e}"
-        lines.append(
-            f"  probe {p.label}: {p.violations} violations, min separation {sep}"
-        )
+        lines.append(f"  probe {p.label}: {p.violations} violations, min separation {sep}")
     lines.append("overall: " + ("PASS" if passed else "FAIL"))
     _render(args, payload, rows, lines)
     return 0 if passed else 1

@@ -9,9 +9,8 @@ In coordinates
     x_{i+1} = (1/2^{i-1}) cos a_i * (remaining nest),   2 <= i <= k
     x_{k+1} = (1/2^{k-1}) cos a_k.
 
-The code keeps the induction explicit: a point of T^k is assembled from a
-point of the (k-1)-torus of the last k-1 angles, whose first coordinate is
-exactly the nest the outer circle gets scaled by.
+The code runs the induction innermost circle first: a point y of the torus
+of the last angles gives the next torus out its nest 1 + y[0]/2.
 
 The isotopy F: T^k x [0,1] -> R^{k+2} replaces sin ak by t*sin ak inside
 every nest and appends
@@ -23,66 +22,106 @@ coordinate is nonnegative; at t=0 the last two coordinates trace a round
 circle of radius 1/2^{k-1} while the first k no longer see ak at all.  The
 one-dimensional instance has the closed form
 
-    F1(cos a, sin a, t) = (t sin a, cos a, (1-t) sin a + t |sin a|).
+    F1(cos a, sin a, t) = (t sin a, cos a, (1-t) sin a + t |sin a|),
 
-Everything is double precision; identities are sampled with seeded RNG and
-checked to 1e-12, and injectivity is probed pairwise, not proved.
+which ``f1_map`` evaluates as written.  The maps read angles only through
+their sine and cosine tables: a check draws once per seed, takes each sine
+once and evaluates every map on the same tables.  Everything is double
+precision; identities are sampled with seeded RNG and checked to 1e-12, and
+injectivity is probed pairwise, not proved.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
+TableMap = Callable[[np.ndarray, np.ndarray], np.ndarray]  # (N, k) sines, cosines -> points
 
-def _nested_tube(sins: np.ndarray, coss: np.ndarray) -> np.ndarray:
-    """Torus points from per-angle sines/cosines, shape (N, k) -> (N, k+1).
 
-    Recursive on k: the tail angles give a (k-1)-torus point y, the nest for
-    the leading circle is 1 + y[0]/2, and the tail coordinates come along at
-    half scale.
-    """
+def _check_dimension(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"torus dimension must be >= 1, got {k}")
+    if k - 1 >= sys.float_info.max_exp:
+        raise ValueError(f"torus dimension must be <= {sys.float_info.max_exp}, "
+                         f"got {k}: the scale 2^(k-1) is past double range")
+
+
+def _check_parameter(t: float) -> None:
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"deformation parameter must lie in [0, 1], got {t}")
+
+
+def _tables(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.sin(angles), np.cos(angles)
+
+
+def _nested_tube(sins, coss, inner_sin: np.ndarray, extra: int = 0) -> np.ndarray:
+    """Torus points of the (N, k) tables, innermost circle (``inner_sin``, last cosine), in
+    k+1 of k+1+``extra`` columns; each step out halves the inner coordinates once more."""
     n, k = sins.shape
-    if k == 1:
-        return np.stack([sins[:, 0], coss[:, 0]], axis=1)
-    y = _nested_tube(sins[:, 1:], coss[:, 1:])
-    nest = 1.0 + 0.5 * y[:, 0]
-    out = np.empty((n, k + 1))
-    out[:, 0] = sins[:, 0] * nest
-    out[:, 1] = coss[:, 0] * nest
-    out[:, 2:] = 0.5 * y[:, 1:]
+    out = np.empty((n, k + 1 + extra))
+    out[:, k - 1] = inner_sin
+    out[:, k] = coss[:, k - 1]
+    for i in range(k - 2, -1, -1):
+        nest = 1.0 + 0.5 * out[:, i + 1]
+        out[:, i + 2 : k + 1] *= 0.5
+        out[:, i] = sins[:, i] * nest
+        out[:, i + 1] = coss[:, i] * nest
     return out
 
 
+def standard_map(sins: np.ndarray, coss: np.ndarray) -> np.ndarray:
+    """Standard torus points from (N, k) sine and cosine tables; (N, k+1)."""
+    return _nested_tube(sins, coss, sins[:, -1])
+
+
+def isotopy_map(t: float) -> TableMap:
+    """F(., t) on (N, k) sine and cosine tables; points are (N, k+2)."""
+    _check_parameter(t)
+
+    def deformed(sins: np.ndarray, coss: np.ndarray) -> np.ndarray:
+        k = sins.shape[1]
+        inner = sins[:, k - 1]
+        out = _nested_tube(sins, coss, inner * t, extra=1)
+        out[:, k + 1] = ((1.0 - t) * inner + t * np.abs(inner)) / 2 ** (k - 1)
+        return out
+
+    return deformed
+
+
+def f1_map(t: float) -> TableMap:
+    """The closed form F1(., t) on (N, 1) sine and cosine tables; (N, 3)."""
+    _check_parameter(t)
+
+    def f1(sins: np.ndarray, coss: np.ndarray) -> np.ndarray:
+        s, c = sins[:, 0], coss[:, 0]
+        return np.stack([t * s, c, (1.0 - t) * s + t * np.abs(s)], axis=1)
+
+    return f1
+
+
 def _angle_grid(k: int, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if k < 1:
-        raise ValueError(f"torus dimension must be >= 1, got {k}")
+    _check_dimension(k)
     a = np.atleast_2d(np.asarray(angles, dtype=float))
     if a.shape[1] != k:
         raise ValueError(f"expected {k} angles per point, got shape {a.shape}")
-    return np.sin(a), np.cos(a)
+    return _tables(a)
 
 
 def standard_torus_batch(k: int, angles: np.ndarray) -> np.ndarray:
     """Standard torus points for an (N, k) array of angles; returns (N, k+1)."""
-    sins, coss = _angle_grid(k, angles)
-    return _nested_tube(sins, coss)
+    return standard_map(*_angle_grid(k, angles))
 
 
 def isotopy_batch(k: int, angles: np.ndarray, t: float) -> np.ndarray:
     """Deformed torus points for an (N, k) array of angles; returns (N, k+2)."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"deformation parameter must lie in [0, 1], got {t}")
-    sins, coss = _angle_grid(k, angles)
-    flattened = sins.copy()
-    flattened[:, k - 1] *= t  # innermost sine is the one the isotopy scales
-    body = _nested_tube(flattened, coss)
-    last = ((1.0 - t) * sins[:, k - 1] + t * np.abs(sins[:, k - 1])) / 2 ** (k - 1)
-    return np.concatenate([body, last[:, None]], axis=1)
+    return isotopy_map(t)(*_angle_grid(k, angles))
 
 
 # -- probe harness ---------------------------------------------------------
@@ -113,43 +152,38 @@ class InjectivityReport:
         return self.violations == 0
 
     def to_json_dict(self) -> dict:
-        return {
-            **asdict(self),
-            "min_separation": (
-                None if np.isinf(self.min_separation) else self.min_separation
-            ),
-            "passed": self.passed,
-        }
+        separation = None if np.isinf(self.min_separation) else self.min_separation
+        return {**asdict(self), "min_separation": separation, "passed": self.passed}
 
 
 def injectivity_probe(
-    point_map: Callable[[np.ndarray], np.ndarray],
-    k: int,
-    samples: int,
-    seed: int,
-    *,
-    delta_in: float = 1e-2,
-    delta_out: float = 1e-6,
-    label: str = "map",
-) -> InjectivityReport:
-    """Sample angle pairs and flag far-apart angles with nearly equal images.
+    maps: Sequence[tuple[str, TableMap]], k: int, samples: int, seed: int, *,
+    delta_in: float = 1e-2, delta_out: float = 1e-6,
+) -> list[InjectivityReport]:
+    """Sample angle pairs once and probe each labelled map on them, in order.
 
     A pair violates injectivity evidence when its flat-torus angle distance
     exceeds ``delta_in`` while the image distance falls below ``delta_out``.
     """
+    _check_dimension(k)
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.0, TWO_PI, size=(samples, k))
     b = rng.uniform(0.0, TWO_PI, size=(samples, k))
-    angle_dist = circle_distance(a, b)
-    image_dist = np.linalg.norm(point_map(a) - point_map(b), axis=1)
-    far = angle_dist > delta_in
-    violations = int(np.count_nonzero(far & (image_dist < delta_out)))
-    min_sep = float(image_dist[far].min()) if far.any() else float("inf")
-    return InjectivityReport(
-        label, k, samples, seed, delta_in, delta_out, violations, min_sep
-    )
+    far = circle_distance(a, b) > delta_in
+    tables_a = _tables(a)
+    del a  # so that no more than five (N, k) arrays are live at once
+    tables_b = _tables(b)
+    del b
+    reports = []
+    for label, point_map in maps:
+        image_dist = np.linalg.norm(point_map(*tables_a) - point_map(*tables_b), axis=1)
+        violations = int(np.count_nonzero(far & (image_dist < delta_out)))
+        min_sep = float(image_dist[far].min()) if far.any() else float("inf")
+        reports.append(InjectivityReport(label, k, samples, seed, delta_in, delta_out,
+                                         violations, min_sep))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -172,58 +206,38 @@ class EndpointReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.max_standard_deviation <= self.tolerance
-            and self.max_radius_deviation <= self.tolerance
-            and self.max_base_deviation <= self.tolerance
-        )
+        deviations = (self.max_standard_deviation, self.max_radius_deviation,
+                      self.max_base_deviation)
+        return all(d <= self.tolerance for d in deviations)
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "passed": self.passed}
 
 
-def endpoint_checks(
-    k: int, samples: int, seed: int, *, tolerance: float = 1e-12
-) -> EndpointReport:
+def endpoint_checks(k: int, samples: int, seed: int, *, tolerance: float = 1e-12) -> EndpointReport:
     """Check both endpoint identities of the isotopy on seeded random charts.
 
     At t=1 the deformation restricted to its first k+1 coordinates must
     reproduce the standard torus.  At t=0 the final two coordinates must lie
     on the round circle of radius 1/2^{k-1} while the first k coordinates
-    ignore the innermost angle entirely.
+    ignore the innermost angle, which is drawn afresh after the charts; only
+    its column of the sine and cosine tables is retaken.
     """
+    _check_dimension(k)
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
     rng = np.random.default_rng(seed)
-    angles = rng.uniform(0.0, TWO_PI, size=(samples, k))
+    sins, coss = _tables(rng.uniform(0.0, TWO_PI, size=(samples, k)))
 
-    at_one = isotopy_batch(k, angles, 1.0)
-    dev_standard = np.abs(at_one[:, : k + 1] - standard_torus_batch(k, angles)).max()
+    at_one = isotopy_map(1.0)(sins, coss)
+    dev_standard = np.abs(at_one[:, : k + 1] - standard_map(sins, coss)).max()
 
-    at_zero = isotopy_batch(k, angles, 0.0)
+    at_zero = isotopy_map(0.0)(sins, coss)
     radius = np.linalg.norm(at_zero[:, k:], axis=1)
     dev_radius = np.abs(radius - 0.5 ** (k - 1)).max()
 
-    perturbed = angles.copy()
-    perturbed[:, k - 1] = rng.uniform(0.0, TWO_PI, size=samples)
-    dev_base = np.abs(
-        isotopy_batch(k, perturbed, 0.0)[:, :k] - at_zero[:, :k]
-    ).max()
+    sins[:, k - 1], coss[:, k - 1] = _tables(rng.uniform(0.0, TWO_PI, size=samples))
+    dev_base = np.abs(isotopy_map(0.0)(sins, coss)[:, :k] - at_zero[:, :k]).max()
 
-    return EndpointReport(
-        k,
-        samples,
-        seed,
-        tolerance,
-        float(dev_standard),
-        float(dev_radius),
-        float(dev_base),
-    )
-
-
-def standard_map(k: int) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda angles: standard_torus_batch(k, angles)
-
-
-def isotopy_map(k: int, t: float) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda angles: isotopy_batch(k, angles, t)
+    return EndpointReport(k, samples, seed, tolerance, float(dev_standard), float(dev_radius),
+                          float(dev_base))

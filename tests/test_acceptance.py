@@ -239,11 +239,13 @@ def test_criterion_09_isotopy_formulas(capsys):
             isotopy_batch(1, np.array([[alpha]]), 1.0)[0], np.array([s, c, abs(s)])
         )
 
-    probes_ok = True
-    for k in range(1, 5):
-        maps = [standard_map(k)] + [isotopy_map(k, t) for t in (0.0, 0.5, 1.0)]
-        for mapper in maps:
-            probes_ok = probes_ok and injectivity_probe(mapper, k, 10000, 42).passed
+    maps = [("standard", standard_map)]
+    maps += [(f"isotopy t={t}", isotopy_map(t)) for t in (0.0, 0.5, 1.0)]
+    probes_ok = all(
+        report.passed
+        for k in range(1, 5)
+        for report in injectivity_probe(maps, k, 10000, 42)
+    )
     elapsed = time.perf_counter() - start
 
     ok = endpoints_ok and exact_ok and probes_ok and elapsed < 10.0

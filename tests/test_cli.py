@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -229,6 +230,18 @@ class TestIsotopyCheck:
         assert code == 2
         assert ">= 1" in err
 
+    def test_out_of_memory_draw_is_a_usage_error(self, capsys, monkeypatch):
+        class NoRoom:
+            def uniform(self, *args, **kwargs):
+                raise MemoryError
+
+        import numpy
+
+        monkeypatch.setattr(numpy.random, "default_rng", lambda seed: NoRoom())
+        code, out, err = run(capsys, "isotopy-check", "3", "10000", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: 10000 samples of 3 angles do not fit in memory\n"
+
 
 class TestErrorsAndLimits:
     def test_unknown_constructor(self, capsys):
@@ -323,6 +336,32 @@ class TestErrorsAndLimits:
         monkeypatch.setattr(cli_module, "product", refuse)
         code, out, err = run(capsys, "betti", *expr)
         assert (code, out, built) == (3, "", polygons)
+        assert err == (
+            f"error: {SubsetLimitError(m, DEFAULT_MAX_VERTICES)}\n"
+            "hint: raise the cap with --max-subsets\n"
+        )
+
+    @pytest.mark.parametrize(
+        "tail, m",
+        [(["0"], 700), (["--all-vertices"], 700), (["99999"], 700)],
+        ids=["one-vertex", "all-vertices", "bad-index"],
+    )
+    def test_verify_caps_each_operand_before_building_it(
+        self, capsys, monkeypatch, tail, m
+    ):
+        # the product of two 700-gons took 2.9 s and 191 MB to build before
+        # the sum refused it; an operand over the cap now stops the parse,
+        # ahead of the top term's vertex index
+        def refuse(*args):
+            raise AssertionError("a product over the cap was built")
+
+        monkeypatch.setattr(cli_module, "product", refuse)
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "verify", "product", "polygon", "700", "polygon", "700", *tail
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
         assert err == (
             f"error: {SubsetLimitError(m, DEFAULT_MAX_VERTICES)}\n"
             "hint: raise the cap with --max-subsets\n"
@@ -527,6 +566,12 @@ HOSTILE = {
         "nested too deeply",
     ),
     "deeply nested json": (["betti", "FILE"], "[" * 100000, 2, "malformed JSON"),
+    "torus past double range": (
+        ["isotopy-check", "1100", "2"],
+        None,
+        2,
+        "torus dimension must be <= 1024, got 1100",
+    ),
     "faces not a list": (
         ["betti", "FILE"],
         '{"vertices": 3, "maximal_faces": 7}',

@@ -1,13 +1,14 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from momentangle.isotopy import (
-    EndpointReport,
     InjectivityReport,
     circle_distance,
     endpoint_checks,
+    f1_map,
     injectivity_probe,
     isotopy_batch,
     isotopy_map,
@@ -98,6 +99,20 @@ class TestStandardTorus:
         for row, angles in zip(batch, a):
             assert np.array_equal(row, standard_torus_batch(3, one_row(angles))[0])
 
+    def test_deep_nest_halves_once_per_level(self):
+        # the tail is subnormal at k = 1024, where a halving can round, so one
+        # scaling by 2^-(k-1) is not the same number; this ran out of stack
+        # while the nest was recursive
+        k = 1024
+        angles = np.random.default_rng(3).uniform(0.0, TWO_PI, size=(2, k))
+        got = standard_torus_batch(k, angles)
+        for point, last_cos in zip(got, np.cos(angles)[:, -1]):
+            want = last_cos
+            for _ in range(k - 1):
+                want *= 0.5
+            assert point[-1] == want
+        assert np.isfinite(isotopy_batch(k, angles, 0.5)).all()
+
     def test_shape_and_range_errors(self):
         with pytest.raises(ValueError, match=">= 1"):
             standard_torus_batch(0, np.zeros((1, 1)))
@@ -144,8 +159,10 @@ class TestIsotopy:
             a = rng.uniform(0.0, TWO_PI, size=(20000, k))
             b = (a + rng.uniform(-1e-4, 1e-4, size=a.shape)) % TWO_PI
             gap = circle_distance(a, b)
-            for mapper in [standard_map(k), isotopy_map(k, 0.0), isotopy_map(k, 0.5), isotopy_map(k, 1.0)]:
-                stretch = np.linalg.norm(mapper(a) - mapper(b), axis=1) / gap
+            images = [(standard_torus_batch(k, a), standard_torus_batch(k, b))]
+            images += [(isotopy_batch(k, a, t), isotopy_batch(k, b, t)) for t in (0.0, 0.5, 1.0)]
+            for image_a, image_b in images:
+                stretch = np.linalg.norm(image_a - image_b, axis=1) / gap
                 assert stretch.max() <= 2.0 + 1e-9
 
     def test_parameter_range(self):
@@ -194,6 +211,78 @@ class TestCircleIsotopy:
             circle(np.array([0.0]), 2.0)
 
 
+def probe_oracle(point_map, k, samples, seed, label, delta_in=1e-2, delta_out=1e-6):
+    """One map's report from its own draws, the way each probe drew them
+    before the probes shared one sample: angle maps, no sine tables."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, TWO_PI, size=(samples, k))
+    b = rng.uniform(0.0, TWO_PI, size=(samples, k))
+    far = circle_distance(a, b) > delta_in
+    image_dist = np.linalg.norm(point_map(a) - point_map(b), axis=1)
+    violations = int(np.count_nonzero(far & (image_dist < delta_out)))
+    min_sep = float(image_dist[far].min()) if far.any() else float("inf")
+    return InjectivityReport(label, k, samples, seed, delta_in, delta_out, violations, min_sep)
+
+
+def endpoint_oracle(k, samples, seed, tolerance=1e-12):
+    """The endpoint deviations from angle arrays, one batch call per map."""
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(0.0, TWO_PI, size=(samples, k))
+    at_one = isotopy_batch(k, angles, 1.0)
+    standard = np.abs(at_one[:, : k + 1] - standard_torus_batch(k, angles)).max()
+    at_zero = isotopy_batch(k, angles, 0.0)
+    radius = np.abs(np.linalg.norm(at_zero[:, k:], axis=1) - 0.5 ** (k - 1)).max()
+    perturbed = angles.copy()
+    perturbed[:, k - 1] = rng.uniform(0.0, TWO_PI, size=samples)
+    base = np.abs(isotopy_batch(k, perturbed, 0.0)[:, :k] - at_zero[:, :k]).max()
+    return (k, samples, seed, tolerance, float(standard), float(radius), float(base))
+
+
+def cli_maps(k):
+    """The labelled maps isotopy-check probes, as table maps and as angle maps."""
+    tables = [("standard", standard_map)]
+    angles = [("standard", lambda x: standard_torus_batch(k, x))]
+    for t in (0.0, 0.5, 1.0):
+        tables.append((f"isotopy t={t}", isotopy_map(t)))
+        angles.append((f"isotopy t={t}", lambda x, t=t: isotopy_batch(k, x, t)))
+    if k == 1:
+        for t in (0.0, 1.0):
+            tables.append((f"f1 t={t}", f1_map(t)))
+            angles.append((f"f1 t={t}", lambda x, t=t: isotopy_batch(1, x, t)))
+    return tables, angles
+
+
+class TestSharedSample:
+    @pytest.mark.parametrize("samples", [2, 3, 1000])
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_probe_matches_one_draw_per_map(self, k, seed, samples):
+        tables, angles = cli_maps(k)
+        got = injectivity_probe(tables, k, samples, seed)
+        want = [probe_oracle(f, k, samples, seed, label) for label, f in angles]
+        # dataclass equality compares every field, min_separation exactly
+        assert got == want
+        assert [r.to_json_dict() for r in got] == [r.to_json_dict() for r in want]
+
+    @pytest.mark.parametrize("samples", [1, 2, 3, 1000])
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_endpoints_match_one_batch_per_map(self, k, seed, samples):
+        report = endpoint_checks(k, samples, seed)
+        assert astuple(report) == endpoint_oracle(k, samples, seed)
+
+    def test_f1_is_the_k_one_isotopy_bit_for_bit(self):
+        a = np.random.default_rng(41).uniform(0.0, TWO_PI, size=(100_000, 1))
+        s, c = np.sin(a), np.cos(a)
+        for t in (0.0, 0.25, 0.5, 1.0):
+            assert np.array_equal(f1_map(t)(s, c), isotopy_batch(1, a, t))
+
+    def test_parameter_range(self):
+        for make in (isotopy_map, f1_map):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                make(1.5)
+
+
 class TestProbes:
     def test_circle_distance_wraps(self):
         a = np.array([[0.1, 0.0]])
@@ -202,33 +291,40 @@ class TestProbes:
 
     def test_standard_maps_probe_clean(self):
         for k in range(1, 5):
-            report = injectivity_probe(standard_map(k), k, 500, 42, label=f"standard-{k}")
+            [report] = injectivity_probe([(f"standard-{k}", standard_map)], k, 500, 42)
+            assert report.label == f"standard-{k}"
             assert report.passed
             assert report.violations == 0
             assert 0.0 < report.min_separation < np.inf
 
     def test_deformed_maps_probe_clean(self):
-        for t in (0.0, 0.5, 1.0):
-            assert injectivity_probe(isotopy_map(2, t), 2, 500, 42).passed
-        for t in (0.0, 1.0):
-            assert injectivity_probe(isotopy_map(1, t), 1, 500, 42).passed
+        for k, ts in ((2, (0.0, 0.5, 1.0)), (1, (0.0, 1.0))):
+            maps = [(f"t={t}", isotopy_map(t)) for t in ts]
+            assert all(r.passed for r in injectivity_probe(maps, k, 500, 42))
 
     def test_probe_deterministic(self):
-        one = injectivity_probe(standard_map(2), 2, 300, 9)
-        two = injectivity_probe(standard_map(2), 2, 300, 9)
+        one = injectivity_probe([("standard", standard_map)], 2, 300, 9)
+        two = injectivity_probe([("standard", standard_map)], 2, 300, 9)
         assert one == two
 
     def test_probe_flags_a_genuinely_noninjective_map(self):
         # collapse everything to a point: every far pair violates
-        squash = lambda angles: np.zeros((angles.shape[0], 2))
-        report = injectivity_probe(squash, 1, 200, 3)
+        squash = lambda sins, coss: np.zeros((sins.shape[0], 2))
+        [report] = injectivity_probe([("squash", squash)], 1, 200, 3)
         assert not report.passed
         assert report.violations > 0
         assert report.min_separation == 0.0
 
     def test_probe_sample_floor(self):
         with pytest.raises(ValueError, match="at least 2"):
-            injectivity_probe(standard_map(1), 1, 1, 0)
+            injectivity_probe([("standard", standard_map)], 1, 1, 0)
+
+    def test_dimension_range(self):
+        for k, match in ((0, ">= 1"), (1025, "<= 1024")):
+            with pytest.raises(ValueError, match=match):
+                injectivity_probe([("standard", standard_map)], k, 2, 0)
+            with pytest.raises(ValueError, match=match):
+                endpoint_checks(k, 2, 0)
 
     def test_report_json(self):
         report = InjectivityReport("x", 1, 10, 0, 1e-2, 1e-6, 0, float("inf"))
