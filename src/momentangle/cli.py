@@ -21,10 +21,11 @@ byte-identical output regardless of --workers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .moment_angle import (
     DEFAULT_MAX_VERTICES,
@@ -80,57 +81,77 @@ def _load_object(path: str) -> SimplePolytope | SimplicialComplex:
     )
 
 
-def _capped(cap: int | None, m: int) -> None:
+def _check(
+    cap: int | None, m: int, vertex: int | None, has: Callable[[int], bool] | None
+) -> None:
+    """Before a term is built: ``vertex`` must be one of its vertices, then m within ``cap``.
+
+    ``has(v)`` says whether v >= 0 is one of the term's vertices.  It is
+    None when the constructor will refuse its arguments, and then, when a
+    vertex is given, the constructor's message comes first.
+    """
+    if vertex is not None:
+        if has is None:
+            return
+        if vertex < 0 or not has(vertex):
+            raise UsageError(f"vertex index {vertex} out of range")
     if cap is not None and m > cap:
         raise SubsetLimitError(m, cap)
 
 
-def _parse_expr(tokens: list[str], cap, top_cap) -> SimplePolytope | SimplicialComplex:
+def _parse_expr(
+    tokens: list[str], cap: int | None, vertex: int | None = None
+) -> SimplePolytope | SimplicialComplex:
     """The object of the first term of ``tokens``, which it consumes.
 
-    Each constructor's facet count m is known before it runs: simplex N has
-    N + 1, polygon M has M, cube N has 2N, a product the sum of its
-    operands' and a vertex cut one more than its base.  A node whose m is
-    over its cap, ``top_cap`` for the first term and ``cap`` for the terms
-    inside it (None: no cap), raises ``SubsetLimitError`` instead of being built.
+    Each constructor's facet count m and vertex count are known before it
+    runs: simplex N has N + 1 facets and N + 1 vertices, polygon M has M
+    and M, cube N has 2N and 2^N, a product the sum of its operands' facets
+    and the product of their vertices, and a vertex cut of an n-polytope B
+    one facet more than B and n - 1 vertices more.  So each term goes
+    through ``_check`` before it is built: the first with ``vertex``, the
+    terms inside it without.
     """
     if not tokens:
         raise UsageError("empty expression")
     tok = tokens.pop(0)
     if tok == "(":
-        inner = _parse_expr(tokens, cap, top_cap)
+        inner = _parse_expr(tokens, cap, vertex)
         if not tokens or tokens.pop(0) != ")":
             raise UsageError("unbalanced parentheses")
         return inner
     if tok == "simplex":
         n = _parse_int(tokens, "dimension for simplex")
-        _capped(top_cap, n + 1)
+        _check(cap, n + 1, vertex, (lambda v: v <= n) if n >= 1 else None)
         return simplex_polytope(n)
     if tok == "polygon":
         n = _parse_int(tokens, "edge count for polygon")
-        _capped(top_cap, n)
+        _check(cap, n, vertex, (lambda v: v < n) if n >= 3 else None)
         return polygon(n)
     if tok == "cube":
         n = 3
         if tokens and tokens[0].lstrip("-").isdigit():
             n = _parse_int(tokens, "dimension for cube")
-        _capped(top_cap, 2 * n)
+        # v < 2^n, without building 2^n
+        _check(cap, 2 * n, vertex, (lambda v: v.bit_length() <= n) if n >= 1 else None)
         return cube(n)
     if tok == "product":
-        left = _parse_expr(tokens, cap, cap)
-        right = _parse_expr(tokens, cap, cap)
+        left = _parse_expr(tokens, cap)
+        right = _parse_expr(tokens, cap)
         if not isinstance(left, SimplePolytope) or not isinstance(
             right, SimplePolytope
         ):
             raise UsageError("product needs two polytopes")
-        _capped(top_cap, left.m + right.m)
+        count = left.vertex_count * right.vertex_count
+        _check(cap, left.m + right.m, vertex, lambda v: v < count)
         return product(left, right)
     if tok == "cut-vertex":
-        base = _parse_expr(tokens, cap, cap)
+        base = _parse_expr(tokens, cap)
         if not isinstance(base, SimplePolytope):
             raise UsageError("cut-vertex needs a polytope")
         v = _parse_int(tokens, "vertex index for cut-vertex")
-        _capped(top_cap, base.m + 1)
+        count = base.vertex_count - 1 + base.n
+        _check(cap, base.m + 1, vertex, (lambda w: w < count) if 0 <= v < base.vertex_count else None)
         return base.cut_vertex(v)
     if _looks_like_path(tok):
         return _load_object(tok)
@@ -138,17 +159,18 @@ def _parse_expr(tokens: list[str], cap, top_cap) -> SimplePolytope | SimplicialC
 
 
 def parse_expression(
-    parts: Sequence[str], max_vertices: int | None = None, *, cap_top: bool = True
+    parts: Sequence[str], max_vertices: int | None = None, *, vertex: int | None = None
 ) -> SimplePolytope | SimplicialComplex:
     """Parse a complete prefix expression; leftover tokens are an error.
 
     With ``max_vertices``, a constructor whose polytope would have more
-    facets raises ``SubsetLimitError`` before it runs.  ``cap_top=False``
-    exempts the outermost one, so a caller can check its vertex index first.
+    facets raises ``SubsetLimitError`` before it runs.  With ``vertex``, the
+    outermost one first raises ``UsageError`` if ``vertex`` is not one of
+    its vertices, so that a bad index is reported before the cap.
     """
     tokens = _tokenize(parts)
     try:
-        obj = _parse_expr(tokens, max_vertices, max_vertices if cap_top else None)
+        obj = _parse_expr(tokens, max_vertices, vertex)
     except RecursionError:
         raise UsageError("expression is nested too deeply") from None
     if tokens:
@@ -261,7 +283,8 @@ def cmd_verify(args) -> int:
                 f"last argument must be a vertex index, got {tokens[-1]!r}"
             ) from None
         tokens = tokens[:-1]
-    obj = parse_expression(tokens, args.max_subsets, cap_top=False)
+    # every polytope has a vertex 0, so --all-vertices is checked as vertex 0 is
+    obj = parse_expression(tokens, args.max_subsets, vertex=0 if args.all_vertices else vertex)
     if not isinstance(obj, SimplePolytope):
         raise UsageError("verify needs a polytope input")
     options = dict(
@@ -378,7 +401,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", metavar="PATH", help="write output to a file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``main`` only reads it."""
     parser = argparse.ArgumentParser(
         prog="momentangle",
         description="moment-angle manifold cohomology and vertex-cut verification",
@@ -388,12 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = subs.add_parser("build", help="construct a polytope or complex")
     p_build.add_argument("expr", nargs="+", help="constructor expression or file")
     _add_common(p_build)
-    p_build.set_defaults(func=cmd_build)
 
     p_betti = subs.add_parser("betti", help="cohomology of the moment-angle manifold")
     p_betti.add_argument("expr", nargs="+", help="constructor expression or file")
     _add_common(p_betti)
-    p_betti.set_defaults(func=cmd_betti)
 
     p_verify = subs.add_parser("verify", help="check the vertex-cut decomposition")
     p_verify.add_argument(
@@ -403,20 +426,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--all-vertices", action="store_true", help="verify every vertex"
     )
     _add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_corpus = subs.add_parser(
         "verify-corpus", help="run the standard verification family"
     )
     _add_common(p_corpus)
-    p_corpus.set_defaults(func=cmd_verify_corpus)
 
     p_iso = subs.add_parser("isotopy-check", help="torus embedding identity probes")
     p_iso.add_argument("k", type=int, help="torus dimension")
     p_iso.add_argument("samples", type=int, nargs="?", default=10000)
     p_iso.add_argument("seed", type=int, nargs="?", default=42)
     _add_common(p_iso)
-    p_iso.set_defaults(func=cmd_isotopy_check)
 
     return parser
 
@@ -432,7 +452,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise UsageError(f"--workers must be at least 1, got {args.workers}")
         if args.max_subsets < 0:
             raise UsageError(f"--max-subsets must be at least 0, got {args.max_subsets}")
-        return args.func(args)
+        # looked up at each call, not kept in the cached parser, so that a
+        # rebinding of the module's cmd_* functions is seen
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except SubsetLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("hint: raise the cap with --max-subsets", file=sys.stderr)

@@ -33,7 +33,8 @@ maps are reduced from the top degree down, and the unit pivot rows of
 one map are left out of the next as columns.
 ``reduced_homology`` is ``_reduced_groups`` on every face of K, and
 ``_Faces.sphere_dimension`` runs it on K and on the listed links of its
-faces to certify that a complex is a Z-homology sphere.
+faces to certify that a complex is a Z-homology sphere; the boundary of
+a simplex passes on its face counts alone.
 
 Finitely generated graded abelian groups are recorded degree by degree as a
 free rank plus invariant factors d_1 | d_2 | ... | d_k with every d_i > 1.
@@ -442,15 +443,19 @@ class _Faces:
         condition says K is pure and each ridge lies in exactly two facets.
 
         The cheap checks come first and the first failure ends the test:
-        the reduced Euler characteristic (a necessary condition, free from
-        the face counts), purity and the ridges, then H~(K), then the other
-        links from the largest σ (smallest link) down.  Each link is listed
-        by ``link`` and goes to ``_reduced_groups`` as K does, so the
-        circles that link codimension-2 faces take the graph path.
+        ∂Δ^{d+1}, the one complex on d + 2 vertices with d + 2 faces of
+        d + 1 vertices, passes at once; then the reduced Euler
+        characteristic (a necessary condition, free from the face counts),
+        purity and the ridges, then H~(K), then the other links from the
+        largest σ (smallest link) down.  Each link is listed by ``link`` and
+        goes to ``_reduced_groups`` as K does, so the circles that link
+        codimension-2 faces take the graph path.
         """
         d = len(self.layers) - 2
         if d < 0 or len(self.layers[1]) != self.vertex_count:
             return None  # m = 0, {∅} or a ghost vertex
+        if len(self.layers[-1]) == self.vertex_count == d + 2:
+            return d  # every (d + 1)-subset of the d + 2 vertices: ∂Δ^{d+1} = S^d
         # reduced Euler characteristic, the sum of (-1)^(|σ|-1) over faces σ
         euler = sum((-1) ** (i - 1) * len(layer) for i, layer in enumerate(self.layers))
         if euler != (-1) ** d:

@@ -77,9 +77,12 @@ vertex m - 1, so the walk stops descending at |J| = floor(m/2).  Once
 the table of those is merged, ``_mirror`` adds the complements in one
 pass: a Z in degree e at |J| also lands in degree
 m + d + 1 - e at m - |J|, and a Z/a in degree m + d + 2 - e.  Sphere-ness
-is certified once per call, before any work is split, by
-``_Faces.sphere_dimension`` (the homology of every face link); every other
-complex gets all 2^m subsets.
+is certified once per join factor, before any work is split, by
+``_Faces.sphere_dimension`` (the homology of every face link; ∂Δ passes
+on its face counts), unless K is known to be a sphere: ``verify`` sums P
+first and, when every factor of K_P passes, takes each factor of each
+cut's dual to be a sphere of its own dimension (the proof is in
+``surgery._verify_cuts``).  Every other complex gets all 2^m subsets.
 
 Before any of that, K is split into its finest join factorisation
 K = K_{A_1} * ... * K_{A_r} by one rule: two vertices lie in one factor
@@ -472,22 +475,32 @@ def _factors(m: int, facets: list[int]) -> Iterator[tuple[list[int], _Faces]]:
         yield _listed(part, {f & part for f in facets}, linked)
 
 
-def _gather(m: int, facets: list[int], workers: int) -> Counter:
-    """The table of every subset of K, as ``_walk`` gives it.
+def _gather(m: int, facets: list[int], workers: int, sphere: bool = False) -> tuple[Counter, bool]:
+    """The table of every subset of K, as ``_walk`` gives it, and whether K is a sphere.
 
     K is split into its join factors first, each factor is summed on its
     own, and the factors' tables are combined by ``_kunneth``, since
-    Z_{K*L} = Z_K x Z_L; m = 0 has no factor and gives the unit.
+    Z_{K*L} = Z_K x Z_L; m = 0 has no factor and gives the unit.  With
+    ``sphere``, K is known to be a Z-homology sphere, so each factor is one
+    of its own dimension and is not certified (see ``surgery._verify_cuts``).
+    The flag returned says whether every factor is a sphere, so that K is.
     """
     table = Counter({(0, 0, 0): 1})
+    spheres = True
     for _, faces in _factors(m, facets):
-        table = _kunneth(table, _factor_sum(faces, workers))
-    return table
+        factor, certified = _factor_sum(faces, workers, sphere)
+        table = _kunneth(table, factor)
+        spheres = spheres and certified
+    return table, spheres
 
 
-def _factor_sum(faces: _Faces, workers: int) -> Counter:
-    """The subset sum of one join factor, with its own certificate and pool rule."""
-    sphere_dim = faces.sphere_dimension()
+def _factor_sum(faces: _Faces, workers: int, sphere: bool = False) -> tuple[Counter, bool]:
+    """The subset sum of one join factor, with its own pool rule, and whether it is a sphere.
+
+    The factor is certified by ``sphere_dimension`` unless ``sphere`` says
+    it is a Z-homology sphere; then its dimension is that of its faces.
+    """
+    sphere_dim = len(faces.layers) - 2 if sphere else faces.sphere_dimension()
     m = faces.vertex_count
     visited = 1 << (m - (sphere_dim is not None))
     work = visited * sum(len(layer) for layer in faces.layers)
@@ -506,13 +519,28 @@ def _factor_sum(faces: _Faces, workers: int) -> Counter:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             table = sum(pool.map(_walk_task, tasks), Counter())
     if sphere_dim is None:
-        return table
-    return _mirror(table, m, sphere_dim)
+        return table, False
+    return _mirror(table, m, sphere_dim), True
 
 
 def _walk_task(args):
     m, facets, sphere_dim, root, low = args
     return _walk(_Faces(m, facets), sphere_dim, root, low)
+
+
+def _cohomology(
+    k: SimplicialComplex | SimplePolytope, workers: int, max_vertices: int, sphere: bool = False
+) -> tuple[GradedGroups, bool]:
+    """H*(Z_K) and whether K is a sphere, with ``sphere`` as ``_gather`` takes it."""
+    table, spheres = _gather(*_check_input(k, max_vertices), workers, sphere)
+    groups: dict[int, list] = {}
+    for (_, degree, a), n in table.items():
+        group = groups.setdefault(degree, [0, []])
+        if a:
+            group[1] += [a] * n
+        else:
+            group[0] += n
+    return GradedGroups(groups), spheres
 
 
 def moment_angle_cohomology(
@@ -525,14 +553,7 @@ def moment_angle_cohomology(
 
     A polytope P stands for its dual complex K_P, so Z_K is Z(P).
     """
-    groups: dict[int, list] = {}
-    for (_, degree, a), n in _gather(*_check_input(k, max_vertices), workers).items():
-        group = groups.setdefault(degree, [0, []])
-        if a:
-            group[1] += [a] * n
-        else:
-            group[0] += n
-    return GradedGroups(groups)
+    return _cohomology(k, workers, max_vertices)[0]
 
 
 def bigraded_table(
@@ -547,7 +568,7 @@ def bigraded_table(
     subset size reproduce the Betti numbers; the (0, 0) entry is always 1,
     coming from the empty subset.
     """
-    table = _gather(*_check_input(k, max_vertices), workers)
+    table, _ = _gather(*_check_input(k, max_vertices), workers)
     return {(size, degree): n for (size, degree, a), n in sorted(table.items()) if not a}
 
 

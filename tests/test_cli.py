@@ -372,6 +372,58 @@ class TestErrorsAndLimits:
         code, out, err = run(capsys, "verify", "cube", "14", "99999")
         assert (code, out, err) == (2, "", "error: vertex index 99999 out of range\n")
 
+    @pytest.mark.parametrize(
+        "expr, tail, m",
+        [
+            (["polygon", "200000"], ["0"], 200000),
+            (["polygon", "200000"], ["--all-vertices"], 200000),
+            (["cube", "1000000000"], [str(2**40)], 2 * 10**9),
+            (["product", "polygon", "20", "polygon", "20"], ["399"], 40),
+            (["cut-vertex", "(", "polygon", "22", ")", "0"], ["22"], 23),
+        ],
+        ids=["polygon", "polygon-all-vertices", "huge-cube", "product", "cut"],
+    )
+    def test_verify_caps_the_top_term_before_building_it(
+        self, capsys, monkeypatch, expr, tail, m
+    ):
+        # verify polygon 200000 0 took 1.5 s and 93 MB to build its polygon
+        # before the sum refused it; the index is checked against the vertex
+        # count, which each constructor knows from its operands, and then
+        # the cap stops the parse
+        def refuse(*args):
+            raise AssertionError("a polytope over the cap was built")
+
+        if expr[0] != "cut-vertex":
+            monkeypatch.setattr(cli_module, expr[0], refuse)
+        monkeypatch.setattr(SimplePolytope, "cut_vertex", refuse)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", *expr, *tail)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: {SubsetLimitError(m, DEFAULT_MAX_VERTICES)}\n"
+            "hint: raise the cap with --max-subsets\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["polygon", "200000", "200000"], "vertex index 200000 out of range"),
+            (["cube", "40", str(2**40)], f"vertex index {2**40} out of range"),
+            (["cube", "1000000000", "-1"], "vertex index -1 out of range"),
+            (["product", "polygon", "20", "polygon", "20", "400"], "vertex index 400 out of range"),
+            (["cut-vertex", "(", "polygon", "22", ")", "0", "23"], "vertex index 23 out of range"),
+            # the cut's own index, and the constructors' own checks, come first
+            (["cut-vertex", "(", "polygon", "22", ")", "99", "0"], "vertex index 99 out of range"),
+            (["polygon", "2", "5"], "polygon needs at least 3 edges, got 2"),
+            (["cube", "0", "9"], "cube dimension must be >= 1, got 0"),
+        ],
+        ids=["polygon", "cube", "negative", "product", "cut", "inner-cut", "polygon-2", "cube-0"],
+    )
+    def test_top_term_index_is_checked_against_its_vertex_count(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_format_flags_conflict(self, capsys):
         code, _, _ = run(capsys, "betti", "polygon", "4", "--json", "--csv")
         assert code == 2
@@ -638,6 +690,12 @@ HOSTILE = {
         2,
         "--max-subsets must be at least 0, got -1",
     ),
+    "huge polygon to verify": (
+        ["verify", "polygon", "200000", "0"],
+        None,
+        3,
+        "complex has 200000 vertices",
+    ),
     "huge vertex count": (
         ["betti", "FILE"],
         '{"vertices": %d, "maximal_faces": [[0, 1]]}' % 10**30,
@@ -657,6 +715,34 @@ def test_hostile_input_exits_with_a_message(capsys, tmp_path, case):
     assert (code, out) == (expected_code, "")
     assert err.startswith("error: ")
     assert fragment in err
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; a usage error, a --json call and
+    # a text call in turn print what each prints in a fresh parser
+    calls = [
+        ["verify"],
+        ["verify", "cube", "1", "--json"],
+        ["betti", "polygon", "5"],
+    ]
+    shared = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli_module.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0]
+    assert cli_module.build_parser() is cli_module.build_parser()
+
+
+def test_cached_parser_sees_a_rebound_command(capsys, monkeypatch):
+    # an instrument that wraps cmd_betti after the parser is built still
+    # sees every call
+    run(capsys, "betti", "polygon", "4")
+    seen = []
+    monkeypatch.setattr(cli_module, "cmd_betti", lambda args: seen.append(args.expr) or 0)
+    assert run(capsys, "betti", "polygon", "5") == (0, "", "")
+    assert seen == [["polygon", "5"]]
 
 
 COLD_START = """

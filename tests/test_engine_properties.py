@@ -29,7 +29,9 @@ elimination alone, with no rule and no graph path, against the oracle.
 The walk's tables from the prefix roots of the top 1, 2 and 3 vertices,
 each root walked alone as a pool task walks it, merged equal the oracle's
 on the same inputs and on RP^2, RP^2 with a path and the mod-3 Moore
-space.
+space.  Every join factor of every cut's dual passes the sphere
+certificate on cut sequences of the 3- and 4-simplex and cube with
+m >= 3n, which is what lets ``verify`` skip each cut's certificate.
 """
 
 from collections import Counter
@@ -50,11 +52,12 @@ from momentangle.moment_angle import (  # noqa: E402
     bigraded_table,
     moment_angle_cohomology,
 )
-from momentangle.polytopes import polygon, product, simplex_polytope  # noqa: E402
+from momentangle.polytopes import cube, polygon, product, simplex_polytope  # noqa: E402
 from momentangle.simplicial import SimplicialComplex, boundary_complex, join  # noqa: E402
 from momentangle.surgery import theorem_corpus  # noqa: E402
 from complexes import full_subcomplex  # noqa: E402
 from subset_oracle import _reduced_homology, reference_sum, subset_homologies  # noqa: E402
+from test_surgery import assert_cut_factors_are_spheres  # noqa: E402
 from test_moment_angle import (  # noqa: E402
     MOORE3,
     RP2_WITH_PATH,
@@ -242,10 +245,10 @@ def assert_order_changes_nothing(k):
     # given, against the oracle's
     expected = subset_table(subset_homologies(k))
     m, facets = _check_input(k, k.vertex_count)
-    assert _gather(m, facets, 1) == expected
+    assert _gather(m, facets, 1)[0] == expected
     with pytest.MonkeyPatch.context() as patch:
         order_off(patch)
-        assert _gather(m, facets, 1) == expected
+        assert _gather(m, facets, 1)[0] == expected
 
 
 @checked(60)
@@ -388,3 +391,20 @@ def test_rules_on_equals_off_on_joins_with_the_projective_plane(k):
 @pytest.mark.parametrize("p", [p for _, p in CORPUS], ids=[name for name, _ in CORPUS])
 def test_rules_on_equals_off_on_the_corpus(p):
     assert_rules_change_nothing(p.dual_complex())
+
+
+@st.composite
+def long_cut_sequences(draw, n):
+    """The n-simplex or n-cube cut at drawn vertices until m >= 3n, and maybe twice more."""
+    p = draw(st.sampled_from([simplex_polytope(n), cube(n)]))
+    while p.m < 3 * n or (p.m < 3 * n + 2 and draw(st.booleans())):
+        p = p.cut_vertex(draw(st.integers(0, p.vertex_count - 1)))
+    return p
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@checked(8)
+@given(data=st.data())
+def test_every_cut_factor_of_a_long_cut_sequence_is_a_sphere(n, data):
+    # the fact that lets verify skip each cut's certificate, past m = 3n
+    assert_cut_factors_are_spheres(data.draw(long_cut_sequences(n)))

@@ -28,6 +28,7 @@ from complexes import (
 )
 from momentangle.moment_angle import _walk, moment_angle_cohomology
 from subset_oracle import IntegerMatrix, boundary_matrix, smith_normal_form, subset_homologies
+from subset_oracle import _reduced_homology as oracle_link_homology
 from subset_oracle import reduced_homology as oracle_homology
 import test_moment_angle
 from invariants import has_torsion
@@ -435,6 +436,30 @@ class TestSphereCertificate:
     def test_rejects_non_spheres(self, k):
         assert faces_of(k).sphere_dimension() is None
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_simplex_boundaries_pass_on_their_face_counts(self, k, monkeypatch):
+        # relabelled ∂Δ^k passes with no link listed and no homology taken,
+        # and the oracle agrees: every face's link, ∅'s and the facets'
+        # included, has the homology of S^(k-1-|σ|)
+        perm = list(range(k + 1))
+        random.Random(k).shuffle(perm)
+        sphere = boundary_complex(k).relabeled(perm)
+
+        def refuse(*args):
+            raise AssertionError("a link was listed or its homology taken")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(homology_module._Faces, "link", refuse)
+            patch.setattr(homology_module, "_reduced_groups", refuse)
+            assert faces_of(sphere).sphere_dimension() == k - 1
+        for sigma in (f for d in range(-1, k) for f in faces_of_dimension(sphere, d)):
+            link = [
+                tuple(v for v in f if v not in sigma)
+                for f in sphere.maximal_faces
+                if set(sigma) <= set(f)
+            ]
+            assert oracle_link_homology(link) == GradedGroups({k - 1 - len(sigma): (1, ())})
+
     def test_rp2_join_is_rejected_before_any_homology(self, monkeypatch):
         # its reduced Euler characteristic is 0, so the full sum on it pays
         # nothing for the check
@@ -554,10 +579,11 @@ class TestGraphPath:
         assert oracle_homology(k) == GradedGroups(expected)
 
     def test_codimension_two_links_take_it(self, monkeypatch):
-        # the links of the 10 edges of ∂Δ^4 are circles
+        # the links of the 14 edges of this 3-sphere, ∂Δ^4 with a facet
+        # subdivided, are circles (∂Δ^4 itself passes on its face counts)
         graphs = recorded(monkeypatch, "_graph_groups")
-        assert faces_of(boundary_complex(4)).sphere_dimension() == 3
-        assert graphs == [((1, (1, ())),)] * 10
+        assert faces_of(simplex_polytope(4).cut_vertex(0).dual_complex()).sphere_dimension() == 3
+        assert graphs == [((1, (1, ())),)] * 14
 
 
 class TestTorsionReachesElimination:

@@ -4,9 +4,11 @@ import pytest
 
 from invariants import euler_characteristic, has_torsion, is_symmetric
 from isomorphism import are_combinatorially_isomorphic
-from momentangle.homology import GradedGroups
+from momentangle.homology import GradedGroups, _Faces
 from momentangle.moment_angle import (
     DEFAULT_MAX_VERTICES,
+    _check_input,
+    _factors,
     PoincarePolynomial,
     SubsetLimitError,
     betti,
@@ -294,11 +296,96 @@ class TestBeyondTheProvedRange:
         # the 4-sphere around RP2 is the dual of a simple 5-polytope with 16
         # facets; Z(P) has the Z/2 of RP2 and of its complement, and the cut
         # at vertex 0 carries them to degrees 9, 10, 13 and 14
-        p = SimplePolytope(5, 16, tuple(sorted(sphere_around_rp2().maximal_faces)))
+        p = rp2_polytope()
         report = verify_cut_theorem(p, 0)
         self.check(p, [report])
         torsion = {d: report.lhs.torsion(d) for d in report.lhs.degrees() if report.lhs.torsion(d)}
         assert torsion == {9: (2,), 10: (2,), 13: (2,), 14: (2,)}
+
+
+def rp2_polytope():
+    """The simple 5-polytope with 16 facets dual to the 4-sphere around RP2."""
+    return SimplePolytope(5, 16, tuple(sorted(sphere_around_rp2().maximal_faces)))
+
+
+def beyond_the_proved_range():
+    """The polytopes of ``TestBeyondTheProvedRange``."""
+    return [
+        ("simplex-3 cut 5 times", cut_in_turn(simplex_polytope(3), [0, 4, 1, 7, 2])),
+        ("cube-3 cut 3 times", cut_in_turn(cube(3), [0, 9, 3])),
+        ("simplex-4 cut 7 times", cut_in_turn(simplex_polytope(4), [0, 5, 1, 9, 2, 13, 3])),
+        ("rp2-polytope", rp2_polytope()),
+    ]
+
+
+def assert_cut_factors_are_spheres(p):
+    """Every join factor of every cut's dual passes the full sphere
+    certificate, with the dimension of its own faces."""
+    for v in range(p.vertex_count):
+        for _, faces in _factors(*_check_input(p.cut_vertex(v), DEFAULT_MAX_VERTICES)):
+            assert faces.sphere_dimension() == len(faces.layers) - 2, v
+
+
+def certified(monkeypatch):
+    """The vertex counts of the factors that the sphere certificate runs on from now on."""
+    calls = []
+    certify = _Faces.sphere_dimension
+
+    def spy(self):
+        calls.append(self.vertex_count)
+        return certify(self)
+
+    monkeypatch.setattr(_Faces, "sphere_dimension", spy)
+    return calls
+
+
+# the minimal 7-vertex torus; as vertex records it is a "simple 3-polytope"
+# with 7 facets whose dual is not a sphere
+TORUS = SimplePolytope(3, 7, tuple(sorted(
+    {tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))) for i in range(7)}
+    | {tuple(sorted((i, (i + 2) % 7, (i + 3) % 7))) for i in range(7)}
+)))
+
+
+class TestInheritedCertificate:
+    """verify certifies P's join factors only; each cut inherits the certificate."""
+
+    @pytest.mark.parametrize(
+        "p", [p for _, p in theorem_corpus() + beyond_the_proved_range()],
+        ids=[name for name, _ in theorem_corpus() + beyond_the_proved_range()],
+    )
+    def test_every_cut_factor_is_a_sphere(self, p):
+        assert_cut_factors_are_spheres(p)
+
+    @pytest.mark.parametrize(
+        "p", [p for _, p in theorem_corpus() + beyond_the_proved_range()[:3]],
+        ids=[name for name, _ in theorem_corpus() + beyond_the_proved_range()[:3]],
+    )
+    def test_reports_equal_certified_sums(self, p):
+        # moment_angle_cohomology certifies each cut afresh
+        reports = verify_all_cuts(p)
+        assert [r.vertex for r in reports] == list(range(p.vertex_count))
+        for r in reports:
+            assert r.lhs == moment_angle_cohomology(p.cut_vertex(r.vertex))
+
+    def test_only_the_polytopes_factors_are_certified(self, monkeypatch):
+        # the dual of the 3-cube is S^0 * S^0 * S^0; its 8 cuts certify nothing
+        calls = certified(monkeypatch)
+        reports = verify_all_cuts(cube(3))
+        assert len(reports) == 8 and all(r.match for r in reports)
+        assert calls == [2, 2, 2]
+
+    def test_a_non_sphere_certifies_every_cut(self, monkeypatch):
+        calls = certified(monkeypatch)
+        reports = verify_all_cuts(TORUS)
+        assert calls == [7] + [8] * 14
+        monkeypatch.undo()
+        assert [r.vertex for r in reports] == list(range(14))
+        lhs = GradedGroups({0: (1, ()), 3: (4, ()), 4: (6, ()), 5: (26, ()), 6: (75, ()),
+                            7: (97, ()), 8: (60, ()), 9: (16, ()), 10: (2, ()), 11: (1, ())})
+        for r in reports:
+            assert r.match and r.lhs == r.rhs == lhs
+            assert r.lhs == moment_angle_cohomology(TORUS.cut_vertex(r.vertex))
 
 
 class TestSubsetCap:
