@@ -19,13 +19,16 @@ pool, through ``moment_angle._factor_sum`` on each join factor of
 advance, so that only the walk is counted.  Each checkout counts with its
 own copy of this script, which knows its own internals; where a
 checkout's counter refuses an input (before the facet split it took no
-joins), its counts are ``null``.  A profile hook reads the return
-statement at which each step into a subset returns: a ghost vertex or an
-acyclic link of the new vertex ("reused"), an isolated point, read from
-the memo of the parent's groups or added to it ("point"), an acyclic
-parent, whose child has the link's groups one degree up ("suspended"),
-or ``_reduced_groups`` on K_J, split into ``_graph_groups`` ("graph")
-and ``_matrix_groups`` ("eliminated") by spies.  A vertex's link is
+joins), its counts are ``null``.  A trace hook reads the statement at
+which each step into a subset is settled, in the walk's loop (``visit``)
+or, for the steps the loop hands on, at a return of ``step``: a ghost
+vertex or a memoised acyclic link of the new vertex ("reused"), an
+isolated point, read from the memo of the parent's groups or added to it
+("point"), an acyclic parent, whose child has the link's groups one
+degree up ("suspended"), or ``_reduced_groups`` on K_J, split into
+``_graph_groups`` ("graph") and ``_matrix_groups`` ("eliminated") by
+spies.  The loop's tallies count the steps, and the routes must add up
+to them.  A vertex's link is
 listed by ``_Faces.link`` once per memo entry where the vertex keeps a
 memo and once per step where it does not ("link_listings"); the distinct
 links listed at vertices with a memo are its entries, counted per factor
@@ -176,38 +179,68 @@ def routes(expr: list[str]) -> dict:
             return original(*args)
 
         setattr(homology, name, spy)
-    # the route of each return statement of the walk's step; an unknown
-    # one is a KeyError, so that an edit to them fails here
+    # the route of each statement that settles a step: in the walk's loop
+    # (``visit``) an assignment to the child's id, or a tally of it, which
+    # marks one step; in ``step``, which the loop calls for the rest, a
+    # return.  An unknown one is a KeyError, so that an edit to them fails
+    # here; None marks a call of ``step``, whose return counts the route
     source = Path(moment_angle.__file__).read_text()
     names = {
-        "groups": "reused",
-        "plus": "point",
-        "tuple(((q + 1, group) for q, group in link))": "suspended",
-        "_reduced_groups(faces.link(0, J | 1 << v))": None,
+        "visit": {
+            "c = g": "reused",
+            "c = point[g]": "point",
+            "c = step(J, v, g, A)": None,
+            "counts[c] += 1": "step",
+            "d = c": "reused",
+            "d = point[c]": "point",
+            "d = step(K, 0, c, A)": None,
+            "below[d] += 1": "step",
+        },
+        "step": {
+            "g": "reused",
+            "c": "point",
+            "s": "suspended",
+            "intern(_reduced_groups(faces.link(0, J | 1 << v)))": None,
+        },
     }
-    by_line = {}
+    by_line = {"visit": {}, "step": {}}
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.FunctionDef) and node.name == "step":
-            for ret in ast.walk(node):
-                if isinstance(ret, ast.Return):
-                    by_line[ret.lineno] = names[ast.unparse(ret.value)]
+            for stmt in ast.walk(node):
+                if isinstance(stmt, ast.Return):
+                    by_line["step"][stmt.lineno] = names["step"][ast.unparse(stmt.value)]
+        elif isinstance(node, ast.FunctionDef) and node.name == "visit":
+            (loop,) = [stmt for stmt in node.body if isinstance(stmt, ast.For)]
+            for stmt in ast.walk(loop):
+                if isinstance(stmt, ast.AugAssign) or (
+                    isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets[0]) in ("c", "d")
+                ):
+                    by_line["visit"][stmt.lineno] = names["visit"][ast.unparse(stmt)]
     steps = [0]
 
-    def profile(frame, event, arg):
-        if event == "return" and frame.f_code.co_name == "step":
-            steps[0] += 1
-            route = by_line[frame.f_lineno]
-            if route:
+    def line(frame, event, arg):
+        name = frame.f_code.co_name
+        if event == ("return" if name == "step" else "line"):
+            route = by_line[name].get(frame.f_lineno)
+            if route == "step":
+                steps[0] += 1
+            elif route:
                 counts[route] += 1
+        return line
+
+    def trace(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename == moment_angle.__file__ and code.co_name in by_line:
+            return line
 
     homology._Faces.sphere_dimension = lambda self: dims[id(self)]
     entries = []
     start = time.perf_counter()
     for faces in factors:
         memo.clear()
-        sys.setprofile(profile)
-        moment_angle._factor_sum(faces, 1)
-        sys.setprofile(None)
+        sys.settrace(trace)
+        moment_angle._factor_sum(faces, 1, False, [])
+        sys.settrace(None)
         entries.append(len(memo))
     assert sum(counts[kind] for kind in kinds[:5]) == steps[0]
     counts["steps"] = steps[0]

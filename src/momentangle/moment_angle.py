@@ -49,11 +49,14 @@ settled:
   elimination, ±1 pivots first.
 
 No face list is kept from step to step, and none of these hides torsion:
-each takes the groups of the parent or of a link, computed in turn.  The
-subsets are counted in one dict per |J|, keyed by their groups, and each
-(|J|, groups) count is spread into the table at the end.  On a certified
-sphere the complement of an acyclic K_J needs no special case: H~(K_J) = 0
-exactly when H~(K_{V-J}) = 0, so its mirrored contribution is zero too.
+each takes the groups of the parent or of a link, computed in turn.  Each
+distinct H~ is interned once per walk as a small int (0 acyclic, 1 K_∅),
+the point child is an id -> id list, and the subsets are counted in one
+list per |J|, indexed by id, and spread into the table at the end.  The
+walk's loop settles ghosts, points, memoised acyclic links and the one
+child J ∪ {0, 1} of each J ∪ {1} with no call.  On a certified sphere an
+acyclic K_J needs no special case: H~(K_J) = 0 exactly when
+H~(K_{V-J}) = 0, so its mirrored contribution is zero too.
 
 Which rule settles a step depends on how the vertices are numbered: when
 v's neighbours numbered above v span a face with v, v's link in K_{J ∪ v}
@@ -65,8 +68,9 @@ listed: labels go from the top down, each to the vertex with the most
 labelled neighbours, ties to a neighbour of the vertex labelled last.  On
 a flag complex with a chordal 1-skeleton that holds at every vertex; a
 polygon is numbered along its cycle, so only the lowest vertex has two
-neighbours above it.  The table, keyed by (|J|, degree, a), does not
-depend on the numbering.
+neighbours above it.  ∂Δ keeps its numbering, which its symmetries make
+as good as any.  The table, keyed by (|J|, degree, a), does not depend
+on the numbering.
 
 When K is a Z-homology d-sphere on its m vertices, as the dual complex of
 every simple polytope is, Alexander duality gives H~^i(K_J) = H~_{d-1-i}(K_{V-J})
@@ -116,9 +120,9 @@ subtrees start first, and a free worker takes the next root.  The tasks'
 tables are added, a commutative sum, so results are identical for every
 worker count.  A sum runs in the calling process whatever the worker count
 unless its visited subsets times the faces of K reach 16 000 000; this
-threshold applies to each join factor separately.
-``concurrent.futures`` is imported only when a pool starts, so a serial
-sum never loads the process-pool machinery.
+threshold applies to each join factor separately, and the factors that
+reach it share one pool.  ``concurrent.futures`` is imported only when
+a pool starts, so a serial sum never loads the process-pool machinery.
 """
 
 from __future__ import annotations
@@ -126,7 +130,8 @@ from __future__ import annotations
 import os
 from collections import Counter
 from math import gcd
-from typing import Iterable, Iterator, Mapping
+from types import MappingProxyType
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .homology import GradedGroups, _Faces, _masks, _reduced_groups
 from .polytopes import SimplePolytope
@@ -154,6 +159,7 @@ DEFAULT_MAX_VERTICES = 22
 _POOL_MIN_WORK = 16_000_000
 
 _MEMO_NEIGHBOURS = 10  # the link memo's bound, see the module docstring
+_NO_MEMO = MappingProxyType({})  # the memo of every vertex past that bound, always empty
 
 
 class SubsetLimitError(Exception):
@@ -191,15 +197,6 @@ def _check_input(
 _EMPTY = ((-1, (1, ())),)
 
 
-def _plus_point(groups: tuple) -> tuple:
-    """The groups of K_J plus one isolated vertex: an extra Z in H~_0."""
-    if groups == _EMPTY:
-        return ()  # K_J has no vertex, and a point has H~ = 0
-    if groups and groups[0][0] == 0:  # H~_0 is free and sorts first
-        return ((0, (groups[0][1][0] + 1, ())),) + groups[1:]
-    return ((0, (1, ())),) + groups
-
-
 def _walk(faces: _Faces, sphere_dim: int | None, root: int, low: int) -> Counter:
     """The table of the subsets root ∪ S, S any set of vertices below ``low``.
 
@@ -212,30 +209,41 @@ def _walk(faces: _Faces, sphere_dim: int | None, root: int, low: int) -> Counter
     """
     m = faces.vertex_count
     ext = faces.ext
-    # v's neighbours, None for a ghost vertex
-    near = [ext[1 << v] ^ 1 << v if 1 << v in ext else None for v in range(m)]
-    links: list[dict[int, tuple] | None] = [  # per v: A -> H~(lk(v)_A), or None
-        {} if ((n or 0) >> v).bit_count() <= _MEMO_NEIGHBOURS else None for v, n in enumerate(near)
-    ]
-    plus_point: dict[tuple, tuple] = {}  # a parent's groups -> its point child's
+    near: list[int | None] = []  # v's neighbours, None for a ghost vertex
+    links: list = []  # per v: A -> H~(lk(v)_A)
+    for v in range(m):
+        n = ext[1 << v] ^ 1 << v if 1 << v in ext else None
+        near.append(n)
+        links.append({} if ((n or 0) >> v).bit_count() <= _MEMO_NEIGHBOURS else _NO_MEMO)
+    groups, ids = [(), _EMPTY], {(): 0, _EMPTY: 1}  # id -> H~ and back: 0 is acyclic, 1 K_∅
+    point: list[int | None] = [None, 0]  # id -> its point child's id, once needed
+    lifted: dict[tuple, int] = {}  # a link's H~ -> the id of that H~ one degree up
     # subsets of more than ``most`` vertices, or of ``most`` with ``top``,
     # are the complements of visited ones
     most = m if sphere_dim is None else m // 2
     top = 1 << (m - 1) if sphere_dim is not None and 2 * most == m else 0
-    tally: list[dict[tuple, int]] = [{} for _ in range(most + 1)]  # per |J|: groups -> subsets
+    tally = [[0, 0] for _ in range(most + 1)]  # per |J|: id -> subsets
 
-    def step(J: int, v: int, groups: tuple) -> tuple:
-        """The groups of K_{J ∪ v}, from K_J's and v's link on A = J ∩ N(v)."""
-        if near[v] is None:
-            return groups  # a ghost vertex adds no face
-        A = J & near[v]
+    def intern(h: tuple) -> int:
+        if h not in ids:
+            ids[h] = len(groups)
+            groups.append(h)
+            point.append(None)
+            for counts in tally:
+                counts.append(0)
+        return ids[h]
+
+    def step(J: int, v: int, g: int, A: int) -> int:
+        """The id of K_{J ∪ v}'s groups from K_J's id g and v's link on A = J ∩ N(v), v no ghost."""
         if not A:
-            plus = plus_point.get(groups)
-            if plus is None:
-                plus = plus_point[groups] = _plus_point(groups)
-            return plus  # v is an isolated point
+            c = point[g]
+            if c is None:  # an extra Z in H~_0, which is free and sorts first
+                h = groups[g]
+                h = ((0, (h[0][1][0] + 1, ())),) + h[1:] if h and h[0][0] == 0 else ((0, (1, ())),) + h
+                c = point[g] = intern(h)
+            return c  # v is an isolated point
         memo = links[v]
-        link = None if memo is None else memo.get(A)
+        link = memo.get(A)
         if link is None:  # H~(lk(v)_A), 0 for a cone: a vertex of A in every ext[f ∪ v]
             layers = faces.link(1 << v, A)
             apex = A
@@ -243,46 +251,65 @@ def _walk(faces: _Faces, sphere_dim: int | None, root: int, low: int) -> Counter
                 for face, _ in layer:
                     apex &= ext[face | 1 << v]
             link = () if apex else _reduced_groups(layers)
-            if memo is not None:
+            if memo is not _NO_MEMO:
                 memo[A] = link
         if not link:
-            return groups  # v's link is acyclic: Mayer-Vietoris
-        if not groups:
-            return tuple((q + 1, group) for q, group in link)  # K_J is acyclic: Mayer-Vietoris
-        return _reduced_groups(faces.link(0, J | 1 << v))
+            return g  # v's link is acyclic: Mayer-Vietoris
+        if not g:  # K_J is acyclic: Mayer-Vietoris, the link's groups one degree up
+            s = lifted.get(link)
+            if s is None:
+                s = lifted[link] = intern(tuple((q + 1, group) for q, group in link))
+            return s
+        return intern(_reduced_groups(faces.link(0, J | 1 << v)))
 
-    def visit(J: int, size: int, groups: tuple, low: int) -> None:
+    def visit(J: int, size: int, g: int, low: int) -> None:
         size += 1
         if size > most or (size == most and J & top):
             return
-        deeper = size < most
-        counts = tally[size]
-        for v in range(low):
-            child = step(J, v, groups)
-            if child:
-                counts[child] = counts.get(child, 0) + 1
-            if deeper and v:
-                visit(J | 1 << v, size, child, v)
+        counts = tally[size]  # the children's; the grandchildren's below, None if none is visited
+        below = tally[size + 1] if size < most and not (size + 1 == most and (J | 2) & top) else None
+        for v in range(low):  # the routes of ``step`` that need no call come first
+            n = near[v]
+            if n is None:
+                c = g
+            elif not (A := J & n) and point[g] is not None:
+                c = point[g]
+            elif links[v].get(A) == ():
+                c = g
+            else:
+                c = step(J, v, g, A)
+            counts[c] += 1
+            if v > 1 and below is not None:
+                visit(J | 1 << v, size, c, v)
+            elif v == 1 and below is not None:  # J ∪ {1} has one child, J ∪ {0, 1}
+                K = J | 2
+                if near[0] is None or links[0].get(A := K & near[0]) == ():
+                    d = c
+                elif not A and point[c] is not None:
+                    d = point[c]
+                else:
+                    d = step(K, 0, c, A)
+                below[d] += 1
 
     size = root.bit_count()
     if size > most or (size == most and root & top):
         return Counter()
-    J, groups = 0, _EMPTY
-    for v in range(m - 1, -1, -1):
+    J, g = 0, 1
+    for v in range(root.bit_length() - 1, -1, -1):
         if root >> v & 1:
-            groups = step(J, v, groups)
+            if near[v] is not None:  # a ghost vertex adds no face
+                g = step(J, v, g, J & near[v])
             J |= 1 << v
-    if groups:
-        tally[size][groups] = 1
+    tally[size][g] += 1
     # at m = 2 on a sphere, ∅'s child {m - 1} is past the half, but a point adds nothing
-    visit(root, size, groups, low)
+    visit(root, size, g, low)
     # visit refers to itself through its closure: unbound here, the faces
     # and lists it holds are freed now, not at some later cyclic collection
     del visit
     table: Counter = Counter()
     for size, counts in enumerate(tally):
-        for groups, n in counts.items():
-            for q, (r, torsion) in groups:
+        for h, n in zip(groups, counts):
+            for q, (r, torsion) in h if n else ():  # the ids counted at this size
                 if r:
                     table[(size, q + size + 1, 0)] += r * n
                 for a in torsion:
@@ -414,10 +441,15 @@ def _relabel(masks: Iterable[int], bits: list[int]) -> list[int]:
     return out
 
 
-def _listed(part: int, facets: Iterable[int], linked: list[int]) -> tuple[list[int], _Faces]:
-    """The factor on ``part`` with these maximal faces: its numbering and its faces."""
-    bits = _order(part, linked)
-    return bits, _Faces(len(bits), _relabel(facets, bits))
+def _listed(part: int, facets: Collection[int], linked: list[int]) -> tuple[list[int], _Faces]:
+    """The factor on ``part`` with these distinct maximal faces: its numbering and its faces."""
+    k = part.bit_count()
+    # ∂Δ, k facets of k - 1 vertices, keeps its order: its symmetries permute all its vertices
+    if k > 2 and len(facets) == k and sum(map(int.bit_count, facets)) == k * (k - 1):
+        bits = [1 << v for v in range(part.bit_length()) if part >> v & 1]
+    else:
+        bits = _order(part, linked)
+    return bits, _Faces(k, _relabel(facets, bits))
 
 
 def _factors(m: int, facets: list[int]) -> Iterator[tuple[list[int], _Faces]]:
@@ -487,18 +519,24 @@ def _gather(m: int, facets: list[int], workers: int, sphere: bool = False) -> tu
     """
     table = Counter({(0, 0, 0): 1})
     spheres = True
-    for _, faces in _factors(m, facets):
-        factor, certified = _factor_sum(faces, workers, sphere)
-        table = _kunneth(table, factor)
-        spheres = spheres and certified
+    pool: list = []  # the process pool, once started
+    try:
+        for _, faces in _factors(m, facets):
+            factor, certified = _factor_sum(faces, workers, sphere, pool)
+            table = _kunneth(table, factor)
+            spheres = spheres and certified
+    finally:
+        for executor in pool:
+            executor.shutdown()
     return table, spheres
 
 
-def _factor_sum(faces: _Faces, workers: int, sphere: bool = False) -> tuple[Counter, bool]:
+def _factor_sum(faces: _Faces, workers: int, sphere: bool, pool: list) -> tuple[Counter, bool]:
     """The subset sum of one join factor, with its own pool rule, and whether it is a sphere.
 
     The factor is certified by ``sphere_dimension`` unless ``sphere`` says
     it is a Z-homology sphere; then its dimension is that of its faces.
+    ``pool`` holds the call's process pool, started here when first needed.
     """
     sphere_dim = len(faces.layers) - 2 if sphere else faces.sphere_dimension()
     m = faces.vertex_count
@@ -508,16 +546,17 @@ def _factor_sum(faces: _Faces, workers: int, sphere: bool = False) -> tuple[Coun
     if workers <= 1:
         table = _walk(faces, sphere_dim, 0, m)
     else:
-        from concurrent.futures import ProcessPoolExecutor
+        if not pool:
+            from concurrent.futures import ProcessPoolExecutor
 
+            pool.append(ProcessPoolExecutor(max_workers=workers))
         # one task per prefix root on the top t vertices, 2^t ≥ 4 × workers,
         # fewest vertices first: on a sphere those root the largest subtrees;
         # a task gets (m, facets) and lists the faces itself
         t = min(m, (4 * workers - 1).bit_length())
         roots = sorted(range(1 << t), key=int.bit_count)
         tasks = [(m, faces.facets, sphere_dim, root << (m - t), m - t) for root in roots]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            table = sum(pool.map(_walk_task, tasks), Counter())
+        table = sum(pool[0].map(_walk_task, tasks), Counter())
     if sphere_dim is None:
         return table, False
     return _mirror(table, m, sphere_dim), True

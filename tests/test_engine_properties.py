@@ -68,6 +68,7 @@ from test_moment_angle import (  # noqa: E402
 from walk import (  # noqa: E402
     faces_of,
     link,
+    loop_groups,
     mask,
     minimal_nonface_factors,
     route,
@@ -304,6 +305,32 @@ def assert_parts_match_oracle(k, homologies):
 )
 def test_walk_parts_equal_the_oracle_with_torsion(k):
     assert_parts_match_oracle(k, subset_homologies(k))
+
+
+def assert_loop_matches_oracle(k, homologies):
+    """Each subset's groups as the full walk's loop settles its step, both ways, against the oracle."""
+    for J, h in homologies.items():
+        if J:
+            assert loop_groups(k, J) == (h, h), J
+
+
+@checked(60)
+@given(complexes())
+def test_the_loop_settles_each_subset_as_the_oracle_on_random_complexes(k):
+    assert_loop_matches_oracle(k, subset_homologies(k))
+
+
+@pytest.mark.parametrize("p", [p for _, p in CORPUS], ids=[name for name, _ in CORPUS])
+def test_the_loop_settles_each_subset_as_the_oracle_on_the_corpus(p):
+    k = p.dual_complex()
+    assert_loop_matches_oracle(k, subset_homologies(k))
+
+
+@pytest.mark.parametrize(
+    "k", [RP2, RP2_WITH_PATH, MOORE3], ids=["rp2", "rp2-pendant-path", "moore3"]
+)
+def test_the_loop_settles_each_subset_as_the_oracle_with_torsion(k):
+    assert_loop_matches_oracle(k, subset_homologies(k))
 
 
 @pytest.mark.parametrize(

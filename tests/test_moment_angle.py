@@ -320,6 +320,35 @@ class TestParallelism:
         assert bigraded_table(k, workers=2) == table
         assert len(starts) == (2 if _usable_workers(2) == 2 else 0)
 
+    def test_one_pool_serves_every_factor_of_a_call(self, monkeypatch):
+        # pentagon * hexagon, the dual of polygon-5 x polygon-6: with the
+        # threshold at the pentagon's work (2^4 subsets visited x 11 faces)
+        # both factors reach the pool, and the first starts the one pool
+        # that walks both
+        k = product(polygon(5), polygon(6)).dual_complex()
+        assert sorted(map(len, minimal_nonface_factors(k))) == [5, 6]
+        starts, maps = [], []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+            def map(self, *args, **kwargs):
+                maps.append(len(args[1]))
+                return super().map(*args, **kwargs)
+
+        groups, table = moment_angle_cohomology(k), bigraded_table(k)
+        monkeypatch.setattr(moment_angle_module, "_POOL_MIN_WORK", 2**4 * 11)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        assert moment_angle_cohomology(k, workers=2) == groups
+        assert bigraded_table(k, workers=2) == table
+        if _usable_workers(2) == 2:
+            assert starts == [2, 2]  # one per call
+            assert maps == [8, 8] * 2  # both factors, 2^3 prefix roots each
+        else:
+            assert starts == maps == []
+
     def test_the_pool_threshold_counts_subsets_times_faces(self, monkeypatch):
         # polygon-10 computes 2^9 subsets (duality) against 21 faces, the
         # empty one included; a pool is asked for exactly from that product
@@ -621,6 +650,31 @@ class TestVertexOrder:
         with pytest.MonkeyPatch.context() as patch:
             order_off(patch)
             assert settles(p, "_matrix_groups") == (902, 164, 14)
+
+    def test_the_boundary_of_a_simplex_keeps_its_order(self, monkeypatch):
+        # ∂Δ^3 * pentagon, the dual of simplex-3 x polygon-5, its labels
+        # shuffled: ∂Δ^3's symmetries permute all its vertices, so every
+        # numbering walks alike, and it keeps its own with no search; the
+        # pentagon is searched
+        k = product(simplex_polytope(3), polygon(5)).dual_complex()
+        perm = list(range(9))
+        random.Random(3).shuffle(perm)
+        k = k.relabeled(perm)
+        searched = []
+        order = moment_angle_module._order
+
+        def spy(part, linked):
+            searched.append(part.bit_count())
+            return order(part, linked)
+
+        monkeypatch.setattr(moment_angle_module, "_order", spy)
+        factors = [bits for bits, _ in _factors(k.vertex_count, _masks(k.maximal_faces))]
+        assert sorted(map(len, factors)) == [4, 5] and searched == [5]
+        (simplex,) = [bits for bits in factors if len(bits) == 4]
+        assert simplex == sorted(simplex)  # the search would label them from the top down
+        groups, table = reference_sum(subset_homologies(k))
+        assert moment_angle_cohomology(k) == groups
+        assert bigraded_table(k) == table
 
     def test_pool_tasks_take_the_renumbered_facets(self, monkeypatch):
         # in RP2 * S^0 with the labels interleaved the RP2 factor is

@@ -6,6 +6,12 @@ J's alone.  The walk to J repeats the walk to J's parent, J minus its
 lowest vertex, and adds one step; what a spy sees in the walk to J beyond
 what it saw in the walk to the parent is that step's own.
 
+The root path settles each step through ``step``, the helper that the
+walk's loop calls only for the steps it does not settle itself; so
+``loop_groups`` follows J's step through the loop instead, both where it
+settles J in place as the one child of J minus its lowest vertex and
+where it steps into J from the loop's own vertex.
+
 ``route`` says which rule settles the step into J, from the maximal faces
 of K, the definitions and the oracle's homology alone, and
 ``minimal_nonface_factors`` which join factors the sum splits K into.
@@ -23,6 +29,8 @@ import momentangle.homology as homology_module
 import momentangle.moment_angle as moment_angle_module
 from momentangle.homology import GradedGroups, _Faces, _masks
 from momentangle.moment_angle import _walk
+from momentangle.simplicial import SimplicialComplex
+from complexes import full_subcomplex
 from subset_oracle import _reduced_homology
 
 
@@ -68,10 +76,36 @@ def minimal_nonface_factors(k) -> list[list[int]]:
 
 def walk_groups(faces, subset: int) -> GradedGroups:
     """H~(K_J), J = ``subset``, read back from the walk's table for J alone."""
-    size = subset.bit_count()
+    table = _walk(faces, None, subset, 0)
+    assert {s for s, _, _ in table} <= {subset.bit_count()}
+    return table_groups(table, subset.bit_count())
+
+
+def loop_groups(k, vertices) -> tuple[GradedGroups, GradedGroups]:
+    """H~(K_J), J = ``vertices`` (nonempty), as the loop of the full walk settles J's step.
+
+    The full walk of K_J, J numbered 0..n-1 in order, visits J alone among
+    its subsets of n vertices, last, and settles it in place as the one
+    child of J - {0} when n > 1.  Below a ghost vertex 0, J numbered 1..n,
+    J's step is the loop's own at vertex 1, and J ∪ {0} has J's groups.
+    Either way J's step adds J's lowest vertex to the same parent, whose
+    link in K_J is its link in K.
+    """
+    sub = full_subcomplex(k, vertices)
+    n = len(vertices)
+    below = SimplicialComplex(n + 1, {tuple(v + 1 for v in f) for f in sub.maximal_faces})
+    return (
+        table_groups(_walk(faces_of(sub), None, 0, n), n),
+        table_groups(_walk(faces_of(below), None, 0, n + 1), n + 1),
+    )
+
+
+def table_groups(table: Counter, size: int) -> GradedGroups:
+    """The groups of the subsets of ``size`` vertices in a walk's table, summed."""
     groups: dict[int, list] = {}
-    for (s, degree, a), n in _walk(faces, None, subset, 0).items():
-        assert s == size
+    for (s, degree, a), n in table.items():
+        if s != size:
+            continue
         group = groups.setdefault(degree - size - (2 if a else 1), [0, []])
         if a:
             group[1] += [a] * n
