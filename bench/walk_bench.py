@@ -250,7 +250,7 @@ def routes(expr: list[str]) -> dict:
     counts["counted_s"] = round(time.perf_counter() - start, 2)
     counts["m"] = m
     counts["factor_m"] = [faces.vertex_count for faces in factors]
-    counts["faces"] = sum(len(layer) for faces in factors for layer in faces.layers) - len(factors)
+    counts["faces"] = sum(len(faces.ext) - 1 for faces in factors)
     counts["sphere_dim"] = [dims[id(faces)] for faces in factors]
     counts["memo_entries"] = entries
     # every subset of a factor on a certified sphere is visited or mirrored

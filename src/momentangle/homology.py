@@ -8,33 +8,33 @@ the two face-free complexes get rank 1 in degree -1 (the reduced homology of
 the empty complex).
 
 There is one engine, ``_Faces``.  It lists the faces of a complex once, as
-vertex bitmasks grouped by dimension, each with its boundary column as a
-sparse ``{face: ±1}`` dict, and ``ext[f]``, the vertices w for which
-f ∪ {w} is a face.  ``_Faces.link(σ, within)`` lists the faces of lk σ
-inside a vertex set one coface at a time from ``ext``, by dimension, as
-``_reduced_groups`` takes them; the link of ∅ inside J is the full
-subcomplex K_J.  The subset sum of :mod:`momentangle.moment_angle`
-settles most K_J with no matrix, from the parent's groups and the
-homology of one vertex's link, and lists the link of ∅ only for the
-rest.  In ``_reduced_groups`` a complex of dimension at most 1 is a
-graph with V vertices, E edges and c components, so H~_0 = Z^(c-1) and
-H~_1 = Z^(E-V+c), with c from a union-find on the edge masks; this
-covers the links of codimension-2 faces in the sphere certificate as
-well.  A graph has no torsion.
+vertex bitmasks in one table, ``ext``, that maps each face f to the
+vertices w for which f ∪ {w} is a face.  ``_Faces.link(σ, within)`` lists
+the faces of lk σ inside a vertex set one coface at a time from ``ext``,
+as masks by dimension, as ``_reduced_groups`` takes them; the link of ∅
+inside J is the full subcomplex K_J.  The subset sum of
+:mod:`momentangle.moment_angle` settles most K_J with no matrix, from the
+parent's groups and the homology of one vertex's link, and lists the link
+of ∅ only for the rest.  In ``_reduced_groups`` a complex of dimension at
+most 1 is a graph with V vertices, E edges and c components, so
+H~_0 = Z^(c-1) and H~_1 = Z^(E-V+c), with c from a union-find on the edge
+masks; this covers the links of codimension-2 faces in the sphere
+certificate as well.  A graph has no torsion.
 
 Every other boundary map is diagonalised by one sparse elimination,
-``_rank_and_torsion``, on the columns it is given.  It first eliminates
-the ±1 pivots, which keeps the Smith normal form (the unit-pivot phase
-of Dumas, Saunders and Villard, "On efficient sparse integer matrix
-Smith normal form computations", J. Symbolic Comput. 2001), and then
-finishes the residual, empty unless there is torsion or a pivot-free
-block, on the same columns with pivots of least absolute value.  The
-maps are reduced from the top degree down, and the unit pivot rows of
-one map are left out of the next as columns.
-``reduced_homology`` is ``_reduced_groups`` on every face of K, and
-``_Faces.sphere_dimension`` runs it on K and on the listed links of its
-faces to certify that a complex is a Z-homology sphere; the boundary of
-a simplex passes on its face counts alone.
+``_rank_and_torsion``, on sparse ``{face: ±1}`` columns built from the
+masks only as each map is reduced.  It first eliminates the ±1 pivots,
+which keeps the Smith normal form (the unit-pivot phase of Dumas,
+Saunders and Villard, "On efficient sparse integer matrix Smith normal
+form computations", J. Symbolic Comput. 2001), and then finishes the
+residual, empty unless there is torsion or a pivot-free block, on the
+same columns with pivots of least absolute value.  The maps are reduced
+from the top degree down, and the unit pivot rows of one map are left
+out of the next as columns.  ``reduced_homology`` is
+``_reduced_groups`` on every face of K, and ``_Faces.sphere_dimension``
+runs it on K and on the listed links of its faces to certify that a
+complex is a Z-homology sphere; the boundary of a simplex passes on its
+face counts alone.
 
 Finitely generated graded abelian groups are recorded degree by degree as a
 free rank plus invariant factors d_1 | d_2 | ... | d_k with every d_i > 1.
@@ -215,9 +215,8 @@ def _rank_and_torsion(
 
     Only the unit phase's pivot rows are returned, because ``_matrix_groups``
     clears the next map by them, which needs their columns unitriangular.
-    The columns passed in are not changed.
     """
-    cols = {j: dict(c) for j, c in enumerate(columns) if c}
+    cols = {j: c for j, c in enumerate(columns) if c}
     where: dict[int, set[int]] = {}
     for j, col in cols.items():
         for r in col:
@@ -292,7 +291,7 @@ def _rank_and_torsion(
     return len(pivot_rows) + len(diagonal), invariant_factors(diagonal), pivot_rows
 
 
-def _graph_groups(present: list[list[tuple[int, dict[int, int]]]]) -> tuple:
+def _graph_groups(present: list[list[int]]) -> tuple:
     """Reduced integral homology of a nonempty complex of dimension at most 1.
 
     ``present`` is as for ``_reduced_groups``, with one or two lists.  A
@@ -304,7 +303,7 @@ def _graph_groups(present: list[list[tuple[int, dict[int, int]]]]) -> tuple:
     edges = present[1] if len(present) > 1 else ()
     root: dict[int, int] = {}  # vertex bit -> a bit of its component; roots absent
     components = vertices
-    for edge, _ in edges:
+    for edge in edges:
         a = edge & -edge
         b = edge ^ a
         while a in root:
@@ -319,11 +318,11 @@ def _graph_groups(present: list[list[tuple[int, dict[int, int]]]]) -> tuple:
     return groups + ((1, (cycles, ())),) if cycles else groups
 
 
-def _reduced_groups(present: list[list[tuple[int, dict[int, int]]]]) -> tuple:
+def _reduced_groups(present: list[list[int]]) -> tuple:
     """Reduced integral homology of a complex given by its nonempty faces.
 
-    ``present[i]`` lists ``(face, column)`` for the faces with i + 1
-    vertices, and every list is nonempty; the empty face is implied.
+    ``present[i]`` lists the faces with i + 1 vertices as masks, and every
+    list is nonempty; the empty face is implied.
     Returns ``((degree, (rank, torsion)), ...)`` by increasing degree,
     zero groups left out, the form the subset walk keeps.  A graph,
     one or two lists, goes to ``_graph_groups``, anything else to
@@ -334,15 +333,16 @@ def _reduced_groups(present: list[list[tuple[int, dict[int, int]]]]) -> tuple:
     return _matrix_groups(present)
 
 
-def _matrix_groups(present: list[list[tuple[int, dict[int, int]]]]) -> tuple:
+def _matrix_groups(present: list[list[int]]) -> tuple:
     """``_reduced_groups`` by elimination on the boundary columns.
 
     Rank in degree d is (number of d-faces) - rank ∂_d - rank ∂_{d+1};
     torsion in degree d is the part of ∂_{d+1}'s invariant factors
     exceeding 1.
 
-    The maps are reduced from the top degree down, and the unit pivot
-    rows of ∂_{d+1} are left out of ∂_d as columns.  The pivot columns
+    The maps are reduced from the top degree down, and ∂_d's columns are
+    built by ``_boundary_column`` for its faces that are not unit pivot
+    rows of ∂_{d+1}, which are left out.  The pivot columns
     are boundaries, hence cycles, and are unitriangular on those rows,
     so each such column of ∂_d is an integer combination of the others
     and dropping it changes neither rank nor torsion.  This is the
@@ -354,7 +354,7 @@ def _matrix_groups(present: list[list[tuple[int, dict[int, int]]]]) -> tuple:
     torsion: list[tuple[int, ...]] = [()] * (len(counts) + 1)
     cleared: set[int] = set()
     for i in range(len(present), 0, -1):
-        columns = [col for face, col in present[i - 1] if face not in cleared]
+        columns = [_boundary_column(face) for face in present[i - 1] if face not in cleared]
         ranks[i], torsion[i], cleared = _rank_and_torsion(columns)
     groups = []
     for i, n in enumerate(counts):
@@ -370,63 +370,59 @@ def _masks(faces: Iterable[Iterable[int]]) -> list[int]:
 
 
 class _Faces:
-    """The faces of a complex as vertex bitmasks, with their boundary columns.
+    """The faces of a complex as vertex bitmasks, each with the vertices it extends by.
 
     The complex is given by its vertex count m and ``facets``, its maximal
     faces as masks, kept as given: ``[]`` for the void complex, ``[0]`` for
-    the complex whose only face is the empty one.
-    ``layers[i]`` lists ``(face, column)`` for the faces with i vertices in
-    increasing mask order; ``layers[0]`` is the empty face alone, present
-    even for the void complex, whose reduced homology is taken to be that of
-    the empty complex.  ``item[f]`` is f's pair.  ``ext[f]`` is the mask of
-    the vertices w for which f ∪ {w} is a face, f's own vertices included,
-    read off the boundary columns as they are built; ``link`` finds the
-    faces of a link from it, and the join split the minimal non-faces.
+    the complex whose only face is the empty one.  ``dim`` is one less than
+    the largest facet's size, -1 for both of those.  ``ext`` is the one face
+    table: its keys are the faces, the empty face included even for the
+    void complex, whose reduced homology is taken to be that of the empty
+    complex; ``ext[f]`` is the mask of the vertices w for which f ∪ {w} is
+    a face, f's own vertices included.  ``link`` finds the faces of a link
+    from it, and the join split the minimal non-faces.
     """
 
-    __slots__ = ("ext", "facets", "item", "layers", "vertex_count")
+    __slots__ = ("dim", "ext", "facets", "vertex_count")
 
     def __init__(self, m: int, facets: Sequence[int]):
-        masks = {0}
+        ext = {0: 0}
         for top in facets:
             sub = top
             while sub:
-                masks.add(sub)
+                ext[sub] = sub
                 sub = (sub - 1) & top
+        for face in ext:  # each face joins ext[face - v] for each of its vertices v
+            rest = face
+            while rest:
+                low = rest & -rest
+                ext[face ^ low] |= face
+                rest ^= low
         self.vertex_count = m
         self.facets = facets
-        self.layers: list[list[tuple[int, dict[int, int]]]] = [
-            [] for _ in range(max((f.bit_count() for f in facets), default=0) + 1)
-        ]
-        self.ext: dict[int, int] = {}
-        self.item: dict[int, tuple[int, dict[int, int]]] = {}
-        for face in sorted(masks):
-            item = self.item[face] = (face, _boundary_column(face))
-            self.ext[face] = face
-            for g in item[1]:
-                self.ext[g] |= face  # g sorts before face, so it is listed
-            self.layers[face.bit_count()].append(item)
+        self.dim = max((f.bit_count() for f in facets), default=0) - 1
+        self.ext = ext
 
-    def link(self, sigma: int, within: int) -> list[list[tuple[int, dict[int, int]]]]:
+    def link(self, sigma: int, within: int) -> list[list[int]]:
         """The nonempty faces of lk σ inside ``within``, as ``_reduced_groups`` takes them.
 
         lk σ holds the faces f with f ∩ σ = ∅ and f ∪ σ a face, and the link
         of ∅ inside J is K_J.  Each f is listed once, by dimension, from f
         minus its top vertex w, with w in ext[f - w ∪ σ] above f - w.
         """
-        ext, item = self.ext, self.item
+        ext = self.ext
         within &= ~sigma
-        layers: list[list[tuple[int, dict[int, int]]]] = []
-        layer = [item[0]]
+        layers: list[list[int]] = []
+        layer = [0]
         while True:
             up = []
-            for face, _ in layer:
+            for face in layer:
                 above = face.bit_length()
                 more = (ext[face | sigma] & within) >> above << above
                 while more:
                     bit = more & -more
                     more ^= bit
-                    up.append(item[face | bit])
+                    up.append(face | bit)
             if not up:
                 return layers
             layers.append(up)
@@ -442,33 +438,36 @@ class _Faces:
         a Z-homology manifold.  For links of facets and ridges the
         condition says K is pure and each ridge lies in exactly two facets.
 
-        The cheap checks come first and the first failure ends the test:
-        ∂Δ^{d+1}, the one complex on d + 2 vertices with d + 2 faces of
-        d + 1 vertices, passes at once; then the reduced Euler
-        characteristic (a necessary condition, free from the face counts),
-        purity and the ridges, then H~(K), then the other links from the
-        largest σ (smallest link) down.  Each link is listed by ``link`` and
-        goes to ``_reduced_groups`` as K does, so the circles that link
-        codimension-2 faces take the graph path.
+        The cheap checks come first and the first failure ends the test.
+        One pass over ``ext`` counts the faces by size and checks purity
+        and the ridges: ∂Δ^{d+1}, the one complex on d + 2 vertices with
+        d + 2 faces of d + 1 vertices, then passes at once; next come the
+        reduced Euler characteristic (free from the face counts), purity
+        and the ridges, and only then are faces listed by ``link``: H~(K),
+        then the other links from the largest σ (smallest link) down, each
+        to ``_reduced_groups``, so codimension-2 links take the graph path.
         """
-        d = len(self.layers) - 2
-        if d < 0 or len(self.layers[1]) != self.vertex_count:
+        d = self.dim
+        counts = [0] * (d + 2)
+        manifold = True  # every face below the top is in one, every ridge in two
+        for face, up in self.ext.items():
+            i = face.bit_count()
+            counts[i] += 1
+            n = (up ^ face).bit_count()  # faces with one vertex more
+            if i <= d and (n == 0 or (i == d and n != 2)):
+                manifold = False
+        if d < 0 or counts[1] != self.vertex_count:
             return None  # m = 0, {∅} or a ghost vertex
-        if len(self.layers[-1]) == self.vertex_count == d + 2:
+        if counts[-1] == self.vertex_count == d + 2:
             return d  # every (d + 1)-subset of the d + 2 vertices: ∂Δ^{d+1} = S^d
         # reduced Euler characteristic, the sum of (-1)^(|σ|-1) over faces σ
-        euler = sum((-1) ** (i - 1) * len(layer) for i, layer in enumerate(self.layers))
-        if euler != (-1) ** d:
+        if sum((-1) ** (i - 1) * n for i, n in enumerate(counts)) != (-1) ** d or not manifold:
             return None
-        for i in range(d + 1):
-            for face, _ in self.layers[i]:
-                n = (self.ext[face] ^ face).bit_count()  # faces with one vertex more
-                if n == 0 or (i == d and n != 2):
-                    return None
-        if _reduced_groups(self.layers[1:]) != ((d, (1, ())),):
+        faces = self.link(0, self.ext[0])
+        if _reduced_groups(faces) != ((d, (1, ())),):
             return None
         for size in range(d - 1, 0, -1):
-            for sigma, _ in self.layers[size]:
+            for sigma in faces[size - 1]:
                 if _reduced_groups(self.link(sigma, self.ext[0])) != ((d - size, (1, ())),):
                     return None
         return d
@@ -481,4 +480,4 @@ def reduced_homology(k: SimplicialComplex) -> GradedGroups:
     -1.
     """
     faces = _Faces(k.vertex_count, _masks(k.maximal_faces))
-    return GradedGroups(_reduced_groups(faces.layers[1:]))
+    return GradedGroups(_reduced_groups(faces.link(0, faces.ext[0])))

@@ -24,17 +24,17 @@ the cohomology and the bigraded ranks (the a = 0 entries) are read off it.
 The subsets are walked depth first: J's children are J ∪ {v} for v below
 min J, so each subset is reached once, from J minus its lowest vertex.
 The faces of each join factor of K are listed once per call (once per
-pool task) by :mod:`momentangle.homology`, with ext[f], the vertices w
-with f ∪ {w} a face.  v's link in K_{J ∪ v} is the full subcomplex of
-lk_K(v) on A = J ∩ N(v), N(v) its neighbours, so v's link groups come
-from ``_Faces.link``, the faces of lk {v} inside A: H~ = 0 when some
-vertex of A lies in ext[f ∪ {v}] for every face f of the link (a cone),
-else ``_reduced_groups``.  They are memoised, A -> H~(lk(v)_A), at each
-v with at most ``_MEMO_NEIGHBOURS`` = 10 neighbours numbered above it, so
-a memo holds at most 2^10 entries.  An A recurs only when a vertex above
-v is not its neighbour; on the dual of a cyclic 4-polytope none is, and
-an unbounded memo would hold an entry per visited subset.  The child is
-settled:
+pool task) by :mod:`momentangle.homology`, as the keys of ext[f], the
+vertices w with f ∪ {w} a face.  v's link in K_{J ∪ v} is the full
+subcomplex of lk_K(v) on A = J ∩ N(v), N(v) its neighbours, so v's link
+groups come from ``_Faces.link``, the faces of lk {v} inside A: H~ = 0
+when some vertex of A lies in ext[f ∪ {v}] for every face f of the link
+(a cone), else ``_reduced_groups``.  They are memoised,
+A -> H~(lk(v)_A), at each v with at most ``_MEMO_NEIGHBOURS`` = 10
+neighbours numbered above it, so a memo holds at most 2^10 entries.  An
+A recurs only when a vertex above v is not its neighbour; on the dual of
+a cyclic 4-polytope none is, and an unbounded memo would hold an entry
+per visited subset.  The child is settled:
 
 - v a ghost vertex: the parent's groups;
 - A = ∅: the parent's groups plus a Z in H~_0, or zero if K_J has no
@@ -248,7 +248,7 @@ def _walk(faces: _Faces, sphere_dim: int | None, root: int, low: int) -> Counter
             layers = faces.link(1 << v, A)
             apex = A
             for layer in layers:
-                for face, _ in layer:
+                for face in layer:
                     apex &= ext[face | 1 << v]
             link = () if apex else _reduced_groups(layers)
             if memo is not _NO_MEMO:
@@ -491,13 +491,12 @@ def _factors(m: int, facets: list[int]) -> Iterator[tuple[list[int], _Faces]]:
     bits, faces = _listed(remainder, facets, linked)
     ext = faces.ext
     near = [0] * faces.vertex_count
-    for layer in faces.layers[1:]:
-        for f, _ in layer:
-            rest = f
-            while rest:
-                low = rest & -rest
-                near[low.bit_length() - 1] |= ext[f ^ low] & ~ext[f]
-                rest ^= low
+    for f, up in ext.items():
+        rest = f
+        while rest:
+            low = rest & -rest
+            near[low.bit_length() - 1] |= ext[f ^ low] & ~up
+            rest ^= low
     groups = _components(near, ext[0])
     if len(groups) == 1:
         yield bits, faces
@@ -538,10 +537,10 @@ def _factor_sum(faces: _Faces, workers: int, sphere: bool, pool: list) -> tuple[
     it is a Z-homology sphere; then its dimension is that of its faces.
     ``pool`` holds the call's process pool, started here when first needed.
     """
-    sphere_dim = len(faces.layers) - 2 if sphere else faces.sphere_dimension()
+    sphere_dim = faces.dim if sphere else faces.sphere_dimension()
     m = faces.vertex_count
     visited = 1 << (m - (sphere_dim is not None))
-    work = visited * sum(len(layer) for layer in faces.layers)
+    work = visited * len(faces.ext)
     workers = _usable_workers(workers) if work >= _POOL_MIN_WORK else 1
     if workers <= 1:
         table = _walk(faces, sphere_dim, 0, m)

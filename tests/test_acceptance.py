@@ -16,7 +16,7 @@ from complexes import f_vector
 from invariants import euler_characteristic, has_torsion, is_symmetric, poincare_product
 from walk import faces_of
 from momentangle.cli import main
-from momentangle.homology import GradedGroups, reduced_homology
+from momentangle.homology import GradedGroups, _boundary_column, reduced_homology
 from momentangle.isotopy import (
     endpoint_checks,
     injectivity_probe,
@@ -198,7 +198,7 @@ def test_criterion_08_homology_engine(capsys, corpus):
     for _, p in corpus:
         k = p.dual_complex()
         # the engine's own sparse boundary columns, faces as vertex bitmasks
-        column = {f: col for layer in faces_of(k).layers for f, col in layer}
+        column = {f: _boundary_column(f) for f in faces_of(k).ext}
         for col in column.values():
             total: dict[int, int] = {}
             for row, v in col.items():

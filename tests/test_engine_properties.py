@@ -8,6 +8,10 @@ vertex cuts with at most 9 facets.  For each, the engine must agree with
 reaches it, and by ``reduced_homology``), on H*(Z_K) and on the bigraded
 table.  Examples are derandomized so every run checks the same inputs.
 
+The face table ``_Faces.ext``, each face with the vertices it extends
+by, equals one built by brute force from ``faces_of_dimension`` on random
+complexes, joins with RP^2 and the corpus with its cuts.
+
 Polytope duals are spheres, so their sums take the duality path, which
 computes one subset of each complementary pair; they are also checked
 against the same sums with the sphere certificate forced to fail.  Random
@@ -55,7 +59,7 @@ from momentangle.moment_angle import (  # noqa: E402
 from momentangle.polytopes import cube, polygon, product, simplex_polytope  # noqa: E402
 from momentangle.simplicial import SimplicialComplex, boundary_complex, join  # noqa: E402
 from momentangle.surgery import theorem_corpus  # noqa: E402
-from complexes import full_subcomplex  # noqa: E402
+from complexes import faces_of_dimension, full_subcomplex  # noqa: E402
 from subset_oracle import _reduced_homology, reference_sum, subset_homologies  # noqa: E402
 from test_surgery import assert_cut_factors_are_spheres  # noqa: E402
 from test_moment_angle import (  # noqa: E402
@@ -176,6 +180,26 @@ CORPUS = theorem_corpus() + [
     for name, p in theorem_corpus()
     for v in range(p.vertex_count)
 ]
+
+
+def assert_face_table_is_brute_force(k):
+    """``_Faces`` against the faces that ``faces_of_dimension`` lists by combinations."""
+    faces = {mask(f) for d in range(-1, k.dim + 1) for f in faces_of_dimension(k, d)}
+    ext = {f: f | mask(w for w in range(k.vertex_count) if f | 1 << w in faces) for f in faces}
+    table = faces_of(k)
+    assert table.ext == ext
+    assert table.dim == k.dim
+
+
+@checked(100)
+@given(st.one_of(complexes(), rp2_joins()))
+def test_face_table_on_random_complexes(k):
+    assert_face_table_is_brute_force(k)
+
+
+@pytest.mark.parametrize("p", [p for _, p in CORPUS], ids=[name for name, _ in CORPUS])
+def test_face_table_on_the_corpus(p):
+    assert_face_table_is_brute_force(p.dual_complex())
 
 
 @pytest.mark.parametrize("p", [p for _, p in CORPUS], ids=[name for name, _ in CORPUS])
@@ -391,8 +415,8 @@ def assert_rules_change_nothing(k):
     # elimination alone, with no rule and no graph path, on every K_J
     for J, h in by_mask.items():
         present = []
-        for layer in faces.layers[1:]:
-            kept = [item for item in layer if item[0] & J == item[0]]
+        for layer in faces.link(0, faces.ext[0]):
+            kept = [f for f in layer if f & J == f]
             if not kept:
                 break
             present.append(kept)

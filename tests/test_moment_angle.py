@@ -429,8 +429,8 @@ class TestAlexanderDuality:
 def split_factors(k):
     """The join factors the sum takes for K, as vertex lists by lowest vertex.
 
-    Each factor's face lists, built from its traces in the factor's own
-    numbering, must be those of its full subcomplex numbered the same way.
+    Each factor's face table, built from its traces in the factor's own
+    numbering, must be that of its full subcomplex numbered the same way.
     """
     out = []
     for bits, faces in _factors(k.vertex_count, _masks(k.maximal_faces)):
@@ -438,7 +438,7 @@ def split_factors(k):
         vertices = sorted(labels)
         # full_subcomplex numbers the vertices in increasing order
         sub = full_subcomplex(k, vertices).relabeled([labels.index(v) for v in vertices])
-        assert faces.layers == faces_of(sub).layers, labels
+        assert faces.ext == faces_of(sub).ext, labels
         out.append(vertices)
     return sorted(out)
 
@@ -554,7 +554,7 @@ class TestJoinFactors:
 
         def spy(self, m, facets):
             init(self, m, facets)
-            listed.append(sum(len(layer) for layer in self.layers))
+            listed.append(len(self.ext))
 
         monkeypatch.setattr(_Faces, "__init__", spy)
         monkeypatch.setattr(SimplicialComplex, "__post_init__", refuse)

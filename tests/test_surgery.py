@@ -323,7 +323,7 @@ def assert_cut_factors_are_spheres(p):
     certificate, with the dimension of its own faces."""
     for v in range(p.vertex_count):
         for _, faces in _factors(*_check_input(p.cut_vertex(v), DEFAULT_MAX_VERTICES)):
-            assert faces.sphere_dimension() == len(faces.layers) - 2, v
+            assert faces.sphere_dimension() == faces.dim, v
 
 
 def certified(monkeypatch):
