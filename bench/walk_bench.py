@@ -16,7 +16,10 @@ same bytes and exit codes, or the script stops.
 Route counts come from one serial sum per input and checkout, with no
 pool, through ``moment_angle._factor_sum`` on each join factor of
 ``moment_angle._factors``, with the sphere certificate answered in
-advance, so that only the walk is counted.  Each checkout counts with its
+advance, so that only the walk is counted.  A factor that is the
+boundary of a simplex is summed in closed form, with no listing and no
+walk: it is left out of the routes and of "visited", and its vertex
+count is listed under "simplex_boundaries".  Each checkout counts with its
 own copy of this script, which knows its own internals; where a
 checkout's counter refuses an input (before the facet split it took no
 joins), its counts are ``null``.  A trace hook reads the statement at
@@ -153,7 +156,8 @@ def routes(expr: list[str]) -> dict:
     m, facets = moment_angle._check_input(
         parse_expression(expr), moment_angle.DEFAULT_MAX_VERTICES
     )
-    factors = [faces for _, faces in moment_angle._factors(m, facets)]
+    split = list(moment_angle._factors(m, facets))
+    factors = [faces for _, faces in split if faces is not None]
     dims = {id(faces): faces.sphere_dimension() for faces in factors}
     kinds = ["reused", "point", "suspended", "graph", "eliminated", "link_graph", "link_eliminated"]
     counts = dict.fromkeys(kinds + ["link_listings"], 0)
@@ -250,6 +254,7 @@ def routes(expr: list[str]) -> dict:
     counts["counted_s"] = round(time.perf_counter() - start, 2)
     counts["m"] = m
     counts["factor_m"] = [faces.vertex_count for faces in factors]
+    counts["simplex_boundaries"] = [len(bits) for bits, faces in split if faces is None]
     counts["faces"] = sum(len(faces.ext) - 1 for faces in factors)
     counts["sphere_dim"] = [dims[id(faces)] for faces in factors]
     counts["memo_entries"] = entries
@@ -304,9 +309,10 @@ def main() -> None:
                     counts.get("link_graph", 0) + counts.get("link_eliminated", 0)
                 )
             visited = result["visited"] = result["change_routes"]["visited"]
-            for side in sides:
-                result[f"{side}_us_per_visited_subset_workers_1"] = round(
-                    result[f"{side}_workers_1"]["median_s"] * 1e6 / visited, 2
+            for side in sides:  # None where every factor is summed in closed form
+                median = result[f"{side}_workers_1"]["median_s"]
+                result[f"{side}_us_per_visited_subset_workers_1"] = (
+                    round(median * 1e6 / visited, 2) if visited else None
                 )
             entry[name] = result
     machine = {

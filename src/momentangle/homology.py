@@ -33,8 +33,7 @@ from the top degree down, and the unit pivot rows of one map are left
 out of the next as columns.  ``reduced_homology`` is
 ``_reduced_groups`` on every face of K, and ``_Faces.sphere_dimension``
 runs it on K and on the listed links of its faces to certify that a
-complex is a Z-homology sphere; the boundary of a simplex passes on its
-face counts alone.
+complex is a Z-homology sphere.
 
 Finitely generated graded abelian groups are recorded degree by degree as a
 free rank plus invariant factors d_1 | d_2 | ... | d_k with every d_i > 1.
@@ -387,17 +386,18 @@ class _Faces:
 
     def __init__(self, m: int, facets: Sequence[int]):
         ext = {0: 0}
-        for top in facets:
-            sub = top
-            while sub:
-                ext[sub] = sub
-                sub = (sub - 1) & top
-        for face in ext:  # each face joins ext[face - v] for each of its vertices v
+        ext.update((top, top) for top in facets)
+        todo = list(ext)  # each face is expanded once, when first reached
+        for face in todo:  # it joins ext[face - v] for each of its vertices v
             rest = face
             while rest:
                 low = rest & -rest
-                ext[face ^ low] |= face
                 rest ^= low
+                if (sub := face ^ low) in ext:
+                    ext[sub] |= face
+                else:
+                    ext[sub] = face
+                    todo.append(sub)
         self.vertex_count = m
         self.facets = facets
         self.dim = max((f.bit_count() for f in facets), default=0) - 1
@@ -439,11 +439,9 @@ class _Faces:
         condition says K is pure and each ridge lies in exactly two facets.
 
         The cheap checks come first and the first failure ends the test.
-        One pass over ``ext`` counts the faces by size and checks purity
-        and the ridges: ∂Δ^{d+1}, the one complex on d + 2 vertices with
-        d + 2 faces of d + 1 vertices, then passes at once; next come the
-        reduced Euler characteristic (free from the face counts), purity
-        and the ridges, and only then are faces listed by ``link``: H~(K),
+        One pass over ``ext`` counts the faces by size, which give the
+        reduced Euler characteristic, and checks purity and the ridges;
+        only then are faces listed by ``link``: H~(K),
         then the other links from the largest σ (smallest link) down, each
         to ``_reduced_groups``, so codimension-2 links take the graph path.
         """
@@ -458,8 +456,6 @@ class _Faces:
                 manifold = False
         if d < 0 or counts[1] != self.vertex_count:
             return None  # m = 0, {∅} or a ghost vertex
-        if counts[-1] == self.vertex_count == d + 2:
-            return d  # every (d + 1)-subset of the d + 2 vertices: ∂Δ^{d+1} = S^d
         # reduced Euler characteristic, the sum of (-1)^(|σ|-1) over faces σ
         if sum((-1) ** (i - 1) * n for i, n in enumerate(counts)) != (-1) ** d or not manifold:
             return None

@@ -68,9 +68,8 @@ listed: labels go from the top down, each to the vertex with the most
 labelled neighbours, ties to a neighbour of the vertex labelled last.  On
 a flag complex with a chordal 1-skeleton that holds at every vertex; a
 polygon is numbered along its cycle, so only the lowest vertex has two
-neighbours above it.  ∂Δ keeps its numbering, which its symmetries make
-as good as any.  The table, keyed by (|J|, degree, a), does not depend
-on the numbering.
+neighbours above it.  The table, keyed by (|J|, degree, a), does not
+depend on the numbering.
 
 When K is a Z-homology d-sphere on its m vertices, as the dual complex of
 every simple polytope is, Alexander duality gives H~^i(K_J) = H~_{d-1-i}(K_{V-J})
@@ -82,10 +81,10 @@ the table of those is merged, ``_mirror`` adds the complements in one
 pass: a Z in degree e at |J| also lands in degree
 m + d + 1 - e at m - |J|, and a Z/a in degree m + d + 2 - e.  Sphere-ness
 is certified once per join factor, before any work is split, by
-``_Faces.sphere_dimension`` (the homology of every face link; ∂Δ passes
-on its face counts), unless K is known to be a sphere: ``verify`` sums P
-first and, when every factor of K_P passes, takes each factor of each
-cut's dual to be a sphere of its own dimension (the proof is in
+``_Faces.sphere_dimension`` (the homology of every face link), unless K
+is known to be a sphere: ``verify`` sums P first and, when every factor
+of K_P passes, takes each factor of each cut's dual to be a sphere of
+its own dimension (the proof is in
 ``surgery._verify_cuts``).  Every other complex gets all 2^m subsets.
 
 Before any of that, K is split into its finest join factorisation
@@ -98,18 +97,22 @@ listed, to the missing edges alone, the minimal non-faces of two
 vertices; a component A is a factor exactly when the facets number
 |{F ∩ A}| |{F - A}|, and then the traces F ∩ A are its maximal faces, so
 its faces are listed from them.  The components that fail make one
-remainder, such as ∂Δ^3, which has no missing edge; its faces are
-listed once and the whole rule is read off them with ext, which splits
-∂Δ^2 * ∂Δ^3 into its two factors.  Since Z_{K*L} = Z_K x Z_L, each factor is summed on
-its own (its own faces, sphere certificate, duality and pool rule), and
-the tables are combined by the Kunneth formula with one rule for every
+remainder, such as ∂Δ^2 * ∂Δ^3, which has no missing edge; its faces
+are listed once and the whole rule is read off them with ext, which
+splits it into its two factors.  Since Z_{K*L} = Z_K x Z_L, each factor
+is summed on its own (its own faces, sphere certificate, duality and
+pool rule), but ∂Δ on k vertices, S^0 included, is not listed: it is a
+sphere whose proper K_J are simplices, so Z = S^{2k-1} (Buchstaber and
+Panov) and its table is 1 at (0, 0, 0) and at (k, 2k - 1, 0).  The
+tables are combined by the Kunneth formula with one rule for every
 pair of entries: taking Z = Z/0, Z/a (x) Z/b = Z/gcd(a, b), zero when the
 gcd is 1, and when a and b are both nonzero Tor(Z/a, Z/b) adds the same
 group one degree lower.  A join then costs 2^{m_1} + ... + 2^{m_r}
 subsets instead of 2^m, and lists its factors' faces, not the join's,
 except that the factors with no missing edge are listed together, as the
-remainder.  A complex that is not a join pays one face listing.  The subset cap still counts all m vertices
-of K, whatever its factors.
+remainder, unless it is ∂Δ.  A complex that is not a join pays one face
+listing.  The subset cap still counts all m vertices of K, whatever its
+factors.
 
 The serial sum is one walk from the root ∅.  A pool walks subtrees
 instead: the top t vertices (2^t at least four times the worker count)
@@ -387,15 +390,10 @@ def _order(part: int, linked: list[int]) -> list[int]:
     Labels go from the top down, each to the unlabelled vertex with the most
     labelled neighbours (``linked[v]``, the vertices in a facet with v),
     ties to a neighbour of the vertex labelled last, then to the lowest
-    vertex (Tarjan and Yannakakis, *SIAM J. Comput.* 13, 1984).  No order
-    of two vertices changes the walk, so those keep theirs.
+    vertex (Tarjan and Yannakakis, *SIAM J. Comput.* 13, 1984).
     """
-    if part.bit_count() <= 2:
-        low = part & -part
-        return [bit for bit in (low, part ^ low) if bit]
     count = [0] * len(linked)  # the labelled neighbours of each vertex
-    level = [0] * part.bit_count()  # level[c]: the unlabelled vertices with count c
-    level[0] = part
+    level = [part] + [0] * part.bit_count()  # level[c]: the unlabelled vertices with count c
     top = 0  # the highest nonempty level
     last = 0  # the unlabelled neighbours of the vertex labelled last
     bits = []
@@ -441,19 +439,18 @@ def _relabel(masks: Iterable[int], bits: list[int]) -> list[int]:
     return out
 
 
-def _listed(part: int, facets: Collection[int], linked: list[int]) -> tuple[list[int], _Faces]:
+def _listed(part: int, facets: Collection[int], linked: list[int]) -> tuple[list[int], _Faces | None]:
     """The factor on ``part`` with these distinct maximal faces: its numbering and its faces."""
     k = part.bit_count()
-    # ∂Δ, k facets of k - 1 vertices, keeps its order: its symmetries permute all its vertices
-    if k > 2 and len(facets) == k and sum(map(int.bit_count, facets)) == k * (k - 1):
-        bits = [1 << v for v in range(part.bit_length()) if part >> v & 1]
-    else:
-        bits = _order(part, linked)
+    # ∂Δ, k > 1 facets of k - 1 vertices, keeps its order and is summed unlisted: faces None
+    if k > 1 and len(facets) == k and sum(map(int.bit_count, facets)) == k * (k - 1):
+        return [1 << v for v in range(part.bit_length()) if part >> v & 1], None
+    bits = _order(part, linked)
     return bits, _Faces(k, _relabel(facets, bits))
 
 
-def _factors(m: int, facets: list[int]) -> Iterator[tuple[list[int], _Faces]]:
-    """The finest join factors of K: each one's numbering (``_order``) and ``_Faces``.
+def _factors(m: int, facets: list[int]) -> Iterator[tuple[list[int], _Faces | None]]:
+    """The finest join factors of K: each one's numbering and faces, as ``_listed`` gives them.
 
     Two vertices u and w lie in one factor when they lie in a common
     minimal non-face S, that is when some face f ∋ u has f - u + w a face
@@ -464,9 +461,9 @@ def _factors(m: int, facets: list[int]) -> Iterator[tuple[list[int], _Faces]]:
     So a component A of the missing edges splits off when the facets number
     |{F ∩ A}| |{F - A}|; the traces F ∩ A are then K_A's maximal faces, and
     the F - A those of K_{V-A}, where the next component is tried.  The
-    components that fail make one remainder R, whose faces are listed once
-    and split by the whole rule, ext[f - u] & ~ext[f] for each u in f; a
-    single factor keeps that listing.
+    components that fail make one remainder R, which is a factor if it is
+    ∂Δ; else its faces are listed once and split by the whole rule,
+    ext[f - u] & ~ext[f] for each u in f, and a single factor keeps them.
     """
     linked = [0] * m  # the vertices in a facet with v, v's own included
     vertices = 0  # the vertices of K, ghosts left out
@@ -489,6 +486,9 @@ def _factors(m: int, facets: list[int]) -> Iterator[tuple[list[int], _Faces]]:
     if not remainder:
         return
     bits, faces = _listed(remainder, facets, linked)
+    if faces is None:  # ∂Δ, whose only minimal non-face is all of it
+        yield bits, faces
+        return
     ext = faces.ext
     near = [0] * faces.vertex_count
     for f, up in ext.items():
@@ -510,7 +510,7 @@ def _gather(m: int, facets: list[int], workers: int, sphere: bool = False) -> tu
     """The table of every subset of K, as ``_walk`` gives it, and whether K is a sphere.
 
     K is split into its join factors first, each factor is summed on its
-    own, and the factors' tables are combined by ``_kunneth``, since
+    own (∂Δ in closed form), and the tables are combined by ``_kunneth``, since
     Z_{K*L} = Z_K x Z_L; m = 0 has no factor and gives the unit.  With
     ``sphere``, K is known to be a Z-homology sphere, so each factor is one
     of its own dimension and is not certified (see ``surgery._verify_cuts``).
@@ -520,8 +520,11 @@ def _gather(m: int, facets: list[int], workers: int, sphere: bool = False) -> tu
     spheres = True
     pool: list = []  # the process pool, once started
     try:
-        for _, faces in _factors(m, facets):
-            factor, certified = _factor_sum(faces, workers, sphere, pool)
+        for bits, faces in _factors(m, facets):
+            if faces is None:  # ∂Δ on k vertices: Z = S^{2k-1}, every proper K_J a simplex
+                factor, certified = Counter({(0, 0, 0): 1, (len(bits), 2 * len(bits) - 1, 0): 1}), True
+            else:
+                factor, certified = _factor_sum(faces, workers, sphere, pool)
             table = _kunneth(table, factor)
             spheres = spheres and certified
     finally:

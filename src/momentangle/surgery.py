@@ -187,7 +187,8 @@ def _verify_cuts(
     either runs and before the first cut is taken from ``cuts``.
 
     P is summed first.  When every join factor of K_P passes the sphere
-    certificate, the cuts are summed without it, each cut factor taken to
+    certificate or is ∂Δ, which needs none, the cuts are summed without it,
+    each cut factor taken to
     be a Z-homology sphere of its own dimension; otherwise every cut is
     certified afresh.  This holds because:
 

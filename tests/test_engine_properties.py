@@ -36,8 +36,12 @@ on the same inputs and on RP^2, RP^2 with a path and the mod-3 Moore
 space.  Every join factor of every cut's dual passes the sphere
 certificate on cut sequences of the 3- and 4-simplex and cube with
 m >= 3n, which is what lets ``verify`` skip each cut's certificate.
+Relabelled ∂Δ^1 ... ∂Δ^8, and joins of ∂Δ^2 or ∂Δ^3 with random
+complexes, equal the oracle while spies show that no ∂Δ factor is
+listed, certified, numbered or walked: its table is the closed form.
 """
 
+import random
 from collections import Counter
 
 import pytest
@@ -47,7 +51,8 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import momentangle.homology as homology_module  # noqa: E402
-from momentangle.homology import GradedGroups, _Faces, reduced_homology  # noqa: E402
+import momentangle.moment_angle as moment_angle_module  # noqa: E402
+from momentangle.homology import GradedGroups, _Faces, _masks, reduced_homology  # noqa: E402
 from momentangle.moment_angle import (  # noqa: E402
     _check_input,
     _gather,
@@ -245,11 +250,11 @@ def test_split_finds_the_minimal_nonfaces_of_random_complexes(k):
 
 
 @st.composite
-def boundary_joins(draw):
+def boundary_joins(draw, max_joins=2):
     # ∂Δ^2 and ∂Δ^3 have no missing edge, so only the remainder's rule
     # separates them from each other and from a random complex
     k = draw(complexes(max_vertices=3))
-    for _ in range(draw(st.integers(1, 2))):
+    for _ in range(draw(st.integers(1, max_joins))):
         k = join(k, boundary_complex(draw(st.integers(2, 3))))
     return k.relabeled(draw(st.permutations(range(k.vertex_count))))
 
@@ -258,6 +263,67 @@ def boundary_joins(draw):
 @given(boundary_joins())
 def test_split_finds_the_minimal_nonfaces_of_simplex_boundary_joins(k):
     assert split_factors(k) == minimal_nonface_factors(k)
+
+
+def simplex_boundary(m, facets):
+    """Whether the distinct maximal faces ``facets``, as masks, make ∂Δ on m > 1 vertices."""
+    return m > 1 and len(facets) == m and all(f.bit_count() == m - 1 for f in facets)
+
+
+def assert_boundaries_are_summed_unlisted(k):
+    """The sum of K against the oracle, with no ∂Δ factor listed, certified,
+    numbered or walked; returns what was, as (vertex count, maximal faces).
+
+    ``_Faces``, its certificate and ``_walk`` see a factor's own facets;
+    ``_order`` sees a vertex set, whose maximal traces are read off K.
+    """
+    masks = _masks(k.maximal_faces)
+    seen = []
+    init, certify = _Faces.__init__, _Faces.sphere_dimension
+    order, walk = moment_angle_module._order, moment_angle_module._walk
+
+    def listing(self, m, facets):
+        seen.append((m, list(facets)))
+        init(self, m, facets)
+
+    def certificate(self):
+        seen.append((self.vertex_count, list(self.facets)))
+        return certify(self)
+
+    def numbering(part, linked):
+        traces = {f & part for f in masks}
+        maximal = [t for t in traces if not any(t != u and t | u == u for u in traces)]
+        seen.append((part.bit_count(), maximal))
+        return order(part, linked)
+
+    def walking(faces, *args):
+        seen.append((faces.vertex_count, list(faces.facets)))
+        return walk(faces, *args)
+
+    groups, table = reference_sum(subset_homologies(k))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Faces, "__init__", listing)
+        patch.setattr(_Faces, "sphere_dimension", certificate)
+        patch.setattr(moment_angle_module, "_order", numbering)
+        patch.setattr(moment_angle_module, "_walk", walking)
+        assert moment_angle_cohomology(k) == groups
+        assert bigraded_table(k) == table
+    assert not any(simplex_boundary(m, facets) for m, facets in seen), seen
+    return seen
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_relabelled_simplex_boundaries_are_summed_unlisted(n):
+    # the whole sum is the closed form: nothing is listed or walked
+    perm = list(range(n + 1))
+    random.Random(n).shuffle(perm)
+    assert assert_boundaries_are_summed_unlisted(boundary_complex(n).relabeled(perm)) == []
+
+
+@checked(30)
+@given(boundary_joins(max_joins=1))
+def test_joins_with_a_simplex_boundary_sum_it_unlisted(k):
+    assert_boundaries_are_summed_unlisted(k)
 
 
 @pytest.mark.parametrize("p", [p for _, p in CORPUS], ids=[name for name, _ in CORPUS])

@@ -430,7 +430,8 @@ def split_factors(k):
     """The join factors the sum takes for K, as vertex lists by lowest vertex.
 
     Each factor's face table, built from its traces in the factor's own
-    numbering, must be that of its full subcomplex numbered the same way.
+    numbering, must be that of its full subcomplex numbered the same way;
+    a factor passed on unlisted must be ∂Δ on its vertices as given.
     """
     out = []
     for bits, faces in _factors(k.vertex_count, _masks(k.maximal_faces)):
@@ -438,6 +439,9 @@ def split_factors(k):
         vertices = sorted(labels)
         # full_subcomplex numbers the vertices in increasing order
         sub = full_subcomplex(k, vertices).relabeled([labels.index(v) for v in vertices])
+        if faces is None:
+            assert len(labels) > 1 and labels == vertices, labels
+            faces = faces_of(boundary_complex(len(labels) - 1))
         assert faces.ext == faces_of(sub).ext, labels
         out.append(vertices)
     return sorted(out)
@@ -544,8 +548,9 @@ class TestJoinFactors:
 
     def test_a_product_lists_only_its_factors_faces(self, monkeypatch):
         # cube-11's dual is the join of eleven copies of S^0 on 22 vertices,
-        # with 3^11 faces; each factor's listing holds its 3 faces, and no
-        # SimplicialComplex is made along the way
+        # with 3^11 faces; each S^0 is ∂Δ^1, summed with no listing, and no
+        # SimplicialComplex is made along the way.  Pentagon x cube-3 lists
+        # the pentagon's 11 faces alone
         def refuse(*args, **kwargs):
             raise AssertionError("a SimplicialComplex was built")
 
@@ -559,9 +564,11 @@ class TestJoinFactors:
         monkeypatch.setattr(_Faces, "__init__", spy)
         monkeypatch.setattr(SimplicialComplex, "__post_init__", refuse)
         groups = moment_angle_cohomology(cube(11))
-        assert listed == [3] * 11
+        assert listed == []
         # Z = (S^3)^11
         assert groups == GradedGroups.from_ranks({3 * i: comb(11, i) for i in range(12)})
+        moment_angle_cohomology(product(polygon(5), cube(3)))
+        assert listed == [11]
 
     def test_the_cap_counts_every_vertex(self):
         # cube-5 splits into five 2-vertex factors, but the cap sees m = 10
@@ -618,8 +625,9 @@ class TestVertexOrder:
         linked = [0b000111, 0b010011, 0b001101, 0b001100, 0b010010, 0]
         bits = moment_angle_module._order(0b011111, linked)
         assert [bit.bit_length() - 1 for bit in bits] == [3, 2, 4, 1, 0]
-        # two vertices keep their order
-        assert moment_angle_module._order(0b101, [0b101, 0, 0b101]) == [0b1, 0b100]
+        # the part with no vertex, which only a sum forced to take m = 0
+        # as one factor asks for
+        assert moment_angle_module._order(0, []) == []
 
     def test_relabelled_polygons_settle_the_same(self):
         # the 12-gon under 30 relabellings is numbered along its cycle, so
@@ -653,25 +661,32 @@ class TestVertexOrder:
 
     def test_the_boundary_of_a_simplex_keeps_its_order(self, monkeypatch):
         # ∂Δ^3 * pentagon, the dual of simplex-3 x polygon-5, its labels
-        # shuffled: ∂Δ^3's symmetries permute all its vertices, so every
-        # numbering walks alike, and it keeps its own with no search; the
-        # pentagon is searched
+        # shuffled: ∂Δ^3, left as the remainder, is summed in closed form,
+        # so it keeps its vertices as given with no search and no listing;
+        # the pentagon is searched and listed
         k = product(simplex_polytope(3), polygon(5)).dual_complex()
         perm = list(range(9))
         random.Random(3).shuffle(perm)
         k = k.relabeled(perm)
-        searched = []
+        searched, listed = [], []
         order = moment_angle_module._order
+        init = _Faces.__init__
 
         def spy(part, linked):
             searched.append(part.bit_count())
             return order(part, linked)
 
+        def listing(self, m, facets):
+            listed.append(m)
+            init(self, m, facets)
+
         monkeypatch.setattr(moment_angle_module, "_order", spy)
-        factors = [bits for bits, _ in _factors(k.vertex_count, _masks(k.maximal_faces))]
-        assert sorted(map(len, factors)) == [4, 5] and searched == [5]
-        (simplex,) = [bits for bits in factors if len(bits) == 4]
-        assert simplex == sorted(simplex)  # the search would label them from the top down
+        monkeypatch.setattr(_Faces, "__init__", listing)
+        factors = list(_factors(k.vertex_count, _masks(k.maximal_faces)))
+        assert sorted(len(bits) for bits, _ in factors) == [4, 5]
+        assert searched == listed == [5]
+        (simplex,) = [bits for bits, faces in factors if faces is None]
+        assert len(simplex) == 4 and simplex == sorted(simplex)
         groups, table = reference_sum(subset_homologies(k))
         assert moment_angle_cohomology(k) == groups
         assert bigraded_table(k) == table

@@ -1,7 +1,9 @@
+import concurrent.futures
 import random
 
 import pytest
 
+import momentangle.moment_angle as moment_angle_module
 from invariants import euler_characteristic, has_torsion, is_symmetric
 from isomorphism import are_combinatorially_isomorphic
 from momentangle.homology import GradedGroups, _Faces
@@ -11,6 +13,7 @@ from momentangle.moment_angle import (
     _factors,
     PoincarePolynomial,
     SubsetLimitError,
+    _usable_workers,
     betti,
     moment_angle_cohomology,
 )
@@ -320,10 +323,16 @@ def beyond_the_proved_range():
 
 def assert_cut_factors_are_spheres(p):
     """Every join factor of every cut's dual passes the full sphere
-    certificate, with the dimension of its own faces."""
+    certificate, with the dimension of its own faces, or is passed on
+    unlisted as ∂Δ: its traces are then the facets of ∂Δ on its vertices."""
     for v in range(p.vertex_count):
-        for _, faces in _factors(*_check_input(p.cut_vertex(v), DEFAULT_MAX_VERTICES)):
-            assert faces.sphere_dimension() == faces.dim, v
+        m, facets = _check_input(p.cut_vertex(v), DEFAULT_MAX_VERTICES)
+        for bits, faces in _factors(m, facets):
+            if faces is None:
+                part = sum(bits)
+                assert {f & part for f in facets} == {part ^ bit for bit in bits}, v
+            else:
+                assert faces.sphere_dimension() == faces.dim, v
 
 
 def certified(monkeypatch):
@@ -369,11 +378,16 @@ class TestInheritedCertificate:
             assert r.lhs == moment_angle_cohomology(p.cut_vertex(r.vertex))
 
     def test_only_the_polytopes_factors_are_certified(self, monkeypatch):
-        # the dual of the 3-cube is S^0 * S^0 * S^0; its 8 cuts certify nothing
+        # the dual of the 3-cube is S^0 * S^0 * S^0, three ∂Δ^1 that need
+        # no certificate, so neither it nor its 8 cuts certify anything; the
+        # pentagon is certified once, and its 5 cuts inherit that
         calls = certified(monkeypatch)
         reports = verify_all_cuts(cube(3))
         assert len(reports) == 8 and all(r.match for r in reports)
-        assert calls == [2, 2, 2]
+        assert calls == []
+        reports = verify_all_cuts(polygon(5))
+        assert len(reports) == 5 and all(r.match for r in reports)
+        assert calls == [5]
 
     def test_a_non_sphere_certifies_every_cut(self, monkeypatch):
         calls = certified(monkeypatch)
@@ -386,6 +400,35 @@ class TestInheritedCertificate:
         for r in reports:
             assert r.match and r.lhs == r.rhs == lhs
             assert r.lhs == moment_angle_cohomology(TORUS.cut_vertex(r.vertex))
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize(
+        "p, pooled",
+        [
+            (simplex_polytope(4), False),
+            (cube(3), True),
+            (product(simplex_polytope(2), simplex_polytope(1)), True),
+            (polygon(5), True),
+        ],
+        ids=["simplex-4", "cube-3", "prism", "pentagon"],
+    )
+    def test_reports_are_the_same_at_one_and_two_workers(self, p, pooled, monkeypatch):
+        # with the pool threshold at 0 every walked factor goes to the pool;
+        # simplex-4 and its cuts, ∂Δ^4 and ∂Δ^3 * S^0, walk nothing
+        serial = verify_all_cuts(p)
+        starts = []
+        pool = concurrent.futures.ProcessPoolExecutor
+
+        def counted(*args, **kwargs):
+            starts.append(kwargs.get("max_workers"))
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(moment_angle_module, "_POOL_MIN_WORK", 0)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+        assert verify_all_cuts(p, workers=2) == serial
+        assert all(r.match for r in serial)
+        assert bool(starts) == (pooled and _usable_workers(2) == 2)
 
 
 class TestSubsetCap:
