@@ -116,13 +116,15 @@ def inputs(tmp: Path) -> dict[str, list[str]]:
         # in the given numbering
         "simplex-4-cut-8": cut(["simplex", "4"], 8),
         # joins: eleven S^0 factors; a pooled 18-vertex factor and a
-        # triangle left as the remainder; two ∂Δ^3 in one remainder, split
-        # by its minimal non-faces
+        # triangle, which has no missing edge; a pentagon and two ∂Δ^3,
+        # whose vertices have no missing edge and are split by the product
+        # test one at a time; five ∂Δ^3 (m = 20), with nothing listed
         "cube-11": ["cube", "11"],
         "polygon-18-x-triangle": ["product", "polygon", "18", "polygon", "3"],
         "simplex-3-x-simplex-3-x-pentagon": [
             "product", "simplex", "3", "product", "simplex", "3", "polygon", "5"
         ],
+        "simplex-3-power-5": ("product simplex 3 " * 4 + "simplex 3").split(),
     }
 
 

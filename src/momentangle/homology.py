@@ -379,7 +379,7 @@ class _Faces:
     void complex, whose reduced homology is taken to be that of the empty
     complex; ``ext[f]`` is the mask of the vertices w for which f ∪ {w} is
     a face, f's own vertices included.  ``link`` finds the faces of a link
-    from it, and the join split the minimal non-faces.
+    from it.
     """
 
     __slots__ = ("dim", "ext", "facets", "vertex_count")

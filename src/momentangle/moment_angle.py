@@ -88,31 +88,26 @@ its own dimension (the proof is in
 ``surgery._verify_cuts``).  Every other complex gets all 2^m subsets.
 
 Before any of that, K is split into its finest join factorisation
-K = K_{A_1} * ... * K_{A_r} by one rule: two vertices lie in one factor
-when they lie in a common minimal non-face, and the A_i are the
-components of that relation (``_components``); a ghost vertex is a
-{∅} factor and a cone apex a point factor.  ``_factors`` applies it
-twice.  First, from the maximal faces as bitmasks and before any face is
-listed, to the missing edges alone, the minimal non-faces of two
-vertices; a component A is a factor exactly when the facets number
-|{F ∩ A}| |{F - A}|, and then the traces F ∩ A are its maximal faces, so
-its faces are listed from them.  The components that fail make one
-remainder, such as ∂Δ^2 * ∂Δ^3, which has no missing edge; its faces
-are listed once and the whole rule is read off them with ext, which
-splits it into its two factors.  Since Z_{K*L} = Z_K x Z_L, each factor
-is summed on its own (its own faces, sphere certificate, duality and
-pool rule), but ∂Δ on k vertices, S^0 included, is not listed: it is a
-sphere whose proper K_J are simplices, so Z = S^{2k-1} (Buchstaber and
-Panov) and its table is 1 at (0, 0, 0) and at (k, 2k - 1, 0).  The
-tables are combined by the Kunneth formula with one rule for every
-pair of entries: taking Z = Z/0, Z/a (x) Z/b = Z/gcd(a, b), zero when the
-gcd is 1, and when a and b are both nonzero Tor(Z/a, Z/b) adds the same
-group one degree lower.  A join then costs 2^{m_1} + ... + 2^{m_r}
-subsets instead of 2^m, and lists its factors' faces, not the join's,
-except that the factors with no missing edge are listed together, as the
-remainder, unless it is ∂Δ.  A complex that is not a join pays one face
-listing.  The subset cap still counts all m vertices of K, whatever its
-factors.
+K = K_{A_1} * ... * K_{A_r} by one test on the maximal faces as bitmasks:
+A splits off when the facets number |{F ∩ A}| |{F - A}|, and then the
+traces F ∩ A are K_A's maximal faces, so its faces are listed from them;
+a ghost vertex is a {∅} factor and a cone apex a point factor.  Each A_i
+is a union of components of the missing edges (``_components``), and
+``_factors`` applies the test to each whole component first; those that
+fail, such as the vertices of ∂Δ^2 * ∂Δ^3, which has no missing edge,
+are added one at a time, and the test splits the ones added so far.
+Since Z_{K*L} = Z_K x Z_L, each factor is summed on its own (its own
+faces, sphere certificate, duality and pool rule), but ∂Δ on k vertices,
+S^0 included, is not listed: it is a sphere whose proper K_J are
+simplices, so Z = S^{2k-1} (Buchstaber and Panov) and its table is 1 at
+(0, 0, 0) and at (k, 2k - 1, 0).  The tables are combined by the Kunneth
+formula with one rule for every pair of entries: taking Z = Z/0,
+Z/a (x) Z/b = Z/gcd(a, b), zero when the gcd is 1, and when a and b are
+both nonzero Tor(Z/a, Z/b) adds the same group one degree lower.  A join
+then costs 2^{m_1} + ... + 2^{m_r} subsets instead of 2^m, and lists its
+factors' faces, never the join's.  A complex that is not a join pays
+one face listing.  The subset cap still counts all m vertices of K,
+whatever its factors.
 
 The serial sum is one walk from the root ∅.  A pool walks subtrees
 instead: the top t vertices (2^t at least four times the worker count)
@@ -452,18 +447,21 @@ def _listed(part: int, facets: Collection[int], linked: list[int]) -> tuple[list
 def _factors(m: int, facets: list[int]) -> Iterator[tuple[list[int], _Faces | None]]:
     """The finest join factors of K: each one's numbering and faces, as ``_listed`` gives them.
 
-    Two vertices u and w lie in one factor when they lie in a common
-    minimal non-face S, that is when some face f ∋ u has f - u + w a face
-    and f + w not (f = S - w; and conversely f + w holds a minimal
-    non-face, which holds w, and u since f - u + w is a face).  With f = {u}
-    that is a missing edge, read from the facets.  F -> (F ∩ A, F - A) is
-    one to one on the facets, and K = K_A * K_{V-A} exactly when it is onto.
-    So a component A of the missing edges splits off when the facets number
-    |{F ∩ A}| |{F - A}|; the traces F ∩ A are then K_A's maximal faces, and
-    the F - A those of K_{V-A}, where the next component is tried.  The
-    components that fail make one remainder R, which is a factor if it is
-    ∂Δ; else its faces are listed once and split by the whole rule,
-    ext[f - u] & ~ext[f] for each u in f, and a single factor keeps them.
+    F -> (F ∩ A, F - A) is one to one on the facets, and K = K_A * K_{V-A}
+    exactly when it is onto, so A splits off when the facets number
+    |{F ∩ A}| |{F - A}|; the traces F ∩ A are then K_A's maximal faces.
+    A missing edge has both ends in one factor (no trace holds both, and
+    some trace holds each), so every factor is a union of components of
+    the missing edges.  A component that splits off alone is yielded, and
+    the next one is tried on the F - A.  The others are added one at a
+    time, C to ``seen``, keeping the finest factors of K_seen as blocks:
+    a split of K_{seen ∪ C} restricts to one of K_seen, so each factor of
+    K_{seen ∪ C} is a union of old blocks or holds C; one that does not
+    hold C is a single block, since a union of two could be split
+    further; and an old block that passes the test on the new traces
+    stays, since splits are kept under common refinement.  So the blocks
+    that fail merge into C, and each block goes to ``_listed`` with its
+    traces.
     """
     linked = [0] * m  # the vertices in a facet with v, v's own included
     vertices = 0  # the vertices of K, ghosts left out
@@ -474,36 +472,26 @@ def _factors(m: int, facets: list[int]) -> Iterator[tuple[list[int], _Faces | No
             low = rest & -rest
             linked[low.bit_length() - 1] |= f
             rest ^= low
-    remainder = 0
+    seen = 0  # the vertices of the components that do not split off alone
+    blocks: list[int] = []  # the finest join factors of K_seen
     for part in _components([vertices & ~mask for mask in linked], vertices):
         traces = {f & part for f in facets}
         others = {f & ~part for f in facets}
         if len(traces) * len(others) == len(facets):
             yield _listed(part, traces, linked)
             facets = list(others)
-        else:
-            remainder |= part
-    if not remainder:
-        return
-    bits, faces = _listed(remainder, facets, linked)
-    if faces is None:  # ∂Δ, whose only minimal non-face is all of it
-        yield bits, faces
-        return
-    ext = faces.ext
-    near = [0] * faces.vertex_count
-    for f, up in ext.items():
-        rest = f
-        while rest:
-            low = rest & -rest
-            near[low.bit_length() - 1] |= ext[f ^ low] & ~up
-            rest ^= low
-    groups = _components(near, ext[0])
-    if len(groups) == 1:
-        yield bits, faces
-        return
-    for group in groups:
-        part = sum(bit for i, bit in enumerate(bits) if group >> i & 1)
-        yield _listed(part, {f & part for f in facets}, linked)
+            continue
+        seen |= part
+        traces = {f & seen for f in facets}
+        kept = []
+        for block in blocks:
+            if len({t & block for t in traces}) * len({t & ~block for t in traces}) == len(traces):
+                kept.append(block)
+            else:
+                part |= block
+        blocks = kept + [part]
+    for block in blocks:
+        yield _listed(block, {f & block for f in facets}, linked)
 
 
 def _gather(m: int, facets: list[int], workers: int, sphere: bool = False) -> tuple[Counter, bool]:

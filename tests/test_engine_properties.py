@@ -64,7 +64,7 @@ from momentangle.moment_angle import (  # noqa: E402
 from momentangle.polytopes import cube, polygon, product, simplex_polytope  # noqa: E402
 from momentangle.simplicial import SimplicialComplex, boundary_complex, join  # noqa: E402
 from momentangle.surgery import theorem_corpus  # noqa: E402
-from complexes import faces_of_dimension, full_subcomplex  # noqa: E402
+from complexes import cyclic_4_polytope_boundary, faces_of_dimension, full_subcomplex  # noqa: E402
 from subset_oracle import _reduced_homology, reference_sum, subset_homologies  # noqa: E402
 from test_surgery import assert_cut_factors_are_spheres  # noqa: E402
 from test_moment_angle import (  # noqa: E402
@@ -213,7 +213,7 @@ def test_duality_on_equals_off_on_the_corpus(p):
 
 
 def assert_factor_search_changes_nothing(k):
-    # the missing edges and the remainder's rule find the minimal non-faces
+    # the missing edges and the product test find the minimal non-faces
     assert split_factors(k) == minimal_nonface_factors(k)
     groups, table = moment_angle_cohomology(k), bigraded_table(k)
     with pytest.MonkeyPatch.context() as patch:
@@ -244,18 +244,23 @@ def test_factor_search_on_equals_off_on_random_joins(k):
 @checked(100)
 @given(complexes())
 def test_split_finds_the_minimal_nonfaces_of_random_complexes(k):
-    # non-joins and non-pure complexes among them; about one in five
-    # leaves a remainder to the rule read off the listed faces
+    # non-joins and non-pure complexes among them; about one in five has
+    # components that the product test merges one at a time
     assert split_factors(k) == minimal_nonface_factors(k)
 
 
 @st.composite
 def boundary_joins(draw, max_joins=2):
-    # ∂Δ^2 and ∂Δ^3 have no missing edge, so only the remainder's rule
-    # separates them from each other and from a random complex
+    # ∂Δ^2, ∂Δ^3 and the neighbourly C(7, 4) have no missing edge, so only
+    # the product test, applied one vertex at a time, separates them from
+    # each other and from a random complex; at most one C(7, 4), m ≤ 14
     k = draw(complexes(max_vertices=3))
+    cyclic = False
     for _ in range(draw(st.integers(1, max_joins))):
-        k = join(k, boundary_complex(draw(st.integers(2, 3))))
+        if not cyclic and draw(st.integers(0, 3)) == 0:
+            k, cyclic = join(k, cyclic_4_polytope_boundary(7)), True
+        else:
+            k = join(k, boundary_complex(draw(st.integers(2, 3))))
     return k.relabeled(draw(st.permutations(range(k.vertex_count))))
 
 

@@ -474,7 +474,8 @@ class TestJoinFactors:
         "rp2-ghost": (SimplicialComplex(7, RP2.maximal_faces), [list(range(6)), [6]]),
         "rp2-cone": (join(RP2, full_simplex(0)), [list(range(6)), [6]]),
         "simplex-3": (full_simplex(3), [[0], [1], [2], [3]]),
-        # neither has a missing edge: the remainder's rule splits them
+        # neither has a missing edge: the product test, applied vertex by
+        # vertex, splits them
         "triangle-join-tetrahedron": (
             join(boundary_complex(2), boundary_complex(3)).relabeled([0, 3, 5, 1, 2, 4, 6]),
             [[0, 3, 5], [1, 2, 4, 6]],
@@ -550,7 +551,18 @@ class TestJoinFactors:
         # cube-11's dual is the join of eleven copies of S^0 on 22 vertices,
         # with 3^11 faces; each S^0 is ∂Δ^1, summed with no listing, and no
         # SimplicialComplex is made along the way.  Pentagon x cube-3 lists
-        # the pentagon's 11 faces alone
+        # the pentagon's 11 faces alone.  The duals of simplex-3^4 and of
+        # C(7, 4) * ∂Δ^2 have no missing edge, so the product test splits
+        # them vertex by vertex: the first lists nothing, the second the
+        # 71 faces of C(7, 4) alone, not the 497 of the join
+        perm = list(range(10))
+        random.Random(7).shuffle(perm)
+        neighbourly = join(cyclic_4_polytope_boundary(7), boundary_complex(2)).relabeled(perm)
+        oracle = reference_sum(subset_homologies(neighbourly))[0]
+        tetrahedra = simplex_polytope(3)
+        for _ in range(3):
+            tetrahedra = product(tetrahedra, simplex_polytope(3))
+
         def refuse(*args, **kwargs):
             raise AssertionError("a SimplicialComplex was built")
 
@@ -569,6 +581,13 @@ class TestJoinFactors:
         assert groups == GradedGroups.from_ranks({3 * i: comb(11, i) for i in range(12)})
         moment_angle_cohomology(product(polygon(5), cube(3)))
         assert listed == [11]
+        listed.clear()
+        # Z = (S^7)^4
+        groups = moment_angle_cohomology(tetrahedra)
+        assert groups == GradedGroups.from_ranks({7 * i: comb(4, i) for i in range(5)})
+        assert listed == []
+        assert moment_angle_cohomology(neighbourly) == oracle
+        assert listed == [71]
 
     def test_the_cap_counts_every_vertex(self):
         # cube-5 splits into five 2-vertex factors, but the cap sees m = 10
@@ -661,8 +680,9 @@ class TestVertexOrder:
 
     def test_the_boundary_of_a_simplex_keeps_its_order(self, monkeypatch):
         # ∂Δ^3 * pentagon, the dual of simplex-3 x polygon-5, its labels
-        # shuffled: ∂Δ^3, left as the remainder, is summed in closed form,
-        # so it keeps its vertices as given with no search and no listing;
+        # shuffled: ∂Δ^3, whose vertices the product test merges one at a
+        # time, is summed in closed form, so it keeps its vertices as given
+        # with no search and no listing;
         # the pentagon is searched and listed
         k = product(simplex_polytope(3), polygon(5)).dual_complex()
         perm = list(range(9))
