@@ -13,41 +13,34 @@ serial median per visited subset (2^(m-1) on a certified sphere, 2^m
 otherwise, summed over the join factors).  Both checkouts must print the
 same bytes and exit codes, or the script stops.
 
-Route counts come from one serial sum per input and checkout, with no
-pool, through ``moment_angle._factor_sum`` on each join factor of
-``moment_angle._factors``, with the sphere certificate answered in
-advance, so that only the walk is counted.  A factor that is the
-boundary of a simplex is summed in closed form, with no listing and no
-walk: it is left out of the routes and of "visited", and its vertex
-count is listed under "simplex_boundaries".  Each checkout counts with its
-own copy of this script, which knows its own internals; where a
-checkout's counter refuses an input (before the facet split it took no
-joins), its counts are ``null``.  A trace hook reads the statement at
-which each step into a subset is settled, in the walk's loop (``visit``)
-or, for the steps the loop hands on, at a return of ``step``: a ghost
-vertex or a memoised acyclic link of the new vertex ("reused"), an
-isolated point, read from the memo of the parent's groups or added to it
-("point"), an acyclic parent, whose child has the link's groups one
-degree up ("suspended"), or ``_reduced_groups`` on K_J, split into
-``_graph_groups`` ("graph") and ``_matrix_groups`` ("eliminated") by
-spies.  The loop's tallies count the steps, and the routes must add up
-to them.  A vertex's link is
-listed by ``_Faces.link`` once per memo entry where the vertex keeps a
-memo and once per step where it does not ("link_listings"); the distinct
-links listed at vertices with a memo are its entries, counted per factor
-("memo_entries").  Every step but a ghost's or a point's looks its link
-up, and "memo_hits" counts the lookups that found it in a memo: the
-share of those steps that the memo helps.  The spies count the link listings that reach
-``_reduced_groups`` apart, as "link_graph" and "link_eliminated", and
-the others found a cone.  From the root ∅ the walk takes one step per
-nonempty visited subset of each factor.  The hook slows the counted sum;
-it is not timed.  "computed" is graph plus eliminated, the K_J settles.
+Route counts come from one serial walk per join factor of
+``moment_angle._factors``, per input and checkout, with no pool and with
+the sphere certificate taken before counting starts, so that only the
+walk is counted.  A factor that is the boundary of a simplex is summed in
+closed form, with no listing and no walk: it is left out of the counts
+and of "visited", and its vertex count is listed under
+"simplex_boundaries".  Each checkout counts with its own copy of this
+script; where a checkout's counter refuses an input, its counts are
+``null``.  The counting is ``counted`` of ``tests/walk.py``, the spies
+that the tests' route pins read, on ``_Faces.link``,
+``homology._graph_groups`` and ``homology._matrix_groups``: a K_J settle
+is a graph ("graph") or an elimination ("eliminated") after a listing of
+K_J, and "computed" is their sum.  A vertex's link is listed once per
+memo entry where the vertex keeps a memo and once per step where it does
+not ("link_listings"), and those listings that reach a graph or an
+elimination are counted apart ("link_graph", "link_eliminated"); the
+others found a cone.  The distinct links listed at vertices with a memo
+are its entries, per factor ("memo_entries").  Every subset of a factor
+on a certified sphere is visited or mirrored, so "visited" is 2^(m-1) or
+2^m per factor, and from the root ∅ the walk takes one step per nonempty
+visited subset ("steps").  The other steps reuse a groups id, add a
+point or take a link's groups one degree up, and compute no homology.
+The spies slow the counted walk a little; it is not timed.
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import os
 import platform
@@ -150,120 +143,41 @@ def summary(times: list[float], peaks: list[float]) -> dict:
 
 
 def routes(expr: list[str]) -> dict:
-    """Per-route counts of one serial sum, in this process's ``momentangle``."""
-    import momentangle.homology as homology
+    """Route counts of one serial walk per join factor, in this process's ``momentangle``."""
+    sys.path.insert(0, str(ROOT / "tests"))
     import momentangle.moment_angle as moment_angle
     from momentangle.cli import parse_expression
+    from walk import counted
 
     m, facets = moment_angle._check_input(
         parse_expression(expr), moment_angle.DEFAULT_MAX_VERTICES
     )
     split = list(moment_angle._factors(m, facets))
     factors = [faces for _, faces in split if faces is not None]
-    dims = {id(faces): faces.sphere_dimension() for faces in factors}
-    kinds = ["reused", "point", "suspended", "graph", "eliminated", "link_graph", "link_eliminated"]
-    counts = dict.fromkeys(kinds + ["link_listings"], 0)
+    dims = [faces.sphere_dimension() for faces in factors]
     bound = moment_angle._MEMO_NEIGHBOURS
-    listed = [0]  # the σ of the last listing: ∅ for K_J, a vertex for its link
-    memo = set()  # the links listed at vertices that keep a memo
-    link = homology._Faces.link
-
-    def listing(self, sigma, within):
-        listed[0] = sigma
-        if sigma:
-            counts["link_listings"] += 1
-            if (self.ext[sigma] >> sigma.bit_length()).bit_count() <= bound:
-                memo.add((sigma, within))
-        return link(self, sigma, within)
-
-    homology._Faces.link = listing
-    for name, route in (("_graph_groups", "graph"), ("_matrix_groups", "eliminated")):
-        original = getattr(homology, name)
-
-        def spy(*args, original=original, route=route):
-            counts["link_" + route if listed[0] else route] += 1
-            return original(*args)
-
-        setattr(homology, name, spy)
-    # the route of each statement that settles a step: in the walk's loop
-    # (``visit``) an assignment to the child's id, or a tally of it, which
-    # marks one step; in ``step``, which the loop calls for the rest, a
-    # return.  An unknown one is a KeyError, so that an edit to them fails
-    # here; None marks a call of ``step``, whose return counts the route
-    source = Path(moment_angle.__file__).read_text()
-    names = {
-        "visit": {
-            "c = g": "reused",
-            "c = point[g]": "point",
-            "c = step(J, v, g, A)": None,
-            "counts[c] += 1": "step",
-            "d = c": "reused",
-            "d = point[c]": "point",
-            "d = step(K, 0, c, A)": None,
-            "below[d] += 1": "step",
-        },
-        "step": {
-            "g": "reused",
-            "c": "point",
-            "s": "suspended",
-            "intern(_reduced_groups(faces.link(0, J | 1 << v)))": None,
-        },
-    }
-    by_line = {"visit": {}, "step": {}}
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.FunctionDef) and node.name == "step":
-            for stmt in ast.walk(node):
-                if isinstance(stmt, ast.Return):
-                    by_line["step"][stmt.lineno] = names["step"][ast.unparse(stmt.value)]
-        elif isinstance(node, ast.FunctionDef) and node.name == "visit":
-            (loop,) = [stmt for stmt in node.body if isinstance(stmt, ast.For)]
-            for stmt in ast.walk(loop):
-                if isinstance(stmt, ast.AugAssign) or (
-                    isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets[0]) in ("c", "d")
-                ):
-                    by_line["visit"][stmt.lineno] = names["visit"][ast.unparse(stmt)]
-    steps = [0]
-
-    def line(frame, event, arg):
-        name = frame.f_code.co_name
-        if event == ("return" if name == "step" else "line"):
-            route = by_line[name].get(frame.f_lineno)
-            if route == "step":
-                steps[0] += 1
-            elif route:
-                counts[route] += 1
-        return line
-
-    def trace(frame, event, arg):
-        code = frame.f_code
-        if code.co_filename == moment_angle.__file__ and code.co_name in by_line:
-            return line
-
-    homology._Faces.sphere_dimension = lambda self: dims[id(self)]
     entries = []
     start = time.perf_counter()
-    for faces in factors:
-        memo.clear()
-        sys.settrace(trace)
-        moment_angle._factor_sum(faces, 1, False, [])
-        sys.settrace(None)
-        entries.append(len(memo))
-    assert sum(counts[kind] for kind in kinds[:5]) == steps[0]
-    counts["steps"] = steps[0]
-    # a ghost vertex is a factor alone, with one step
-    ghosts = sum(1 not in faces.ext for faces in factors)
-    counts["memo_hits"] = steps[0] - counts["point"] - ghosts - counts["link_listings"]
+    with counted() as (calls, listed):
+        for faces, dim in zip(factors, dims):
+            listed.clear()
+            moment_angle._walk(faces, dim, 0, faces.vertex_count)
+            entries.append(sum(
+                (faces.ext[sigma] >> sigma.bit_length()).bit_count() <= bound
+                for sigma, _ in listed
+            ))
+    counts = {key: calls[key] for key in
+              ("graph", "eliminated", "link_graph", "link_eliminated", "link_listings")}
+    visited = sum(1 << (faces.vertex_count - (dim is not None)) for faces, dim in zip(factors, dims))
+    counts["steps"] = visited - len(factors)
     counts["counted_s"] = round(time.perf_counter() - start, 2)
     counts["m"] = m
     counts["factor_m"] = [faces.vertex_count for faces in factors]
     counts["simplex_boundaries"] = [len(bits) for bits, faces in split if faces is None]
     counts["faces"] = sum(len(faces.ext) - 1 for faces in factors)
-    counts["sphere_dim"] = [dims[id(faces)] for faces in factors]
+    counts["sphere_dim"] = dims
     counts["memo_entries"] = entries
-    # every subset of a factor on a certified sphere is visited or mirrored
-    counts["visited"] = sum(
-        1 << (faces.vertex_count - (dims[id(faces)] is not None)) for faces in factors
-    )
+    counts["visited"] = visited
     return counts
 
 

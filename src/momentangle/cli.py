@@ -138,9 +138,7 @@ def _parse_expr(
     if tok == "product":
         left = _parse_expr(tokens, cap)
         right = _parse_expr(tokens, cap)
-        if not isinstance(left, SimplePolytope) or not isinstance(
-            right, SimplePolytope
-        ):
+        if not isinstance(left, SimplePolytope) or not isinstance(right, SimplePolytope):
             raise UsageError("product needs two polytopes")
         count = left.vertex_count * right.vertex_count
         _check(cap, left.m + right.m, vertex, lambda v: v < count)
@@ -382,12 +380,7 @@ def cmd_isotopy_check(args) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="parallel workers for subset enumeration",
-    )
+    sub.add_argument("--workers", type=int, default=1, help="parallel workers for subset enumeration")
     sub.add_argument(
         "--max-subsets",
         type=int,

@@ -365,7 +365,13 @@ def _matrix_groups(present: list[list[int]]) -> tuple:
 
 def _masks(faces: Iterable[Iterable[int]]) -> list[int]:
     """Faces given by their vertices, as vertex bitmasks."""
-    return [sum(1 << v for v in face) for face in faces]
+    masks = []
+    for face in faces:
+        mask = 0
+        for v in face:
+            mask |= 1 << v
+        masks.append(mask)
+    return masks
 
 
 class _Faces:

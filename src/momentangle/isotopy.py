@@ -40,6 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+_DELTA_IN, _DELTA_OUT, _TOLERANCE = 1e-2, 1e-6, 1e-12  # see injectivity_probe, EndpointReport
 
 TableMap = Callable[[np.ndarray, np.ndarray], np.ndarray]  # (N, k) sines, cosines -> points
 
@@ -157,13 +158,12 @@ class InjectivityReport:
 
 
 def injectivity_probe(
-    maps: Sequence[tuple[str, TableMap]], k: int, samples: int, seed: int, *,
-    delta_in: float = 1e-2, delta_out: float = 1e-6,
+    maps: Sequence[tuple[str, TableMap]], k: int, samples: int, seed: int
 ) -> list[InjectivityReport]:
     """Sample angle pairs once and probe each labelled map on them, in order.
 
     A pair violates injectivity evidence when its flat-torus angle distance
-    exceeds ``delta_in`` while the image distance falls below ``delta_out``.
+    exceeds ``_DELTA_IN`` while the image distance falls below ``_DELTA_OUT``.
     """
     _check_dimension(k)
     if samples < 2:
@@ -171,7 +171,7 @@ def injectivity_probe(
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.0, TWO_PI, size=(samples, k))
     b = rng.uniform(0.0, TWO_PI, size=(samples, k))
-    far = circle_distance(a, b) > delta_in
+    far = circle_distance(a, b) > _DELTA_IN
     tables_a = _tables(a)
     del a  # so that no more than five (N, k) arrays are live at once
     tables_b = _tables(b)
@@ -179,9 +179,9 @@ def injectivity_probe(
     reports = []
     for label, point_map in maps:
         image_dist = np.linalg.norm(point_map(*tables_a) - point_map(*tables_b), axis=1)
-        violations = int(np.count_nonzero(far & (image_dist < delta_out)))
+        violations = int(np.count_nonzero(far & (image_dist < _DELTA_OUT)))
         min_sep = float(image_dist[far].min()) if far.any() else float("inf")
-        reports.append(InjectivityReport(label, k, samples, seed, delta_in, delta_out,
+        reports.append(InjectivityReport(label, k, samples, seed, _DELTA_IN, _DELTA_OUT,
                                          violations, min_sep))
     return reports
 
@@ -214,7 +214,7 @@ class EndpointReport:
         return {**asdict(self), "passed": self.passed}
 
 
-def endpoint_checks(k: int, samples: int, seed: int, *, tolerance: float = 1e-12) -> EndpointReport:
+def endpoint_checks(k: int, samples: int, seed: int) -> EndpointReport:
     """Check both endpoint identities of the isotopy on seeded random charts.
 
     At t=1 the deformation restricted to its first k+1 coordinates must
@@ -239,5 +239,5 @@ def endpoint_checks(k: int, samples: int, seed: int, *, tolerance: float = 1e-12
     sins[:, k - 1], coss[:, k - 1] = _tables(rng.uniform(0.0, TWO_PI, size=samples))
     dev_base = np.abs(isotopy_map(0.0)(sins, coss)[:, :k] - at_zero[:, :k]).max()
 
-    return EndpointReport(k, samples, seed, tolerance, float(dev_standard), float(dev_radius),
+    return EndpointReport(k, samples, seed, _TOLERANCE, float(dev_standard), float(dev_radius),
                           float(dev_base))

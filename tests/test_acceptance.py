@@ -229,7 +229,7 @@ def test_criterion_08_homology_engine(capsys, corpus):
 def test_criterion_09_isotopy_formulas(capsys):
     start = time.perf_counter()
     endpoints_ok = all(
-        endpoint_checks(k, 10000, 42, tolerance=1e-12).passed for k in range(1, 5)
+        endpoint_checks(k, 10000, 42).passed for k in range(1, 5)
     )
 
     exact_ok = True

@@ -7,7 +7,6 @@ from math import comb
 
 import pytest
 
-import momentangle.homology as homology_module
 import momentangle.moment_angle as moment_angle_module
 from cellular_oracle import cellular_betti, cellular_betti_mod_p
 from momentangle.homology import GradedGroups, _Faces, _masks
@@ -33,7 +32,7 @@ from momentangle.surgery import theorem_corpus
 from complexes import cyclic_4_polytope_boundary, full_simplex, full_subcomplex
 from invariants import euler_characteristic, has_torsion, is_symmetric, poincare_product
 from subset_oracle import reference_sum, subset_homologies
-from walk import faces_of, minimal_nonface_factors, walk_groups
+from walk import counted, faces_of, minimal_nonface_factors, route, walk_groups
 
 RP2 = SimplicialComplex(
     6,
@@ -595,41 +594,46 @@ class TestJoinFactors:
             moment_angle_cohomology(cube(5).dual_complex(), max_vertices=9)
 
 
-def settles(k, name):
-    """Calls of ``homology.<name>`` by the serial sum of K: (the walk's K_J
-    settles, its link memo fills, the certificate's).
-
-    A call belongs to the listing that preceded it: a settle lists the
-    link of ∅, a memo fill that of one vertex.
-    """
-    calls = {"settle": 0, "link": 0, "certificate": 0}
-    where = ["settle"]
-    original = getattr(homology_module, name)
-    certify = _Faces.sphere_dimension
-    link = _Faces.link
-
-    def spy(*args):
-        calls[where[0]] += 1
-        return original(*args)
-
-    def listing(self, sigma, within):
-        if where[0] != "certificate":
-            where[0] = "link" if sigma else "settle"
-        return link(self, sigma, within)
-
-    def certificate(self):
-        where[0] = "certificate"
-        try:
-            return certify(self)
-        finally:
-            where[0] = "settle"
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(homology_module, name, spy)
-        patch.setattr(_Faces, "link", listing)
-        patch.setattr(_Faces, "sphere_dimension", certificate)
+def settles(k, kind):
+    """The serial sum of K's calls of kind "graph" or "eliminated", as
+    ``counted`` splits them: (the walk's K_J settles, its link calls, the
+    certificate's)."""
+    with counted() as (calls, _):
         moment_angle_cohomology(k)
-    return calls["settle"], calls["link"], calls["certificate"]
+    return calls[kind], calls["link_" + kind], calls["certificate_" + kind]
+
+
+class TestWalkCounter:
+    # the counter's K_J settles are the visited subsets J of each walked
+    # factor, in its own numbering, that route() settles by computing K_J:
+    # on a certified sphere the walk visits those with 2|J| < m and those
+    # with 2|J| = m that leave out vertex m - 1
+
+    @pytest.mark.parametrize(
+        "name, settled",
+        [("polygon-12-relabelled", 46), ("cube-5-cut-at-0", 20), ("simplex-2-join-3", 0)],
+    )
+    def test_settles_are_the_computed_routes(self, name, settled):
+        perm = list(range(12))
+        random.Random("1:polygon-12").shuffle(perm)
+        k = {
+            "polygon-12-relabelled": polygon(12).dual_complex().relabeled(perm),
+            "cube-5-cut-at-0": cube(5).cut_vertex(0).dual_complex(),
+            "simplex-2-join-3": join(boundary_complex(2), boundary_complex(3)),
+        }[name]
+        computed = 0
+        for _, faces in _factors(*moment_angle_module._check_input(k, 22)):
+            if faces is None:  # ∂Δ, summed in closed form
+                continue
+            m, dim = faces.vertex_count, faces.sphere_dimension()
+            factor = SimplicialComplex(m, [[v for v in range(m) if f >> v & 1] for f in faces.facets])
+            for J in range(1, 1 << m):
+                half = 2 * J.bit_count() - m
+                if dim is None or half < 0 or (half == 0 and not J >> (m - 1) & 1):
+                    computed += route(factor, [v for v in range(m) if J >> v & 1]) == "computed"
+        with counted() as (calls, _):
+            moment_angle_cohomology(k)
+        assert calls["graph"] + calls["eliminated"] == computed == settled
 
 
 class TestVertexOrder:
@@ -661,11 +665,11 @@ class TestVertexOrder:
             perm = list(range(12))
             random.Random(seed).shuffle(perm)
             relabelled = k.relabeled(perm)
-            assert settles(relabelled, "_graph_groups") == (46, 1, 1), seed
-            assert settles(relabelled, "_matrix_groups") == (0, 0, 0), seed
+            assert settles(relabelled, "graph") == (46, 1, 1), seed
+            assert settles(relabelled, "eliminated") == (0, 0, 0), seed
             with pytest.MonkeyPatch.context() as patch:
                 order_off(patch)
-                given.add(settles(relabelled, "_graph_groups")[0])
+                given.add(settles(relabelled, "graph")[0])
         assert min(given) > 46
 
     def test_simplex_cuts_eliminate_less(self):
@@ -673,10 +677,10 @@ class TestVertexOrder:
         p = simplex_polytope(4)
         for _ in range(8):
             p = p.cut_vertex(0)
-        assert settles(p, "_matrix_groups") == (48, 8, 14)
+        assert settles(p, "eliminated") == (48, 8, 14)
         with pytest.MonkeyPatch.context() as patch:
             order_off(patch)
-            assert settles(p, "_matrix_groups") == (902, 164, 14)
+            assert settles(p, "eliminated") == (902, 164, 14)
 
     def test_the_boundary_of_a_simplex_keeps_its_order(self, monkeypatch):
         # ∂Δ^3 * pentagon, the dual of simplex-3 x polygon-5, its labels
@@ -747,17 +751,8 @@ def link_listings(faces, bound):
     vertices with at most ``bound`` neighbours above, and how often each
     link (v, A) was listed."""
     dim = faces.sphere_dimension()
-    listed = Counter()
-    link = _Faces.link
-
-    def spy(self, sigma, within):
-        if sigma:
-            listed[(sigma, within)] += 1
-        return link(self, sigma, within)
-
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch, counted() as (_, listed):
         patch.setattr(moment_angle_module, "_MEMO_NEIGHBOURS", bound)
-        patch.setattr(_Faces, "link", spy)
         table = _walk(faces, dim, 0, faces.vertex_count)
     return table, listed
 

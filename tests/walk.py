@@ -15,11 +15,16 @@ where it steps into J from the loop's own vertex.
 ``route`` says which rule settles the step into J, from the maximal faces
 of K, the definitions and the oracle's homology alone, and
 ``minimal_nonface_factors`` which join factors the sum splits K into.
+
+``counted`` counts what the engine computes while a block runs, by spies
+on the three functions a settle passes through; the route pins and
+``bench/walk_bench.py --routes`` both read it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -191,6 +196,56 @@ def steps(faces, subsets) -> dict[int, Step]:
             any(t for call in own_fills for _, t, _ in call),
         )
     return out
+
+
+@contextmanager
+def counted():
+    """Counts of the engine's homology calls and link listings in this process
+    while the block runs (a pool's workers are not seen).
+
+    Yields ``(calls, listed)``.  A call of ``homology._graph_groups`` or
+    ``homology._matrix_groups`` belongs to the ``_Faces.link`` listing
+    before it: after the link of ∅, the faces of K_J, it is a K_J settle,
+    counted under "graph" or "eliminated"; after the link of a vertex, it
+    computes that link's groups, "link_graph" or "link_eliminated".  The
+    calls inside ``_Faces.sphere_dimension`` are the certificate's,
+    "certificate_graph" or "certificate_eliminated", and its listings are
+    not counted.  The other listings of a vertex's link are counted under
+    "link_listings", and per (σ, within) in ``listed``.
+    """
+    calls: Counter = Counter()
+    listed: Counter = Counter()
+    where = [""]  # "", "link_" or "certificate_": whose call the next one is
+    link = _Faces.link
+    certify = _Faces.sphere_dimension
+
+    def listing(self, sigma, within):
+        if where[0] != "certificate_":
+            where[0] = "link_" if sigma else ""
+            if sigma:
+                calls["link_listings"] += 1
+                listed[(sigma, within)] += 1
+        return link(self, sigma, within)
+
+    def certificate(self):
+        where[0] = "certificate_"
+        try:
+            return certify(self)
+        finally:
+            where[0] = ""
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Faces, "link", listing)
+        patch.setattr(_Faces, "sphere_dimension", certificate)
+        for name, route in (("_graph_groups", "graph"), ("_matrix_groups", "eliminated")):
+            original = getattr(homology_module, name)
+
+            def spy(*args, original=original, route=route):
+                calls[where[0] + route] += 1
+                return original(*args)
+
+            patch.setattr(homology_module, name, spy)
+        yield calls, listed
 
 
 def _traces(k, vertices) -> list[frozenset]:
