@@ -13,29 +13,29 @@ serial median per visited subset (2^(m-1) on a certified sphere, 2^m
 otherwise, summed over the join factors).  Both checkouts must print the
 same bytes and exit codes, or the script stops.
 
-Route counts come from one serial walk per join factor of
-``moment_angle._factors``, per input and checkout, with no pool and with
-the sphere certificate taken before counting starts, so that only the
-walk is counted.  A factor that is the boundary of a simplex is summed in
-closed form, with no listing and no walk: it is left out of the counts
-and of "visited", and its vertex count is listed under
+Route counts come from one serial ``moment_angle_cohomology`` call per
+input and checkout, made inside ``counted`` of ``tests/walk.py``, the
+trace of the engine that the tests read; the join factors, the walks
+with their sphere dimensions, the homology calls and the link listings
+are all read from it.  The sphere certificate's calls and listings are
+recorded apart and not reported.  A factor that is the boundary of a
+simplex is summed in closed form, with no listing and no walk: it is left
+out of the counts and of "visited", and its vertex count is listed under
 "simplex_boundaries".  Each checkout counts with its own copy of this
 script; where a checkout's counter refuses an input, its counts are
-``null``.  The counting is ``counted`` of ``tests/walk.py``, the spies
-that the tests' route pins read, on ``_Faces.link``,
-``homology._graph_groups`` and ``homology._matrix_groups``: a K_J settle
-is a graph ("graph") or an elimination ("eliminated") after a listing of
-K_J, and "computed" is their sum.  A vertex's link is listed once per
-memo entry where the vertex keeps a memo and once per step where it does
-not ("link_listings"), and those listings that reach a graph or an
-elimination are counted apart ("link_graph", "link_eliminated"); the
-others found a cone.  The distinct links listed at vertices with a memo
+``null``.  A K_J settle is a graph ("graph") or an elimination
+("eliminated") after a listing of K_J, and "computed" is their sum.  A
+vertex's link is listed once per memo entry where the vertex keeps a
+memo and once per step where it does not ("link_listings"), and those
+listings that reach a graph or an elimination are counted apart
+("link_graph", "link_eliminated"); the others found a cone.  The distinct links listed at vertices with a memo
 are its entries, per factor ("memo_entries").  Every subset of a factor
 on a certified sphere is visited or mirrored, so "visited" is 2^(m-1) or
 2^m per factor, and from the root ∅ the walk takes one step per nonempty
 visited subset ("steps").  The other steps reuse a groups id, add a
 point or take a link's groups one degree up, and compute no homology.
-The spies slow the counted walk a little; it is not timed.
+The trace slows the counted sum a little; "counted_s" is its time, apart
+from the CLI times.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -143,40 +144,32 @@ def summary(times: list[float], peaks: list[float]) -> dict:
 
 
 def routes(expr: list[str]) -> dict:
-    """Route counts of one serial walk per join factor, in this process's ``momentangle``."""
+    """Route counts of one serial sum, in this process's ``momentangle``."""
     sys.path.insert(0, str(ROOT / "tests"))
-    import momentangle.moment_angle as moment_angle
     from momentangle.cli import parse_expression
+    from momentangle.moment_angle import _MEMO_NEIGHBOURS, moment_angle_cohomology
     from walk import counted
 
-    m, facets = moment_angle._check_input(
-        parse_expression(expr), moment_angle.DEFAULT_MAX_VERTICES
-    )
-    split = list(moment_angle._factors(m, facets))
-    factors = [faces for _, faces in split if faces is not None]
-    dims = [faces.sphere_dimension() for faces in factors]
-    bound = moment_angle._MEMO_NEIGHBOURS
-    entries = []
+    k = parse_expression(expr)
     start = time.perf_counter()
-    with counted() as (calls, listed):
-        for faces, dim in zip(factors, dims):
-            listed.clear()
-            moment_angle._walk(faces, dim, 0, faces.vertex_count)
-            entries.append(sum(
-                (faces.ext[sigma] >> sigma.bit_length()).bit_count() <= bound
-                for sigma, _ in listed
-            ))
+    with counted() as trace:
+        moment_angle_cohomology(k)
+    seconds = time.perf_counter() - start
+    calls, walks = trace.calls, trace.walks
     counts = {key: calls[key] for key in
               ("graph", "eliminated", "link_graph", "link_eliminated", "link_listings")}
-    visited = sum(1 << (faces.vertex_count - (dim is not None)) for faces, dim in zip(factors, dims))
-    counts["steps"] = visited - len(factors)
-    counts["counted_s"] = round(time.perf_counter() - start, 2)
-    counts["m"] = m
-    counts["factor_m"] = [faces.vertex_count for faces in factors]
-    counts["simplex_boundaries"] = [len(bits) for bits, faces in split if faces is None]
-    counts["faces"] = sum(len(faces.ext) - 1 for faces in factors)
-    counts["sphere_dim"] = dims
-    counts["memo_entries"] = entries
+    visited = sum(1 << (faces.vertex_count - (dim is not None)) for faces, dim in walks)
+    entries: Counter = Counter()  # per walked factor, the links listed where a memo is kept
+    for faces, sigma, _ in trace.listed:
+        entries[faces] += (faces.ext[sigma] >> sigma.bit_length()).bit_count() <= _MEMO_NEIGHBOURS
+    counts["steps"] = visited - len(walks)
+    counts["counted_s"] = round(seconds, 2)
+    counts["m"] = sum(len(bits) for bits, _ in trace.factors)
+    counts["factor_m"] = [faces.vertex_count for faces, _ in walks]
+    counts["simplex_boundaries"] = [len(bits) for bits, faces in trace.factors if faces is None]
+    counts["faces"] = sum(len(faces.ext) - 1 for faces, _ in walks)
+    counts["sphere_dim"] = [dim for _, dim in walks]
+    counts["memo_entries"] = [entries[faces] for faces, _ in walks]
     counts["visited"] = visited
     return counts
 

@@ -7,7 +7,8 @@ has, build full simplices, and take the connected sum of a dual complex
 with a simplex boundary at a facet, the tests' own route to the vertex
 cut of a polytope, and build the boundary of a cyclic 4-polytope, on
 which every two vertices span an edge.  The all-pairs pruning below is the reference for the
-canonical form that ``SimplicialComplex`` computes.
+canonical form that ``SimplicialComplex`` computes.  ``RP2`` and ``cycle``
+are fixtures that several test modules share.
 """
 
 from __future__ import annotations
@@ -15,6 +16,20 @@ from __future__ import annotations
 from itertools import combinations
 
 from momentangle.simplicial import SimplicialComplex, as_simplex
+
+# the minimal 6-vertex projective plane, the standard torsion fixture
+RP2 = SimplicialComplex(
+    6,
+    [
+        (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+        (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
+    ],
+)
+
+
+def cycle(m: int) -> SimplicialComplex:
+    """The circle on m vertices, i joined to i + 1 mod m."""
+    return SimplicialComplex(m, [(i, (i + 1) % m) for i in range(m)])
 
 
 def full_simplex(n: int) -> SimplicialComplex:

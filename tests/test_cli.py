@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from complexes import RP2
 from isomorphism import are_combinatorially_isomorphic
 import momentangle.cli as cli_module
 from momentangle.cli import main, parse_expression
@@ -447,14 +448,6 @@ class TestOutputRedirect:
 
 
 # -- byte-for-byte output pins ----------------------------------------------
-
-RP2 = SimplicialComplex(
-    6,
-    [
-        (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-        (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
-    ],
-)
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 

@@ -37,7 +37,7 @@ space.  Every join factor of every cut's dual passes the sphere
 certificate on cut sequences of the 3- and 4-simplex and cube with
 m >= 3n, which is what lets ``verify`` skip each cut's certificate.
 Relabelled ∂Δ^1 ... ∂Δ^8, and joins of ∂Δ^2 or ∂Δ^3 with random
-complexes, equal the oracle while spies show that no ∂Δ factor is
+complexes, equal the oracle while ``counted`` shows that no ∂Δ factor is
 listed, certified, numbered or walked: its table is the closed form.
 """
 
@@ -51,7 +51,6 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import momentangle.homology as homology_module  # noqa: E402
-import momentangle.moment_angle as moment_angle_module  # noqa: E402
 from momentangle.homology import GradedGroups, _Faces, _masks, reduced_homology  # noqa: E402
 from momentangle.moment_angle import (  # noqa: E402
     _check_input,
@@ -64,7 +63,7 @@ from momentangle.moment_angle import (  # noqa: E402
 from momentangle.polytopes import cube, polygon, product, simplex_polytope  # noqa: E402
 from momentangle.simplicial import SimplicialComplex, boundary_complex, join  # noqa: E402
 from momentangle.surgery import theorem_corpus  # noqa: E402
-from complexes import cyclic_4_polytope_boundary, faces_of_dimension, full_subcomplex  # noqa: E402
+from complexes import RP2, cyclic_4_polytope_boundary, faces_of_dimension, full_subcomplex  # noqa: E402
 from subset_oracle import _reduced_homology, reference_sum, subset_homologies  # noqa: E402
 from test_surgery import assert_cut_factors_are_spheres  # noqa: E402
 from test_moment_angle import (  # noqa: E402
@@ -75,6 +74,7 @@ from test_moment_angle import (  # noqa: E402
     split_factors,
 )
 from walk import (  # noqa: E402
+    counted,
     faces_of,
     link,
     loop_groups,
@@ -84,14 +84,6 @@ from walk import (  # noqa: E402
     steps,
     subset_table,
     walk_groups,
-)
-
-RP2 = SimplicialComplex(
-    6,
-    [
-        (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-        (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
-    ],
 )
 
 
@@ -279,40 +271,21 @@ def assert_boundaries_are_summed_unlisted(k):
     """The sum of K against the oracle, with no ∂Δ factor listed, certified,
     numbered or walked; returns what was, as (vertex count, maximal faces).
 
-    ``_Faces``, its certificate and ``_walk`` see a factor's own facets;
-    ``_order`` sees a vertex set, whose maximal traces are read off K.
+    The face tables built, certified and walked hold a factor's own
+    facets; a vertex set numbered by ``_order`` has its maximal traces
+    read off K.
     """
+    groups, table = reference_sum(subset_homologies(k))
+    with counted() as trace:
+        assert moment_angle_cohomology(k) == groups
+        assert bigraded_table(k) == table
+    tables = trace.built + trace.certified + [faces for faces, _ in trace.walks]
+    seen = [(faces.vertex_count, list(faces.facets)) for faces in tables]
     masks = _masks(k.maximal_faces)
-    seen = []
-    init, certify = _Faces.__init__, _Faces.sphere_dimension
-    order, walk = moment_angle_module._order, moment_angle_module._walk
-
-    def listing(self, m, facets):
-        seen.append((m, list(facets)))
-        init(self, m, facets)
-
-    def certificate(self):
-        seen.append((self.vertex_count, list(self.facets)))
-        return certify(self)
-
-    def numbering(part, linked):
+    for part in trace.numbered:
         traces = {f & part for f in masks}
         maximal = [t for t in traces if not any(t != u and t | u == u for u in traces)]
         seen.append((part.bit_count(), maximal))
-        return order(part, linked)
-
-    def walking(faces, *args):
-        seen.append((faces.vertex_count, list(faces.facets)))
-        return walk(faces, *args)
-
-    groups, table = reference_sum(subset_homologies(k))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_Faces, "__init__", listing)
-        patch.setattr(_Faces, "sphere_dimension", certificate)
-        patch.setattr(moment_angle_module, "_order", numbering)
-        patch.setattr(moment_angle_module, "_walk", walking)
-        assert moment_angle_cohomology(k) == groups
-        assert bigraded_table(k) == table
     assert not any(simplex_boundary(m, facets) for m, facets in seen), seen
     return seen
 

@@ -21,7 +21,9 @@ from momentangle.simplicial import (
 )
 from cellular_oracle import cellular_betti_mod_p
 from complexes import (
+    RP2,
     connected_sum_at_facet,
+    cycle,
     faces_of_dimension,
     full_simplex,
     full_subcomplex,
@@ -33,20 +35,7 @@ from subset_oracle import reduced_homology as oracle_homology
 import test_moment_angle
 from invariants import has_torsion
 from test_moment_angle import MOORE3, RP2_WITH_PATH, sphere_around_rp2
-from walk import faces_of, route, steps
-
-# minimal 6-vertex projective plane, the standard torsion fixture
-RP2 = SimplicialComplex(
-    6,
-    [
-        (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-        (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
-    ],
-)
-
-
-def cycle(m):
-    return SimplicialComplex(m, [(i, (i + 1) % m) for i in range(m)])
+from walk import counted, faces_of, route, steps
 
 
 def matrix(rows):
@@ -459,31 +448,16 @@ class TestSphereCertificate:
             ]
             assert oracle_link_homology(link) == GradedGroups({k - 1 - len(sigma): (1, ())})
 
-    def test_rp2_join_is_rejected_before_any_homology(self, monkeypatch):
+    def test_rp2_join_is_rejected_before_any_homology(self):
         # its reduced Euler characteristic is 0, so the full sum on it pays
         # nothing for the check
-        def refuse(present):
-            raise AssertionError("homology was computed")
-
-        monkeypatch.setattr(homology_module, "_reduced_groups", refuse)
-        assert faces_of(join(RP2, cycle(4))).sphere_dimension() is None
+        with counted() as trace:
+            assert faces_of(join(RP2, cycle(4))).sphere_dimension() is None
+        assert trace.results == []
 
     def test_fin_has_the_homology_of_a_sphere(self):
         # so the fin is rejected by its ridge, not by H~(K)
         assert reduced_homology(FIN) == GradedGroups({2: (1, ())})
-
-
-def recorded(monkeypatch, name):
-    """The results of every call of ``homology_module.<name>`` from now on."""
-    results = []
-    original = getattr(homology_module, name)
-
-    def record(*args):
-        results.append(original(*args))
-        return results[-1]
-
-    monkeypatch.setattr(homology_module, name, record)
-    return results
 
 
 # dimensions of H*(Z_K; F_p) that universal coefficients predict from H*(Z_K)
@@ -569,20 +543,20 @@ class TestGraphPath:
         ],
         ids=["forest", "two-circles", "isolated-vertices", "point", "k5-graph"],
     )
-    def test_forests_circles_and_points(self, k, expected, monkeypatch):
-        def refuse(columns):
-            raise AssertionError("a matrix was eliminated")
-
-        monkeypatch.setattr(homology_module, "_rank_and_torsion", refuse)
+    def test_forests_circles_and_points(self, k, expected):
         faces = faces_of(k)
-        assert homology_module._reduced_groups(faces.link(0, faces.ext[0])) == expected
+        with counted() as trace:
+            assert homology_module._reduced_groups(faces.link(0, faces.ext[0])) == expected
+        assert trace.results == [("graph", expected)]
         assert oracle_homology(k) == GradedGroups(expected)
 
-    def test_codimension_two_links_take_it(self, monkeypatch):
+    def test_codimension_two_links_take_it(self):
         # the links of the 14 edges of this 3-sphere, ∂Δ^4 with a facet
         # subdivided, are circles
-        graphs = recorded(monkeypatch, "_graph_groups")
-        assert faces_of(simplex_polytope(4).cut_vertex(0).dual_complex()).sphere_dimension() == 3
+        faces = faces_of(simplex_polytope(4).cut_vertex(0).dual_complex())
+        with counted() as trace:
+            assert faces.sphere_dimension() == 3
+        graphs = [h for kind, h in trace.results if kind == "certificate_graph"]
         assert graphs == [((1, (1, ())),)] * 14
 
 

@@ -1,4 +1,3 @@
-import concurrent.futures
 import os
 import random
 from collections import Counter
@@ -29,18 +28,10 @@ from momentangle.simplicial import (
     join,
 )
 from momentangle.surgery import theorem_corpus
-from complexes import cyclic_4_polytope_boundary, full_simplex, full_subcomplex
+from complexes import RP2, cyclic_4_polytope_boundary, full_simplex, full_subcomplex
 from invariants import euler_characteristic, has_torsion, is_symmetric, poincare_product
 from subset_oracle import reference_sum, subset_homologies
 from walk import counted, faces_of, minimal_nonface_factors, route, walk_groups
-
-RP2 = SimplicialComplex(
-    6,
-    [
-        (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-        (1, 2, 3), (1, 2, 5), (2, 4, 5), (1, 3, 4), (3, 4, 5),
-    ],
-)
 
 # RP2 with the path 5-6-7-8-9 hung from vertex 5: 2-torsion, not a sphere and
 # not a join, on 10 vertices
@@ -282,16 +273,14 @@ class TestParallelism:
         assert 1 <= _usable_workers(10**9) <= (os.cpu_count() or 1)
         assert _usable_workers(1) == 1
 
-    def test_small_sums_start_no_pool(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a process pool was started")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    def test_small_sums_start_no_pool(self):
         # polygon-11 has 2^11 subsets, but as a sphere computes only 2^10,
         # each against its 23 faces: far below the threshold
-        for k in (polygon(9).dual_complex(), polygon(11).dual_complex(), RP2):
-            assert moment_angle_cohomology(k, workers=2) == moment_angle_cohomology(k)
-            assert bigraded_table(k, workers=2) == bigraded_table(k)
+        with counted() as trace:
+            for k in (polygon(9).dual_complex(), polygon(11).dual_complex(), RP2):
+                assert moment_angle_cohomology(k, workers=2) == moment_angle_cohomology(k)
+                assert bigraded_table(k, workers=2) == bigraded_table(k)
+        assert trace.pools == []
 
     @pytest.mark.parametrize(
         "k",
@@ -304,20 +293,13 @@ class TestParallelism:
         # and the threshold is lowered so both reach the pool and its
         # merge of subtrees
         assert minimal_nonface_factors(k) == [list(range(10))]
-        starts = []
-        pool = concurrent.futures.ProcessPoolExecutor
-
-        def counted(*args, **kwargs):
-            starts.append(kwargs.get("max_workers"))
-            return pool(*args, **kwargs)
-
         groups = moment_angle_cohomology(k)
         table = bigraded_table(k)
         monkeypatch.setattr(moment_angle_module, "_POOL_MIN_WORK", 2**13)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
-        assert moment_angle_cohomology(k, workers=2) == groups
-        assert bigraded_table(k, workers=2) == table
-        assert len(starts) == (2 if _usable_workers(2) == 2 else 0)
+        with counted() as trace:
+            assert moment_angle_cohomology(k, workers=2) == groups
+            assert bigraded_table(k, workers=2) == table
+        assert trace.pools == ([2, 2] if _usable_workers(2) == 2 else [])
 
     def test_one_pool_serves_every_factor_of_a_call(self, monkeypatch):
         # pentagon * hexagon, the dual of polygon-5 x polygon-6: with the
@@ -326,45 +308,29 @@ class TestParallelism:
         # that walks both
         k = product(polygon(5), polygon(6)).dual_complex()
         assert sorted(map(len, minimal_nonface_factors(k))) == [5, 6]
-        starts, maps = [], []
-
-        class Counted(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                starts.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-            def map(self, *args, **kwargs):
-                maps.append(len(args[1]))
-                return super().map(*args, **kwargs)
-
         groups, table = moment_angle_cohomology(k), bigraded_table(k)
         monkeypatch.setattr(moment_angle_module, "_POOL_MIN_WORK", 2**4 * 11)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
-        assert moment_angle_cohomology(k, workers=2) == groups
-        assert bigraded_table(k, workers=2) == table
+        with counted() as trace:
+            assert moment_angle_cohomology(k, workers=2) == groups
+            assert bigraded_table(k, workers=2) == table
         if _usable_workers(2) == 2:
-            assert starts == [2, 2]  # one per call
-            assert maps == [8, 8] * 2  # both factors, 2^3 prefix roots each
+            assert trace.pools == [2, 2]  # one per call
+            assert trace.maps == [8, 8] * 2  # both factors, 2^3 prefix roots each
         else:
-            assert starts == maps == []
+            assert trace.pools == trace.maps == []
 
     def test_the_pool_threshold_counts_subsets_times_faces(self, monkeypatch):
         # polygon-10 computes 2^9 subsets (duality) against 21 faces, the
         # empty one included; a pool is asked for exactly from that product
-        class Started(Exception):
-            pass
-
-        def refuse(*args, **kwargs):
-            raise Started
-
         k = polygon(10).dual_complex()
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        monkeypatch.setattr(moment_angle_module, "_POOL_MIN_WORK", 2**9 * 21 + 1)
-        assert moment_angle_cohomology(k, workers=2) == moment_angle_cohomology(k)
-        if _usable_workers(2) == 2:
+        groups = moment_angle_cohomology(k)
+        with counted() as trace:
+            monkeypatch.setattr(moment_angle_module, "_POOL_MIN_WORK", 2**9 * 21 + 1)
+            assert moment_angle_cohomology(k, workers=2) == groups
+            assert trace.pools == []
             monkeypatch.setattr(moment_angle_module, "_POOL_MIN_WORK", 2**9 * 21)
-            with pytest.raises(Started):
-                moment_angle_cohomology(k, workers=2)
+            assert moment_angle_cohomology(k, workers=2) == groups
+        assert trace.pools == ([2] if _usable_workers(2) == 2 else [])
 
 
 def stellar(facets, tau, v):
@@ -565,28 +531,21 @@ class TestJoinFactors:
         def refuse(*args, **kwargs):
             raise AssertionError("a SimplicialComplex was built")
 
-        listed = []
-        init = _Faces.__init__
-
-        def spy(self, m, facets):
-            init(self, m, facets)
-            listed.append(len(self.ext))
-
-        monkeypatch.setattr(_Faces, "__init__", spy)
         monkeypatch.setattr(SimplicialComplex, "__post_init__", refuse)
-        groups = moment_angle_cohomology(cube(11))
-        assert listed == []
-        # Z = (S^3)^11
-        assert groups == GradedGroups.from_ranks({3 * i: comb(11, i) for i in range(12)})
-        moment_angle_cohomology(product(polygon(5), cube(3)))
-        assert listed == [11]
-        listed.clear()
-        # Z = (S^7)^4
-        groups = moment_angle_cohomology(tetrahedra)
-        assert groups == GradedGroups.from_ranks({7 * i: comb(4, i) for i in range(5)})
-        assert listed == []
-        assert moment_angle_cohomology(neighbourly) == oracle
-        assert listed == [71]
+        with counted() as trace:
+            groups = moment_angle_cohomology(cube(11))
+            assert trace.built == []
+            # Z = (S^3)^11
+            assert groups == GradedGroups.from_ranks({3 * i: comb(11, i) for i in range(12)})
+            moment_angle_cohomology(product(polygon(5), cube(3)))
+            assert [len(faces.ext) for faces in trace.built] == [11]
+            trace.built.clear()
+            # Z = (S^7)^4
+            groups = moment_angle_cohomology(tetrahedra)
+            assert groups == GradedGroups.from_ranks({7 * i: comb(4, i) for i in range(5)})
+            assert trace.built == []
+            assert moment_angle_cohomology(neighbourly) == oracle
+            assert [len(faces.ext) for faces in trace.built] == [71]
 
     def test_the_cap_counts_every_vertex(self):
         # cube-5 splits into five 2-vertex factors, but the cap sees m = 10
@@ -598,8 +557,9 @@ def settles(k, kind):
     """The serial sum of K's calls of kind "graph" or "eliminated", as
     ``counted`` splits them: (the walk's K_J settles, its link calls, the
     certificate's)."""
-    with counted() as (calls, _):
+    with counted() as trace:
         moment_angle_cohomology(k)
+    calls = trace.calls
     return calls[kind], calls["link_" + kind], calls["certificate_" + kind]
 
 
@@ -631,9 +591,9 @@ class TestWalkCounter:
                 half = 2 * J.bit_count() - m
                 if dim is None or half < 0 or (half == 0 and not J >> (m - 1) & 1):
                     computed += route(factor, [v for v in range(m) if J >> v & 1]) == "computed"
-        with counted() as (calls, _):
+        with counted() as trace:
             moment_angle_cohomology(k)
-        assert calls["graph"] + calls["eliminated"] == computed == settled
+        assert trace.calls["graph"] + trace.calls["eliminated"] == computed == settled
 
 
 class TestVertexOrder:
@@ -682,7 +642,7 @@ class TestVertexOrder:
             order_off(patch)
             assert settles(p, "eliminated") == (902, 164, 14)
 
-    def test_the_boundary_of_a_simplex_keeps_its_order(self, monkeypatch):
+    def test_the_boundary_of_a_simplex_keeps_its_order(self):
         # ∂Δ^3 * pentagon, the dual of simplex-3 x polygon-5, its labels
         # shuffled: ∂Δ^3, whose vertices the product test merges one at a
         # time, is summed in closed form, so it keeps its vertices as given
@@ -692,23 +652,11 @@ class TestVertexOrder:
         perm = list(range(9))
         random.Random(3).shuffle(perm)
         k = k.relabeled(perm)
-        searched, listed = [], []
-        order = moment_angle_module._order
-        init = _Faces.__init__
-
-        def spy(part, linked):
-            searched.append(part.bit_count())
-            return order(part, linked)
-
-        def listing(self, m, facets):
-            listed.append(m)
-            init(self, m, facets)
-
-        monkeypatch.setattr(moment_angle_module, "_order", spy)
-        monkeypatch.setattr(_Faces, "__init__", listing)
-        factors = list(_factors(k.vertex_count, _masks(k.maximal_faces)))
+        with counted() as trace:
+            factors = list(_factors(k.vertex_count, _masks(k.maximal_faces)))
         assert sorted(len(bits) for bits, _ in factors) == [4, 5]
-        assert searched == listed == [5]
+        searched = [part.bit_count() for part in trace.numbered]
+        assert searched == [faces.vertex_count for faces in trace.built] == [5]
         (simplex,) = [bits for bits, faces in factors if faces is None]
         assert len(simplex) == 4 and simplex == sorted(simplex)
         groups, table = reference_sum(subset_homologies(k))
@@ -723,18 +671,11 @@ class TestVertexOrder:
         (bits,) = [b for b, _ in _factors(k.vertex_count, _masks(k.maximal_faces)) if len(b) == 6]
         assert bits != sorted(bits)
         groups, table = moment_angle_cohomology(k), bigraded_table(k)
-        starts = []
-        pool = concurrent.futures.ProcessPoolExecutor
-
-        def counted(*args, **kwargs):
-            starts.append(kwargs.get("max_workers"))
-            return pool(*args, **kwargs)
-
         monkeypatch.setattr(moment_angle_module, "_POOL_MIN_WORK", 2**10)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
-        assert moment_angle_cohomology(k, workers=2) == groups
-        assert bigraded_table(k, workers=2) == table
-        assert starts == ([2, 2] if _usable_workers(2) == 2 else [])
+        with counted() as trace:
+            assert moment_angle_cohomology(k, workers=2) == groups
+            assert bigraded_table(k, workers=2) == table
+        assert trace.pools == ([2, 2] if _usable_workers(2) == 2 else [])
 
     def test_the_sphere_around_rp2_without_the_order(self, monkeypatch):
         # the (|J|, degree, a) table in full, the Z/2 of RP2 and its
@@ -749,12 +690,12 @@ class TestVertexOrder:
 def link_listings(faces, bound):
     """The serial walk's table of one factor, with the link memo kept at the
     vertices with at most ``bound`` neighbours above, and how often each
-    link (v, A) was listed."""
+    link (faces, v, A) was listed."""
     dim = faces.sphere_dimension()
-    with pytest.MonkeyPatch.context() as patch, counted() as (_, listed):
+    with pytest.MonkeyPatch.context() as patch, counted() as trace:
         patch.setattr(moment_angle_module, "_MEMO_NEIGHBOURS", bound)
         table = _walk(faces, dim, 0, faces.vertex_count)
-    return table, listed
+    return table, trace.listed
 
 
 class TestLinkMemo:
@@ -779,7 +720,7 @@ class TestLinkMemo:
         for bound in (3, -1):
             again, relisted = link_listings(faces, bound)
             assert again == table
-            twice = {sigma for (sigma, _), n in relisted.items() if n > 1}
+            twice = {sigma for (_, sigma, _), n in relisted.items() if n > 1}
             assert twice and all(above(sigma) > bound for sigma in twice)
             assert sum(relisted.values()) > sum(listed.values())
 

@@ -6,6 +6,7 @@ import pytest
 from complexes import (
     all_pairs_maximal,
     connected_sum_at_facet,
+    cycle,
     faces_of_dimension,
     full_simplex,
     full_subcomplex,
@@ -18,10 +19,6 @@ from momentangle.simplicial import (
     boundary_complex,
     join,
 )
-
-
-def cycle(m):
-    return SimplicialComplex(m, [(i, (i + 1) % m) for i in range(m)])
 
 
 class TestConstruction:

@@ -1,4 +1,3 @@
-import concurrent.futures
 import random
 
 import pytest
@@ -6,7 +5,7 @@ import pytest
 import momentangle.moment_angle as moment_angle_module
 from invariants import euler_characteristic, has_torsion, is_symmetric
 from isomorphism import are_combinatorially_isomorphic
-from momentangle.homology import GradedGroups, _Faces
+from momentangle.homology import GradedGroups
 from momentangle.moment_angle import (
     DEFAULT_MAX_VERTICES,
     _check_input,
@@ -30,6 +29,7 @@ from momentangle.surgery import (
     verify_cut_theorem,
 )
 from test_moment_angle import sphere_around_rp2
+from walk import counted
 
 
 def sphere(d):
@@ -295,15 +295,20 @@ class TestBeyondTheProvedRange:
         assert p.m == 12
         self.check(p, [verify_cut_theorem(p, v)])
 
-    def test_a_cut_with_torsion(self):
+    def test_a_cut_with_torsion(self, monkeypatch):
         # the 4-sphere around RP2 is the dual of a simple 5-polytope with 16
         # facets; Z(P) has the Z/2 of RP2 and of its complement, and the cut
-        # at vertex 0 carries them to degrees 9, 10, 13 and 14
+        # at vertex 0 carries them to degrees 9, 10, 13 and 14.  With the
+        # pool threshold at 0 the torsion goes through a pool, one per sum
         p = rp2_polytope()
         report = verify_cut_theorem(p, 0)
         self.check(p, [report])
         torsion = {d: report.lhs.torsion(d) for d in report.lhs.degrees() if report.lhs.torsion(d)}
         assert torsion == {9: (2,), 10: (2,), 13: (2,), 14: (2,)}
+        monkeypatch.setattr(moment_angle_module, "_POOL_MIN_WORK", 0)
+        with counted() as trace:
+            assert verify_cut_theorem(p, 0, workers=2) == report
+        assert trace.pools == ([2, 2] if _usable_workers(2) == 2 else [])
 
 
 def rp2_polytope():
@@ -335,19 +340,6 @@ def assert_cut_factors_are_spheres(p):
                 assert faces.sphere_dimension() == faces.dim, v
 
 
-def certified(monkeypatch):
-    """The vertex counts of the factors that the sphere certificate runs on from now on."""
-    calls = []
-    certify = _Faces.sphere_dimension
-
-    def spy(self):
-        calls.append(self.vertex_count)
-        return certify(self)
-
-    monkeypatch.setattr(_Faces, "sphere_dimension", spy)
-    return calls
-
-
 # the minimal 7-vertex torus; as vertex records it is a "simple 3-polytope"
 # with 7 facets whose dual is not a sphere
 TORUS = SimplePolytope(3, 7, tuple(sorted(
@@ -377,23 +369,22 @@ class TestInheritedCertificate:
         for r in reports:
             assert r.lhs == moment_angle_cohomology(p.cut_vertex(r.vertex))
 
-    def test_only_the_polytopes_factors_are_certified(self, monkeypatch):
+    def test_only_the_polytopes_factors_are_certified(self):
         # the dual of the 3-cube is S^0 * S^0 * S^0, three ∂Δ^1 that need
         # no certificate, so neither it nor its 8 cuts certify anything; the
         # pentagon is certified once, and its 5 cuts inherit that
-        calls = certified(monkeypatch)
-        reports = verify_all_cuts(cube(3))
-        assert len(reports) == 8 and all(r.match for r in reports)
-        assert calls == []
-        reports = verify_all_cuts(polygon(5))
-        assert len(reports) == 5 and all(r.match for r in reports)
-        assert calls == [5]
+        with counted() as trace:
+            reports = verify_all_cuts(cube(3))
+            assert len(reports) == 8 and all(r.match for r in reports)
+            assert trace.certified == []
+            reports = verify_all_cuts(polygon(5))
+            assert len(reports) == 5 and all(r.match for r in reports)
+        assert [faces.vertex_count for faces in trace.certified] == [5]
 
-    def test_a_non_sphere_certifies_every_cut(self, monkeypatch):
-        calls = certified(monkeypatch)
-        reports = verify_all_cuts(TORUS)
-        assert calls == [7] + [8] * 14
-        monkeypatch.undo()
+    def test_a_non_sphere_certifies_every_cut(self):
+        with counted() as trace:
+            reports = verify_all_cuts(TORUS)
+        assert [faces.vertex_count for faces in trace.certified] == [7] + [8] * 14
         assert [r.vertex for r in reports] == list(range(14))
         lhs = GradedGroups({0: (1, ()), 3: (4, ()), 4: (6, ()), 5: (26, ()), 6: (75, ()),
                             7: (97, ()), 8: (60, ()), 9: (16, ()), 10: (2, ()), 11: (1, ())})
@@ -417,18 +408,11 @@ class TestWorkerCount:
         # with the pool threshold at 0 every walked factor goes to the pool;
         # simplex-4 and its cuts, ∂Δ^4 and ∂Δ^3 * S^0, walk nothing
         serial = verify_all_cuts(p)
-        starts = []
-        pool = concurrent.futures.ProcessPoolExecutor
-
-        def counted(*args, **kwargs):
-            starts.append(kwargs.get("max_workers"))
-            return pool(*args, **kwargs)
-
         monkeypatch.setattr(moment_angle_module, "_POOL_MIN_WORK", 0)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
-        assert verify_all_cuts(p, workers=2) == serial
+        with counted() as trace:
+            assert verify_all_cuts(p, workers=2) == serial
         assert all(r.match for r in serial)
-        assert bool(starts) == (pooled and _usable_workers(2) == 2)
+        assert bool(trace.pools) == (pooled and _usable_workers(2) == 2)
 
 
 class TestSubsetCap:

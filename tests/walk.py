@@ -16,16 +16,20 @@ where it steps into J from the loop's own vertex.
 of K, the definitions and the oracle's homology alone, and
 ``minimal_nonface_factors`` which join factors the sum splits K into.
 
-``counted`` counts what the engine computes while a block runs, by spies
-on the three functions a settle passes through; the route pins and
-``bench/walk_bench.py --routes`` both read it.
+``counted`` is the one way the tests and ``bench/walk_bench.py --routes``
+watch the engine.  While a block runs it records, in this process, each
+homology call with its kind and result, the link listings, the ``_Faces``
+tables built and certified, the join factors, the vertex sets numbered,
+the walks, and the process pools started with the tasks mapped on them.
+A pool's workers run in other processes, and what they do is not seen.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import pytest
@@ -139,113 +143,148 @@ class Step:
     link_torsion: bool  # an elimination of v's link in the step found torsion
 
 
+def _has_torsion(groups: tuple) -> bool:
+    return any(torsion for _, (_, torsion) in groups)
+
+
 def steps(faces, subsets) -> dict[int, Step]:
     """The walk's step into each of ``subsets`` and into each of their ancestors.
 
-    A call of ``_reduced_groups`` settles K_J when the faces it is given
-    were listed as the link of ∅, and fills a link memo entry otherwise.
+    The walk to J makes the homology calls of the walk to its parent and
+    then the step's own, each a K_J settle or a link's, as ``counted``
+    tells them apart.
     """
     todo = {0}
     for J in subsets:
         while J:
             todo.add(J)
             J &= J - 1
-    listed = [0]  # the σ of the last ``_Faces.link`` call
-    calls: dict[bool, list] = {True: [], False: []}  # settle? -> eliminations per call
-    eliminated: list = []
     walks = {}
-    with pytest.MonkeyPatch.context() as patch:
-        link = _Faces.link
-
-        def link_spy(self, sigma, within):
-            listed[0] = sigma
-            return link(self, sigma, within)
-
-        reduce = moment_angle_module._reduced_groups
-
-        def reduce_spy(layers):
-            before = len(eliminated)
-            out = reduce(layers)
-            calls[listed[0] == 0].append(eliminated[before:])
-            return out
-
-        eliminate = homology_module._rank_and_torsion
-
-        def eliminate_spy(columns):
-            eliminated.append(eliminate(columns))
-            return eliminated[-1]
-
-        patch.setattr(_Faces, "link", link_spy)
-        patch.setattr(moment_angle_module, "_reduced_groups", reduce_spy)
-        patch.setattr(homology_module, "_rank_and_torsion", eliminate_spy)
+    with counted() as trace:
         for J in sorted(todo):
-            for log in (calls[True], calls[False], eliminated):
-                log.clear()
+            start = len(trace.results)
             groups = walk_groups(faces, J)
-            walks[J] = (list(calls[True]), list(calls[False]), groups)
-    out = {0: Step(walks[0][2], False, False, False)}
+            walks[J] = (trace.results[start:], groups)
+    out = {0: Step(walks[0][1], False, False, False)}
     for J in todo - {0}:
-        settles, fills, groups = walks[J]
-        parent_settles, parent_fills, _ = walks[J & (J - 1)]
-        own_settles = settles[len(parent_settles) :]
-        own_fills = fills[len(parent_fills) :]
+        results, groups = walks[J]
+        own = results[len(walks[J & (J - 1)][0]) :]
+        settles = [h for kind, h in own if kind in ("graph", "eliminated")]
+        links = [h for kind, h in own if kind in ("link_graph", "link_eliminated")]
         out[J] = Step(
             groups,
-            bool(own_settles),
-            any(t for call in own_settles for _, t, _ in call),
-            any(t for call in own_fills for _, t, _ in call),
+            bool(settles),
+            any(map(_has_torsion, settles)),
+            any(map(_has_torsion, links)),
         )
     return out
 
 
+@dataclass
+class Trace:
+    """What the engine did in this process while a ``counted`` block ran."""
+
+    results: list = field(default_factory=list)  # (kind, groups) per homology call, in order
+    listed: Counter = field(default_factory=Counter)  # (faces, σ, within) -> listings
+    built: list = field(default_factory=list)  # the ``_Faces`` tables built
+    certified: list = field(default_factory=list)  # the ``_Faces`` certified
+    factors: list = field(default_factory=list)  # (bits, faces or None) per join factor
+    numbered: list = field(default_factory=list)  # the vertex masks ``_order`` numbers
+    walks: list = field(default_factory=list)  # (faces, sphere_dim) per ``_walk`` call
+    pools: list = field(default_factory=list)  # ``max_workers`` per process pool started
+    maps: list = field(default_factory=list)  # the tasks given to each pool ``map``
+
+    @property
+    def calls(self) -> Counter:
+        """The homology calls by kind, and the link listings as "link_listings"."""
+        calls = Counter(kind for kind, _ in self.results)
+        calls["link_listings"] = sum(self.listed.values())
+        return calls
+
+
 @contextmanager
 def counted():
-    """Counts of the engine's homology calls and link listings in this process
-    while the block runs (a pool's workers are not seen).
+    """Yields a ``Trace`` of what the engine does in this process while the
+    block runs; a pool's workers are not seen.
 
-    Yields ``(calls, listed)``.  A call of ``homology._graph_groups`` or
-    ``homology._matrix_groups`` belongs to the ``_Faces.link`` listing
-    before it: after the link of ∅, the faces of K_J, it is a K_J settle,
-    counted under "graph" or "eliminated"; after the link of a vertex, it
-    computes that link's groups, "link_graph" or "link_eliminated".  The
-    calls inside ``_Faces.sphere_dimension`` are the certificate's,
+    A call of ``homology._graph_groups`` or ``homology._matrix_groups``
+    belongs to the ``_Faces.link`` listing before it: after the link of ∅,
+    the faces of K_J, it is a K_J settle, of kind "graph" or
+    "eliminated"; after the link of a vertex, it computes that link's
+    groups, "link_graph" or "link_eliminated".  The calls inside
+    ``_Faces.sphere_dimension`` are the certificate's,
     "certificate_graph" or "certificate_eliminated", and its listings are
-    not counted.  The other listings of a vertex's link are counted under
-    "link_listings", and per (σ, within) in ``listed``.
+    not recorded; the other listings of a vertex's link are, in
+    ``listed``.  The spies wrap what each name holds when the block
+    starts, so a behaviour switch set before it stays in force.
     """
-    calls: Counter = Counter()
-    listed: Counter = Counter()
+    trace = Trace()
     where = [""]  # "", "link_" or "certificate_": whose call the next one is
-    link = _Faces.link
-    certify = _Faces.sphere_dimension
+    init, link, certify = _Faces.__init__, _Faces.link, _Faces.sphere_dimension
+    split, order, walk = (
+        moment_angle_module._factors, moment_angle_module._order, moment_angle_module._walk
+    )
+    executor = concurrent.futures.ProcessPoolExecutor
+
+    def building(self, m, facets):
+        init(self, m, facets)
+        trace.built.append(self)
 
     def listing(self, sigma, within):
         if where[0] != "certificate_":
             where[0] = "link_" if sigma else ""
             if sigma:
-                calls["link_listings"] += 1
-                listed[(sigma, within)] += 1
+                trace.listed[(self, sigma, within)] += 1
         return link(self, sigma, within)
 
     def certificate(self):
+        trace.certified.append(self)
         where[0] = "certificate_"
         try:
             return certify(self)
         finally:
             where[0] = ""
 
+    def factors(*args):
+        for factor in split(*args):
+            trace.factors.append(factor)
+            yield factor
+
+    def numbering(part, linked):
+        trace.numbered.append(part)
+        return order(part, linked)
+
+    def walking(faces, sphere_dim, *args):
+        trace.walks.append((faces, sphere_dim))
+        return walk(faces, sphere_dim, *args)
+
+    class Pool(executor):
+        def __init__(self, *args, **kwargs):
+            trace.pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+        def map(self, fn, tasks, *args, **kwargs):
+            trace.maps.append(len(tasks))
+            return super().map(fn, tasks, *args, **kwargs)
+
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Faces, "__init__", building)
         patch.setattr(_Faces, "link", listing)
         patch.setattr(_Faces, "sphere_dimension", certificate)
-        for name, route in (("_graph_groups", "graph"), ("_matrix_groups", "eliminated")):
+        for name, kind in (("_graph_groups", "graph"), ("_matrix_groups", "eliminated")):
             original = getattr(homology_module, name)
 
-            def spy(*args, original=original, route=route):
-                calls[where[0] + route] += 1
-                return original(*args)
+            def spy(*args, original=original, kind=kind):
+                groups = original(*args)
+                trace.results.append((where[0] + kind, groups))
+                return groups
 
             patch.setattr(homology_module, name, spy)
-        yield calls, listed
+        patch.setattr(moment_angle_module, "_factors", factors)
+        patch.setattr(moment_angle_module, "_order", numbering)
+        patch.setattr(moment_angle_module, "_walk", walking)
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        yield trace
 
 
 def _traces(k, vertices) -> list[frozenset]:
