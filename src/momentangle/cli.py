@@ -41,6 +41,16 @@ class UsageError(ValueError):
     pass
 
 
+class RecordLimitError(Exception):
+    """Raised before ``build`` makes more than 2^limit vertex records."""
+
+    def __init__(self, limit: int):
+        super().__init__(
+            f"polytope has more than 2^{limit} vertices: building a record for each "
+            "exceeds the limit; raise the max-subsets exponent to proceed"
+        )
+
+
 # -- expression parsing ----------------------------------------------------
 
 
@@ -81,10 +91,19 @@ def _load_object(path: str) -> SimplePolytope | SimplicialComplex:
     )
 
 
+_Caps = tuple[int | None, int | None]  # (facet count m, log2 of the vertex count)
+
+
+def _bits(count: int) -> int:
+    """The least b with count <= 2^b."""
+    return (max(count, 1) - 1).bit_length()
+
+
 def _check(
-    cap: int | None, m: int, vertex: int | None, has: Callable[[int], bool] | None
+    caps: _Caps, m: int, bits: int, vertex: int | None, has: Callable[[int], bool] | None
 ) -> None:
-    """Before a term is built: ``vertex`` must be one of its vertices, then m within ``cap``.
+    """Before a term is built: ``vertex`` must be one of its vertices, then m and the
+    vertex count, at most 2^``bits``, within ``caps``.
 
     ``has(v)`` says whether v >= 0 is one of the term's vertices.  It is
     None when the constructor will refuse its arguments, and then, when a
@@ -95,12 +114,15 @@ def _check(
             return
         if vertex < 0 or not has(vertex):
             raise UsageError(f"vertex index {vertex} out of range")
+    cap, records = caps
     if cap is not None and m > cap:
         raise SubsetLimitError(m, cap)
+    if records is not None and bits > records:
+        raise RecordLimitError(records)
 
 
 def _parse_expr(
-    tokens: list[str], cap: int | None, vertex: int | None = None
+    tokens: list[str], caps: _Caps, vertex: int | None = None
 ) -> SimplePolytope | SimplicialComplex:
     """The object of the first term of ``tokens``, which it consumes.
 
@@ -116,40 +138,41 @@ def _parse_expr(
         raise UsageError("empty expression")
     tok = tokens.pop(0)
     if tok == "(":
-        inner = _parse_expr(tokens, cap, vertex)
+        inner = _parse_expr(tokens, caps, vertex)
         if not tokens or tokens.pop(0) != ")":
             raise UsageError("unbalanced parentheses")
         return inner
     if tok == "simplex":
         n = _parse_int(tokens, "dimension for simplex")
-        _check(cap, n + 1, vertex, (lambda v: v <= n) if n >= 1 else None)
+        _check(caps, n + 1, _bits(n + 1), vertex, (lambda v: v <= n) if n >= 1 else None)
         return simplex_polytope(n)
     if tok == "polygon":
         n = _parse_int(tokens, "edge count for polygon")
-        _check(cap, n, vertex, (lambda v: v < n) if n >= 3 else None)
+        _check(caps, n, _bits(n), vertex, (lambda v: v < n) if n >= 3 else None)
         return polygon(n)
     if tok == "cube":
         n = 3
         if tokens and tokens[0].lstrip("-").isdigit():
             n = _parse_int(tokens, "dimension for cube")
         # v < 2^n, without building 2^n
-        _check(cap, 2 * n, vertex, (lambda v: v.bit_length() <= n) if n >= 1 else None)
+        _check(caps, 2 * n, max(n, 0), vertex, (lambda v: v.bit_length() <= n) if n >= 1 else None)
         return cube(n)
     if tok == "product":
-        left = _parse_expr(tokens, cap)
-        right = _parse_expr(tokens, cap)
+        left = _parse_expr(tokens, caps)
+        right = _parse_expr(tokens, caps)
         if not isinstance(left, SimplePolytope) or not isinstance(right, SimplePolytope):
             raise UsageError("product needs two polytopes")
         count = left.vertex_count * right.vertex_count
-        _check(cap, left.m + right.m, vertex, lambda v: v < count)
+        _check(caps, left.m + right.m, _bits(count), vertex, lambda v: v < count)
         return product(left, right)
     if tok == "cut-vertex":
-        base = _parse_expr(tokens, cap)
+        base = _parse_expr(tokens, caps)
         if not isinstance(base, SimplePolytope):
             raise UsageError("cut-vertex needs a polytope")
         v = _parse_int(tokens, "vertex index for cut-vertex")
         count = base.vertex_count - 1 + base.n
-        _check(cap, base.m + 1, vertex, (lambda w: w < count) if 0 <= v < base.vertex_count else None)
+        has = (lambda w: w < count) if 0 <= v < base.vertex_count else None
+        _check(caps, base.m + 1, _bits(count), vertex, has)
         return base.cut_vertex(v)
     if _looks_like_path(tok):
         return _load_object(tok)
@@ -166,9 +189,16 @@ def parse_expression(
     outermost one first raises ``UsageError`` if ``vertex`` is not one of
     its vertices, so that a bad index is reported before the cap.
     """
+    return _parse(parts, (max_vertices, None), vertex)
+
+
+def _parse(
+    parts: Sequence[str], caps: _Caps, vertex: int | None = None
+) -> SimplePolytope | SimplicialComplex:
+    """``parse_expression`` under ``caps``, whose second entry bounds the vertex count."""
     tokens = _tokenize(parts)
     try:
-        obj = _parse_expr(tokens, max_vertices, vertex)
+        obj = _parse_expr(tokens, caps, vertex)
     except RecursionError:
         raise UsageError("expression is nested too deeply") from None
     if tokens:
@@ -214,7 +244,8 @@ def _render(args, payload: dict, csv_rows: list[tuple], text_lines: list[str]) -
 
 
 def cmd_build(args) -> int:
-    obj = parse_expression(args.expr)
+    # build makes one record per vertex, so its budget is 2^E vertices, not m <= E
+    obj = _parse(args.expr, (None, args.max_subsets))
     if args.csv:
         raise UsageError("build has no csv form; the output is a JSON object")
     # the bare object, whatever the format flag: build output is build input
@@ -344,15 +375,10 @@ def cmd_verify_corpus(args) -> int:
 
 def cmd_isotopy_check(args) -> int:
     # numpy loads with this command only, not with the package
-    from .isotopy import endpoint_checks, f1_map, injectivity_probe, isotopy_map, standard_map
+    from .isotopy import isotopy_check
 
-    maps = [("standard", standard_map)]
-    maps += [(f"isotopy t={t}", isotopy_map(t)) for t in (0.0, 0.5, 1.0)]
-    if args.k == 1:
-        maps += [(f"f1 t={t}", f1_map(t)) for t in (0.0, 1.0)]
-    try:  # the probe checks k and the sample count before it draws
-        probes = injectivity_probe(maps, args.k, args.samples, args.seed)
-        endpoints = endpoint_checks(args.k, args.samples, args.seed)
+    try:  # the check tests k and the sample count before it draws
+        endpoints, probes = isotopy_check(args.k, args.samples, args.seed)
     except MemoryError:
         raise UsageError(f"{args.samples} samples of {args.k} angles do not fit in memory") from None
     passed = endpoints.passed and all(p.passed for p in probes)
@@ -386,7 +412,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         type=int,
         default=DEFAULT_MAX_VERTICES,
         metavar="E",
-        help="largest vertex count m to enumerate (2^m subsets)",
+        help="largest vertex count m to enumerate (2^m subsets); build makes at most 2^E vertices",
     )
     fmt = sub.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON output")
@@ -448,7 +474,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # looked up at each call, not kept in the cached parser, so that a
         # rebinding of the module's cmd_* functions is seen
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except SubsetLimitError as exc:
+    except (SubsetLimitError, RecordLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("hint: raise the cap with --max-subsets", file=sys.stderr)
         return 3

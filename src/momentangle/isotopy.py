@@ -10,7 +10,12 @@ In coordinates
     x_{k+1} = (1/2^{k-1}) cos a_k.
 
 The code runs the induction innermost circle first: a point y of the torus
-of the last angles gives the next torus out its nest 1 + y[0]/2.
+of the last angles gives the next torus out its nest 1 + y[0]/2, and each
+step out halves the inner coordinates once more.  x_{i+1} is halved i - 1
+times in a row, and a halving rounds only when its result is subnormal, so
+the halvings that keep all of a coordinate's values normal are folded into
+one scaling and only the rest are taken one at a time: the nest is linear
+in k and rounds as the step-by-step induction does.
 
 The isotopy F: T^k x [0,1] -> R^{k+2} replaces sin ak by t*sin ak inside
 every nest and appends
@@ -24,15 +29,32 @@ one-dimensional instance has the closed form
 
     F1(cos a, sin a, t) = (t sin a, cos a, (1-t) sin a + t |sin a|),
 
-which ``f1_map`` evaluates as written.  The maps read angles only through
-their sine and cosine tables: a check draws once per seed, takes each sine
-once and evaluates every map on the same tables.  Everything is double
-precision; identities are sampled with seeded RNG and checked to 1e-12, and
-injectivity is probed pairwise, not proved.
+which ``f1_map`` evaluates as written.
+
+The maps read angles only through their sine and cosine tables, and work on
+column buffers: a (k, N) table holds one angle per row, a (columns, N) point
+buffer one coordinate per row, so every step reads and writes contiguous
+memory.  The public maps take and return the (N, k) and (N, columns) arrays
+of one point per row.  A distance sums each point's squared entries the way
+numpy sums the rows of the C-ordered (N, columns) array: in sequence below 8
+entries, which column-by-column addition repeats bit for bit, and pairwise
+from 8 on, which only numpy's own reduction over such an array repeats.
+
+``isotopy_check`` draws once per seed: the far mask and both samples' tables
+come from one generator, each sine and cosine is taken once, and every map
+is evaluated once per table.  The endpoint deviations are read off the
+evaluations of the standard map and of t=1 and t=0 on the first table, each
+folded in as soon as its map is evaluated; only t=0 is evaluated once more,
+with the innermost column retaken.  Those fresh angles are the draws that
+follow the first sample, which are the second sample's leading values, so
+their sines and cosines are read off its tables.
+Everything is double precision; identities are sampled with seeded RNG and
+checked to 1e-12, and injectivity is probed pairwise, not proved.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
@@ -41,8 +63,10 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 _DELTA_IN, _DELTA_OUT, _TOLERANCE = 1e-2, 1e-6, 1e-12  # see injectivity_probe, EndpointReport
+_BLOCK = 1 << 16  # entries per C-ordered block that _row_sums copies for numpy to sum
 
 TableMap = Callable[[np.ndarray, np.ndarray], np.ndarray]  # (N, k) sines, cosines -> points
+ColumnMap = Callable[[np.ndarray, np.ndarray], np.ndarray]  # (k, N) tables -> (columns, N)
 
 
 def _check_dimension(k: int) -> None:
@@ -62,49 +86,118 @@ def _tables(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sin(angles), np.cos(angles)
 
 
+def _flip(a: np.ndarray) -> np.ndarray:
+    """The C-ordered transpose: (N, k) rows to a (k, N) column buffer, and back."""
+    return np.ascontiguousarray(a.T)
+
+
+def _row_sums(columns: np.ndarray) -> np.ndarray:
+    """Each point's sum over a (columns, N) buffer, rounded as numpy rounds the row sums of
+    the C-ordered (N, columns) array.
+
+    numpy adds up a row of fewer than 8 entries in sequence, as adding column
+    after column does here; longer rows it sums pairwise, so those go to
+    numpy's own reduction, copied to C order about ``_BLOCK`` entries at a time.
+    """
+    width, n = columns.shape
+    if width < 8:
+        total = columns[0].copy()
+        for column in columns[1:]:
+            total += column
+        return total
+    total = np.empty(n)
+    step = max(1, _BLOCK // width)
+    for start in range(0, n, step):
+        block = _flip(columns[:, start : start + step])
+        np.add.reduce(block, axis=1, out=total[start : start + step])
+    return total
+
+
+def _halve(column: np.ndarray, times: int, scratch: np.ndarray) -> None:
+    """Halve ``column`` in place ``times`` times over, bit for bit as one halving after another.
+
+    A halving is exact while its result is normal, so the halvings that keep
+    the smallest magnitude at or above 2^-1022 are one scaling; only the rest
+    can round, and they are taken one at a time.  A zero or NaN entry makes
+    the check give up and every halving is taken.  ``scratch`` is overwritten.
+    """
+    if times > 1:
+        smallest = np.abs(column, out=scratch).min(initial=math.inf)
+        if 0.0 < smallest < math.inf:
+            exact = min(times, max(0, math.frexp(smallest)[1] + 1021))
+            column *= math.ldexp(1.0, -exact)
+            times -= exact
+    for _ in range(times):
+        column *= 0.5
+
+
 def _nested_tube(sins, coss, inner_sin: np.ndarray, extra: int = 0) -> np.ndarray:
-    """Torus points of the (N, k) tables, innermost circle (``inner_sin``, last cosine), in
-    k+1 of k+1+``extra`` columns; each step out halves the inner coordinates once more."""
-    n, k = sins.shape
-    out = np.empty((n, k + 1 + extra))
-    out[:, k - 1] = inner_sin
-    out[:, k] = coss[:, k - 1]
+    """Torus points of the (k, N) tables, innermost circle (``inner_sin``, last cosine), in
+    k+1 of k+1+``extra`` rows; x_{j+1} is halved j - 1 times, once per step out."""
+    k, n = sins.shape
+    out = np.empty((k + 1 + extra, n))
+    inner, nest = np.array(inner_sin), np.empty(n)
+    out[k] = coss[k - 1]
+    _halve(out[k], k - 1, nest)
     for i in range(k - 2, -1, -1):
-        nest = 1.0 + 0.5 * out[:, i + 1]
-        out[:, i + 2 : k + 1] *= 0.5
-        out[:, i] = sins[:, i] * nest
-        out[:, i + 1] = coss[:, i] * nest
+        np.multiply(inner, 0.5, out=nest)
+        nest += 1.0
+        np.multiply(coss[i], nest, out=out[i + 1])
+        np.multiply(sins[i], nest, out=inner)
+        _halve(out[i + 1], i, nest)
+    out[0] = inner
     return out
 
 
-def standard_map(sins: np.ndarray, coss: np.ndarray) -> np.ndarray:
-    """Standard torus points from (N, k) sine and cosine tables; (N, k+1)."""
-    return _nested_tube(sins, coss, sins[:, -1])
+def _standard(sins: np.ndarray, coss: np.ndarray) -> np.ndarray:
+    return _nested_tube(sins, coss, sins[-1])
 
 
-def isotopy_map(t: float) -> TableMap:
-    """F(., t) on (N, k) sine and cosine tables; points are (N, k+2)."""
+def _deformed(t: float) -> ColumnMap:
     _check_parameter(t)
 
     def deformed(sins: np.ndarray, coss: np.ndarray) -> np.ndarray:
-        k = sins.shape[1]
-        inner = sins[:, k - 1]
+        k = len(sins)
+        inner = sins[k - 1]
         out = _nested_tube(sins, coss, inner * t, extra=1)
-        out[:, k + 1] = ((1.0 - t) * inner + t * np.abs(inner)) / 2 ** (k - 1)
+        out[k + 1] = ((1.0 - t) * inner + t * np.abs(inner)) / 2 ** (k - 1)
         return out
 
     return deformed
 
 
-def f1_map(t: float) -> TableMap:
-    """The closed form F1(., t) on (N, 1) sine and cosine tables; (N, 3)."""
+def _f1(t: float) -> ColumnMap:
     _check_parameter(t)
 
     def f1(sins: np.ndarray, coss: np.ndarray) -> np.ndarray:
-        s, c = sins[:, 0], coss[:, 0]
-        return np.stack([t * s, c, (1.0 - t) * s + t * np.abs(s)], axis=1)
+        s, c = sins[0], coss[0]
+        return np.stack([t * s, c, (1.0 - t) * s + t * np.abs(s)])
 
     return f1
+
+
+def _on_rows(column_map: ColumnMap) -> TableMap:
+    """``column_map`` on (N, k) tables, giving C-ordered (N, columns) points."""
+
+    def on_rows(sins: np.ndarray, coss: np.ndarray) -> np.ndarray:
+        return _flip(column_map(sins.T, coss.T))
+
+    return on_rows
+
+
+def standard_map(sins: np.ndarray, coss: np.ndarray) -> np.ndarray:
+    """Standard torus points from (N, k) sine and cosine tables; (N, k+1)."""
+    return _flip(_standard(sins.T, coss.T))
+
+
+def isotopy_map(t: float) -> TableMap:
+    """F(., t) on (N, k) sine and cosine tables; points are (N, k+2)."""
+    return _on_rows(_deformed(t))
+
+
+def f1_map(t: float) -> TableMap:
+    """The closed form F1(., t) on (N, 1) sine and cosine tables; (N, 3)."""
+    return _on_rows(_f1(t))
 
 
 def _angle_grid(k: int, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,27 +205,34 @@ def _angle_grid(k: int, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.atleast_2d(np.asarray(angles, dtype=float))
     if a.shape[1] != k:
         raise ValueError(f"expected {k} angles per point, got shape {a.shape}")
-    return _tables(a)
+    return _tables(_flip(a))
 
 
 def standard_torus_batch(k: int, angles: np.ndarray) -> np.ndarray:
     """Standard torus points for an (N, k) array of angles; returns (N, k+1)."""
-    return standard_map(*_angle_grid(k, angles))
+    return _flip(_standard(*_angle_grid(k, angles)))
 
 
 def isotopy_batch(k: int, angles: np.ndarray, t: float) -> np.ndarray:
     """Deformed torus points for an (N, k) array of angles; returns (N, k+2)."""
-    return isotopy_map(t)(*_angle_grid(k, angles))
+    return _flip(_deformed(t)(*_angle_grid(k, angles)))
 
 
 # -- probe harness ---------------------------------------------------------
 
 
+def _flat_distance(delta: np.ndarray) -> np.ndarray:
+    """Flat-torus lengths of the (k, N) float angle differences ``delta``, which it overwrites."""
+    np.abs(delta, out=delta)
+    np.fmod(delta, TWO_PI, out=delta)  # numpy's % on nonnegative values, at a third of its cost
+    np.minimum(delta, TWO_PI - delta, out=delta)
+    delta *= delta
+    return np.sqrt(_row_sums(delta))
+
+
 def circle_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Flat-torus distance between angle tuples, rows of (N, k) arrays."""
-    delta = np.abs(np.asarray(a) - np.asarray(b)) % TWO_PI
-    delta = np.minimum(delta, TWO_PI - delta)
-    return np.sqrt((delta**2).sum(axis=1))
+    return _flat_distance((np.asarray(a) - np.asarray(b)).astype(float, copy=False).T)
 
 
 @dataclass(frozen=True)
@@ -157,6 +257,32 @@ class InjectivityReport:
         return {**asdict(self), "min_separation": separation, "passed": self.passed}
 
 
+def _pair(k: int, samples: int, seed: int):
+    """One seeded draw of angle pairs: the far mask and each side's (k, N) sine and cosine tables.
+
+    A pair is far when its flat-torus angle distance exceeds ``_DELTA_IN``.
+    """
+    _check_dimension(k)
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
+    rng = np.random.default_rng(seed)
+    a = _flip(rng.uniform(0.0, TWO_PI, size=(samples, k)))
+    b = _flip(rng.uniform(0.0, TWO_PI, size=(samples, k)))
+    far = _flat_distance(a - b) > _DELTA_IN
+    tables_a = _tables(a)
+    del a  # so that no more than five (k, N) arrays are live at once: b and four tables
+    tables_b = _tables(b)
+    del b
+    return far, tables_a, tables_b
+
+
+def _report(label: str, k: int, samples: int, seed: int, far: np.ndarray,
+            image_dist: np.ndarray) -> InjectivityReport:
+    violations = int(np.count_nonzero(far & (image_dist < _DELTA_OUT)))
+    min_sep = float(image_dist[far].min()) if far.any() else float("inf")
+    return InjectivityReport(label, k, samples, seed, _DELTA_IN, _DELTA_OUT, violations, min_sep)
+
+
 def injectivity_probe(
     maps: Sequence[tuple[str, TableMap]], k: int, samples: int, seed: int
 ) -> list[InjectivityReport]:
@@ -165,24 +291,13 @@ def injectivity_probe(
     A pair violates injectivity evidence when its flat-torus angle distance
     exceeds ``_DELTA_IN`` while the image distance falls below ``_DELTA_OUT``.
     """
-    _check_dimension(k)
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(0.0, TWO_PI, size=(samples, k))
-    b = rng.uniform(0.0, TWO_PI, size=(samples, k))
-    far = circle_distance(a, b) > _DELTA_IN
-    tables_a = _tables(a)
-    del a  # so that no more than five (N, k) arrays are live at once
-    tables_b = _tables(b)
-    del b
+    far, (sins_a, coss_a), (sins_b, coss_b) = _pair(k, samples, seed)
     reports = []
     for label, point_map in maps:
-        image_dist = np.linalg.norm(point_map(*tables_a) - point_map(*tables_b), axis=1)
-        violations = int(np.count_nonzero(far & (image_dist < _DELTA_OUT)))
-        min_sep = float(image_dist[far].min()) if far.any() else float("inf")
-        reports.append(InjectivityReport(label, k, samples, seed, _DELTA_IN, _DELTA_OUT,
-                                         violations, min_sep))
+        # the maps take (N, k) tables; the transposes are views of the columns
+        images = point_map(sins_a.T, coss_a.T) - point_map(sins_b.T, coss_b.T)
+        image_dist = np.linalg.norm(images, axis=1)
+        reports.append(_report(label, k, samples, seed, far, image_dist))
     return reports
 
 
@@ -214,6 +329,43 @@ class EndpointReport:
         return {**asdict(self), "passed": self.passed}
 
 
+def _max_deviation(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> float:
+    """max |x - y|, worked out in ``out``, which is x or y."""
+    np.subtract(x, y, out=out)
+    return float(np.abs(out, out=out).max())
+
+
+def _endpoints(k: int, samples: int, seed: int, sins: np.ndarray, coss: np.ndarray,
+               retaken: tuple[np.ndarray, np.ndarray],
+               seen: Callable[[str, ColumnMap, np.ndarray], None]) -> EndpointReport:
+    """The endpoint deviations on (k, N) tables whose innermost column becomes ``retaken``.
+
+    The standard map, t=1 and t=0 are evaluated once each, and each
+    deviation is folded in as soon as its map is; ``seen(label, map,
+    points)`` is handed each evaluation before it is dropped.  Only t=0 is
+    evaluated again, on the tables with the innermost column retaken.
+    """
+    at_one_map = _deformed(1.0)
+    at_one = at_one_map(sins, coss)
+    seen("isotopy t=1.0", at_one_map, at_one)
+    standard = _standard(sins, coss)
+    dev_standard = _max_deviation(at_one[: k + 1], standard, at_one[: k + 1])
+    del at_one
+    seen("standard", _standard, standard)
+    del standard
+
+    at_zero_map = _deformed(0.0)
+    at_zero = at_zero_map(sins, coss)
+    circle = at_zero[k:]
+    dev_radius = float(np.abs(np.sqrt(_row_sums(circle * circle)) - 0.5 ** (k - 1)).max())
+    seen("isotopy t=0.0", at_zero_map, at_zero)
+
+    sins[k - 1], coss[k - 1] = retaken
+    moved = at_zero_map(sins, coss)[:k]
+    dev_base = _max_deviation(moved, at_zero[:k], moved)
+    return EndpointReport(k, samples, seed, _TOLERANCE, dev_standard, dev_radius, dev_base)
+
+
 def endpoint_checks(k: int, samples: int, seed: int) -> EndpointReport:
     """Check both endpoint identities of the isotopy on seeded random charts.
 
@@ -227,17 +379,40 @@ def endpoint_checks(k: int, samples: int, seed: int) -> EndpointReport:
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
     rng = np.random.default_rng(seed)
-    sins, coss = _tables(rng.uniform(0.0, TWO_PI, size=(samples, k)))
+    sins, coss = _tables(_flip(rng.uniform(0.0, TWO_PI, size=(samples, k))))
+    retaken = _tables(rng.uniform(0.0, TWO_PI, size=samples))
+    return _endpoints(k, samples, seed, sins, coss, retaken, lambda *evaluation: None)
 
-    at_one = isotopy_map(1.0)(sins, coss)
-    dev_standard = np.abs(at_one[:, : k + 1] - standard_map(sins, coss)).max()
 
-    at_zero = isotopy_map(0.0)(sins, coss)
-    radius = np.linalg.norm(at_zero[:, k:], axis=1)
-    dev_radius = np.abs(radius - 0.5 ** (k - 1)).max()
+def isotopy_check(k: int, samples: int, seed: int
+                  ) -> tuple[EndpointReport, list[InjectivityReport]]:
+    """``endpoint_checks`` and the probes of isotopy-check's labelled maps, from one draw.
 
-    sins[:, k - 1], coss[:, k - 1] = _tables(rng.uniform(0.0, TWO_PI, size=samples))
-    dev_base = np.abs(isotopy_map(0.0)(sins, coss)[:, :k] - at_zero[:, :k]).max()
+    The maps are the standard torus, the isotopy at t = 0, 0.5 and 1, and at
+    k = 1 the closed form F1 at t = 0 and 1; the reports come in that order.
+    Each map is evaluated once on each sample's tables, and the endpoint
+    deviations are read off the evaluations on the first, as
+    ``endpoint_checks`` would find them.  Beside the four tables no more than
+    two evaluations are live at once, as in ``injectivity_probe``.
+    """
+    far, (sins, coss), (sins_b, coss_b) = _pair(k, samples, seed)
+    probes = {}
 
-    return EndpointReport(k, samples, seed, _TOLERANCE, float(dev_standard), float(dev_radius),
-                          float(dev_base))
+    def probe(label: str, column_map: ColumnMap, image_a: np.ndarray) -> None:
+        image_b = column_map(sins_b, coss_b)
+        np.subtract(image_a, image_b, out=image_b)
+        image_b *= image_b
+        probes[label] = _report(label, k, samples, seed, far, np.sqrt(_row_sums(image_b)))
+
+    maps = [("isotopy t=0.5", _deformed(0.5))]
+    if k == 1:
+        maps += [(f"f1 t={t}", _f1(t)) for t in (0.0, 1.0)]
+    for label, column_map in maps:
+        probe(label, column_map, column_map(sins, coss))
+    # the endpoint check draws its fresh innermost angles right after the first
+    # sample: they are the second sample's leading values, in its row order
+    rows = -(-samples // k)
+    retaken = tuple(t.T[:rows].reshape(-1)[:samples] for t in (sins_b, coss_b))
+    endpoints = _endpoints(k, samples, seed, sins, coss, retaken, probe)
+    order = ["standard", "isotopy t=0.0", "isotopy t=0.5", "isotopy t=1.0", "f1 t=0.0", "f1 t=1.0"]
+    return endpoints, [probes[label] for label in order if label in probes]

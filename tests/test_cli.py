@@ -243,8 +243,82 @@ class TestIsotopyCheck:
         assert (code, out) == (2, "")
         assert err == "error: 10000 samples of 3 angles do not fit in memory\n"
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_one_generator_per_call(self, capsys, monkeypatch, k):
+        # the probes and the endpoint check share one draw: the endpoint
+        # check's fresh innermost angles are read off the probe's second sample
+        import numpy
+
+        made = []
+        default_rng = numpy.random.default_rng
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(numpy.random, "default_rng", counting)
+        code, _, _ = run(capsys, "isotopy-check", str(k), "1000", "42")
+        assert (code, made) == (0, [(42,)])
+
+    @pytest.mark.parametrize(
+        "k, digest",
+        [
+            (1, "5b8beb7715469ffc18261e8d708ebe6e0e83cfe6307aa85b50226bb6415fc25e"),
+            (2, "30efa0a1ccc0a90575f99ddcdd909824ba7920bf5bc3428c3414db82fabd8da3"),
+            (3, "55ad2f8759ad117649aae99997e2bb7d072fffc91e7bbf2ef54390310782a201"),
+        ],
+    )
+    def test_json_bytes_are_pinned(self, capsys, k, digest):
+        # the reports of 10000 samples at seed 42, as first recorded, before
+        # the probes and the endpoint check shared their draw and evaluations
+        code, out, err = run(capsys, "isotopy-check", str(k), "10000", "42", "--json")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestErrorsAndLimits:
+    def test_build_refuses_vertex_records_over_the_budget(self, capsys, monkeypatch):
+        # build makes one record per vertex; cube 40 has 2^40 of them and ran
+        # until killed, so it is refused before cube() runs
+        def refuse(*args):
+            raise AssertionError("a cube over the budget was built")
+
+        monkeypatch.setattr(cli_module, "cube", refuse)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "build", "cube", "40")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: polytope has more than 2^{DEFAULT_MAX_VERTICES} vertices: building "
+            "a record for each exceeds the limit; raise the max-subsets exponent to proceed\n"
+            "hint: raise the cap with --max-subsets\n"
+        )
+
+    @pytest.mark.parametrize(
+        "expr, budget, code",
+        [
+            (["polygon", "23"], None, 0),
+            (["cube", "5"], "5", 0),
+            (["cube", "6"], "5", 3),
+            (["simplex", "31"], "5", 0),
+            (["simplex", "32"], "5", 3),
+            (["product", "polygon", "4", "polygon", "8"], "5", 0),
+            (["product", "polygon", "4", "polygon", "9"], "5", 3),
+            (["cut-vertex", "(", "polygon", "31", ")", "0"], "5", 0),
+            (["cut-vertex", "(", "polygon", "32", ")", "0"], "5", 3),
+        ],
+    )
+    def test_build_budget_is_two_to_the_cap_vertices(self, capsys, expr, budget, code):
+        # polygon 23 has m = 23 > 22 facets but 23 vertices, so build keeps
+        # making it; the budget bounds the vertex count, 2^E, not m
+        flags = [] if budget is None else ["--max-subsets", budget]
+        got, out, err = run(capsys, "build", *expr, *flags)
+        assert got == code
+        if code == 0:
+            assert json.loads(out) == parse_expression(expr).to_json_dict()
+        else:
+            assert (out, err.splitlines()[-1]) == ("", "hint: raise the cap with --max-subsets")
+
     def test_unknown_constructor(self, capsys):
         code, _, err = run(capsys, "betti", "frobnicate")
         assert code == 2
@@ -688,6 +762,12 @@ HOSTILE = {
         None,
         3,
         "complex has 200000 vertices",
+    ),
+    "build over the vertex budget": (
+        ["build", "cube", "40"],
+        None,
+        3,
+        "more than 2^22 vertices",
     ),
     "huge vertex count": (
         ["betti", "FILE"],

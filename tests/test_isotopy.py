@@ -4,6 +4,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from momentangle import isotopy
 from momentangle.isotopy import (
     InjectivityReport,
     circle_distance,
@@ -11,6 +12,7 @@ from momentangle.isotopy import (
     f1_map,
     injectivity_probe,
     isotopy_batch,
+    isotopy_check,
     isotopy_map,
     standard_map,
     standard_torus_batch,
@@ -55,6 +57,26 @@ def closed_form_isotopy(angles, t):
         out.append(math.cos(angles[i - 1]) * nests[i] / 2 ** (i - 1))
     out.append(((1.0 - t) * true_last + t * abs(true_last)) / 2 ** (k - 1))
     return np.array(out)
+
+
+def stepwise_tube(sins, coss, inner_sin):
+    """The first k+1 coordinates on (N, k) tables as the induction states them: each
+    step out halves every inner coordinate once more, so x_{i+1} is halved i - 1 times."""
+    n, k = sins.shape
+    out = np.empty((n, k + 1))
+    out[:, k - 1] = inner_sin
+    out[:, k] = coss[:, k - 1]
+    for i in range(k - 2, -1, -1):
+        nest = 1.0 + 0.5 * out[:, i + 1]
+        out[:, i + 2 :] *= 0.5
+        out[:, i] = sins[:, i] * nest
+        out[:, i + 1] = coss[:, i] * nest
+    return out
+
+
+def bits(x):
+    """The bit patterns of a float array, so that -0.0, 0.0 and each NaN differ."""
+    return np.ascontiguousarray(x).view(np.uint64).tolist()
 
 
 class TestStandardTorus:
@@ -112,6 +134,37 @@ class TestStandardTorus:
                 want *= 0.5
             assert point[-1] == want
         assert np.isfinite(isotopy_batch(k, angles, 0.5)).all()
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 6, 40, 70])
+    def test_nest_rounds_as_one_halving_after_another(self, k):
+        # tables reaching the subnormal range, with a zero, an infinity and a
+        # NaN: where no entry of a coordinate can go subnormal its halvings
+        # are one scaling, and the bits must be those of halving once per level
+        rng = np.random.default_rng(k)
+        n = 400
+        sins = rng.uniform(-1.0, 1.0, size=(n, k))
+        sins[rng.random((n, k)) < 0.01] = -1.0
+        # each cosine column at its own scale, some near the subnormal range
+        coss = rng.uniform(-1.0, 1.0, size=(n, k)) * 2.0 ** -rng.integers(0, 1060, size=k)
+        coss[5, rng.integers(k)] = 0.0
+        coss[6, rng.integers(k)] = -0.0
+        coss[7, rng.integers(k)] = np.inf
+        coss[8, rng.integers(k)] = np.nan
+        coss[9, rng.integers(k)] = 2.0**-1074
+        for t, point_map in [(None, standard_map), (0.5, isotopy_map(0.5))]:
+            inner = sins[:, -1] if t is None else sins[:, -1] * t
+            want = stepwise_tube(sins, coss, inner)
+            got = point_map(sins, coss)[:, : k + 1]
+            assert bits(got) == bits(want)
+
+    def test_maps_return_rows(self):
+        # the points come back C-ordered, as before the maps worked on
+        # columns, so a row reduction over them rounds as it did
+        a = np.random.default_rng(1).uniform(0.0, TWO_PI, size=(50, 9))
+        s, c = np.sin(a), np.cos(a)
+        for got in (standard_map(s, c), isotopy_map(0.5)(s, c), f1_map(0.5)(s[:, :1], c[:, :1]),
+                    standard_torus_batch(9, a), isotopy_batch(9, a, 0.5)):
+            assert got.flags.c_contiguous
 
     def test_shape_and_range_errors(self):
         with pytest.raises(ValueError, match=">= 1"):
@@ -255,7 +308,7 @@ def cli_maps(k):
 class TestSharedSample:
     @pytest.mark.parametrize("samples", [2, 3, 1000])
     @pytest.mark.parametrize("seed", [0, 7, 42])
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 9])
     def test_probe_matches_one_draw_per_map(self, k, seed, samples):
         tables, angles = cli_maps(k)
         got = injectivity_probe(tables, k, samples, seed)
@@ -266,10 +319,57 @@ class TestSharedSample:
 
     @pytest.mark.parametrize("samples", [1, 2, 3, 1000])
     @pytest.mark.parametrize("seed", [0, 7, 42])
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 9])
     def test_endpoints_match_one_batch_per_map(self, k, seed, samples):
         report = endpoint_checks(k, samples, seed)
         assert astuple(report) == endpoint_oracle(k, samples, seed)
+
+    @pytest.mark.parametrize("samples", [2, 3, 5, 1000])
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 9])
+    def test_one_check_matches_a_draw_and_a_batch_per_map(self, k, seed, samples):
+        # isotopy_check evaluates each map once per table and reads the
+        # endpoints off the probe's evaluations; the oracles draw afresh for
+        # every map and evaluate the angle batches on their own.  k = 5, 6, 7
+        # and 9 give maps of 7 to 11 coordinates and flat-torus distances of 5
+        # to 9, both sides of numpy's 8-entry pairwise rule
+        endpoints, probes = isotopy_check(k, samples, seed)
+        _, angles = cli_maps(k)
+        assert probes == [probe_oracle(f, k, samples, seed, label) for label, f in angles]
+        assert astuple(endpoints) == endpoint_oracle(k, samples, seed)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 9])
+    def test_the_base_check_retakes_the_endpoint_checks_angles(self, monkeypatch, k):
+        # the base coordinates of a sound t=0 map ignore the innermost angle,
+        # so the retaken angles leave no trace in the report; a map that leaks
+        # the angle into them shows that the one-draw check retakes the angles
+        # endpoint_checks draws afresh
+        deformed = isotopy._deformed
+
+        def leaky(t):
+            point_map = deformed(t)
+
+            def leak(sins, coss):
+                points = point_map(sins, coss)
+                points[0] += sins[-1]
+                return points
+
+            return leak
+
+        monkeypatch.setattr(isotopy, "_deformed", leaky)
+        endpoints, _ = isotopy_check(k, 1000, 42)
+        assert endpoints == endpoint_checks(k, 1000, 42)
+        assert endpoints.max_base_deviation > 1.0
+
+    def test_circle_distance_rounds_as_a_row_sum(self):
+        # column by column below 8 angles, numpy's pairwise row sum from 8 on
+        rng = np.random.default_rng(43)
+        for k in range(1, 13):
+            a = rng.uniform(-40.0, 40.0, size=(500, k))
+            b = rng.uniform(-40.0, 40.0, size=(500, k))
+            delta = np.abs(a - b) % TWO_PI
+            delta = np.minimum(delta, TWO_PI - delta)
+            assert bits(circle_distance(a, b)) == bits(np.sqrt((delta**2).sum(axis=1)))
 
     def test_f1_is_the_k_one_isotopy_bit_for_bit(self):
         a = np.random.default_rng(41).uniform(0.0, TWO_PI, size=(100_000, 1))
