@@ -21,7 +21,11 @@ are all read from it.  The sphere certificate's calls and listings are
 recorded apart and not reported.  A factor that is the boundary of a
 simplex is summed in closed form, with no listing and no walk: it is left
 out of the counts and of "visited", and its vertex count is listed under
-"simplex_boundaries".  Each checkout counts with its own copy of this
+"simplex_boundaries".  A certified sphere of dimension 1, 2 or 3 is
+summed from its f-vector and the connected sets of its 1-skeleton, with
+no walk: it is left out of the counts and of "visited" too, and its
+vertex count and dimension are listed under "summed", as [m, d] pairs,
+beside the walked factors' "factor_m" and "sphere_dim".  Each checkout counts with its own copy of this
 script; where a checkout's counter refuses an input, its counts are
 ``null``.  A K_J settle is a graph ("graph") or an elimination
 ("eliminated") after a listing of K_J, and "computed" is their sum.  A
@@ -78,6 +82,11 @@ FILES = {
         "from complexes import cyclic_4_polytope_boundary; "
         "print(cyclic_4_polytope_boundary(18).to_json())",
     ),
+    "cyclic-4-polytope-20": (
+        "the boundary of the cyclic polytope C(20, 4), as JSON",
+        "from complexes import cyclic_4_polytope_boundary; "
+        "print(cyclic_4_polytope_boundary(20).to_json())",
+    ),
     "polygon-12-relabelled": (
         "the polygon-12 dual relabelled as perfbench's sphere-wide input at seed 1, as JSON",
         "import random; from momentangle.polytopes import polygon; "
@@ -106,9 +115,13 @@ def inputs(tmp: Path) -> dict[str, list[str]]:
         "dense-sphere-22": dense(10),
         "rp2-4-sphere": [str(files["rp2-4-sphere"])],
         "cyclic-4-polytope-18": [str(files["cyclic-4-polytope-18"])],
+        "cyclic-4-polytope-20": [str(files["cyclic-4-polytope-20"])],
         # a 3-sphere on 13 vertices whose subsets mostly need elimination
         # in the given numbering
         "simplex-4-cut-8": cut(["simplex", "4"], 8),
+        "simplex-4-cut-16": cut(["simplex", "4"], 16),
+        # a 2-sphere on 22 vertices, at the cap
+        "cube-3-cut-16": cut(["cube", "3"], 16),
         # joins: eleven S^0 factors; a pooled 18-vertex factor and a
         # triangle, which has no missing edge; a pentagon and two ∂Δ^3,
         # whose vertices have no missing edge and are split by the product
@@ -167,6 +180,7 @@ def routes(expr: list[str]) -> dict:
     counts["m"] = sum(len(bits) for bits, _ in trace.factors)
     counts["factor_m"] = [faces.vertex_count for faces, _ in walks]
     counts["simplex_boundaries"] = [len(bits) for bits, faces in trace.factors if faces is None]
+    counts["summed"] = [[faces.vertex_count, dim] for faces, dim in trace.summed]
     counts["faces"] = sum(len(faces.ext) - 1 for faces, _ in walks)
     counts["sphere_dim"] = [dim for _, dim in walks]
     counts["memo_entries"] = [entries[faces] for faces, _ in walks]

@@ -25,6 +25,7 @@ import functools
 import json
 import os
 import sys
+from math import comb
 from typing import Callable, Sequence
 
 from .moment_angle import (
@@ -73,10 +74,33 @@ def _looks_like_path(token: str) -> bool:
     return token.endswith(".json") or "/" in token or os.path.exists(token)
 
 
-def _load_object(path: str) -> SimplePolytope | SimplicialComplex:
+def _load_object(path: str, budget: int | None) -> SimplePolytope | SimplicialComplex:
+    """The polytope or complex in the JSON file ``path``, of at most ``budget`` bytes.
+
+    The file is read in chunks, and refused as soon as its first byte
+    past any whitespace is not ``{`` or it grows past the budget, so an
+    endless stream such as /dev/zero is never held whole.
+    """
+    raw = bytearray()
+    blank = True  # no byte but whitespace read yet
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 16):
+                if blank and (head := chunk.lstrip()):
+                    if head[:1] != b"{":
+                        raise UsageError(
+                            f"{path}: not a JSON object: the first byte past any "
+                            "whitespace must be '{'"
+                        )
+                    blank = False
+                raw += chunk
+                if budget is not None and len(raw) > budget:
+                    raise UsageError(
+                        f"{path}: more than {budget} bytes, the most that a complex or "
+                        "polytope within the subset cap takes; raise the max-subsets "
+                        "exponent to proceed"
+                    )
+        data = json.loads(raw.decode("utf-8"))
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -92,6 +116,18 @@ def _load_object(path: str) -> SimplePolytope | SimplicialComplex:
 
 
 _Caps = tuple[int | None, int | None]  # (facet count m, log2 of the vertex count)
+
+
+def _byte_budget(caps: _Caps) -> int | None:
+    """The most bytes read from a file under ``caps`` whose bound is E, None with no bound.
+
+    Within the cap, a complex has at most E vertices, hence at most
+    binom(E, E // 2) maximal faces (Sperner), and a polytope with at most
+    E facets as many vertex records, each of at most E numbers; ``build``
+    writes a number in at most 16 bytes.  Never less than 1 MiB.
+    """
+    bound = caps[0] if caps[0] is not None else caps[1]
+    return None if bound is None else max(1 << 20, 16 * bound * comb(bound, bound // 2))
 
 
 def _bits(count: int) -> int:
@@ -175,7 +211,7 @@ def _parse_expr(
         _check(caps, base.m + 1, _bits(count), vertex, has)
         return base.cut_vertex(v)
     if _looks_like_path(tok):
-        return _load_object(tok)
+        return _load_object(tok, _byte_budget(caps))
     raise UsageError(f"unknown constructor {tok!r}")
 
 

@@ -87,6 +87,19 @@ of K_P passes, takes each factor of each cut's dual to be a sphere of
 its own dimension (the proof is in
 ``surgery._verify_cuts``).  Every other complex gets all 2^m subsets.
 
+A sphere of dimension d ≤ 3 is not walked at all (``_sphere_table``).
+For 0 < |J| < m duality leaves K_J free homology, H~_0 of rank c(J) - 1
+and H~_{d-1} of rank c(V - J) - 1, c counting the components of J in the
+1-skeleton, and the Euler characteristic fixes the one rank between
+(Bjorner and Tancer, *Discrete Comput. Geom.* 42, 2009).  The table only
+needs sums over |J| = s: that of χ̃(K_J) is a closed form in the f-vector,
+and that of c(J) counts each connected vertex set S once, as a component
+of each of the binom(m - |S| - |N(S)|, s - |S|) sets J that hold S and
+miss N(S), its neighbours outside it.  A circle needs no connected set,
+a 2-sphere those of at most m/2 vertices, and a 3-sphere those of at
+most m - 1.  No link is listed and no K_J is settled, and this runs in
+the calling process whatever the worker count.
+
 Before any of that, K is split into its finest join factorisation
 K = K_{A_1} * ... * K_{A_r} by one test on the maximal faces as bitmasks:
 A splits off when the facets number |{F ∩ A}| |{F - A}|, and then the
@@ -127,7 +140,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from math import gcd
+from math import comb, gcd
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping
 
@@ -328,6 +341,84 @@ def _mirror(half: Counter, m: int, d: int) -> Counter:
     return table
 
 
+def _sphere_table(faces: _Faces, d: int) -> Counter | None:
+    """The table of a Z-homology d-sphere, 0 < d ≤ 3, with no walk; None for any other d.
+
+    For 0 < |J| = s < m every H~_i(K_J) is free, H~_0 of rank c(J) - 1,
+    c counting the components of J in the 1-skeleton, and H~_{d-1} of
+    rank c(V - J) - 1 for d > 1, by Alexander duality; their alternating
+    sum is χ̃(K_J), and over |J| = s it sums to euler[s], the sum over the
+    faces f of (-1)^(|f|-1) binom(m - |f|, s - |f|).  So the table needs
+    the sums of c over |J| = s (``_component_sums``) and the f-vector.  For
+    d = 1 no component is counted, a proper K_J being a forest with
+    c(J) - 1 = χ̃(K_J); for d = 2, c(J) - c(V - J) = χ̃(K_J), so the sums
+    up to m/2 give the rest; d = 3 counts them up to m - 1.
+    """
+    if not 0 < d <= 3:
+        return None
+    m = faces.vertex_count
+    f = [0] * (d + 2)  # f[k]: the faces of k vertices, the empty one included
+    for face in faces.ext:
+        f[face.bit_count()] += 1
+    euler = [0] * (m + 1)
+    for k, n in enumerate(f):  # a face of k vertices adds (-1)^(k-1) to each J around it
+        for s in range(k, m + 1):
+            euler[s] += (-1) ** (k + 1) * n * comb(m - k, s - k)
+    if d == 1:
+        count = [euler[s] + comb(m, s) for s in range(m + 1)]
+    else:
+        count = _component_sums(faces, m // 2 if d == 2 else m - 1)
+        if d == 2:  # c(J) - c(V - J) = χ̃(K_J)
+            count += [count[m - s] - euler[m - s] for s in range(len(count), m)]
+    table = Counter({(0, 0, 0): 1, (m, m + d + 1, 0): 1})
+    for s in range(1, m):
+        subsets = comb(m, s)
+        low, high = count[s] - subsets, count[m - s] - subsets  # H~_0 and H~_{d-1}
+        ranks = (low,) if d == 1 else (low, high) if d == 2 else (low, low + high - euler[s], high)
+        for q, r in enumerate(ranks):
+            if r:
+                table[(s, s + 1 + q, 0)] = r
+    return table
+
+
+def _component_sums(faces: _Faces, most: int) -> list[int]:
+    """count[s], the components of K_J summed over |J| = s, for s ≤ ``most``; no ghost vertex.
+
+    S is a component of K_J exactly when S is connected, S ⊆ J and J
+    misses N(S), S's neighbours outside S, so count[s] is the sum over the
+    connected S of binom(m - |S| - |N(S)|, s - |S|).  Each connected S of
+    at most ``most`` vertices is grown once from its lowest vertex: a
+    branch adds one vertex of N(S) and bars it from the branches after it.
+    """
+    m = faces.vertex_count
+    near = [faces.ext[1 << v] ^ 1 << v for v in range(m)]
+    sets = [[0] * (m + 1) for _ in range(most + 1)]  # [|S|][|N(S)|] -> connected S
+
+    def grow(S: int, out: int, size: int, barred: int) -> None:
+        counts = sets[size + 1]
+        more = out & ~barred
+        while more:
+            bit = more & -more
+            more ^= bit
+            T = S | bit
+            beyond = (out | near[bit.bit_length() - 1]) & ~T
+            counts[beyond.bit_count()] += 1
+            if size + 1 < most:
+                grow(T, beyond, size + 1, barred)
+            barred |= bit
+
+    for v in range(m):
+        sets[1][near[v].bit_count()] += 1
+        if most > 1:
+            grow(1 << v, near[v], 1, (2 << v) - 1)
+    count = [0] * (most + 1)
+    for a, row in enumerate(sets):
+        for b, n in enumerate(row):
+            for s in range(a, most + 1) if n else ():
+                count[s] += n * comb(m - a - b, s - a)
+    return count
+
+
 def _usable_workers(requested: int) -> int:
     """``requested`` capped at the number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -526,9 +617,13 @@ def _factor_sum(faces: _Faces, workers: int, sphere: bool, pool: list) -> tuple[
 
     The factor is certified by ``sphere_dimension`` unless ``sphere`` says
     it is a Z-homology sphere; then its dimension is that of its faces.
-    ``pool`` holds the call's process pool, started here when first needed.
+    A sphere of dimension 3 or less is summed by ``_sphere_table``, others
+    are walked.  ``pool`` holds the call's process pool, started here when
+    first needed.
     """
     sphere_dim = faces.dim if sphere else faces.sphere_dimension()
+    if sphere_dim is not None and (table := _sphere_table(faces, sphere_dim)) is not None:
+        return table, True
     m = faces.vertex_count
     visited = 1 << (m - (sphere_dim is not None))
     work = visited * len(faces.ext)

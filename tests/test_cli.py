@@ -684,7 +684,16 @@ HOSTILE = {
         2,
         "nested too deeply",
     ),
-    "deeply nested json": (["betti", "FILE"], "[" * 100000, 2, "malformed JSON"),
+    "deeply nested json": (
+        ["betti", "FILE"], '{"maximal_faces": ' + "[" * 100000, 2, "malformed JSON"
+    ),
+    "json not an object": (["betti", "FILE"], " \n[[0, 1]]", 2, "not a JSON object"),
+    "file over the byte budget": (
+        ["betti", "FILE", "--max-subsets", "4"],
+        "{" + " " * (1 << 20),
+        2,
+        "more than 1048576 bytes",
+    ),
     "torus past double range": (
         ["isotopy-check", "1100", "2"],
         None,
@@ -788,6 +797,28 @@ def test_hostile_input_exits_with_a_message(capsys, tmp_path, case):
     assert (code, out) == (expected_code, "")
     assert err.startswith("error: ")
     assert fragment in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_an_endless_stream_is_refused_at_its_first_chunk(capsys):
+    # json.load read /dev/zero until the process was killed for memory
+    code, out, err = run(capsys, "betti", "/dev/zero")
+    assert (code, out) == (2, "")
+    assert "/dev/zero: not a JSON object" in err
+
+
+def test_the_byte_budget_follows_the_cap(capsys, tmp_path):
+    # 1 MiB and a byte of blanks is past the budget at --max-subsets 4,
+    # but is read whole at the default cap, whose budget is
+    # 16 * 22 * binom(22, 11) bytes, and fails as JSON
+    path = tmp_path / "blank.json"
+    path.write_text("{" + " " * (1 << 20))
+    assert cli_module._byte_budget((22, None)) == cli_module._byte_budget((None, 22)) == 248_312_064
+    assert cli_module._byte_budget((4, None)) == 1 << 20
+    code, _, err = run(capsys, "betti", str(path))
+    assert code == 2 and "malformed JSON" in err
+    code, _, err = run(capsys, "build", str(path), "--max-subsets", "4")
+    assert code == 2 and "more than 1048576 bytes" in err
 
 
 def test_one_parser_serves_every_call(capsys):

@@ -39,6 +39,11 @@ m >= 3n, which is what lets ``verify`` skip each cut's certificate.
 Relabelled ∂Δ^1 ... ∂Δ^8, and joins of ∂Δ^2 or ∂Δ^3 with random
 complexes, equal the oracle while ``counted`` shows that no ∂Δ factor is
 listed, certified, numbered or walked: its table is the closed form.
+The table of a sphere of dimension 1, 2 or 3 from its f-vector and its
+1-skeleton (``_sphere_table``) equals, key for key and with no zero
+count, the oracle's on relabelled cut sequences of polygons, the 3- and
+4-simplex, the cube and the prism with at most 10 vertices, and the
+mirrored walk's on such sequences with at most 16.
 """
 
 import random
@@ -54,8 +59,10 @@ import momentangle.homology as homology_module  # noqa: E402
 from momentangle.homology import GradedGroups, _Faces, _masks, reduced_homology  # noqa: E402
 from momentangle.moment_angle import (  # noqa: E402
     _check_input,
+    _factors,
     _gather,
     _mirror,
+    _sphere_table,
     _walk,
     bigraded_table,
     moment_angle_cohomology,
@@ -503,3 +510,50 @@ def long_cut_sequences(draw, n):
 def test_every_cut_factor_of_a_long_cut_sequence_is_a_sphere(n, data):
     # the fact that lets verify skip each cut's certificate, past m = 3n
     assert_cut_factors_are_spheres(data.draw(long_cut_sequences(n)))
+
+
+@st.composite
+def low_dimensional_spheres(draw, max_facets):
+    """The dual of polygon-k, simplex-3, cube-3, the prism or simplex-4, cut at
+    drawn vertices, its labels shuffled: a sphere of dimension 1, 2 or 3 on
+    at most ``max_facets`` vertices, or a join of such and of ∂Δ factors."""
+    p = draw(st.sampled_from([
+        polygon(draw(st.integers(4, max_facets))),
+        simplex_polytope(3),
+        cube(3),
+        product(simplex_polytope(2), simplex_polytope(1)),
+        simplex_polytope(4),
+    ]))
+    for _ in range(draw(st.integers(0, max_facets - p.m))):
+        p = p.cut_vertex(draw(st.integers(0, p.vertex_count - 1)))
+    k = p.dual_complex()
+    return k.relabeled(draw(st.permutations(range(k.vertex_count))))
+
+
+def sphere_tables(k):
+    """Each listed join factor of K as a complex, with ``_sphere_table``'s table and the mirrored walk's."""
+    out = []
+    for _, faces in _factors(*_check_input(k, 22)):
+        if faces is None:  # ∂Δ, summed in closed form
+            continue
+        m, d = faces.vertex_count, faces.sphere_dimension()
+        assert 0 < d <= 3
+        table = _sphere_table(faces, d)
+        assert all(type(n) is int and n > 0 for n in table.values()), table
+        factor = SimplicialComplex(m, [[v for v in range(m) if f >> v & 1] for f in faces.facets])
+        out.append((factor, dict(table), dict(_mirror(_walk(faces, d, 0, m), m, d))))
+    return out
+
+
+@checked(50)
+@given(low_dimensional_spheres(10))
+def test_sphere_tables_equal_the_oracle(k):
+    for factor, table, walked in sphere_tables(k):
+        assert table == walked == dict(subset_table(subset_homologies(factor)))
+
+
+@checked(50)
+@given(low_dimensional_spheres(16))
+def test_sphere_tables_equal_the_walk(k):
+    for _, table, walked in sphere_tables(k):
+        assert table == walked

@@ -291,10 +291,11 @@ class TestParallelism:
         # polygon-10 takes the duality path (2^9 subsets computed, 21 faces),
         # RP^2 with a path the full one (2^10, 40 faces); neither is a join,
         # and the threshold is lowered so both reach the pool and its
-        # merge of subtrees
+        # merge of subtrees; the polygon walks only with its closed form off
         assert minimal_nonface_factors(k) == [list(range(10))]
         groups = moment_angle_cohomology(k)
         table = bigraded_table(k)
+        sphere_table_off(monkeypatch)
         monkeypatch.setattr(moment_angle_module, "_POOL_MIN_WORK", 2**13)
         with counted() as trace:
             assert moment_angle_cohomology(k, workers=2) == groups
@@ -304,11 +305,12 @@ class TestParallelism:
     def test_one_pool_serves_every_factor_of_a_call(self, monkeypatch):
         # pentagon * hexagon, the dual of polygon-5 x polygon-6: with the
         # threshold at the pentagon's work (2^4 subsets visited x 11 faces)
-        # both factors reach the pool, and the first starts the one pool
-        # that walks both
+        # and the closed form of a polygon off, both factors reach the
+        # pool, and the first starts the one pool that walks both
         k = product(polygon(5), polygon(6)).dual_complex()
         assert sorted(map(len, minimal_nonface_factors(k))) == [5, 6]
         groups, table = moment_angle_cohomology(k), bigraded_table(k)
+        sphere_table_off(monkeypatch)
         monkeypatch.setattr(moment_angle_module, "_POOL_MIN_WORK", 2**4 * 11)
         with counted() as trace:
             assert moment_angle_cohomology(k, workers=2) == groups
@@ -320,10 +322,12 @@ class TestParallelism:
             assert trace.pools == trace.maps == []
 
     def test_the_pool_threshold_counts_subsets_times_faces(self, monkeypatch):
-        # polygon-10 computes 2^9 subsets (duality) against 21 faces, the
-        # empty one included; a pool is asked for exactly from that product
+        # polygon-10, walked with its closed form off, computes 2^9 subsets
+        # (duality) against 21 faces, the empty one included; a pool is
+        # asked for exactly from that product
         k = polygon(10).dual_complex()
         groups = moment_angle_cohomology(k)
+        sphere_table_off(monkeypatch)
         with counted() as trace:
             monkeypatch.setattr(moment_angle_module, "_POOL_MIN_WORK", 2**9 * 21 + 1)
             assert moment_angle_cohomology(k, workers=2) == groups
@@ -426,6 +430,11 @@ def order_off(patch):
         "_order",
         lambda part, linked: [1 << v for v in range(part.bit_length()) if part >> v & 1],
     )
+
+
+def sphere_table_off(patch):
+    """Make every factor go to the walk: no sphere is summed from its f-vector."""
+    patch.setattr(moment_angle_module, "_sphere_table", lambda faces, d: None)
 
 
 class TestJoinFactors:
@@ -567,7 +576,12 @@ class TestWalkCounter:
     # the counter's K_J settles are the visited subsets J of each walked
     # factor, in its own numbering, that route() settles by computing K_J:
     # on a certified sphere the walk visits those with 2|J| < m and those
-    # with 2|J| = m that leave out vertex m - 1
+    # with 2|J| = m that leave out vertex m - 1.  Every factor is walked,
+    # spheres of dimension 3 or less included
+
+    @pytest.fixture(autouse=True)
+    def walked(self, monkeypatch):
+        sphere_table_off(monkeypatch)
 
     @pytest.mark.parametrize(
         "name, settled",
@@ -599,7 +613,12 @@ class TestWalkCounter:
 class TestVertexOrder:
     # each factor is numbered by maximum cardinality search, so that a step
     # into J ∪ {v} mostly finds v's neighbours above v spanning a face with
-    # v, and reuses the parent's groups; these counts are the point of it
+    # v, and reuses the parent's groups; these counts are the point of it.
+    # Every factor is walked, spheres of dimension 3 or less included
+
+    @pytest.fixture(autouse=True)
+    def walked(self, monkeypatch):
+        sphere_table_off(monkeypatch)
 
     def test_order_on_a_path(self):
         # the path 4-1-0-2-3 and a ghost 5: 0, the lowest vertex, takes the
@@ -727,13 +746,69 @@ class TestLinkMemo:
     def test_a_cyclic_polytope_against_the_oracle(self, monkeypatch):
         # on the boundary of C(9, 4) every two vertices span an edge, so
         # A = J at every step and no A recurs; with the bound at 2 most
-        # vertices keep no memo
+        # vertices keep no memo.  The 3-sphere is walked only with its
+        # closed form off
         k = cyclic_4_polytope_boundary(9)
         groups, table = reference_sum(subset_homologies(k))
+        assert moment_angle_cohomology(k) == groups
+        sphere_table_off(monkeypatch)
         for bound in (2, 10):
             monkeypatch.setattr(moment_angle_module, "_MEMO_NEIGHBOURS", bound)
             assert moment_angle_cohomology(k) == groups
             assert bigraded_table(k) == table
+
+
+def cut_at_0(p, times):
+    """P cut ``times`` times at vertex 0."""
+    for _ in range(times):
+        p = p.cut_vertex(0)
+    return p
+
+
+class TestSphereTable:
+    # a certified sphere of dimension 1, 2 or 3 is summed from its f-vector
+    # and the connected vertex sets of its 1-skeleton: no walk, no link
+    # listing and no K_J settle; the certificate's own calls remain
+    INPUTS = {
+        "polygon-12-relabelled": (
+            lambda: polygon(12).dual_complex().relabeled(random.Random(1).sample(range(12), 12)),
+            1,
+        ),
+        "cube-3-cut-4": (lambda: cut_at_0(cube(3), 4), 2),
+        "simplex-4-cut-8": (lambda: cut_at_0(simplex_polytope(4), 8), 3),
+        "cyclic-4-polytope-9": (lambda: cyclic_4_polytope_boundary(9), 3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_no_factor_is_walked(self, name, monkeypatch):
+        make, dim = self.INPUTS[name]
+        k = make()
+        with counted() as trace:
+            groups, table = moment_angle_cohomology(k), bigraded_table(k)
+        assert [d for _, d in trace.summed] == [dim, dim]  # one factor, one per call
+        assert trace.walks == [] and trace.listed == Counter() and trace.pools == []
+        assert {kind for kind, _ in trace.results} <= {"certificate_graph", "certificate_eliminated"}
+        sphere_table_off(monkeypatch)
+        with counted() as trace:
+            assert moment_angle_cohomology(k) == groups
+            assert bigraded_table(k) == table
+        assert trace.summed == [] and [d for _, d in trace.walks] == [dim, dim]
+
+    def test_higher_dimensions_are_walked(self):
+        # the cube-5 cut at vertex 0 is a 4-sphere on 11 vertices
+        with counted() as trace:
+            moment_angle_cohomology(cut_at_0(cube(5), 1))
+        assert trace.summed == [] and [d for _, d in trace.walks] == [4]
+
+    def test_the_route_ignores_the_worker_count(self, monkeypatch):
+        # with the pool threshold at 0 a walked polygon reaches the pool;
+        # summed from its f-vector it stays in this process
+        k = polygon(10).dual_complex()
+        groups = moment_angle_cohomology(k)
+        monkeypatch.setattr(moment_angle_module, "_POOL_MIN_WORK", 0)
+        with counted() as trace:
+            assert moment_angle_cohomology(k, workers=2) == groups
+        assert trace.pools == [] and [d for _, d in trace.summed] == [1]
 
 
 class TestPolytopeInput:

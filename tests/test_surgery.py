@@ -5,6 +5,7 @@ import pytest
 import momentangle.moment_angle as moment_angle_module
 from invariants import euler_characteristic, has_torsion, is_symmetric
 from isomorphism import are_combinatorially_isomorphic
+from momentangle import cli
 from momentangle.homology import GradedGroups
 from momentangle.moment_angle import (
     DEFAULT_MAX_VERTICES,
@@ -28,7 +29,7 @@ from momentangle.surgery import (
     verify_all_cuts,
     verify_cut_theorem,
 )
-from test_moment_angle import sphere_around_rp2
+from test_moment_angle import sphere_around_rp2, sphere_table_off
 from walk import counted
 
 
@@ -381,6 +382,25 @@ class TestInheritedCertificate:
             assert len(reports) == 5 and all(r.match for r in reports)
         assert [faces.vertex_count for faces in trace.certified] == [5]
 
+    def test_cuts_of_a_two_sphere_are_summed_unwalked(self, capsys, monkeypatch):
+        # cube-3 cut three times is a 2-sphere on 9 vertices, certified once;
+        # each of its 14 cuts inherits the certificate and, as a sphere of
+        # dimension 2, is summed from its f-vector with no walk.  The JSON
+        # of verify --all-vertices is the same with every factor walked
+        argv = ["verify", *"cut-vertex ( cut-vertex ( cut-vertex ( cube 3 ) 0 ) 9 ) 3".split(),
+                "--all-vertices", "--json"]
+        with counted() as trace:
+            assert cli.main(argv) == 0
+        summed = capsys.readouterr().out
+        assert [faces.vertex_count for faces in trace.certified] == [9]
+        assert [(faces.vertex_count, d) for faces, d in trace.summed] == [(9, 2)] + [(10, 2)] * 14
+        assert trace.walks == []
+        sphere_table_off(monkeypatch)
+        with counted() as trace:
+            assert cli.main(argv) == 0
+        assert capsys.readouterr().out == summed
+        assert trace.summed == [] and len(trace.walks) == 15
+
     def test_a_non_sphere_certifies_every_cut(self):
         with counted() as trace:
             reports = verify_all_cuts(TORUS)
@@ -405,9 +425,12 @@ class TestWorkerCount:
         ids=["simplex-4", "cube-3", "prism", "pentagon"],
     )
     def test_reports_are_the_same_at_one_and_two_workers(self, p, pooled, monkeypatch):
-        # with the pool threshold at 0 every walked factor goes to the pool;
-        # simplex-4 and its cuts, ∂Δ^4 and ∂Δ^3 * S^0, walk nothing
+        # with the pool threshold at 0 and no sphere summed from its
+        # f-vector, every walked factor goes to the pool, and its reports
+        # must equal the serial closed forms; simplex-4 and its cuts, ∂Δ^4
+        # and ∂Δ^3 * S^0, walk nothing
         serial = verify_all_cuts(p)
+        sphere_table_off(monkeypatch)
         monkeypatch.setattr(moment_angle_module, "_POOL_MIN_WORK", 0)
         with counted() as trace:
             assert verify_all_cuts(p, workers=2) == serial

@@ -190,6 +190,7 @@ class Trace:
     certified: list = field(default_factory=list)  # the ``_Faces`` certified
     factors: list = field(default_factory=list)  # (bits, faces or None) per join factor
     numbered: list = field(default_factory=list)  # the vertex masks ``_order`` numbers
+    summed: list = field(default_factory=list)  # (faces, sphere_dim) per ``_sphere_table`` table
     walks: list = field(default_factory=list)  # (faces, sphere_dim) per ``_walk`` call
     pools: list = field(default_factory=list)  # ``max_workers`` per process pool started
     maps: list = field(default_factory=list)  # the tasks given to each pool ``map``
@@ -221,8 +222,11 @@ def counted():
     trace = Trace()
     where = [""]  # "", "link_" or "certificate_": whose call the next one is
     init, link, certify = _Faces.__init__, _Faces.link, _Faces.sphere_dimension
-    split, order, walk = (
-        moment_angle_module._factors, moment_angle_module._order, moment_angle_module._walk
+    split, order, walk, sphere_table = (
+        moment_angle_module._factors,
+        moment_angle_module._order,
+        moment_angle_module._walk,
+        moment_angle_module._sphere_table,
     )
     executor = concurrent.futures.ProcessPoolExecutor
 
@@ -254,6 +258,12 @@ def counted():
         trace.numbered.append(part)
         return order(part, linked)
 
+    def summing(faces, sphere_dim):
+        table = sphere_table(faces, sphere_dim)
+        if table is not None:
+            trace.summed.append((faces, sphere_dim))
+        return table
+
     def walking(faces, sphere_dim, *args):
         trace.walks.append((faces, sphere_dim))
         return walk(faces, sphere_dim, *args)
@@ -283,6 +293,7 @@ def counted():
         patch.setattr(moment_angle_module, "_factors", factors)
         patch.setattr(moment_angle_module, "_order", numbering)
         patch.setattr(moment_angle_module, "_walk", walking)
+        patch.setattr(moment_angle_module, "_sphere_table", summing)
         patch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         yield trace
 
