@@ -179,8 +179,8 @@ def routes(expr: list[str]) -> dict:
     counts["counted_s"] = round(seconds, 2)
     counts["m"] = sum(len(bits) for bits, _ in trace.factors)
     counts["factor_m"] = [faces.vertex_count for faces, _ in walks]
-    counts["simplex_boundaries"] = [len(bits) for bits, faces in trace.factors if faces is None]
-    counts["summed"] = [[faces.vertex_count, dim] for faces, dim in trace.summed]
+    counts["simplex_boundaries"] = [len(bits) for bits, faces in trace.factors if isinstance(faces, Counter)]
+    counts["summed"] = [[m, dim] for m, dim in trace.summed]
     counts["faces"] = sum(len(faces.ext) - 1 for faces, _ in walks)
     counts["sphere_dim"] = [dim for _, dim in walks]
     counts["memo_entries"] = [entries[faces] for faces, _ in walks]

@@ -25,7 +25,8 @@ import functools
 import json
 import os
 import sys
-from math import comb
+from json.encoder import encode_basestring_ascii as _escape
+from math import comb, inf as _INF
 from typing import Callable, Sequence
 
 from .moment_angle import (
@@ -74,13 +75,16 @@ def _looks_like_path(token: str) -> bool:
     return token.endswith(".json") or "/" in token or os.path.exists(token)
 
 
-def _load_object(path: str, budget: int | None) -> SimplePolytope | SimplicialComplex:
-    """The polytope or complex in the JSON file ``path``, of at most ``budget`` bytes.
+def _load_object(path: str, caps: _Caps) -> SimplePolytope | SimplicialComplex:
+    """The polytope or complex in the JSON file ``path``, within ``caps``.
 
     The file is read in chunks, and refused as soon as its first byte
-    past any whitespace is not ``{`` or it grows past the budget, so an
-    endless stream such as /dev/zero is never held whole.
+    past any whitespace is not ``{`` or it grows past ``_byte_budget``,
+    so an endless stream such as /dev/zero is never held whole.  The
+    declared vertex count of a complex, or facet count of a polytope, is
+    checked against the subset cap before any face is read.
     """
+    budget = _byte_budget(caps)
     raw = bytearray()
     blank = True  # no byte but whitespace read yet
     try:
@@ -105,10 +109,13 @@ def _load_object(path: str, budget: int | None) -> SimplePolytope | SimplicialCo
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"malformed JSON in {path}: {exc}") from exc
-    if isinstance(data, dict) and "vertex_facets" in data:
-        return SimplePolytope.from_json_dict(data)
-    if isinstance(data, dict) and "maximal_faces" in data:
-        return SimplicialComplex.from_json_dict(data)
+    for kind, faces, count in ((SimplePolytope, "vertex_facets", "facets"),
+                               (SimplicialComplex, "maximal_faces", "vertices")):
+        if isinstance(data, dict) and faces in data:
+            m = data.get(count)
+            if caps[0] is not None and type(m) is int and m > caps[0]:
+                raise SubsetLimitError(m, caps[0])
+            return kind.from_json_dict(data)
     raise UsageError(
         f"{path}: JSON object is neither a polytope (vertex_facets) "
         "nor a complex (maximal_faces)"
@@ -211,7 +218,7 @@ def _parse_expr(
         _check(caps, base.m + 1, _bits(count), vertex, has)
         return base.cut_vertex(v)
     if _looks_like_path(tok):
-        return _load_object(tok, _byte_budget(caps))
+        return _load_object(tok, caps)
     raise UsageError(f"unknown constructor {tok!r}")
 
 
@@ -255,24 +262,92 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _float(x: float) -> str:
+    """A float as ``json`` writes it, NaN and the infinities by name."""
+    if x != x:
+        return "NaN"
+    return "Infinity" if x == _INF else "-Infinity" if x == -_INF else float.__repr__(x)
+
+
+# how ``json`` writes a value of each of these exact types, None for a
+# container that is not empty; subclasses go through ``_dumps``'s own tests
+_LEAVES = {str: _escape, int: int.__repr__, float: _float, type(None): {None: "null"}.__getitem__,
+           bool: ("false", "true").__getitem__, dict: lambda d: None if d else "{}",
+           list: lambda a: None if a else "[]", tuple: lambda a: None if a else "[]"}
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+
+    ``json`` indents through its pure-Python encoder, a generator per
+    container and a test per type; this writes a container's leaves and
+    empty containers in its own loop, by their exact type, and recurses
+    only into the others.  A type that ``json`` refuses raises ``TypeError``.
+    """
+    parts: list[str] = []
+    write = parts.append
+
+    def dump(value, newline: str) -> None:
+        leaf = _LEAVES.get(type(value))
+        if leaf is not None and (text := leaf(value)) is not None:
+            write(text)
+        elif isinstance(value, (dict, list, tuple)):
+            inner = newline + "  "
+            mapping = isinstance(value, dict)
+            sep = ("{" if mapping else "[") + inner
+            for key, item in sorted(value.items()) if mapping else enumerate(value):
+                if mapping:
+                    sep += _escape(key if isinstance(key, str) else _key(key)) + ": "
+                leaf = _LEAVES.get(type(item))
+                if leaf is not None and (text := leaf(item)) is not None:
+                    write(sep + text)
+                else:
+                    write(sep)
+                    dump(item, inner)
+                sep = "," + inner
+            close = "}" if mapping else "]"
+            write(newline + close if value else sep[0] + close)  # sep[0]: "{" or "[" when empty
+        elif isinstance(value, str):
+            write(_escape(value))
+        elif isinstance(value, int):
+            write(int.__repr__(value))
+        elif isinstance(value, float):
+            write(_float(value))
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    dump(value, "\n")
+    return "".join(parts)
+
+
+def _key(key) -> str:
+    """A dict key that is not a str, as ``json`` writes it before quoting it."""
+    if isinstance(key, (int, float)) or key is None:  # a bool is an int
+        return _dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
 
 
-def _render(args, payload: dict, csv_rows: list[tuple], text_lines: list[str]) -> None:
+def _render(
+    args, payload: dict, csv_rows: Callable[[], list[tuple]], text_lines: Callable[[], list[str]]
+) -> None:
     """Write a report in the format the flags select.
 
-    JSON is ``payload`` tagged with ``"schema": 1``; CSV is ``csv_rows``,
-    header first; text is ``text_lines``.
+    JSON is ``payload`` tagged with ``"schema": 1``; CSV is ``csv_rows()``,
+    header first; text is ``text_lines()``.  Each is made only for its
+    own format.
     """
     if args.json:
-        text = json.dumps({"schema": 1, **payload}, sort_keys=True, indent=2)
+        text = _dumps({"schema": 1, **payload})
     elif args.csv:
-        text = "\n".join(",".join(_csv_cell(x) for x in row) for row in csv_rows)
+        text = "\n".join(",".join(_csv_cell(x) for x in row) for row in csv_rows())
     else:
-        text = "\n".join(text_lines)
+        text = "\n".join(text_lines())
     _write(args, text)
 
 
@@ -285,7 +360,7 @@ def cmd_build(args) -> int:
     if args.csv:
         raise UsageError("build has no csv form; the output is a JSON object")
     # the bare object, whatever the format flag: build output is build input
-    _write(args, json.dumps(obj.to_json_dict(), sort_keys=True, indent=2))
+    _write(args, _dumps(obj.to_json_dict()))
     return 0
 
 
@@ -316,7 +391,7 @@ def cmd_betti(args) -> int:
     lines.append("degree  rank  torsion")
     lines += [f"{d:>6}  {r:>4}  {t or '-'}" for d, r, t in rows]
     lines.append(f"poincare: {poly}")
-    _render(args, payload, [("degree", "rank", "torsion"), *rows], lines)
+    _render(args, payload, lambda: [("degree", "rank", "torsion"), *rows], lambda: lines)
     return 0
 
 
@@ -367,16 +442,14 @@ def cmd_verify(args) -> int:
         "all_match": all_match,
         "reports": [r.to_json_dict() for r in reports],
     }
-    rows = [("polytope", "vertex", "match", "lhs", "rhs")]
-    rows += [
-        (r.polytope, r.vertex, r.match, betti(r.lhs), betti(r.rhs)) for r in reports
-    ]
-    lines = [line for r in reports for line in _report_lines(r)]
-    lines.append(
-        f"{len(reports)} vertex cut(s) checked: "
-        + ("all match" if all_match else "MISMATCH FOUND")
+    header = ("polytope", "vertex", "match", "lhs", "rhs")
+    _render(
+        args,
+        payload,
+        lambda: [header] + [(r.polytope, r.vertex, r.match, betti(r.lhs), betti(r.rhs)) for r in reports],
+        lambda: [line for r in reports for line in _report_lines(r)]
+        + [f"{len(reports)} vertex cut(s) checked: " + ("all match" if all_match else "MISMATCH FOUND")],
     )
-    _render(args, payload, rows, lines)
     return 0 if all_match else 1
 
 
@@ -405,7 +478,7 @@ def cmd_verify_corpus(args) -> int:
         f"corpus: {len(rows)} polytopes, "
         + ("all cuts match" if all_match else "MISMATCH FOUND")
     )
-    _render(args, payload, [("name", "m", "n", "vertices", "match"), *rows], lines)
+    _render(args, payload, lambda: [("name", "m", "n", "vertices", "match"), *rows], lambda: lines)
     return 0 if all_match else 1
 
 
@@ -434,7 +507,7 @@ def cmd_isotopy_check(args) -> int:
         sep = "inf" if p.min_separation == float("inf") else f"{p.min_separation:.3e}"
         lines.append(f"  probe {p.label}: {p.violations} violations, min separation {sep}")
     lines.append("overall: " + ("PASS" if passed else "FAIL"))
-    _render(args, payload, rows, lines)
+    _render(args, payload, lambda: rows, lambda: lines)
     return 0 if passed else 1
 
 

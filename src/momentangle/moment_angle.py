@@ -61,15 +61,15 @@ H~(K_{V-J}) = 0, so its mirrored contribution is zero too.
 Which rule settles a step depends on how the vertices are numbered: when
 v's neighbours numbered above v span a face with v, v's link in K_{J ∪ v}
 is the simplex on the neighbours in J, so the step reuses the parent's
-groups or adds a point, and nothing is settled.  So each join factor's
-vertices are numbered by a maximum cardinality search (``_order``;
-Tarjan and Yannakakis, *SIAM J. Comput.* 13, 1984) before its faces are
-listed: labels go from the top down, each to the vertex with the most
-labelled neighbours, ties to a neighbour of the vertex labelled last.  On
-a flag complex with a chordal 1-skeleton that holds at every vertex; a
-polygon is numbered along its cycle, so only the lowest vertex has two
+groups or adds a point, and nothing is settled.  So each listed join
+factor is numbered by a maximum cardinality search (``_order``; Tarjan
+and Yannakakis, *SIAM J. Comput.* 13, 1984) before its faces are listed:
+labels go from the top down, each to the vertex with the most labelled
+neighbours, ties to a neighbour of the vertex labelled last.  On a flag
+complex with a chordal 1-skeleton that holds at every vertex; a polygon
+is numbered along its cycle, so only the lowest vertex has two
 neighbours above it.  The table, keyed by (|J|, degree, a), does not
-depend on the numbering.
+depend on the numbering, and a factor summed unlisted is not numbered.
 
 When K is a Z-homology d-sphere on its m vertices, as the dual complex of
 every simple polytope is, Alexander duality gives H~^i(K_J) = H~_{d-1-i}(K_{V-J})
@@ -82,10 +82,9 @@ pass: a Z in degree e at |J| also lands in degree
 m + d + 1 - e at m - |J|, and a Z/a in degree m + d + 2 - e.  Sphere-ness
 is certified once per join factor, before any work is split, by
 ``_Faces.sphere_dimension`` (the homology of every face link), unless K
-is known to be a sphere: ``verify`` sums P first and, when every factor
-of K_P passes, takes each factor of each cut's dual to be a sphere of
-its own dimension (the proof is in
-``surgery._verify_cuts``).  Every other complex gets all 2^m subsets.
+is known to be a sphere: ``verify`` sums P first and, when every factor of
+K_P passes, takes each factor of each cut's dual to be a sphere of its own
+dimension (``surgery._verify_cuts``); every other complex gets 2^m subsets.
 
 A sphere of dimension d ≤ 3 is not walked at all (``_sphere_table``).
 For 0 < |J| < m duality leaves K_J free homology, H~_0 of rank c(J) - 1
@@ -93,12 +92,13 @@ and H~_{d-1} of rank c(V - J) - 1, c counting the components of J in the
 1-skeleton, and the Euler characteristic fixes the one rank between
 (Bjorner and Tancer, *Discrete Comput. Geom.* 42, 2009).  The table only
 needs sums over |J| = s: that of χ̃(K_J) is a closed form in the f-vector,
-and that of c(J) counts each connected vertex set S once, as a component
-of each of the binom(m - |S| - |N(S)|, s - |S|) sets J that hold S and
-miss N(S), its neighbours outside it.  A circle needs no connected set,
-a 2-sphere those of at most m/2 vertices, and a 3-sphere those of at
-most m - 1.  No link is listed and no K_J is settled, and this runs in
-the calling process whatever the worker count.
+which m and the facet count fix (Klee, *Canad. J. Math.* 16, 1964), and
+that of c(J) counts each connected vertex set S once, as a component of
+each of the binom(m - |S| - |N(S)|, s - |S|) sets J that hold S and miss
+N(S), its neighbours outside it.  A circle needs no connected set, a
+2-sphere those of at most m/2 vertices, and a 3-sphere those of at most
+m - 1.  Only the facets are read, in the calling process at any worker
+count, so a factor known to be a sphere is summed unlisted.
 
 Before any of that, K is split into its finest join factorisation
 K = K_{A_1} * ... * K_{A_r} by one test on the maximal faces as bitmasks:
@@ -154,23 +154,14 @@ DEFAULT_MAX_VERTICES = 22
 # 2^m otherwise) times the faces of K, the sum runs in this process
 # whatever the worker count: a 2-process pool adds 45-55 ms to ``betti``
 # (polygon-12, RP^2 with a path), each task lists the faces again, and the
-# sphere certificate runs before it.
-# Serial / 2-worker time of ``betti`` in fresh processes, the pool forced
-# at 2 workers, medians of 9 alternating runs, two series, 2-vCPU VM,
-# Python 3.11 (work in thousands): polygon-12 (51) 0.66-0.72, polygon-14
-# (238) 0.69-0.76, polygon-16 (1081) 0.76, polygon-17 (2294) 0.79-0.82,
-# polygon-18 (4850) 0.80-0.88, polygon-20 (21496) 1.20-1.32; cube-5 cut at
-# vertex 0 (280) 0.56-0.68, cube-6 cut once (3240) 0.49-0.60, twice (6988)
-# 0.70-0.85, three times (14991) 0.87-0.95, five times (68092) 1.19-1.21;
-# simplex-4 after 8 cuts (586) 0.75; RP^2 with a 4-edge pendant path (41)
-# 0.73, with a 6-edge one (180) 0.73-0.75; the RP^2 4-sphere (20546)
-# 1.16-1.56.  Work counts faces, not elimination; with each factor
-# numbered by ``_order``, the inputs with the most elimination per face
-# (the simplex-4 cuts, the 6-edge path) are faster serial as well.
+# sphere certificate runs before it.  README ("Parallelism and limits")
+# has the serial and pooled times the threshold was set from.
 _POOL_MIN_WORK = 16_000_000
 
 _MEMO_NEIGHBOURS = 10  # the link memo's bound, see the module docstring
 _NO_MEMO = MappingProxyType({})  # the memo of every vertex past that bound, always empty
+# a join factor: its numbering and its faces, or, summed unlisted, its vertices as given and its table
+_Factor = tuple[list[int], _Faces | Counter]
 
 
 class SubsetLimitError(Exception):
@@ -341,25 +332,24 @@ def _mirror(half: Counter, m: int, d: int) -> Counter:
     return table
 
 
-def _sphere_table(faces: _Faces, d: int) -> Counter | None:
-    """The table of a Z-homology d-sphere, 0 < d ≤ 3, with no walk; None for any other d.
+def _sphere_table(vertices: int, facets: Collection[int], d: int) -> Counter | None:
+    """The table of a Z-homology d-sphere, 0 < d ≤ 3, on these vertices; None for any other d.
 
     For 0 < |J| = s < m every H~_i(K_J) is free, H~_0 of rank c(J) - 1,
     c counting the components of J in the 1-skeleton, and H~_{d-1} of
     rank c(V - J) - 1 for d > 1, by Alexander duality; their alternating
     sum is χ̃(K_J), and over |J| = s it sums to euler[s], the sum over the
-    faces f of (-1)^(|f|-1) binom(m - |f|, s - |f|).  So the table needs
-    the sums of c over |J| = s (``_component_sums``) and the f-vector.  For
+    faces f of (-1)^(|f|-1) binom(m - |f|, s - |f|), with the f-vector
+    (1, m, F), (1, m, 3F/2, F) or (1, m, m + F, 2F, F) of F facets.  For
     d = 1 no component is counted, a proper K_J being a forest with
     c(J) - 1 = χ̃(K_J); for d = 2, c(J) - c(V - J) = χ̃(K_J), so the sums
-    up to m/2 give the rest; d = 3 counts them up to m - 1.
+    up to m/2 (``_component_sums``) give the rest; d = 3 counts them up
+    to m - 1.
     """
     if not 0 < d <= 3:
         return None
-    m = faces.vertex_count
-    f = [0] * (d + 2)  # f[k]: the faces of k vertices, the empty one included
-    for face in faces.ext:
-        f[face.bit_count()] += 1
+    m, F = vertices.bit_count(), len(facets)
+    f = (1, m, F) if d == 1 else (1, m, 3 * F // 2, F) if d == 2 else (1, m, m + F, 2 * F, F)
     euler = [0] * (m + 1)
     for k, n in enumerate(f):  # a face of k vertices adds (-1)^(k-1) to each J around it
         for s in range(k, m + 1):
@@ -367,7 +357,7 @@ def _sphere_table(faces: _Faces, d: int) -> Counter | None:
     if d == 1:
         count = [euler[s] + comb(m, s) for s in range(m + 1)]
     else:
-        count = _component_sums(faces, m // 2 if d == 2 else m - 1)
+        count = _component_sums(vertices, facets, m // 2 if d == 2 else m - 1)
         if d == 2:  # c(J) - c(V - J) = χ̃(K_J)
             count += [count[m - s] - euler[m - s] for s in range(len(count), m)]
     table = Counter({(0, 0, 0): 1, (m, m + d + 1, 0): 1})
@@ -381,8 +371,8 @@ def _sphere_table(faces: _Faces, d: int) -> Counter | None:
     return table
 
 
-def _component_sums(faces: _Faces, most: int) -> list[int]:
-    """count[s], the components of K_J summed over |J| = s, for s ≤ ``most``; no ghost vertex.
+def _component_sums(vertices: int, facets: Collection[int], most: int) -> list[int]:
+    """count[s], the components of K_J summed over |J| = s ≤ ``most``, each vertex in a facet.
 
     S is a component of K_J exactly when S is connected, S ⊆ J and J
     misses N(S), S's neighbours outside S, so count[s] is the sum over the
@@ -390,8 +380,12 @@ def _component_sums(faces: _Faces, most: int) -> list[int]:
     at most ``most`` vertices is grown once from its lowest vertex: a
     branch adds one vertex of N(S) and bars it from the branches after it.
     """
-    m = faces.vertex_count
-    near = [faces.ext[1 << v] ^ 1 << v for v in range(m)]
+    m = vertices.bit_count()
+    near = [0] * vertices.bit_length()  # the vertices in a facet with v, v's own included
+    for f in facets:
+        for v in range(f.bit_length()):
+            if f >> v & 1:
+                near[v] |= f
     sets = [[0] * (m + 1) for _ in range(most + 1)]  # [|S|][|N(S)|] -> connected S
 
     def grow(S: int, out: int, size: int, barred: int) -> None:
@@ -407,10 +401,12 @@ def _component_sums(faces: _Faces, most: int) -> list[int]:
                 grow(T, beyond, size + 1, barred)
             barred |= bit
 
-    for v in range(m):
-        sets[1][near[v].bit_count()] += 1
-        if most > 1:
-            grow(1 << v, near[v], 1, (2 << v) - 1)
+    for v in range(len(near)):
+        if vertices >> v & 1:
+            out = near[v] ^ 1 << v
+            sets[1][out.bit_count()] += 1
+            if most > 1:
+                grow(1 << v, out, 1, (2 << v) - 1)
     count = [0] * (most + 1)
     for a, row in enumerate(sets):
         for b, n in enumerate(row):
@@ -525,17 +521,20 @@ def _relabel(masks: Iterable[int], bits: list[int]) -> list[int]:
     return out
 
 
-def _listed(part: int, facets: Collection[int], linked: list[int]) -> tuple[list[int], _Faces | None]:
-    """The factor on ``part`` with these distinct maximal faces: its numbering and its faces."""
+def _listed(part: int, facets: Collection[int], linked: list[int], sphere: bool) -> _Factor:
+    """The factor on ``part`` with these distinct maximal faces: its numbering and its faces,
+    or its vertices as given and its table for ∂Δ and, with ``sphere``, a sphere of dimension ≤ 3."""
     k = part.bit_count()
-    # ∂Δ, k > 1 facets of k - 1 vertices, keeps its order and is summed unlisted: faces None
+    # ∂Δ, k > 1 facets of k - 1 vertices: Z = S^{2k-1}, every proper K_J a simplex
     if k > 1 and len(facets) == k and sum(map(int.bit_count, facets)) == k * (k - 1):
-        return [1 << v for v in range(part.bit_length()) if part >> v & 1], None
-    bits = _order(part, linked)
-    return bits, _Faces(k, _relabel(facets, bits))
+        table = Counter({(0, 0, 0): 1, (k, 2 * k - 1, 0): 1})
+    elif not sphere or (table := _sphere_table(part, facets, max(map(int.bit_count, facets)) - 1)) is None:
+        bits = _order(part, linked)
+        return bits, _Faces(k, _relabel(facets, bits))
+    return [1 << v for v in range(part.bit_length()) if part >> v & 1], table
 
 
-def _factors(m: int, facets: list[int]) -> Iterator[tuple[list[int], _Faces | None]]:
+def _factors(m: int, facets: list[int], sphere: bool = False) -> Iterator[_Factor]:
     """The finest join factors of K: each one's numbering and faces, as ``_listed`` gives them.
 
     F -> (F ∩ A, F - A) is one to one on the facets, and K = K_A * K_{V-A}
@@ -569,7 +568,7 @@ def _factors(m: int, facets: list[int]) -> Iterator[tuple[list[int], _Faces | No
         traces = {f & part for f in facets}
         others = {f & ~part for f in facets}
         if len(traces) * len(others) == len(facets):
-            yield _listed(part, traces, linked)
+            yield _listed(part, traces, linked, sphere)
             facets = list(others)
             continue
         seen |= part
@@ -582,49 +581,48 @@ def _factors(m: int, facets: list[int]) -> Iterator[tuple[list[int], _Faces | No
                 part |= block
         blocks = kept + [part]
     for block in blocks:
-        yield _listed(block, {f & block for f in facets}, linked)
+        yield _listed(block, {f & block for f in facets}, linked, sphere)
 
 
 def _gather(m: int, facets: list[int], workers: int, sphere: bool = False) -> tuple[Counter, bool]:
     """The table of every subset of K, as ``_walk`` gives it, and whether K is a sphere.
 
     K is split into its join factors first, each factor is summed on its
-    own (∂Δ in closed form), and the tables are combined by ``_kunneth``, since
-    Z_{K*L} = Z_K x Z_L; m = 0 has no factor and gives the unit.  With
+    own, and the tables are combined by ``_kunneth``, since Z_{K*L} =
+    Z_K x Z_L, from the first one's as it is; m = 0 gives the unit.  With
     ``sphere``, K is known to be a Z-homology sphere, so each factor is one
     of its own dimension and is not certified (see ``surgery._verify_cuts``).
     The flag returned says whether every factor is a sphere, so that K is.
     """
-    table = Counter({(0, 0, 0): 1})
+    table = None
     spheres = True
     pool: list = []  # the process pool, once started
     try:
-        for bits, faces in _factors(m, facets):
-            if faces is None:  # ∂Δ on k vertices: Z = S^{2k-1}, every proper K_J a simplex
-                factor, certified = Counter({(0, 0, 0): 1, (len(bits), 2 * len(bits) - 1, 0): 1}), True
-            else:
-                factor, certified = _factor_sum(faces, workers, sphere, pool)
-            table = _kunneth(table, factor)
+        for _, faces in _factors(m, facets, sphere):
+            factor, certified = _factor_sum(faces, workers, sphere, pool)
+            table = factor if table is None else _kunneth(table, factor)
             spheres = spheres and certified
     finally:
         for executor in pool:
             executor.shutdown()
-    return table, spheres
+    return table or Counter({(0, 0, 0): 1}), spheres
 
 
-def _factor_sum(faces: _Faces, workers: int, sphere: bool, pool: list) -> tuple[Counter, bool]:
+def _factor_sum(faces: _Faces | Counter, workers: int, sphere: bool, pool: list) -> tuple[Counter, bool]:
     """The subset sum of one join factor, with its own pool rule, and whether it is a sphere.
 
-    The factor is certified by ``sphere_dimension`` unless ``sphere`` says
-    it is a Z-homology sphere; then its dimension is that of its faces.
-    A sphere of dimension 3 or less is summed by ``_sphere_table``, others
-    are walked.  ``pool`` holds the call's process pool, started here when
-    first needed.
+    A factor summed unlisted is its own table, a sphere's.  A listed one is
+    certified by ``sphere_dimension`` unless ``sphere`` says it is a
+    Z-homology sphere of the dimension of its faces.  A sphere of dimension
+    3 or less is summed by ``_sphere_table``, others are walked.  ``pool``
+    holds the call's process pool, started here when first needed.
     """
+    if isinstance(faces, Counter):
+        return faces, True
     sphere_dim = faces.dim if sphere else faces.sphere_dimension()
-    if sphere_dim is not None and (table := _sphere_table(faces, sphere_dim)) is not None:
-        return table, True
     m = faces.vertex_count
+    if sphere_dim is not None and (table := _sphere_table((1 << m) - 1, faces.facets, sphere_dim)) is not None:
+        return table, True
     visited = 1 << (m - (sphere_dim is not None))
     work = visited * len(faces.ext)
     workers = _usable_workers(workers) if work >= _POOL_MIN_WORK else 1

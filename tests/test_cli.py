@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -742,11 +743,19 @@ HOSTILE = {
         2,
         "facets must be an integer, got 1e+30",
     ),
+    # build has no subset cap, so it reads the records and refuses them;
+    # betti refuses the declared facet count before it reads a record
     "huge uncovered facet count": (
-        ["betti", "FILE"],
+        ["build", "FILE"],
         '{"dim": 2, "facets": %d, "vertex_facets": [[0, 1], [1, 2], [0, 2]]}' % 10**30,
         2,
         "facets [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] and %d more meet" % (10**30 - 13),
+    ),
+    "huge uncovered facet count over the cap": (
+        ["betti", "FILE"],
+        '{"dim": 2, "facets": %d, "vertex_facets": [[0, 1], [1, 2], [0, 2]]}' % 10**30,
+        3,
+        "enumerating 2^%d subsets" % 10**30,
     ),
     "zero workers": (
         ["betti", "polygon", "4", "--workers", "0"],
@@ -805,6 +814,30 @@ def test_an_endless_stream_is_refused_at_its_first_chunk(capsys):
     code, out, err = run(capsys, "betti", "/dev/zero")
     assert (code, out) == (2, "")
     assert "/dev/zero: not a JSON object" in err
+
+
+def test_the_cap_is_checked_before_any_face_is_read(capsys, tmp_path, monkeypatch):
+    # 8000 faces of 1 to 12 vertices on 40 vertices, about 200 KB: the
+    # declared count is over the cap, so no record is read, let alone made
+    # canonical, which took about 2 s before exit 3 (2-vCPU VM)
+    rng = random.Random(8)
+    faces = [sorted(rng.sample(range(40), rng.randint(1, 12))) for _ in range(8000)]
+    complex_file, polytope_file = tmp_path / "complex.json", tmp_path / "polytope.json"
+    complex_file.write_text(json.dumps({"vertices": 40, "maximal_faces": faces}))
+    polytope_file.write_text(json.dumps({"dim": 12, "facets": 40, "vertex_facets": faces}))
+
+    def refuse(cls, data):
+        raise AssertionError("a record was read past the cap")
+
+    for cls in (SimplicialComplex, SimplePolytope):
+        monkeypatch.setattr(cls, "from_json_dict", classmethod(refuse))
+    for argv in (["betti", complex_file], ["betti", polytope_file], ["verify", polytope_file, "0"],
+                 ["betti", complex_file, "--max-subsets", "39"]):
+        code, out, err = run(capsys, *map(str, argv))
+        assert (code, out) == (3, "") and "complex has 40 vertices" in err, argv
+    # at the cap the records are read
+    with pytest.raises(AssertionError, match="past the cap"):
+        main(["betti", str(complex_file), "--max-subsets", "40"])
 
 
 def test_the_byte_budget_follows_the_cap(capsys, tmp_path):

@@ -43,7 +43,9 @@ The table of a sphere of dimension 1, 2 or 3 from its f-vector and its
 1-skeleton (``_sphere_table``) equals, key for key and with no zero
 count, the oracle's on relabelled cut sequences of polygons, the 3- and
 4-simplex, the cube and the prism with at most 10 vertices, and the
-mirrored walk's on such sequences with at most 16.
+mirrored walk's on such sequences with at most 16; and the f-vector that
+it takes from the vertex and facet counts (Dehn-Sommerville) equals the
+one counted from the face table on the same spheres.
 """
 
 import random
@@ -534,11 +536,11 @@ def sphere_tables(k):
     """Each listed join factor of K as a complex, with ``_sphere_table``'s table and the mirrored walk's."""
     out = []
     for _, faces in _factors(*_check_input(k, 22)):
-        if faces is None:  # ∂Δ, summed in closed form
+        if isinstance(faces, Counter):  # ∂Δ, summed in closed form
             continue
         m, d = faces.vertex_count, faces.sphere_dimension()
         assert 0 < d <= 3
-        table = _sphere_table(faces, d)
+        table = _sphere_table((1 << m) - 1, faces.facets, d)
         assert all(type(n) is int and n > 0 for n in table.values()), table
         factor = SimplicialComplex(m, [[v for v in range(m) if f >> v & 1] for f in faces.facets])
         out.append((factor, dict(table), dict(_mirror(_walk(faces, d, 0, m), m, d))))
@@ -557,3 +559,25 @@ def test_sphere_tables_equal_the_oracle(k):
 def test_sphere_tables_equal_the_walk(k):
     for _, table, walked in sphere_tables(k):
         assert table == walked
+
+
+# the f-vector, the empty face first, of a Z-homology d-sphere with m vertices
+# and F facets, as ``_sphere_table`` takes it (Dehn-Sommerville; Klee, 1964)
+DEHN_SOMMERVILLE = {
+    1: lambda m, F: [1, m, F],
+    2: lambda m, F: [1, m, 3 * F // 2, F],
+    3: lambda m, F: [1, m, m + F, 2 * F, F],
+}
+
+
+@checked(50)
+@given(st.one_of(low_dimensional_spheres(10), low_dimensional_spheres(16)))
+def test_the_f_vector_of_a_sphere_follows_from_its_facets(k):
+    for _, faces in _factors(*_check_input(k, 22)):
+        if isinstance(faces, Counter):  # ∂Δ, summed in closed form
+            continue
+        d = faces.sphere_dimension()
+        counted = [0] * (d + 2)
+        for face in faces.ext:
+            counted[face.bit_count()] += 1
+        assert counted == DEHN_SOMMERVILLE[d](faces.vertex_count, len(faces.facets))

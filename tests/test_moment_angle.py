@@ -386,12 +386,18 @@ class TestAlexanderDuality:
 
     def test_mirror_on_a_non_sphere_is_wrong(self, monkeypatch):
         # the fin has the homology of S^2 and passes everything but the ridge
-        # count; mirroring anyway gives the wrong groups, so the check matters
+        # count; summing it as a 2-sphere anyway never gives the right groups,
+        # so the check matters: its facets give a wrong f-vector, and a
+        # negative rank, which GradedGroups refuses, or wrong groups follow
         fin = SimplicialComplex(5, list(boundary_complex(3).maximal_faces) + [(0, 1, 4)])
         groups, _ = reference_sum(subset_homologies(fin))
         assert faces_of(fin).sphere_dimension() is None
         assert moment_angle_cohomology(fin) == groups
         monkeypatch.setattr(_Faces, "sphere_dimension", lambda self: 2)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            moment_angle_cohomology(fin)
+        # the walk, mirrored as on a sphere, gives wrong groups
+        sphere_table_off(monkeypatch)
         assert moment_angle_cohomology(fin) != groups
 
 
@@ -400,7 +406,8 @@ def split_factors(k):
 
     Each factor's face table, built from its traces in the factor's own
     numbering, must be that of its full subcomplex numbered the same way;
-    a factor passed on unlisted must be ∂Δ on its vertices as given.
+    a factor passed on unlisted must be ∂Δ on its vertices as given, with
+    the table of Z = S^{2k-1}.
     """
     out = []
     for bits, faces in _factors(k.vertex_count, _masks(k.maximal_faces)):
@@ -408,9 +415,11 @@ def split_factors(k):
         vertices = sorted(labels)
         # full_subcomplex numbers the vertices in increasing order
         sub = full_subcomplex(k, vertices).relabeled([labels.index(v) for v in vertices])
-        if faces is None:
-            assert len(labels) > 1 and labels == vertices, labels
-            faces = faces_of(boundary_complex(len(labels) - 1))
+        if isinstance(faces, Counter):
+            n = len(labels)
+            assert n > 1 and labels == vertices, labels
+            assert faces == Counter({(0, 0, 0): 1, (n, 2 * n - 1, 0): 1})
+            faces = faces_of(boundary_complex(n - 1))
         assert faces.ext == faces_of(sub).ext, labels
         out.append(vertices)
     return sorted(out)
@@ -434,7 +443,7 @@ def order_off(patch):
 
 def sphere_table_off(patch):
     """Make every factor go to the walk: no sphere is summed from its f-vector."""
-    patch.setattr(moment_angle_module, "_sphere_table", lambda faces, d: None)
+    patch.setattr(moment_angle_module, "_sphere_table", lambda vertices, facets, d: None)
 
 
 class TestJoinFactors:
@@ -597,7 +606,7 @@ class TestWalkCounter:
         }[name]
         computed = 0
         for _, faces in _factors(*moment_angle_module._check_input(k, 22)):
-            if faces is None:  # ∂Δ, summed in closed form
+            if isinstance(faces, Counter):  # ∂Δ, summed in closed form
                 continue
             m, dim = faces.vertex_count, faces.sphere_dimension()
             factor = SimplicialComplex(m, [[v for v in range(m) if f >> v & 1] for f in faces.facets])
@@ -676,7 +685,7 @@ class TestVertexOrder:
         assert sorted(len(bits) for bits, _ in factors) == [4, 5]
         searched = [part.bit_count() for part in trace.numbered]
         assert searched == [faces.vertex_count for faces in trace.built] == [5]
-        (simplex,) = [bits for bits, faces in factors if faces is None]
+        (simplex,) = [bits for bits, faces in factors if isinstance(faces, Counter)]
         assert len(simplex) == 4 and simplex == sorted(simplex)
         groups, table = reference_sum(subset_homologies(k))
         assert moment_angle_cohomology(k) == groups

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -334,7 +335,7 @@ def assert_cut_factors_are_spheres(p):
     for v in range(p.vertex_count):
         m, facets = _check_input(p.cut_vertex(v), DEFAULT_MAX_VERTICES)
         for bits, faces in _factors(m, facets):
-            if faces is None:
+            if isinstance(faces, Counter):
                 part = sum(bits)
                 assert {f & part for f in facets} == {part ^ bit for bit in bits}, v
             else:
@@ -383,9 +384,10 @@ class TestInheritedCertificate:
         assert [faces.vertex_count for faces in trace.certified] == [5]
 
     def test_cuts_of_a_two_sphere_are_summed_unwalked(self, capsys, monkeypatch):
-        # cube-3 cut three times is a 2-sphere on 9 vertices, certified once;
-        # each of its 14 cuts inherits the certificate and, as a sphere of
-        # dimension 2, is summed from its f-vector with no walk.  The JSON
+        # cube-3 cut three times is a 2-sphere on 9 vertices, numbered,
+        # listed and certified once; each of its 14 cuts inherits the
+        # certificate and, as a sphere of dimension 2, is summed from its
+        # facets with no numbering, no face listing and no walk.  The JSON
         # of verify --all-vertices is the same with every factor walked
         argv = ["verify", *"cut-vertex ( cut-vertex ( cut-vertex ( cube 3 ) 0 ) 9 ) 3".split(),
                 "--all-vertices", "--json"]
@@ -393,7 +395,9 @@ class TestInheritedCertificate:
             assert cli.main(argv) == 0
         summed = capsys.readouterr().out
         assert [faces.vertex_count for faces in trace.certified] == [9]
-        assert [(faces.vertex_count, d) for faces, d in trace.summed] == [(9, 2)] + [(10, 2)] * 14
+        assert trace.summed == [(9, 2)] + [(10, 2)] * 14
+        assert [faces.vertex_count for faces in trace.built] == [9]
+        assert [part.bit_count() for part in trace.numbered] == [9]
         assert trace.walks == []
         sphere_table_off(monkeypatch)
         with counted() as trace:

@@ -190,7 +190,7 @@ class Trace:
     certified: list = field(default_factory=list)  # the ``_Faces`` certified
     factors: list = field(default_factory=list)  # (bits, faces or None) per join factor
     numbered: list = field(default_factory=list)  # the vertex masks ``_order`` numbers
-    summed: list = field(default_factory=list)  # (faces, sphere_dim) per ``_sphere_table`` table
+    summed: list = field(default_factory=list)  # (m, sphere_dim) per ``_sphere_table`` table
     walks: list = field(default_factory=list)  # (faces, sphere_dim) per ``_walk`` call
     pools: list = field(default_factory=list)  # ``max_workers`` per process pool started
     maps: list = field(default_factory=list)  # the tasks given to each pool ``map``
@@ -258,10 +258,10 @@ def counted():
         trace.numbered.append(part)
         return order(part, linked)
 
-    def summing(faces, sphere_dim):
-        table = sphere_table(faces, sphere_dim)
+    def summing(vertices, facets, sphere_dim):
+        table = sphere_table(vertices, facets, sphere_dim)
         if table is not None:
-            trace.summed.append((faces, sphere_dim))
+            trace.summed.append((vertices.bit_count(), sphere_dim))
         return table
 
     def walking(faces, sphere_dim, *args):
