@@ -11,21 +11,15 @@ are sampled and reported, not proved.
 
 import numpy as np
 
-from momentangle.isotopy import (
-    endpoint_checks,
-    injectivity_probe,
-    isotopy_batch,
-    isotopy_map,
-    standard_map,
-    standard_torus_batch,
-)
+from momentangle.isotopy import isotopy_batch, isotopy_check
 
 # A marked point of the 2-torus and where the deformation takes it.  The
-# functions take a batch of angle tuples, one per row; here the batch is
-# a single row.
+# map takes a batch of angle tuples, one per row; here the batch is a
+# single row.  At t=1 the first three coordinates are the standard
+# embedding, exactly.
 angles = np.array([[np.pi / 3, np.pi / 4]])
 print("angles:", np.round(angles[0], 4))
-print("standard embedding in R^3: ", np.round(standard_torus_batch(2, angles)[0], 4))
+print("standard embedding in R^3: ", np.round(isotopy_batch(2, angles, 1.0)[0][:3], 4))
 for t in (0.0, 0.5, 1.0):
     print(f"deformed, t={t}:           ",
           np.round(isotopy_batch(2, angles, t)[0], 4))
@@ -45,11 +39,14 @@ print("3-torus batch at t=0.5:")
 print(np.round(isotopy_batch(3, batch, 0.5), 4))
 print()
 
+# One check per k draws its samples once and reports both the endpoint
+# identities and the injectivity probes.
+checks = {k: isotopy_check(k, 5000, seed=42) for k in range(1, 5)}
+
 # Endpoint identities: t=1 restricts to the standard torus, t=0 splits
 # off a round circle of radius 1/2^{k-1}.  Deviations should sit at
 # machine precision.
-for k in range(1, 5):
-    report = endpoint_checks(k, 5000, seed=42)
+for k, (report, _) in checks.items():
     print(f"k={k}: standard {report.max_standard_deviation:.2e}, "
           f"radius {report.max_radius_deviation:.2e}, "
           f"base {report.max_base_deviation:.2e}, "
@@ -60,8 +57,8 @@ print()
 # far apart on the torus but lands nearly together in space.
 # One draw of pairs per k serves every map; the maps read the angles only
 # through their sine and cosine tables.
-maps = [("standard", standard_map), ("isotopy t=0.5", isotopy_map(0.5))]
 for k in (1, 2, 3):
-    for probe in injectivity_probe(maps, k, 5000, seed=42):
-        print(f"k={k} {probe.label}: violations={probe.violations}, "
-              f"min separation={probe.min_separation:.3e}")
+    for probe in checks[k][1]:
+        if probe.label in ("standard", "isotopy t=0.5"):
+            print(f"k={k} {probe.label}: violations={probe.violations}, "
+                  f"min separation={probe.min_separation:.3e}")

@@ -33,10 +33,6 @@ from .simplicial import (
 )
 from .surgery import (
     TheoremReport,
-    boundary_product_groups,
-    connected_sum_groups,
-    predict_cut_betti,
-    sphere_product_sum_groups,
     theorem_corpus,
     verify_all_cuts,
     verify_cut_theorem,
@@ -55,18 +51,14 @@ __all__ = [
     "betti",
     "bigraded_table",
     "boundary_complex",
-    "boundary_product_groups",
-    "connected_sum_groups",
     "cube",
     "invariant_factors",
     "join",
     "moment_angle_cohomology",
     "polygon",
-    "predict_cut_betti",
     "product",
     "reduced_homology",
     "simplex_polytope",
-    "sphere_product_sum_groups",
     "theorem_corpus",
     "verify_all_cuts",
     "verify_cut_theorem",

@@ -29,16 +29,17 @@ one-dimensional instance has the closed form
 
     F1(cos a, sin a, t) = (t sin a, cos a, (1-t) sin a + t |sin a|),
 
-which ``f1_map`` evaluates as written.
+which ``isotopy_check`` probes as written beside the general map at k = 1.
 
 The maps read angles only through their sine and cosine tables, and work on
 column buffers: a (k, N) table holds one angle per row, a (columns, N) point
 buffer one coordinate per row, so every step reads and writes contiguous
-memory.  The public maps take and return the (N, k) and (N, columns) arrays
-of one point per row.  A distance sums each point's squared entries the way
-numpy sums the rows of the C-ordered (N, columns) array: in sequence below 8
-entries, which column-by-column addition repeats bit for bit, and pairwise
-from 8 on, which only numpy's own reduction over such an array repeats.
+memory.  ``isotopy_batch`` is the one row map: it takes the (N, k) angles of
+one point per row and returns the (N, k+2) points.  A distance sums each
+point's squared entries the way numpy sums the rows of the C-ordered
+(N, columns) array: in sequence below 8 entries, which column-by-column
+addition repeats bit for bit, and pairwise from 8 on, which only numpy's
+own reduction over such an array repeats.
 
 ``isotopy_check`` draws once per seed: the far mask and both samples' tables
 come from one generator, each sine and cosine is taken once, and every map
@@ -57,16 +58,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-TWO_PI = 2.0 * np.pi
-_DELTA_IN, _DELTA_OUT, _TOLERANCE = 1e-2, 1e-6, 1e-12  # see injectivity_probe, EndpointReport
+_TWO_PI = 2.0 * np.pi
+_DELTA_IN, _DELTA_OUT, _TOLERANCE = 1e-2, 1e-6, 1e-12  # see isotopy_check, EndpointReport
 _BLOCK = 1 << 16  # entries per C-ordered block that _row_sums copies for numpy to sum
 
-TableMap = Callable[[np.ndarray, np.ndarray], np.ndarray]  # (N, k) sines, cosines -> points
-ColumnMap = Callable[[np.ndarray, np.ndarray], np.ndarray]  # (k, N) tables -> (columns, N)
+_ColumnMap = Callable[[np.ndarray, np.ndarray], np.ndarray]  # (k, N) tables -> (columns, N)
 
 
 def _check_dimension(k: int) -> None:
@@ -153,7 +153,7 @@ def _standard(sins: np.ndarray, coss: np.ndarray) -> np.ndarray:
     return _nested_tube(sins, coss, sins[-1])
 
 
-def _deformed(t: float) -> ColumnMap:
+def _deformed(t: float) -> _ColumnMap:
     _check_parameter(t)
 
     def deformed(sins: np.ndarray, coss: np.ndarray) -> np.ndarray:
@@ -166,7 +166,7 @@ def _deformed(t: float) -> ColumnMap:
     return deformed
 
 
-def _f1(t: float) -> ColumnMap:
+def _f1(t: float) -> _ColumnMap:
     _check_parameter(t)
 
     def f1(sins: np.ndarray, coss: np.ndarray) -> np.ndarray:
@@ -176,46 +176,13 @@ def _f1(t: float) -> ColumnMap:
     return f1
 
 
-def _on_rows(column_map: ColumnMap) -> TableMap:
-    """``column_map`` on (N, k) tables, giving C-ordered (N, columns) points."""
-
-    def on_rows(sins: np.ndarray, coss: np.ndarray) -> np.ndarray:
-        return _flip(column_map(sins.T, coss.T))
-
-    return on_rows
-
-
-def standard_map(sins: np.ndarray, coss: np.ndarray) -> np.ndarray:
-    """Standard torus points from (N, k) sine and cosine tables; (N, k+1)."""
-    return _flip(_standard(sins.T, coss.T))
-
-
-def isotopy_map(t: float) -> TableMap:
-    """F(., t) on (N, k) sine and cosine tables; points are (N, k+2)."""
-    return _on_rows(_deformed(t))
-
-
-def f1_map(t: float) -> TableMap:
-    """The closed form F1(., t) on (N, 1) sine and cosine tables; (N, 3)."""
-    return _on_rows(_f1(t))
-
-
-def _angle_grid(k: int, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def isotopy_batch(k: int, angles: np.ndarray, t: float) -> np.ndarray:
+    """Deformed torus points for an (N, k) array of angles; returns (N, k+2)."""
     _check_dimension(k)
     a = np.atleast_2d(np.asarray(angles, dtype=float))
     if a.shape[1] != k:
         raise ValueError(f"expected {k} angles per point, got shape {a.shape}")
-    return _tables(_flip(a))
-
-
-def standard_torus_batch(k: int, angles: np.ndarray) -> np.ndarray:
-    """Standard torus points for an (N, k) array of angles; returns (N, k+1)."""
-    return _flip(_standard(*_angle_grid(k, angles)))
-
-
-def isotopy_batch(k: int, angles: np.ndarray, t: float) -> np.ndarray:
-    """Deformed torus points for an (N, k) array of angles; returns (N, k+2)."""
-    return _flip(_deformed(t)(*_angle_grid(k, angles)))
+    return _flip(_deformed(t)(*_tables(_flip(a))))
 
 
 # -- probe harness ---------------------------------------------------------
@@ -224,15 +191,10 @@ def isotopy_batch(k: int, angles: np.ndarray, t: float) -> np.ndarray:
 def _flat_distance(delta: np.ndarray) -> np.ndarray:
     """Flat-torus lengths of the (k, N) float angle differences ``delta``, which it overwrites."""
     np.abs(delta, out=delta)
-    np.fmod(delta, TWO_PI, out=delta)  # numpy's % on nonnegative values, at a third of its cost
-    np.minimum(delta, TWO_PI - delta, out=delta)
+    np.fmod(delta, _TWO_PI, out=delta)  # numpy's % on nonnegative values, at a third of its cost
+    np.minimum(delta, _TWO_PI - delta, out=delta)
     delta *= delta
     return np.sqrt(_row_sums(delta))
-
-
-def circle_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Flat-torus distance between angle tuples, rows of (N, k) arrays."""
-    return _flat_distance((np.asarray(a) - np.asarray(b)).astype(float, copy=False).T)
 
 
 @dataclass(frozen=True)
@@ -266,8 +228,8 @@ def _pair(k: int, samples: int, seed: int):
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     rng = np.random.default_rng(seed)
-    a = _flip(rng.uniform(0.0, TWO_PI, size=(samples, k)))
-    b = _flip(rng.uniform(0.0, TWO_PI, size=(samples, k)))
+    a = _flip(rng.uniform(0.0, _TWO_PI, size=(samples, k)))
+    b = _flip(rng.uniform(0.0, _TWO_PI, size=(samples, k)))
     far = _flat_distance(a - b) > _DELTA_IN
     tables_a = _tables(a)
     del a  # so that no more than five (k, N) arrays are live at once: b and four tables
@@ -281,24 +243,6 @@ def _report(label: str, k: int, samples: int, seed: int, far: np.ndarray,
     violations = int(np.count_nonzero(far & (image_dist < _DELTA_OUT)))
     min_sep = float(image_dist[far].min()) if far.any() else float("inf")
     return InjectivityReport(label, k, samples, seed, _DELTA_IN, _DELTA_OUT, violations, min_sep)
-
-
-def injectivity_probe(
-    maps: Sequence[tuple[str, TableMap]], k: int, samples: int, seed: int
-) -> list[InjectivityReport]:
-    """Sample angle pairs once and probe each labelled map on them, in order.
-
-    A pair violates injectivity evidence when its flat-torus angle distance
-    exceeds ``_DELTA_IN`` while the image distance falls below ``_DELTA_OUT``.
-    """
-    far, (sins_a, coss_a), (sins_b, coss_b) = _pair(k, samples, seed)
-    reports = []
-    for label, point_map in maps:
-        # the maps take (N, k) tables; the transposes are views of the columns
-        images = point_map(sins_a.T, coss_a.T) - point_map(sins_b.T, coss_b.T)
-        image_dist = np.linalg.norm(images, axis=1)
-        reports.append(_report(label, k, samples, seed, far, image_dist))
-    return reports
 
 
 @dataclass(frozen=True)
@@ -335,70 +279,23 @@ def _max_deviation(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> float:
     return float(np.abs(out, out=out).max())
 
 
-def _endpoints(k: int, samples: int, seed: int, sins: np.ndarray, coss: np.ndarray,
-               retaken: tuple[np.ndarray, np.ndarray],
-               seen: Callable[[str, ColumnMap, np.ndarray], None]) -> EndpointReport:
-    """The endpoint deviations on (k, N) tables whose innermost column becomes ``retaken``.
-
-    The standard map, t=1 and t=0 are evaluated once each, and each
-    deviation is folded in as soon as its map is; ``seen(label, map,
-    points)`` is handed each evaluation before it is dropped.  Only t=0 is
-    evaluated again, on the tables with the innermost column retaken.
-    """
-    at_one_map = _deformed(1.0)
-    at_one = at_one_map(sins, coss)
-    seen("isotopy t=1.0", at_one_map, at_one)
-    standard = _standard(sins, coss)
-    dev_standard = _max_deviation(at_one[: k + 1], standard, at_one[: k + 1])
-    del at_one
-    seen("standard", _standard, standard)
-    del standard
-
-    at_zero_map = _deformed(0.0)
-    at_zero = at_zero_map(sins, coss)
-    circle = at_zero[k:]
-    dev_radius = float(np.abs(np.sqrt(_row_sums(circle * circle)) - 0.5 ** (k - 1)).max())
-    seen("isotopy t=0.0", at_zero_map, at_zero)
-
-    sins[k - 1], coss[k - 1] = retaken
-    moved = at_zero_map(sins, coss)[:k]
-    dev_base = _max_deviation(moved, at_zero[:k], moved)
-    return EndpointReport(k, samples, seed, _TOLERANCE, dev_standard, dev_radius, dev_base)
-
-
-def endpoint_checks(k: int, samples: int, seed: int) -> EndpointReport:
-    """Check both endpoint identities of the isotopy on seeded random charts.
-
-    At t=1 the deformation restricted to its first k+1 coordinates must
-    reproduce the standard torus.  At t=0 the final two coordinates must lie
-    on the round circle of radius 1/2^{k-1} while the first k coordinates
-    ignore the innermost angle, which is drawn afresh after the charts; only
-    its column of the sine and cosine tables is retaken.
-    """
-    _check_dimension(k)
-    if samples < 1:
-        raise ValueError(f"need at least 1 sample, got {samples}")
-    rng = np.random.default_rng(seed)
-    sins, coss = _tables(_flip(rng.uniform(0.0, TWO_PI, size=(samples, k))))
-    retaken = _tables(rng.uniform(0.0, TWO_PI, size=samples))
-    return _endpoints(k, samples, seed, sins, coss, retaken, lambda *evaluation: None)
-
-
 def isotopy_check(k: int, samples: int, seed: int
                   ) -> tuple[EndpointReport, list[InjectivityReport]]:
-    """``endpoint_checks`` and the probes of isotopy-check's labelled maps, from one draw.
+    """Both endpoint identities and the injectivity probes of isotopy-check's maps, from one draw.
 
     The maps are the standard torus, the isotopy at t = 0, 0.5 and 1, and at
-    k = 1 the closed form F1 at t = 0 and 1; the reports come in that order.
-    Each map is evaluated once on each sample's tables, and the endpoint
-    deviations are read off the evaluations on the first, as
-    ``endpoint_checks`` would find them.  Beside the four tables no more than
-    two evaluations are live at once, as in ``injectivity_probe``.
+    k = 1 the closed form F1 at t = 0 and 1; the probes come in that order.
+    A pair violates injectivity evidence when its flat-torus angle distance
+    exceeds ``_DELTA_IN`` while its image distance falls below ``_DELTA_OUT``.
+    At t=1 the first k+1 coordinates must reproduce the standard torus; at
+    t=0 the last two must lie on the round circle of radius 1/2^{k-1} and
+    the first k must ignore the innermost angle.  Beside the four tables no
+    more than two evaluations are live at once.
     """
     far, (sins, coss), (sins_b, coss_b) = _pair(k, samples, seed)
     probes = {}
 
-    def probe(label: str, column_map: ColumnMap, image_a: np.ndarray) -> None:
+    def probe(label: str, column_map: _ColumnMap, image_a: np.ndarray) -> None:
         image_b = column_map(sins_b, coss_b)
         np.subtract(image_a, image_b, out=image_b)
         image_b *= image_b
@@ -409,10 +306,28 @@ def isotopy_check(k: int, samples: int, seed: int
         maps += [(f"f1 t={t}", _f1(t)) for t in (0.0, 1.0)]
     for label, column_map in maps:
         probe(label, column_map, column_map(sins, coss))
-    # the endpoint check draws its fresh innermost angles right after the first
-    # sample: they are the second sample's leading values, in its row order
+
+    at_one_map = _deformed(1.0)
+    at_one = at_one_map(sins, coss)
+    probe("isotopy t=1.0", at_one_map, at_one)
+    standard = _standard(sins, coss)
+    dev_standard = _max_deviation(at_one[: k + 1], standard, at_one[: k + 1])
+    del at_one
+    probe("standard", _standard, standard)
+    del standard
+
+    at_zero_map = _deformed(0.0)
+    at_zero = at_zero_map(sins, coss)
+    circle = at_zero[k:]
+    dev_radius = float(np.abs(np.sqrt(_row_sums(circle * circle)) - 0.5 ** (k - 1)).max())
+    probe("isotopy t=0.0", at_zero_map, at_zero)
+
+    # the fresh innermost angles are the draws that follow the first sample:
+    # the second sample's leading values, in its row order
     rows = -(-samples // k)
-    retaken = tuple(t.T[:rows].reshape(-1)[:samples] for t in (sins_b, coss_b))
-    endpoints = _endpoints(k, samples, seed, sins, coss, retaken, probe)
+    sins[k - 1], coss[k - 1] = (t.T[:rows].reshape(-1)[:samples] for t in (sins_b, coss_b))
+    moved = at_zero_map(sins, coss)[:k]
+    dev_base = _max_deviation(moved, at_zero[:k], moved)
+    endpoints = EndpointReport(k, samples, seed, _TOLERANCE, dev_standard, dev_radius, dev_base)
     order = ["standard", "isotopy t=0.0", "isotopy t=0.5", "isotopy t=1.0", "f1 t=0.0", "f1 t=1.0"]
     return endpoints, [probes[label] for label in order if label in probes]

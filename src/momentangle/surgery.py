@@ -36,12 +36,11 @@ from .moment_angle import (
     DEFAULT_MAX_VERTICES,
     SubsetLimitError,
     _cohomology,
-    moment_angle_cohomology,
 )
 from .polytopes import SimplePolytope, cube, polygon, product, simplex_polytope
 
 
-def boundary_product_groups(h_z: GradedGroups, d: int) -> GradedGroups:
+def _boundary_product_groups(h_z: GradedGroups, d: int) -> GradedGroups:
     """Graded groups of W = boundary of (Z minus an open d-disk) x D^2.
 
     ``h_z`` must look like the cohomology of a closed connected orientable
@@ -73,7 +72,7 @@ def boundary_product_groups(h_z: GradedGroups, d: int) -> GradedGroups:
     return GradedGroups(groups)
 
 
-def sphere_product_sum_groups(m: int, n: int) -> GradedGroups:
+def _sphere_product_sum_groups(m: int, n: int) -> GradedGroups:
     """Groups of # over j = 1..m-n of binom(m-n, j) copies of S^{j+2} x S^{m+n-j-1}.
 
     A connected sum of products of spheres, all of dimension m+n+1;
@@ -90,7 +89,7 @@ def sphere_product_sum_groups(m: int, n: int) -> GradedGroups:
     return GradedGroups.from_ranks(ranks)
 
 
-def connected_sum_groups(parts: Sequence[GradedGroups], d: int) -> GradedGroups:
+def _connected_sum_groups(parts: Sequence[GradedGroups], d: int) -> GradedGroups:
     """Cohomology of a connected sum of closed orientable d-manifolds.
 
     Degrees 0 and d stay rank 1; strictly intermediate degrees add up.
@@ -116,22 +115,12 @@ def connected_sum_groups(parts: Sequence[GradedGroups], d: int) -> GradedGroups:
     return GradedGroups(groups)
 
 
-def predict_cut_betti(
-    p: SimplePolytope,
-    *,
-    workers: int = 1,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> GradedGroups:
-    """Predicted graded cohomology of Z(P with one vertex cut), from P alone."""
-    return _prediction(p, moment_angle_cohomology(p, workers=workers, max_vertices=max_vertices))
-
-
 def _prediction(p: SimplePolytope, h_z: GradedGroups) -> GradedGroups:
     """The prediction from P's m and n and ``h_z``, the cohomology of Z(P)."""
     m, n = p.m, p.n
-    w = boundary_product_groups(h_z, m + n)
-    spheres = sphere_product_sum_groups(m, n)
-    return connected_sum_groups([w, spheres], m + n + 1)
+    w = _boundary_product_groups(h_z, m + n)
+    spheres = _sphere_product_sum_groups(m, n)
+    return _connected_sum_groups([w, spheres], m + n + 1)
 
 
 @dataclass(frozen=True)

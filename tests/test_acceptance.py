@@ -17,18 +17,12 @@ from invariants import euler_characteristic, has_torsion, is_symmetric, poincare
 from walk import faces_of
 from momentangle.cli import main
 from momentangle.homology import GradedGroups, _boundary_column, reduced_homology
-from momentangle.isotopy import (
-    endpoint_checks,
-    injectivity_probe,
-    isotopy_batch,
-    isotopy_map,
-    standard_map,
-)
+from momentangle.isotopy import isotopy_batch, isotopy_check
 from momentangle.moment_angle import PoincarePolynomial, betti, moment_angle_cohomology
 from momentangle.polytopes import polygon, product, simplex_polytope
 from momentangle.simplicial import SimplicialComplex, boundary_complex
 from momentangle.surgery import (
-    boundary_product_groups,
+    _boundary_product_groups,
     theorem_corpus,
     verify_all_cuts,
     verify_cut_theorem,
@@ -134,7 +128,7 @@ def test_criterion_05_boundary_product_rank_identity(capsys, corpus_cohomology):
     for name, p, groups in corpus_cohomology:
         d = p.m + p.n
         z = betti(groups)
-        w = betti(boundary_product_groups(groups, d))
+        w = betti(_boundary_product_groups(groups, d))
         wanted = {}
         for deg in z.degrees():
             wanted[deg] = wanted.get(deg, 0) + z.coefficient(deg)
@@ -160,7 +154,7 @@ def test_criterion_06_sphere_identities(capsys):
         for m in range(2, 6)
     )
     product_side = all(
-        boundary_product_groups(manifold_sphere(d), d) == manifold_sphere(d + 1)
+        _boundary_product_groups(manifold_sphere(d), d) == manifold_sphere(d + 1)
         for d in range(2, 11)
     )
     ok = sphere_side and product_side
@@ -228,9 +222,8 @@ def test_criterion_08_homology_engine(capsys, corpus):
 
 def test_criterion_09_isotopy_formulas(capsys):
     start = time.perf_counter()
-    endpoints_ok = all(
-        endpoint_checks(k, 10000, 42).passed for k in range(1, 5)
-    )
+    checks = [isotopy_check(k, 10000, 42) for k in range(1, 5)]
+    endpoints_ok = all(endpoints.passed for endpoints, _ in checks)
 
     exact_ok = True
     for alpha in (0.0, np.pi / 2, np.pi, 3 * np.pi / 2):
@@ -239,13 +232,7 @@ def test_criterion_09_isotopy_formulas(capsys):
             isotopy_batch(1, np.array([[alpha]]), 1.0)[0], np.array([s, c, abs(s)])
         )
 
-    maps = [("standard", standard_map)]
-    maps += [(f"isotopy t={t}", isotopy_map(t)) for t in (0.0, 0.5, 1.0)]
-    probes_ok = all(
-        report.passed
-        for k in range(1, 5)
-        for report in injectivity_probe(maps, k, 10000, 42)
-    )
+    probes_ok = all(report.passed for _, probes in checks for report in probes)
     elapsed = time.perf_counter() - start
 
     ok = endpoints_ok and exact_ok and probes_ok and elapsed < 10.0

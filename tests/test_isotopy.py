@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import astuple
 
@@ -5,25 +6,21 @@ import numpy as np
 import pytest
 
 from momentangle import isotopy
-from momentangle.isotopy import (
-    InjectivityReport,
-    circle_distance,
-    endpoint_checks,
-    f1_map,
-    injectivity_probe,
-    isotopy_batch,
-    isotopy_check,
-    isotopy_map,
-    standard_map,
-    standard_torus_batch,
-)
+from momentangle.isotopy import InjectivityReport, isotopy_batch, isotopy_check
 
 TWO_PI = 2.0 * np.pi
 
 
 def one_row(angles):
-    """A single angle tuple as the (1, k) array the batch functions take."""
+    """A single angle tuple as the (1, k) array the batch map takes."""
     return np.asarray(angles, dtype=float)[None, :]
+
+
+def standard_torus(k, angles):
+    """The standard map that the endpoint check compares t=1 with, on (N, k) angles."""
+    a = np.asarray(angles, dtype=float)
+    assert a.shape[1] == k
+    return isotopy._standard(np.sin(a.T), np.cos(a.T)).T
 
 
 def circle(a, t):
@@ -79,47 +76,53 @@ def bits(x):
     return np.ascontiguousarray(x).view(np.uint64).tolist()
 
 
+def flat_distance(a, b):
+    """Flat-torus distance between the rows of two (N, k) angle arrays."""
+    delta = np.abs(np.asarray(a) - np.asarray(b)) % TWO_PI
+    return np.sqrt((np.minimum(delta, TWO_PI - delta) ** 2).sum(axis=1))
+
+
 class TestStandardTorus:
     def test_matches_closed_form(self):
         rng = np.random.default_rng(7)
         for k in range(1, 7):
             for _ in range(50):
                 angles = rng.uniform(0.0, TWO_PI, size=k)
-                got = standard_torus_batch(k, one_row(angles))[0]
+                got = standard_torus(k, one_row(angles))[0]
                 assert np.abs(got - closed_form_point(angles)).max() <= 1e-12
 
     def test_circle(self):
         assert np.allclose(
-            standard_torus_batch(1, one_row([np.pi / 2]))[0], [1.0, 0.0], atol=1e-12
+            standard_torus(1, one_row([np.pi / 2]))[0], [1.0, 0.0], atol=1e-12
         )
         assert np.allclose(
-            standard_torus_batch(1, one_row([0.0]))[0], [0.0, 1.0], atol=1e-12
+            standard_torus(1, one_row([0.0]))[0], [0.0, 1.0], atol=1e-12
         )
 
     def test_frozen_two_torus_point(self):
-        got = standard_torus_batch(2, one_row([0.0, np.pi / 2]))[0]
+        got = standard_torus(2, one_row([0.0, np.pi / 2]))[0]
         assert np.allclose(got, [0.0, 1.5, 0.0], atol=1e-12)
 
     def test_zero_inner_angle_reduces_exactly(self):
         rng = np.random.default_rng(11)
         for k in range(2, 6):
             head = rng.uniform(0.0, TWO_PI, size=k - 1)
-            pt = standard_torus_batch(k, one_row(list(head) + [0.0]))[0]
-            assert np.array_equal(pt[:k], standard_torus_batch(k - 1, one_row(head))[0])
+            pt = standard_torus(k, one_row(list(head) + [0.0]))[0]
+            assert np.array_equal(pt[:k], standard_torus(k - 1, one_row(head))[0])
             assert pt[k] == 0.5 ** (k - 1)
 
     def test_norms_stay_below_two(self):
         rng = np.random.default_rng(5)
         for k in range(1, 6):
             a = rng.uniform(0.0, TWO_PI, size=(20000, k))
-            assert np.linalg.norm(standard_torus_batch(k, a), axis=1).max() <= 2.0
+            assert np.linalg.norm(standard_torus(k, a), axis=1).max() <= 2.0
 
     def test_batch_matches_points(self):
         rng = np.random.default_rng(2)
         a = rng.uniform(0.0, TWO_PI, size=(20, 3))
-        batch = standard_torus_batch(3, a)
+        batch = isotopy_batch(3, a, 0.5)
         for row, angles in zip(batch, a):
-            assert np.array_equal(row, standard_torus_batch(3, one_row(angles))[0])
+            assert np.array_equal(row, isotopy_batch(3, one_row(angles), 0.5)[0])
 
     def test_deep_nest_halves_once_per_level(self):
         # the tail is subnormal at k = 1024, where a halving can round, so one
@@ -127,7 +130,7 @@ class TestStandardTorus:
         # while the nest was recursive
         k = 1024
         angles = np.random.default_rng(3).uniform(0.0, TWO_PI, size=(2, k))
-        got = standard_torus_batch(k, angles)
+        got = standard_torus(k, angles)
         for point, last_cos in zip(got, np.cos(angles)[:, -1]):
             want = last_cos
             for _ in range(k - 1):
@@ -151,26 +154,23 @@ class TestStandardTorus:
         coss[7, rng.integers(k)] = np.inf
         coss[8, rng.integers(k)] = np.nan
         coss[9, rng.integers(k)] = 2.0**-1074
-        for t, point_map in [(None, standard_map), (0.5, isotopy_map(0.5))]:
+        for t, point_map in [(None, isotopy._standard), (0.5, isotopy._deformed(0.5))]:
             inner = sins[:, -1] if t is None else sins[:, -1] * t
             want = stepwise_tube(sins, coss, inner)
-            got = point_map(sins, coss)[:, : k + 1]
+            got = point_map(sins.T, coss.T)[: k + 1].T
             assert bits(got) == bits(want)
 
     def test_maps_return_rows(self):
         # the points come back C-ordered, as before the maps worked on
         # columns, so a row reduction over them rounds as it did
         a = np.random.default_rng(1).uniform(0.0, TWO_PI, size=(50, 9))
-        s, c = np.sin(a), np.cos(a)
-        for got in (standard_map(s, c), isotopy_map(0.5)(s, c), f1_map(0.5)(s[:, :1], c[:, :1]),
-                    standard_torus_batch(9, a), isotopy_batch(9, a, 0.5)):
-            assert got.flags.c_contiguous
+        assert isotopy_batch(9, a, 0.5).flags.c_contiguous
 
     def test_shape_and_range_errors(self):
         with pytest.raises(ValueError, match=">= 1"):
-            standard_torus_batch(0, np.zeros((1, 1)))
+            isotopy_batch(0, np.zeros((1, 1)), 0.5)
         with pytest.raises(ValueError, match="2 angles"):
-            standard_torus_batch(2, np.zeros((4, 3)))
+            isotopy_batch(2, np.zeros((4, 3)), 0.5)
 
 
 class TestIsotopy:
@@ -191,7 +191,7 @@ class TestIsotopy:
         for k in range(1, 5):
             a = rng.uniform(0.0, TWO_PI, size=(300, k))
             deformed = isotopy_batch(k, a, 1.0)
-            assert np.array_equal(deformed[:, : k + 1], standard_torus_batch(k, a))
+            assert np.array_equal(deformed[:, : k + 1], standard_torus(k, a))
             assert (deformed[:, k + 1] >= 0.0).all()
 
     def test_start_stage_splits_off_round_circle(self):
@@ -211,8 +211,8 @@ class TestIsotopy:
         for k in range(1, 5):
             a = rng.uniform(0.0, TWO_PI, size=(20000, k))
             b = (a + rng.uniform(-1e-4, 1e-4, size=a.shape)) % TWO_PI
-            gap = circle_distance(a, b)
-            images = [(standard_torus_batch(k, a), standard_torus_batch(k, b))]
+            gap = flat_distance(a, b)
+            images = [(standard_torus(k, a), standard_torus(k, b))]
             images += [(isotopy_batch(k, a, t), isotopy_batch(k, b, t)) for t in (0.0, 0.5, 1.0)]
             for image_a, image_b in images:
                 stretch = np.linalg.norm(image_a - image_b, axis=1) / gap
@@ -270,39 +270,75 @@ def probe_oracle(point_map, k, samples, seed, label, delta_in=1e-2, delta_out=1e
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.0, TWO_PI, size=(samples, k))
     b = rng.uniform(0.0, TWO_PI, size=(samples, k))
-    far = circle_distance(a, b) > delta_in
+    far = flat_distance(a, b) > delta_in
     image_dist = np.linalg.norm(point_map(a) - point_map(b), axis=1)
     violations = int(np.count_nonzero(far & (image_dist < delta_out)))
     min_sep = float(image_dist[far].min()) if far.any() else float("inf")
     return InjectivityReport(label, k, samples, seed, delta_in, delta_out, violations, min_sep)
 
 
-def endpoint_oracle(k, samples, seed, tolerance=1e-12):
-    """The endpoint deviations from angle arrays, one batch call per map."""
+def oracle_standard(a):
+    """The standard torus on (N, k) angles, as the induction states it."""
+    sins, coss = np.sin(a), np.cos(a)
+    return stepwise_tube(sins, coss, sins[:, -1])
+
+
+def oracle_isotopy(k, t):
+    """F(., t) on (N, k) angles: the tube of t * sin ak and the extra coordinate."""
+
+    def point_map(a):
+        sins, coss = np.sin(a), np.cos(a)
+        s = sins[:, -1]
+        extra = ((1.0 - t) * s + t * np.abs(s)) / 2 ** (k - 1)
+        return np.column_stack([stepwise_tube(sins, coss, s * t), extra])
+
+    return point_map
+
+
+def oracle_f1(t):
+    """F1(cos a, sin a, t) = (t sin a, cos a, (1-t) sin a + t |sin a|) on (N, 1) angles."""
+
+    def point_map(a):
+        s, c = np.sin(a[:, 0]), np.cos(a[:, 0])
+        return np.stack([t * s, c, (1.0 - t) * s + t * np.abs(s)], axis=1)
+
+    return point_map
+
+
+def endpoint_oracle(k, samples, seed, deformed=oracle_isotopy, tolerance=1e-12):
+    """The endpoint deviations from angle arrays, one call per map."""
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, TWO_PI, size=(samples, k))
-    at_one = isotopy_batch(k, angles, 1.0)
-    standard = np.abs(at_one[:, : k + 1] - standard_torus_batch(k, angles)).max()
-    at_zero = isotopy_batch(k, angles, 0.0)
+    at_one = deformed(k, 1.0)(angles)
+    standard = np.abs(at_one[:, : k + 1] - oracle_standard(angles)).max()
+    at_zero = deformed(k, 0.0)(angles)
     radius = np.abs(np.linalg.norm(at_zero[:, k:], axis=1) - 0.5 ** (k - 1)).max()
     perturbed = angles.copy()
     perturbed[:, k - 1] = rng.uniform(0.0, TWO_PI, size=samples)
-    base = np.abs(isotopy_batch(k, perturbed, 0.0)[:, :k] - at_zero[:, :k]).max()
+    base = np.abs(deformed(k, 0.0)(perturbed)[:, :k] - at_zero[:, :k]).max()
     return (k, samples, seed, tolerance, float(standard), float(radius), float(base))
 
 
 def cli_maps(k):
-    """The labelled maps isotopy-check probes, as table maps and as angle maps."""
-    tables = [("standard", standard_map)]
-    angles = [("standard", lambda x: standard_torus_batch(k, x))]
-    for t in (0.0, 0.5, 1.0):
-        tables.append((f"isotopy t={t}", isotopy_map(t)))
-        angles.append((f"isotopy t={t}", lambda x, t=t: isotopy_batch(k, x, t)))
+    """The labelled maps isotopy-check probes, as angle maps."""
+    maps = [("standard", oracle_standard)]
+    maps += [(f"isotopy t={t}", oracle_isotopy(k, t)) for t in (0.0, 0.5, 1.0)]
     if k == 1:
-        for t in (0.0, 1.0):
-            tables.append((f"f1 t={t}", f1_map(t)))
-            angles.append((f"f1 t={t}", lambda x, t=t: isotopy_batch(1, x, t)))
-    return tables, angles
+        maps += [(f"f1 t={t}", oracle_f1(t)) for t in (0.0, 1.0)]
+    return maps
+
+
+def batch_maps(k):
+    """The labelled maps isotopy-check probes, as calls of the public row map."""
+    maps = [("standard", lambda a: isotopy_batch(k, a, 1.0)[:, : k + 1])]
+    maps += [(f"isotopy t={t}", lambda a, t=t: isotopy_batch(k, a, t)) for t in (0.0, 0.5, 1.0)]
+    if k == 1:
+        maps += [(f"f1 t={t}", lambda a, t=t: isotopy_batch(1, a, t)) for t in (0.0, 1.0)]
+    return maps
+
+
+def batch_deformed(k, t):
+    return lambda a: isotopy_batch(k, a, t)
 
 
 class TestSharedSample:
@@ -310,19 +346,22 @@ class TestSharedSample:
     @pytest.mark.parametrize("seed", [0, 7, 42])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 9])
     def test_probe_matches_one_draw_per_map(self, k, seed, samples):
-        tables, angles = cli_maps(k)
-        got = injectivity_probe(tables, k, samples, seed)
-        want = [probe_oracle(f, k, samples, seed, label) for label, f in angles]
-        # dataclass equality compares every field, min_separation exactly
+        # the check's column maps and isotopy_batch, the row map the demo
+        # prints, are one map: a fresh draw through isotopy_batch for every
+        # map gives the check's probe reports and their JSON exactly
+        _, got = isotopy_check(k, samples, seed)
+        want = [probe_oracle(f, k, samples, seed, label) for label, f in batch_maps(k)]
         assert got == want
         assert [r.to_json_dict() for r in got] == [r.to_json_dict() for r in want]
 
-    @pytest.mark.parametrize("samples", [1, 2, 3, 1000])
+    @pytest.mark.parametrize("samples", [2, 3, 5, 1000])
     @pytest.mark.parametrize("seed", [0, 7, 42])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 9])
     def test_endpoints_match_one_batch_per_map(self, k, seed, samples):
-        report = endpoint_checks(k, samples, seed)
-        assert astuple(report) == endpoint_oracle(k, samples, seed)
+        # the endpoint figures read off the probe's tables equal one
+        # isotopy_batch call per stage on the endpoint draw
+        endpoints, _ = isotopy_check(k, samples, seed)
+        assert astuple(endpoints) == endpoint_oracle(k, samples, seed, batch_deformed)
 
     @pytest.mark.parametrize("samples", [2, 3, 5, 1000])
     @pytest.mark.parametrize("seed", [0, 7, 42])
@@ -334,16 +373,16 @@ class TestSharedSample:
         # and 9 give maps of 7 to 11 coordinates and flat-torus distances of 5
         # to 9, both sides of numpy's 8-entry pairwise rule
         endpoints, probes = isotopy_check(k, samples, seed)
-        _, angles = cli_maps(k)
-        assert probes == [probe_oracle(f, k, samples, seed, label) for label, f in angles]
+        # dataclass equality compares every field, min_separation exactly
+        assert probes == [probe_oracle(f, k, samples, seed, label) for label, f in cli_maps(k)]
         assert astuple(endpoints) == endpoint_oracle(k, samples, seed)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 9])
-    def test_the_base_check_retakes_the_endpoint_checks_angles(self, monkeypatch, k):
+    def test_the_base_check_retakes_the_oracles_fresh_angles(self, monkeypatch, k):
         # the base coordinates of a sound t=0 map ignore the innermost angle,
         # so the retaken angles leave no trace in the report; a map that leaks
         # the angle into them shows that the one-draw check retakes the angles
-        # endpoint_checks draws afresh
+        # the oracle draws afresh after the first sample
         deformed = isotopy._deformed
 
         def leaky(t):
@@ -356,75 +395,92 @@ class TestSharedSample:
 
             return leak
 
+        def leaky_oracle(k, t):
+            point_map = oracle_isotopy(k, t)
+
+            def leak(a):
+                points = point_map(a)
+                points[:, 0] += np.sin(a[:, -1])
+                return points
+
+            return leak
+
         monkeypatch.setattr(isotopy, "_deformed", leaky)
         endpoints, _ = isotopy_check(k, 1000, 42)
-        assert endpoints == endpoint_checks(k, 1000, 42)
+        assert astuple(endpoints) == endpoint_oracle(k, 1000, 42, leaky_oracle)
         assert endpoints.max_base_deviation > 1.0
 
-    def test_circle_distance_rounds_as_a_row_sum(self):
+    def test_flat_distance_rounds_as_a_row_sum(self):
         # column by column below 8 angles, numpy's pairwise row sum from 8 on
         rng = np.random.default_rng(43)
         for k in range(1, 13):
             a = rng.uniform(-40.0, 40.0, size=(500, k))
             b = rng.uniform(-40.0, 40.0, size=(500, k))
-            delta = np.abs(a - b) % TWO_PI
-            delta = np.minimum(delta, TWO_PI - delta)
-            assert bits(circle_distance(a, b)) == bits(np.sqrt((delta**2).sum(axis=1)))
+            got = isotopy._flat_distance(np.ascontiguousarray((a - b).T))
+            assert bits(got) == bits(flat_distance(a, b))
 
     def test_f1_is_the_k_one_isotopy_bit_for_bit(self):
         a = np.random.default_rng(41).uniform(0.0, TWO_PI, size=(100_000, 1))
-        s, c = np.sin(a), np.cos(a)
+        s, c = np.sin(a.T), np.cos(a.T)
         for t in (0.0, 0.25, 0.5, 1.0):
-            assert np.array_equal(f1_map(t)(s, c), isotopy_batch(1, a, t))
+            assert np.array_equal(isotopy._f1(t)(s, c).T, isotopy_batch(1, a, t))
 
     def test_parameter_range(self):
-        for make in (isotopy_map, f1_map):
+        for make in (isotopy._deformed, isotopy._f1):
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
                 make(1.5)
 
 
 class TestProbes:
-    def test_circle_distance_wraps(self):
-        a = np.array([[0.1, 0.0]])
-        b = np.array([[TWO_PI - 0.1, 0.0]])
-        assert circle_distance(a, b)[0] == pytest.approx(0.2)
+    def test_flat_distance_wraps(self):
+        delta = np.array([[0.1 - (TWO_PI - 0.1)], [0.0]])
+        assert isotopy._flat_distance(delta)[0] == pytest.approx(0.2)
 
     def test_standard_maps_probe_clean(self):
         for k in range(1, 5):
-            [report] = injectivity_probe([(f"standard-{k}", standard_map)], k, 500, 42)
-            assert report.label == f"standard-{k}"
+            report = isotopy_check(k, 500, 42)[1][0]
+            assert report.label == "standard"
+            assert report.k == k
             assert report.passed
             assert report.violations == 0
             assert 0.0 < report.min_separation < np.inf
 
     def test_deformed_maps_probe_clean(self):
-        for k, ts in ((2, (0.0, 0.5, 1.0)), (1, (0.0, 1.0))):
-            maps = [(f"t={t}", isotopy_map(t)) for t in ts]
-            assert all(r.passed for r in injectivity_probe(maps, k, 500, 42))
+        for k in (1, 2):
+            _, probes = isotopy_check(k, 500, 42)
+            assert [r.label for r in probes][:4] == [
+                "standard", "isotopy t=0.0", "isotopy t=0.5", "isotopy t=1.0"]
+            assert all(r.passed for r in probes)
 
     def test_probe_deterministic(self):
-        one = injectivity_probe([("standard", standard_map)], 2, 300, 9)
-        two = injectivity_probe([("standard", standard_map)], 2, 300, 9)
-        assert one == two
+        assert isotopy_check(2, 300, 9) == isotopy_check(2, 300, 9)
 
-    def test_probe_flags_a_genuinely_noninjective_map(self):
+    def test_probe_flags_a_genuinely_noninjective_map(self, monkeypatch):
         # collapse everything to a point: every far pair violates
-        squash = lambda sins, coss: np.zeros((sins.shape[0], 2))
-        [report] = injectivity_probe([("squash", squash)], 1, 200, 3)
-        assert not report.passed
-        assert report.violations > 0
-        assert report.min_separation == 0.0
+        def squash(t):
+            return lambda sins, coss: np.zeros((len(sins) + 2, sins.shape[1]))
+
+        monkeypatch.setattr(isotopy, "_deformed", squash)
+        endpoints, reports = isotopy_check(1, 200, 3)
+        # t=1 no longer restricts to the standard torus either
+        assert not endpoints.passed
+        assert endpoints.max_standard_deviation > 0.5
+        probes = {report.label: report for report in reports}
+        assert probes["standard"].passed
+        for t in (0.0, 0.5, 1.0):
+            report = probes[f"isotopy t={t}"]
+            assert not report.passed
+            assert report.violations > 0
+            assert report.min_separation == 0.0
 
     def test_probe_sample_floor(self):
         with pytest.raises(ValueError, match="at least 2"):
-            injectivity_probe([("standard", standard_map)], 1, 1, 0)
+            isotopy_check(1, 1, 0)
 
     def test_dimension_range(self):
         for k, match in ((0, ">= 1"), (1025, "<= 1024")):
             with pytest.raises(ValueError, match=match):
-                injectivity_probe([("standard", standard_map)], k, 2, 0)
-            with pytest.raises(ValueError, match=match):
-                endpoint_checks(k, 2, 0)
+                isotopy_check(k, 2, 0)
 
     def test_report_json(self):
         report = InjectivityReport("x", 1, 10, 0, 1e-2, 1e-6, 0, float("inf"))
@@ -439,18 +495,14 @@ class TestProbes:
 class TestEndpointChecks:
     def test_all_small_dimensions_pass(self):
         for k in range(1, 5):
-            report = endpoint_checks(k, 2000, 42)
+            report, _ = isotopy_check(k, 2000, 42)
             assert report.passed
             assert report.max_standard_deviation <= 1e-12
             assert report.max_radius_deviation <= 1e-12
             assert report.max_base_deviation <= 1e-12
 
-    def test_sample_floor(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            endpoint_checks(2, 0, 0)
-
     def test_report_json(self):
-        payload = endpoint_checks(1, 50, 7).to_json_dict()
+        payload = isotopy_check(1, 50, 7)[0].to_json_dict()
         assert payload["k"] == 1
         assert payload["samples"] == 50
         assert payload["passed"] is True
@@ -458,3 +510,12 @@ class TestEndpointChecks:
             "k", "samples", "seed", "tolerance", "max_standard_deviation",
             "max_radius_deviation", "max_base_deviation", "passed",
         }
+
+
+def test_module_defines_four_public_names():
+    public = {
+        name for name, value in vars(isotopy).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+        and getattr(value, "__module__", isotopy.__name__) == isotopy.__name__
+    }
+    assert public == {"EndpointReport", "InjectivityReport", "isotopy_batch", "isotopy_check"}
