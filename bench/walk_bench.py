@@ -18,14 +18,17 @@ input and checkout, made inside ``counted`` of ``tests/walk.py``, the
 trace of the engine that the tests read; the join factors, the walks
 with their sphere dimensions, the homology calls and the link listings
 are all read from it.  The sphere certificate's calls and listings are
-recorded apart and not reported.  A factor that is the boundary of a
-simplex is summed in closed form, with no listing and no walk: it is left
-out of the counts and of "visited", and its vertex count is listed under
-"simplex_boundaries".  A certified sphere of dimension 1, 2 or 3 is
-summed from its f-vector and the connected sets of its 1-skeleton, with
-no walk: it is left out of the counts and of "visited" too, and its
-vertex count and dimension are listed under "summed", as [m, d] pairs,
-beside the walked factors' "factor_m" and "sphere_dim".  Each checkout counts with its own copy of this
+recorded apart and not reported; the vertex count of each factor that
+``sphere_dimension`` certifies is listed under "certified", and that of
+each factor numbered by ``_order`` under "numbered".  A factor that is
+the boundary of a simplex is summed in closed form, with no listing and
+no walk: it is left out of the counts and of "visited", and its vertex
+count is listed under "simplex_boundaries".  A certified sphere of
+dimension 1, 2 or 3 is summed from its f-vector and the connected sets
+of its 1-skeleton, with no walk: it is left out of the counts and of
+"visited" too, and its vertex count and dimension are listed under
+"summed", as [m, d] pairs, beside the walked factors' "factor_m" and
+"sphere_dim".  Each checkout counts with its own copy of this
 script; where a checkout's counter refuses an input, its counts are
 ``null``.  A K_J settle is a graph ("graph") or an elimination
 ("eliminated") after a listing of K_J, and "computed" is their sum.  A
@@ -177,9 +180,13 @@ def routes(expr: list[str]) -> dict:
         entries[faces] += (faces.ext[sigma] >> sigma.bit_length()).bit_count() <= _MEMO_NEIGHBOURS
     counts["steps"] = visited - len(walks)
     counts["counted_s"] = round(seconds, 2)
-    counts["m"] = sum(len(bits) for bits, _ in trace.factors)
+    counts["m"] = sum(len(bits) for bits, *_ in trace.factors)
     counts["factor_m"] = [faces.vertex_count for faces, _ in walks]
-    counts["simplex_boundaries"] = [len(bits) for bits, faces in trace.factors if isinstance(faces, Counter)]
+    # of the factors passed on as tables, ∂Δ is the one sphere on d + 2 vertices
+    counts["simplex_boundaries"] = [len(bits) for bits, faces, d in trace.factors
+                                    if isinstance(faces, Counter) and d == len(bits) - 2]
+    counts["numbered"] = [part.bit_count() for part in trace.numbered]
+    counts["certified"] = [faces.vertex_count for faces in trace.certified]
     counts["summed"] = [[m, dim] for m, dim in trace.summed]
     counts["faces"] = sum(len(faces.ext) - 1 for faces, _ in walks)
     counts["sphere_dim"] = [dim for _, dim in walks]

@@ -33,7 +33,8 @@ from the top degree down, and the unit pivot rows of one map are left
 out of the next as columns.  ``reduced_homology`` is
 ``_reduced_groups`` on every face of K, and ``_Faces.sphere_dimension``
 runs it on K and on the listed links of its faces to certify that a
-complex is a Z-homology sphere.
+complex is a Z-homology sphere; ``_facet_sphere`` gives the same answer
+for dimension 2 or less from the maximal faces alone, with no listing.
 
 Finitely generated graded abelian groups are recorded degree by degree as a
 free rank plus invariant factors d_1 | d_2 | ... | d_k with every d_i > 1.
@@ -42,7 +43,7 @@ free rank plus invariant factors d_1 | d_2 | ... | d_k with every d_i > 1.
 from __future__ import annotations
 
 from math import prod
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .simplicial import SimplicialComplex
 
@@ -450,6 +451,8 @@ class _Faces:
         only then are faces listed by ``link``: H~(K),
         then the other links from the largest σ (smallest link) down, each
         to ``_reduced_groups``, so codimension-2 links take the graph path.
+        The subset sum runs it on factors of dimension 3 or more only, and
+        certifies the others by ``_facet_sphere``, which agrees with it.
         """
         d = self.dim
         counts = [0] * (d + 2)
@@ -473,6 +476,61 @@ class _Faces:
                 if _reduced_groups(self.link(sigma, self.ext[0])) != ((d - size, (1, ())),):
                     return None
         return d
+
+
+def _facet_sphere(vertices: int, facets: Collection[int], d: int) -> bool:
+    """Whether these distinct maximal faces, of at most d + 1 vertices each and all
+    inside ``vertices``, make a Z-homology d-sphere on all of ``vertices``, for d ≤ 2.
+
+    This is ``_Faces.sphere_dimension() == d`` read off the facets, with no
+    face listed.  ``ridge`` maps each ridge to the vertices that make a
+    facet with it, so each ridge lies on two facets when each holds two.
+    For d = 1 the m edges put each vertex on two and connect ``vertices``:
+    K is a cycle.  For d = 2 the triangles are F = 2m - 4, so
+    χ = m - 3F/2 + F = 2, each edge lies on two, and the link of each
+    vertex v, the edges opposite it, is one cycle, walked from a
+    neighbour u to the neighbours in ridge[v ∪ u]: K is a closed surface.
+    The triangles connect ``vertices``, and a connected closed surface
+    with χ = 2 is S^2.
+    """
+    m = vertices.bit_count()
+    if d < 1:  # S^0 is two points, and no sphere has dimension -1
+        return d == 0 and len(facets) == m == 2
+    if d > 2 or len(facets) != (m if d == 1 else 2 * m - 4):
+        return False
+    ridge: dict[int, int] = {}
+    for f in facets:
+        if f.bit_count() != d + 1:
+            return False
+        rest = f
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            ridge[f ^ low] = ridge.get(f ^ low, 0) | low
+    if any(n.bit_count() != 2 for n in ridge.values()):
+        return False
+    near = ridge  # a vertex -> its neighbours
+    if d == 2:
+        near = {}
+        for edge in ridge:
+            low = edge & -edge
+            near[low] = near.get(low, 0) | edge ^ low
+            near[edge ^ low] = near.get(edge ^ low, 0) | low
+        for v, around in near.items():
+            start = around & -around
+            prev, here, steps = start, ridge[v | start] & -ridge[v | start], 1
+            while here != start:  # round v's link: from here on to its neighbour that is not prev
+                prev, here, steps = here, ridge[v | here] ^ prev, steps + 1
+            if steps != around.bit_count():
+                return False
+    seen = todo = vertices & -vertices
+    while todo:  # the vertices K connects to the lowest one
+        low = todo & -todo
+        todo ^= low
+        new = near.get(low, 0) & ~seen
+        seen |= new
+        todo |= new
+    return seen == vertices
 
 
 def reduced_homology(k: SimplicialComplex) -> GradedGroups:

@@ -80,11 +80,12 @@ vertex m - 1, so the walk stops descending at |J| = floor(m/2).  Once
 the table of those is merged, ``_mirror`` adds the complements in one
 pass: a Z in degree e at |J| also lands in degree
 m + d + 1 - e at m - |J|, and a Z/a in degree m + d + 2 - e.  Sphere-ness
-is certified once per join factor, before any work is split, by
-``_Faces.sphere_dimension`` (the homology of every face link), unless K
-is known to be a sphere: ``verify`` sums P first and, when every factor of
-K_P passes, takes each factor of each cut's dual to be a sphere of its own
-dimension (``surgery._verify_cuts``); every other complex gets 2^m subsets.
+is certified once per join factor, before any work is split: from the
+facets alone for d ≤ 2 (``_facet_sphere``), else by the homology of every
+face link (``_Faces.sphere_dimension``), unless K is known to be a sphere:
+``verify`` sums P first and, when every factor of K_P passes, takes each
+factor of each cut's dual to be a sphere of its own dimension
+(``surgery._verify_cuts``); every other complex gets 2^m subsets.
 
 A sphere of dimension d ≤ 3 is not walked at all (``_sphere_table``).
 For 0 < |J| < m duality leaves K_J free homology, H~_0 of rank c(J) - 1
@@ -98,7 +99,8 @@ each of the binom(m - |S| - |N(S)|, s - |S|) sets J that hold S and miss
 N(S), its neighbours outside it.  A circle needs no connected set, a
 2-sphere those of at most m/2 vertices, and a 3-sphere those of at most
 m - 1.  Only the facets are read, in the calling process at any worker
-count, so a factor known to be a sphere is summed unlisted.
+count, so a sphere known before listing, by ``verify`` or for d ≤ 2, is
+summed unlisted.
 
 Before any of that, K is split into its finest join factorisation
 K = K_{A_1} * ... * K_{A_r} by one test on the maximal faces as bitmasks:
@@ -144,7 +146,7 @@ from math import comb, gcd
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping
 
-from .homology import GradedGroups, _Faces, _masks, _reduced_groups
+from .homology import GradedGroups, _Faces, _facet_sphere, _masks, _reduced_groups
 from .polytopes import SimplePolytope
 from .simplicial import SimplicialComplex
 
@@ -160,8 +162,8 @@ _POOL_MIN_WORK = 16_000_000
 
 _MEMO_NEIGHBOURS = 10  # the link memo's bound, see the module docstring
 _NO_MEMO = MappingProxyType({})  # the memo of every vertex past that bound, always empty
-# a join factor: its numbering and its faces, or, summed unlisted, its vertices as given and its table
-_Factor = tuple[list[int], _Faces | Counter]
+# a join factor: (numbering, faces, sphere dimension or None), or unlisted (vertices as given, table, d)
+_Factor = tuple[list[int], _Faces | Counter, int | None]
 
 
 class SubsetLimitError(Exception):
@@ -352,8 +354,9 @@ def _sphere_table(vertices: int, facets: Collection[int], d: int) -> Counter | N
     f = (1, m, F) if d == 1 else (1, m, 3 * F // 2, F) if d == 2 else (1, m, m + F, 2 * F, F)
     euler = [0] * (m + 1)
     for k, n in enumerate(f):  # a face of k vertices adds (-1)^(k-1) to each J around it
+        n = n if k % 2 else -n
         for s in range(k, m + 1):
-            euler[s] += (-1) ** (k + 1) * n * comb(m - k, s - k)
+            euler[s] += n * comb(m - k, s - k)
     if d == 1:
         count = [euler[s] + comb(m, s) for s in range(m + 1)]
     else:
@@ -502,12 +505,9 @@ def _order(part: int, linked: list[int]) -> list[int]:
 
 
 def _relabel(masks: Iterable[int], bits: list[int]) -> list[int]:
-    """``masks``, all inside the vertices ``bits``, with bits[i] renumbered i.
-
-    ``bits`` is a factor's numbering by ``_order``, under which most of the
-    walk's steps reuse their parent's groups or add a point (see the
-    module docstring); the pool tasks get the renumbered facets.
-    """
+    """``masks``, all inside the vertices ``bits``, with bits[i] renumbered i: a factor's
+    numbering by ``_order``, under which most steps of the walk, and of its pool tasks,
+    reuse their parent's groups or add a point (see the module docstring)."""
     label = {bit: 1 << i for i, bit in enumerate(bits)}
     out = []
     for f in masks:
@@ -522,20 +522,23 @@ def _relabel(masks: Iterable[int], bits: list[int]) -> list[int]:
 
 
 def _listed(part: int, facets: Collection[int], linked: list[int], sphere: bool) -> _Factor:
-    """The factor on ``part`` with these distinct maximal faces: its numbering and its faces,
-    or its vertices as given and its table for ∂Δ and, with ``sphere``, a sphere of dimension ≤ 3."""
-    k = part.bit_count()
+    """The factor on ``part`` with these distinct maximal faces, as ``_Factor`` holds it: ∂Δ
+    and a sphere of d ≤ 3 are summed unlisted, certified by ``sphere`` or, for d ≤ 2, once by
+    ``_facet_sphere``; the rest are listed, and d ≥ 3 is certified by ``sphere_dimension``."""
+    k, d = part.bit_count(), max(map(int.bit_count, facets)) - 1
     # ∂Δ, k > 1 facets of k - 1 vertices: Z = S^{2k-1}, every proper K_J a simplex
     if k > 1 and len(facets) == k and sum(map(int.bit_count, facets)) == k * (k - 1):
         table = Counter({(0, 0, 0): 1, (k, 2 * k - 1, 0): 1})
-    elif not sphere or (table := _sphere_table(part, facets, max(map(int.bit_count, facets)) - 1)) is None:
+    elif not (certified := sphere or d <= 2 and _facet_sphere(part, facets, d)) or (
+            table := _sphere_table(part, facets, d)) is None:
         bits = _order(part, linked)
-        return bits, _Faces(k, _relabel(facets, bits))
-    return [1 << v for v in range(part.bit_length()) if part >> v & 1], table
+        faces = _Faces(k, _relabel(facets, bits))
+        return bits, faces, d if certified else None if d <= 2 else faces.sphere_dimension()
+    return [1 << v for v in range(part.bit_length()) if part >> v & 1], table, d
 
 
 def _factors(m: int, facets: list[int], sphere: bool = False) -> Iterator[_Factor]:
-    """The finest join factors of K: each one's numbering and faces, as ``_listed`` gives them.
+    """The finest join factors of K, each as ``_listed`` gives it.
 
     F -> (F ∩ A, F - A) is one to one on the facets, and K = K_A * K_{V-A}
     exactly when it is onto, so A splits off when the facets number
@@ -598,8 +601,8 @@ def _gather(m: int, facets: list[int], workers: int, sphere: bool = False) -> tu
     spheres = True
     pool: list = []  # the process pool, once started
     try:
-        for _, faces in _factors(m, facets, sphere):
-            factor, certified = _factor_sum(faces, workers, sphere, pool)
+        for _, faces, sphere_dim in _factors(m, facets, sphere):
+            factor, certified = _factor_sum(faces, sphere_dim, workers, pool)
             table = factor if table is None else _kunneth(table, factor)
             spheres = spheres and certified
     finally:
@@ -608,18 +611,15 @@ def _gather(m: int, facets: list[int], workers: int, sphere: bool = False) -> tu
     return table or Counter({(0, 0, 0): 1}), spheres
 
 
-def _factor_sum(faces: _Faces | Counter, workers: int, sphere: bool, pool: list) -> tuple[Counter, bool]:
+def _factor_sum(faces: _Faces | Counter, sphere_dim: int | None, workers: int, pool: list) -> tuple[Counter, bool]:
     """The subset sum of one join factor, with its own pool rule, and whether it is a sphere.
 
-    A factor summed unlisted is its own table, a sphere's.  A listed one is
-    certified by ``sphere_dimension`` unless ``sphere`` says it is a
-    Z-homology sphere of the dimension of its faces.  A sphere of dimension
-    3 or less is summed by ``_sphere_table``, others are walked.  ``pool``
-    holds the call's process pool, started here when first needed.
+    A table passed on is the sum itself.  A listed factor comes with its certified
+    sphere dimension, None for no sphere: ``_sphere_table`` sums a sphere of d ≤ 3 and
+    the rest are walked, pooled in the call's ``pool``, started here when first needed.
     """
     if isinstance(faces, Counter):
         return faces, True
-    sphere_dim = faces.dim if sphere else faces.sphere_dimension()
     m = faces.vertex_count
     if sphere_dim is not None and (table := _sphere_table((1 << m) - 1, faces.facets, sphere_dim)) is not None:
         return table, True

@@ -96,15 +96,25 @@ class SimplePolytope:
         through ``v``: each keeps the other ``dim - 1`` old facets and picks
         up the new one.  New vertices are appended after the surviving ones
         in facet order.
+
+        For dim >= 2 the cut is valid by construction and is not checked
+        again: the new records are sorted, distinct, of ``dim`` facets and
+        hold the new one, and each facet through ``v`` lies on dim - 1 of
+        them.  A segment's cut can leave the other facet of ``v`` on no
+        vertex, so it is checked.
         """
         if v < 0 or v >= len(self.vertex_facets):
             raise ValueError(f"vertex index {v} out of range")
         cut = self.vertex_facets[v]
         new_facet = self.facet_count
-        records = [rec for i, rec in enumerate(self.vertex_facets) if i != v]
-        for f in cut:
-            records.append(tuple(x for x in cut if x != f) + (new_facet,))
-        return SimplePolytope(self.dim, self.facet_count + 1, tuple(records))
+        records = self.vertex_facets[:v] + self.vertex_facets[v + 1 :] + tuple(
+            tuple(x for x in cut if x != f) + (new_facet,) for f in cut
+        )
+        if self.dim == 1:
+            return SimplePolytope(self.dim, self.facet_count + 1, records)
+        out = object.__new__(SimplePolytope)
+        vars(out).update(dim=self.dim, facet_count=self.facet_count + 1, vertex_facets=records)
+        return out
 
     # -- serialization ----------------------------------------------------
 

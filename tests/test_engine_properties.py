@@ -58,7 +58,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import momentangle.homology as homology_module  # noqa: E402
-from momentangle.homology import GradedGroups, _Faces, _masks, reduced_homology  # noqa: E402
+from momentangle.homology import GradedGroups, _Faces, _facet_sphere, _masks, reduced_homology  # noqa: E402
 from momentangle.moment_angle import (  # noqa: E402
     _check_input,
     _factors,
@@ -80,6 +80,7 @@ from test_moment_angle import (  # noqa: E402
     RP2_WITH_PATH,
     factor_search_off,
     order_off,
+    sphere_table_off,
     split_factors,
 )
 from walk import (  # noqa: E402
@@ -532,14 +533,22 @@ def low_dimensional_spheres(draw, max_facets):
     return k.relabeled(draw(st.permutations(range(k.vertex_count))))
 
 
+def listed_factors(k):
+    """The join factors of K as ``_factors`` yields them with ``_sphere_table``
+    off, so that each sphere but ∂Δ is listed with its certified dimension."""
+    with pytest.MonkeyPatch.context() as patch:
+        sphere_table_off(patch)
+        return list(_factors(*_check_input(k, 22)))
+
+
 def sphere_tables(k):
     """Each listed join factor of K as a complex, with ``_sphere_table``'s table and the mirrored walk's."""
     out = []
-    for _, faces in _factors(*_check_input(k, 22)):
+    for _, faces, certified in listed_factors(k):
         if isinstance(faces, Counter):  # ∂Δ, summed in closed form
             continue
         m, d = faces.vertex_count, faces.sphere_dimension()
-        assert 0 < d <= 3
+        assert 0 < d <= 3 and certified == d
         table = _sphere_table((1 << m) - 1, faces.facets, d)
         assert all(type(n) is int and n > 0 for n in table.values()), table
         factor = SimplicialComplex(m, [[v for v in range(m) if f >> v & 1] for f in faces.facets])
@@ -573,7 +582,7 @@ DEHN_SOMMERVILLE = {
 @checked(50)
 @given(st.one_of(low_dimensional_spheres(10), low_dimensional_spheres(16)))
 def test_the_f_vector_of_a_sphere_follows_from_its_facets(k):
-    for _, faces in _factors(*_check_input(k, 22)):
+    for _, faces, _ in listed_factors(k):
         if isinstance(faces, Counter):  # ∂Δ, summed in closed form
             continue
         d = faces.sphere_dimension()
@@ -581,3 +590,56 @@ def test_the_f_vector_of_a_sphere_follows_from_its_facets(k):
         for face in faces.ext:
             counted[face.bit_count()] += 1
         assert counted == DEHN_SOMMERVILLE[d](faces.vertex_count, len(faces.facets))
+
+
+def assert_facet_test_is_the_certificate(k):
+    """``_facet_sphere`` on K, of dimension d ≤ 2, passes exactly when
+    ``sphere_dimension`` finds a d-sphere; returns whether it passed."""
+    faces = faces_of(k)
+    assert faces.dim <= 2
+    passed = _facet_sphere((1 << k.vertex_count) - 1, _masks(k.maximal_faces), faces.dim)
+    assert passed == (faces.sphere_dimension() == faces.dim)
+    return passed
+
+
+def at_most_two_dimensional(k):
+    return all(len(f) <= 3 for f in k.maximal_faces)
+
+
+@st.composite
+def relabelled_cut_sequences(draw):
+    """The dual of the 3-simplex or 3-cube cut at drawn vertices to m >= 9, its labels shuffled."""
+    k = draw(long_cut_sequences(3)).dual_complex()
+    return k.relabeled(draw(st.permutations(range(k.vertex_count))))
+
+
+@st.composite
+def near_spheres(draw):
+    """A sphere of dimension at most 2 with one facet taken out or one simplex
+    of at most 3 vertices put in, maybe on a new vertex."""
+    k = draw(st.one_of(low_dimensional_spheres(10).filter(at_most_two_dimensional), relabelled_cut_sequences()))
+    faces = sorted(k.maximal_faces)
+    m = k.vertex_count + draw(st.integers(0, 1))
+    if draw(st.booleans()):
+        faces.pop(draw(st.integers(0, len(faces) - 1)))
+    else:
+        faces.append(draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3, unique=True)))
+    return SimplicialComplex(m, faces)
+
+
+@checked(300)
+@given(complexes(max_face=3))
+def test_the_facet_test_is_the_certificate_on_random_complexes(k):
+    assert_facet_test_is_the_certificate(k)
+
+
+@checked(60)
+@given(st.one_of(low_dimensional_spheres(16).filter(at_most_two_dimensional), relabelled_cut_sequences()))
+def test_the_facet_test_passes_low_dimensional_spheres(k):
+    assert assert_facet_test_is_the_certificate(k)
+
+
+@checked(150)
+@given(near_spheres())
+def test_the_facet_test_is_the_certificate_near_spheres(k):
+    assert_facet_test_is_the_certificate(k)

@@ -9,6 +9,8 @@ from cellular_oracle import _rank_over_q
 from momentangle.homology import (
     GradedGroups,
     _boundary_column,
+    _facet_sphere,
+    _masks,
     _rank_and_torsion,
     invariant_factors,
     reduced_homology,
@@ -28,8 +30,8 @@ from complexes import (
     full_simplex,
     full_subcomplex,
 )
-from momentangle.moment_angle import _walk, moment_angle_cohomology
-from subset_oracle import IntegerMatrix, boundary_matrix, smith_normal_form, subset_homologies
+from momentangle.moment_angle import _walk, bigraded_table, moment_angle_cohomology
+from subset_oracle import IntegerMatrix, boundary_matrix, reference_sum, smith_normal_form, subset_homologies
 from subset_oracle import _reduced_homology as oracle_link_homology
 from subset_oracle import reduced_homology as oracle_homology
 import test_moment_angle
@@ -458,6 +460,75 @@ class TestSphereCertificate:
     def test_fin_has_the_homology_of_a_sphere(self):
         # so the fin is rejected by its ridge, not by H~(K)
         assert reduced_homology(FIN) == GradedGroups({2: (1, ())})
+
+
+def shifted(faces, base, labels):
+    """``faces`` with vertex v renamed labels[v] if v < len(labels), else v + base."""
+    return [tuple(sorted(labels[v] if v < len(labels) else v + base for v in f)) for f in faces]
+
+
+# the minimal 7-vertex torus, the octahedron and ∂Δ^3, as maximal faces
+TORUS7 = sorted({tuple(sorted(x % 7 for x in (i, i + j, i + 3))) for i in range(7) for j in (1, 2)})
+OCTAHEDRON = sorted(cube(3).dual_complex().maximal_faces)
+TETRAHEDRON = sorted(boundary_complex(3).maximal_faces)
+# two octahedra and two ∂Δ^3 wedged at vertex 0; a torus wedged at vertex 1
+OCTAHEDRA = OCTAHEDRON + shifted(OCTAHEDRON, 5, [0])
+TETRAHEDRA = TETRAHEDRON + shifted(TETRAHEDRON, 3, [0])
+
+# complexes of dimension at most 2 on which the facet test and
+# sphere_dimension must agree, with whether they are spheres
+FACET_CASES = {
+    "torus-7": (SimplicialComplex(7, TORUS7), False),
+    "rp2": (RP2, False),
+    "two-2-spheres": (SimplicialComplex(8, TETRAHEDRON + shifted(TETRAHEDRON, 4, [])), False),
+    "2-sphere-and-torus": (SimplicialComplex(11, TETRAHEDRON + shifted(TORUS7, 4, [])), False),
+    # χ = 3; with a torus wedged on, χ = 2 and each edge lies on two
+    # triangles, but the link of the wedge vertex 0 is two cycles
+    "octahedra-at-a-vertex": (SimplicialComplex(11, OCTAHEDRA), False),
+    "octahedra-at-a-vertex-and-torus": (SimplicialComplex(17, OCTAHEDRA + shifted(TORUS7, 10, [1])), False),
+    "tetrahedra-at-a-vertex-and-torus": (SimplicialComplex(13, TETRAHEDRA + shifted(TORUS7, 6, [1])), False),
+    # S^2 and RP^2 at a vertex: F = 2m - 4 and a closed pseudo-surface
+    "2-sphere-and-rp2-at-a-vertex": (SimplicialComplex(9, TETRAHEDRON + shifted(RP2.maximal_faces, 3, [0])), False),
+    # a cylinder between the 4-cycles 0-3 and 4-7, both coned to 8: the
+    # sphere with its two poles pinched together
+    "pinched-2-sphere": (SimplicialComplex(9, [
+        f for i in range(4) for f in (
+            (i, (i + 1) % 4, 4 + i), ((i + 1) % 4, 4 + i, 4 + (i + 1) % 4),
+            (i, (i + 1) % 4, 8), (4 + i, 4 + (i + 1) % 4, 8),
+        )
+    ]), False),
+    "mobius-band": (SimplicialComplex(5, [tuple(sorted({i, (i + 1) % 5, (i + 2) % 5})) for i in range(5)]), False),
+    "cone-on-a-pentagon": (SimplicialComplex(6, [(i, (i + 1) % 5, 5) for i in range(5)]), False),
+    "triangle-and-dangling-edge": (SimplicialComplex(4, [(0, 1, 2), (2, 3)]), False),
+    "2-sphere-and-ghost": (SimplicialComplex(5, TETRAHEDRON), False),
+    "two-circles": (SimplicialComplex(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), False),
+    "fin": (FIN, False),
+    "octahedron": (SimplicialComplex(6, OCTAHEDRON), True),
+    "hexagon": (cycle(6), True),
+    "s0": (boundary_complex(1), True),
+}
+# the subset oracle takes about 33 s on the 2^17 subsets of this one
+SLOW_FOR_THE_ORACLE = {"octahedra-at-a-vertex-and-torus"}
+
+
+class TestFacetSphere:
+    """``_facet_sphere``, the certificate of a complex of dimension ≤ 2 from
+    its facets alone, against ``sphere_dimension`` and the subset oracle."""
+
+    @pytest.mark.parametrize("name", sorted(FACET_CASES))
+    def test_agrees_with_the_sphere_certificate(self, name):
+        k, sphere = FACET_CASES[name]
+        faces = faces_of(k)
+        assert faces.dim <= 2
+        passed = _facet_sphere((1 << k.vertex_count) - 1, _masks(k.maximal_faces), faces.dim)
+        assert passed == (faces.sphere_dimension() == faces.dim) == sphere
+
+    @pytest.mark.parametrize("name", sorted(set(FACET_CASES) - SLOW_FOR_THE_ORACLE))
+    def test_sums_equal_the_oracle(self, name):
+        k, _ = FACET_CASES[name]
+        groups, table = reference_sum(subset_homologies(k))
+        assert moment_angle_cohomology(k) == groups
+        assert bigraded_table(k) == table
 
 
 # dimensions of H*(Z_K; F_p) that universal coefficients predict from H*(Z_K)

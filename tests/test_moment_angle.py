@@ -7,8 +7,9 @@ from math import comb
 import pytest
 
 import momentangle.moment_angle as moment_angle_module
+from momentangle import cli
 from cellular_oracle import cellular_betti, cellular_betti_mod_p
-from momentangle.homology import GradedGroups, _Faces, _masks
+from momentangle.homology import GradedGroups, _Faces, _facet_sphere, _masks
 from momentangle.moment_angle import (
     PoincarePolynomial,
     SubsetLimitError,
@@ -388,12 +389,14 @@ class TestAlexanderDuality:
         # the fin has the homology of S^2 and passes everything but the ridge
         # count; summing it as a 2-sphere anyway never gives the right groups,
         # so the check matters: its facets give a wrong f-vector, and a
-        # negative rank, which GradedGroups refuses, or wrong groups follow
+        # negative rank, which GradedGroups refuses, or wrong groups follow.
+        # A complex of dimension 2 is certified by the facet test alone
         fin = SimplicialComplex(5, list(boundary_complex(3).maximal_faces) + [(0, 1, 4)])
         groups, _ = reference_sum(subset_homologies(fin))
         assert faces_of(fin).sphere_dimension() is None
+        assert not _facet_sphere(0b11111, _masks(fin.maximal_faces), 2)
         assert moment_angle_cohomology(fin) == groups
-        monkeypatch.setattr(_Faces, "sphere_dimension", lambda self: 2)
+        monkeypatch.setattr(moment_angle_module, "_facet_sphere", lambda vertices, facets, d: True)
         with pytest.raises(ValueError, match="must be >= 0"):
             moment_angle_cohomology(fin)
         # the walk, mirrored as on a sphere, gives wrong groups
@@ -401,26 +404,43 @@ class TestAlexanderDuality:
         assert moment_angle_cohomology(fin) != groups
 
 
+def assert_unlisted_table(k, bits, faces, dim):
+    """A factor of K passed on unlisted, on its vertices ``bits`` as given, has
+    ``_sphere_table``'s table ``faces`` and sphere dimension ``dim``.
+
+    Either its traces are ∂Δ's facets and its table is that of Z = S^{2k-1},
+    or its full subcomplex, numbered as given, is a sphere of dimension
+    ``dim`` ≤ 2 by ``sphere_dimension`` and the table is the mirrored walk's.
+    """
+    labels = [bit.bit_length() - 1 for bit in bits]
+    n = len(labels)
+    assert labels == sorted(labels), labels
+    sub = faces_of(full_subcomplex(k, labels))  # numbered in increasing order
+    if n > 1 and faces == Counter({(0, 0, 0): 1, (n, 2 * n - 1, 0): 1}):
+        assert sub.ext == faces_of(boundary_complex(n - 1)).ext and dim == n - 2, labels
+    else:
+        assert sub.sphere_dimension() == dim and 0 < dim <= 2, labels
+        assert faces == _mirror(_walk(sub, dim, 0, n), n, dim), labels
+
+
 def split_factors(k):
     """The join factors the sum takes for K, as vertex lists by lowest vertex.
 
-    Each factor's face table, built from its traces in the factor's own
-    numbering, must be that of its full subcomplex numbered the same way;
-    a factor passed on unlisted must be ∂Δ on its vertices as given, with
-    the table of Z = S^{2k-1}.
+    Each listed factor's face table, built from its traces in the factor's
+    own numbering, must be that of its full subcomplex numbered the same
+    way, with the sphere dimension that ``sphere_dimension`` finds there; a
+    factor passed on unlisted must pass ``assert_unlisted_table``.
     """
     out = []
-    for bits, faces in _factors(k.vertex_count, _masks(k.maximal_faces)):
+    for bits, faces, dim in _factors(k.vertex_count, _masks(k.maximal_faces)):
         labels = [bit.bit_length() - 1 for bit in bits]  # the vertex numbered i
         vertices = sorted(labels)
-        # full_subcomplex numbers the vertices in increasing order
-        sub = full_subcomplex(k, vertices).relabeled([labels.index(v) for v in vertices])
         if isinstance(faces, Counter):
-            n = len(labels)
-            assert n > 1 and labels == vertices, labels
-            assert faces == Counter({(0, 0, 0): 1, (n, 2 * n - 1, 0): 1})
-            faces = faces_of(boundary_complex(n - 1))
-        assert faces.ext == faces_of(sub).ext, labels
+            assert_unlisted_table(k, bits, faces, dim)
+        else:
+            # full_subcomplex numbers the vertices in increasing order
+            sub = faces_of(full_subcomplex(k, vertices).relabeled([labels.index(v) for v in vertices]))
+            assert faces.ext == sub.ext and dim == sub.sphere_dimension(), labels
         out.append(vertices)
     return sorted(out)
 
@@ -534,7 +554,9 @@ class TestJoinFactors:
         # cube-11's dual is the join of eleven copies of S^0 on 22 vertices,
         # with 3^11 faces; each S^0 is ∂Δ^1, summed with no listing, and no
         # SimplicialComplex is made along the way.  Pentagon x cube-3 lists
-        # the pentagon's 11 faces alone.  The duals of simplex-3^4 and of
+        # nothing, the pentagon being a circle summed from its facets, and
+        # with that closed form off the pentagon's 11 faces alone.  The duals
+        # of simplex-3^4 and of
         # C(7, 4) * ∂Δ^2 have no missing edge, so the product test splits
         # them vertex by vertex: the first lists nothing, the second the
         # 71 faces of C(7, 4) alone, not the 497 of the join
@@ -556,6 +578,10 @@ class TestJoinFactors:
             # Z = (S^3)^11
             assert groups == GradedGroups.from_ranks({3 * i: comb(11, i) for i in range(12)})
             moment_angle_cohomology(product(polygon(5), cube(3)))
+            assert trace.built == []
+            with pytest.MonkeyPatch.context() as patch:
+                sphere_table_off(patch)
+                moment_angle_cohomology(product(polygon(5), cube(3)))
             assert [len(faces.ext) for faces in trace.built] == [11]
             trace.built.clear()
             # Z = (S^7)^4
@@ -605,10 +631,11 @@ class TestWalkCounter:
             "simplex-2-join-3": join(boundary_complex(2), boundary_complex(3)),
         }[name]
         computed = 0
-        for _, faces in _factors(*moment_angle_module._check_input(k, 22)):
+        for _, faces, certified in _factors(*moment_angle_module._check_input(k, 22)):
             if isinstance(faces, Counter):  # ∂Δ, summed in closed form
                 continue
             m, dim = faces.vertex_count, faces.sphere_dimension()
+            assert certified == dim
             factor = SimplicialComplex(m, [[v for v in range(m) if f >> v & 1] for f in faces.facets])
             for J in range(1, 1 << m):
                 half = 2 * J.bit_count() - m
@@ -645,15 +672,15 @@ class TestVertexOrder:
         # only the steps that add the lowest vertex to a J holding both its
         # neighbours need a graph, 46 of them in the half that the walk
         # visits (the cycle itself, whose parent is an acyclic path, lies
-        # past it); the link of two points is filled once, and the
-        # certificate's one graph is K itself
+        # past it); the link of two points is filled once, and the facet
+        # test certifies the circle with no homology call
         k = polygon(12).dual_complex()
         given = set()
         for seed in range(30):
             perm = list(range(12))
             random.Random(seed).shuffle(perm)
             relabelled = k.relabeled(perm)
-            assert settles(relabelled, "graph") == (46, 1, 1), seed
+            assert settles(relabelled, "graph") == (46, 1, 0), seed
             assert settles(relabelled, "eliminated") == (0, 0, 0), seed
             with pytest.MonkeyPatch.context() as patch:
                 order_off(patch)
@@ -674,18 +701,18 @@ class TestVertexOrder:
         # ∂Δ^3 * pentagon, the dual of simplex-3 x polygon-5, its labels
         # shuffled: ∂Δ^3, whose vertices the product test merges one at a
         # time, is summed in closed form, so it keeps its vertices as given
-        # with no search and no listing;
-        # the pentagon is searched and listed
+        # with no search and no listing; the pentagon, a circle whose closed
+        # form is off here, is searched and listed
         k = product(simplex_polytope(3), polygon(5)).dual_complex()
         perm = list(range(9))
         random.Random(3).shuffle(perm)
         k = k.relabeled(perm)
         with counted() as trace:
             factors = list(_factors(k.vertex_count, _masks(k.maximal_faces)))
-        assert sorted(len(bits) for bits, _ in factors) == [4, 5]
+        assert sorted(len(bits) for bits, *_ in factors) == [4, 5]
         searched = [part.bit_count() for part in trace.numbered]
         assert searched == [faces.vertex_count for faces in trace.built] == [5]
-        (simplex,) = [bits for bits, faces in factors if isinstance(faces, Counter)]
+        (simplex,) = [bits for bits, faces, _ in factors if isinstance(faces, Counter)]
         assert len(simplex) == 4 and simplex == sorted(simplex)
         groups, table = reference_sum(subset_homologies(k))
         assert moment_angle_cohomology(k) == groups
@@ -696,7 +723,7 @@ class TestVertexOrder:
         # renumbered, and with the threshold lowered it alone reaches the
         # pool, whose tasks list its faces from the facets they are sent
         k = TestJoinFactors.CASES["rp2-join-s0"][0]
-        (bits,) = [b for b, _ in _factors(k.vertex_count, _masks(k.maximal_faces)) if len(b) == 6]
+        (bits,) = [b for b, *_ in _factors(k.vertex_count, _masks(k.maximal_faces)) if len(b) == 6]
         assert bits != sorted(bits)
         groups, table = moment_angle_cohomology(k), bigraded_table(k)
         monkeypatch.setattr(moment_angle_module, "_POOL_MIN_WORK", 2**10)
@@ -738,7 +765,7 @@ class TestLinkMemo:
         for _ in range(5):
             p = p.cut_vertex(0)
         m, facets = moment_angle_module._check_input(p, 22)
-        ((_, faces),) = _factors(m, facets)
+        ((_, faces, _),) = _factors(m, facets)
 
         def above(sigma):  # the neighbours of the vertex sigma above it
             return (faces.ext[sigma] >> sigma.bit_length()).bit_count()
@@ -802,6 +829,24 @@ class TestSphereTable:
             assert moment_angle_cohomology(k) == groups
             assert bigraded_table(k) == table
         assert trace.summed == [] and [d for _, d in trace.walks] == [dim, dim]
+
+    @pytest.mark.parametrize("argv, tested, certified", [
+        ("betti polygon 12", [(12, 1, True)], []),
+        ("betti cut-vertex ( cube 3 ) 0", [(7, 2, True)], []),
+        ("verify polygon 5 --all-vertices", [(5, 1, True)], []),
+        # a 3-sphere on 7 vertices is certified on its listed faces, as before
+        ("betti cut-vertex ( cut-vertex ( simplex 4 ) 0 ) 0", [], [7]),
+    ])
+    def test_spheres_of_dimension_two_or_less_are_certified_unlisted(self, argv, tested, certified, capsys):
+        # a circle or a 2-sphere passes the facet test and is summed from its
+        # facets with no numbering, no face table and no sphere_dimension
+        with counted() as trace:
+            assert cli.main(argv.split()) == 0
+        capsys.readouterr()
+        assert trace.tested == tested
+        assert [faces.vertex_count for faces in trace.certified] == certified
+        if not certified:
+            assert trace.numbered == trace.built == trace.walks == []
 
     def test_higher_dimensions_are_walked(self):
         # the cube-5 cut at vertex 0 is a 4-sphere on 11 vertices

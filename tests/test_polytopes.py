@@ -1,4 +1,5 @@
 import json
+import random
 from functools import reduce
 
 import pytest
@@ -13,6 +14,7 @@ from momentangle.polytopes import (
     simplex_polytope,
 )
 from momentangle.simplicial import SimplicialComplex
+from momentangle.surgery import theorem_corpus
 
 
 class TestConstructors:
@@ -168,6 +170,29 @@ class TestCutVertex:
     def test_invalid_vertex(self):
         with pytest.raises(ValueError, match="out of range"):
             polygon(4).cut_vertex(4)
+
+    def test_cuts_equal_the_fully_checked_polytope(self):
+        # a cut of dimension >= 2 is not checked again; at every vertex of the
+        # corpus and of random cut sequences it equals the polytope that its
+        # records make through every check, record for record
+        rng = random.Random(29)
+        starts = [p for _, p in theorem_corpus()] + [cube(4), product(polygon(5), simplex_polytope(2))]
+        for p in starts:
+            for _ in range(6):
+                for v in range(p.vertex_count):
+                    cut = p.vertex_facets[v]
+                    records = [rec for i, rec in enumerate(p.vertex_facets) if i != v]
+                    records += [tuple(x for x in cut if x != f) + (p.m,) for f in cut]
+                    checked = SimplePolytope(p.n, p.m + 1, tuple(records))
+                    q = p.cut_vertex(v)
+                    assert q == checked and q.vertex_facets == checked.vertex_facets
+                    assert hash(q) == hash(checked)
+                p = p.cut_vertex(rng.randrange(p.vertex_count))
+
+    def test_a_segment_cut_is_still_checked(self):
+        # cutting a segment's vertex leaves the facet opposite the cut on no vertex
+        with pytest.raises(ValueError, match=r"facet_coverage: facets \[1\] meet no vertex"):
+            simplex_polytope(1).cut_vertex(0)
 
     def test_dual_consistency_exact(self):
         # dual of the cut equals the connected sum on the dual, under the

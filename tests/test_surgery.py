@@ -30,7 +30,7 @@ from momentangle.surgery import (
     verify_all_cuts,
     verify_cut_theorem,
 )
-from test_moment_angle import sphere_around_rp2, sphere_table_off
+from test_moment_angle import assert_unlisted_table, sphere_around_rp2, sphere_table_off
 from walk import counted
 
 
@@ -334,17 +334,18 @@ def beyond_the_proved_range():
 
 
 def assert_cut_factors_are_spheres(p):
-    """Every join factor of every cut's dual passes the full sphere
-    certificate, with the dimension of its own faces, or is passed on
-    unlisted as ∂Δ: its traces are then the facets of ∂Δ on its vertices."""
+    """Every join factor of every cut's dual, certified in its own call, is a
+    sphere of the dimension of its own faces: listed, it passes the full
+    sphere certificate; passed on unlisted, it is ∂Δ or a sphere of
+    dimension ≤ 2 whose table is the walk's (``assert_unlisted_table``)."""
     for v in range(p.vertex_count):
-        m, facets = _check_input(p.cut_vertex(v), DEFAULT_MAX_VERTICES)
-        for bits, faces in _factors(m, facets):
+        cut = p.cut_vertex(v)
+        m, facets = _check_input(cut, DEFAULT_MAX_VERTICES)
+        for bits, faces, dim in _factors(m, facets):
             if isinstance(faces, Counter):
-                part = sum(bits)
-                assert {f & part for f in facets} == {part ^ bit for bit in bits}, v
+                assert_unlisted_table(cut.dual_complex(), bits, faces, dim)
             else:
-                assert faces.sphere_dimension() == faces.dim, v
+                assert faces.sphere_dimension() == faces.dim == dim, v
 
 
 # the minimal 7-vertex torus; as vertex records it is a "simple 3-polytope"
@@ -379,41 +380,50 @@ class TestInheritedCertificate:
     def test_only_the_polytopes_factors_are_certified(self):
         # the dual of the 3-cube is S^0 * S^0 * S^0, three ∂Δ^1 that need
         # no certificate, so neither it nor its 8 cuts certify anything; the
-        # pentagon is certified once, and its 5 cuts inherit that
+        # pentagon is certified once, by the facet test, and its 5 cuts
+        # inherit that; so is the 3-sphere of simplex-4 cut twice, by
+        # sphere_dimension, and its 11 cuts inherit that
         with counted() as trace:
             reports = verify_all_cuts(cube(3))
             assert len(reports) == 8 and all(r.match for r in reports)
-            assert trace.certified == []
+            assert trace.certified == trace.tested == []
             reports = verify_all_cuts(polygon(5))
             assert len(reports) == 5 and all(r.match for r in reports)
-        assert [faces.vertex_count for faces in trace.certified] == [5]
+            assert trace.certified == [] and trace.tested == [(5, 1, True)]
+            assert trace.built == trace.numbered == []
+            reports = verify_all_cuts(cut_in_turn(simplex_polytope(4), [0, 5]))
+            assert len(reports) == 11 and all(r.match for r in reports)
+        assert [faces.vertex_count for faces in trace.certified] == [7]
+        assert trace.tested == [(5, 1, True)]
 
     def test_cuts_of_a_two_sphere_are_summed_unwalked(self, capsys, monkeypatch):
-        # cube-3 cut three times is a 2-sphere on 9 vertices, numbered,
-        # listed and certified once; each of its 14 cuts inherits the
-        # certificate and, as a sphere of dimension 2, is summed from its
-        # facets with no numbering, no face listing and no walk.  The JSON
-        # of verify --all-vertices is the same with every factor walked
+        # cube-3 cut three times is a 2-sphere on 9 vertices, certified once
+        # by the facet test; it and each of its 14 cuts, which inherit the
+        # certificate, are summed from their facets with no numbering, no
+        # face listing and no walk.  The JSON of verify --all-vertices is the
+        # same with every factor walked, and then nothing is certified twice
         argv = ["verify", *"cut-vertex ( cut-vertex ( cut-vertex ( cube 3 ) 0 ) 9 ) 3".split(),
                 "--all-vertices", "--json"]
         with counted() as trace:
             assert cli.main(argv) == 0
         summed = capsys.readouterr().out
-        assert [faces.vertex_count for faces in trace.certified] == [9]
+        assert trace.certified == [] and trace.tested == [(9, 2, True)]
         assert trace.summed == [(9, 2)] + [(10, 2)] * 14
-        assert [faces.vertex_count for faces in trace.built] == [9]
-        assert [part.bit_count() for part in trace.numbered] == [9]
-        assert trace.walks == []
+        assert trace.built == trace.numbered == trace.walks == []
         sphere_table_off(monkeypatch)
         with counted() as trace:
             assert cli.main(argv) == 0
         assert capsys.readouterr().out == summed
-        assert trace.summed == [] and len(trace.walks) == 15
+        assert trace.summed == [] and [d for _, d in trace.walks] == [2] * 15
+        assert trace.certified == [] and trace.tested == [(9, 2, True)]
 
     def test_a_non_sphere_certifies_every_cut(self):
+        # the torus has 14 triangles on 7 vertices, not 2 * 7 - 4, so the
+        # facet test rejects it and each cut; none goes to sphere_dimension
         with counted() as trace:
             reports = verify_all_cuts(TORUS)
-        assert [faces.vertex_count for faces in trace.certified] == [7] + [8] * 14
+        assert trace.tested == [(7, 2, False)] + [(8, 2, False)] * 14
+        assert trace.certified == [] and [d for _, d in trace.walks] == [None] * 15
         assert [r.vertex for r in reports] == list(range(14))
         lhs = GradedGroups({0: (1, ()), 3: (4, ()), 4: (6, ()), 5: (26, ()), 6: (75, ()),
                             7: (97, ()), 8: (60, ()), 9: (16, ()), 10: (2, ()), 11: (1, ())})

@@ -19,8 +19,9 @@ of K, the definitions and the oracle's homology alone, and
 ``counted`` is the one way the tests and ``bench/walk_bench.py --routes``
 watch the engine.  While a block runs it records, in this process, each
 homology call with its kind and result, the link listings, the ``_Faces``
-tables built and certified, the join factors, the vertex sets numbered,
-the walks, and the process pools started with the tasks mapped on them.
+tables built and certified, the facet tests of a low-dimensional factor,
+the join factors, the vertex sets numbered, the walks, and the process
+pools started with the tasks mapped on them.
 A pool's workers run in other processes, and what they do is not seen.
 """
 
@@ -188,6 +189,7 @@ class Trace:
     listed: Counter = field(default_factory=Counter)  # (faces, σ, within) -> listings
     built: list = field(default_factory=list)  # the ``_Faces`` tables built
     certified: list = field(default_factory=list)  # the ``_Faces`` certified
+    tested: list = field(default_factory=list)  # (m, d, passed) per ``_facet_sphere`` call
     factors: list = field(default_factory=list)  # (bits, faces or None) per join factor
     numbered: list = field(default_factory=list)  # the vertex masks ``_order`` numbers
     summed: list = field(default_factory=list)  # (m, sphere_dim) per ``_sphere_table`` table
@@ -222,11 +224,12 @@ def counted():
     trace = Trace()
     where = [""]  # "", "link_" or "certificate_": whose call the next one is
     init, link, certify = _Faces.__init__, _Faces.link, _Faces.sphere_dimension
-    split, order, walk, sphere_table = (
+    split, order, walk, sphere_table, facet_sphere = (
         moment_angle_module._factors,
         moment_angle_module._order,
         moment_angle_module._walk,
         moment_angle_module._sphere_table,
+        moment_angle_module._facet_sphere,
     )
     executor = concurrent.futures.ProcessPoolExecutor
 
@@ -264,6 +267,11 @@ def counted():
             trace.summed.append((vertices.bit_count(), sphere_dim))
         return table
 
+    def testing(vertices, facets, d):
+        passed = facet_sphere(vertices, facets, d)
+        trace.tested.append((vertices.bit_count(), d, passed))
+        return passed
+
     def walking(faces, sphere_dim, *args):
         trace.walks.append((faces, sphere_dim))
         return walk(faces, sphere_dim, *args)
@@ -294,6 +302,7 @@ def counted():
         patch.setattr(moment_angle_module, "_order", numbering)
         patch.setattr(moment_angle_module, "_walk", walking)
         patch.setattr(moment_angle_module, "_sphere_table", summing)
+        patch.setattr(moment_angle_module, "_facet_sphere", testing)
         patch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         yield trace
 
