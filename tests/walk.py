@@ -190,7 +190,7 @@ class Trace:
     built: list = field(default_factory=list)  # the ``_Faces`` tables built
     certified: list = field(default_factory=list)  # the ``_Faces`` certified
     tested: list = field(default_factory=list)  # (m, d, passed) per ``_facet_sphere`` call
-    factors: list = field(default_factory=list)  # (bits, faces or None) per join factor
+    factors: list = field(default_factory=list)  # (bits, faces or table, sphere dimension) per join factor
     numbered: list = field(default_factory=list)  # the vertex masks ``_order`` numbers
     summed: list = field(default_factory=list)  # (m, sphere_dim) per ``_sphere_table`` table
     walks: list = field(default_factory=list)  # (faces, sphere_dim) per ``_walk`` call
