@@ -180,11 +180,11 @@ def routes(expr: list[str]) -> dict:
         entries[faces] += (faces.ext[sigma] >> sigma.bit_length()).bit_count() <= _MEMO_NEIGHBOURS
     counts["steps"] = visited - len(walks)
     counts["counted_s"] = round(seconds, 2)
-    counts["m"] = sum(len(bits) for bits, *_ in trace.factors)
+    counts["m"] = sum(factor.part.bit_count() for factor in trace.factors)
     counts["factor_m"] = [faces.vertex_count for faces, _ in walks]
-    # of the factors passed on as tables, ∂Δ is the one sphere on d + 2 vertices
-    counts["simplex_boundaries"] = [len(bits) for bits, faces, d in trace.factors
-                                    if isinstance(faces, Counter) and d == len(bits) - 2]
+    # of the factors summed unlisted, ∂Δ is the one sphere on d + 2 vertices
+    counts["simplex_boundaries"] = [factor.part.bit_count() for factor in trace.factors
+                                    if factor.bits is None and factor.dim == factor.part.bit_count() - 2]
     counts["numbered"] = [part.bit_count() for part in trace.numbered]
     counts["certified"] = [faces.vertex_count for faces in trace.certified]
     counts["summed"] = [[m, dim] for m, dim in trace.summed]

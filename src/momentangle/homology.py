@@ -34,7 +34,8 @@ out of the next as columns.  ``reduced_homology`` is
 ``_reduced_groups`` on every face of K, and ``_Faces.sphere_dimension``
 runs it on K and on the listed links of its faces to certify that a
 complex is a Z-homology sphere; ``_facet_sphere`` gives the same answer
-for dimension 2 or less from the maximal faces alone, with no listing.
+for dimension 2 or less from the maximal faces and the vertices'
+neighbour masks alone, with no listing.
 
 Finitely generated graded abelian groups are recorded degree by degree as a
 free rank plus invariant factors d_1 | d_2 | ... | d_k with every d_i > 1.
@@ -478,20 +479,21 @@ class _Faces:
         return d
 
 
-def _facet_sphere(vertices: int, facets: Collection[int], d: int) -> bool:
+def _facet_sphere(vertices: int, facets: Collection[int], d: int, linked: Sequence[int]) -> bool:
     """Whether these distinct maximal faces, of at most d + 1 vertices each and all
     inside ``vertices``, make a Z-homology d-sphere on all of ``vertices``, for d ≤ 2.
 
     This is ``_Faces.sphere_dimension() == d`` read off the facets, with no
-    face listed.  ``ridge`` maps each ridge to the vertices that make a
-    facet with it, so each ridge lies on two facets when each holds two.
-    For d = 1 the m edges put each vertex on two and connect ``vertices``:
-    K is a cycle.  For d = 2 the triangles are F = 2m - 4, so
-    χ = m - 3F/2 + F = 2, each edge lies on two, and the link of each
-    vertex v, the edges opposite it, is one cycle, walked from a
-    neighbour u to the neighbours in ridge[v ∪ u]: K is a closed surface.
-    The triangles connect ``vertices``, and a connected closed surface
-    with χ = 2 is S^2.
+    face listed.  ``linked[v] & vertices`` is v and its neighbours, the
+    vertices in a facet with v; ``linked`` may hold vertices outside, as the
+    masks of a whole join do.  ``ridge`` maps each ridge to the vertices
+    that make a facet with it, so each ridge lies on two facets when each
+    holds two.  For d = 1 the m edges put each vertex on two and connect
+    ``vertices``: K is a cycle.  For d = 2 the triangles are F = 2m - 4, so
+    χ = m - 3F/2 + F = 2, each edge lies on two, the triangles connect
+    ``vertices``, and the link of each vertex v, the edges opposite it, is
+    one cycle, walked from a neighbour u to the neighbours in
+    ridge[v ∪ u]: K is a connected closed surface with χ = 2, which is S^2.
     """
     m = vertices.bit_count()
     if d < 1:  # S^0 is two points, and no sphere has dimension -1
@@ -509,28 +511,27 @@ def _facet_sphere(vertices: int, facets: Collection[int], d: int) -> bool:
             ridge[f ^ low] = ridge.get(f ^ low, 0) | low
     if any(n.bit_count() != 2 for n in ridge.values()):
         return False
-    near = ridge  # a vertex -> its neighbours
-    if d == 2:
-        near = {}
-        for edge in ridge:
-            low = edge & -edge
-            near[low] = near.get(low, 0) | edge ^ low
-            near[edge ^ low] = near.get(edge ^ low, 0) | low
-        for v, around in near.items():
-            start = around & -around
-            prev, here, steps = start, ridge[v | start] & -ridge[v | start], 1
-            while here != start:  # round v's link: from here on to its neighbour that is not prev
-                prev, here, steps = here, ridge[v | here] ^ prev, steps + 1
-            if steps != around.bit_count():
-                return False
     seen = todo = vertices & -vertices
     while todo:  # the vertices K connects to the lowest one
         low = todo & -todo
         todo ^= low
-        new = near.get(low, 0) & ~seen
+        new = linked[low.bit_length() - 1] & vertices & ~seen
         seen |= new
         todo |= new
-    return seen == vertices
+    if seen != vertices:
+        return False
+    rest = vertices if d == 2 else 0
+    while rest:  # each vertex v, on some triangle now that K is connected
+        v = rest & -rest
+        rest ^= v
+        around = linked[v.bit_length() - 1] & vertices ^ v
+        start = around & -around
+        prev, here, steps = start, ridge[v | start] & -ridge[v | start], 1
+        while here != start:  # round v's link: from here on to its neighbour that is not prev
+            prev, here, steps = here, ridge[v | here] ^ prev, steps + 1
+        if steps != around.bit_count():
+            return False
+    return True
 
 
 def reduced_homology(k: SimplicialComplex) -> GradedGroups:

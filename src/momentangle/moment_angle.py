@@ -98,9 +98,10 @@ that of c(J) counts each connected vertex set S once, as a component of
 each of the binom(m - |S| - |N(S)|, s - |S|) sets J that hold S and miss
 N(S), its neighbours outside it.  A circle needs no connected set, a
 2-sphere those of at most m/2 vertices, and a 3-sphere those of at most
-m - 1.  Only the facets are read, in the calling process at any worker
-count, so a sphere known before listing, by ``verify`` or for d ≤ 2, is
-summed unlisted.
+m - 1.  Only the facets and the split's neighbour masks (below) are
+read, in the calling process at any worker count, so a sphere known
+before listing, by ``verify`` or for d ≤ 2, is summed unlisted, and one
+listed for its certificate is summed on its vertices as given.
 
 Before any of that, K is split into its finest join factorisation
 K = K_{A_1} * ... * K_{A_r} by one test on the maximal faces as bitmasks:
@@ -112,10 +113,15 @@ is a union of components of the missing edges (``_components``), and
 fail, such as the vertices of ∂Δ^2 * ∂Δ^3, which has no missing edge,
 are added one at a time, and the test splits the ones added so far.
 Since Z_{K*L} = Z_K x Z_L, each factor is summed on its own (its own
-faces, sphere certificate, duality and pool rule), but ∂Δ on k vertices,
-S^0 included, is not listed: it is a sphere whose proper K_J are
-simplices, so Z = S^{2k-1} (Buchstaber and Panov) and its table is 1 at
-(0, 0, 0) and at (k, 2k - 1, 0).  The tables are combined by the Kunneth
+faces, sphere certificate, duality and pool rule) by ``_factor_sum``,
+which chooses its route: ∂Δ on k vertices, S^0 included, is not listed:
+it is a sphere whose proper K_J are simplices, so Z = S^{2k-1}
+(Buchstaber and Panov) and its table is 1 at (0, 0, 0) and at
+(k, 2k - 1, 0); else the certificate, then ``_sphere_table``, else the
+walk.  ``linked[v]``, the vertices in a facet of K with v, is built once
+per call and, cut to a factor on A as ``linked[v] & A``, is the one
+neighbour map of the split, the search, the facet test and the
+component sums.  The tables are combined by the Kunneth
 formula with one rule for every pair of entries: taking Z = Z/0,
 Z/a (x) Z/b = Z/gcd(a, b), zero when the gcd is 1, and when a and b are
 both nonzero Tor(Z/a, Z/b) adds the same group one degree lower.  A join
@@ -162,8 +168,6 @@ _POOL_MIN_WORK = 16_000_000
 
 _MEMO_NEIGHBOURS = 10  # the link memo's bound, see the module docstring
 _NO_MEMO = MappingProxyType({})  # the memo of every vertex past that bound, always empty
-# a join factor: (numbering, faces, sphere dimension or None), or unlisted (vertices as given, table, d)
-_Factor = tuple[list[int], _Faces | Counter, int | None]
 
 
 class SubsetLimitError(Exception):
@@ -334,7 +338,7 @@ def _mirror(half: Counter, m: int, d: int) -> Counter:
     return table
 
 
-def _sphere_table(vertices: int, facets: Collection[int], d: int) -> Counter | None:
+def _sphere_table(vertices: int, facets: Collection[int], d: int, linked: list[int]) -> Counter | None:
     """The table of a Z-homology d-sphere, 0 < d ≤ 3, on these vertices; None for any other d.
 
     For 0 < |J| = s < m every H~_i(K_J) is free, H~_0 of rank c(J) - 1,
@@ -345,8 +349,8 @@ def _sphere_table(vertices: int, facets: Collection[int], d: int) -> Counter | N
     (1, m, F), (1, m, 3F/2, F) or (1, m, m + F, 2F, F) of F facets.  For
     d = 1 no component is counted, a proper K_J being a forest with
     c(J) - 1 = χ̃(K_J); for d = 2, c(J) - c(V - J) = χ̃(K_J), so the sums
-    up to m/2 (``_component_sums``) give the rest; d = 3 counts them up
-    to m - 1.
+    up to m/2 (``_component_sums``, on the neighbours ``linked[v] &
+    vertices``) give the rest; d = 3 counts them up to m - 1.
     """
     if not 0 < d <= 3:
         return None
@@ -360,7 +364,7 @@ def _sphere_table(vertices: int, facets: Collection[int], d: int) -> Counter | N
     if d == 1:
         count = [euler[s] + comb(m, s) for s in range(m + 1)]
     else:
-        count = _component_sums(vertices, facets, m // 2 if d == 2 else m - 1)
+        count = _component_sums(vertices, linked, m // 2 if d == 2 else m - 1)
         if d == 2:  # c(J) - c(V - J) = χ̃(K_J)
             count += [count[m - s] - euler[m - s] for s in range(len(count), m)]
     table = Counter({(0, 0, 0): 1, (m, m + d + 1, 0): 1})
@@ -374,21 +378,17 @@ def _sphere_table(vertices: int, facets: Collection[int], d: int) -> Counter | N
     return table
 
 
-def _component_sums(vertices: int, facets: Collection[int], most: int) -> list[int]:
+def _component_sums(vertices: int, linked: list[int], most: int) -> list[int]:
     """count[s], the components of K_J summed over |J| = s ≤ ``most``, each vertex in a facet.
 
     S is a component of K_J exactly when S is connected, S ⊆ J and J
     misses N(S), S's neighbours outside S, so count[s] is the sum over the
-    connected S of binom(m - |S| - |N(S)|, s - |S|).  Each connected S of
-    at most ``most`` vertices is grown once from its lowest vertex: a
-    branch adds one vertex of N(S) and bars it from the branches after it.
+    connected S of binom(m - |S| - |N(S)|, s - |S|); v's neighbours are
+    ``linked[v] & vertices``, v's own included.  Each connected S of at
+    most ``most`` vertices is grown once from its lowest vertex: a branch
+    adds one vertex of N(S) and bars it from the branches after it.
     """
     m = vertices.bit_count()
-    near = [0] * vertices.bit_length()  # the vertices in a facet with v, v's own included
-    for f in facets:
-        for v in range(f.bit_length()):
-            if f >> v & 1:
-                near[v] |= f
     sets = [[0] * (m + 1) for _ in range(most + 1)]  # [|S|][|N(S)|] -> connected S
 
     def grow(S: int, out: int, size: int, barred: int) -> None:
@@ -398,15 +398,15 @@ def _component_sums(vertices: int, facets: Collection[int], most: int) -> list[i
             bit = more & -more
             more ^= bit
             T = S | bit
-            beyond = (out | near[bit.bit_length() - 1]) & ~T
+            beyond = (out | linked[bit.bit_length() - 1] & vertices) & ~T
             counts[beyond.bit_count()] += 1
             if size + 1 < most:
                 grow(T, beyond, size + 1, barred)
             barred |= bit
 
-    for v in range(len(near)):
+    for v in range(vertices.bit_length()):
         if vertices >> v & 1:
-            out = near[v] ^ 1 << v
+            out = linked[v] & vertices ^ 1 << v
             sets[1][out.bit_count()] += 1
             if most > 1:
                 grow(1 << v, out, 1, (2 << v) - 1)
@@ -504,13 +504,14 @@ def _order(part: int, linked: list[int]) -> list[int]:
     return bits
 
 
-def _relabel(masks: Iterable[int], bits: list[int]) -> list[int]:
-    """``masks``, all inside the vertices ``bits``, with bits[i] renumbered i: a factor's
-    numbering by ``_order``, under which most steps of the walk, and of its pool tasks,
-    reuse their parent's groups or add a point (see the module docstring)."""
+def _numbered(part: int, facets: Iterable[int], linked: list[int]) -> _Faces:
+    """The faces of the factor on ``part`` with these maximal faces, listed with its vertices
+    numbered by ``_order``: bits[i] is renumbered i, under which most steps of the walk, and
+    of its pool tasks, reuse their parent's groups or add a point (see the module docstring)."""
+    bits = _order(part, linked)
     label = {bit: 1 << i for i, bit in enumerate(bits)}
     out = []
-    for f in masks:
+    for f in facets:
         g = 0
         while f:
             bit = f & -f
@@ -518,28 +519,13 @@ def _relabel(masks: Iterable[int], bits: list[int]) -> list[int]:
             f ^= bit
         out.append(g)
     out.sort()
-    return out
+    return _Faces(len(bits), out)
 
 
-def _listed(part: int, facets: Collection[int], linked: list[int], sphere: bool) -> _Factor:
-    """The factor on ``part`` with these distinct maximal faces, as ``_Factor`` holds it: ∂Δ
-    and a sphere of d ≤ 3 are summed unlisted, certified by ``sphere`` or, for d ≤ 2, once by
-    ``_facet_sphere``; the rest are listed, and d ≥ 3 is certified by ``sphere_dimension``."""
-    k, d = part.bit_count(), max(map(int.bit_count, facets)) - 1
-    # ∂Δ, k > 1 facets of k - 1 vertices: Z = S^{2k-1}, every proper K_J a simplex
-    if k > 1 and len(facets) == k and sum(map(int.bit_count, facets)) == k * (k - 1):
-        table = Counter({(0, 0, 0): 1, (k, 2 * k - 1, 0): 1})
-    elif not (certified := sphere or d <= 2 and _facet_sphere(part, facets, d)) or (
-            table := _sphere_table(part, facets, d)) is None:
-        bits = _order(part, linked)
-        faces = _Faces(k, _relabel(facets, bits))
-        return bits, faces, d if certified else None if d <= 2 else faces.sphere_dimension()
-    return [1 << v for v in range(part.bit_length()) if part >> v & 1], table, d
+def _factors(facets: list[int], linked: list[int]) -> Iterator[tuple[int, set[int]]]:
+    """The finest join factors of K, each as its vertex mask A and its maximal faces.
 
-
-def _factors(m: int, facets: list[int], sphere: bool = False) -> Iterator[_Factor]:
-    """The finest join factors of K, each as ``_listed`` gives it.
-
+    ``linked[v]`` holds the vertices in a facet with v, v's own included.
     F -> (F ∩ A, F - A) is one to one on the facets, and K = K_A * K_{V-A}
     exactly when it is onto, so A splits off when the facets number
     |{F ∩ A}| |{F - A}|; the traces F ∩ A are then K_A's maximal faces.
@@ -553,25 +539,16 @@ def _factors(m: int, facets: list[int], sphere: bool = False) -> Iterator[_Facto
     hold C is a single block, since a union of two could be split
     further; and an old block that passes the test on the new traces
     stays, since splits are kept under common refinement.  So the blocks
-    that fail merge into C, and each block goes to ``_listed`` with its
-    traces.
+    that fail merge into C, and each block is yielded with its traces.
     """
-    linked = [0] * m  # the vertices in a facet with v, v's own included
-    vertices = 0  # the vertices of K, ghosts left out
-    for f in facets:
-        vertices |= f
-        rest = f
-        while rest:
-            low = rest & -rest
-            linked[low.bit_length() - 1] |= f
-            rest ^= low
+    vertices = sum(1 << v for v, near in enumerate(linked) if near)  # the vertices of K, ghosts left out
     seen = 0  # the vertices of the components that do not split off alone
     blocks: list[int] = []  # the finest join factors of K_seen
     for part in _components([vertices & ~mask for mask in linked], vertices):
         traces = {f & part for f in facets}
         others = {f & ~part for f in facets}
         if len(traces) * len(others) == len(facets):
-            yield _listed(part, traces, linked, sphere)
+            yield part, traces
             facets = list(others)
             continue
         seen |= part
@@ -584,7 +561,7 @@ def _factors(m: int, facets: list[int], sphere: bool = False) -> Iterator[_Facto
                 part |= block
         blocks = kept + [part]
     for block in blocks:
-        yield _listed(block, {f & block for f in facets}, linked, sphere)
+        yield block, {f & block for f in facets}
 
 
 def _gather(m: int, facets: list[int], workers: int, sphere: bool = False) -> tuple[Counter, bool]:
@@ -597,12 +574,19 @@ def _gather(m: int, facets: list[int], workers: int, sphere: bool = False) -> tu
     of its own dimension and is not certified (see ``surgery._verify_cuts``).
     The flag returned says whether every factor is a sphere, so that K is.
     """
+    linked = [0] * m  # the vertices in a facet with v, v's own included
+    for f in facets:
+        rest = f
+        while rest:
+            low = rest & -rest
+            linked[low.bit_length() - 1] |= f
+            rest ^= low
     table = None
     spheres = True
     pool: list = []  # the process pool, once started
     try:
-        for _, faces, sphere_dim in _factors(m, facets, sphere):
-            factor, certified = _factor_sum(faces, sphere_dim, workers, pool)
+        for part, traces in _factors(facets, linked):
+            factor, certified = _factor_sum(part, traces, linked, sphere, workers, pool)
             table = factor if table is None else _kunneth(table, factor)
             spheres = spheres and certified
     finally:
@@ -611,23 +595,32 @@ def _gather(m: int, facets: list[int], workers: int, sphere: bool = False) -> tu
     return table or Counter({(0, 0, 0): 1}), spheres
 
 
-def _factor_sum(faces: _Faces | Counter, sphere_dim: int | None, workers: int, pool: list) -> tuple[Counter, bool]:
-    """The subset sum of one join factor, with its own pool rule, and whether it is a sphere.
+def _factor_sum(part: int, facets: Collection[int], linked: list[int], sphere: bool, workers: int,
+                pool: list) -> tuple[Counter, bool]:
+    """The subset sum of the join factor on ``part`` with these distinct maximal faces, and
+    whether it is a sphere, by the route chosen here (see the module docstring).
 
-    A table passed on is the sum itself.  A listed factor comes with its certified
-    sphere dimension, None for no sphere: ``_sphere_table`` sums a sphere of d ≤ 3 and
-    the rest are walked, pooled in the call's ``pool``, started here when first needed.
+    A factor is a d-sphere when ``sphere`` says so, by ``_facet_sphere`` for
+    d ≤ 2, or by ``sphere_dimension`` on its numbered faces for d ≥ 3.  A
+    walk is pooled in the call's ``pool``, started here when first needed.
     """
-    if isinstance(faces, Counter):
-        return faces, True
-    m = faces.vertex_count
-    if sphere_dim is not None and (table := _sphere_table((1 << m) - 1, faces.facets, sphere_dim)) is not None:
+    k = part.bit_count()
+    # ∂Δ, k > 1 facets of k - 1 vertices: Z = S^{2k-1}, every proper K_J a simplex
+    if k > 1 and len(facets) == k and sum(map(int.bit_count, facets)) == k * (k - 1):
+        return Counter({(0, 0, 0): 1, (k, 2 * k - 1, 0): 1}), True
+    d = max(map(int.bit_count, facets)) - 1
+    faces = None if sphere or d <= 2 else _numbered(part, facets, linked)  # listed to be certified
+    certified = sphere or (
+        faces.sphere_dimension() == d if faces else _facet_sphere(part, facets, d, linked))
+    if certified and (table := _sphere_table(part, facets, d, linked)) is not None:
         return table, True
-    visited = 1 << (m - (sphere_dim is not None))
+    faces = faces or _numbered(part, facets, linked)
+    sphere_dim = d if certified else None
+    visited = 1 << (k - certified)
     work = visited * len(faces.ext)
     workers = _usable_workers(workers) if work >= _POOL_MIN_WORK else 1
     if workers <= 1:
-        table = _walk(faces, sphere_dim, 0, m)
+        table = _walk(faces, sphere_dim, 0, k)
     else:
         if not pool:
             from concurrent.futures import ProcessPoolExecutor
@@ -636,13 +629,13 @@ def _factor_sum(faces: _Faces | Counter, sphere_dim: int | None, workers: int, p
         # one task per prefix root on the top t vertices, 2^t ≥ 4 × workers,
         # fewest vertices first: on a sphere those root the largest subtrees;
         # a task gets (m, facets) and lists the faces itself
-        t = min(m, (4 * workers - 1).bit_length())
+        t = min(k, (4 * workers - 1).bit_length())
         roots = sorted(range(1 << t), key=int.bit_count)
-        tasks = [(m, faces.facets, sphere_dim, root << (m - t), m - t) for root in roots]
+        tasks = [(k, faces.facets, sphere_dim, root << (k - t), k - t) for root in roots]
         table = sum(pool[0].map(_walk_task, tasks), Counter())
     if sphere_dim is None:
         return table, False
-    return _mirror(table, m, sphere_dim), True
+    return _mirror(table, k, sphere_dim), True
 
 
 def _walk_task(args):

@@ -61,7 +61,6 @@ import momentangle.homology as homology_module  # noqa: E402
 from momentangle.homology import GradedGroups, _Faces, _facet_sphere, _masks, reduced_homology  # noqa: E402
 from momentangle.moment_angle import (  # noqa: E402
     _check_input,
-    _factors,
     _gather,
     _mirror,
     _sphere_table,
@@ -85,11 +84,13 @@ from test_moment_angle import (  # noqa: E402
 )
 from walk import (  # noqa: E402
     counted,
+    factors_of,
     faces_of,
     link,
     loop_groups,
     mask,
     minimal_nonface_factors,
+    neighbour_masks,
     route,
     steps,
     subset_table,
@@ -534,22 +535,21 @@ def low_dimensional_spheres(draw, max_facets):
 
 
 def listed_factors(k):
-    """The join factors of K as ``_factors`` yields them with ``_sphere_table``
-    off, so that each sphere but ∂Δ is listed with its certified dimension."""
+    """The join factors of K as the sum decides them with ``_sphere_table`` off, so
+    that each sphere but ∂Δ is listed with its certified dimension; ∂Δ is left out."""
     with pytest.MonkeyPatch.context() as patch:
         sphere_table_off(patch)
-        return list(_factors(*_check_input(k, 22)))
+        return [factor for factor in factors_of(k) if factor.bits is not None]
 
 
 def sphere_tables(k):
     """Each listed join factor of K as a complex, with ``_sphere_table``'s table and the mirrored walk's."""
     out = []
-    for _, faces, certified in listed_factors(k):
-        if isinstance(faces, Counter):  # ∂Δ, summed in closed form
-            continue
+    for listed in listed_factors(k):
+        faces = listed.faces
         m, d = faces.vertex_count, faces.sphere_dimension()
-        assert 0 < d <= 3 and certified == d
-        table = _sphere_table((1 << m) - 1, faces.facets, d)
+        assert 0 < d <= 3 and listed.dim == d
+        table = _sphere_table((1 << m) - 1, faces.facets, d, neighbour_masks(faces))
         assert all(type(n) is int and n > 0 for n in table.values()), table
         factor = SimplicialComplex(m, [[v for v in range(m) if f >> v & 1] for f in faces.facets])
         out.append((factor, dict(table), dict(_mirror(_walk(faces, d, 0, m), m, d))))
@@ -582,9 +582,8 @@ DEHN_SOMMERVILLE = {
 @checked(50)
 @given(st.one_of(low_dimensional_spheres(10), low_dimensional_spheres(16)))
 def test_the_f_vector_of_a_sphere_follows_from_its_facets(k):
-    for _, faces, _ in listed_factors(k):
-        if isinstance(faces, Counter):  # ∂Δ, summed in closed form
-            continue
+    for listed in listed_factors(k):
+        faces = listed.faces
         d = faces.sphere_dimension()
         counted = [0] * (d + 2)
         for face in faces.ext:
@@ -597,7 +596,7 @@ def assert_facet_test_is_the_certificate(k):
     ``sphere_dimension`` finds a d-sphere; returns whether it passed."""
     faces = faces_of(k)
     assert faces.dim <= 2
-    passed = _facet_sphere((1 << k.vertex_count) - 1, _masks(k.maximal_faces), faces.dim)
+    passed = _facet_sphere((1 << k.vertex_count) - 1, _masks(k.maximal_faces), faces.dim, neighbour_masks(faces))
     assert passed == (faces.sphere_dimension() == faces.dim)
     return passed
 

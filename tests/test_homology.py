@@ -37,7 +37,7 @@ from subset_oracle import reduced_homology as oracle_homology
 import test_moment_angle
 from invariants import has_torsion
 from test_moment_angle import MOORE3, RP2_WITH_PATH, sphere_around_rp2
-from walk import counted, faces_of, route, steps
+from walk import counted, faces_of, neighbour_masks, route, steps
 
 
 def matrix(rows):
@@ -520,7 +520,7 @@ class TestFacetSphere:
         k, sphere = FACET_CASES[name]
         faces = faces_of(k)
         assert faces.dim <= 2
-        passed = _facet_sphere((1 << k.vertex_count) - 1, _masks(k.maximal_faces), faces.dim)
+        passed = _facet_sphere((1 << k.vertex_count) - 1, _masks(k.maximal_faces), faces.dim, neighbour_masks(faces))
         assert passed == (faces.sphere_dimension() == faces.dim) == sphere
 
     @pytest.mark.parametrize("name", sorted(set(FACET_CASES) - SLOW_FOR_THE_ORACLE))

@@ -13,7 +13,8 @@ from momentangle.homology import GradedGroups, _Faces, _facet_sphere, _masks
 from momentangle.moment_angle import (
     PoincarePolynomial,
     SubsetLimitError,
-    _factors,
+    _check_input,
+    _gather,
     _kunneth,
     _mirror,
     _usable_workers,
@@ -32,7 +33,16 @@ from momentangle.surgery import theorem_corpus
 from complexes import RP2, cyclic_4_polytope_boundary, full_simplex, full_subcomplex
 from invariants import euler_characteristic, has_torsion, is_symmetric, poincare_product
 from subset_oracle import reference_sum, subset_homologies
-from walk import counted, faces_of, minimal_nonface_factors, route, walk_groups
+from walk import (
+    counted,
+    factors_of,
+    faces_of,
+    minimal_nonface_factors,
+    neighbour_masks,
+    route,
+    subset_table,
+    walk_groups,
+)
 
 # RP2 with the path 5-6-7-8-9 hung from vertex 5: 2-torsion, not a sphere and
 # not a join, on 10 vertices
@@ -393,10 +403,11 @@ class TestAlexanderDuality:
         # A complex of dimension 2 is certified by the facet test alone
         fin = SimplicialComplex(5, list(boundary_complex(3).maximal_faces) + [(0, 1, 4)])
         groups, _ = reference_sum(subset_homologies(fin))
-        assert faces_of(fin).sphere_dimension() is None
-        assert not _facet_sphere(0b11111, _masks(fin.maximal_faces), 2)
+        faces = faces_of(fin)
+        assert faces.sphere_dimension() is None
+        assert not _facet_sphere(0b11111, _masks(fin.maximal_faces), 2, neighbour_masks(faces))
         assert moment_angle_cohomology(fin) == groups
-        monkeypatch.setattr(moment_angle_module, "_facet_sphere", lambda vertices, facets, d: True)
+        monkeypatch.setattr(moment_angle_module, "_facet_sphere", lambda vertices, facets, d, linked: True)
         with pytest.raises(ValueError, match="must be >= 0"):
             moment_angle_cohomology(fin)
         # the walk, mirrored as on a sphere, gives wrong groups
@@ -404,17 +415,22 @@ class TestAlexanderDuality:
         assert moment_angle_cohomology(fin) != groups
 
 
-def assert_unlisted_table(k, bits, faces, dim):
-    """A factor of K passed on unlisted, on its vertices ``bits`` as given, has
-    ``_sphere_table``'s table ``faces`` and sphere dimension ``dim``.
+def vertices_of(part: int) -> list[int]:
+    return [v for v in range(part.bit_length()) if part >> v & 1]
+
+
+def assert_unlisted_table(k, factor):
+    """A ``Factor`` of K summed unlisted, on its vertices as given, has
+    ``_sphere_table``'s table ``factor.faces`` and sphere dimension ``factor.dim``.
 
     Either its traces are ∂Δ's facets and its table is that of Z = S^{2k-1},
-    or its full subcomplex, numbered as given, is a sphere of dimension
-    ``dim`` ≤ 2 by ``sphere_dimension`` and the table is the mirrored walk's.
+    or its full subcomplex, numbered in increasing order, is a sphere of
+    dimension ``dim`` ≤ 2 by ``sphere_dimension`` and the table is the
+    mirrored walk's.
     """
-    labels = [bit.bit_length() - 1 for bit in bits]
+    labels, faces, dim = vertices_of(factor.part), factor.faces, factor.dim
     n = len(labels)
-    assert labels == sorted(labels), labels
+    assert factor.bits is None, labels
     sub = faces_of(full_subcomplex(k, labels))  # numbered in increasing order
     if n > 1 and faces == Counter({(0, 0, 0): 1, (n, 2 * n - 1, 0): 1}):
         assert sub.ext == faces_of(boundary_complex(n - 1)).ext and dim == n - 2, labels
@@ -429,18 +445,18 @@ def split_factors(k):
     Each listed factor's face table, built from its traces in the factor's
     own numbering, must be that of its full subcomplex numbered the same
     way, with the sphere dimension that ``sphere_dimension`` finds there; a
-    factor passed on unlisted must pass ``assert_unlisted_table``.
+    factor summed unlisted must pass ``assert_unlisted_table``.
     """
     out = []
-    for bits, faces, dim in _factors(k.vertex_count, _masks(k.maximal_faces)):
-        labels = [bit.bit_length() - 1 for bit in bits]  # the vertex numbered i
-        vertices = sorted(labels)
-        if isinstance(faces, Counter):
-            assert_unlisted_table(k, bits, faces, dim)
+    for factor in factors_of(k):
+        vertices = vertices_of(factor.part)
+        if factor.bits is None:
+            assert_unlisted_table(k, factor)
         else:
+            labels = [bit.bit_length() - 1 for bit in factor.bits]  # the vertex numbered i
             # full_subcomplex numbers the vertices in increasing order
             sub = faces_of(full_subcomplex(k, vertices).relabeled([labels.index(v) for v in vertices]))
-            assert faces.ext == sub.ext and dim == sub.sphere_dimension(), labels
+            assert factor.faces.ext == sub.ext and factor.dim == sub.sphere_dimension(), labels
         out.append(vertices)
     return sorted(out)
 
@@ -463,7 +479,7 @@ def order_off(patch):
 
 def sphere_table_off(patch):
     """Make every factor go to the walk: no sphere is summed from its f-vector."""
-    patch.setattr(moment_angle_module, "_sphere_table", lambda vertices, facets, d: None)
+    patch.setattr(moment_angle_module, "_sphere_table", lambda vertices, facets, d, linked: None)
 
 
 class TestJoinFactors:
@@ -630,19 +646,20 @@ class TestWalkCounter:
             "cube-5-cut-at-0": cube(5).cut_vertex(0).dual_complex(),
             "simplex-2-join-3": join(boundary_complex(2), boundary_complex(3)),
         }[name]
+        with counted() as trace:
+            moment_angle_cohomology(k)
         computed = 0
-        for _, faces, certified in _factors(*moment_angle_module._check_input(k, 22)):
-            if isinstance(faces, Counter):  # ∂Δ, summed in closed form
+        for decided in trace.factors:
+            if decided.bits is None:  # ∂Δ, summed in closed form
                 continue
+            faces = decided.faces
             m, dim = faces.vertex_count, faces.sphere_dimension()
-            assert certified == dim
+            assert decided.dim == dim
             factor = SimplicialComplex(m, [[v for v in range(m) if f >> v & 1] for f in faces.facets])
             for J in range(1, 1 << m):
                 half = 2 * J.bit_count() - m
                 if dim is None or half < 0 or (half == 0 and not J >> (m - 1) & 1):
                     computed += route(factor, [v for v in range(m) if J >> v & 1]) == "computed"
-        with counted() as trace:
-            moment_angle_cohomology(k)
         assert trace.calls["graph"] + trace.calls["eliminated"] == computed == settled
 
 
@@ -708,12 +725,12 @@ class TestVertexOrder:
         random.Random(3).shuffle(perm)
         k = k.relabeled(perm)
         with counted() as trace:
-            factors = list(_factors(k.vertex_count, _masks(k.maximal_faces)))
-        assert sorted(len(bits) for bits, *_ in factors) == [4, 5]
+            moment_angle_cohomology(k)
+        assert sorted(factor.part.bit_count() for factor in trace.factors) == [4, 5]
         searched = [part.bit_count() for part in trace.numbered]
         assert searched == [faces.vertex_count for faces in trace.built] == [5]
-        (simplex,) = [bits for bits, faces, _ in factors if isinstance(faces, Counter)]
-        assert len(simplex) == 4 and simplex == sorted(simplex)
+        (simplex,) = [factor for factor in trace.factors if factor.bits is None]
+        assert simplex.part.bit_count() == 4 and simplex.faces == {(0, 0, 0): 1, (4, 7, 0): 1}
         groups, table = reference_sum(subset_homologies(k))
         assert moment_angle_cohomology(k) == groups
         assert bigraded_table(k) == table
@@ -723,8 +740,8 @@ class TestVertexOrder:
         # renumbered, and with the threshold lowered it alone reaches the
         # pool, whose tasks list its faces from the facets they are sent
         k = TestJoinFactors.CASES["rp2-join-s0"][0]
-        (bits,) = [b for b, *_ in _factors(k.vertex_count, _masks(k.maximal_faces)) if len(b) == 6]
-        assert bits != sorted(bits)
+        (bits,) = [f.bits for f in factors_of(k) if f.part.bit_count() == 6]
+        assert list(bits) != sorted(bits)
         groups, table = moment_angle_cohomology(k), bigraded_table(k)
         monkeypatch.setattr(moment_angle_module, "_POOL_MIN_WORK", 2**10)
         with counted() as trace:
@@ -764,8 +781,8 @@ class TestLinkMemo:
         p = cube(6)
         for _ in range(5):
             p = p.cut_vertex(0)
-        m, facets = moment_angle_module._check_input(p, 22)
-        ((_, faces, _),) = _factors(m, facets)
+        (factor,) = factors_of(p)
+        faces = factor.faces
 
         def above(sigma):  # the neighbours of the vertex sigma above it
             return (faces.ext[sigma] >> sigma.bit_length()).bit_count()
@@ -847,6 +864,38 @@ class TestSphereTable:
         assert [faces.vertex_count for faces in trace.certified] == certified
         if not certified:
             assert trace.numbered == trace.built == trace.walks == []
+
+    INTERLEAVED = {
+        # each factor's labels are shuffled among the other's, so every
+        # vertex's facet neighbourhood in K holds the other factor's vertices
+        "pentagon-join-hexagon": (lambda: join(polygon(5).dual_complex(), polygon(6).dual_complex()), [(5, 1, True), (6, 1, True)]),
+        "triangle-join-heptagon": (lambda: join(boundary_complex(2), polygon(7).dual_complex()), [(7, 1, True)]),
+        # the 2-sphere of the prism cut at a vertex is not a join
+        "two-sphere-join-pentagon": (
+            lambda: join(product(simplex_polytope(2), simplex_polytope(1)).cut_vertex(0).dual_complex(),
+                         polygon(5).dual_complex()),
+            [(6, 2, True), (5, 1, True)],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INTERLEAVED))
+    def test_interleaved_factors_are_certified_from_their_facets(self, name):
+        # the facet test and the component sums read each vertex's
+        # neighbours from K's masks cut to the factor; uncut, the facet test
+        # fails and the factor is walked, and the sums of an inherited
+        # certificate come out wrong
+        make, tested = self.INTERLEAVED[name]
+        k = make()
+        k = k.relabeled(random.Random(name).sample(range(k.vertex_count), k.vertex_count))
+        expected = subset_table(subset_homologies(k))
+        m, facets = _check_input(k, 22)
+        with counted() as trace:
+            assert _gather(m, facets, 1) == (expected, True)
+        assert sorted(trace.tested) == sorted(tested)  # in the order of the lowest labels
+        assert trace.numbered == trace.built == trace.walks == []
+        with counted() as trace:
+            assert _gather(m, facets, 1, sphere=True) == (expected, True)
+        assert trace.tested == trace.numbered == trace.built == trace.walks == []
 
     def test_higher_dimensions_are_walked(self):
         # the cube-5 cut at vertex 0 is a 4-sphere on 11 vertices

@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 
 import pytest
 
@@ -10,8 +9,6 @@ from momentangle import cli
 from momentangle.homology import GradedGroups
 from momentangle.moment_angle import (
     DEFAULT_MAX_VERTICES,
-    _check_input,
-    _factors,
     PoincarePolynomial,
     SubsetLimitError,
     _usable_workers,
@@ -31,7 +28,7 @@ from momentangle.surgery import (
     verify_cut_theorem,
 )
 from test_moment_angle import assert_unlisted_table, sphere_around_rp2, sphere_table_off
-from walk import counted
+from walk import counted, factors_of
 
 
 def sphere(d):
@@ -340,12 +337,11 @@ def assert_cut_factors_are_spheres(p):
     dimension ≤ 2 whose table is the walk's (``assert_unlisted_table``)."""
     for v in range(p.vertex_count):
         cut = p.cut_vertex(v)
-        m, facets = _check_input(cut, DEFAULT_MAX_VERTICES)
-        for bits, faces, dim in _factors(m, facets):
-            if isinstance(faces, Counter):
-                assert_unlisted_table(cut.dual_complex(), bits, faces, dim)
+        for factor in factors_of(cut):
+            if factor.bits is None:
+                assert_unlisted_table(cut.dual_complex(), factor)
             else:
-                assert faces.sphere_dimension() == faces.dim == dim, v
+                assert factor.faces.sphere_dimension() == factor.faces.dim == factor.dim, v
 
 
 # the minimal 7-vertex torus; as vertex records it is a "simple 3-polytope"

@@ -20,9 +20,11 @@ of K, the definitions and the oracle's homology alone, and
 watch the engine.  While a block runs it records, in this process, each
 homology call with its kind and result, the link listings, the ``_Faces``
 tables built and certified, the facet tests of a low-dimensional factor,
-the join factors, the vertex sets numbered, the walks, and the process
-pools started with the tasks mapped on them.
-A pool's workers run in other processes, and what they do is not seen.
+each join factor as ``_factor_sum`` decided it, the vertex sets
+numbered, the walks, and the process pools started with the tasks mapped
+on them.  A pool's workers run in other processes, and what they do is
+not seen.  ``factors_of`` reads the factors' decisions alone, with no
+walk run.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import pytest
 import momentangle.homology as homology_module
 import momentangle.moment_angle as moment_angle_module
 from momentangle.homology import GradedGroups, _Faces, _masks
-from momentangle.moment_angle import _walk
+from momentangle.moment_angle import DEFAULT_MAX_VERTICES, _check_input, _gather, _walk
 from momentangle.simplicial import SimplicialComplex
 from complexes import full_subcomplex
 from subset_oracle import _reduced_homology
@@ -51,6 +53,12 @@ def mask(vertices) -> int:
 def faces_of(k) -> _Faces:
     """The engine's face lists of a ``SimplicialComplex``, from its maximal faces."""
     return _Faces(k.vertex_count, _masks(k.maximal_faces))
+
+
+def neighbour_masks(faces: _Faces) -> list[int]:
+    """``linked`` of a face table, as the sum takes it: v and the vertices in a facet
+    with v, read off ext[{v}] (0 for a ghost vertex)."""
+    return [faces.ext.get(1 << v, 0) for v in range(faces.vertex_count)]
 
 
 def minimal_nonface_factors(k) -> list[list[int]]:
@@ -181,6 +189,16 @@ def steps(faces, subsets) -> dict[int, Step]:
     return out
 
 
+@dataclass(frozen=True)
+class Factor:
+    """One join factor as ``_factor_sum`` decided it."""
+
+    part: int  # its vertices, as a mask
+    faces: _Faces | Counter  # the faces it was listed with, else the table it was summed to
+    dim: int | None  # its sphere dimension, None for no sphere
+    bits: tuple | None  # bits[i] the vertex numbered i, None when it was not listed
+
+
 @dataclass
 class Trace:
     """What the engine did in this process while a ``counted`` block ran."""
@@ -190,7 +208,7 @@ class Trace:
     built: list = field(default_factory=list)  # the ``_Faces`` tables built
     certified: list = field(default_factory=list)  # the ``_Faces`` certified
     tested: list = field(default_factory=list)  # (m, d, passed) per ``_facet_sphere`` call
-    factors: list = field(default_factory=list)  # (bits, faces or table, sphere dimension) per join factor
+    factors: list = field(default_factory=list)  # a ``Factor`` per join factor
     numbered: list = field(default_factory=list)  # the vertex masks ``_order`` numbers
     summed: list = field(default_factory=list)  # (m, sphere_dim) per ``_sphere_table`` table
     walks: list = field(default_factory=list)  # (faces, sphere_dim) per ``_walk`` call
@@ -224,8 +242,8 @@ def counted():
     trace = Trace()
     where = [""]  # "", "link_" or "certificate_": whose call the next one is
     init, link, certify = _Faces.__init__, _Faces.link, _Faces.sphere_dimension
-    split, order, walk, sphere_table, facet_sphere = (
-        moment_angle_module._factors,
+    factor_sum, order, walk, sphere_table, facet_sphere = (
+        moment_angle_module._factor_sum,
         moment_angle_module._order,
         moment_angle_module._walk,
         moment_angle_module._sphere_table,
@@ -252,23 +270,33 @@ def counted():
         finally:
             where[0] = ""
 
-    def factors(*args):
-        for factor in split(*args):
-            trace.factors.append(factor)
-            yield factor
+    numberings = []  # what ``_order`` returned, one per part in trace.numbered
+
+    def deciding(part, facets, *args):
+        built, numbered = len(trace.built), len(numberings)
+        table, sphere = factor_sum(part, facets, *args)
+        listed = len(trace.built) > built  # its faces are the first table built
+        trace.factors.append(Factor(
+            part,
+            trace.built[built] if listed else table,
+            max(map(int.bit_count, facets)) - 1 if sphere else None,
+            tuple(numberings[numbered]) if listed else None,
+        ))
+        return table, sphere
 
     def numbering(part, linked):
         trace.numbered.append(part)
-        return order(part, linked)
+        numberings.append(order(part, linked))
+        return numberings[-1]
 
-    def summing(vertices, facets, sphere_dim):
-        table = sphere_table(vertices, facets, sphere_dim)
+    def summing(vertices, facets, sphere_dim, linked):
+        table = sphere_table(vertices, facets, sphere_dim, linked)
         if table is not None:
             trace.summed.append((vertices.bit_count(), sphere_dim))
         return table
 
-    def testing(vertices, facets, d):
-        passed = facet_sphere(vertices, facets, d)
+    def testing(vertices, facets, d, linked):
+        passed = facet_sphere(vertices, facets, d, linked)
         trace.tested.append((vertices.bit_count(), d, passed))
         return passed
 
@@ -298,13 +326,25 @@ def counted():
                 return groups
 
             patch.setattr(homology_module, name, spy)
-        patch.setattr(moment_angle_module, "_factors", factors)
+        patch.setattr(moment_angle_module, "_factor_sum", deciding)
         patch.setattr(moment_angle_module, "_order", numbering)
         patch.setattr(moment_angle_module, "_walk", walking)
         patch.setattr(moment_angle_module, "_sphere_table", summing)
         patch.setattr(moment_angle_module, "_facet_sphere", testing)
         patch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         yield trace
+
+
+def factors_of(k) -> list[Factor]:
+    """The join factors of K, or of a polytope's dual, as its serial sum decides them;
+    ``_walk`` returns an empty table meanwhile, so no walk is run and only the
+    decisions are read."""
+    m, facets = _check_input(k, DEFAULT_MAX_VERTICES)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(moment_angle_module, "_walk", lambda faces, sphere_dim, root, low: Counter())
+        with counted() as trace:
+            _gather(m, facets, 1)
+    return trace.factors
 
 
 def _traces(k, vertices) -> list[frozenset]:
