@@ -355,10 +355,10 @@ def _render(
 
 
 def cmd_build(args) -> int:
+    if args.csv:  # refused before the expression is read, as --workers 0 is
+        raise UsageError("build has no csv form; the output is a JSON object")
     # build makes one record per vertex, so its budget is 2^E vertices, not m <= E
     obj = _parse(args.expr, (None, args.max_subsets))
-    if args.csv:
-        raise UsageError("build has no csv form; the output is a JSON object")
     # the bare object, whatever the format flag: build output is build input
     _write(args, _dumps(obj.to_json_dict()))
     return 0

@@ -96,12 +96,12 @@ needs sums over |J| = s: that of χ̃(K_J) is a closed form in the f-vector,
 which m and the facet count fix (Klee, *Canad. J. Math.* 16, 1964), and
 that of c(J) counts each connected vertex set S once, as a component of
 each of the binom(m - |S| - |N(S)|, s - |S|) sets J that hold S and miss
-N(S), its neighbours outside it.  A circle needs no connected set, a
-2-sphere those of at most m/2 vertices, and a 3-sphere those of at most
-m - 1.  Only the facets and the split's neighbour masks (below) are
-read, in the calling process at any worker count, so a sphere known
-before listing, by ``verify`` or for d ≤ 2, is summed unlisted, and one
-listed for its certificate is summed on its vertices as given.
+N(S), its neighbours outside it.  A circle needs no connected set, and
+no S with S ∪ N(S) = V is grown: every set holding it is connected.
+Only the facets and the split's neighbour masks (below) are read, in the
+calling process at any worker count, so a sphere known before listing,
+by ``verify`` or for d ≤ 2, is summed unlisted, and one listed for its
+certificate is summed on its vertices as given.
 
 Before any of that, K is split into its finest join factorisation
 K = K_{A_1} * ... * K_{A_r} by one test on the maximal faces as bitmasks:
@@ -348,9 +348,8 @@ def _sphere_table(vertices: int, facets: Collection[int], d: int, linked: list[i
     faces f of (-1)^(|f|-1) binom(m - |f|, s - |f|), with the f-vector
     (1, m, F), (1, m, 3F/2, F) or (1, m, m + F, 2F, F) of F facets.  For
     d = 1 no component is counted, a proper K_J being a forest with
-    c(J) - 1 = χ̃(K_J); for d = 2, c(J) - c(V - J) = χ̃(K_J), so the sums
-    up to m/2 (``_component_sums``, on the neighbours ``linked[v] &
-    vertices``) give the rest; d = 3 counts them up to m - 1.
+    c(J) - 1 = χ̃(K_J); d = 2 and 3 take the sums of c(J) from
+    ``_component_sums``, on the neighbours ``linked[v] & vertices``.
     """
     if not 0 < d <= 3:
         return None
@@ -364,9 +363,7 @@ def _sphere_table(vertices: int, facets: Collection[int], d: int, linked: list[i
     if d == 1:
         count = [euler[s] + comb(m, s) for s in range(m + 1)]
     else:
-        count = _component_sums(vertices, linked, m // 2 if d == 2 else m - 1)
-        if d == 2:  # c(J) - c(V - J) = χ̃(K_J)
-            count += [count[m - s] - euler[m - s] for s in range(len(count), m)]
+        count = _component_sums(vertices, linked)
     table = Counter({(0, 0, 0): 1, (m, m + d + 1, 0): 1})
     for s in range(1, m):
         subsets = comb(m, s)
@@ -378,20 +375,28 @@ def _sphere_table(vertices: int, facets: Collection[int], d: int, linked: list[i
     return table
 
 
-def _component_sums(vertices: int, linked: list[int], most: int) -> list[int]:
-    """count[s], the components of K_J summed over |J| = s ≤ ``most``, each vertex in a facet.
+def _component_sums(vertices: int, linked: list[int]) -> list[int]:
+    """count[s], the components of K_J summed over |J| = s, each vertex in a facet.
 
     S is a component of K_J exactly when S is connected, S ⊆ J and J
     misses N(S), S's neighbours outside S, so count[s] is the sum over the
     connected S of binom(m - |S| - |N(S)|, s - |S|); v's neighbours are
-    ``linked[v] & vertices``, v's own included.  Each connected S of at
-    most ``most`` vertices is grown once from its lowest vertex: a branch
-    adds one vertex of N(S) and bars it from the branches after it.
+    ``linked[v] & vertices``, v's own included.  Each connected S is grown
+    once from its lowest vertex: a branch adds one vertex of N(S) and bars
+    it from the branches after it, until S ∪ N(S) = V.  Then every T ⊇ S
+    is connected with N(T) = V - T, binom(f, k) of them of size |S| + k, f
+    counting the vertices neither in S nor barred, and none is grown.
     """
     m = vertices.bit_count()
-    sets = [[0] * (m + 1) for _ in range(most + 1)]  # [|S|][|N(S)|] -> connected S
+    count = [0] * (m + 1)
+    sets = [[0] * (m + 1) for _ in range(m + 1)]  # [|S|][|N(S)|] -> connected S
 
     def grow(S: int, out: int, size: int, barred: int) -> None:
+        if S | out == vertices:  # each T ⊇ S is a component of J = T only
+            free = (vertices & ~S & ~barred).bit_count()
+            for k in range(1, free + 1):
+                count[size + k] += comb(free, k)
+            return
         counts = sets[size + 1]
         more = out & ~barred
         while more:
@@ -400,21 +405,16 @@ def _component_sums(vertices: int, linked: list[int], most: int) -> list[int]:
             T = S | bit
             beyond = (out | linked[bit.bit_length() - 1] & vertices) & ~T
             counts[beyond.bit_count()] += 1
-            if size + 1 < most:
-                grow(T, beyond, size + 1, barred)
+            grow(T, beyond, size + 1, barred)
             barred |= bit
 
     for v in range(vertices.bit_length()):
         if vertices >> v & 1:
-            out = linked[v] & vertices ^ 1 << v
-            sets[1][out.bit_count()] += 1
-            if most > 1:
-                grow(1 << v, out, 1, (2 << v) - 1)
-    count = [0] * (most + 1)
+            grow(0, 1 << v, 0, (1 << v) - 1)
     for a, row in enumerate(sets):
         for b, n in enumerate(row):
-            for s in range(a, most + 1) if n else ():
-                count[s] += n * comb(m - a - b, s - a)
+            for j in range(m - a - b + 1) if n else ():
+                count[a + j] += n * comb(m - a - b, j)
     return count
 
 

@@ -295,6 +295,19 @@ class TestErrorsAndLimits:
             "hint: raise the cap with --max-subsets\n"
         )
 
+    def test_build_refuses_csv_before_reading_the_expression(self, capsys, monkeypatch):
+        # --csv is refused before the expression is parsed, as --workers 0 is:
+        # cube 20 is within build's budget, and its 2^20 vertex records were
+        # built before the refusal; cube 40 exits 2 on --csv, not 3 on the budget
+        def refuse(*args):
+            raise AssertionError("the expression was parsed")
+
+        monkeypatch.setattr(cli_module, "_parse", refuse)
+        for n in ("20", "40"):
+            code, out, err = run(capsys, "build", "cube", n, "--csv")
+            assert (code, out) == (2, "")
+            assert err == "error: build has no csv form; the output is a JSON object\n"
+
     @pytest.mark.parametrize(
         "expr, budget, code",
         [

@@ -14,6 +14,7 @@ from momentangle.moment_angle import (
     PoincarePolynomial,
     SubsetLimitError,
     _check_input,
+    _component_sums,
     _gather,
     _kunneth,
     _mirror,
@@ -408,8 +409,12 @@ class TestAlexanderDuality:
         assert not _facet_sphere(0b11111, _masks(fin.maximal_faces), 2, neighbour_masks(faces))
         assert moment_angle_cohomology(fin) == groups
         monkeypatch.setattr(moment_angle_module, "_facet_sphere", lambda vertices, facets, d, linked: True)
-        with pytest.raises(ValueError, match="must be >= 0"):
-            moment_angle_cohomology(fin)
+        try:
+            forced = moment_angle_cohomology(fin)
+        except ValueError as error:
+            assert "must be >= 0" in str(error)
+        else:
+            assert forced != groups
         # the walk, mirrored as on a sphere, gives wrong groups
         sphere_table_off(monkeypatch)
         assert moment_angle_cohomology(fin) != groups
@@ -912,6 +917,63 @@ class TestSphereTable:
         with counted() as trace:
             assert moment_angle_cohomology(k, workers=2) == groups
         assert trace.pools == [] and [d for _, d in trace.summed] == [1]
+
+
+def components(J, linked):
+    """c(J): the components of the graph on J whose edges are read off ``linked[v] & J``."""
+    c = 0
+    while J:
+        c += 1
+        part, grown = 0, J & -J
+        while grown != part:
+            part = grown
+            for v in vertices_of(part):
+                grown |= linked[v] & J
+        J &= ~part
+    return c
+
+
+class TestComponentSums:
+    # count[s] of _component_sums is the sum of c(J) over the J of s
+    # vertices, on graphs whose vertex mask leaves labels out and whose
+    # masks reach those labels, as a join factor's do; the stop where
+    # S ∪ N(S) is every vertex fires often on dense graphs and the
+    # complete one, rarely on a path
+    NAMES = [f"{kind}-{m}" for kind in ("sparse", "dense") for m in (7, 10, 12)]
+    NAMES += ["complete-12", "path-12", "star-12", "complete-1", "path-2"]
+
+    @staticmethod
+    def graph(name):
+        """m of m + 3 labels, and ``linked`` on all of them: v, the ends of
+        v's edges, and random labels outside the m."""
+        kind, m = name.split("-")
+        r = random.Random(name)
+        n = int(m) + 3
+        labels = r.sample(range(n), int(m))
+        if kind in ("sparse", "dense"):
+            p = 0.2 if kind == "sparse" else 0.8
+            edges = [e for e in combinations(labels, 2) if r.random() < p]
+        elif kind == "complete":
+            edges = list(combinations(labels, 2))
+        elif kind == "path":
+            edges = list(zip(labels, labels[1:]))
+        else:  # a star centred on labels[0]
+            edges = [(labels[0], v) for v in labels[1:]]
+        outside = sorted(set(range(n)) - set(labels))
+        edges += [(v, w) for w in outside for v in range(n) if v != w and r.random() < 0.5]
+        linked = [1 << v for v in range(n)]
+        for v, w in edges:
+            linked[v] |= 1 << w
+            linked[w] |= 1 << v
+        return labels, linked
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_equals_the_components_summed_by_size(self, name):
+        labels, linked = self.graph(name)
+        count = _component_sums(sum(1 << v for v in labels), linked)
+        for s in range(len(labels) + 1):
+            expected = sum(components(sum(1 << v for v in J), linked) for J in combinations(labels, s))
+            assert count[s] == expected, (name, s)
 
 
 class TestPolytopeInput:
