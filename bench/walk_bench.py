@@ -18,9 +18,10 @@ input and checkout, made inside ``counted`` of ``tests/walk.py``, the
 trace of the engine that the tests read; the join factors, the walks
 with their sphere dimensions, the homology calls and the link listings
 are all read from it.  The sphere certificate's calls and listings are
-recorded apart and not reported; the vertex count of each factor that
-``sphere_dimension`` certifies is listed under "certified", and that of
-each factor numbered by ``_order`` under "numbered".  A factor that is
+recorded apart and not reported; the vertex count of each factor of
+dimension 3 or more that the sphere certificate, ``_facet_sphere``, is
+run on is listed under "certified", and that of each factor numbered by
+``_order`` under "numbered".  A factor that is
 the boundary of a simplex is summed in closed form, with no listing and
 no walk: it is left out of the counts and of "visited", and its vertex
 count is listed under "simplex_boundaries".  A certified sphere of
@@ -186,7 +187,7 @@ def routes(expr: list[str]) -> dict:
     counts["simplex_boundaries"] = [factor.part.bit_count() for factor in trace.factors
                                     if factor.bits is None and factor.dim == factor.part.bit_count() - 2]
     counts["numbered"] = [part.bit_count() for part in trace.numbered]
-    counts["certified"] = [faces.vertex_count for faces in trace.certified]
+    counts["certified"] = list(trace.certified)
     counts["summed"] = [[m, dim] for m, dim in trace.summed]
     counts["faces"] = sum(len(faces.ext) - 1 for faces, _ in walks)
     counts["sphere_dim"] = [dim for _, dim in walks]

@@ -18,8 +18,7 @@ parent's groups and the homology of one vertex's link, and lists the link
 of ∅ only for the rest.  In ``_reduced_groups`` a complex of dimension at
 most 1 is a graph with V vertices, E edges and c components, so
 H~_0 = Z^(c-1) and H~_1 = Z^(E-V+c), with c from a union-find on the edge
-masks; this covers the links of codimension-2 faces in the sphere
-certificate as well.  A graph has no torsion.
+masks.  A graph has no torsion.
 
 Every other boundary map is diagonalised by one sparse elimination,
 ``_rank_and_torsion``, on sparse ``{face: ±1}`` columns built from the
@@ -31,11 +30,15 @@ residual, empty unless there is torsion or a pivot-free block, on the
 same columns with pivots of least absolute value.  The maps are reduced
 from the top degree down, and the unit pivot rows of one map are left
 out of the next as columns.  ``reduced_homology`` is
-``_reduced_groups`` on every face of K, and ``_Faces.sphere_dimension``
-runs it on K and on the listed links of its faces to certify that a
-complex is a Z-homology sphere; ``_facet_sphere`` gives the same answer
-for dimension 2 or less from the maximal faces and the vertices'
-neighbour masks alone, with no listing.
+``_reduced_groups`` on every face of K.
+
+``_facet_sphere`` certifies that a complex is a Z-homology sphere from its
+maximal faces and the vertices' neighbour masks (``_linked``).  For
+dimension 2 or less it lists no face.  For dimension d ≥ 3 it lists the
+faces once, passes each 2-dimensional link, that of a face of d - 2
+vertices, by its own 2-sphere test on the link's triangles, and runs
+``_reduced_groups`` only on K and on the links of the nonempty faces of
+fewer than d - 2 vertices.
 
 Finitely generated graded abelian groups are recorded degree by degree as a
 free rank plus invariant factors d_1 | d_2 | ... | d_k with every d_i > 1.
@@ -381,8 +384,7 @@ class _Faces:
 
     The complex is given by its vertex count m and ``facets``, its maximal
     faces as masks, kept as given: ``[]`` for the void complex, ``[0]`` for
-    the complex whose only face is the empty one.  ``dim`` is one less than
-    the largest facet's size, -1 for both of those.  ``ext`` is the one face
+    the complex whose only face is the empty one.  ``ext`` is the one face
     table: its keys are the faces, the empty face included even for the
     void complex, whose reduced homology is taken to be that of the empty
     complex; ``ext[f]`` is the mask of the vertices w for which f ∪ {w} is
@@ -390,7 +392,7 @@ class _Faces:
     from it.
     """
 
-    __slots__ = ("dim", "ext", "facets", "vertex_count")
+    __slots__ = ("ext", "facets", "vertex_count")
 
     def __init__(self, m: int, facets: Sequence[int]):
         ext = {0: 0}
@@ -408,7 +410,6 @@ class _Faces:
                     todo.append(sub)
         self.vertex_count = m
         self.facets = facets
-        self.dim = max((f.bit_count() for f in facets), default=0) - 1
         self.ext = ext
 
     def link(self, sigma: int, within: int) -> list[list[int]]:
@@ -436,69 +437,48 @@ class _Faces:
             layers.append(up)
             layer = up
 
-    def sphere_dimension(self) -> int | None:
-        """d if K is a Z-homology d-sphere on all of its m vertices, else None.
 
-        K passes when m > 0, every vertex is a face, and for every face σ,
-        the empty face included, H~(lk σ) is a single Z in degree d - |σ|.
-        That is K = lk ∅ has the homology of S^d and every link of a
-        nonempty face is a homology sphere of the right dimension, so K is
-        a Z-homology manifold.  For links of facets and ridges the
-        condition says K is pure and each ridge lies in exactly two facets.
-
-        The cheap checks come first and the first failure ends the test.
-        One pass over ``ext`` counts the faces by size, which give the
-        reduced Euler characteristic, and checks purity and the ridges;
-        only then are faces listed by ``link``: H~(K),
-        then the other links from the largest σ (smallest link) down, each
-        to ``_reduced_groups``, so codimension-2 links take the graph path.
-        The subset sum runs it on factors of dimension 3 or more only, and
-        certifies the others by ``_facet_sphere``, which agrees with it.
-        """
-        d = self.dim
-        counts = [0] * (d + 2)
-        manifold = True  # every face below the top is in one, every ridge in two
-        for face, up in self.ext.items():
-            i = face.bit_count()
-            counts[i] += 1
-            n = (up ^ face).bit_count()  # faces with one vertex more
-            if i <= d and (n == 0 or (i == d and n != 2)):
-                manifold = False
-        if d < 0 or counts[1] != self.vertex_count:
-            return None  # m = 0, {∅} or a ghost vertex
-        # reduced Euler characteristic, the sum of (-1)^(|σ|-1) over faces σ
-        if sum((-1) ** (i - 1) * n for i, n in enumerate(counts)) != (-1) ** d or not manifold:
-            return None
-        faces = self.link(0, self.ext[0])
-        if _reduced_groups(faces) != ((d, (1, ())),):
-            return None
-        for size in range(d - 1, 0, -1):
-            for sigma in faces[size - 1]:
-                if _reduced_groups(self.link(sigma, self.ext[0])) != ((d - size, (1, ())),):
-                    return None
-        return d
+def _linked(facets: Iterable[int], width: int) -> list[int]:
+    """linked[v] for v below ``width``: v and the vertices in a facet with v, 0 for a
+    vertex in none."""
+    linked = [0] * width
+    for f in facets:
+        rest = f
+        while rest:
+            low = rest & -rest
+            linked[low.bit_length() - 1] |= f
+            rest ^= low
+    return linked
 
 
 def _facet_sphere(vertices: int, facets: Collection[int], d: int, linked: Sequence[int]) -> bool:
-    """Whether these distinct maximal faces, of at most d + 1 vertices each and all
-    inside ``vertices``, make a Z-homology d-sphere on all of ``vertices``, for d ≤ 2.
+    """Whether these distinct maximal faces, all inside ``vertices``, make a
+    Z-homology d-sphere on all of ``vertices``: every vertex is a face, and
+    for every face σ, the empty one included, H~(lk σ) is one Z in degree
+    d - |σ|.
 
-    This is ``_Faces.sphere_dimension() == d`` read off the facets, with no
-    face listed.  ``linked[v] & vertices`` is v and its neighbours, the
-    vertices in a facet with v; ``linked`` may hold vertices outside, as the
-    masks of a whole join do.  ``ridge`` maps each ridge to the vertices
-    that make a facet with it, so each ridge lies on two facets when each
-    holds two.  For d = 1 the m edges put each vertex on two and connect
-    ``vertices``: K is a cycle.  For d = 2 the triangles are F = 2m - 4, so
-    χ = m - 3F/2 + F = 2, each edge lies on two, the triangles connect
-    ``vertices``, and the link of each vertex v, the edges opposite it, is
-    one cycle, walked from a neighbour u to the neighbours in
-    ridge[v ∪ u]: K is a connected closed surface with χ = 2, which is S^2.
+    ``linked[v] & vertices`` is v and its neighbours, the vertices in a
+    facet with v; ``linked`` may hold vertices outside, as the masks of a
+    whole join do.  For every d ≥ 1, each facet has d + 1 vertices, each
+    ridge lies on two facets (``ridge`` maps it to the vertices that make a
+    facet with it), and the facets connect ``vertices``, which puts each
+    vertex on one.  For d = 1 the m edges make K a cycle.  For d = 2 the
+    triangles are F = 2m - 4, so χ = m - 3F/2 + F = 2, and the link of each
+    vertex v, the edges opposite it, is one cycle, walked from a neighbour
+    u to the neighbours in ridge[v ∪ u]: K is a connected closed surface
+    with χ = 2, which is S^2.
+
+    For d ≥ 3 the faces are listed once, on the labels as given.  The link
+    of each face σ of d - 2 vertices is pure of dimension 2, as every facet
+    has d + 1 vertices, and must pass the d = 2 test on its triangles; that
+    settles the links of the faces above σ too, so no link of dimension 2
+    or less is eliminated.  The links of the smaller nonempty faces, from
+    the largest down, and then K go to ``_reduced_groups``.
     """
     m = vertices.bit_count()
     if d < 1:  # S^0 is two points, and no sphere has dimension -1
         return d == 0 and len(facets) == m == 2
-    if d > 2 or len(facets) != (m if d == 1 else 2 * m - 4):
+    if d <= 2 and len(facets) != (m if d == 1 else 2 * m - 4):
         return False
     ridge: dict[int, int] = {}
     for f in facets:
@@ -520,6 +500,19 @@ def _facet_sphere(vertices: int, facets: Collection[int], d: int, linked: Sequen
         todo |= new
     if seen != vertices:
         return False
+    if d > 2:
+        faces = _Faces(m, list(facets))
+        layers = faces.link(0, vertices)
+        for sigma in layers[d - 3]:
+            around = faces.ext[sigma] ^ sigma
+            triangles = faces.link(sigma, vertices)[2]
+            if not _facet_sphere(around, triangles, 2, _linked(triangles, around.bit_length())):
+                return False
+        for size in range(d - 3, 0, -1):
+            for sigma in layers[size - 1]:
+                if _reduced_groups(faces.link(sigma, vertices)) != ((d - size, (1, ())),):
+                    return False
+        return _reduced_groups(layers) == ((d, (1, ())),)
     rest = vertices if d == 2 else 0
     while rest:  # each vertex v, on some triangle now that K is connected
         v = rest & -rest

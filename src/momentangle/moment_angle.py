@@ -23,8 +23,8 @@ the cohomology and the bigraded ranks (the a = 0 entries) are read off it.
 
 The subsets are walked depth first: J's children are J ∪ {v} for v below
 min J, so each subset is reached once, from J minus its lowest vertex.
-The faces of each join factor of K are listed once per call (once per
-pool task) by :mod:`momentangle.homology`, as the keys of ext[f], the
+The faces of each walked join factor of K are listed once per call (once
+per pool task) by :mod:`momentangle.homology`, as the keys of ext[f], the
 vertices w with f ∪ {w} a face.  v's link in K_{J ∪ v} is the full
 subcomplex of lk_K(v) on A = J ∩ N(v), N(v) its neighbours, so v's link
 groups come from ``_Faces.link``, the faces of lk {v} inside A: H~ = 0
@@ -61,7 +61,7 @@ H~(K_{V-J}) = 0, so its mirrored contribution is zero too.
 Which rule settles a step depends on how the vertices are numbered: when
 v's neighbours numbered above v span a face with v, v's link in K_{J ∪ v}
 is the simplex on the neighbours in J, so the step reuses the parent's
-groups or adds a point, and nothing is settled.  So each listed join
+groups or adds a point, and nothing is settled.  So each walked join
 factor is numbered by a maximum cardinality search (``_order``; Tarjan
 and Yannakakis, *SIAM J. Comput.* 13, 1984) before its faces are listed:
 labels go from the top down, each to the vertex with the most labelled
@@ -80,12 +80,13 @@ vertex m - 1, so the walk stops descending at |J| = floor(m/2).  Once
 the table of those is merged, ``_mirror`` adds the complements in one
 pass: a Z in degree e at |J| also lands in degree
 m + d + 1 - e at m - |J|, and a Z/a in degree m + d + 2 - e.  Sphere-ness
-is certified once per join factor, before any work is split: from the
-facets alone for d ≤ 2 (``_facet_sphere``), else by the homology of every
-face link (``_Faces.sphere_dimension``), unless K is known to be a sphere:
-``verify`` sums P first and, when every factor of K_P passes, takes each
-factor of each cut's dual to be a sphere of its own dimension
-(``surgery._verify_cuts``); every other complex gets 2^m subsets.
+is certified once per join factor, before any work is split and before
+any numbering, by ``homology._facet_sphere`` from the factor's facets on
+its vertices as given (for d ≥ 3 it lists their faces itself), unless K
+is known to be a sphere: ``verify`` sums P first and, when every factor
+of K_P passes, takes each factor of each cut's dual to be a sphere of its
+own dimension (``surgery._verify_cuts``); every other complex gets 2^m
+subsets.
 
 A sphere of dimension d ≤ 3 is not walked at all (``_sphere_table``).
 For 0 < |J| < m duality leaves K_J free homology, H~_0 of rank c(J) - 1
@@ -99,9 +100,8 @@ each of the binom(m - |S| - |N(S)|, s - |S|) sets J that hold S and miss
 N(S), its neighbours outside it.  A circle needs no connected set, and
 no S with S ∪ N(S) = V is grown: every set holding it is connected.
 Only the facets and the split's neighbour masks (below) are read, in the
-calling process at any worker count, so a sphere known before listing,
-by ``verify`` or for d ≤ 2, is summed unlisted, and one listed for its
-certificate is summed on its vertices as given.
+calling process at any worker count, so such a sphere is summed on its
+vertices as given, and is neither numbered nor listed for the sum.
 
 Before any of that, K is split into its finest join factorisation
 K = K_{A_1} * ... * K_{A_r} by one test on the maximal faces as bitmasks:
@@ -119,10 +119,10 @@ it is a sphere whose proper K_J are simplices, so Z = S^{2k-1}
 (Buchstaber and Panov) and its table is 1 at (0, 0, 0) and at
 (k, 2k - 1, 0); else the certificate, then ``_sphere_table``, else the
 walk.  ``linked[v]``, the vertices in a facet of K with v, is built once
-per call and, cut to a factor on A as ``linked[v] & A``, is the one
-neighbour map of the split, the search, the facet test and the
-component sums.  The tables are combined by the Kunneth
-formula with one rule for every pair of entries: taking Z = Z/0,
+per call by ``homology._linked`` and, cut to a factor on A as
+``linked[v] & A``, is the one neighbour map of the split, the search,
+the certificate and the component sums.  The tables are combined by the
+Kunneth formula with one rule for every pair of entries: taking Z = Z/0,
 Z/a (x) Z/b = Z/gcd(a, b), zero when the gcd is 1, and when a and b are
 both nonzero Tor(Z/a, Z/b) adds the same group one degree lower.  A join
 then costs 2^{m_1} + ... + 2^{m_r} subsets instead of 2^m, and lists its
@@ -152,7 +152,7 @@ from math import comb, gcd
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping
 
-from .homology import GradedGroups, _Faces, _facet_sphere, _masks, _reduced_groups
+from .homology import GradedGroups, _Faces, _facet_sphere, _linked, _masks, _reduced_groups
 from .polytopes import SimplePolytope
 from .simplicial import SimplicialComplex
 
@@ -574,13 +574,7 @@ def _gather(m: int, facets: list[int], workers: int, sphere: bool = False) -> tu
     of its own dimension and is not certified (see ``surgery._verify_cuts``).
     The flag returned says whether every factor is a sphere, so that K is.
     """
-    linked = [0] * m  # the vertices in a facet with v, v's own included
-    for f in facets:
-        rest = f
-        while rest:
-            low = rest & -rest
-            linked[low.bit_length() - 1] |= f
-            rest ^= low
+    linked = _linked(facets, m)
     table = None
     spheres = True
     pool: list = []  # the process pool, once started
@@ -600,21 +594,21 @@ def _factor_sum(part: int, facets: Collection[int], linked: list[int], sphere: b
     """The subset sum of the join factor on ``part`` with these distinct maximal faces, and
     whether it is a sphere, by the route chosen here (see the module docstring).
 
-    A factor is a d-sphere when ``sphere`` says so, by ``_facet_sphere`` for
-    d ≤ 2, or by ``sphere_dimension`` on its numbered faces for d ≥ 3.  A
-    walk is pooled in the call's ``pool``, started here when first needed.
+    A factor is a d-sphere when ``sphere`` says so or ``_facet_sphere``
+    certifies it.  A certified sphere that ``_sphere_table`` sums is not
+    numbered; any other factor is numbered and listed by ``_numbered`` and
+    walked.  A walk is pooled in the call's ``pool``, started here when
+    first needed.
     """
     k = part.bit_count()
     # ∂Δ, k > 1 facets of k - 1 vertices: Z = S^{2k-1}, every proper K_J a simplex
     if k > 1 and len(facets) == k and sum(map(int.bit_count, facets)) == k * (k - 1):
         return Counter({(0, 0, 0): 1, (k, 2 * k - 1, 0): 1}), True
     d = max(map(int.bit_count, facets)) - 1
-    faces = None if sphere or d <= 2 else _numbered(part, facets, linked)  # listed to be certified
-    certified = sphere or (
-        faces.sphere_dimension() == d if faces else _facet_sphere(part, facets, d, linked))
+    certified = sphere or _facet_sphere(part, facets, d, linked)
     if certified and (table := _sphere_table(part, facets, d, linked)) is not None:
         return table, True
-    faces = faces or _numbered(part, facets, linked)
+    faces = _numbered(part, facets, linked)
     sphere_dim = d if certified else None
     visited = 1 << (k - certified)
     work = visited * len(faces.ext)

@@ -8,7 +8,9 @@ and its ``IntegerMatrix`` are the oracle's own.  With the package it shares
 only ``GradedGroups``, and the ``invariant_factors`` by which
 ``GradedGroups`` is normalised: no canonical form, no bitmask faces, no
 sparse columns, no elimination.  Of a complex it reads only
-``maximal_faces`` and ``vertex_count``.
+``maximal_faces`` and ``vertex_count``.  ``sphere_dimension`` checks the
+definition that the engine's sphere certificate decides, link by link,
+with the same dense Smith forms.
 """
 
 from __future__ import annotations
@@ -145,6 +147,27 @@ def _reduced_homology(generators) -> GradedGroups:
         kernel = counts[d] - (bd_rank[d] if d >= 0 else 0)
         groups[d] = (kernel - bd_rank[d + 1], bd_torsion[d + 1])
     return GradedGroups(groups)
+
+
+def sphere_dimension(k) -> int | None:
+    """d if K is a Z-homology d-sphere on all of its m vertices, else None.
+
+    d is one less than the size of K's largest face.  K passes when m > 0,
+    every vertex is a face, and for every face σ, the empty face included,
+    H~(lk σ) is a single Z in degree d - |σ|; lk σ is spanned by the
+    maximal faces holding σ, with σ taken out.  The faces are tried from
+    the largest down, so that most non-spheres fail on a small link.
+    """
+    generators = k.maximal_faces
+    d = max((len(f) for f in generators), default=0) - 1
+    if d < 0 or {v for f in generators for v in f} != set(range(k.vertex_count)):
+        return None
+    for size in range(d + 1, -1, -1):
+        for sigma in _faces(generators, size - 1):
+            link = [tuple(v for v in f if v not in sigma) for f in generators if set(sigma) <= set(f)]
+            if _reduced_homology(link) != GradedGroups({d - size: (1, ())}):
+                return None
+    return d
 
 
 def subset_homologies(k) -> dict[tuple[int, ...], GradedGroups]:

@@ -58,7 +58,8 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import momentangle.homology as homology_module  # noqa: E402
-from momentangle.homology import GradedGroups, _Faces, _facet_sphere, _masks, reduced_homology  # noqa: E402
+import momentangle.moment_angle as moment_angle_module  # noqa: E402
+from momentangle.homology import GradedGroups, _facet_sphere, _masks, reduced_homology  # noqa: E402
 from momentangle.moment_angle import (  # noqa: E402
     _check_input,
     _gather,
@@ -73,6 +74,7 @@ from momentangle.simplicial import SimplicialComplex, boundary_complex, join  # 
 from momentangle.surgery import theorem_corpus  # noqa: E402
 from complexes import RP2, cyclic_4_polytope_boundary, faces_of_dimension, full_subcomplex  # noqa: E402
 from subset_oracle import _reduced_homology, reference_sum, subset_homologies  # noqa: E402
+from subset_oracle import sphere_dimension as oracle_sphere_dimension  # noqa: E402
 from test_surgery import assert_cut_factors_are_spheres  # noqa: E402
 from test_moment_angle import (  # noqa: E402
     MOORE3,
@@ -83,6 +85,7 @@ from test_moment_angle import (  # noqa: E402
     split_factors,
 )
 from walk import (  # noqa: E402
+    certified_dimension,
     counted,
     factors_of,
     faces_of,
@@ -169,10 +172,10 @@ def test_polytopes_from_products_and_cuts(k):
 
 
 def assert_duality_changes_nothing(k):
-    assert faces_of(k).sphere_dimension() is not None
+    assert certified_dimension(k) is not None
     groups, table = moment_angle_cohomology(k), bigraded_table(k)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_Faces, "sphere_dimension", lambda self: None)
+        patch.setattr(moment_angle_module, "_facet_sphere", lambda vertices, facets, d, linked: False)
         assert moment_angle_cohomology(k) == groups
         assert bigraded_table(k) == table
 
@@ -194,9 +197,7 @@ def assert_face_table_is_brute_force(k):
     """``_Faces`` against the faces that ``faces_of_dimension`` lists by combinations."""
     faces = {mask(f) for d in range(-1, k.dim + 1) for f in faces_of_dimension(k, d)}
     ext = {f: f | mask(w for w in range(k.vertex_count) if f | 1 << w in faces) for f in faces}
-    table = faces_of(k)
-    assert table.ext == ext
-    assert table.dim == k.dim
+    assert faces_of(k).ext == ext
 
 
 @checked(100)
@@ -282,15 +283,15 @@ def assert_boundaries_are_summed_unlisted(k):
     """The sum of K against the oracle, with no ∂Δ factor listed, certified,
     numbered or walked; returns what was, as (vertex count, maximal faces).
 
-    The face tables built, certified and walked hold a factor's own
-    facets; a vertex set numbered by ``_order`` has its maximal traces
-    read off K.
+    The face tables built, the certificate's included, and walked hold a
+    factor's own facets; a vertex set numbered by ``_order`` has its
+    maximal traces read off K.
     """
     groups, table = reference_sum(subset_homologies(k))
     with counted() as trace:
         assert moment_angle_cohomology(k) == groups
         assert bigraded_table(k) == table
-    tables = trace.built + trace.certified + [faces for faces, _ in trace.walks]
+    tables = trace.built + [faces for faces, _ in trace.walks]
     seen = [(faces.vertex_count, list(faces.facets)) for faces in tables]
     masks = _masks(k.maximal_faces)
     for part in trace.numbered:
@@ -369,7 +370,7 @@ def assert_parts_match_oracle(k, homologies):
     """
     faces = faces_of(k)
     expected = subset_table(homologies)
-    m, d = k.vertex_count, faces.sphere_dimension()
+    m, d = k.vertex_count, oracle_sphere_dimension(k)
     for dim in {d, None}:
         for t in range(min(m, 3) + 1):
             table = sum(
@@ -420,7 +421,7 @@ def test_roots_past_the_duality_half_walk_nothing(p):
     # down to the root's lowest vertex, is left to the mirror whole
     k = p.dual_complex()
     faces = faces_of(k)
-    m, d = k.vertex_count, faces.sphere_dimension()
+    m, d = k.vertex_count, oracle_sphere_dimension(k)
     past = [
         root
         for root in range(1 << m)
@@ -547,8 +548,8 @@ def sphere_tables(k):
     out = []
     for listed in listed_factors(k):
         faces = listed.faces
-        m, d = faces.vertex_count, faces.sphere_dimension()
-        assert 0 < d <= 3 and listed.dim == d
+        m, d = faces.vertex_count, listed.dim
+        assert d == max(map(int.bit_count, faces.facets)) - 1 and 0 < d <= 3
         table = _sphere_table((1 << m) - 1, faces.facets, d, neighbour_masks(faces))
         assert all(type(n) is int and n > 0 for n in table.values()), table
         factor = SimplicialComplex(m, [[v for v in range(m) if f >> v & 1] for f in faces.facets])
@@ -584,7 +585,7 @@ DEHN_SOMMERVILLE = {
 def test_the_f_vector_of_a_sphere_follows_from_its_facets(k):
     for listed in listed_factors(k):
         faces = listed.faces
-        d = faces.sphere_dimension()
+        d = listed.dim
         counted = [0] * (d + 2)
         for face in faces.ext:
             counted[face.bit_count()] += 1
@@ -592,12 +593,12 @@ def test_the_f_vector_of_a_sphere_follows_from_its_facets(k):
 
 
 def assert_facet_test_is_the_certificate(k):
-    """``_facet_sphere`` on K, of dimension d ≤ 2, passes exactly when
-    ``sphere_dimension`` finds a d-sphere; returns whether it passed."""
-    faces = faces_of(k)
-    assert faces.dim <= 2
-    passed = _facet_sphere((1 << k.vertex_count) - 1, _masks(k.maximal_faces), faces.dim, neighbour_masks(faces))
-    assert passed == (faces.sphere_dimension() == faces.dim)
+    """``_facet_sphere`` on K, of dimension d ≤ 2, passes exactly when the
+    subset oracle's ``sphere_dimension`` finds a d-sphere; returns whether it passed."""
+    d = max(map(len, k.maximal_faces), default=0) - 1
+    assert d <= 2
+    passed = _facet_sphere((1 << k.vertex_count) - 1, _masks(k.maximal_faces), d, neighbour_masks(faces_of(k)))
+    assert passed == (oracle_sphere_dimension(k) == d)
     return passed
 
 

@@ -32,12 +32,12 @@ from complexes import (
 )
 from momentangle.moment_angle import _walk, bigraded_table, moment_angle_cohomology
 from subset_oracle import IntegerMatrix, boundary_matrix, reference_sum, smith_normal_form, subset_homologies
-from subset_oracle import _reduced_homology as oracle_link_homology
 from subset_oracle import reduced_homology as oracle_homology
+from subset_oracle import sphere_dimension as oracle_sphere_dimension
 import test_moment_angle
 from invariants import has_torsion
-from test_moment_angle import MOORE3, RP2_WITH_PATH, sphere_around_rp2
-from walk import counted, faces_of, neighbour_masks, route, steps
+from test_moment_angle import MOORE3, RP2_WITH_PATH, cut_at_0, sphere_around_rp2
+from walk import certified_dimension, counted, faces_of, neighbour_masks, route, steps
 
 
 def matrix(rows):
@@ -213,15 +213,12 @@ class TestBoundaryColumns:
         }
         assert _boundary_column(0) == {}
 
-    def test_dim_is_that_of_the_largest_facet(self):
-        assert faces_of(boundary_complex(2)).dim == 1
-        # the void complex and {∅} both have dim -1 here, and only the empty face
+    def test_the_degenerate_complexes_list_only_their_faces(self):
+        # the void complex and {∅} both have only the empty face here
         for k in [SimplicialComplex(3, []), SimplicialComplex(3, [()])]:
-            faces = faces_of(k)
-            assert (faces.dim, faces.ext) == (-1, {0: 0})
-        # a ghost vertex, 2, changes neither dim nor the faces
+            assert faces_of(k).ext == {0: 0}
+        # a ghost vertex, 2, adds no face
         ghost = faces_of(SimplicialComplex(3, [(0, 1)]))
-        assert ghost.dim == 1
         assert ghost.ext == dict.fromkeys([0, mask(0), mask(1), mask(0, 1)], mask(0, 1))
 
     def test_columns_agree_with_the_dense_matrices(self):
@@ -373,12 +370,88 @@ class TestReducedHomology:
         assert reduced_homology(three) == GradedGroups({0: (2, ())})
 
 
+def dropped(k):
+    """K with its first maximal face taken out: that facet's ridges lie on one facet."""
+    return SimplicialComplex(k.vertex_count, sorted(k.maximal_faces)[1:])
+
+
+def finned(k):
+    """K with a new vertex coned over a ridge of its first facet, which then lies on three facets."""
+    ridge = sorted(k.maximal_faces)[0][1:]
+    return SimplicialComplex(k.vertex_count + 1, list(k.maximal_faces) + [ridge + (k.vertex_count,)])
+
+
+def identified(k):
+    """K with vertex 0 and the lowest vertex it shares no face with made one, the
+    vertices above that one moved down by one."""
+    near = {v for f in k.maximal_faces if 0 in f for v in f}
+    u = min(set(range(k.vertex_count)) - near)
+    label = [0 if v == u else v - (v > u) for v in range(k.vertex_count)]
+    return SimplicialComplex(k.vertex_count - 1, [[label[v] for v in f] for f in k.maximal_faces])
+
+
+def shifted(faces, base, labels):
+    """``faces`` with vertex v renamed labels[v] if v < len(labels), else v + base."""
+    return [tuple(sorted(labels[v] if v < len(labels) else v + base for v in f)) for f in faces]
+
+
+def circle_times(n, sphere, twist=False):
+    """C_n × S on n copies of S's vertices, S given as a complex: copy i holds
+    (i, a) as i·q + a.  Each prism [i, i + 1] × τ over a facet τ = a_0 < ... <
+    a_k of S is cut into its staircase simplices {(i, a_0..a_j), (i + 1, a_j..a_k)};
+    with ``twist`` the last prism lands on copy 0 with vertices 0 and 1 of S
+    swapped, a bundle over the circle whose monodromy reverses S."""
+    q = sphere.vertex_count
+    swap = [1, 0] + list(range(2, q)) if twist else list(range(q))
+    facets = []
+    for i in range(n):
+        top = [(i + 1) * q + a for a in range(q)] if i + 1 < n else swap
+        for tau in sphere.maximal_faces:
+            facets += [[i * q + a for a in tau[: j + 1]] + [top[a] for a in tau[j:]] for j in range(len(tau))]
+    return SimplicialComplex(n * q, facets)
+
+
 # ∂Δ^3 with a triangle {0, 1, 4} glued along the edge {0, 1}: pure, with the
 # homology of S^2, but the edge {0, 1} lies in three triangles
 FIN = SimplicialComplex(5, list(boundary_complex(3).maximal_faces) + [(0, 1, 4)])
+# the minimal 7-vertex torus
+TORUS7 = sorted({tuple(sorted(x % 7 for x in (i, i + j, i + 3))) for i in range(7) for j in (1, 2)})
+
+# the duals of cut sequences of the 4- and 5-simplex and cube, spheres of
+# dimension 3 and 4, and each with a facet dropped, a fin added or two
+# vertices identified, which no longer is one
+CUT_SPHERES = {
+    "simplex-4-cut-2": (cut_at_0(simplex_polytope(4), 2).dual_complex(), 3),
+    "simplex-5-cut-2": (cut_at_0(simplex_polytope(5), 2).dual_complex(), 4),
+    "cube-4-cut-1": (cut_at_0(cube(4), 1).dual_complex(), 3),
+    "cube-5-cut-1": (cut_at_0(cube(5), 1).dual_complex(), 4),
+}
+# complexes of dimension 3 to 5 on which the certificate must give the
+# oracle's answer; the oracle's dense Smith forms take about 0.5 s in all
+HIGHER_CASES = {
+    **CUT_SPHERES,
+    "simplex-6-cut-1": (simplex_polytope(6).cut_vertex(0).dual_complex(), 5),
+    **{f"{name}-{change.__name__}": (change(k), None)
+       for name, (k, _) in CUT_SPHERES.items() for change in (dropped, finned, identified)},
+    **{f"{name}-join-{other}": (join(sphere, k), None)
+       for name, sphere in (("s0", boundary_complex(1)), ("square", cycle(4)))
+       for other, k in (("rp2", RP2), ("fin", FIN), ("torus-7", SimplicialComplex(7, TORUS7)))},
+    **{f"two-simplex-{n}-boundaries-at-a-vertex": (SimplicialComplex(2 * n + 1, [
+        *boundary_complex(n).maximal_faces, *shifted(boundary_complex(n).maximal_faces, n, [0])]), None)
+       for n in (4, 5, 6)},
+    # a ghost vertex: K is connected on the vertices it has, but not on all
+    "simplex-4-cut-2-and-a-ghost": (
+        SimplicialComplex(8, CUT_SPHERES["simplex-4-cut-2"][0].maximal_faces), None),
+    # closed 3-manifolds: every link is a sphere, and only H~(K) tells
+    "circle-times-2-sphere": (circle_times(4, boundary_complex(3)), None),
+    "twisted-circle-times-2-sphere": (circle_times(4, boundary_complex(3), twist=True), None),
+}
 
 
 class TestSphereCertificate:
+    """``_facet_sphere``, the one sphere certificate, against the subset
+    oracle's ``sphere_dimension``, which shares no code with it."""
+
     @pytest.mark.parametrize(
         "k, d",
         [
@@ -397,7 +470,7 @@ class TestSphereCertificate:
         ],
     )
     def test_accepts_spheres(self, k, d):
-        assert faces_of(k).sphere_dimension() == d
+        assert certified_dimension(k) == oracle_sphere_dimension(k) == d
 
     @pytest.mark.parametrize(
         "k",
@@ -430,7 +503,13 @@ class TestSphereCertificate:
         ],
     )
     def test_rejects_non_spheres(self, k):
-        assert faces_of(k).sphere_dimension() is None
+        assert certified_dimension(k) is oracle_sphere_dimension(k) is None
+
+    @pytest.mark.parametrize("name", sorted(HIGHER_CASES))
+    def test_agrees_with_the_oracle_in_dimensions_three_to_five(self, name):
+        k, d = HIGHER_CASES[name]
+        assert 3 <= max(map(len, k.maximal_faces)) - 1 <= 5
+        assert certified_dimension(k) == oracle_sphere_dimension(k) == d
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_simplex_boundaries_are_spheres(self, k):
@@ -441,42 +520,65 @@ class TestSphereCertificate:
         perm = list(range(k + 1))
         random.Random(k).shuffle(perm)
         sphere = boundary_complex(k).relabeled(perm)
-        assert faces_of(sphere).sphere_dimension() == k - 1
-        for sigma in (f for d in range(-1, k) for f in faces_of_dimension(sphere, d)):
-            link = [
-                tuple(v for v in f if v not in sigma)
-                for f in sphere.maximal_faces
-                if set(sigma) <= set(f)
-            ]
-            assert oracle_link_homology(link) == GradedGroups({k - 1 - len(sigma): (1, ())})
+        assert certified_dimension(sphere) == oracle_sphere_dimension(sphere) == k - 1
 
     def test_rp2_join_is_rejected_before_any_homology(self):
-        # its reduced Euler characteristic is 0, so the full sum on it pays
-        # nothing for the check
+        # its ridges lie on two facets each, but the link of an edge of the
+        # square is RP2, whose 10 triangles fail the facet test; the links
+        # of dimension 2 come first, so no homology is computed
         with counted() as trace:
-            assert faces_of(join(RP2, cycle(4))).sphere_dimension() is None
+            assert certified_dimension(join(RP2, cycle(4))) is None
         assert trace.results == []
+
+    def test_a_closed_3_manifold_is_rejected_by_its_homology_alone(self):
+        # every vertex link of C4 × S^2 is a 2-sphere, so only H~(K) tells
+        k = circle_times(4, boundary_complex(3))
+        with counted() as trace:
+            assert certified_dimension(k) is None
+        assert [h for _, h in trace.results] == [((1, (1, ())), (2, (1, ())), (3, (1, ())))]
+        assert oracle_homology(k) == GradedGroups({1: (1, ()), 2: (1, ()), 3: (1, ())})
+
+    @pytest.mark.parametrize("name, links, homology", [
+        # d = 3: each vertex link is a 2-sphere for the facet test, and K is eliminated
+        ("simplex-4-cut-2", [], [((3, (1, ())),)]),
+        # d = 4: each vertex link is eliminated as a 3-sphere, each edge link
+        # goes to the facet test, and then K is eliminated
+        ("cube-5-cut-1", [((3, (1, ())),)] * 11, [((4, (1, ())),)]),
+    ])
+    def test_no_link_of_dimension_two_or_less_is_eliminated(self, name, links, homology, monkeypatch):
+        k, d = CUT_SPHERES[name]
+        tested = []  # (m, d) per facet test of a link
+
+        def testing(vertices, facets, d, linked):
+            tested.append((vertices.bit_count(), d))
+            return facet_sphere(vertices, facets, d, linked)
+
+        facet_sphere = homology_module._facet_sphere
+        monkeypatch.setattr(homology_module, "_facet_sphere", testing)
+        with counted() as trace:
+            assert certified_dimension(k) == d
+        assert [h for _, h in trace.results] == links + homology
+        assert all(kind.endswith("eliminated") for kind, _ in trace.results)  # no graph
+        # the certificate's own call is made before the patch is looked up
+        assert sorted(tested) == sorted(
+            (len({v for g in k.maximal_faces if set(f) <= set(g) for v in g} - set(f)), 2)
+            for f in faces_of_dimension(k, d - 3)
+        )
 
     def test_fin_has_the_homology_of_a_sphere(self):
         # so the fin is rejected by its ridge, not by H~(K)
         assert reduced_homology(FIN) == GradedGroups({2: (1, ())})
 
 
-def shifted(faces, base, labels):
-    """``faces`` with vertex v renamed labels[v] if v < len(labels), else v + base."""
-    return [tuple(sorted(labels[v] if v < len(labels) else v + base for v in f)) for f in faces]
-
-
-# the minimal 7-vertex torus, the octahedron and ∂Δ^3, as maximal faces
-TORUS7 = sorted({tuple(sorted(x % 7 for x in (i, i + j, i + 3))) for i in range(7) for j in (1, 2)})
+# the octahedron and ∂Δ^3, as maximal faces
 OCTAHEDRON = sorted(cube(3).dual_complex().maximal_faces)
 TETRAHEDRON = sorted(boundary_complex(3).maximal_faces)
 # two octahedra and two ∂Δ^3 wedged at vertex 0; a torus wedged at vertex 1
 OCTAHEDRA = OCTAHEDRON + shifted(OCTAHEDRON, 5, [0])
 TETRAHEDRA = TETRAHEDRON + shifted(TETRAHEDRON, 3, [0])
 
-# complexes of dimension at most 2 on which the facet test and
-# sphere_dimension must agree, with whether they are spheres
+# complexes of dimension at most 2 on which the facet test and the
+# oracle's sphere_dimension must agree, with whether they are spheres
 FACET_CASES = {
     "torus-7": (SimplicialComplex(7, TORUS7), False),
     "rp2": (RP2, False),
@@ -512,16 +614,16 @@ SLOW_FOR_THE_ORACLE = {"octahedra-at-a-vertex-and-torus"}
 
 
 class TestFacetSphere:
-    """``_facet_sphere``, the certificate of a complex of dimension ≤ 2 from
-    its facets alone, against ``sphere_dimension`` and the subset oracle."""
+    """``_facet_sphere`` on complexes of dimension ≤ 2, read from the facets
+    alone, against the subset oracle's ``sphere_dimension`` and sums."""
 
     @pytest.mark.parametrize("name", sorted(FACET_CASES))
     def test_agrees_with_the_sphere_certificate(self, name):
         k, sphere = FACET_CASES[name]
-        faces = faces_of(k)
-        assert faces.dim <= 2
-        passed = _facet_sphere((1 << k.vertex_count) - 1, _masks(k.maximal_faces), faces.dim, neighbour_masks(faces))
-        assert passed == (faces.sphere_dimension() == faces.dim) == sphere
+        d = max(map(len, k.maximal_faces)) - 1
+        assert d <= 2
+        passed = _facet_sphere((1 << k.vertex_count) - 1, _masks(k.maximal_faces), d, neighbour_masks(faces_of(k)))
+        assert passed == (oracle_sphere_dimension(k) == d) == sphere
 
     @pytest.mark.parametrize("name", sorted(set(FACET_CASES) - SLOW_FOR_THE_ORACLE))
     def test_sums_equal_the_oracle(self, name):
@@ -593,7 +695,6 @@ class TestConeTest:
         assert faces.ext[mask(0, 1, 4)] == mask(0, 1, 4, 6)
         built = faces.ext
         _walk(faces, None, 0, RP2_CONE.vertex_count)
-        faces.sphere_dimension()
         assert faces.ext is built
 
 
@@ -620,15 +721,6 @@ class TestGraphPath:
             assert homology_module._reduced_groups(faces.link(0, faces.ext[0])) == expected
         assert trace.results == [("graph", expected)]
         assert oracle_homology(k) == GradedGroups(expected)
-
-    def test_codimension_two_links_take_it(self):
-        # the links of the 14 edges of this 3-sphere, ∂Δ^4 with a facet
-        # subdivided, are circles
-        faces = faces_of(simplex_polytope(4).cut_vertex(0).dual_complex())
-        with counted() as trace:
-            assert faces.sphere_dimension() == 3
-        graphs = [h for kind, h in trace.results if kind == "certificate_graph"]
-        assert graphs == [((1, (1, ())),)] * 14
 
 
 class TestTorsionReachesElimination:

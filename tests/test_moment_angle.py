@@ -34,7 +34,9 @@ from momentangle.surgery import theorem_corpus
 from complexes import RP2, cyclic_4_polytope_boundary, full_simplex, full_subcomplex
 from invariants import euler_characteristic, has_torsion, is_symmetric, poincare_product
 from subset_oracle import reference_sum, subset_homologies
+from subset_oracle import sphere_dimension as oracle_sphere_dimension
 from walk import (
+    certified_dimension,
     counted,
     factors_of,
     faces_of,
@@ -380,8 +382,8 @@ class TestAlexanderDuality:
         # 2-torsion on both sides of the RP2 pair
         k = sphere_around_rp2()
         faces = faces_of(k)
-        d = faces.sphere_dimension()
-        assert d == 4
+        d = certified_dimension(k)
+        assert d == oracle_sphere_dimension(k) == 4
         m = k.vertex_count
         everything = (1 << m) - 1
         rp2 = 0b111111
@@ -404,9 +406,8 @@ class TestAlexanderDuality:
         # A complex of dimension 2 is certified by the facet test alone
         fin = SimplicialComplex(5, list(boundary_complex(3).maximal_faces) + [(0, 1, 4)])
         groups, _ = reference_sum(subset_homologies(fin))
-        faces = faces_of(fin)
-        assert faces.sphere_dimension() is None
-        assert not _facet_sphere(0b11111, _masks(fin.maximal_faces), 2, neighbour_masks(faces))
+        assert oracle_sphere_dimension(fin) is None
+        assert not _facet_sphere(0b11111, _masks(fin.maximal_faces), 2, neighbour_masks(faces_of(fin)))
         assert moment_angle_cohomology(fin) == groups
         monkeypatch.setattr(moment_angle_module, "_facet_sphere", lambda vertices, facets, d, linked: True)
         try:
@@ -424,44 +425,47 @@ def vertices_of(part: int) -> list[int]:
     return [v for v in range(part.bit_length()) if part >> v & 1]
 
 
-def assert_unlisted_table(k, factor):
+def assert_unlisted_table(k, factor, walked=True):
     """A ``Factor`` of K summed unlisted, on its vertices as given, has
     ``_sphere_table``'s table ``factor.faces`` and sphere dimension ``factor.dim``.
 
     Either its traces are ∂Δ's facets and its table is that of Z = S^{2k-1},
-    or its full subcomplex, numbered in increasing order, is a sphere of
-    dimension ``dim`` ≤ 2 by ``sphere_dimension`` and the table is the
-    mirrored walk's.
+    or it was certified as a sphere of its own dimension ``dim`` ≤ 3 and,
+    when ``walked``, the table is the mirrored walk's on its full
+    subcomplex, numbered in increasing order.
     """
     labels, faces, dim = vertices_of(factor.part), factor.faces, factor.dim
     n = len(labels)
     assert factor.bits is None, labels
-    sub = faces_of(full_subcomplex(k, labels))  # numbered in increasing order
+    sub = full_subcomplex(k, labels)  # numbered in increasing order
+    listed = faces_of(sub)
     if n > 1 and faces == Counter({(0, 0, 0): 1, (n, 2 * n - 1, 0): 1}):
-        assert sub.ext == faces_of(boundary_complex(n - 1)).ext and dim == n - 2, labels
+        assert listed.ext == faces_of(boundary_complex(n - 1)).ext and dim == n - 2, labels
     else:
-        assert sub.sphere_dimension() == dim and 0 < dim <= 2, labels
-        assert faces == _mirror(_walk(sub, dim, 0, n), n, dim), labels
+        assert dim == max(map(len, sub.maximal_faces)) - 1 and 0 < dim <= 3, labels
+        assert not walked or faces == _mirror(_walk(listed, dim, 0, n), n, dim), labels
 
 
 def split_factors(k):
     """The join factors the sum takes for K, as vertex lists by lowest vertex.
 
-    Each listed factor's face table, built from its traces in the factor's
-    own numbering, must be that of its full subcomplex numbered the same
-    way, with the sphere dimension that ``sphere_dimension`` finds there; a
+    Each factor's sphere dimension must be the one that the subset oracle's
+    ``sphere_dimension`` finds on its full subcomplex.  Each listed
+    factor's face table, built from its traces in the factor's own
+    numbering, must be that of its full subcomplex numbered the same way; a
     factor summed unlisted must pass ``assert_unlisted_table``.
     """
     out = []
     for factor in factors_of(k):
         vertices = vertices_of(factor.part)
+        assert factor.dim == oracle_sphere_dimension(full_subcomplex(k, vertices)), vertices
         if factor.bits is None:
             assert_unlisted_table(k, factor)
         else:
             labels = [bit.bit_length() - 1 for bit in factor.bits]  # the vertex numbered i
             # full_subcomplex numbers the vertices in increasing order
             sub = faces_of(full_subcomplex(k, vertices).relabeled([labels.index(v) for v in vertices]))
-            assert factor.faces.ext == sub.ext and factor.dim == sub.sphere_dimension(), labels
+            assert factor.faces.ext == sub.ext, labels
         out.append(vertices)
     return sorted(out)
 
@@ -658,9 +662,10 @@ class TestWalkCounter:
             if decided.bits is None:  # ∂Δ, summed in closed form
                 continue
             faces = decided.faces
-            m, dim = faces.vertex_count, faces.sphere_dimension()
-            assert decided.dim == dim
+            m = faces.vertex_count
             factor = SimplicialComplex(m, [[v for v in range(m) if f >> v & 1] for f in faces.facets])
+            dim = oracle_sphere_dimension(factor)
+            assert decided.dim == dim
             for J in range(1, 1 << m):
                 half = 2 * J.bit_count() - m
                 if dim is None or half < 0 or (half == 0 and not J >> (m - 1) & 1):
@@ -710,14 +715,16 @@ class TestVertexOrder:
         assert min(given) > 46
 
     def test_simplex_cuts_eliminate_less(self):
-        # simplex-4 after 8 cuts at vertex 0, a 3-sphere on 13 vertices
+        # simplex-4 after 8 cuts at vertex 0, a 3-sphere on 13 vertices; the
+        # certificate eliminates K alone, its vertex links being 2-spheres
+        # for the facet test
         p = simplex_polytope(4)
         for _ in range(8):
             p = p.cut_vertex(0)
-        assert settles(p, "eliminated") == (48, 8, 14)
+        assert settles(p, "eliminated") == (48, 8, 1)
         with pytest.MonkeyPatch.context() as patch:
             order_off(patch)
-            assert settles(p, "eliminated") == (902, 164, 14)
+            assert settles(p, "eliminated") == (902, 164, 1)
 
     def test_the_boundary_of_a_simplex_keeps_its_order(self):
         # ∂Δ^3 * pentagon, the dual of simplex-3 x polygon-5, its labels
@@ -764,11 +771,10 @@ class TestVertexOrder:
         assert moment_angle_module._gather(m, facets, 1)[0] == table
 
 
-def link_listings(faces, bound):
-    """The serial walk's table of one factor, with the link memo kept at the
-    vertices with at most ``bound`` neighbours above, and how often each
-    link (faces, v, A) was listed."""
-    dim = faces.sphere_dimension()
+def link_listings(faces, dim, bound):
+    """The serial walk's table of one factor, a sphere of dimension ``dim`` or
+    None, with the link memo kept at the vertices with at most ``bound``
+    neighbours above, and how often each link (faces, v, A) was listed."""
     with pytest.MonkeyPatch.context() as patch, counted() as trace:
         patch.setattr(moment_angle_module, "_MEMO_NEIGHBOURS", bound)
         table = _walk(faces, dim, 0, faces.vertex_count)
@@ -788,14 +794,15 @@ class TestLinkMemo:
             p = p.cut_vertex(0)
         (factor,) = factors_of(p)
         faces = factor.faces
+        assert factor.dim == 5
 
         def above(sigma):  # the neighbours of the vertex sigma above it
             return (faces.ext[sigma] >> sigma.bit_length()).bit_count()
 
-        table, listed = link_listings(faces, 10)
+        table, listed = link_listings(faces, 5, 10)
         assert set(listed.values()) == {1}
         for bound in (3, -1):
-            again, relisted = link_listings(faces, bound)
+            again, relisted = link_listings(faces, 5, bound)
             assert again == table
             twice = {sigma for (_, sigma, _), n in relisted.items() if n > 1}
             assert twice and all(above(sigma) > bound for sigma in twice)
@@ -856,19 +863,20 @@ class TestSphereTable:
         ("betti polygon 12", [(12, 1, True)], []),
         ("betti cut-vertex ( cube 3 ) 0", [(7, 2, True)], []),
         ("verify polygon 5 --all-vertices", [(5, 1, True)], []),
-        # a 3-sphere on 7 vertices is certified on its listed faces, as before
+        # a 3-sphere on 7 vertices: its faces are listed once, inside the certificate
         ("betti cut-vertex ( cut-vertex ( simplex 4 ) 0 ) 0", [], [7]),
     ])
-    def test_spheres_of_dimension_two_or_less_are_certified_unlisted(self, argv, tested, certified, capsys):
-        # a circle or a 2-sphere passes the facet test and is summed from its
-        # facets with no numbering, no face table and no sphere_dimension
+    def test_spheres_of_dimension_three_or_less_are_certified_unlisted(self, argv, tested, certified, capsys):
+        # a circle, a 2-sphere or a 3-sphere passes the certificate and is
+        # summed from its facets with no numbering, no face table of its own
+        # and no walk
         with counted() as trace:
             assert cli.main(argv.split()) == 0
         capsys.readouterr()
         assert trace.tested == tested
-        assert [faces.vertex_count for faces in trace.certified] == certified
-        if not certified:
-            assert trace.numbered == trace.built == trace.walks == []
+        assert trace.certified == certified
+        assert trace.numbered == trace.walks == []
+        assert [faces.vertex_count for faces in trace.built] == certified
 
     INTERLEAVED = {
         # each factor's labels are shuffled among the other's, so every

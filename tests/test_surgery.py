@@ -332,16 +332,19 @@ def beyond_the_proved_range():
 
 def assert_cut_factors_are_spheres(p):
     """Every join factor of every cut's dual, certified in its own call, is a
-    sphere of the dimension of its own faces: listed, it passes the full
-    sphere certificate; passed on unlisted, it is ∂Δ or a sphere of
-    dimension ≤ 2 whose table is the walk's (``assert_unlisted_table``)."""
+    sphere of the dimension of its own faces: listed for the walk, it was
+    certified as one; summed unlisted, it is ∂Δ or a sphere of dimension
+    ≤ 3 (``assert_unlisted_table``), whose table is the walk's below
+    dimension 3.  A 3-sphere's table is left to the sphere-table tests of
+    tests/test_engine_properties.py: on the long cut sequences of the
+    4-simplex and 4-cube its walk takes about 30 times the rest."""
     for v in range(p.vertex_count):
         cut = p.cut_vertex(v)
         for factor in factors_of(cut):
             if factor.bits is None:
-                assert_unlisted_table(cut.dual_complex(), factor)
+                assert_unlisted_table(cut.dual_complex(), factor, walked=factor.dim < 3)
             else:
-                assert factor.faces.sphere_dimension() == factor.faces.dim == factor.dim, v
+                assert factor.dim == max(map(int.bit_count, factor.faces.facets)) - 1, v
 
 
 # the minimal 7-vertex torus; as vertex records it is a "simple 3-polytope"
@@ -376,9 +379,8 @@ class TestInheritedCertificate:
     def test_only_the_polytopes_factors_are_certified(self):
         # the dual of the 3-cube is S^0 * S^0 * S^0, three ∂Δ^1 that need
         # no certificate, so neither it nor its 8 cuts certify anything; the
-        # pentagon is certified once, by the facet test, and its 5 cuts
-        # inherit that; so is the 3-sphere of simplex-4 cut twice, by
-        # sphere_dimension, and its 11 cuts inherit that
+        # pentagon is certified once, and its 5 cuts inherit that; so is
+        # the 3-sphere of simplex-4 cut twice, and its 11 cuts inherit that
         with counted() as trace:
             reports = verify_all_cuts(cube(3))
             assert len(reports) == 8 and all(r.match for r in reports)
@@ -389,7 +391,7 @@ class TestInheritedCertificate:
             assert trace.built == trace.numbered == []
             reports = verify_all_cuts(cut_in_turn(simplex_polytope(4), [0, 5]))
             assert len(reports) == 11 and all(r.match for r in reports)
-        assert [faces.vertex_count for faces in trace.certified] == [7]
+        assert trace.certified == [7]
         assert trace.tested == [(5, 1, True)]
 
     def test_cuts_of_a_two_sphere_are_summed_unwalked(self, capsys, monkeypatch):
@@ -415,7 +417,7 @@ class TestInheritedCertificate:
 
     def test_a_non_sphere_certifies_every_cut(self):
         # the torus has 14 triangles on 7 vertices, not 2 * 7 - 4, so the
-        # facet test rejects it and each cut; none goes to sphere_dimension
+        # facet test rejects it and each cut
         with counted() as trace:
             reports = verify_all_cuts(TORUS)
         assert trace.tested == [(7, 2, False)] + [(8, 2, False)] * 14

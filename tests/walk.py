@@ -19,8 +19,8 @@ of K, the definitions and the oracle's homology alone, and
 ``counted`` is the one way the tests and ``bench/walk_bench.py --routes``
 watch the engine.  While a block runs it records, in this process, each
 homology call with its kind and result, the link listings, the ``_Faces``
-tables built and certified, the facet tests of a low-dimensional factor,
-each join factor as ``_factor_sum`` decided it, the vertex sets
+tables built, the sphere certificates, each join factor as
+``_factor_sum`` decided it, the vertex sets
 numbered, the walks, and the process pools started with the tasks mapped
 on them.  A pool's workers run in other processes, and what they do is
 not seen.  ``factors_of`` reads the factors' decisions alone, with no
@@ -39,7 +39,7 @@ import pytest
 
 import momentangle.homology as homology_module
 import momentangle.moment_angle as moment_angle_module
-from momentangle.homology import GradedGroups, _Faces, _masks
+from momentangle.homology import GradedGroups, _Faces, _facet_sphere, _linked, _masks
 from momentangle.moment_angle import DEFAULT_MAX_VERTICES, _check_input, _gather, _walk
 from momentangle.simplicial import SimplicialComplex
 from complexes import full_subcomplex
@@ -53,6 +53,14 @@ def mask(vertices) -> int:
 def faces_of(k) -> _Faces:
     """The engine's face lists of a ``SimplicialComplex``, from its maximal faces."""
     return _Faces(k.vertex_count, _masks(k.maximal_faces))
+
+
+def certified_dimension(k) -> int | None:
+    """d if ``_facet_sphere`` passes K as a d-sphere on all of its vertices, d one
+    less than the size of its largest face, else None."""
+    masks = _masks(k.maximal_faces)
+    d = max(map(int.bit_count, masks), default=0) - 1
+    return d if _facet_sphere((1 << k.vertex_count) - 1, masks, d, _linked(masks, k.vertex_count)) else None
 
 
 def neighbour_masks(faces: _Faces) -> list[int]:
@@ -205,9 +213,9 @@ class Trace:
 
     results: list = field(default_factory=list)  # (kind, groups) per homology call, in order
     listed: Counter = field(default_factory=Counter)  # (faces, σ, within) -> listings
-    built: list = field(default_factory=list)  # the ``_Faces`` tables built
-    certified: list = field(default_factory=list)  # the ``_Faces`` certified
-    tested: list = field(default_factory=list)  # (m, d, passed) per ``_facet_sphere`` call
+    built: list = field(default_factory=list)  # the ``_Faces`` tables built, the certificate's included
+    certified: list = field(default_factory=list)  # m per ``_facet_sphere`` call at d ≥ 3
+    tested: list = field(default_factory=list)  # (m, d, passed) per ``_facet_sphere`` call at d ≤ 2
     factors: list = field(default_factory=list)  # a ``Factor`` per join factor
     numbered: list = field(default_factory=list)  # the vertex masks ``_order`` numbers
     summed: list = field(default_factory=list)  # (m, sphere_dim) per ``_sphere_table`` table
@@ -233,15 +241,15 @@ def counted():
     the faces of K_J, it is a K_J settle, of kind "graph" or
     "eliminated"; after the link of a vertex, it computes that link's
     groups, "link_graph" or "link_eliminated".  The calls inside
-    ``_Faces.sphere_dimension`` are the certificate's,
-    "certificate_graph" or "certificate_eliminated", and its listings are
-    not recorded; the other listings of a vertex's link are, in
-    ``listed``.  The spies wrap what each name holds when the block
+    ``_facet_sphere`` are the certificate's, "certificate_graph" or
+    "certificate_eliminated", and its listings are not recorded; the
+    other listings of a vertex's link are, in ``listed``.
+    The spies wrap what each name holds when the block
     starts, so a behaviour switch set before it stays in force.
     """
     trace = Trace()
     where = [""]  # "", "link_" or "certificate_": whose call the next one is
-    init, link, certify = _Faces.__init__, _Faces.link, _Faces.sphere_dimension
+    init, link = _Faces.__init__, _Faces.link
     factor_sum, order, walk, sphere_table, facet_sphere = (
         moment_angle_module._factor_sum,
         moment_angle_module._order,
@@ -262,23 +270,15 @@ def counted():
                 trace.listed[(self, sigma, within)] += 1
         return link(self, sigma, within)
 
-    def certificate(self):
-        trace.certified.append(self)
-        where[0] = "certificate_"
-        try:
-            return certify(self)
-        finally:
-            where[0] = ""
-
     numberings = []  # what ``_order`` returned, one per part in trace.numbered
 
     def deciding(part, facets, *args):
-        built, numbered = len(trace.built), len(numberings)
+        numbered = len(numberings)
         table, sphere = factor_sum(part, facets, *args)
-        listed = len(trace.built) > built  # its faces are the first table built
+        listed = len(numberings) > numbered  # its faces are the table built last, once numbered
         trace.factors.append(Factor(
             part,
-            trace.built[built] if listed else table,
+            trace.built[-1] if listed else table,
             max(map(int.bit_count, facets)) - 1 if sphere else None,
             tuple(numberings[numbered]) if listed else None,
         ))
@@ -296,8 +296,15 @@ def counted():
         return table
 
     def testing(vertices, facets, d, linked):
-        passed = facet_sphere(vertices, facets, d, linked)
-        trace.tested.append((vertices.bit_count(), d, passed))
+        where[0] = "certificate_"
+        try:
+            passed = facet_sphere(vertices, facets, d, linked)
+        finally:
+            where[0] = ""
+        if d > 2:
+            trace.certified.append(vertices.bit_count())
+        else:
+            trace.tested.append((vertices.bit_count(), d, passed))
         return passed
 
     def walking(faces, sphere_dim, *args):
@@ -316,7 +323,6 @@ def counted():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Faces, "__init__", building)
         patch.setattr(_Faces, "link", listing)
-        patch.setattr(_Faces, "sphere_dimension", certificate)
         for name, kind in (("_graph_groups", "graph"), ("_matrix_groups", "eliminated")):
             original = getattr(homology_module, name)
 
