@@ -25,11 +25,12 @@ run on is listed under "certified", and that of each factor numbered by
 the boundary of a simplex is summed in closed form, with no listing and
 no walk: it is left out of the counts and of "visited", and its vertex
 count is listed under "simplex_boundaries".  A certified sphere of
-dimension 1, 2 or 3 is summed from its f-vector and the connected sets
-of its 1-skeleton, with no walk: it is left out of the counts and of
-"visited" too, and its vertex count and dimension are listed under
-"summed", as [m, d] pairs, beside the walked factors' "factor_m" and
-"sphere_dim".  Each checkout counts with its own copy of this
+dimension 1, 2 or 3, a connected closed surface and a graph are summed
+from their f-vectors and the connected sets of their 1-skeletons, with no
+walk: they are left out of the counts and of "visited" too, and their
+vertex counts and dimensions are listed under "summed", as [m, d] pairs,
+beside the walked factors' "factor_m" and "sphere_dim"; each closed
+surface found is listed under "surfaces" as [m, χ, orientable].  Each checkout counts with its own copy of this
 script; where a checkout's counter refuses an input, its counts are
 ``null``.  A K_J settle is a graph ("graph") or an elimination
 ("eliminated") after a listing of K_J, and "computed" is their sum.  A
@@ -189,6 +190,7 @@ def routes(expr: list[str]) -> dict:
     counts["numbered"] = [part.bit_count() for part in trace.numbered]
     counts["certified"] = list(trace.certified)
     counts["summed"] = [[m, dim] for m, dim in trace.summed]
+    counts["surfaces"] = [list(surface) for surface in trace.surfaces]
     counts["faces"] = sum(len(faces.ext) - 1 for faces, _ in walks)
     counts["sphere_dim"] = [dim for _, dim in walks]
     counts["memo_entries"] = [entries[faces] for faces, _ in walks]

@@ -34,9 +34,12 @@ out of the next as columns.  ``reduced_homology`` is
 
 ``_facet_sphere`` certifies that a complex is a Z-homology sphere from its
 maximal faces and the vertices' neighbour masks (``_linked``).  For
-dimension 2 or less it lists no face.  For dimension d ≥ 3 it lists the
+dimension 2 or less it lists no face: at dimension 2 it asks
+``_surface``, which finds a connected closed surface, its Euler
+characteristic and its orientability from the triangles alone, and
+passes S^2, the surface with χ = 2.  For dimension d ≥ 3 it lists the
 faces once, passes each 2-dimensional link, that of a face of d - 2
-vertices, by its own 2-sphere test on the link's triangles, and runs
+vertices, by the same test on the link's triangles, and runs
 ``_reduced_groups`` only on K and on the links of the nonempty faces of
 fewer than d - 2 vertices.
 
@@ -451,46 +454,25 @@ def _linked(facets: Iterable[int], width: int) -> list[int]:
     return linked
 
 
-def _facet_sphere(vertices: int, facets: Collection[int], d: int, linked: Sequence[int]) -> bool:
-    """Whether these distinct maximal faces, all inside ``vertices``, make a
-    Z-homology d-sphere on all of ``vertices``: every vertex is a face, and
-    for every face σ, the empty one included, H~(lk σ) is one Z in degree
-    d - |σ|.
+def _ridges(vertices: int, facets: Collection[int], d: int, linked: Sequence[int]) -> dict[int, int] | None:
+    """The ridge map of these distinct maximal faces, all inside ``vertices``: each
+    ridge, a facet minus one vertex, -> the vertices that make a facet with it.
 
-    ``linked[v] & vertices`` is v and its neighbours, the vertices in a
-    facet with v; ``linked`` may hold vertices outside, as the masks of a
-    whole join do.  For every d ≥ 1, each facet has d + 1 vertices, each
-    ridge lies on two facets (``ridge`` maps it to the vertices that make a
-    facet with it), and the facets connect ``vertices``, which puts each
-    vertex on one.  For d = 1 the m edges make K a cycle.  For d = 2 the
-    triangles are F = 2m - 4, so χ = m - 3F/2 + F = 2, and the link of each
-    vertex v, the edges opposite it, is one cycle, walked from a neighbour
-    u to the neighbours in ridge[v ∪ u]: K is a connected closed surface
-    with χ = 2, which is S^2.
-
-    For d ≥ 3 the faces are listed once, on the labels as given.  The link
-    of each face σ of d - 2 vertices is pure of dimension 2, as every facet
-    has d + 1 vertices, and must pass the d = 2 test on its triangles; that
-    settles the links of the faces above σ too, so no link of dimension 2
-    or less is eliminated.  The links of the smaller nonempty faces, from
-    the largest down, and then K go to ``_reduced_groups``.
+    None unless each facet has d + 1 vertices, each ridge lies on two facets
+    and the facets connect ``vertices``, which puts each vertex on one;
+    ``linked[v] & vertices`` is v and the vertices in a facet with v.
     """
-    m = vertices.bit_count()
-    if d < 1:  # S^0 is two points, and no sphere has dimension -1
-        return d == 0 and len(facets) == m == 2
-    if d <= 2 and len(facets) != (m if d == 1 else 2 * m - 4):
-        return False
     ridge: dict[int, int] = {}
     for f in facets:
         if f.bit_count() != d + 1:
-            return False
+            return None
         rest = f
         while rest:
             low = rest & -rest
             rest ^= low
             ridge[f ^ low] = ridge.get(f ^ low, 0) | low
     if any(n.bit_count() != 2 for n in ridge.values()):
-        return False
+        return None
     seen = todo = vertices & -vertices
     while todo:  # the vertices K connects to the lowest one
         low = todo & -todo
@@ -498,22 +480,27 @@ def _facet_sphere(vertices: int, facets: Collection[int], d: int, linked: Sequen
         new = linked[low.bit_length() - 1] & vertices & ~seen
         seen |= new
         todo |= new
-    if seen != vertices:
-        return False
-    if d > 2:
-        faces = _Faces(m, list(facets))
-        layers = faces.link(0, vertices)
-        for sigma in layers[d - 3]:
-            around = faces.ext[sigma] ^ sigma
-            triangles = faces.link(sigma, vertices)[2]
-            if not _facet_sphere(around, triangles, 2, _linked(triangles, around.bit_length())):
-                return False
-        for size in range(d - 3, 0, -1):
-            for sigma in layers[size - 1]:
-                if _reduced_groups(faces.link(sigma, vertices)) != ((d - size, (1, ())),):
-                    return False
-        return _reduced_groups(layers) == ((d, (1, ())),)
-    rest = vertices if d == 2 else 0
+    return ridge if seen == vertices else None
+
+
+def _surface(vertices: int, facets: Collection[int], linked: Sequence[int]) -> tuple[int, bool] | None:
+    """(χ, orientable) when these distinct maximal faces, all inside ``vertices``, make a
+    connected closed surface on all of ``vertices``; None otherwise.
+
+    The triangles must pass ``_ridges`` at d = 2, and the link of each
+    vertex v, the edges opposite it, must be one cycle, walked from a
+    neighbour u to the neighbours in ridge[v ∪ u].  Then χ = m - 3F/2 + F
+    = m - F/2, and χ = 2 is S^2, which is orientable.  Otherwise each
+    triangle g is oriented from a triangle f already oriented across their
+    common edge e: with i and j the positions of the vertices off e in f
+    and in g, counted from the lowest, g takes f's sign times (-1)^(i+j+1),
+    so that the two induce opposite orientations on e.  K is orientable
+    when no triangle is reached with both signs.
+    """
+    ridge = _ridges(vertices, facets, 2, linked)
+    if ridge is None:
+        return None
+    rest = vertices
     while rest:  # each vertex v, on some triangle now that K is connected
         v = rest & -rest
         rest ^= v
@@ -523,8 +510,71 @@ def _facet_sphere(vertices: int, facets: Collection[int], d: int, linked: Sequen
         while here != start:  # round v's link: from here on to its neighbour that is not prev
             prev, here, steps = here, ridge[v | here] ^ prev, steps + 1
         if steps != around.bit_count():
+            return None
+    chi = vertices.bit_count() - len(facets) // 2
+    if chi == 2:
+        return chi, True
+    first = next(iter(facets))
+    sign = {first: 1}
+    todo = [first]
+    for f in todo:
+        rest = f
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            other = ridge[f ^ low] ^ low  # the vertex across f's edge f - low
+            g = f ^ low | other
+            s = sign[f] if ((f & low - 1).bit_count() + (g & other - 1).bit_count()) % 2 else -sign[f]
+            if g not in sign:
+                sign[g] = s
+                todo.append(g)
+            elif sign[g] != s:
+                return chi, False
+    return chi, True
+
+
+def _facet_sphere(vertices: int, facets: Collection[int], d: int, linked: Sequence[int]) -> bool:
+    """Whether these distinct maximal faces, all inside ``vertices``, make a
+    Z-homology d-sphere on all of ``vertices``: every vertex is a face, and
+    for every face σ, the empty one included, H~(lk σ) is one Z in degree
+    d - |σ|.
+
+    ``linked[v] & vertices`` is v and its neighbours, the vertices in a
+    facet with v; ``linked`` may hold vertices outside, as the masks of a
+    whole join do.  For d = 1 the m edges must pass ``_ridges``, which
+    makes K a cycle.  For d = 2, K must be a closed surface (``_surface``)
+    with χ = 2, which is S^2.
+
+    For d ≥ 3 the facets must pass ``_ridges``, and the faces are listed
+    once, on the labels as given.  The link of each face σ of d - 2
+    vertices is pure of dimension 2, as every facet has d + 1 vertices, and
+    must pass the d = 2 test on its triangles; that settles the links of
+    the faces above σ too, so no link of dimension 2 or less is eliminated.
+    The links of the smaller nonempty faces, from the largest down, and
+    then K go to ``_reduced_groups``.
+    """
+    m = vertices.bit_count()
+    if d < 1:  # S^0 is two points, and no sphere has dimension -1
+        return d == 0 and len(facets) == m == 2
+    if d == 2:
+        surface = _surface(vertices, facets, linked)
+        return surface is not None and surface[0] == 2
+    if d == 1 and len(facets) != m or _ridges(vertices, facets, d, linked) is None:
+        return False
+    if d == 1:
+        return True
+    faces = _Faces(m, list(facets))
+    layers = faces.link(0, vertices)
+    for sigma in layers[d - 3]:
+        around = faces.ext[sigma] ^ sigma
+        triangles = faces.link(sigma, vertices)[2]
+        if not _facet_sphere(around, triangles, 2, _linked(triangles, around.bit_length())):
             return False
-    return True
+    for size in range(d - 3, 0, -1):
+        for sigma in layers[size - 1]:
+            if _reduced_groups(faces.link(sigma, vertices)) != ((d - size, (1, ())),):
+                return False
+    return _reduced_groups(layers) == ((d, (1, ())),)
 
 
 def reduced_homology(k: SimplicialComplex) -> GradedGroups:

@@ -88,19 +88,25 @@ of K_P passes, takes each factor of each cut's dual to be a sphere of its
 own dimension (``surgery._verify_cuts``); every other complex gets 2^m
 subsets.
 
-A sphere of dimension d ≤ 3 is not walked at all (``_sphere_table``).
-For 0 < |J| < m duality leaves K_J free homology, H~_0 of rank c(J) - 1
-and H~_{d-1} of rank c(V - J) - 1, c counting the components of J in the
-1-skeleton, and the Euler characteristic fixes the one rank between
-(Bjorner and Tancer, *Discrete Comput. Geom.* 42, 2009).  The table only
+A graph, a connected closed surface and a 3-sphere are not walked at all
+(``_sphere_table``).  For 0 < |J| < m, and for J = V on a graph, K_J has
+free homology with H~_0 of rank c(J) - 1, c counting the components of J
+in the 1-skeleton: K_J is a graph; or it is a proper full subcomplex of a
+closed surface, which collapses to a graph (Whitehead, *Proc. London
+Math. Soc.* 45, 1939); or duality on a 3-sphere leaves H~_2 of rank
+c(V - J) - 1 (Bjorner and Tancer, *Discrete Comput. Geom.* 42, 2009).
+The Euler characteristic then fixes the one rank left.  The table only
 needs sums over |J| = s: that of χ̃(K_J) is a closed form in the f-vector,
-which m and the facet count fix (Klee, *Canad. J. Math.* 16, 1964), and
-that of c(J) counts each connected vertex set S once, as a component of
-each of the binom(m - |S| - |N(S)|, s - |S|) sets J that hold S and miss
-N(S), its neighbours outside it.  A circle needs no connected set, and
-no S with S ∪ N(S) = V is grown: every set holding it is connected.
+which m and the facet count fix on a surface or a 3-sphere (Klee, *Canad.
+J. Math.* 16, 1964), and that of c(J) counts each connected vertex set S
+once, as a component of each of the binom(m - |S| - |N(S)|, s - |S|) sets
+J that hold S and miss N(S), its neighbours outside it.  A circle needs no
+connected set, and no S with S ∪ N(S) = V is grown: every set holding it
+is connected.  J = V on a surface is one entry: H_1 = Z^(2 - χ) and H_2 =
+Z when K is orientable, H_1 = Z^(1 - χ) (+) Z/2 and H_2 = 0 when it is
+not, read off the facets by ``homology._surface``; χ = 2 makes K S^2.
 Only the facets and the split's neighbour masks (below) are read, in the
-calling process at any worker count, so such a sphere is summed on its
+calling process at any worker count, so such a factor is summed on its
 vertices as given, and is neither numbered nor listed for the sum.
 
 Before any of that, K is split into its finest join factorisation
@@ -117,11 +123,11 @@ faces, sphere certificate, duality and pool rule) by ``_factor_sum``,
 which chooses its route: ∂Δ on k vertices, S^0 included, is not listed:
 it is a sphere whose proper K_J are simplices, so Z = S^{2k-1}
 (Buchstaber and Panov) and its table is 1 at (0, 0, 0) and at
-(k, 2k - 1, 0); else the certificate, then ``_sphere_table``, else the
-walk.  ``linked[v]``, the vertices in a facet of K with v, is built once
-per call by ``homology._linked`` and, cut to a factor on A as
-``linked[v] & A``, is the one neighbour map of the split, the search,
-the certificate and the component sums.  The tables are combined by the
+(k, 2k - 1, 0); else the surface test at d = 2 or the certificate, then
+``_sphere_table``, else the walk.  ``linked[v]``, the vertices in a facet
+of K with v, is built once per call by ``homology._linked`` and, cut to a
+factor on A as ``linked[v] & A``, is the one neighbour map of the split,
+the search, the certificate and the component sums.  The tables are combined by the
 Kunneth formula with one rule for every pair of entries: taking Z = Z/0,
 Z/a (x) Z/b = Z/gcd(a, b), zero when the gcd is 1, and when a and b are
 both nonzero Tor(Z/a, Z/b) adds the same group one degree lower.  A join
@@ -152,7 +158,7 @@ from math import comb, gcd
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping
 
-from .homology import GradedGroups, _Faces, _facet_sphere, _linked, _masks, _reduced_groups
+from .homology import GradedGroups, _Faces, _facet_sphere, _linked, _masks, _reduced_groups, _surface
 from .polytopes import SimplePolytope
 from .simplicial import SimplicialComplex
 
@@ -338,40 +344,62 @@ def _mirror(half: Counter, m: int, d: int) -> Counter:
     return table
 
 
-def _sphere_table(vertices: int, facets: Collection[int], d: int, linked: list[int]) -> Counter | None:
-    """The table of a Z-homology d-sphere, 0 < d ≤ 3, on these vertices; None for any other d.
+def _sphere_table(vertices: int, facets: Collection[int], d: int, linked: list[int],
+                  orientable: bool | None) -> Counter | None:
+    """The table of a graph, a connected closed surface or a Z-homology 3-sphere of dimension
+    d on these vertices; None for any other factor, a graph with a ghost vertex included.
 
-    For 0 < |J| = s < m every H~_i(K_J) is free, H~_0 of rank c(J) - 1,
-    c counting the components of J in the 1-skeleton, and H~_{d-1} of
-    rank c(V - J) - 1 for d > 1, by Alexander duality; their alternating
-    sum is χ̃(K_J), and over |J| = s it sums to euler[s], the sum over the
-    faces f of (-1)^(|f|-1) binom(m - |f|, s - |f|), with the f-vector
-    (1, m, F), (1, m, 3F/2, F) or (1, m, m + F, 2F, F) of F facets.  For
-    d = 1 no component is counted, a proper K_J being a forest with
-    c(J) - 1 = χ̃(K_J); d = 2 and 3 take the sums of c(J) from
-    ``_component_sums``, on the neighbours ``linked[v] & vertices``.
+    ``orientable`` is True for a circle, an orientable surface or a
+    3-sphere, False for a non-orientable surface, and None otherwise.  For
+    0 < |J| = s < m, and for J = V on a graph that is no circle, H~(K_J)
+    is free, H~_0 of rank c(J) - 1, c counting the components of J in the
+    1-skeleton, and on a 3-sphere H~_2 of rank c(V - J) - 1 by duality; the
+    alternating sum of the ranks is χ~(K_J), and over |J| = s it sums to
+    euler[s], the sum over the faces f of (-1)^(|f|-1) binom(m - |f|,
+    s - |f|), with the f-vector (1, m, E), (1, m, 3F/2, F) or (1, m, m + F,
+    2F, F) of F facets, E of them edges.  A circle counts no component, a
+    proper K_J being a forest with c(J) - 1 = χ~(K_J); the others take the
+    sums of c(J) from ``_component_sums``, on the neighbours ``linked[v] &
+    vertices``.  K itself has H~_d = Z when orientable, and a surface has
+    H~_1 of rank 1 - χ + orientable, plus a Z/2 when it is not orientable.
     """
-    if not 0 < d <= 3:
+    if not 0 <= d <= 3 or d > 1 and orientable is None:
         return None
     m, F = vertices.bit_count(), len(facets)
-    f = (1, m, F) if d == 1 else (1, m, 3 * F // 2, F) if d == 2 else (1, m, m + F, 2 * F, F)
+    f = (1, m, F) if d < 2 else (1, m, 3 * F // 2, F) if d == 2 else (1, m, m + F, 2 * F, F)
+    if d < 2 and not orientable:  # a graph that is no circle: count its edges, and find no ghost
+        covered = edges = 0
+        for e in facets:
+            covered |= e
+            edges += e.bit_count() == 2
+        if covered != vertices:
+            return None
+        f = (1, m, edges)
     euler = [0] * (m + 1)
     for k, n in enumerate(f):  # a face of k vertices adds (-1)^(k-1) to each J around it
         n = n if k % 2 else -n
         for s in range(k, m + 1):
             euler[s] += n * comb(m - k, s - k)
-    if d == 1:
+    if d < 2 and orientable:
         count = [euler[s] + comb(m, s) for s in range(m + 1)]
     else:
         count = _component_sums(vertices, linked)
-    table = Counter({(0, 0, 0): 1, (m, m + d + 1, 0): 1})
-    for s in range(1, m):
+    closed = d > 1 or orientable  # else a graph, K summed with its proper K_J
+    table = Counter({(0, 0, 0): 1})
+    for s in range(1, m if closed else m + 1):
         subsets = comb(m, s)
-        low, high = count[s] - subsets, count[m - s] - subsets  # H~_0 and H~_{d-1}
-        ranks = (low,) if d == 1 else (low, high) if d == 2 else (low, low + high - euler[s], high)
-        for q, r in enumerate(ranks):
-            if r:
-                table[(s, s + 1 + q, 0)] = r
+        low = count[s] - subsets  # H~_0, H~_2 of a 3-sphere, and the H~_1 they leave
+        high = count[m - s] - subsets if d == 3 else 0
+        if low:
+            table[(s, s + 1, 0)] = low
+        if low + high != euler[s]:
+            table[(s, s + 2, 0)] = low + high - euler[s]
+        if high:
+            table[(s, s + 3, 0)] = high
+    if closed:  # H~_d = Z, or a non-orientable surface's Z/2 in H~_1, one degree up
+        table[(m, m + d + 1, 0 if orientable else 2)] = 1
+        if d == 2 and orientable - euler[m]:
+            table[(m, m + 2, 0)] = orientable - euler[m]
     return table
 
 
@@ -411,8 +439,8 @@ def _component_sums(vertices: int, linked: list[int]) -> list[int]:
     for v in range(vertices.bit_length()):
         if vertices >> v & 1:
             grow(0, 1 << v, 0, (1 << v) - 1)
-    for a, row in enumerate(sets):
-        for b, n in enumerate(row):
+    for a, row in enumerate(sets):  # most rows and cells are zero on a small complex
+        for b, n in enumerate(row) if any(row) else ():
             for j in range(m - a - b + 1) if n else ():
                 count[a + j] += n * comb(m - a - b, j)
     return count
@@ -594,20 +622,25 @@ def _factor_sum(part: int, facets: Collection[int], linked: list[int], sphere: b
     """The subset sum of the join factor on ``part`` with these distinct maximal faces, and
     whether it is a sphere, by the route chosen here (see the module docstring).
 
-    A factor is a d-sphere when ``sphere`` says so or ``_facet_sphere``
-    certifies it.  A certified sphere that ``_sphere_table`` sums is not
-    numbered; any other factor is numbered and listed by ``_numbered`` and
-    walked.  A walk is pooled in the call's ``pool``, started here when
-    first needed.
+    A factor is a d-sphere when ``sphere`` says so, or when ``_surface``
+    finds χ = 2 at d = 2 and ``_facet_sphere`` certifies it at any other d.
+    A factor that ``_sphere_table`` sums is not numbered; any other factor
+    is numbered and listed by ``_numbered`` and walked.  A walk is pooled
+    in the call's ``pool``, started here when first needed.
     """
     k = part.bit_count()
     # ∂Δ, k > 1 facets of k - 1 vertices: Z = S^{2k-1}, every proper K_J a simplex
     if k > 1 and len(facets) == k and sum(map(int.bit_count, facets)) == k * (k - 1):
         return Counter({(0, 0, 0): 1, (k, 2 * k - 1, 0): 1}), True
     d = max(map(int.bit_count, facets)) - 1
-    certified = sphere or _facet_sphere(part, facets, d, linked)
-    if certified and (table := _sphere_table(part, facets, d, linked)) is not None:
-        return table, True
+    if d == 2 and not sphere:  # a closed surface, S^2 when χ = 2, is summed
+        surface = _surface(part, facets, linked)
+        certified, orientable = surface is not None and surface[0] == 2, surface and surface[1]
+    else:
+        certified = sphere or _facet_sphere(part, facets, d, linked)
+        orientable = certified or None
+    if (table := _sphere_table(part, facets, d, linked, orientable)) is not None:
+        return table, certified
     faces = _numbered(part, facets, linked)
     sphere_dim = d if certified else None
     visited = 1 << (k - certified)

@@ -6,16 +6,21 @@ subcomplex K_J that the subset sum walks to, ask which faces a complex
 has, build full simplices, and take the connected sum of a dual complex
 with a simplex boundary at a facet, the tests' own route to the vertex
 cut of a polytope, and build the boundary of a cyclic 4-polytope, on
-which every two vertices span an edge.  The all-pairs pruning below is the reference for the
-canonical form that ``SimplicialComplex`` computes.  ``RP2`` and ``cycle``
-are fixtures that several test modules share.
+which every two vertices span an edge, grid tori and Klein bottles, and
+stellar subdivisions.  The all-pairs pruning below is the reference for the
+canonical form that ``SimplicialComplex`` computes.  ``RP2``, ``TORUS7``
+and ``cycle`` are fixtures that several test modules share.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 from momentangle.simplicial import SimplicialComplex, as_simplex
+
+# the minimal 7-vertex torus, as its 14 triangles
+TORUS7 = sorted({tuple(sorted(x % 7 for x in (i, i + j, i + 3))) for i in range(7) for j in (1, 2)})
 
 # the minimal 6-vertex projective plane, the standard torsion fixture
 RP2 = SimplicialComplex(
@@ -50,6 +55,48 @@ def cyclic_4_polytope_boundary(m: int) -> SimplicialComplex:
         if all(sum(a < x < b for x in S) % 2 == 0
                for a, b in combinations(sorted(set(range(m)) - set(S)), 2))
     ])
+
+
+def grid_surface(a: int, b: int, twist: bool = False) -> SimplicialComplex:
+    """The a × b grid of squares on a torus, each square cut along a diagonal, a, b >= 3.
+
+    Vertex (i, j), i mod a and j mod b, is labelled i·b + j.  With ``twist``
+    the squares that cross j = b land on j = 0 with i reflected to -i, which
+    makes a Klein bottle.
+    """
+    def label(i, j):
+        if twist and j == b:
+            i, j = -i, 0
+        return i % a * b + j % b
+
+    facets = []
+    for i in range(a):
+        for j in range(b):
+            corner, across = label(i, j), label(i + 1, j + 1)
+            facets += [(corner, label(i + 1, j), across), (corner, label(i, j + 1), across)]
+    return SimplicialComplex(a * b, facets)
+
+
+def stellar(facets, tau, v):
+    """Facets after the stellar subdivision at face ``tau`` with new vertex ``v``."""
+    t = set(tau)
+    out = [f for f in facets if not t <= set(f)]
+    for f in facets:
+        if t <= set(f):
+            rest = [x for x in f if x not in t]
+            out.extend(tuple(sorted(rest + [y for y in tau if y != x] + [v])) for x in tau)
+    return out
+
+
+def subdivided(k: SimplicialComplex, m: int, seed) -> SimplicialComplex:
+    """K stellarly subdivided at random faces, an edge or a facet each time, the
+    new vertex labelled next, until it has m vertices; K keeps its topology."""
+    r = random.Random(seed)
+    facets = sorted(k.maximal_faces)
+    for v in range(k.vertex_count, m):
+        f = r.choice(facets)
+        facets = stellar(facets, f if r.random() < 0.5 else tuple(sorted(r.sample(f, 2))), v)
+    return SimplicialComplex(m, facets)
 
 
 def is_face(k: SimplicialComplex, simplex) -> bool:

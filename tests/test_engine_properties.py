@@ -550,7 +550,7 @@ def sphere_tables(k):
         faces = listed.faces
         m, d = faces.vertex_count, listed.dim
         assert d == max(map(int.bit_count, faces.facets)) - 1 and 0 < d <= 3
-        table = _sphere_table((1 << m) - 1, faces.facets, d, neighbour_masks(faces))
+        table = _sphere_table((1 << m) - 1, faces.facets, d, neighbour_masks(faces), True)
         assert all(type(n) is int and n > 0 for n in table.values()), table
         factor = SimplicialComplex(m, [[v for v in range(m) if f >> v & 1] for f in faces.facets])
         out.append((factor, dict(table), dict(_mirror(_walk(faces, d, 0, m), m, d))))

@@ -24,6 +24,7 @@ from momentangle.simplicial import (
 from cellular_oracle import cellular_betti_mod_p
 from complexes import (
     RP2,
+    TORUS7,
     connected_sum_at_facet,
     cycle,
     faces_of_dimension,
@@ -36,7 +37,7 @@ from subset_oracle import reduced_homology as oracle_homology
 from subset_oracle import sphere_dimension as oracle_sphere_dimension
 import test_moment_angle
 from invariants import has_torsion
-from test_moment_angle import MOORE3, RP2_WITH_PATH, cut_at_0, sphere_around_rp2
+from test_moment_angle import FIN, MOORE3, PINCHED_TORUS, RP2_WITH_PATH, cut_at_0, sphere_around_rp2
 from walk import certified_dimension, counted, faces_of, neighbour_masks, route, steps
 
 
@@ -411,11 +412,6 @@ def circle_times(n, sphere, twist=False):
     return SimplicialComplex(n * q, facets)
 
 
-# ∂Δ^3 with a triangle {0, 1, 4} glued along the edge {0, 1}: pure, with the
-# homology of S^2, but the edge {0, 1} lies in three triangles
-FIN = SimplicialComplex(5, list(boundary_complex(3).maximal_faces) + [(0, 1, 4)])
-# the minimal 7-vertex torus
-TORUS7 = sorted({tuple(sorted(x % 7 for x in (i, i + j, i + 3))) for i in range(7) for j in (1, 2)})
 
 # the duals of cut sequences of the 4- and 5-simplex and cube, spheres of
 # dimension 3 and 4, and each with a facet dropped, a fin added or two
@@ -531,11 +527,13 @@ class TestSphereCertificate:
         assert trace.results == []
 
     def test_a_closed_3_manifold_is_rejected_by_its_homology_alone(self):
-        # every vertex link of C4 × S^2 is a 2-sphere, so only H~(K) tells
+        # every vertex link of C4 × S^2 is a 2-sphere, so only H~(K) tells;
+        # its one elimination is of K, the link of ∅, though the vertex
+        # links were listed after K's faces
         k = circle_times(4, boundary_complex(3))
         with counted() as trace:
             assert certified_dimension(k) is None
-        assert [h for _, h in trace.results] == [((1, (1, ())), (2, (1, ())), (3, (1, ())))]
+        assert trace.results == [("eliminated", ((1, (1, ())), (2, (1, ())), (3, (1, ()))))]
         assert oracle_homology(k) == GradedGroups({1: (1, ()), 2: (1, ()), 3: (1, ())})
 
     @pytest.mark.parametrize("name, links, homology", [
@@ -558,7 +556,8 @@ class TestSphereCertificate:
         with counted() as trace:
             assert certified_dimension(k) == d
         assert [h for _, h in trace.results] == links + homology
-        assert all(kind.endswith("eliminated") for kind, _ in trace.results)  # no graph
+        # no graph: the links' eliminations, then K's
+        assert [kind for kind, _ in trace.results] == ["link_eliminated"] * len(links) + ["eliminated"]
         # the certificate's own call is made before the patch is looked up
         assert sorted(tested) == sorted(
             (len({v for g in k.maximal_faces if set(f) <= set(g) for v in g} - set(f)), 2)
@@ -591,14 +590,8 @@ FACET_CASES = {
     "tetrahedra-at-a-vertex-and-torus": (SimplicialComplex(13, TETRAHEDRA + shifted(TORUS7, 6, [1])), False),
     # S^2 and RP^2 at a vertex: F = 2m - 4 and a closed pseudo-surface
     "2-sphere-and-rp2-at-a-vertex": (SimplicialComplex(9, TETRAHEDRON + shifted(RP2.maximal_faces, 3, [0])), False),
-    # a cylinder between the 4-cycles 0-3 and 4-7, both coned to 8: the
-    # sphere with its two poles pinched together
-    "pinched-2-sphere": (SimplicialComplex(9, [
-        f for i in range(4) for f in (
-            (i, (i + 1) % 4, 4 + i), ((i + 1) % 4, 4 + i, 4 + (i + 1) % 4),
-            (i, (i + 1) % 4, 8), (4 + i, 4 + (i + 1) % 4, 8),
-        )
-    ]), False),
+    # the sphere with its two poles pinched together, a pinched torus
+    "pinched-2-sphere": (PINCHED_TORUS, False),
     "mobius-band": (SimplicialComplex(5, [tuple(sorted({i, (i + 1) % 5, (i + 2) % 5})) for i in range(5)]), False),
     "cone-on-a-pentagon": (SimplicialComplex(6, [(i, (i + 1) % 5, 5) for i in range(5)]), False),
     "triangle-and-dangling-edge": (SimplicialComplex(4, [(0, 1, 2), (2, 3)]), False),

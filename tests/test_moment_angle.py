@@ -31,9 +31,18 @@ from momentangle.simplicial import (
     join,
 )
 from momentangle.surgery import theorem_corpus
-from complexes import RP2, cyclic_4_polytope_boundary, full_simplex, full_subcomplex
+from complexes import (
+    RP2,
+    TORUS7,
+    cyclic_4_polytope_boundary,
+    full_simplex,
+    full_subcomplex,
+    grid_surface,
+    stellar,
+    subdivided,
+)
 from invariants import euler_characteristic, has_torsion, is_symmetric, poincare_product
-from subset_oracle import reference_sum, subset_homologies
+from subset_oracle import _reduced_homology, reference_sum, subset_homologies
 from subset_oracle import sphere_dimension as oracle_sphere_dimension
 from walk import (
     certified_dimension,
@@ -69,6 +78,18 @@ MOORE3 = SimplicialComplex(
         (3, 4, 5), (3, 5, 6), (3, 6, 7),
     ],
 )
+
+# ∂Δ^3 with a triangle {0, 1, 4} glued along the edge {0, 1}, which then lies
+# on three triangles, and a cylinder between the 4-cycles 0-3 and 4-7 whose
+# ends are coned to the one vertex 8, a torus with a meridian pinched to a
+# point: the link of 8 is two cycles.  Neither is a surface
+FIN = SimplicialComplex(5, list(boundary_complex(3).maximal_faces) + [(0, 1, 4)])
+PINCHED_TORUS = SimplicialComplex(9, [
+    f for i in range(4) for f in (
+        (i, (i + 1) % 4, 4 + i), ((i + 1) % 4, 4 + i, 4 + (i + 1) % 4),
+        (i, (i + 1) % 4, 8), (4 + i, 4 + (i + 1) % 4, 8),
+    )
+])
 
 
 class TestKnownManifolds:
@@ -280,7 +301,8 @@ class TestParallelism:
             assert bigraded_table(k, workers=workers) == table
 
     def test_parallel_torsion_merge(self):
-        assert moment_angle_cohomology(RP2, workers=2) == moment_angle_cohomology(RP2)
+        for k in (RP2, MOORE3):
+            assert moment_angle_cohomology(k, workers=2) == moment_angle_cohomology(k)
 
     def test_worker_count_is_clamped_to_usable_cpus(self):
         # checked on the clamp itself, so no pool is started
@@ -289,12 +311,13 @@ class TestParallelism:
 
     def test_small_sums_start_no_pool(self):
         # polygon-11 has 2^11 subsets, but as a sphere computes only 2^10,
-        # each against its 23 faces: far below the threshold
+        # each against its 23 faces: far below the threshold; the polygons
+        # and RP2 are summed in closed form, and MOORE3 is walked below it
         with counted() as trace:
-            for k in (polygon(9).dual_complex(), polygon(11).dual_complex(), RP2):
+            for k in (polygon(9).dual_complex(), polygon(11).dual_complex(), RP2, MOORE3):
                 assert moment_angle_cohomology(k, workers=2) == moment_angle_cohomology(k)
                 assert bigraded_table(k, workers=2) == bigraded_table(k)
-        assert trace.pools == []
+        assert trace.pools == [] and [faces.vertex_count for faces, _ in trace.walks] == [8] * 4
 
     @pytest.mark.parametrize(
         "k",
@@ -351,17 +374,6 @@ class TestParallelism:
         assert trace.pools == ([2] if _usable_workers(2) == 2 else [])
 
 
-def stellar(facets, tau, v):
-    """Facets after the stellar subdivision at face ``tau`` with new vertex ``v``."""
-    t = set(tau)
-    out = [f for f in facets if not t <= set(f)]
-    for f in facets:
-        if t <= set(f):
-            rest = [x for x in f if x not in t]
-            out.extend(tuple(sorted(rest + [y for y in tau if y != x] + [v])) for x in tau)
-    return out
-
-
 def sphere_around_rp2():
     """A 4-sphere on 16 vertices whose full subcomplex on 0..5 is RP2.
 
@@ -403,22 +415,22 @@ class TestAlexanderDuality:
         # count; summing it as a 2-sphere anyway never gives the right groups,
         # so the check matters: its facets give a wrong f-vector, and a
         # negative rank, which GradedGroups refuses, or wrong groups follow.
-        # A complex of dimension 2 is certified by the facet test alone
-        fin = SimplicialComplex(5, list(boundary_complex(3).maximal_faces) + [(0, 1, 4)])
-        groups, _ = reference_sum(subset_homologies(fin))
-        assert oracle_sphere_dimension(fin) is None
-        assert not _facet_sphere(0b11111, _masks(fin.maximal_faces), 2, neighbour_masks(faces_of(fin)))
-        assert moment_angle_cohomology(fin) == groups
-        monkeypatch.setattr(moment_angle_module, "_facet_sphere", lambda vertices, facets, d, linked: True)
+        # A complex of dimension 2 is summed on the surface test alone, here
+        # forced to find S^2
+        groups, _ = reference_sum(subset_homologies(FIN))
+        assert oracle_sphere_dimension(FIN) is None
+        assert not _facet_sphere(0b11111, _masks(FIN.maximal_faces), 2, neighbour_masks(faces_of(FIN)))
+        assert moment_angle_cohomology(FIN) == groups
+        monkeypatch.setattr(moment_angle_module, "_surface", lambda vertices, facets, linked: (2, True))
         try:
-            forced = moment_angle_cohomology(fin)
+            forced = moment_angle_cohomology(FIN)
         except ValueError as error:
             assert "must be >= 0" in str(error)
         else:
             assert forced != groups
         # the walk, mirrored as on a sphere, gives wrong groups
         sphere_table_off(monkeypatch)
-        assert moment_angle_cohomology(fin) != groups
+        assert moment_angle_cohomology(FIN) != groups
 
 
 def vertices_of(part: int) -> list[int]:
@@ -430,19 +442,28 @@ def assert_unlisted_table(k, factor, walked=True):
     ``_sphere_table``'s table ``factor.faces`` and sphere dimension ``factor.dim``.
 
     Either its traces are ∂Δ's facets and its table is that of Z = S^{2k-1},
-    or it was certified as a sphere of its own dimension ``dim`` ≤ 3 and,
-    when ``walked``, the table is the mirrored walk's on its full
-    subcomplex, numbered in increasing order.
+    or it was certified as a sphere of its own dimension ``dim`` ≤ 3, or it
+    is no sphere (``dim`` None) and has dimension ≤ 2: a graph, or a
+    closed surface by the subset oracle's homology of K.  When ``walked``,
+    the table is the walk's on its full subcomplex, numbered in increasing
+    order, mirrored on a sphere.
     """
     labels, faces, dim = vertices_of(factor.part), factor.faces, factor.dim
     n = len(labels)
     assert factor.bits is None, labels
     sub = full_subcomplex(k, labels)  # numbered in increasing order
     listed = faces_of(sub)
+    top = max(map(len, sub.maximal_faces)) - 1
     if n > 1 and faces == Counter({(0, 0, 0): 1, (n, 2 * n - 1, 0): 1}):
         assert listed.ext == faces_of(boundary_complex(n - 1)).ext and dim == n - 2, labels
+    elif dim is None:
+        assert 0 <= top <= 2, labels
+        if top == 2:  # H~_2 = Z, or H~_1 has a Z/2 and H~_2 = 0
+            h = _reduced_homology(sub.maximal_faces)
+            assert (h.rank(2), h.torsion(1)) in {(1, ()), (0, (2,))}, labels
+        assert not walked or faces == _walk(listed, None, 0, n), labels
     else:
-        assert dim == max(map(len, sub.maximal_faces)) - 1 and 0 < dim <= 3, labels
+        assert dim == top and 0 < dim <= 3, labels
         assert not walked or faces == _mirror(_walk(listed, dim, 0, n), n, dim), labels
 
 
@@ -487,8 +508,9 @@ def order_off(patch):
 
 
 def sphere_table_off(patch):
-    """Make every factor go to the walk: no sphere is summed from its f-vector."""
-    patch.setattr(moment_angle_module, "_sphere_table", lambda vertices, facets, d, linked: None)
+    """Make every factor go to the walk: no sphere, surface or graph is summed from its
+    f-vector.  A surface is still tested, and only a sphere is mirrored."""
+    patch.setattr(moment_angle_module, "_sphere_table", lambda vertices, facets, d, linked, orientable: None)
 
 
 class TestJoinFactors:
@@ -529,7 +551,9 @@ class TestJoinFactors:
         k = join(RP2, RP2)
         factors = [list(range(6)), list(range(6, 12))]
         assert minimal_nonface_factors(k) == split_factors(k) == factors
-        groups, table = moment_angle_cohomology(k), bigraded_table(k)
+        with counted() as trace:  # two surfaces summed, which the unsplit walk below shares no code with
+            groups, table = moment_angle_cohomology(k), bigraded_table(k)
+        assert trace.surfaces == [(6, 1, False)] * 4 and trace.walks == []
         assert groups.torsion(17) == groups.torsion(18) == (2,)
         rp2, _ = reference_sum(subset_homologies(RP2))
         for p in (2, 3):
@@ -541,8 +565,10 @@ class TestJoinFactors:
             assert TestTorsionAgainstModPRanks.predicted(groups, p) == square
         factor_search_off(monkeypatch)
         assert split_factors(k) == [list(range(12))]
-        assert moment_angle_cohomology(k) == groups
-        assert bigraded_table(k) == table
+        with counted() as trace:
+            assert moment_angle_cohomology(k) == groups
+            assert bigraded_table(k) == table
+        assert [d for _, d in trace.walks] == [None, None] and trace.summed == []
 
     def test_kunneth_rule_on_a_hand_computed_table(self):
         # Z^2 and Z/4 in one factor, (Z/6)^3 and Z/3 in the other, keyed by
@@ -748,11 +774,12 @@ class TestVertexOrder:
         assert bigraded_table(k) == table
 
     def test_pool_tasks_take_the_renumbered_facets(self, monkeypatch):
-        # in RP2 * S^0 with the labels interleaved the RP2 factor is
-        # renumbered, and with the threshold lowered it alone reaches the
-        # pool, whose tasks list its faces from the facets they are sent
-        k = TestJoinFactors.CASES["rp2-join-s0"][0]
-        (bits,) = [f.bits for f in factors_of(k) if f.part.bit_count() == 6]
+        # in MOORE3 * S^0 with the labels interleaved the Moore space, with
+        # 2-torsion and no surface, is renumbered, and with the threshold
+        # lowered it alone reaches the pool, whose tasks list its faces from
+        # the facets they are sent
+        k = join(MOORE3, boundary_complex(1)).relabeled([0, 2, 3, 5, 6, 7, 8, 9, 1, 4])
+        (bits,) = [f.bits for f in factors_of(k) if f.part.bit_count() == 8]
         assert list(bits) != sorted(bits)
         groups, table = moment_angle_cohomology(k), bigraded_table(k)
         monkeypatch.setattr(moment_angle_module, "_POOL_MIN_WORK", 2**10)
@@ -925,6 +952,80 @@ class TestSphereTable:
         with counted() as trace:
             assert moment_angle_cohomology(k, workers=2) == groups
         assert trace.pools == [] and [d for _, d in trace.summed] == [1]
+
+
+# the minimal 7-vertex torus, two grid tori and two twisted grids, which are
+# Klein bottles, and RP2: connected closed surfaces, with (χ, orientable)
+SURFACES = {
+    "rp2": (RP2, (1, False)),
+    "torus-7": (SimplicialComplex(7, TORUS7), (0, True)),
+    "torus-3x3": (grid_surface(3, 3), (0, True)),
+    "torus-3x4": (grid_surface(3, 4), (0, True)),
+    "klein-3x3": (grid_surface(3, 3, twist=True), (0, False)),
+    "klein-3x4": (grid_surface(3, 4, twist=True), (0, False)),
+}
+# graphs that are neither a circle nor a join: a tree, a theta graph whose
+# three paths between 0 and 1 have 1, 1 and 2 inner vertices, a point and an
+# edge, and four points
+GRAPHS = {
+    "tree": SimplicialComplex(6, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5)]),
+    "theta": SimplicialComplex(6, [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (4, 5), (1, 5)]),
+    "point-and-edge": SimplicialComplex(3, [(0,), (1, 2)]),
+    "four-points": SimplicialComplex(4, [(0,), (1,), (2,), (3,)]),
+}
+
+
+class TestSurfaceTable:
+    # a connected closed surface, orientable or not, and a graph that is no
+    # circle are summed from their facets and the connected sets of their
+    # 1-skeletons, with no numbering, no face table and no walk; a 2-complex
+    # that is no surface is walked
+
+    @pytest.mark.parametrize("name, times", [
+        (name, times) for name in sorted(SURFACES) for times in (0, 1, 2)
+        # the oracle takes about 0.8 s at m = 12 and twice that per vertex
+        # more; the walk below takes the grids to 14 and 16 vertices
+        if SURFACES[name][0].vertex_count + times <= 13
+    ])
+    def test_equals_the_oracle(self, name, times):
+        surface, shape = SURFACES[name]
+        k = subdivided(surface, surface.vertex_count + times, name)
+        m, facets = _check_input(k, 22)
+        with counted() as trace:
+            assert _gather(m, facets, 1) == (subset_table(subset_homologies(k)), False)
+        assert trace.surfaces == [(m, *shape)] and trace.summed == [(m, 2)]
+        assert trace.walks == trace.numbered == trace.built == []
+
+    @pytest.mark.parametrize("name", sorted(SURFACES))
+    def test_equals_the_walk_on_subdivisions(self, name, monkeypatch):
+        # the walk of the same surface subdivided to 13-16 vertices, its
+        # closed form off; the walk shares no code with the sum
+        surface, shape = SURFACES[name]
+        k = subdivided(surface, 13 + sorted(SURFACES).index(name) % 4, name)
+        m, facets = _check_input(k, 22)
+        summed = _gather(m, facets, 1)
+        sphere_table_off(monkeypatch)
+        with counted() as trace:
+            assert _gather(m, facets, 1) == summed
+        assert trace.surfaces == [(m, *shape)] and [d for _, d in trace.walks] == [None]
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_graphs_equal_the_oracle(self, name):
+        k = GRAPHS[name]
+        assert minimal_nonface_factors(k) == [list(range(k.vertex_count))]
+        m, facets = _check_input(k, 22)
+        with counted() as trace:
+            assert _gather(m, facets, 1) == (subset_table(subset_homologies(k)), False)
+        assert trace.summed == [(m, max(map(len, k.maximal_faces)) - 1)]
+        assert trace.walks == trace.numbered == trace.built == []
+
+    @pytest.mark.parametrize("k", [FIN, PINCHED_TORUS], ids=["fin", "pinched-torus"])
+    def test_a_complex_that_is_no_surface_is_walked(self, k):
+        m, facets = _check_input(k, 22)
+        with counted() as trace:
+            assert _gather(m, facets, 1) == (subset_table(subset_homologies(k)), False)
+        assert trace.tested == [(m, 2, False)] and trace.surfaces == trace.summed == []
+        assert [d for _, d in trace.walks] == [None]
 
 
 def components(J, linked):

@@ -416,12 +416,14 @@ class TestInheritedCertificate:
         assert trace.certified == [] and trace.tested == [(9, 2, True)]
 
     def test_a_non_sphere_certifies_every_cut(self):
-        # the torus has 14 triangles on 7 vertices, not 2 * 7 - 4, so the
-        # facet test rejects it and each cut
+        # the torus has 14 triangles on 7 vertices, χ = 7 - 14/2 = 0, so the
+        # surface test finds no sphere, in it or in any cut, which is a torus
+        # on 8 vertices; each is summed as a surface, not walked
         with counted() as trace:
             reports = verify_all_cuts(TORUS)
         assert trace.tested == [(7, 2, False)] + [(8, 2, False)] * 14
-        assert trace.certified == [] and [d for _, d in trace.walks] == [None] * 15
+        assert trace.surfaces == [(7, 0, True)] + [(8, 0, True)] * 14
+        assert trace.certified == trace.walks == [] and trace.summed == [(7, 2)] + [(8, 2)] * 14
         assert [r.vertex for r in reports] == list(range(14))
         lhs = GradedGroups({0: (1, ()), 3: (4, ()), 4: (6, ()), 5: (26, ()), 6: (75, ()),
                             7: (97, ()), 8: (60, ()), 9: (16, ()), 10: (2, ()), 11: (1, ())})

@@ -19,12 +19,12 @@ of K, the definitions and the oracle's homology alone, and
 ``counted`` is the one way the tests and ``bench/walk_bench.py --routes``
 watch the engine.  While a block runs it records, in this process, each
 homology call with its kind and result, the link listings, the ``_Faces``
-tables built, the sphere certificates, each join factor as
-``_factor_sum`` decided it, the vertex sets
-numbered, the walks, and the process pools started with the tasks mapped
-on them.  A pool's workers run in other processes, and what they do is
-not seen.  ``factors_of`` reads the factors' decisions alone, with no
-walk run.
+tables built, the sphere certificates and surface tests, each join factor
+as ``_factor_sum`` decided it, the tables summed in closed form, the
+vertex sets numbered, the walks, and the process pools started with the
+tasks mapped on them.  A pool's workers run in other processes, and what
+they do is not seen.  ``factors_of`` reads the factors' decisions alone,
+with no walk run.
 """
 
 from __future__ import annotations
@@ -203,7 +203,7 @@ class Factor:
 
     part: int  # its vertices, as a mask
     faces: _Faces | Counter  # the faces it was listed with, else the table it was summed to
-    dim: int | None  # its sphere dimension, None for no sphere
+    dim: int | None  # its sphere dimension, None for no sphere, a surface or graph among them
     bits: tuple | None  # bits[i] the vertex numbered i, None when it was not listed
 
 
@@ -215,10 +215,13 @@ class Trace:
     listed: Counter = field(default_factory=Counter)  # (faces, σ, within) -> listings
     built: list = field(default_factory=list)  # the ``_Faces`` tables built, the certificate's included
     certified: list = field(default_factory=list)  # m per ``_facet_sphere`` call at d ≥ 3
-    tested: list = field(default_factory=list)  # (m, d, passed) per ``_facet_sphere`` call at d ≤ 2
+    # (m, d, passed) per ``_facet_sphere`` call at d ≤ 2 and per ``_surface`` call, which
+    # passes as a sphere test when it finds χ = 2
+    tested: list = field(default_factory=list)
+    surfaces: list = field(default_factory=list)  # (m, χ, orientable) per closed surface found
     factors: list = field(default_factory=list)  # a ``Factor`` per join factor
     numbered: list = field(default_factory=list)  # the vertex masks ``_order`` numbers
-    summed: list = field(default_factory=list)  # (m, sphere_dim) per ``_sphere_table`` table
+    summed: list = field(default_factory=list)  # (m, d) per ``_sphere_table`` table
     walks: list = field(default_factory=list)  # (faces, sphere_dim) per ``_walk`` call
     pools: list = field(default_factory=list)  # ``max_workers`` per process pool started
     maps: list = field(default_factory=list)  # the tasks given to each pool ``map``
@@ -231,31 +234,42 @@ class Trace:
         return calls
 
 
+class Listing(list):
+    """The layers of one ``_Faces.link`` listing, with the σ whose link they are."""
+
+    __slots__ = ("sigma",)
+
+    def __init__(self, layers, sigma):
+        super().__init__(layers)
+        self.sigma = sigma
+
+
 @contextmanager
 def counted():
     """Yields a ``Trace`` of what the engine does in this process while the
     block runs; a pool's workers are not seen.
 
     A call of ``homology._graph_groups`` or ``homology._matrix_groups``
-    belongs to the ``_Faces.link`` listing before it: after the link of ∅,
-    the faces of K_J, it is a K_J settle, of kind "graph" or
-    "eliminated"; after the link of a vertex, it computes that link's
-    groups, "link_graph" or "link_eliminated".  The calls inside
-    ``_facet_sphere`` are the certificate's, "certificate_graph" or
-    "certificate_eliminated", and its listings are not recorded; the
-    other listings of a vertex's link are, in ``listed``.
-    The spies wrap what each name holds when the block
+    belongs to the ``_Faces.link`` listing that made the faces it is given:
+    on the link of ∅, the faces of K_J, it is a K_J settle, of kind "graph"
+    or "eliminated"; on the link of a nonempty face, it computes that
+    link's groups, "link_graph" or "link_eliminated".  The calls inside
+    the ``_facet_sphere`` spy on ``moment_angle`` are the certificate's,
+    "certificate_graph" or "certificate_eliminated", and its listings are
+    not recorded; the other listings of a nonempty face's link are, in
+    ``listed``.  The spies wrap what each name holds when the block
     starts, so a behaviour switch set before it stays in force.
     """
     trace = Trace()
-    where = [""]  # "", "link_" or "certificate_": whose call the next one is
+    certifying = [False]  # whether the calls made now are the certificate's
     init, link = _Faces.__init__, _Faces.link
-    factor_sum, order, walk, sphere_table, facet_sphere = (
+    factor_sum, order, walk, sphere_table, facet_sphere, surface = (
         moment_angle_module._factor_sum,
         moment_angle_module._order,
         moment_angle_module._walk,
         moment_angle_module._sphere_table,
         moment_angle_module._facet_sphere,
+        moment_angle_module._surface,
     )
     executor = concurrent.futures.ProcessPoolExecutor
 
@@ -264,11 +278,9 @@ def counted():
         trace.built.append(self)
 
     def listing(self, sigma, within):
-        if where[0] != "certificate_":
-            where[0] = "link_" if sigma else ""
-            if sigma:
-                trace.listed[(self, sigma, within)] += 1
-        return link(self, sigma, within)
+        if sigma and not certifying[0]:
+            trace.listed[(self, sigma, within)] += 1
+        return Listing(link(self, sigma, within), sigma)
 
     numberings = []  # what ``_order`` returned, one per part in trace.numbered
 
@@ -289,23 +301,31 @@ def counted():
         numberings.append(order(part, linked))
         return numberings[-1]
 
-    def summing(vertices, facets, sphere_dim, linked):
-        table = sphere_table(vertices, facets, sphere_dim, linked)
+    def summing(vertices, facets, d, linked, orientable):
+        table = sphere_table(vertices, facets, d, linked, orientable)
         if table is not None:
-            trace.summed.append((vertices.bit_count(), sphere_dim))
+            trace.summed.append((vertices.bit_count(), d))
         return table
 
     def testing(vertices, facets, d, linked):
-        where[0] = "certificate_"
+        certifying[0] = True
         try:
             passed = facet_sphere(vertices, facets, d, linked)
         finally:
-            where[0] = ""
+            certifying[0] = False
         if d > 2:
             trace.certified.append(vertices.bit_count())
         else:
             trace.tested.append((vertices.bit_count(), d, passed))
         return passed
+
+    def surfacing(vertices, facets, linked):
+        found = surface(vertices, facets, linked)
+        m = vertices.bit_count()
+        trace.tested.append((m, 2, found is not None and found[0] == 2))
+        if found is not None:
+            trace.surfaces.append((m, *found))
+        return found
 
     def walking(faces, sphere_dim, *args):
         trace.walks.append((faces, sphere_dim))
@@ -326,9 +346,10 @@ def counted():
         for name, kind in (("_graph_groups", "graph"), ("_matrix_groups", "eliminated")):
             original = getattr(homology_module, name)
 
-            def spy(*args, original=original, kind=kind):
-                groups = original(*args)
-                trace.results.append((where[0] + kind, groups))
+            def spy(present, original=original, kind=kind):
+                groups = original(present)
+                whose = "certificate_" if certifying[0] else "link_" if getattr(present, "sigma", 0) else ""
+                trace.results.append((whose + kind, groups))
                 return groups
 
             patch.setattr(homology_module, name, spy)
@@ -337,6 +358,7 @@ def counted():
         patch.setattr(moment_angle_module, "_walk", walking)
         patch.setattr(moment_angle_module, "_sphere_table", summing)
         patch.setattr(moment_angle_module, "_facet_sphere", testing)
+        patch.setattr(moment_angle_module, "_surface", surfacing)
         patch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         yield trace
 
