@@ -84,13 +84,13 @@ FILES = {
     # every two vertices span an edge, so no link of the walk recurs
     "cyclic-4-polytope-18": (
         "the boundary of the cyclic polytope C(18, 4), as JSON",
-        "from complexes import cyclic_4_polytope_boundary; "
-        "print(cyclic_4_polytope_boundary(18).to_json())",
+        "from complexes import cyclic_polytope_boundary; "
+        "print(cyclic_polytope_boundary(18, 4).to_json())",
     ),
     "cyclic-4-polytope-20": (
         "the boundary of the cyclic polytope C(20, 4), as JSON",
-        "from complexes import cyclic_4_polytope_boundary; "
-        "print(cyclic_4_polytope_boundary(20).to_json())",
+        "from complexes import cyclic_polytope_boundary; "
+        "print(cyclic_polytope_boundary(20, 4).to_json())",
     ),
     "polygon-12-relabelled": (
         "the polygon-12 dual relabelled as perfbench's sphere-wide input at seed 1, as JSON",

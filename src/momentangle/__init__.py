@@ -13,7 +13,6 @@ the package: import its names from ``momentangle.isotopy``.
 from .homology import GradedGroups, invariant_factors, reduced_homology
 from .moment_angle import (
     DEFAULT_MAX_VERTICES,
-    PoincarePolynomial,
     SubsetLimitError,
     betti,
     bigraded_table,
@@ -32,7 +31,6 @@ from .simplicial import (
     join,
 )
 from .surgery import (
-    TheoremReport,
     theorem_corpus,
     verify_all_cuts,
     verify_cut_theorem,
@@ -43,11 +41,9 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_MAX_VERTICES",
     "GradedGroups",
-    "PoincarePolynomial",
     "SimplePolytope",
     "SimplicialComplex",
     "SubsetLimitError",
-    "TheoremReport",
     "betti",
     "bigraded_table",
     "boundary_complex",

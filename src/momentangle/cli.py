@@ -378,7 +378,7 @@ def cmd_betti(args) -> int:
         "kind": "betti",
         "input": obj.to_json_dict(),
         "groups": groups.to_json_dict(),
-        "poincare": str(poly),
+        "poincare": poly,
     }
     if isinstance(obj, SimplePolytope):
         payload.update(m=obj.m, n=obj.n, dim=obj.m + obj.n)

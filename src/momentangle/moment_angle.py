@@ -32,9 +32,9 @@ when some vertex of A lies in ext[f ∪ {v}] for every face f of the link
 (a cone), else ``_reduced_groups``.  They are memoised,
 A -> H~(lk(v)_A), at each v with at most ``_MEMO_NEIGHBOURS`` = 10
 neighbours numbered above it, so a memo holds at most 2^10 entries.  An
-A recurs only when a vertex above v is not its neighbour; on the dual of
-a cyclic 4-polytope none is, and an unbounded memo would hold an entry
-per visited subset.  The child is settled:
+A recurs only when a vertex above v is not its neighbour; on ∂C(18, 6),
+a 3-neighbourly 5-sphere, none is, and an unbounded memo would hold an
+entry per visited subset.  The child is settled:
 
 - v a ghost vertex: the parent's groups;
 - A = ∅: the parent's groups plus a Z in H~_0, or zero if K_J has no
@@ -156,7 +156,7 @@ import os
 from collections import Counter
 from math import comb, gcd
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator
 
 from .homology import GradedGroups, _Faces, _facet_sphere, _linked, _masks, _reduced_groups, _surface
 from .polytopes import SimplePolytope
@@ -166,10 +166,10 @@ DEFAULT_MAX_VERTICES = 22
 
 # Below this much work, the subsets visited (2^(m-1) on a certified sphere,
 # 2^m otherwise) times the faces of K, the sum runs in this process
-# whatever the worker count: a 2-process pool adds 45-55 ms to ``betti``
-# (polygon-12, RP^2 with a path), each task lists the faces again, and the
-# sphere certificate runs before it.  README ("Parallelism and limits")
-# has the serial and pooled times the threshold was set from.
+# whatever the worker count: a 2-process pool adds 30-55 ms to ``betti``
+# (cube-6 cut once or three times, RP^2 with a path), each task lists the
+# faces again, and the sphere certificate runs before it.  README
+# ("Parallelism and limits") has serial and pooled times of walked inputs.
 _POOL_MIN_WORK = 16_000_000
 
 _MEMO_NEIGHBOURS = 10  # the link memo's bound, see the module docstring
@@ -714,59 +714,20 @@ def bigraded_table(
     return {(size, degree): n for (size, degree, a), n in sorted(table.items()) if not a}
 
 
-class PoincarePolynomial:
-    """Finitely supported polynomial with nonnegative integer coefficients."""
+def betti(groups: GradedGroups) -> str:
+    """The Poincare polynomial of ``groups`` as text, such as ``1 + 2t^3 + t^6``.
 
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coefficients: Mapping[int, int] = ()):
-        coeffs: dict[int, int] = {}
-        for d, c in dict(coefficients).items():
-            d, c = int(d), int(c)
-            if d < 0:
-                raise ValueError(f"degree must be >= 0, got {d}")
-            if c < 0:
-                raise ValueError(f"coefficient at degree {d} must be >= 0, got {c}")
-            if c:
-                coeffs[d] = c
-        self._coeffs = coeffs
-
-    def coefficient(self, degree: int) -> int:
-        return self._coeffs.get(degree, 0)
-
-    def degrees(self) -> list[int]:
-        return sorted(self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PoincarePolynomial):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for d in self.degrees():
-            c = self._coeffs[d]
-            if d == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else str(c)
-                parts.append(f"{head}t" if d == 1 else f"{head}t^{d}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"PoincarePolynomial({self._coeffs!r})"
-
-
-def betti(groups: GradedGroups) -> PoincarePolynomial:
-    """Rank-only view of graded groups; degrees below 0 are dropped."""
-    return PoincarePolynomial(
-        {d: groups.rank(d) for d in groups.degrees() if d >= 0 and groups.rank(d)}
-    )
+    Each term is a free rank, ``groups.rank(d)``; degrees below 0 and
+    torsion are left out, and a result with no free rank is ``0``.
+    """
+    terms = []
+    for d in groups.degrees():
+        c = groups.rank(d)
+        if d < 0 or not c:
+            continue
+        if d == 0:
+            terms.append(str(c))
+        else:
+            head = "" if c == 1 else str(c)
+            terms.append(f"{head}t" if d == 1 else f"{head}t^{d}")
+    return " + ".join(terms) or "0"

@@ -125,14 +125,27 @@ def _prediction(p: SimplePolytope, h_z: GradedGroups) -> GradedGroups:
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Degree-by-degree comparison of computed vs predicted cut cohomology."""
+    """Computed (``lhs``) and predicted (``rhs``) cut cohomology; ``match``, ``diff`` are read off them."""
 
     polytope: str
     vertex: int
     lhs: GradedGroups
     rhs: GradedGroups
-    match: bool
-    diff: tuple[tuple[int, tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]], ...]
+
+    @property
+    def match(self) -> bool:
+        return self.lhs == self.rhs
+
+    @property
+    def diff(self) -> tuple[tuple[int, tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]], ...]:
+        """(degree, (rank, torsion) of lhs, the same of rhs) where they differ."""
+        diff = []
+        for deg in sorted(set(self.lhs.degrees()) | set(self.rhs.degrees())):
+            left = (self.lhs.rank(deg), self.lhs.torsion(deg))
+            right = (self.rhs.rank(deg), self.rhs.torsion(deg))
+            if left != right:
+                diff.append((deg, left, right))
+        return tuple(diff)
 
     def to_json_dict(self) -> dict:
         return {
@@ -149,18 +162,6 @@ class TheoremReport:
                 for deg, (lr, lt), (rr, rt) in self.diff
             },
         }
-
-
-def _compare(
-    polytope: str, vertex: int, lhs: GradedGroups, rhs: GradedGroups
-) -> TheoremReport:
-    diff = []
-    for deg in sorted(set(lhs.degrees()) | set(rhs.degrees())):
-        left = (lhs.rank(deg), lhs.torsion(deg))
-        right = (rhs.rank(deg), rhs.torsion(deg))
-        if left != right:
-            diff.append((deg, left, right))
-    return TheoremReport(polytope, vertex, lhs, rhs, not diff, tuple(diff))
 
 
 def _verify_cuts(
@@ -204,7 +205,7 @@ def _verify_cuts(
     reports = []
     for v, cut in cuts:
         lhs, _ = _cohomology(cut, workers, max_vertices, sphere)
-        reports.append(_compare(description, v, lhs, rhs))
+        reports.append(TheoremReport(description, v, lhs, rhs))
     return reports
 
 

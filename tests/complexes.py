@@ -44,14 +44,15 @@ def full_simplex(n: int) -> SimplicialComplex:
     return SimplicialComplex(n + 1, {tuple(range(n + 1))})
 
 
-def cyclic_4_polytope_boundary(m: int) -> SimplicialComplex:
-    """The boundary of the cyclic polytope C(m, 4), a 3-sphere on m >= 5 vertices.
+def cyclic_polytope_boundary(m: int, d: int) -> SimplicialComplex:
+    """The boundary of the cyclic polytope C(m, d), a (d-1)-sphere on m > d vertices.
 
-    By Gale's evenness condition a 4-set S is a facet when every two
+    By Gale's evenness condition a d-set S is a facet when every two
     vertices outside S have an even number of vertices of S between them.
+    For even d it is d/2-neighbourly: every d/2 vertices span a face.
     """
     return SimplicialComplex(m, [
-        S for S in combinations(range(m), 4)
+        S for S in combinations(range(m), d)
         if all(sum(a < x < b for x in S) % 2 == 0
                for a, b in combinations(sorted(set(range(m)) - set(S)), 2))
     ])

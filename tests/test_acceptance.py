@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from complexes import f_vector
-from invariants import euler_characteristic, has_torsion, is_symmetric, poincare_product
+from invariants import euler_characteristic, has_torsion, is_symmetric, poincare_product, ranks
 from walk import faces_of
 from momentangle.cli import main
 from momentangle.homology import GradedGroups, _boundary_column, reduced_homology
 from momentangle.isotopy import isotopy_batch, isotopy_check
-from momentangle.moment_angle import PoincarePolynomial, betti, moment_angle_cohomology
+from momentangle.moment_angle import betti, moment_angle_cohomology
 from momentangle.polytopes import polygon, product, simplex_polytope
 from momentangle.simplicial import SimplicialComplex, boundary_complex
 from momentangle.surgery import (
@@ -75,7 +75,7 @@ def test_criterion_02_square_cut(capsys):
     start = time.perf_counter()
     report = verify_cut_theorem(polygon(4), 0)
     elapsed = time.perf_counter() - start
-    expected = PoincarePolynomial({0: 1, 3: 5, 4: 5, 7: 1})
+    expected = "1 + 5t^3 + 5t^4 + t^7"
     ok = (
         report.match
         and betti(report.lhs) == expected
@@ -114,8 +114,7 @@ def test_criterion_03_corpus_verification(capsys, corpus):
 def test_criterion_04_duality_and_euler(capsys, corpus_cohomology):
     bad = []
     for name, p, groups in corpus_cohomology:
-        poly = betti(groups)
-        if not is_symmetric(poly, p.m + p.n) or euler_characteristic(poly) != 0:
+        if not is_symmetric(groups, p.m + p.n) or euler_characteristic(groups) != 0:
             bad.append(name)
     announce(
         capsys, 4, not bad, "every corpus manifold is rank-symmetric with zero Euler"
@@ -127,16 +126,14 @@ def test_criterion_05_boundary_product_rank_identity(capsys, corpus_cohomology):
     bad = []
     for name, p, groups in corpus_cohomology:
         d = p.m + p.n
-        z = betti(groups)
-        w = betti(_boundary_product_groups(groups, d))
+        w = _boundary_product_groups(groups, d)
         wanted = {}
-        for deg in z.degrees():
-            wanted[deg] = wanted.get(deg, 0) + z.coefficient(deg)
-            wanted[deg + 1] = wanted.get(deg + 1, 0) + z.coefficient(deg)
+        for deg, rank in ranks(groups).items():
+            wanted[deg] = wanted.get(deg, 0) + rank
+            wanted[deg + 1] = wanted.get(deg + 1, 0) + rank
         wanted[1] = wanted.get(1, 0) - 1
         wanted[d] = wanted.get(d, 0) - 1
-        wanted = {k: v for k, v in wanted.items() if v}
-        if w != PoincarePolynomial(wanted) or not is_symmetric(w, d + 1):
+        if betti(w) != betti(GradedGroups.from_ranks(wanted)) or not is_symmetric(w, d + 1):
             bad.append(name)
     announce(
         capsys,
@@ -168,7 +165,7 @@ def test_criterion_06_sphere_identities(capsys):
 def test_criterion_07_product_polytope(capsys):
     prism = product(simplex_polytope(1), simplex_polytope(2))
     poly = betti(moment_angle_cohomology(prism.dual_complex()))
-    expected = poincare_product(PoincarePolynomial({0: 1, 3: 1}), PoincarePolynomial({0: 1, 5: 1}))
+    expected = betti(poincare_product(GradedGroups.from_ranks({0: 1, 3: 1}), GradedGroups.from_ranks({0: 1, 5: 1})))
     ok = poly == expected
     announce(capsys, 7, ok, "prism manifold factors as (1 + t^3)(1 + t^5)")
     assert poly == expected

@@ -12,7 +12,9 @@ import pytest
 from complexes import RP2
 from isomorphism import are_combinatorially_isomorphic
 import momentangle.cli as cli_module
+import momentangle.surgery as surgery
 from momentangle.cli import main, parse_expression
+from momentangle.homology import GradedGroups
 from momentangle.moment_angle import DEFAULT_MAX_VERTICES, SubsetLimitError
 from momentangle.polytopes import (
     SimplePolytope,
@@ -652,6 +654,29 @@ def test_output_bytes_are_pinned(capsys, tmp_path, command):
     argv = [str(path) if a == "RP2" else a for a in command.split()]
     code, out, err = run(capsys, *argv)
     assert (code, sha256(out), sha256(err)) == GOLDEN[command]
+
+
+# stdout of verify polygon 5 --all-vertices when the prediction is made wrong in
+# degree 3, recorded while each report still stored its verdict and differences
+MISMATCH_GOLDEN = {
+    "": "19cdf954cf25bb431123b4c2b8e397836ba7c93d6f60e40f71b8e866724ae0df",
+    "--json": "1c535ad88912f21c805940af4511f04b617bd04daa97bb78047dd1f002c1770f",
+    "--csv": "f53753ce5f6d8a2164dc55134308daad53078ae8587de054d33efc157c976649",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(MISMATCH_GOLDEN))
+def test_mismatch_output_bytes_are_pinned(capsys, monkeypatch, fmt):
+    def wrong(p, h_z):  # Z^8 + Z/2 in degree 3 where the cut has Z^9
+        g = real(p, h_z)
+        return GradedGroups({**{d: (g.rank(d), g.torsion(d)) for d in g.degrees()}, 3: (g.rank(3) - 1, (2,))})
+
+    real = surgery._prediction
+    monkeypatch.setattr(surgery, "_prediction", wrong)
+    code, out, err = run(capsys, "verify", "polygon", "5", "--all-vertices", *fmt.split())
+    assert (code, sha256(out), err) == (1, MISMATCH_GOLDEN[fmt], "")
+    if not fmt:
+        assert "  degree 3: lhs rank 9 torsion [] != rhs rank 8 torsion [2]" in out.splitlines()
 
 
 def test_isotopy_check_formats_agree(capsys):

@@ -72,7 +72,7 @@ from momentangle.moment_angle import (  # noqa: E402
 from momentangle.polytopes import cube, polygon, product, simplex_polytope  # noqa: E402
 from momentangle.simplicial import SimplicialComplex, boundary_complex, join  # noqa: E402
 from momentangle.surgery import theorem_corpus  # noqa: E402
-from complexes import RP2, cyclic_4_polytope_boundary, faces_of_dimension, full_subcomplex  # noqa: E402
+from complexes import RP2, cyclic_polytope_boundary, faces_of_dimension, full_subcomplex  # noqa: E402
 from subset_oracle import _reduced_homology, reference_sum, subset_homologies  # noqa: E402
 from subset_oracle import sphere_dimension as oracle_sphere_dimension  # noqa: E402
 from test_surgery import assert_cut_factors_are_spheres  # noqa: E402
@@ -262,7 +262,7 @@ def boundary_joins(draw, max_joins=2):
     cyclic = False
     for _ in range(draw(st.integers(1, max_joins))):
         if not cyclic and draw(st.integers(0, 3)) == 0:
-            k, cyclic = join(k, cyclic_4_polytope_boundary(7)), True
+            k, cyclic = join(k, cyclic_polytope_boundary(7, 4)), True
         else:
             k = join(k, boundary_complex(draw(st.integers(2, 3))))
     return k.relabeled(draw(st.permutations(range(k.vertex_count))))

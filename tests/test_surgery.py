@@ -1,15 +1,17 @@
+import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
 
 import momentangle.moment_angle as moment_angle_module
-from invariants import euler_characteristic, has_torsion, is_symmetric
+from invariants import euler_characteristic, has_torsion, is_symmetric, ranks
 from isomorphism import are_combinatorially_isomorphic
 from momentangle import cli
 from momentangle.homology import GradedGroups
 from momentangle.moment_angle import (
     DEFAULT_MAX_VERTICES,
-    PoincarePolynomial,
     SubsetLimitError,
     _usable_workers,
     betti,
@@ -19,7 +21,6 @@ from momentangle.polytopes import SimplePolytope, cube, polygon, product, simple
 from momentangle.surgery import (
     TheoremReport,
     _boundary_product_groups,
-    _compare,
     _connected_sum_groups,
     _prediction,
     _sphere_product_sum_groups,
@@ -37,14 +38,12 @@ def sphere(d):
 
 class TestBoundaryProduct:
     def test_five_sphere(self):
-        assert betti(_boundary_product_groups(sphere(5), 5)) == PoincarePolynomial(
-            {0: 1, 6: 1}
-        )
+        assert betti(_boundary_product_groups(sphere(5), 5)) == "1 + t^6"
 
     def test_sphere_product(self):
         s3s3 = GradedGroups({0: (1, ()), 3: (2, ()), 6: (1, ())})
         out = _boundary_product_groups(s3s3, 6)
-        assert betti(out) == PoincarePolynomial({0: 1, 3: 2, 4: 2, 7: 1})
+        assert betti(out) == "1 + 2t^3 + 2t^4 + t^7"
 
     def test_spheres_in_spheres_out(self):
         for d in range(2, 11):
@@ -55,22 +54,21 @@ class TestBoundaryProduct:
         for p in [polygon(5), cube(3), simplex_polytope(4)]:
             d = p.m + p.n
             h = moment_angle_cohomology(p.dual_complex())
-            w = betti(_boundary_product_groups(h, d))
-            z = betti(h)
+            w = _boundary_product_groups(h, d)
             expected = {}
-            for deg in z.degrees():
-                expected[deg] = expected.get(deg, 0) + z.coefficient(deg)
-                expected[deg + 1] = expected.get(deg + 1, 0) + z.coefficient(deg)
+            for deg, rank in ranks(h).items():
+                expected[deg] = expected.get(deg, 0) + rank
+                expected[deg + 1] = expected.get(deg + 1, 0) + rank
             expected[1] = expected.get(1, 0) - 1
             expected[d] = expected.get(d, 0) - 1
-            assert w == PoincarePolynomial({k: v for k, v in expected.items() if v})
+            assert betti(w) == betti(GradedGroups.from_ranks(expected))
 
     def test_duality_propagates(self):
         for p in [polygon(4), polygon(7), simplex_polytope(3)]:
             d = p.m + p.n
             h = moment_angle_cohomology(p.dual_complex())
-            assert is_symmetric(betti(h), d)
-            assert is_symmetric(betti(_boundary_product_groups(h, d)), d + 1)
+            assert is_symmetric(h, d)
+            assert is_symmetric(_boundary_product_groups(h, d), d + 1)
 
     def test_torsion_duplicated_into_adjacent_degree(self):
         g = GradedGroups({0: (1, ()), 2: (1, (3,)), 5: (1, ())})
@@ -106,9 +104,7 @@ class TestSphereProductSum:
         )
 
     def test_two_summand_family(self):
-        assert betti(_sphere_product_sum_groups(4, 2)) == PoincarePolynomial(
-            {0: 1, 3: 3, 4: 3, 7: 1}
-        )
+        assert betti(_sphere_product_sum_groups(4, 2)) == "1 + 3t^3 + 3t^4 + t^7"
 
     def test_codimension_one_family(self):
         # m = n+1: a single S^3 x S^{2n-1} summand in dimension 2n+2
@@ -117,13 +113,13 @@ class TestSphereProductSum:
             expected = {0: 1, 3: 1, 2 * n - 1: 1, 2 * n + 2: 1}
             if n == 2:  # degrees 3 and 2n-1 coincide
                 expected = {0: 1, 3: 2, 6: 1}
-            assert betti(out) == PoincarePolynomial(expected)
+            assert betti(out) == betti(GradedGroups.from_ranks(expected))
 
     def test_symmetry_over_parameter_range(self):
         for m in range(2, 11):
             for n in range(1, m):
                 out = _sphere_product_sum_groups(m, n)
-                assert is_symmetric(betti(out), m + n + 1)
+                assert is_symmetric(out, m + n + 1)
                 assert not has_torsion(out)
 
     def test_total_rank_counts_summands(self):
@@ -148,7 +144,7 @@ class TestConnectedSum:
     def test_two_products(self):
         part = GradedGroups({0: (1, ()), 3: (1, ()), 4: (1, ()), 7: (1, ())})
         out = _connected_sum_groups([part, part], 7)
-        assert betti(out) == PoincarePolynomial({0: 1, 3: 2, 4: 2, 7: 1})
+        assert betti(out) == "1 + 2t^3 + 2t^4 + t^7"
 
     def test_single_part(self):
         part = GradedGroups({0: (1, ()), 2: (1, (5,)), 4: (1, ())})
@@ -188,23 +184,102 @@ def predict_cut_betti(p, workers=1):
 
 class TestPrediction:
     def test_triangle(self):
-        assert betti(predict_cut_betti(simplex_polytope(2))) == PoincarePolynomial(
-            {0: 1, 3: 2, 6: 1}
-        )
+        assert betti(predict_cut_betti(simplex_polytope(2))) == "1 + 2t^3 + t^6"
 
     def test_square(self):
-        assert betti(predict_cut_betti(polygon(4))) == PoincarePolynomial(
-            {0: 1, 3: 5, 4: 5, 7: 1}
-        )
+        assert betti(predict_cut_betti(polygon(4))) == "1 + 5t^3 + 5t^4 + t^7"
 
     def test_tetrahedron(self):
-        assert betti(predict_cut_betti(simplex_polytope(3))) == PoincarePolynomial(
-            {0: 1, 3: 1, 5: 1, 8: 1}
-        )
+        assert betti(predict_cut_betti(simplex_polytope(3))) == "1 + t^3 + t^5 + t^8"
 
     def test_worker_count_does_not_change_prediction(self):
         p = polygon(5)
         assert predict_cut_betti(p) == predict_cut_betti(p, workers=2)
+
+
+# a hand-made pair of sides that differ in degree 3 only: Z^2 against Z + Z/2
+MISMATCH = (
+    GradedGroups({0: (1, ()), 3: (2, ()), 6: (1, ())}),
+    GradedGroups({0: (1, ()), 3: (1, (2,)), 6: (1, ())}),
+)
+
+
+def walked_diff(lhs, rhs):
+    """(degree, lhs (rank, torsion), rhs (rank, torsion)) wherever they differ, every degree walked."""
+    rows = []
+    for deg in sorted(set(lhs.degrees()) | set(rhs.degrees())):
+        left, right = (lhs.rank(deg), lhs.torsion(deg)), (rhs.rank(deg), rhs.torsion(deg))
+        if left != right:
+            rows.append((deg, left, right))
+    return tuple(rows)
+
+
+def expected_json(report):
+    """The report's JSON object, built from its fields and ``walked_diff`` alone."""
+    diff = walked_diff(report.lhs, report.rhs)
+    return {
+        "polytope": report.polytope,
+        "vertex": report.vertex,
+        "lhs": report.lhs.to_json_dict(),
+        "rhs": report.rhs.to_json_dict(),
+        "match": not diff,
+        "diff": {
+            str(deg): {"lhs": {"rank": lr, "torsion": list(lt)}, "rhs": {"rank": rr, "torsion": list(rt)}}
+            for deg, (lr, lt), (rr, rt) in diff
+        },
+    }
+
+
+def json_digest(value):
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def corpus_reports():
+    return [verify_all_cuts(p, description=name) for name, p in theorem_corpus()]
+
+
+class TestVerdictFromGroups:
+    """A report holds its two sides only; ``match`` and ``diff`` are read off them."""
+
+    def check(self, report):
+        assert report.match == (report.lhs == report.rhs)
+        assert report.diff == walked_diff(report.lhs, report.rhs)
+        assert report.to_json_dict() == expected_json(report)
+
+    def test_four_fields(self):
+        assert [f.name for f in dataclasses.fields(TheoremReport)] == ["polytope", "vertex", "lhs", "rhs"]
+
+    def test_each_cut_against_the_next_polytopes_prediction(self, corpus_reports):
+        # every corpus cut's lhs beside a prediction it must not match
+        crossed = [
+            TheoremReport(r.polytope, r.vertex, r.lhs, corpus_reports[(i + 1) % len(corpus_reports)][0].rhs)
+            for i, rs in enumerate(corpus_reports)
+            for r in rs
+        ]
+        assert len(crossed) == 65
+        for r in crossed:
+            self.check(r)
+            assert not r.match and r.diff
+        # the JSON these reports gave when match and diff were stored fields
+        digest = "8ca358c37b03c1688ec40b649c85490310aad8b40af0c210f0949c24a93f6c84"
+        assert json_digest([r.to_json_dict() for r in crossed]) == digest
+
+    def test_hand_made_mismatch(self):
+        report = TheoremReport("probe", 0, *MISMATCH)
+        self.check(report)
+        assert TheoremReport("probe", 0, MISMATCH[1], MISMATCH[1]).diff == ()
+        swapped = TheoremReport("probe", 0, MISMATCH[1], MISMATCH[0])
+        self.check(swapped)
+        assert swapped.diff == ((3, (1, (2,)), (2, ())),)
+        # the same ranks, torsion apart in one degree and missing from another
+        torsion = TheoremReport(
+            "probe", 1, GradedGroups({0: (1, ()), 4: (1, (2,)), 5: (0, (4,))}), GradedGroups({0: (1, ()), 4: (1, (3,))})
+        )
+        self.check(torsion)
+        assert torsion.diff == ((4, (1, (2,)), (1, (3,))), (5, (0, (4,)), (0, ())))
+        digest = "b36756863b8081b6da52c0808f345c536ca2fbac5b22d546ad1f7b7bb57d3358"
+        assert json_digest(report.to_json_dict()) == digest
 
 
 class TestVerification:
@@ -214,12 +289,12 @@ class TestVerification:
         assert report.vertex == 0
         assert report.diff == ()
         assert report.lhs == report.rhs
-        assert betti(report.lhs) == PoincarePolynomial({0: 1, 3: 2, 6: 1})
+        assert betti(report.lhs) == "1 + 2t^3 + t^6"
 
     def test_square_report(self):
         report = verify_cut_theorem(polygon(4), 0)
         assert report.match
-        assert betti(report.lhs) == PoincarePolynomial({0: 1, 3: 5, 4: 5, 7: 1})
+        assert betti(report.lhs) == "1 + 5t^3 + 5t^4 + t^7"
 
     def test_pentagon_lhs_is_hexagon_computation(self):
         report = verify_cut_theorem(polygon(5), 0)
@@ -244,9 +319,7 @@ class TestVerification:
                 assert r.rhs == first.rhs
 
     def test_mismatch_reporting(self):
-        lhs = GradedGroups({0: (1, ()), 3: (2, ()), 6: (1, ())})
-        rhs = GradedGroups({0: (1, ()), 3: (1, (2,)), 6: (1, ())})
-        report = _compare("probe", 0, lhs, rhs)
+        report = TheoremReport("probe", 0, *MISMATCH)
         assert not report.match
         assert report.diff == ((3, (2, ()), (1, (2,))),)
         payload = report.to_json_dict()
@@ -276,10 +349,9 @@ class TestBeyondTheProvedRange:
     def check(self, p, reports):
         assert p.n >= 3 and p.m >= 3 * p.n
         for r in reports:
-            poly = betti(r.lhs)
             assert r.match
-            assert is_symmetric(poly, p.m + 1 + p.n)  # Z(P_v) has m + 1 facets
-            assert euler_characteristic(poly) == 0
+            assert is_symmetric(r.lhs, p.m + 1 + p.n)  # Z(P_v) has m + 1 facets
+            assert euler_characteristic(r.lhs) == 0
 
     def test_every_cut_of_a_simplex_after_five_cuts(self):
         p = cut_in_turn(simplex_polytope(3), [0, 4, 1, 7, 2])
